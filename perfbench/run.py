@@ -33,7 +33,13 @@ import sys
 import threading
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-RUN_TIMEOUT_S = 170
+
+
+def run_timeout_s(seconds):
+    """Watchdog for one binary run: the timed phases, plus set-up and the
+    traced passes, which take about as long again, plus slack; never less
+    than the 170 s that keeps a run at the default length under 180 s."""
+    return max(170.0, 3 * seconds + 60)
 
 
 def log(message):
@@ -57,15 +63,15 @@ def build(build_dir):
     return True
 
 
-def run_binary(command):
+def run_binary(command, timeout_s):
     """Run the binary, echoing its stdout; returns (exit code, last line).
 
-    A watchdog kills the binary after RUN_TIMEOUT_S; the exit code is then
+    A watchdog kills the binary after `timeout_s`; the exit code is then
     negative and the caller treats the run as failed.
     """
     last = None
     with subprocess.Popen(command, stdout=subprocess.PIPE, text=True) as proc:
-        watchdog = threading.Timer(RUN_TIMEOUT_S, proc.kill)
+        watchdog = threading.Timer(timeout_s, proc.kill)
         watchdog.start()
         try:
             for line in proc.stdout:
@@ -124,7 +130,7 @@ def main(argv):
                "--seconds", repr(args.seconds), "--trace", args.trace,
                "--work-dir", ".bench_run", "--trace-out", trace_path]
     try:
-        code, last = run_binary(command)
+        code, last = run_binary(command, run_timeout_s(args.seconds))
     except OSError as error:
         log("cannot run the binary: %s" % error)
         return 1

@@ -1,9 +1,9 @@
 // bench.h — the two kinds of perfbench run and the steps they share.
 //
 // An untraced run measures set-up, then the timed phases (cold, resume,
-// merge, daemon jobs, daemon results) taking turns until each has used
-// its share of --seconds. Its end-to-end metrics are the ones that hold
-// steady on a shared host: set-up time, store bytes and peak RSS. The
+// merge, daemon jobs, daemon results) one after another, each within its
+// share of --seconds. Its end-to-end metrics are the ones that hold
+// steady on a shared host: set-up CPU time, store bytes and peak RSS. The
 // phase timings are per-layer metrics: the host's speed and its disk's
 // flush latency drift by 20-50% over tens of minutes, more than any
 // bound a gate could use. A traced run arms the obs recorder, calls each

@@ -69,12 +69,6 @@ hmpt::Json controls_json(const WorkloadDef& def, int cpus, int malloc_arenas) {
   shares["daemon_jobs"] = hmpt::Json(def.daemon_share);
   shares["daemon_results"] = hmpt::Json(def.result_share);
   controls["phase_shares"] = hmpt::Json(std::move(shares));
-  controls["slices_per_pass"] =
-      hmpt::Json(static_cast<std::uint64_t>(def.slices));
-  controls["daemon_jobs_per_step"] =
-      hmpt::Json(static_cast<std::uint64_t>(def.daemon_batch));
-  controls["result_fetches_per_step"] =
-      hmpt::Json(static_cast<std::uint64_t>(def.result_batch));
   controls["traced_daemon_jobs"] = hmpt::Json(def.traced_daemon_jobs);
   controls["traced_cache_resubmits"] = hmpt::Json(def.traced_cache_resubmits);
   controls["traced_result_fetches"] = hmpt::Json(def.traced_results);

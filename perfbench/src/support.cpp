@@ -1,5 +1,9 @@
 #include "support.h"
 
+#include <fcntl.h>
+#include <time.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -25,6 +29,22 @@ double Samples::percentile(double p) const {
   const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
+}
+
+double process_cpu_s() {
+  timespec now{};
+  if (::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &now) != 0)
+    hmpt::raise("clock_gettime(CLOCK_PROCESS_CPUTIME_ID) failed");
+  return static_cast<double>(now.tv_sec) +
+         static_cast<double>(now.tv_nsec) / 1e9;
+}
+
+void flush_filesystem(const std::string& dir) {
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) hmpt::raise("cannot open " + dir);
+  const int rc = ::syncfs(fd);
+  ::close(fd);
+  if (rc != 0) hmpt::raise("syncfs failed on " + dir);
 }
 
 double peak_rss_mb() {

@@ -57,6 +57,25 @@ class WorkTimer {
   double wait_start_;
 };
 
+/// CPU time (user + system) all threads of this process have used so far,
+/// in seconds. Unlike wall time it does not grow while the process waits
+/// for the disk or for a CPU that another tenant holds.
+double process_cpu_s();
+
+/// Times the process CPU time used within a window.
+class CpuTimer {
+ public:
+  CpuTimer() : start_(process_cpu_s()) {}
+  double seconds() const { return process_cpu_s() - start_; }
+
+ private:
+  double start_;
+};
+
+/// Write back everything cached for the filesystem that holds `dir`
+/// (syncfs(2)); throws hmpt::Error when it cannot.
+void flush_filesystem(const std::string& dir);
+
 /// VmHWM of this process in MiB (peak resident set).
 double peak_rss_mb();
 

@@ -4,8 +4,11 @@
 // one, inside a span named after the layer. Its cold pass does per
 // scenario exactly what CampaignRunner::run + execute do — build the
 // platform and workload, tune through a Session, make_payload,
-// save_payload — so the layers add up to the scenario, and the payloads
-// it stores must be byte-identical to an untraced CampaignRunner pass.
+// save_payload — and CampaignRunner runs each scenario too, right beside
+// it: the layers must add up to the runner's scenario time (obs.coverage),
+// and the payloads they store must be byte-identical to an untraced
+// CampaignRunner pass.
+#include <algorithm>
 #include <filesystem>
 #include <iomanip>
 #include <iostream>
@@ -94,63 +97,108 @@ hmpt::tuner::TuningOutcome tune(const Scenario& scenario,
   return session.run();
 }
 
+/// Time of a CampaignRunner pass's scenarios (ScenarioRun::seconds), less
+/// the flush waits within the pass, in ms.
+double scenario_work_ms(const CampaignResult& result, double flush_ms) {
+  double ms = -flush_ms;
+  for (const auto& run : result.runs) ms += run.seconds * 1e3;
+  return ms;
+}
+
 /// What one decomposed cold pass measured.
 struct ColdPass {
   /// Per scenario: build+tune+encode+write, without flush waits.
   std::vector<double> window_work_ms;
-  double windows_ms = 0.0;  ///< the same windows, wall time
-  double flush_ms = 0.0;
+  double flush_ms = 0.0;  ///< flush waits within those windows
   double fsyncs = 0.0, timer_hits = 0.0, timer_misses = 0.0;
   double configs = 0.0, measurements = 0.0, payload_bytes = 0.0;
+  /// The same scenarios run by CampaignRunner: how many it executed, and
+  /// its scenario time without flush waits, which the layers must add up
+  /// to.
+  int runner_executed = 0;
+  double runner_work_ms = 0.0;
 };
 
+/// Work, in ms, of one block of the decomposed pass (see below).
+constexpr double kBlockMs = 20.0;
+
 /// The cold pass layer by layer, into a dir store under `dir`: per
-/// scenario build, tune, make_payload, save_payload; then the artefacts.
-/// With `split_encode`, make_payload's two halves (outcome_to_json and
-/// Json::dump) are also timed, outside the scenario window.
+/// scenario build, tune, make_payload, save_payload, and make_payload's
+/// two halves (outcome_to_json and Json::dump) timed again outside the
+/// scenario window; then the artefacts. CampaignRunner also runs every
+/// scenario, into `runner_dir`, a block at a time beside the layers'
+/// block. A block holds about kBlockMs of runner work (at least one
+/// scenario, by the runner's mean so far): short enough that the host's
+/// speed, which swings within a second, is the same for both, long enough
+/// that neither evicts the other's caches scenario by scenario. The
+/// runner goes first on even blocks and last on odd ones.
 ColdPass decomposed_cold_pass(const std::vector<Scenario>& scenarios,
-                              const std::string& dir, LayerSamples& layers,
-                              bool split_encode) {
+                              const std::string& dir,
+                              const std::string& runner_dir,
+                              LayerSamples& layers) {
   const OutcomeStore store(dir, StoreFormat::Dir);
+  const CampaignRunner runner(batch_options(runner_dir));
   ColdPass pass;
   pass.window_work_ms.resize(scenarios.size());
   CampaignResult cold;
-  const std::uint64_t fsyncs_before = fsync_calls();
-  const double flush_before = fsync_wait_ms();
-  const std::uint64_t hits_before = counter("timer.hits");
-  const std::uint64_t misses_before = counter("timer.misses");
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    const Scenario& scenario = scenarios[i];
-    ScenarioRun run;
-    run.scenario = scenario;
-    run.fingerprint = scenario.fingerprint();
-    std::string payload;
-    const WorkTimer window;
-    {
-      // The simulator is built in place (it must not be moved once a
-      // workload is resolved against it), so the build span is closed
-      // by hand.
-      std::optional<Layer> build;
-      build.emplace("campaign.build", layers);
-      auto simulator = make_platform(scenario.platform);
-      const auto resolved =
-          WorkloadRegistry::instance().create(scenario.workload, simulator);
-      build.reset();
-      Layer layer("core.tune", layers);
-      run.outcome = tune(scenario, simulator, resolved);
-    }
-    {
-      Layer layer("campaign.make_payload", layers);
-      payload = OutcomeStore::make_payload(scenario, run.outcome);
-    }
-    {
-      Layer layer("campaign.store_write", layers);
-      store.save_payload(run.fingerprint, payload);
-    }
-    pass.window_work_ms[i] = window.work_ms();
-    pass.windows_ms += window.wall_ms();
+  std::size_t block_size = 1;
+  bool runner_first = true;
+  for (std::size_t begin = 0, end = 0; begin < scenarios.size();
+       begin = end, runner_first = !runner_first) {
+    end = std::min(scenarios.size(), begin + block_size);
+    const auto run_runner = [&] {
+      const std::vector<Scenario> block(
+          scenarios.begin() + static_cast<std::ptrdiff_t>(begin),
+          scenarios.begin() + static_cast<std::ptrdiff_t>(end));
+      const WorkTimer timer;
+      const auto done = runner.run(block);
+      pass.runner_work_ms += scenario_work_ms(done, timer.fsync_ms());
+      pass.runner_executed += done.executed;
+      const double mean_ms =
+          pass.runner_work_ms / static_cast<double>(end);
+      block_size = static_cast<std::size_t>(
+          std::clamp(kBlockMs / std::max(mean_ms, 1e-3), 1.0, 64.0));
+    };
+    if (runner_first) run_runner();
+    for (std::size_t i = begin; i < end; ++i) {
+      const Scenario& scenario = scenarios[i];
+      ScenarioRun run;
+      run.scenario = scenario;
+      run.fingerprint = scenario.fingerprint();
+      std::string payload;
+      const std::uint64_t fsyncs_before = fsync_calls();
+      const std::uint64_t hits_before = counter("timer.hits");
+      const std::uint64_t misses_before = counter("timer.misses");
+      const WorkTimer window;
+      {
+        // The simulator is built in place (it must not be moved once a
+        // workload is resolved against it), so the build span is closed
+        // by hand.
+        std::optional<Layer> build;
+        build.emplace("campaign.build", layers);
+        auto simulator = make_platform(scenario.platform);
+        const auto resolved =
+            WorkloadRegistry::instance().create(scenario.workload, simulator);
+        build.reset();
+        Layer layer("core.tune", layers);
+        run.outcome = tune(scenario, simulator, resolved);
+      }
+      {
+        Layer layer("campaign.make_payload", layers);
+        payload = OutcomeStore::make_payload(scenario, run.outcome);
+      }
+      {
+        Layer layer("campaign.store_write", layers);
+        store.save_payload(run.fingerprint, payload);
+      }
+      pass.window_work_ms[i] = window.work_ms();
+      pass.flush_ms += window.fsync_ms();
+      pass.fsyncs += static_cast<double>(fsync_calls() - fsyncs_before);
+      pass.timer_hits +=
+          static_cast<double>(counter("timer.hits") - hits_before);
+      pass.timer_misses +=
+          static_cast<double>(counter("timer.misses") - misses_before);
 
-    if (split_encode) {
       Json encoded;
       {
         Layer layer("core.encode", layers);
@@ -160,19 +208,15 @@ ColdPass decomposed_cold_pass(const std::vector<Scenario>& scenarios,
         Layer layer("common.json_dump", layers);
         encoded.dump();
       }
+      pass.configs += run.outcome.configs_measured;
+      pass.measurements += run.outcome.measurements;
+      pass.payload_bytes += static_cast<double>(payload.size());
+      run.status = ScenarioRun::Status::Executed;
+      cold.runs.push_back(std::move(run));
+      ++cold.executed;
     }
-    pass.configs += run.outcome.configs_measured;
-    pass.measurements += run.outcome.measurements;
-    pass.payload_bytes += static_cast<double>(payload.size());
-    run.status = ScenarioRun::Status::Executed;
-    cold.runs.push_back(std::move(run));
-    ++cold.executed;
+    if (!runner_first) run_runner();
   }
-  pass.fsyncs = static_cast<double>(fsync_calls() - fsyncs_before);
-  pass.flush_ms = fsync_wait_ms() - flush_before;
-  pass.timer_hits = static_cast<double>(counter("timer.hits") - hits_before);
-  pass.timer_misses =
-      static_cast<double>(counter("timer.misses") - misses_before);
   {
     Layer layer("campaign.aggregate", layers);
     write_artifacts(cold, dir);
@@ -197,34 +241,50 @@ RunReport run_traced(const RunOptions& options) {
   const std::size_t n = scenarios.size();
   warm_up(scenarios, path_in(work, "warm"));
 
-  // ---- reference: a CampaignRunner cold pass, whose store bytes and
-  // artefacts the layer-by-layer pass must reproduce.
+  // ---- reference: an untraced CampaignRunner cold pass, whose store
+  // bytes and artefacts the traced passes must reproduce.
   const std::string plain_dir = path_in(work, "cold-runner");
+  double untraced_work_ms = 0.0;
   {
+    const WorkTimer timer;
     const auto result = CampaignRunner(batch_options(plain_dir)).run(scenarios);
+    untraced_work_ms = scenario_work_ms(result, timer.fsync_ms());
     write_outputs(result, plain_dir);
     report.check(result.executed == static_cast<int>(n),
                  "reference cold pass did not execute every scenario");
   }
   const std::string reference = deterministic_artifacts(plain_dir);
 
-  // ---- the layer-by-layer pass, untraced then traced: the ratio of
-  // their compute layers' time is the tracing overhead (the store write
-  // is left out: its disk waits swamp the few spans tracing adds).
-  LayerSamples untraced_layers;
-  decomposed_cold_pass(scenarios, path_in(work, "cold-untraced"),
-                       untraced_layers, false);
-  fs::remove_all(path_in(work, "cold-untraced"));
+  // ---- the same pass traced: the ratio of the two is the tracing
+  // overhead.
   hmpt::obs::TraceRecorder::instance().start();
   {
     Layer layer("campaign.expand", layers);
     report.check(matrix.expand().size() == n, "re-expansion changed size");
   }
+  double traced_work_ms = 0.0;
+  {
+    const std::string dir = path_in(work, "cold-runner-traced");
+    const WorkTimer timer;
+    const auto result = CampaignRunner(batch_options(dir)).run(scenarios);
+    traced_work_ms = scenario_work_ms(result, timer.fsync_ms());
+    write_artifacts(result, dir);
+    report.check(deterministic_artifacts(dir) == reference,
+                 "traced CampaignRunner artefacts differ from the untraced");
+    fs::remove_all(dir);
+  }
+
+  // ---- the traced layer-by-layer pass, beside a traced CampaignRunner.
   const std::string cold_dir = path_in(work, "cold-traced");
+  const std::string runner_dir = path_in(work, "cold-traced-runner");
   const OutcomeStore store(cold_dir, StoreFormat::Dir);
-  const ColdPass cold = decomposed_cold_pass(scenarios, cold_dir, layers, true);
+  const ColdPass cold =
+      decomposed_cold_pass(scenarios, cold_dir, runner_dir, layers);
   report.check(deterministic_artifacts(cold_dir) == reference,
                "traced artefacts differ from the CampaignRunner pass");
+  report.check(cold.runner_executed == static_cast<int>(n),
+               "interleaved CampaignRunner did not execute every scenario");
+  fs::remove_all(runner_dir);
   const OutcomeStore plain_store(plain_dir, StoreFormat::Dir);
   for (const auto& scenario : scenarios)
     report.check(slurp(store.path_for(scenario)) ==
@@ -344,88 +404,81 @@ RunReport run_traced(const RunOptions& options) {
 
   hmpt::obs::TraceRecorder::instance().stop_and_write(options.trace_path);
 
-  // ---- per-layer table: each layer's share of cold scenario time.
+  // ---- per-layer table: each layer's share of the cold scenario time
+  // CampaignRunner measured, flush waits left out of both.
   double covered_ms = 0.0;
   std::cout << "per-layer breakdown (" << def.name << ", " << n
-            << " scenarios, traced cold pass " << std::fixed
-            << std::setprecision(1) << cold.windows_ms << " ms)\n";
+            << " scenarios; CampaignRunner scenario time " << std::fixed
+            << std::setprecision(1) << cold.runner_work_ms
+            << " ms, without " << cold.flush_ms
+            << " ms of flush wait in the layers)\n";
   std::cout << "  layer                       p50 ms      total ms   share\n";
   for (const char* name : kScenarioLayers) {
     const Samples& s = layers[name];
-    covered_ms += s.sum();
+    const bool writes = std::string(name) == "campaign.store_write";
+    const double ms = s.sum() - (writes ? cold.flush_ms : 0.0);
+    covered_ms += ms;
     std::cout << "  " << std::left << std::setw(26) << name << std::right
               << std::setw(9) << std::setprecision(3) << s.percentile(50)
-              << std::setw(14) << std::setprecision(1) << s.sum()
-              << std::setw(7) << std::setprecision(1)
-              << 100.0 * s.sum() / cold.windows_ms << "%\n";
+              << std::setw(14) << std::setprecision(1) << ms << std::setw(7)
+              << std::setprecision(1) << 100.0 * ms / cold.runner_work_ms
+              << "%\n";
   }
   std::cout.unsetf(std::ios::floatfield);
   std::cout << std::setprecision(6);
-  const double coverage = covered_ms / cold.windows_ms;
+  const double coverage = covered_ms / cold.runner_work_ms;
   report.check(coverage >= 0.9, "obs.coverage below 0.9");
 
   const double dn = static_cast<double>(n);
-  auto p = [&](const char* name, double pct) {
+  const auto p = [&](const char* name, double pct) {
     return layers[name].percentile(pct);
   };
-  report.layer_metric("campaign.expand_ms", layers["campaign.expand"].sum(), "ms");
-  report.layer_metric("campaign.build_ms_p50", p("campaign.build", 50), "ms");
-  report.layer_metric("core.tune_ms_p50", p("core.tune", 50), "ms");
-  report.layer_metric("core.tune_ms_p90", p("core.tune", 90), "ms");
-  report.layer_metric("simmem.configs_per_s",
-                cold.configs / (layers["core.tune"].sum() / 1e3), "1/s");
-  report.layer_metric("simmem.timer_hit_ratio",
-                cold.timer_hits / (cold.timer_hits + cold.timer_misses),
-                "ratio");
-  report.layer_metric("core.configs_per_scenario", cold.configs / dn, "count");
-  report.layer_metric("core.measurements_per_scenario", cold.measurements / dn,
-                "count");
-  report.layer_metric("campaign.make_payload_ms_p50", p("campaign.make_payload", 50),
-                "ms");
-  report.layer_metric("core.encode_ms_p50", p("core.encode", 50), "ms");
-  report.layer_metric("common.json_dump_ms_p50", p("common.json_dump", 50), "ms");
-  report.layer_metric("core.encode_bytes_per_scenario", cold.payload_bytes / dn,
-                "bytes");
-  report.layer_metric("campaign.store_write_ms_p50", p("campaign.store_write", 50),
-                "ms");
-  report.layer_metric("campaign.store_write_ms_p90", p("campaign.store_write", 90),
-                "ms");
-  report.layer_metric("campaign.fsyncs_per_scenario", cold.fsyncs / dn, "count");
-  report.layer_metric("campaign.fsync_wait_ms_per_scenario", cold.flush_ms / dn,
-                "ms");
-  report.layer_metric("campaign.store_write_growth",
-                growth(layers["campaign.store_write"]), "ratio");
-  report.layer_metric("campaign.packed_store_write_ms_p50",
-                p("campaign.packed_store_write", 50), "ms");
-  report.layer_metric("campaign.packed_store_write_growth",
-                growth(layers["campaign.packed_store_write"]), "ratio");
-  report.layer_metric("campaign.store_read_ms_p50", p("campaign.store_read", 50),
-                "ms");
-  report.layer_metric("common.json_parse_ms_p50", p("common.json_parse", 50), "ms");
-  report.layer_metric("core.decode_ms_p50", p("core.decode", 50), "ms");
-  report.layer_metric("campaign.resume_hit_ratio", hit_ratio, "ratio");
-  report.layer_metric("campaign.aggregate_ms", layers["campaign.aggregate"].sum(),
-                "ms");
-  report.layer_metric("report.render_ms", layers["report.render"].sum(), "ms");
-  const double merge_ms = layers["campaign.merge"].sum();
-  report.layer_metric("campaign.merge_ms", merge_ms, "ms");
-  report.layer_metric("campaign.merge_mb_per_s", merge_mb / (merge_ms / 1e3),
-                "MB/s");
-  report.layer_metric("service.job_overhead_ms_p50", overhead_ms.percentile(50),
-                "ms");
-  report.layer_metric("service.dispatched", dispatched, "count");
-  report.layer_metric("service.cache_hits", cache_hits, "count");
-  report.layer_metric("service.result_bytes_per_response",
-                result_bytes / static_cast<double>(result_ms.size()), "bytes");
-  report.layer_metric("service.result_mb_per_s",
-                result_bytes / 1e6 / (result_ms.sum() / 1e3), "MB/s");
-  report.layer_metric("obs.coverage", coverage, "ratio");
-  const auto compute_ms = [](LayerSamples& of) {
-    return of["campaign.build"].sum() + of["core.tune"].sum() +
-           of["campaign.make_payload"].sum();
+  const auto sum = [&](const char* name) { return layers[name].sum(); };
+  const auto put = [&report](const char* name, double value,
+                             const char* unit) {
+    report.layer_metric(name, value, unit);
   };
-  report.layer_metric("obs.trace_overhead",
-                compute_ms(untraced_layers) / compute_ms(layers), "ratio");
+  put("campaign.expand_ms", sum("campaign.expand"), "ms");
+  put("campaign.build_ms_p50", p("campaign.build", 50), "ms");
+  put("core.tune_ms_p50", p("core.tune", 50), "ms");
+  put("core.tune_ms_p90", p("core.tune", 90), "ms");
+  put("simmem.configs_per_s", cold.configs / (sum("core.tune") / 1e3), "1/s");
+  put("simmem.timer_hit_ratio",
+      cold.timer_hits / (cold.timer_hits + cold.timer_misses), "ratio");
+  put("core.configs_per_scenario", cold.configs / dn, "count");
+  put("core.measurements_per_scenario", cold.measurements / dn, "count");
+  put("campaign.make_payload_ms_p50", p("campaign.make_payload", 50), "ms");
+  put("core.encode_ms_p50", p("core.encode", 50), "ms");
+  put("common.json_dump_ms_p50", p("common.json_dump", 50), "ms");
+  put("core.encode_bytes_per_scenario", cold.payload_bytes / dn, "bytes");
+  put("campaign.store_write_ms_p50", p("campaign.store_write", 50), "ms");
+  put("campaign.store_write_ms_p90", p("campaign.store_write", 90), "ms");
+  put("campaign.fsyncs_per_scenario", cold.fsyncs / dn, "count");
+  put("campaign.fsync_wait_ms_per_scenario", cold.flush_ms / dn, "ms");
+  put("campaign.store_write_growth", growth(layers["campaign.store_write"]),
+      "ratio");
+  put("campaign.packed_store_write_ms_p50",
+      p("campaign.packed_store_write", 50), "ms");
+  put("campaign.packed_store_write_growth",
+      growth(layers["campaign.packed_store_write"]), "ratio");
+  put("campaign.store_read_ms_p50", p("campaign.store_read", 50), "ms");
+  put("common.json_parse_ms_p50", p("common.json_parse", 50), "ms");
+  put("core.decode_ms_p50", p("core.decode", 50), "ms");
+  put("campaign.resume_hit_ratio", hit_ratio, "ratio");
+  put("campaign.aggregate_ms", sum("campaign.aggregate"), "ms");
+  put("report.render_ms", sum("report.render"), "ms");
+  put("campaign.merge_ms", sum("campaign.merge"), "ms");
+  put("campaign.merge_mb_per_s", merge_mb / (sum("campaign.merge") / 1e3),
+      "MB/s");
+  put("service.job_overhead_ms_p50", overhead_ms.percentile(50), "ms");
+  put("service.dispatched", dispatched, "count");
+  put("service.cache_hits", cache_hits, "count");
+  put("service.result_bytes_per_response",
+      result_bytes / static_cast<double>(result_ms.size()), "bytes");
+  put("service.result_mb_per_s",
+      result_bytes / 1e6 / (result_ms.sum() / 1e3), "MB/s");
+  put("obs.coverage", coverage, "ratio");
+  put("obs.trace_overhead", untraced_work_ms / traced_work_ms, "ratio");
   return report;
 }
 

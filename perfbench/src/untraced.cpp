@@ -1,15 +1,22 @@
 // untraced.cpp — the end-to-end run: set-up, then the timed phases.
 //
-// The phases take turns a step at a time (a slice of a pass, a batch of
-// daemon requests), so each one samples the whole run instead of one
-// stretch of it; CPU speed on a shared host drifts by several percent
-// within seconds, and interleaving averages that out.
+// Set-up is timed as process CPU time, every thread included: the work it
+// does is fixed, but on a shared host its wall time also holds waits for
+// the disk (a set-up writes thousands of store files) and for CPUs other
+// tenants hold, and those waits drift twofold within half an hour. Each
+// part of the set-up runs kSetupRepetitions times and its median counts;
+// each repetition starts once the filesystem has written back what the
+// run wrote before it, so no repetition shares the disk with that
+// writeback.
 //
-// Every time reported here is wall time minus the time spent in
-// fsync/fdatasync within it (WorkTimer): the flush latency of a shared
-// disk swings threefold within a minute, which no code change controls.
-// The flushes still run, with the shipped policy; their count and wait
-// are per-layer metrics of the traced run.
+// The phases run one after another, each repeating whole units (a pass,
+// or a daemon request) within its share of --seconds. Their times are
+// wall time minus the time spent in fsync/fdatasync within them
+// (WorkTimer): the flush latency of a shared disk swings threefold within
+// a minute, which no code change controls. The flushes still run, with
+// the shipped policy; their count and wait are per-layer metrics of the
+// traced run. Per-scenario cold times are ScenarioRun::seconds as the
+// runner measures it, flushes included.
 #include <filesystem>
 #include <functional>
 #include <iostream>
@@ -33,91 +40,23 @@ using namespace hmpt::campaign;
 
 namespace {
 
-/// One timed phase: a sequence of units (a pass, or a batch of daemon
-/// requests), each made of one or more steps. A phase starts another unit
-/// while one more unit of its mean length still fits in its budget, and
-/// always finishes a unit it started; every unit counts.
-struct Phase {
-  double budget_s = 0.0;
-  std::size_t min_units = 1;             ///< >= 1
-  std::function<bool()> ready = [] { return true; };  ///< may a unit start?
-  std::function<bool()> step;            ///< true when it ended a unit
-
-  double used_s = 0.0;
+/// Run `unit` at least `min_units` (>= 1) times, then again while one
+/// more unit of the mean length so far still fits in `budget_s`, or until
+/// it returns false (nothing left to do). Every unit counts; returns how
+/// many ran.
+std::size_t repeat_within(double budget_s, std::size_t min_units,
+                          const std::function<bool()>& unit) {
+  const auto start = Clock::now();
   std::size_t units = 0;
-  bool in_unit = false;
-
-  bool wants_step() const {
-    if (in_unit) return true;
-    if (!ready()) return false;
-    return units < min_units ||
-           used_s + used_s / static_cast<double>(units) <= budget_s;
+  while (units < min_units ||
+         seconds_since(start) * static_cast<double>(units + 1) /
+                 static_cast<double>(units) <=
+             budget_s) {
+    if (!unit()) break;
+    ++units;
   }
-};
-
-/// Round robin over the phases, one step each, until none wants more.
-void run_interleaved(std::vector<Phase*> phases) {
-  for (bool stepped = true; stepped;) {
-    stepped = false;
-    for (Phase* phase : phases) {
-      if (!phase->wants_step()) continue;
-      const auto start = Clock::now();
-      const bool ended_unit = phase->step();
-      phase->used_s += seconds_since(start);
-      phase->in_unit = !ended_unit;
-      if (ended_unit) ++phase->units;
-      stepped = true;
-    }
-  }
+  return units;
 }
-
-/// A batch pass (cold or resume) run as slices of CampaignRunner::run
-/// calls, then the artefacts; its time is the sum of its own steps.
-struct SlicedPass {
-  std::size_t next = 0;  ///< first scenario of the next slice
-  CampaignResult result;
-  double work_s = 0.0;
-
-  bool started() const { return next > 0; }
-
-  /// Run the next `slice` scenarios; per-scenario flush waits go to
-  /// `flush_ms` (scenarios run one at a time, so the wait between two
-  /// completions belongs to the later one). True after the last slice.
-  bool run_slice(const CampaignOptions& options,
-                 const std::vector<Scenario>& scenarios, std::size_t slice,
-                 std::vector<double>* flush_ms) {
-    const std::size_t end = std::min(scenarios.size(), next + slice);
-    const std::vector<Scenario> part(
-        scenarios.begin() + static_cast<std::ptrdiff_t>(next),
-        scenarios.begin() + static_cast<std::ptrdiff_t>(end));
-    const CampaignRunner runner(options);
-    const std::size_t base = next;
-    const WorkTimer timer;
-    double last_ms = 0.0;
-    auto done = runner.run(part, [&](std::size_t i, const ScenarioRun&) {
-      if (flush_ms == nullptr) return;
-      (*flush_ms)[base + i] = timer.fsync_ms() - last_ms;
-      last_ms = timer.fsync_ms();
-    });
-    work_s += timer.work_s();
-    for (auto& run : done.runs) result.runs.push_back(std::move(run));
-    result.executed += done.executed;
-    result.cached += done.cached;
-    result.failed += done.failed;
-    next = end;
-    return next == scenarios.size();
-  }
-
-  /// Write the pass's artefacts (timed) and reset for the next pass;
-  /// returns the pass's time.
-  double finish(const std::string& dir) {
-    const WorkTimer timer;
-    write_outputs(result, dir);
-    const double total = work_s + timer.work_s();
-    *this = SlicedPass{};
-    return total;
-  }
-};
 
 /// Canonical compact encoding of a stored outcome, for equality checks.
 std::string canonical_outcome(const OutcomeStore& store,
@@ -135,195 +74,180 @@ RunReport run_untraced(const RunOptions& options) {
   const std::string socket = path_in(work, "d.sock");
   RunReport report;
 
-  // ---- set-up, several times over; the median counts.
-  Samples setup_reps;
+  // ---- set-up: matrix, warm-up, daemon start. The last repetition's
+  // daemon serves the daemon phases.
+  Samples setup_s;
   std::vector<Scenario> scenarios;
+  std::unique_ptr<DaemonClient> daemon;
   for (int rep = 0; rep < kSetupRepetitions; ++rep) {
-    const WorkTimer timer;
-    scenarios = make_matrix(def, options.seed).expand();
-    warm_up(scenarios, path_in(work, "warm-" + std::to_string(rep)));
-    auto daemon = std::make_unique<DaemonClient>(
-        socket, path_in(work, "warm-daemon-" + std::to_string(rep)));
-    setup_reps.add(timer.work_s());
     daemon.reset();  // teardown is not set-up work
+    flush_filesystem(work);
+    const std::string tag = std::to_string(rep);
+    const CpuTimer timer;
+    scenarios = make_matrix(def, options.seed).expand();
+    warm_up(scenarios, path_in(work, "warm-" + tag));
+    daemon = std::make_unique<DaemonClient>(socket,
+                                            path_in(work, "daemon-" + tag));
+    setup_s.add(timer.seconds());
   }
   const std::size_t n = scenarios.size();
   report.check(n == def.scenarios,
                "matrix expanded to " + std::to_string(n) + " scenarios, not " +
                    std::to_string(def.scenarios));
-  double setup_extra_s = 0.0;  // set-up work done once, between phases
-  std::unique_ptr<DaemonClient> daemon;
-  {
-    const WorkTimer timer;
-    daemon = std::make_unique<DaemonClient>(socket,
-                                            path_in(work, "daemon-store"));
-    setup_extra_s += timer.work_s();
-  }
-  const std::size_t slice = (n + def.slices - 1) / def.slices;
 
   // ---- cold: empty store, every scenario executes and is persisted. The
-  // first pass's store feeds resume, merge and the result checks.
+  // first pass's store feeds resume, merge and the result checks. No store
+  // is deleted before set-up is done: ext4 passes over recently deleted
+  // inodes when it allocates one, so deleting thousands of files makes
+  // the set-up's file creation costlier for minutes.
   std::string store_dir;
   std::string reference;
-  std::vector<std::string> shard_dirs;
   Samples scenario_ms;
   double cold_s = 0.0;
-  std::size_t cold_passes = 0;
-  SlicedPass cold_pass;
-  std::vector<double> flush_ms(n, 0.0);
-  Phase cold;
-  cold.budget_s = options.seconds * def.cold_share;
-  cold.step = [&] {
-    const std::string dir = path_in(work, "cold-" + std::to_string(cold_passes));
-    if (!cold_pass.started()) fs::remove_all(dir);
-    if (!cold_pass.run_slice(batch_options(dir), scenarios, slice, &flush_ms))
-      return false;
-    for (std::size_t i = 0; i < n; ++i) {
-      const ScenarioRun& run = cold_pass.result.runs[i];
-      report.check(run.status == ScenarioRun::Status::Executed,
-                   "cold pass did not execute " + run.fingerprint);
-      scenario_ms.add(run.seconds * 1e3 - flush_ms[i]);
-    }
-    cold_s += cold_pass.finish(dir);
-    const std::string artefacts = deterministic_artifacts(dir);
-    if (reference.empty()) reference = artefacts;
-    report.check(artefacts == reference,
-                 "cold pass artefacts differ between passes");
-    if (cold_passes++ == 0) {
-      store_dir = dir;
-      const WorkTimer timer;  // the merge input is set-up work
-      shard_dirs = build_shards(scenarios, store_dir, work);
-      setup_extra_s += timer.work_s();
-    } else {
-      fs::remove_all(dir);
-    }
-    return true;
-  };
-  const auto have_store = [&] { return !store_dir.empty(); };
+  std::size_t cold_index = 0;
+  const std::size_t cold_passes =
+      repeat_within(options.seconds * def.cold_share, 1, [&] {
+        const std::string dir =
+            path_in(work, "cold-" + std::to_string(cold_index++));
+        const WorkTimer timer;
+        const auto result = CampaignRunner(batch_options(dir)).run(scenarios);
+        write_outputs(result, dir);
+        cold_s += timer.work_s();
+        for (const auto& run : result.runs) {
+          report.check(run.status == ScenarioRun::Status::Executed,
+                       "cold pass did not execute " + run.fingerprint);
+          scenario_ms.add(run.seconds * 1e3);
+        }
+        const std::string artefacts = deterministic_artifacts(dir);
+        if (reference.empty()) reference = artefacts;
+        report.check(artefacts == reference,
+                     "cold pass artefacts differ between passes");
+        if (store_dir.empty()) store_dir = dir;
+        return true;
+      });
+
+  // ---- set-up, continued: the merge input, three shard stores cut from
+  // the first cold store.
+  Samples shards_s;
+  std::vector<std::string> shard_dirs;
+  for (int rep = 0; rep < kSetupRepetitions; ++rep) {
+    flush_filesystem(work);
+    const CpuTimer timer;
+    shard_dirs = build_shards(scenarios, store_dir,
+                              path_in(work, "shards-" + std::to_string(rep)));
+    shards_s.add(timer.seconds());
+  }
+  for (std::size_t k = 1; k < cold_index; ++k)
+    fs::remove_all(path_in(work, "cold-" + std::to_string(k)));
 
   // ---- resume: every scenario is a store hit; artefacts are rewritten.
   double resume_s = 0.0;
-  std::size_t resume_passes = 0;
-  SlicedPass resume_pass;
-  Phase resume;
-  resume.budget_s = options.seconds * def.resume_share;
-  resume.ready = have_store;
-  resume.step = [&] {
-    auto resume_options = batch_options(store_dir);
-    resume_options.resume = true;
-    if (!resume_pass.run_slice(resume_options, scenarios, slice, nullptr))
-      return false;
-    for (const auto& run : resume_pass.result.runs)
-      report.check(run.status == ScenarioRun::Status::Cached,
-                   "resume missed " + run.fingerprint);
-    resume_s += resume_pass.finish(store_dir);
-    ++resume_passes;
-    report.check(deterministic_artifacts(store_dir) == reference,
-                 "resumed artefacts differ from the cold pass");
-    return true;
-  };
+  const std::size_t resume_passes =
+      repeat_within(options.seconds * def.resume_share, 1, [&] {
+        auto resume_options = batch_options(store_dir);
+        resume_options.resume = true;
+        const WorkTimer timer;
+        const auto result = CampaignRunner(resume_options).run(scenarios);
+        write_outputs(result, store_dir);
+        resume_s += timer.work_s();
+        for (const auto& run : result.runs)
+          report.check(run.status == ScenarioRun::Status::Cached,
+                       "resume missed " + run.fingerprint);
+        report.check(deterministic_artifacts(store_dir) == reference,
+                     "resumed artefacts differ from the cold pass");
+        return true;
+      });
 
   // ---- merge: union the three shard stores.
   double merge_s = 0.0;
-  std::size_t merge_passes = 0;
-  Phase merge;
-  merge.budget_s = options.seconds * def.merge_share;
-  merge.ready = have_store;
-  merge.step = [&] {
-    const std::string dir = path_in(work, "merged");
-    fs::remove_all(dir);
-    MergeStats stats;
-    const WorkTimer timer;
-    const auto merged = merge_shards(shard_dirs, dir, &stats);
-    merge_s += timer.work_s();
-    ++merge_passes;
-    report.check(stats.scenarios == static_cast<int>(n) &&
-                     merged.cached == static_cast<int>(n),
-                 "merge did not reproduce every scenario");
-    write_artifacts(merged, dir);
-    report.check(deterministic_artifacts(dir) == reference,
-                 "merged artefacts differ from the cold pass");
-    return true;
-  };
+  const std::size_t merge_passes =
+      repeat_within(options.seconds * def.merge_share, 1, [&] {
+        const std::string dir = path_in(work, "merged");
+        fs::remove_all(dir);
+        MergeStats stats;
+        const WorkTimer timer;
+        const auto merged = merge_shards(shard_dirs, dir, &stats);
+        merge_s += timer.work_s();
+        report.check(stats.scenarios == static_cast<int>(n) &&
+                         merged.cached == static_cast<int>(n),
+                     "merge did not reproduce every scenario");
+        write_artifacts(merged, dir);
+        report.check(deterministic_artifacts(dir) == reference,
+                     "merged artefacts differ from the cold pass");
+        return true;
+      });
 
   // ---- daemon jobs: submit on an empty store, wait for the watch event.
   Samples job_ms;
   std::vector<std::string> done;
-  std::size_t submitted = 0;
-  const std::size_t job_batch = def.daemon_batch;
-  Phase jobs;
-  jobs.budget_s = options.seconds * def.daemon_share;
-  jobs.min_units = (kMinDaemonJobs + job_batch - 1) / job_batch;
-  jobs.ready = [&] { return submitted < n; };
-  jobs.step = [&] {
-    for (std::size_t k = 0; k < job_batch && submitted < n; ++k) {
-      const Scenario& scenario = scenarios[submitted++];
-      const WorkTimer timer;
-      const auto ms = daemon->run_job(scenario);
-      report.check(ms.has_value(),
-                   "daemon job failed for " + scenario.fingerprint());
-      if (!ms) continue;
-      job_ms.add(*ms - timer.fsync_ms());
-      done.push_back(scenario.fingerprint());
-    }
+  repeat_within(options.seconds * def.daemon_share, kMinDaemonJobs, [&] {
+    if (done.size() == n) return false;
+    const Scenario& scenario = scenarios[done.size()];
+    const WorkTimer timer;
+    const auto ms = daemon->run_job(scenario);
+    report.check(ms.has_value(),
+                 "daemon job failed for " + scenario.fingerprint());
+    if (!ms) return false;
+    job_ms.add(*ms - timer.fsync_ms());
+    done.push_back(scenario.fingerprint());
     return true;
-  };
+  });
 
   // ---- daemon results: fetch the first few finished jobs round robin.
   // The first response for a fingerprint must decode to the batch store's
   // outcome; every later one must repeat its bytes (compared by hash).
   Samples result_ms;
   std::map<std::string, std::size_t> verified;  // fingerprint -> line hash
-  const std::size_t fetch_batch = def.result_batch;
-  Phase results;
-  results.budget_s = options.seconds * def.result_share;
-  results.min_units = (kMinResultFetches + fetch_batch - 1) / fetch_batch;
-  results.ready = [&] { return have_store() && !done.empty(); };
-  results.step = [&] {
-    const OutcomeStore batch_store(store_dir, StoreFormat::Dir);
-    for (std::size_t k = 0; k < fetch_batch; ++k) {
-      const std::string fingerprint =
-          done[result_ms.size() % std::min(done.size(), kResultFingerprints)];
-      double ms = 0.0;
-      const std::string line = daemon->result_line(fingerprint, &ms);
-      result_ms.add(ms);
-      const std::size_t hash = std::hash<std::string>{}(line);
-      const auto seen = verified.find(fingerprint);
-      if (seen != verified.end()) {
-        report.check(seen->second == hash,
-                     "daemon result changed between fetches of " +
-                         fingerprint);
-        continue;
-      }
-      const auto message = hmpt::service::parse_server_message(line);
-      const bool same =
-          message.ok &&
-          hmpt::tuner::outcome_to_json(
-              hmpt::tuner::outcome_from_json(message.body.at("outcome")))
-                  .dump(-1) == canonical_outcome(batch_store, fingerprint);
-      report.check(same, "daemon result differs from the batch store for " +
-                             fingerprint);
-      verified[fingerprint] = hash;
+  const OutcomeStore batch_store(store_dir, StoreFormat::Dir);
+  repeat_within(options.seconds * def.result_share, kMinResultFetches, [&] {
+    if (done.empty()) return false;
+    const std::string fingerprint =
+        done[result_ms.size() % std::min(done.size(), kResultFingerprints)];
+    double ms = 0.0;
+    const std::string line = daemon->result_line(fingerprint, &ms);
+    result_ms.add(ms);
+    const std::size_t hash = std::hash<std::string>{}(line);
+    const auto seen = verified.find(fingerprint);
+    if (seen != verified.end()) {
+      report.check(seen->second == hash,
+                   "daemon result changed between fetches of " + fingerprint);
+      return true;
     }
+    const auto message = hmpt::service::parse_server_message(line);
+    const bool same =
+        message.ok &&
+        hmpt::tuner::outcome_to_json(
+            hmpt::tuner::outcome_from_json(message.body.at("outcome")))
+                .dump(-1) == canonical_outcome(batch_store, fingerprint);
+    report.check(same, "daemon result differs from the batch store for " +
+                           fingerprint);
+    verified[fingerprint] = hash;
     return true;
-  };
-
-  run_interleaved({&cold, &resume, &merge, &jobs, &results});
+  });
   daemon.reset();
 
+  std::cout << "set-up CPU s: matrix, warm-up and daemon";
+  for (double v : setup_s.values()) std::cout << " " << v;
+  std::cout << "; shard stores";
+  for (double v : shards_s.values()) std::cout << " " << v;
+  std::cout << "\n";
   std::cout << "passes: cold " << cold_passes << ", resume " << resume_passes
             << ", merge " << merge_passes << "; daemon jobs " << job_ms.size()
             << ", result fetches " << result_ms.size() << "\n";
 
-  report.metric("setup_s", setup_reps.percentile(50) + setup_extra_s, "s");
+  report.metric("setup_s", setup_s.percentile(50) + shards_s.percentile(50),
+                "s");
   report.layer_metric("cold_scenarios_per_s",
-                static_cast<double>(n * cold_passes) / cold_s, "1/s");
-  report.layer_metric("cold_scenario_ms_p50", scenario_ms.percentile(50), "ms");
-  report.layer_metric("cold_scenario_ms_p90", scenario_ms.percentile(90), "ms");
+                      static_cast<double>(n * cold_passes) / cold_s, "1/s");
+  report.layer_metric("cold_scenario_ms_p50", scenario_ms.percentile(50),
+                      "ms");
+  report.layer_metric("cold_scenario_ms_p90", scenario_ms.percentile(90),
+                      "ms");
   report.layer_metric("resume_scenarios_per_s",
-                static_cast<double>(n * resume_passes) / resume_s, "1/s");
+                      static_cast<double>(n * resume_passes) / resume_s,
+                      "1/s");
   report.layer_metric("merge_scenarios_per_s",
-                static_cast<double>(n * merge_passes) / merge_s, "1/s");
+                      static_cast<double>(n * merge_passes) / merge_s, "1/s");
   report.layer_metric("daemon_job_ms_p50", job_ms.percentile(50), "ms");
   report.layer_metric("daemon_job_ms_p90", job_ms.percentile(90), "ms");
   report.layer_metric("result_ms_p50", result_ms.percentile(50), "ms");

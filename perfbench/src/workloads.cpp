@@ -70,9 +70,6 @@ const std::vector<WorkloadDef>& workload_defs() {
     exhaustive.merge_share = 0.10;
     exhaustive.daemon_share = 0.25;
     exhaustive.result_share = 0.25;
-    exhaustive.slices = 6;
-    exhaustive.daemon_batch = 5;
-    exhaustive.result_batch = 4;
     exhaustive.traced_daemon_jobs = 20;
     exhaustive.traced_cache_resubmits = 5;
     exhaustive.traced_results = 10;
@@ -85,9 +82,6 @@ const std::vector<WorkloadDef>& workload_defs() {
     search.merge_share = 0.15;
     search.daemon_share = 0.25;
     search.result_share = 0.10;
-    search.slices = 6;
-    search.daemon_batch = 50;
-    search.result_batch = 100;
     search.traced_daemon_jobs = 200;
     search.traced_cache_resubmits = 20;
     search.traced_results = 200;

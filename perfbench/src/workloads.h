@@ -19,18 +19,14 @@ struct WorkloadDef {
   std::string name;
   /// Scenarios per cold pass, identical for every seed.
   std::size_t scenarios = 0;
-  /// Share of --seconds each timed phase may use before another pass is
-  /// started: cold, resume, merge, daemon jobs, daemon results.
+  /// Share of --seconds each timed phase may use before it starts no
+  /// further unit (pass or request): cold, resume, merge, daemon jobs,
+  /// daemon results.
   double cold_share = 0.0;
   double resume_share = 0.0;
   double merge_share = 0.0;
   double daemon_share = 0.0;
   double result_share = 0.0;
-  /// Steps per batch pass, and daemon requests per step: the grain at
-  /// which the phases take turns.
-  std::size_t slices = 1;
-  std::size_t daemon_batch = 1;
-  std::size_t result_batch = 1;
   /// Daemon jobs and result fetches the traced run makes (fixed, so the
   /// service counters repeat exactly).
   int traced_daemon_jobs = 0;

@@ -4,21 +4,23 @@
 Usage (from the repository root):
 
     python3 perfbench/steady.py [--workloads A,B] [--seeds 10] [--first-seed 1]
-                                [--exact] [--out FILE]
+                                [--sets 2]
 
-For every workload, runs `perfbench/run.py --trace 0` once per seed and
-reports, for each end-to-end metric of BENCHMARK.json, the median and the
-spread: the distance between the first and third quartile
-(statistics.quantiles(values, n=4)) as a share of the median. A metric
-passes when its spread is within its bound; setup_s is exempt, because
-only its median is compared between runs. The target is a spread below a
-third of the bound.
+Runs `perfbench/run.py --trace 0` once per seed for every workload, in
+--sets sets of --seeds seeds each (set k uses the seeds after set k-1's),
+all workloads of a set before the next set starts, so the sets lie apart
+in time. For each end-to-end metric of BENCHMARK.json it reports, per set,
+the median and the spread: the distance between the first and third
+quartile (statistics.quantiles(values, n=4)) as a share of the median.
 
-With --exact, also checks the counts that must repeat exactly: two traced
-runs with the first seed must report identical values for every metric
-listed under "exact_per_layer" in perfbench/record.json, and a second
-untraced run with the first seed must repeat each "exact_end_to_end"
-metric.
+A metric fails when its spread in any set exceeds its bound, or when a
+later set's median is worse than the first set's by more than the bound.
+The target is a spread below a third of the bound.
+
+It also checks the counts that must repeat exactly: two traced runs with
+the first seed must report identical values for every metric listed under
+"exact_per_layer" in perfbench/record.json, and a second untraced run with
+the first seed must repeat each "exact_end_to_end" metric.
 
 Exit status: 0 when every check passes, 1 otherwise.
 """
@@ -52,13 +54,18 @@ def spread(values):
     return median, (q3 - q1) / median if median else float("inf")
 
 
+def worsening(first, later, better):
+    """How much worse `later` is than `first`, as a share of `first`."""
+    change = (later - first) / first
+    return change if better == "lower" else -change
+
+
 def main(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workloads")
     parser.add_argument("--seeds", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--exact", action="store_true")
-    parser.add_argument("--out")
+    parser.add_argument("--sets", type=int, default=2)
     args = parser.parse_args(argv[1:])
 
     with open("BENCHMARK.json") as handle:
@@ -67,50 +74,62 @@ def main(argv):
         record = json.load(handle)
     workloads = (args.workloads.split(",") if args.workloads
                  else [w["name"] for w in spec["workloads"]])
-    seeds = list(range(args.first_seed, args.first_seed + args.seeds))
+    seconds = spec["run_seconds"]
     ok = True
-    raw = {}
+
+    runs = {workload: [] for workload in workloads}  # per set, per seed
+    for k in range(args.sets):
+        seeds = range(args.first_seed + k * args.seeds,
+                      args.first_seed + (k + 1) * args.seeds)
+        for workload in workloads:
+            runs[workload].append([])
+            for seed in seeds:
+                runs[workload][k].append(run(workload, seed, seconds, 0))
+                print("%s set %d seed %d: %s" % (
+                    workload, k + 1, seed,
+                    json.dumps(runs[workload][k][-1], sort_keys=True)),
+                    file=sys.stderr, flush=True)
+
     for workload in workloads:
-        runs = []
-        for seed in seeds:
-            runs.append(run(workload, seed, spec["run_seconds"], 0))
-            print("%s seed %d done" % (workload, seed), file=sys.stderr,
-                  flush=True)
-        raw[workload] = runs
-        print("\n%s (%d seeds from %d)" % (workload, len(seeds), seeds[0]))
-        print("  %-26s %14s %8s %7s  %s"
-              % ("metric", "median", "spread", "bound", "verdict"))
+        print("\n%s: %d set(s) of %d seeds from %d"
+              % (workload, args.sets, args.seeds, args.first_seed))
+        print("  %-26s %3s %14s %8s %9s %7s  %s"
+              % ("metric", "set", "median", "spread", "vs set 1", "bound",
+                 "verdict"))
         for metric in spec["end_to_end"]:
             name, bound = metric["name"], metric["bound"]
-            median, share = spread([r[name] for r in runs])
-            if name == "setup_s":
-                verdict = "median only"
-            elif share <= bound / 3:
-                verdict = "steady"
-            elif share <= bound:
-                verdict = "within bound"
-            else:
-                verdict = "TOO NOISY"
-                ok = False
-            print("  %-26s %14.6g %7.2f%% %6.0f%%  %s"
-                  % (name, median, 100 * share, 100 * bound, verdict))
+            first = None
+            for k, values in enumerate(runs[workload]):
+                median, share = spread([r[name] for r in values])
+                first = median if first is None else first
+                worse = worsening(first, median, metric["better"])
+                if share > bound:
+                    verdict = "TOO NOISY"
+                elif worse > bound:
+                    verdict = "MEDIAN MOVED"
+                elif share <= bound / 3:
+                    verdict = "steady"
+                else:
+                    verdict = "within bound"
+                ok = ok and verdict not in ("TOO NOISY", "MEDIAN MOVED")
+                print("  %-26s %3d %14.6g %7.2f%% %+8.2f%% %6.0f%%  %s"
+                      % (name, k + 1, median, 100 * share, 100 * worse,
+                         100 * bound, verdict))
 
-        if args.exact:
-            first = [run(workload, seeds[0], spec["run_seconds"], 1)
-                     for _ in range(2)]
-            again = run(workload, seeds[0], spec["run_seconds"], 0)
-            pairs = [(n, first[0][n], first[1][n])
-                     for n in record["exact_per_layer"]]
-            pairs += [(n, runs[0][n], again[n])
-                      for n in record["exact_end_to_end"]]
-            for name, a, b in pairs:
-                same = a == b
-                ok = ok and same
-                print("  exact %-36s %s" % (name, "repeats" if same else
-                                             "DIFFERS: %r vs %r" % (a, b)))
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(raw, handle, indent=1)
+        first_seed = args.first_seed
+        traced = [run(workload, first_seed, seconds, 1) for _ in range(2)]
+        again = run(workload, first_seed, seconds, 0)
+        pairs = [(n, traced[0][n], traced[1][n])
+                 for n in record["exact_per_layer"]]
+        pairs += [(n, runs[workload][0][0][n], again[n])
+                  for n in record["exact_end_to_end"]]
+        for name, a, b in pairs:
+            same = a == b
+            ok = ok and same
+            print("  exact %-36s %s" % (name, "repeats" if same else
+                                         "DIFFERS: %r vs %r" % (a, b)))
+        print("  traced obs.coverage %.4f, %.4f"
+              % (traced[0]["obs.coverage"], traced[1]["obs.coverage"]))
     return 0 if ok else 1
 
 
