@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "common/error.h"
-#include "core/outcome_io.h"
 
 namespace hmpt::campaign {
 
@@ -87,12 +86,11 @@ Json ShardManifest::to_json() const {
 
 ShardManifest ShardManifest::from_json(const Json& json) {
   ShardManifest manifest;
-  manifest.format_version =
-      static_cast<int>(json.at("format_version").as_number());
+  manifest.format_version = json.at("format_version").as_int();
   manifest.campaign = json.at("campaign").as_string();
   const Json& spec = json.at("shard");
-  manifest.shard.index = static_cast<int>(spec.at("index").as_number());
-  manifest.shard.count = static_cast<int>(spec.at("count").as_number());
+  manifest.shard.index = spec.at("index").as_int();
+  manifest.shard.count = spec.at("count").as_int();
   HMPT_REQUIRE(manifest.shard.count >= 1 && manifest.shard.index >= 1 &&
                    manifest.shard.index <= manifest.shard.count,
                "manifest shard spec out of range");
@@ -335,35 +333,42 @@ CampaignResult merge_shards(const std::vector<std::string>& shard_dirs,
   //    fingerprint are a determinism bug or a foreign store and fail the
   //    merge. Raw payload bytes flow straight into the output store, so
   //    the merged records are byte-identical whatever formats are on
-  //    either side.
+  //    either side. Each record is parsed once, by the bulk load that
+  //    validates it; its bytes are moved, never copied, and dropped once
+  //    saved, so no record is held twice.
   const OutcomeStore merged_store(output_dir, output_format);
   std::map<std::string, std::string> already_merged;
   for (auto& [fp, bytes] : merged_store.load_all_payloads())
     already_merged.emplace(fp, std::move(bytes));
-  std::vector<std::map<std::string, std::string>> shard_payloads;
+  std::vector<std::map<std::string, StoredRecord>> shard_records;
   for (const auto& dir : shard_dirs) {
-    auto all = OutcomeStore::open_existing(dir).load_all_payloads();
-    shard_payloads.emplace_back(
-        std::make_move_iterator(all.begin()),
-        std::make_move_iterator(all.end()));
+    std::map<std::string, StoredRecord> records;
+    for (auto& record : OutcomeStore::open_existing(dir).load_all_records()) {
+      std::string fp = record.fingerprint;
+      records.emplace(std::move(fp), std::move(record));
+    }
+    shard_records.push_back(std::move(records));
   }
   int merged_records = 0;
-  std::map<std::string, std::string> merged_bytes;  // step 4's working set
+  std::map<std::string, tuner::TuningOutcome> merged;  // step 4's working set
   for (const auto& fp : ref.campaign_order) {
     std::string bytes;
+    tuner::TuningOutcome outcome;
     std::string source;
     for (std::size_t i = 0; i < shard_dirs.size(); ++i) {
-      const auto it = shard_payloads[i].find(fp);
-      if (it == shard_payloads[i].end()) continue;
+      const auto it = shard_records[i].find(fp);
+      if (it == shard_records[i].end()) continue;
       if (source.empty()) {
-        bytes = it->second;
+        bytes = std::move(it->second.payload);
+        outcome = std::move(it->second.outcome);
         source = shard_dirs[i];
-      } else if (it->second != bytes) {
+      } else if (it->second.payload != bytes) {
         raise("conflicting outcomes for fingerprint " + fp + ": " +
               shard_dirs[i] + " differs from " + source +
               " — same scenario, different results (determinism bug or "
               "stores from different experiments)");
       }
+      shard_records[i].erase(it);
     }
     if (source.empty()) continue;  // failed scenario: no outcome anywhere
     const auto existing = already_merged.find(fp);
@@ -375,11 +380,11 @@ CampaignResult merge_shards(const std::vector<std::string>& shard_dirs,
       merged_store.save_payload(fp, bytes);
       ++merged_records;
     }
-    merged_bytes.emplace(fp, std::move(bytes));
+    merged.emplace(fp, std::move(outcome));
   }
 
   // 4. Reconstruct the campaign-ordered result from the merged records
-  //    (and the manifests, for failures). Loading by the *stored*
+  //    (and the manifests, for failures). Keying by the *stored*
   //    fingerprint string keeps the merge exact even when a recorded
   //    profile changed on disk after its shard ran.
   CampaignResult result;
@@ -393,23 +398,11 @@ CampaignResult merge_shards(const std::vector<std::string>& shard_dirs,
       run.error = owner.entry->error;
       ++result.failed;
     } else {
-      const auto it = merged_bytes.find(fp);
-      if (it == merged_bytes.end())
+      const auto it = merged.find(fp);
+      if (it == merged.end())
         raise("shard " + shard_dirs[owner.shard] + " marks scenario " + fp +
               " complete but its outcome record is missing or damaged");
-      try {
-        const Json doc = Json::parse(it->second);
-        HMPT_REQUIRE(static_cast<int>(
-                         doc.at("format_version").as_number()) ==
-                         kFingerprintVersion,
-                     "outcome format version mismatch");
-        HMPT_REQUIRE(doc.at("fingerprint").as_string() == fp,
-                     "outcome record is keyed by a different fingerprint");
-        run.outcome = tuner::outcome_from_json(doc.at("outcome"));
-      } catch (const std::exception& e) {
-        raise("corrupt outcome record for fingerprint " + fp + " from " +
-              shard_dirs[owner.shard] + ": " + e.what());
-      }
+      run.outcome = std::move(it->second);
       run.status = ScenarioRun::Status::Cached;
       ++result.cached;
     }

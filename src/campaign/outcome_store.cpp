@@ -44,24 +44,28 @@ std::optional<StoreFormat> detect_store_format(const std::string& directory) {
 
 namespace {
 
-/// Parse a stored outcome document's bytes; false (not a throw) on any
-/// damage — invalid JSON (truncation lands here), version or fingerprint
-/// mismatch, malformed outcome payload.
-bool parse_outcome_payload(const std::string& text,
-                           const std::string& fingerprint,
-                           std::optional<tuner::TuningOutcome>* out) {
+/// A stored record parsed and validated in one pass.
+struct ParsedRecord {
+  Json doc;
+  tuner::TuningOutcome outcome;
+};
+
+/// Parse and validate a stored outcome document's bytes; nullopt (not a
+/// throw) on any damage — invalid JSON (truncation lands here), version or
+/// fingerprint mismatch, malformed or out-of-range outcome payload.
+std::optional<ParsedRecord> parse_record(const std::string& text,
+                                         const std::string& fingerprint) {
   try {
-    const Json doc = Json::parse(text);
-    HMPT_REQUIRE(static_cast<int>(doc.at("format_version").as_number()) ==
-                     kFingerprintVersion,
+    Json doc = Json::parse(text);
+    HMPT_REQUIRE(doc.at("format_version").as_number() == kFingerprintVersion,
                  "outcome format version mismatch");
     HMPT_REQUIRE(doc.at("fingerprint").as_string() == fingerprint,
                  "outcome fingerprint mismatch");
+    doc.at("scenario").as_object();
     auto outcome = tuner::outcome_from_json(doc.at("outcome"));
-    if (out != nullptr) *out = std::move(outcome);
-    return true;
+    return ParsedRecord{std::move(doc), std::move(outcome)};
   } catch (const std::exception&) {
-    return false;
+    return std::nullopt;
   }
 }
 
@@ -140,13 +144,19 @@ class OutcomeStoreBackend {
 
   virtual StoreFormat format() const = 0;
   virtual bool contains(const std::string& fingerprint) = 0;
-  /// Raw stored payload bytes; nullopt when absent or damaged.
+  /// Raw stored payload bytes, not yet validated; nullopt when absent or
+  /// (packed) the frame is damaged.
   virtual std::optional<std::string> payload(
       const std::string& fingerprint) = 0;
+  /// The payload of `fingerprint` failed validation: dir stores quarantine
+  /// the file, packed stores leave the record for the repairing save to
+  /// supersede.
+  virtual void damaged(const std::string& fingerprint) = 0;
   /// First-write-wins byte-compare persist; see the header.
   virtual void save_payload(const std::string& fingerprint,
                             const std::string& payload) = 0;
-  /// Every well-formed (fingerprint, payload), sorted by fingerprint.
+  /// Every (fingerprint, payload) with an intact frame, sorted by
+  /// fingerprint; the payloads are not yet validated.
   virtual std::vector<std::pair<std::string, std::string>> load_all() = 0;
 
   const std::string& directory() const { return directory_; }
@@ -178,15 +188,15 @@ class DirBackend : public OutcomeStoreBackend {
     if (!is.good()) return std::nullopt;
     std::stringstream buffer;
     buffer << is.rdbuf();
-    std::string text = buffer.str();
-    if (!parse_outcome_payload(text, fingerprint, nullptr)) {
-      // Truncated or otherwise damaged (a crash mid-copy, external
-      // interference): quarantine and report a miss — the caller
-      // re-executes the scenario instead of the whole campaign aborting.
-      quarantine(path);
-      return std::nullopt;
-    }
-    return text;
+    return buffer.str();
+  }
+
+  void damaged(const std::string& fingerprint) override {
+    // Truncated or otherwise damaged (a crash mid-copy, external
+    // interference): quarantine so the fingerprint reads as a miss — the
+    // caller re-executes the scenario instead of the whole campaign
+    // aborting.
+    quarantine(dir_outcome_path(directory_, fingerprint));
   }
 
   void save_payload(const std::string& fingerprint,
@@ -229,8 +239,7 @@ class DirBackend : public OutcomeStoreBackend {
         ::unlink(tmp.c_str());
         return;
       }
-      if (tries == 0 &&
-          !parse_outcome_payload(existing, fingerprint, nullptr)) {
+      if (tries == 0 && !parse_record(existing, fingerprint)) {
         quarantine(path);
         continue;
       }
@@ -250,11 +259,7 @@ class DirBackend : public OutcomeStoreBackend {
       const fs::path path = it->path();
       if (path.extension() != ".json") continue;
       const std::string fingerprint = path.stem().string();
-      std::string text = slurp_file(path.string());
-      // Damaged files are skipped, not quarantined: bulk loads (merge,
-      // reports) must not mutate the store they read.
-      if (!parse_outcome_payload(text, fingerprint, nullptr)) continue;
-      sorted[fingerprint] = std::move(text);
+      sorted[fingerprint] = slurp_file(path.string());
     }
     return {sorted.begin(), sorted.end()};
   }
@@ -383,6 +388,8 @@ class PackedBackend : public OutcomeStoreBackend {
     return std::nullopt;
   }
 
+  void damaged(const std::string&) override {}
+
   void save_payload(const std::string& fingerprint,
                     const std::string& payload) override {
     HMPT_REQUIRE(fingerprint.find_first_of(" \t\r\n") == std::string::npos,
@@ -424,7 +431,7 @@ class PackedBackend : public OutcomeStoreBackend {
         existing =
             read_record_payload(in, seen_size_, fingerprint, it->second);
       if (existing && *existing == payload) return;  // same-race no-op
-      if (existing && parse_outcome_payload(*existing, fingerprint, nullptr))
+      if (existing && parse_record(*existing, fingerprint))
         raise("conflicting outcome for fingerprint " + fingerprint + ": " +
               log +
               " already holds a different result (delete it to re-run)");
@@ -481,9 +488,7 @@ class PackedBackend : public OutcomeStoreBackend {
     if (!log.good()) return out;
     for (const auto& [fingerprint, record] : records_) {
       auto bytes = read_record_payload(log, seen_size_, fingerprint, record);
-      if (!bytes || !parse_outcome_payload(*bytes, fingerprint, nullptr))
-        continue;
-      out.emplace_back(fingerprint, std::move(*bytes));
+      if (bytes) out.emplace_back(fingerprint, std::move(*bytes));
     }
     return out;  // records_ is fingerprint-ordered
   }
@@ -754,6 +759,38 @@ bool OutcomeStore::contains(const Scenario& scenario) const {
   return backend_->contains(scenario.fingerprint());
 }
 
+namespace {
+
+/// Read and validate one record in a single parse. Damage is reported to
+/// the backend and reads as a miss. `bytes`, when given, receives the
+/// validated payload.
+std::optional<ParsedRecord> read_record(OutcomeStoreBackend& backend,
+                                        const std::string& fingerprint,
+                                        std::string* bytes = nullptr) {
+  auto payload = backend.payload(fingerprint);
+  if (!payload) return std::nullopt;
+  auto parsed = parse_record(*payload, fingerprint);
+  if (!parsed) {
+    backend.damaged(fingerprint);
+    return std::nullopt;
+  }
+  if (bytes != nullptr) *bytes = std::move(*payload);
+  return parsed;
+}
+
+/// Validate every record of a bulk load and hand the good ones to `visit`
+/// in fingerprint order. Damaged records are skipped, not reported: bulk
+/// loads (merge, reports) must not mutate the store they read.
+template <typename Visit>
+void for_each_record(OutcomeStoreBackend& backend, Visit visit) {
+  for (auto& [fingerprint, bytes] : backend.load_all()) {
+    auto parsed = parse_record(bytes, fingerprint);
+    if (parsed) visit(fingerprint, bytes, *parsed);
+  }
+}
+
+}  // namespace
+
 std::optional<tuner::TuningOutcome> OutcomeStore::load(
     const Scenario& scenario) const {
   return load_by_fingerprint(scenario.fingerprint());
@@ -761,12 +798,16 @@ std::optional<tuner::TuningOutcome> OutcomeStore::load(
 
 std::optional<tuner::TuningOutcome> OutcomeStore::load_by_fingerprint(
     const std::string& fingerprint) const {
-  const auto bytes = backend_->payload(fingerprint);
-  if (!bytes) return std::nullopt;
-  std::optional<tuner::TuningOutcome> outcome;
-  if (!parse_outcome_payload(*bytes, fingerprint, &outcome))
-    return std::nullopt;
-  return outcome;
+  auto parsed = read_record(*backend_, fingerprint);
+  if (!parsed) return std::nullopt;
+  return std::move(parsed->outcome);
+}
+
+std::optional<Json> OutcomeStore::load_outcome_json(
+    const std::string& fingerprint) const {
+  const auto parsed = read_record(*backend_, fingerprint);
+  if (!parsed) return std::nullopt;
+  return parsed->doc.at("outcome");
 }
 
 void OutcomeStore::save(const Scenario& scenario,
@@ -777,7 +818,9 @@ void OutcomeStore::save(const Scenario& scenario,
 
 std::optional<std::string> OutcomeStore::payload(
     const std::string& fingerprint) const {
-  return backend_->payload(fingerprint);
+  std::string bytes;
+  if (!read_record(*backend_, fingerprint, &bytes)) return std::nullopt;
+  return bytes;
 }
 
 void OutcomeStore::save_payload(const std::string& fingerprint,
@@ -788,7 +831,22 @@ void OutcomeStore::save_payload(const std::string& fingerprint,
 
 std::vector<std::pair<std::string, std::string>>
 OutcomeStore::load_all_payloads() const {
-  return backend_->load_all();
+  std::vector<std::pair<std::string, std::string>> out;
+  for_each_record(*backend_, [&](const std::string& fingerprint,
+                                 std::string& bytes, ParsedRecord&) {
+    out.emplace_back(fingerprint, std::move(bytes));
+  });
+  return out;
+}
+
+std::vector<StoredRecord> OutcomeStore::load_all_records() const {
+  std::vector<StoredRecord> out;
+  for_each_record(*backend_, [&](const std::string& fingerprint,
+                                 std::string& bytes, ParsedRecord& parsed) {
+    out.push_back({fingerprint, std::move(bytes),
+                   parsed.doc.at("scenario"), std::move(parsed.outcome)});
+  });
+  return out;
 }
 
 std::string OutcomeStore::make_payload(const Scenario& scenario,
@@ -798,7 +856,7 @@ std::string OutcomeStore::make_payload(const Scenario& scenario,
   doc["fingerprint"] = Json(scenario.fingerprint());
   doc["scenario"] = scenario.to_json();
   doc["outcome"] = tuner::outcome_to_json(outcome);
-  return Json(std::move(doc)).dump();
+  return Json(std::move(doc)).dump(-1);
 }
 
 }  // namespace hmpt::campaign

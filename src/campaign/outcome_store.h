@@ -46,9 +46,19 @@
 #include <vector>
 
 #include "campaign/scenario.h"
+#include "common/json.h"
 #include "core/strategy.h"
 
 namespace hmpt::campaign {
+
+/// One validated stored record, as a bulk load returns it: the payload
+/// bytes and what they decode to, from a single parse.
+struct StoredRecord {
+  std::string fingerprint;
+  std::string payload;
+  Json scenario;  ///< the record's `scenario` subtree, for Scenario::from_json
+  tuner::TuningOutcome outcome;
+};
 
 /// On-disk layout of an OutcomeStore; see the file comment.
 enum class StoreFormat { Dir, Packed };
@@ -98,6 +108,11 @@ class OutcomeStore {
   /// like load().
   std::optional<tuner::TuningOutcome> load_by_fingerprint(
       const std::string& fingerprint) const;
+  /// The validated `outcome` subtree of a stored record as parsed, for
+  /// callers that forward it rather than use it (the daemon's `result`
+  /// verb): dumped compactly it reproduces the stored bytes. nullopt when
+  /// absent or damaged like load().
+  std::optional<Json> load_outcome_json(const std::string& fingerprint) const;
   /// Persist a finished scenario. First complete write of a fingerprint
   /// wins; a racing identical write is a silent no-op, a differing one
   /// throws hmpt::Error (see the file comment).
@@ -109,8 +124,12 @@ class OutcomeStore {
   // currency — byte-compares and cross-format conversion never
   // re-serialise, so they cannot silently normalise away a difference.
 
+  // Every read below parses and validates each record once (JSON, format
+  // version, fingerprint, range-checked outcome decode); a record that
+  // fails reads as absent.
+
   /// The stored payload bytes of a fingerprint; nullopt when absent or
-  /// structurally damaged.
+  /// damaged (dir stores quarantine a damaged file, like load()).
   std::optional<std::string> payload(const std::string& fingerprint) const;
   /// Store raw payload bytes under a fingerprint with the same
   /// first-write-wins byte-compare semantics as save(). The caller owns
@@ -121,9 +140,13 @@ class OutcomeStore {
   /// fingerprint — one sequential pass for packed stores, one directory
   /// walk for dir stores. Damaged records are skipped.
   std::vector<std::pair<std::string, std::string>> load_all_payloads() const;
+  /// load_all_payloads() with each record's scenario and decoded outcome
+  /// from the same validating parse (merge and report).
+  std::vector<StoredRecord> load_all_records() const;
 
   /// The document bytes save() would store for this (scenario, outcome):
-  /// format_version + fingerprint + scenario + outcome as pretty JSON.
+  /// format_version + fingerprint + scenario + outcome as compact JSON
+  /// (docs/ARCHITECTURE.md describes the outcome's columnar layout).
   static std::string make_payload(const Scenario& scenario,
                                   const tuner::TuningOutcome& outcome);
 

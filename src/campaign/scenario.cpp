@@ -154,16 +154,16 @@ Scenario Scenario::from_json(const Json& json) {
   s.workload = parse_workload_spec(json.at("workload").as_string());
   s.platform = json.at("platform").as_string();
   s.strategy = json.at("strategy").as_string();
-  s.tiers = static_cast<int>(json.at("tiers").as_number());
+  s.tiers = json.at("tiers").as_int();
   s.budget_gb = json.at("budget_gb").as_number();
   if (const Json* budgets = json.as_object().find("tier_budgets_gb")) {
     for (const Json& b : budgets->as_array())
       s.tier_budgets_gb.emplace_back(
-          static_cast<int>(b.at("tier").as_number()),
+          b.at("tier").as_int(),
           b.at("gb").as_number());
   }
-  s.repetitions = static_cast<int>(json.at("repetitions").as_number());
-  s.top_k = static_cast<int>(json.at("top_k").as_number());
+  s.repetitions = json.at("repetitions").as_int();
+  s.top_k = json.at("top_k").as_int();
   return s;
 }
 
@@ -243,7 +243,7 @@ std::vector<Scenario> load_scenario_plan(const std::string& path) {
   buffer << is.rdbuf();
   try {
     const Json doc = Json::parse(buffer.str());
-    HMPT_REQUIRE(static_cast<int>(doc.at("format_version").as_number()) ==
+    HMPT_REQUIRE(doc.at("format_version").as_int() ==
                      kFingerprintVersion,
                  "plan format version mismatch");
     std::vector<Scenario> scenarios;

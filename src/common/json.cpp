@@ -1,10 +1,12 @@
 #include "common/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <system_error>
 #include <utility>
 
 #include "common/error.h"
@@ -57,6 +59,15 @@ bool Json::as_bool() const {
 double Json::as_number() const {
   HMPT_REQUIRE(kind_ == Kind::Number, "JSON value is not a number");
   return number_;
+}
+
+int Json::as_int() const {
+  const double value = as_number();
+  HMPT_REQUIRE(value >= std::numeric_limits<int>::min() &&
+                   value <= std::numeric_limits<int>::max() &&
+                   value == std::floor(value),
+               "JSON number is not an integer in int range");
+  return static_cast<int>(value);
 }
 
 const std::string& Json::as_string() const {
@@ -121,17 +132,20 @@ void write_escaped(std::string& out, const std::string& s) {
 void write_number(std::string& out, double v) {
   HMPT_REQUIRE(std::isfinite(v), "JSON cannot represent a non-finite number");
   // Integers print without an exponent or trailing ".0" (stable, compact);
-  // everything else uses max_digits10 so the value round-trips exactly.
+  // everything else prints the shortest digits that round-trip exactly.
+  char buf[32];
+  std::to_chars_result result;
   if (v == std::floor(v) && std::fabs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-    out += buf;
-    return;
+    if (v == 0.0 && std::signbit(v)) {
+      out += "-0";
+      return;
+    }
+    result = std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(v));
+  } else {
+    result = std::to_chars(buf, buf + sizeof(buf), v);
   }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.*g",
-                std::numeric_limits<double>::max_digits10, v);
-  out += buf;
+  HMPT_REQUIRE(result.ec == std::errc(), "JSON number does not format");
+  out.append(buf, result.ptr);
 }
 
 void write_newline(std::string& out, int indent, int depth) {
@@ -200,6 +214,11 @@ std::string Json::dump(int indent) const {
 
 namespace {
 
+/// Deepest container nesting the parser accepts. hmpt's own artefacts
+/// nest fewer than ten levels; the cap keeps the recursive descent from
+/// overflowing the stack on hostile input (a socket line of 10^5 '[').
+constexpr int kMaxDepth = 512;
+
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
@@ -249,6 +268,22 @@ class Parser {
     return true;
   }
 
+  /// Counts one level of container nesting for the scope of a parse.
+  class Nest {
+   public:
+    explicit Nest(Parser& parser) : parser_(parser) {
+      if (++parser_.depth_ > kMaxDepth)
+        parser_.fail("nesting deeper than " + std::to_string(kMaxDepth) +
+                     " levels");
+    }
+    ~Nest() { --parser_.depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+   private:
+    Parser& parser_;
+  };
+
   Json parse_value() {
     skip_ws();
     const char c = peek();
@@ -263,6 +298,7 @@ class Parser {
   }
 
   Json parse_object() {
+    const Nest nest(*this);
     expect('{');
     JsonObject object;
     skip_ws();
@@ -287,6 +323,7 @@ class Parser {
   }
 
   Json parse_array() {
+    const Nest nest(*this);
     expect('[');
     JsonArray array;
     skip_ws();
@@ -310,12 +347,17 @@ class Parser {
     expect('"');
     std::string out;
     while (true) {
+      // Copy the run of plain characters up to the next quote or escape
+      // in one append.
+      const std::size_t stop = text_.find_first_of("\"\\", pos_);
+      if (stop == std::string::npos) {
+        pos_ = text_.size();
+        fail("unexpected end of input");
+      }
+      out.append(text_, pos_, stop - pos_);
+      pos_ = stop;
       const char c = take();
       if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
       const char esc = take();
       switch (esc) {
         case '"': out += '"'; break;
@@ -358,15 +400,27 @@ class Parser {
             text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
             text_[pos_] == '+' || text_[pos_] == '-'))
       ++pos_;
-    const std::string token = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) fail("malformed number");
+    // The token is converted in place. from_chars accepts what strtod
+    // accepts for these characters, except that it reports magnitudes
+    // beyond a double's range instead of rounding them to 0 or inf; that
+    // rare case still goes through strtod, so the accepted tokens and
+    // their values are unchanged.
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    double value = 0.0;
+    const auto [end, ec] = std::from_chars(first, last, value);
+    if (ec == std::errc::result_out_of_range && end == last) {
+      const std::string token(first, last);
+      value = std::strtod(token.c_str(), nullptr);
+    } else if (ec != std::errc() || end != last) {
+      fail("malformed number");
+    }
     return Json(value);
   }
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

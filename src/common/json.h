@@ -31,6 +31,10 @@ class JsonObject {
 
   auto begin() const { return entries_.begin(); }
   auto end() const { return entries_.end(); }
+  /// Mutable iteration, for moving values out of an object that is
+  /// about to be dropped; keys must not be changed.
+  auto begin() { return entries_.begin(); }
+  auto end() { return entries_.end(); }
 
  private:
   std::vector<std::pair<std::string, Json>> entries_;
@@ -64,6 +68,9 @@ class Json {
   /// artefacts fail loudly instead of reading as zeroes.
   bool as_bool() const;
   double as_number() const;
+  /// A whole number within int range; throws rather than convert a
+  /// fractional or out-of-range double.
+  int as_int() const;
   const std::string& as_string() const;
   const JsonArray& as_array() const;
   const JsonObject& as_object() const;
@@ -75,10 +82,13 @@ class Json {
   std::string string_or(const std::string& key, std::string fallback) const;
 
   /// Serialise. `indent` < 0 = compact one-liner; >= 0 pretty-prints with
-  /// that many spaces per level. Numbers round-trip exactly (max_digits10).
+  /// that many spaces per level. Numbers round-trip exactly: whole numbers
+  /// below 1e15 in magnitude print as integers, others in the shortest
+  /// form that parses back to the same double.
   std::string dump(int indent = 2) const;
 
-  /// Parse a document; throws hmpt::Error with offset context on garbage.
+  /// Parse a document; throws hmpt::Error with offset context on garbage
+  /// and on containers nested deeper than 512 levels.
   static Json parse(const std::string& text);
 
  private:

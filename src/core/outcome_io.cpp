@@ -1,53 +1,258 @@
 #include "core/outcome_io.h"
 
+#include <algorithm>
+#include <bit>
+#include <climits>
+#include <cmath>
 #include <cstdint>
+#include <optional>
+#include <string>
+
+#include "common/error.h"
 
 namespace hmpt::tuner {
 
 namespace {
 
-Json config_to_json(const ConfigResult& c) {
+// ------------------------------------------------------------ range checks
+
+[[noreturn]] void bad_field(const char* name, const std::string& problem) {
+  raise(std::string("outcome field '") + name + "' " + problem);
+}
+
+/// A finite number. The writer refuses non-finite values, so one can only
+/// come from damaged text (an out-of-range literal parses to inf).
+double finite(const Json& json, const char* name) {
+  const double value = json.as_number();
+  if (!std::isfinite(value)) bad_field(name, "is not finite");
+  return value;
+}
+
+/// An integer-valued number in [lo, hi]; every cast below goes through
+/// here or Json::as_int, so no out-of-range double is ever converted.
+double integer_in(const Json& json, double lo, double hi, const char* name) {
+  const double value = json.as_number();
+  if (!(value >= lo && value <= hi) || value != std::floor(value))
+    bad_field(name, "is not an integer in [" + Json(lo).dump(-1) + ", " +
+                        Json(hi).dump(-1) + "]");
+  return value;
+}
+
+int int_in(const Json& json, int lo, int hi, const char* name) {
+  const int value = json.as_int();
+  if (value < lo || value > hi)
+    bad_field(name, "is outside [" + std::to_string(lo) + ", " +
+                        std::to_string(hi) + "]");
+  return value;
+}
+
+/// A configuration id of a space of `space_size` configurations.
+ConfigMask mask_in(const Json& json, std::size_t space_size,
+                   const char* name) {
+  return static_cast<ConfigMask>(
+      integer_in(json, 0.0, static_cast<double>(space_size) - 1.0, name));
+}
+
+/// k^n of an n-group, k-tier space, after checking both lie in the range
+/// ConfigSpace enumerates.
+std::size_t space_size(int num_groups, int num_tiers) {
+  if (num_groups < 0 || num_groups > ConfigSpace::kMaxGroups)
+    bad_field("num_groups", "is out of range");
+  if (num_tiers < 2 || num_tiers > topo::kNumPoolKinds)
+    bad_field("num_tiers", "is out of range");
+  const std::size_t size = config_count(num_groups, num_tiers);
+  if (size > ConfigSpace::kMaxConfigs)
+    bad_field("num_groups", "spans more configurations than hmpt sweeps");
+  return size;
+}
+
+/// Bit-for-bit equality: derivation rules must be lossless, so -0 and 0
+/// are different values here.
+bool same(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// The sweep enumeration order of an exhaustive strategy in Gray mode;
+/// nullopt when the shape is not one ConfigSpace enumerates.
+std::optional<std::vector<ConfigMask>> gray_enumeration(int num_groups,
+                                                        int num_tiers) {
+  try {
+    return ConfigSpace(std::vector<double>(
+                           static_cast<std::size_t>(std::max(num_groups, 0)),
+                           1.0),
+                       num_tiers)
+        .gray_masks();
+  } catch (const Error&) {
+    return std::nullopt;
+  }
+}
+
+// ---------------------------------------------------------------- columns
+//
+// Row lists are stored column-wise: one array per struct field, all of
+// equal length. Row i of every column belongs to the same row.
+
+template <typename Row, typename Field>
+Json column(const std::vector<Row>& rows, Field field) {
+  JsonArray values;
+  values.reserve(rows.size());
+  for (const Row& row : rows) values.push_back(Json(field(row)));
+  return Json(std::move(values));
+}
+
+/// Column `name` of `columns`, which must hold exactly `rows` entries.
+const JsonArray& column_of(const Json& columns, const char* name,
+                           std::size_t rows) {
+  const JsonArray& values = columns.at(name).as_array();
+  if (values.size() != rows)
+    bad_field(name, "has " + std::to_string(values.size()) +
+                        " entries, expected " + std::to_string(rows));
+  return values;
+}
+
+/// Configuration rows. The mask column is left out when row i holds mask
+/// i (a full sweep), and restored from the row number on decode.
+Json configs_to_json(const std::vector<ConfigResult>& configs) {
+  bool identity = true;
+  for (std::size_t i = 0; i < configs.size() && identity; ++i)
+    identity = configs[i].mask == static_cast<ConfigMask>(i);
   JsonObject o;
-  o["mask"] = Json(static_cast<std::uint64_t>(c.mask));
-  o["mean_time"] = Json(c.mean_time);
-  o["stddev_time"] = Json(c.stddev_time);
-  o["speedup"] = Json(c.speedup);
-  o["hbm_usage"] = Json(c.hbm_usage);
-  o["hbm_density"] = Json(c.hbm_density);
-  o["groups_in_hbm"] = Json(c.groups_in_hbm);
+  if (!identity)
+    o["mask"] = column(configs, [](const ConfigResult& c) { return c.mask; });
+  o["mean_time"] =
+      column(configs, [](const ConfigResult& c) { return c.mean_time; });
+  o["stddev_time"] =
+      column(configs, [](const ConfigResult& c) { return c.stddev_time; });
+  o["speedup"] =
+      column(configs, [](const ConfigResult& c) { return c.speedup; });
+  o["hbm_usage"] =
+      column(configs, [](const ConfigResult& c) { return c.hbm_usage; });
+  o["hbm_density"] =
+      column(configs, [](const ConfigResult& c) { return c.hbm_density; });
+  o["groups_in_hbm"] =
+      column(configs, [](const ConfigResult& c) { return c.groups_in_hbm; });
   return Json(std::move(o));
 }
 
-ConfigResult config_from_json(const Json& json) {
-  ConfigResult c;
-  c.mask = static_cast<ConfigMask>(json.at("mask").as_number());
-  c.mean_time = json.at("mean_time").as_number();
-  c.stddev_time = json.at("stddev_time").as_number();
-  c.speedup = json.at("speedup").as_number();
-  c.hbm_usage = json.at("hbm_usage").as_number();
-  c.hbm_density = json.at("hbm_density").as_number();
-  c.groups_in_hbm = static_cast<int>(json.at("groups_in_hbm").as_number());
-  return c;
+std::vector<ConfigResult> configs_from_json(const Json& columns,
+                                            int num_groups,
+                                            std::size_t space) {
+  const std::size_t rows = columns.at("mean_time").as_array().size();
+  if (rows > space)
+    bad_field("mean_time", "lists more configurations than the space holds");
+  std::vector<ConfigResult> configs(rows);
+  if (columns.as_object().contains("mask")) {
+    const JsonArray& masks = column_of(columns, "mask", rows);
+    for (std::size_t i = 0; i < rows; ++i)
+      configs[i].mask = mask_in(masks[i], space, "mask");
+  } else {
+    for (std::size_t i = 0; i < rows; ++i)
+      configs[i].mask = static_cast<ConfigMask>(i);
+  }
+  const auto doubles = [&](const char* name, double ConfigResult::*field) {
+    const JsonArray& values = column_of(columns, name, rows);
+    for (std::size_t i = 0; i < rows; ++i)
+      configs[i].*field = finite(values[i], name);
+  };
+  doubles("mean_time", &ConfigResult::mean_time);
+  doubles("stddev_time", &ConfigResult::stddev_time);
+  doubles("speedup", &ConfigResult::speedup);
+  doubles("hbm_usage", &ConfigResult::hbm_usage);
+  doubles("hbm_density", &ConfigResult::hbm_density);
+  const JsonArray& groups = column_of(columns, "groups_in_hbm", rows);
+  for (std::size_t i = 0; i < rows; ++i)
+    configs[i].groups_in_hbm =
+        int_in(groups[i], 0, num_groups, "groups_in_hbm");
+  return configs;
 }
 
-Json step_to_json(const TuningStep& s) {
+// ------------------------------------------------------------- trajectory
+//
+// An exhaustive sweep in Gray order produces a trajectory that repeats the
+// sweep: step i measures the i-th Gray mask and observes that
+// configuration's mean time and speedup. Such a trajectory is stored as
+// the 1-based indices of its accepted steps alone ("accepted_steps") and
+// re-derived from the sweep on decode. Any other trajectory (natural
+// order, online, estimator) is stored as columns.
+
+bool derives_from_sweep(const std::vector<TuningStep>& trajectory,
+                        const std::optional<SweepResult>& sweep) {
+  if (!sweep.has_value() || trajectory.size() != sweep->configs.size())
+    return false;
+  const auto order = gray_enumeration(sweep->num_groups, sweep->num_tiers);
+  if (!order || order->size() != trajectory.size()) return false;
+  for (std::size_t i = 0; i < trajectory.size(); ++i) {
+    const TuningStep& step = trajectory[i];
+    const ConfigMask mask = (*order)[i];
+    const ConfigResult& config = sweep->configs[mask];
+    if (step.index != static_cast<int>(i + 1) || step.mask != mask ||
+        config.mask != mask || !same(step.observed_time, config.mean_time) ||
+        !same(step.speedup, config.speedup))
+      return false;
+  }
+  return true;
+}
+
+Json trajectory_to_json(const TuningOutcome& outcome) {
+  const auto& steps = outcome.trajectory;
   JsonObject o;
-  o["index"] = Json(s.index);
-  o["mask"] = Json(static_cast<std::uint64_t>(s.mask));
-  o["observed_time"] = Json(s.observed_time);
-  o["speedup"] = Json(s.speedup);
-  o["accepted"] = Json(s.accepted);
+  if (derives_from_sweep(steps, outcome.sweep)) {
+    JsonArray accepted;
+    for (const TuningStep& step : steps)
+      if (step.accepted) accepted.push_back(Json(step.index));
+    o["accepted_steps"] = Json(std::move(accepted));
+    return Json(std::move(o));
+  }
+  o["index"] = column(steps, [](const TuningStep& s) { return s.index; });
+  o["mask"] = column(steps, [](const TuningStep& s) { return s.mask; });
+  o["observed_time"] =
+      column(steps, [](const TuningStep& s) { return s.observed_time; });
+  o["speedup"] = column(steps, [](const TuningStep& s) { return s.speedup; });
+  o["accepted"] = column(steps, [](const TuningStep& s) { return s.accepted; });
   return Json(std::move(o));
 }
 
-TuningStep step_from_json(const Json& json) {
-  TuningStep s;
-  s.index = static_cast<int>(json.at("index").as_number());
-  s.mask = static_cast<ConfigMask>(json.at("mask").as_number());
-  s.observed_time = json.at("observed_time").as_number();
-  s.speedup = json.at("speedup").as_number();
-  s.accepted = json.at("accepted").as_bool();
-  return s;
+std::vector<TuningStep> trajectory_from_sweep(const Json& accepted_steps,
+                                              const SweepResult& sweep) {
+  const auto order = gray_enumeration(sweep.num_groups, sweep.num_tiers);
+  if (!order || order->size() != sweep.configs.size())
+    bad_field("accepted_steps", "needs a complete sweep to derive from");
+  std::vector<TuningStep> steps(order->size());
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    const ConfigMask mask = (*order)[i];
+    const ConfigResult& config = sweep.configs[mask];
+    if (config.mask != mask)
+      bad_field("accepted_steps", "needs a sweep indexed by mask");
+    steps[i] = {static_cast<int>(i + 1), mask, config.mean_time,
+                config.speedup, false};
+  }
+  int previous = 0;
+  for (const Json& index : accepted_steps.as_array()) {
+    const int step = int_in(index, previous + 1,
+                            static_cast<int>(steps.size()), "accepted_steps");
+    steps[static_cast<std::size_t>(step - 1)].accepted = true;
+    previous = step;
+  }
+  return steps;
+}
+
+std::vector<TuningStep> trajectory_from_columns(const Json& columns,
+                                                std::size_t space) {
+  const std::size_t rows = columns.at("index").as_array().size();
+  const JsonArray& index = column_of(columns, "index", rows);
+  const JsonArray& mask = column_of(columns, "mask", rows);
+  const JsonArray& observed = column_of(columns, "observed_time", rows);
+  const JsonArray& speedup = column_of(columns, "speedup", rows);
+  const JsonArray& accepted = column_of(columns, "accepted", rows);
+  std::vector<TuningStep> steps(rows);
+  for (std::size_t i = 0; i < rows; ++i) {
+    steps[i].index = int_in(index[i], 0, INT_MAX, "index");
+    steps[i].mask = mask_in(mask[i], space, "mask");
+    steps[i].observed_time = finite(observed[i], "observed_time");
+    steps[i].speedup = finite(speedup[i], "speedup");
+    steps[i].accepted = accepted[i].as_bool();
+  }
+  return steps;
 }
 
 }  // namespace
@@ -72,25 +277,14 @@ Json outcome_to_json(const TuningOutcome& outcome) {
   o["hbm_usage"] = Json(outcome.hbm_usage);
   o["configs_measured"] = Json(outcome.configs_measured);
   o["measurements"] = Json(outcome.measurements);
-  {
-    JsonArray steps;
-    for (const auto& s : outcome.trajectory) steps.push_back(step_to_json(s));
-    o["trajectory"] = Json(std::move(steps));
-  }
-  {
-    JsonArray table;
-    for (const auto& c : outcome.table) table.push_back(config_to_json(c));
-    o["table"] = Json(std::move(table));
-  }
+  o["trajectory"] = trajectory_to_json(outcome);
+  o["table"] = configs_to_json(outcome.table);
   if (outcome.sweep.has_value()) {
     JsonObject sweep;
     sweep["baseline_time"] = Json(outcome.sweep->baseline_time);
     sweep["num_groups"] = Json(outcome.sweep->num_groups);
     sweep["num_tiers"] = Json(outcome.sweep->num_tiers);
-    JsonArray configs;
-    for (const auto& c : outcome.sweep->configs)
-      configs.push_back(config_to_json(c));
-    sweep["configs"] = Json(std::move(configs));
+    sweep["configs"] = configs_to_json(outcome.sweep->configs);
     o["sweep"] = Json(std::move(sweep));
   }
   return Json(std::move(o));
@@ -100,36 +294,54 @@ TuningOutcome outcome_from_json(const Json& json) {
   TuningOutcome out;
   out.strategy = json.at("strategy").as_string();
   out.workload = json.at("workload").as_string();
-  out.num_groups = static_cast<int>(json.at("num_groups").as_number());
-  out.num_tiers = static_cast<int>(json.at("num_tiers").as_number());
-  out.chosen_mask = static_cast<ConfigMask>(json.at("chosen_mask").as_number());
+  out.num_groups = int_in(json.at("num_groups"), 0, ConfigSpace::kMaxGroups,
+                          "num_groups");
+  out.num_tiers =
+      int_in(json.at("num_tiers"), 2, topo::kNumPoolKinds, "num_tiers");
+  const std::size_t space = space_size(out.num_groups, out.num_tiers);
+  // Exact in a double, whatever the space: the id is only ever compared
+  // and labelled, never used to index.
+  out.chosen_mask = static_cast<ConfigMask>(
+      integer_in(json.at("chosen_mask"), 0.0, 0x1p53, "chosen_mask"));
   {
+    const JsonArray& tiers = json.at("chosen_placement").as_array();
+    if (tiers.size() > static_cast<std::size_t>(out.num_groups))
+      bad_field("chosen_placement", "places more groups than num_groups");
     std::vector<topo::PoolKind> pools;
-    for (const Json& tier : json.at("chosen_placement").as_array())
+    pools.reserve(tiers.size());
+    for (const Json& tier : tiers)
       pools.push_back(static_cast<topo::PoolKind>(
-          static_cast<int>(tier.as_number())));
+          int_in(tier, 0, out.num_tiers - 1, "chosen_placement")));
     out.chosen_placement = sim::Placement(std::move(pools));
   }
-  out.chosen_time = json.at("chosen_time").as_number();
-  out.baseline_time = json.at("baseline_time").as_number();
-  out.speedup = json.at("speedup").as_number();
-  out.hbm_bytes = json.at("hbm_bytes").as_number();
-  out.hbm_usage = json.at("hbm_usage").as_number();
+  out.chosen_time = finite(json.at("chosen_time"), "chosen_time");
+  out.baseline_time = finite(json.at("baseline_time"), "baseline_time");
+  out.speedup = finite(json.at("speedup"), "speedup");
+  out.hbm_bytes = finite(json.at("hbm_bytes"), "hbm_bytes");
+  out.hbm_usage = finite(json.at("hbm_usage"), "hbm_usage");
   out.configs_measured =
-      static_cast<int>(json.at("configs_measured").as_number());
-  out.measurements = static_cast<int>(json.at("measurements").as_number());
-  for (const Json& step : json.at("trajectory").as_array())
-    out.trajectory.push_back(step_from_json(step));
-  for (const Json& config : json.at("table").as_array())
-    out.table.push_back(config_from_json(config));
+      int_in(json.at("configs_measured"), 0, INT_MAX, "configs_measured");
+  out.measurements =
+      int_in(json.at("measurements"), 0, INT_MAX, "measurements");
+  out.table = configs_from_json(json.at("table"), out.num_groups, space);
   if (const Json* sweep = json.as_object().find("sweep")) {
     SweepResult s;
-    s.baseline_time = sweep->at("baseline_time").as_number();
-    s.num_groups = static_cast<int>(sweep->at("num_groups").as_number());
-    s.num_tiers = static_cast<int>(sweep->at("num_tiers").as_number());
-    for (const Json& config : sweep->at("configs").as_array())
-      s.configs.push_back(config_from_json(config));
+    s.baseline_time = finite(sweep->at("baseline_time"), "baseline_time");
+    s.num_groups = int_in(sweep->at("num_groups"), 1,
+                          ConfigSpace::kMaxGroups, "num_groups");
+    s.num_tiers =
+        int_in(sweep->at("num_tiers"), 2, topo::kNumPoolKinds, "num_tiers");
+    s.configs = configs_from_json(sweep->at("configs"), s.num_groups,
+                                  space_size(s.num_groups, s.num_tiers));
     out.sweep = std::move(s);
+  }
+  const Json& trajectory = json.at("trajectory");
+  if (const Json* accepted = trajectory.as_object().find("accepted_steps")) {
+    if (!out.sweep.has_value())
+      bad_field("accepted_steps", "needs a sweep to derive from");
+    out.trajectory = trajectory_from_sweep(*accepted, *out.sweep);
+  } else {
+    out.trajectory = trajectory_from_columns(trajectory, space);
   }
   return out;
 }

@@ -12,7 +12,6 @@
 #include "common/error.h"
 #include "common/table.h"
 #include "common/units.h"
-#include "core/outcome_io.h"
 #include "core/report.h"
 
 namespace hmpt::report {
@@ -255,17 +254,16 @@ CampaignResult load_store_result(const std::string& store_dir) {
   const campaign::OutcomeStore store(store_dir, *format);
 
   CampaignResult result;
-  for (const auto& [fingerprint, bytes] : store.load_all_payloads()) {
+  for (auto& record : store.load_all_records()) {
     ScenarioRun run;
     try {
-      const Json doc = Json::parse(bytes);
-      run.scenario = Scenario::from_json(doc.at("scenario"));
-      run.outcome = tuner::outcome_from_json(doc.at("outcome"));
+      run.scenario = Scenario::from_json(record.scenario);
     } catch (const std::exception& e) {
-      raise("corrupt outcome record " + fingerprint + " in " + store_dir +
-            ": " + e.what());
+      raise("corrupt outcome record " + record.fingerprint + " in " +
+            store_dir + ": " + e.what());
     }
-    run.fingerprint = fingerprint;
+    run.outcome = std::move(record.outcome);
+    run.fingerprint = std::move(record.fingerprint);
     run.status = ScenarioRun::Status::Cached;
     ++result.cached;
     result.runs.push_back(std::move(run));

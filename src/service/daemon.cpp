@@ -8,7 +8,6 @@
 
 #include "common/error.h"
 #include "common/thread_name.h"
-#include "core/outcome_io.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -403,7 +402,10 @@ void Daemon::handle_result(const std::shared_ptr<Connection>& connection,
         to_string(Op::Result), std::move(fields)));
     return;
   }
-  const auto outcome = scheduler_->outcome(request.fingerprint);
+  // The store validates the record (one parse, range-checked decode) and
+  // hands back its `outcome` subtree, which goes on the wire as stored —
+  // no round trip through TuningOutcome.
+  auto outcome = scheduler_->store().load_outcome_json(request.fingerprint);
   if (!outcome.has_value()) {
     connection->send(error_line(
         "outcome missing from store for " + request.fingerprint,
@@ -411,7 +413,7 @@ void Daemon::handle_result(const std::shared_ptr<Connection>& connection,
     return;
   }
   JsonObject fields = job_fields(*status);
-  fields["outcome"] = tuner::outcome_to_json(*outcome);
+  fields["outcome"] = std::move(*outcome);
   connection->send(ok_line(Op::Result, std::move(fields)));
 }
 

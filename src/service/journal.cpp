@@ -135,19 +135,19 @@ JobJournal::Replay JobJournal::replay(const std::string& path) {
       ReplayJob job;
       try {
         job.scenario = campaign::Scenario::from_json(*scenario);
+        if (const Json* priority = obj.find("priority");
+            priority != nullptr && priority->kind() == Json::Kind::Number)
+          job.priority = priority->as_int();
+        if (const Json* attempts = obj.find("attempts");
+            attempts != nullptr && attempts->kind() == Json::Kind::Number)
+          job.limits.max_attempts = attempts->as_int();
       } catch (const std::exception&) {
         ++replay.skipped;
         continue;
       }
-      if (const Json* priority = obj.find("priority");
-          priority != nullptr && priority->kind() == Json::Kind::Number)
-        job.priority = static_cast<int>(priority->as_number());
       if (const Json* deadline = obj.find("deadline_s");
           deadline != nullptr && deadline->kind() == Json::Kind::Number)
         job.limits.deadline_s = deadline->as_number();
-      if (const Json* attempts = obj.find("attempts");
-          attempts != nullptr && attempts->kind() == Json::Kind::Number)
-        job.limits.max_attempts = static_cast<int>(attempts->as_number());
       auto [it, inserted] =
           by_fingerprint.try_emplace(fingerprint->as_string());
       if (inserted) {

@@ -88,7 +88,7 @@ Request parse_request(const std::string& line) {
       if (priority != nullptr) {
         if (priority->kind() != Json::Kind::Number)
           raise("field 'priority' must be a number");
-        request.priority = static_cast<int>(priority->as_number());
+        request.priority = priority->as_int();
       }
       const Json* deadline = obj.find("deadline_s");
       if (deadline != nullptr) {
@@ -102,7 +102,7 @@ Request parse_request(const std::string& line) {
       if (attempts != nullptr) {
         if (attempts->kind() != Json::Kind::Number)
           raise("field 'attempts' must be a number");
-        request.attempts = static_cast<int>(attempts->as_number());
+        request.attempts = attempts->as_int();
         if (request.attempts < 1) raise("field 'attempts' must be >= 1");
       }
       break;
@@ -170,7 +170,7 @@ std::string ok_line(Op op, JsonObject fields) {
   JsonObject obj;
   obj["ok"] = Json(true);
   obj["op"] = Json(to_string(op));
-  for (const auto& [key, value] : fields) obj[key] = value;
+  for (auto& [key, value] : fields) obj[key] = std::move(value);
   return Json(std::move(obj)).dump(-1) + "\n";
 }
 
@@ -180,7 +180,7 @@ std::string error_line(const std::string& error,
   obj["ok"] = Json(false);
   obj["op"] = Json(op_text);
   obj["error"] = Json(error);
-  for (const auto& [key, value] : fields) obj[key] = value;
+  for (auto& [key, value] : fields) obj[key] = std::move(value);
   return Json(std::move(obj)).dump(-1) + "\n";
 }
 
@@ -194,7 +194,7 @@ std::string job_event_line(const std::string& fingerprint,
   obj["label"] = Json(label);
   obj["state"] = Json(state);
   obj["seconds"] = Json(seconds);
-  for (const auto& [key, value] : extra) obj[key] = value;
+  for (auto& [key, value] : extra) obj[key] = std::move(value);
   return Json(std::move(obj)).dump(-1) + "\n";
 }
 

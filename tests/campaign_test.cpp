@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <cstring>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -20,6 +23,9 @@
 #include "core/outcome_io.h"
 #include "core/session.h"
 #include "report/report.h"
+#include "simmem/config.h"
+#include "simmem/simulator.h"
+#include "topo/machine.h"
 #include "workloads/app_models.h"
 #include "workloads/trace_io.h"
 
@@ -387,24 +393,193 @@ TEST(WorkloadRegistryTest, MalformedParametersNameTheOffendingKey) {
 
 // ---------------------------------------------------- outcome round trips
 
-TEST(OutcomeIoTest, OutcomeJsonRoundTripsForEveryStrategy) {
-  auto sim = sim::MachineSimulator::paper_platform();
-  const auto app = workloads::make_mg_model(sim);
-  for (const char* strategy : {"exhaustive", "online", "estimator"}) {
-    auto simulator = sim::MachineSimulator::paper_platform();
-    const auto outcome = tuner::Session::on(simulator)
-                             .workload(app.workload)
-                             .context(app.context)
-                             .strategy(strategy)
-                             .run();
-    const auto back = tuner::outcome_from_json(
-        Json::parse(tuner::outcome_to_json(outcome).dump()));
-    EXPECT_EQ(json_of(back), json_of(outcome)) << strategy;
-    // The parsed outcome is a working TuningOutcome, not just a blob: the
-    // human-readable report regenerates identically.
-    EXPECT_EQ(back.to_text(), outcome.to_text()) << strategy;
-    EXPECT_EQ(back.sweep.has_value(), std::string(strategy) == "exhaustive");
+/// Bit-for-bit double equality (-0 and 0 differ; the codec is lossless).
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+void expect_same_configs(const std::vector<tuner::ConfigResult>& a,
+                         const std::vector<tuner::ConfigResult>& b,
+                         const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].mask, b[i].mask) << what << " row " << i;
+    EXPECT_TRUE(same_bits(a[i].mean_time, b[i].mean_time)) << what << i;
+    EXPECT_TRUE(same_bits(a[i].stddev_time, b[i].stddev_time)) << what << i;
+    EXPECT_TRUE(same_bits(a[i].speedup, b[i].speedup)) << what << i;
+    EXPECT_TRUE(same_bits(a[i].hbm_usage, b[i].hbm_usage)) << what << i;
+    EXPECT_TRUE(same_bits(a[i].hbm_density, b[i].hbm_density)) << what << i;
+    EXPECT_EQ(a[i].groups_in_hbm, b[i].groups_in_hbm) << what << i;
   }
+}
+
+/// Field-by-field outcome equality that does not go through the codec
+/// under test.
+void expect_same_outcome(const tuner::TuningOutcome& a,
+                         const tuner::TuningOutcome& b,
+                         const std::string& what) {
+  EXPECT_EQ(a.strategy, b.strategy) << what;
+  EXPECT_EQ(a.workload, b.workload) << what;
+  EXPECT_EQ(a.num_groups, b.num_groups) << what;
+  EXPECT_EQ(a.num_tiers, b.num_tiers) << what;
+  EXPECT_EQ(a.chosen_mask, b.chosen_mask) << what;
+  EXPECT_EQ(a.chosen_placement.pools(), b.chosen_placement.pools()) << what;
+  EXPECT_TRUE(same_bits(a.chosen_time, b.chosen_time)) << what;
+  EXPECT_TRUE(same_bits(a.baseline_time, b.baseline_time)) << what;
+  EXPECT_TRUE(same_bits(a.speedup, b.speedup)) << what;
+  EXPECT_TRUE(same_bits(a.hbm_bytes, b.hbm_bytes)) << what;
+  EXPECT_TRUE(same_bits(a.hbm_usage, b.hbm_usage)) << what;
+  EXPECT_EQ(a.configs_measured, b.configs_measured) << what;
+  EXPECT_EQ(a.measurements, b.measurements) << what;
+  ASSERT_EQ(a.trajectory.size(), b.trajectory.size()) << what;
+  for (std::size_t i = 0; i < a.trajectory.size(); ++i) {
+    const auto& x = a.trajectory[i];
+    const auto& y = b.trajectory[i];
+    EXPECT_EQ(x.index, y.index) << what << " step " << i;
+    EXPECT_EQ(x.mask, y.mask) << what << " step " << i;
+    EXPECT_TRUE(same_bits(x.observed_time, y.observed_time)) << what << i;
+    EXPECT_TRUE(same_bits(x.speedup, y.speedup)) << what << " step " << i;
+    EXPECT_EQ(x.accepted, y.accepted) << what << " step " << i;
+  }
+  expect_same_configs(a.table, b.table, what + " table");
+  ASSERT_EQ(a.sweep.has_value(), b.sweep.has_value()) << what;
+  if (a.sweep.has_value()) {
+    EXPECT_TRUE(same_bits(a.sweep->baseline_time, b.sweep->baseline_time));
+    EXPECT_EQ(a.sweep->num_groups, b.sweep->num_groups) << what;
+    EXPECT_EQ(a.sweep->num_tiers, b.sweep->num_tiers) << what;
+    expect_same_configs(a.sweep->configs, b.sweep->configs, what + " sweep");
+  }
+}
+
+TEST(OutcomeIoTest, OutcomeJsonRoundTripsForEveryStrategy) {
+  // Two- and three-tier platforms, with measurement noise so repetitions
+  // differ and no derived value is accidentally constant.
+  struct Platform {
+    const char* name;
+    sim::MachineSimulator (*make)();
+  };
+  const Platform platforms[] = {
+      {"2-tier",
+       [] {
+         return sim::MachineSimulator(topo::xeon_max_9468_duo_flat_snc4(),
+                                      sim::default_spr_hbm_calibration(),
+                                      sim::NoiseModel{0.05, 7});
+       }},
+      {"3-tier", [] {
+         return sim::MachineSimulator(topo::cxl_tiered_xeon_max(),
+                                      sim::cxl_tiered_calibration(),
+                                      sim::NoiseModel{0.05, 11});
+       }}};
+  struct Run {
+    const char* strategy;
+    bool gray;
+  };
+  for (const auto& platform : platforms) {
+    for (const Run run : {Run{"exhaustive", true}, Run{"exhaustive", false},
+                          Run{"online", true}, Run{"estimator", true}}) {
+      auto simulator = platform.make();
+      const auto app = workloads::make_mg_model(simulator);
+      const auto outcome = tuner::Session::on(simulator)
+                               .workload(app.workload)
+                               .context(app.context)
+                               .strategy(run.strategy)
+                               .gray_order(run.gray)
+                               .repetitions(2)
+                               .run();
+      const std::string what = std::string(platform.name) + " " +
+                               run.strategy + (run.gray ? "" : " natural");
+      const Json encoded = tuner::outcome_to_json(outcome);
+      for (const int indent : {-1, 2}) {
+        const auto back =
+            tuner::outcome_from_json(Json::parse(encoded.dump(indent)));
+        expect_same_outcome(back, outcome, what);
+        // The parsed outcome is a working TuningOutcome, not just a blob:
+        // the human-readable report regenerates identically.
+        EXPECT_EQ(back.to_text(), outcome.to_text()) << what;
+      }
+      EXPECT_EQ(outcome.sweep.has_value(),
+                std::string(run.strategy) == "exhaustive");
+
+      // The derivation rules fired exactly where they are lossless: only
+      // a Gray-order sweep drops its trajectory to the accepted steps,
+      // and a full sweep never stores its mask column.
+      const JsonObject& trajectory = encoded.at("trajectory").as_object();
+      EXPECT_EQ(trajectory.contains("accepted_steps"),
+                outcome.sweep.has_value() && run.gray)
+          << what;
+      EXPECT_EQ(trajectory.contains("mask"),
+                !trajectory.contains("accepted_steps"))
+          << what;
+      if (outcome.sweep.has_value()) {
+        EXPECT_FALSE(encoded.at("sweep").at("configs").as_object().contains(
+            "mask"))
+            << what;
+      }
+    }
+  }
+}
+
+TEST(OutcomeIoTest, TrajectoryIsDerivedOnlyWhenBitIdentical) {
+  // A Gray-order sweep trajectory that differs from the sweep in any
+  // bit (here: one observed time, one speedup sign, one step order) must
+  // fall back to columns and still round-trip exactly.
+  auto simulator = sim::MachineSimulator::cxl_tiered_platform();
+  const auto app = workloads::make_mg_model(simulator);
+  const auto outcome = tuner::Session::on(simulator)
+                           .workload(app.workload)
+                           .context(app.context)
+                           .run();
+  ASSERT_TRUE(outcome.sweep.has_value());
+  ASSERT_TRUE(tuner::outcome_to_json(outcome).at("trajectory").as_object()
+                  .contains("accepted_steps"));
+  auto time_bumped = outcome;
+  time_bumped.trajectory[5].observed_time =
+      std::nextafter(time_bumped.trajectory[5].observed_time, 1e300);
+  auto sign_flipped = outcome;
+  sign_flipped.sweep->configs[0].stddev_time = -0.0;  // not a derived field
+  sign_flipped.trajectory[0].speedup = -sign_flipped.trajectory[0].speedup;
+  auto reordered = outcome;
+  std::swap(reordered.trajectory[1].mask, reordered.trajectory[2].mask);
+  for (const auto* changed : {&time_bumped, &sign_flipped, &reordered}) {
+    const Json encoded = tuner::outcome_to_json(*changed);
+    EXPECT_FALSE(
+        encoded.at("trajectory").as_object().contains("accepted_steps"));
+    expect_same_outcome(
+        tuner::outcome_from_json(Json::parse(encoded.dump(-1))), *changed,
+        "changed trajectory");
+  }
+}
+
+TEST(OutcomeIoTest, CompactPayloadMatchesTheGoldenFile) {
+  // Format drift fails loudly: a small three-tier exhaustive record must
+  // encode to exactly these bytes, and the bytes must decode back to the
+  // same outcome. Regenerate only intentionally (HMPT_UPDATE_GOLDEN=1),
+  // together with a kFingerprintVersion bump.
+  Scenario s;
+  s.workload = parse_workload_spec("mg");
+  s.platform = "spr-cxl";
+  s.strategy = "exhaustive";
+  s.tiers = 3;
+  s.repetitions = 2;
+  const auto outcome = CampaignRunner::execute(s);
+  const std::string payload = OutcomeStore::make_payload(s, outcome);
+  const std::string path =
+      std::string(HMPT_TEST_DATA_DIR) + "/mg_cxl_exhaustive.payload.json";
+  if (std::getenv("HMPT_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream os(path, std::ios::binary);
+    os << payload;
+  }
+  std::ifstream is(path, std::ios::binary);
+  std::stringstream golden;
+  golden << is.rdbuf();
+  ASSERT_FALSE(golden.str().empty()) << "missing golden " << path;
+  EXPECT_EQ(payload, golden.str())
+      << "stored outcome bytes diverged from " << path;
+  const Json doc = Json::parse(golden.str());
+  EXPECT_EQ(doc.at("format_version").as_number(), kFingerprintVersion);
+  expect_same_outcome(tuner::outcome_from_json(doc.at("outcome")), outcome,
+                      "golden");
+  EXPECT_EQ(payload.find('\n'), std::string::npos);  // compact, one line
 }
 
 // ------------------------------------------------------------------ store
@@ -450,6 +625,134 @@ TEST(OutcomeStoreTest, SavesLoadsAndInvalidates) {
   const auto healed = store.load(s);
   ASSERT_TRUE(healed.has_value());
   EXPECT_EQ(json_of(*healed), json_of(outcome));
+}
+
+/// `text` with the value of the first `"key":` at or after `anchor`
+/// replaced by `value` (for an array-valued key: its first element).
+std::string with_value(std::string text, const std::string& anchor,
+                       const std::string& key, const std::string& value) {
+  const auto from = text.find(anchor);
+  EXPECT_NE(from, std::string::npos) << anchor;
+  if (from == std::string::npos) return text;
+  auto at = text.find("\"" + key + "\":", from);
+  EXPECT_NE(at, std::string::npos) << key;
+  if (at == std::string::npos) return text;
+  at += key.size() + 3;
+  if (text[at] == '[') ++at;
+  const auto end = text.find_first_of(",]}", at);
+  text.replace(at, end - at, value);
+  return text;
+}
+
+/// `text` with the first `from` replaced by `to`.
+std::string with_text(std::string text, const std::string& from,
+                      const std::string& to) {
+  const auto at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
+
+TEST(OutcomeStoreTest, OutOfRangeRecordsReadAsDamaged) {
+  // Each record below is well-formed JSON carrying the right version and
+  // fingerprint, but one decoded value is out of range. Every one must
+  // read as a damaged record (a miss; dir stores quarantine it), never as
+  // an outcome, a crash or undefined behaviour.
+  Scenario sweep;
+  sweep.workload = parse_workload_spec("mg");
+  sweep.platform = "spr-cxl";
+  sweep.strategy = "exhaustive";
+  sweep.tiers = 3;  // 3 groups: 27 configurations
+  sweep.repetitions = 1;
+  Scenario online = sweep;
+  online.strategy = "online";
+  const std::string good_sweep =
+      OutcomeStore::make_payload(sweep, CampaignRunner::execute(sweep));
+  const std::string good_online =
+      OutcomeStore::make_payload(online, CampaignRunner::execute(online));
+  const std::string o = "\"outcome\":";
+  const std::string cols = "\"configs\":";
+  const std::string traj = "\"trajectory\":";
+  const std::string table = "\"table\":";
+
+  struct Case {
+    const char* name;
+    const Scenario* scenario;
+    std::string payload;
+  };
+  const std::vector<Case> cases = {
+      {"num_tiers above kNumPoolKinds", &sweep,
+       with_value(good_sweep, o, "num_tiers", "4")},
+      {"num_tiers below two", &sweep,
+       with_value(good_sweep, o, "num_tiers", "1")},
+      {"num_groups far out of int range", &sweep,
+       with_value(good_sweep, o, "num_groups", "1e300")},
+      {"fractional num_groups", &sweep,
+       with_value(good_sweep, o, "num_groups", "2.5")},
+      {"chosen_mask negative", &sweep,
+       with_value(good_sweep, o, "chosen_mask", "-1")},
+      {"chosen_placement tier beyond num_tiers", &sweep,
+       with_value(good_sweep, o, "chosen_placement", "3")},
+      {"non-finite baseline", &sweep,
+       with_value(good_sweep, o, "baseline_time", "1e999")},
+      {"sweep column shorter than the others", &sweep,
+       with_text(good_sweep, "\"groups_in_hbm\":[0,", "\"groups_in_hbm\":[")},
+      {"sweep groups_in_hbm above num_groups", &sweep,
+       with_value(good_sweep, cols, "groups_in_hbm", "4")},
+      {"sweep wider than its space", &sweep,
+       with_value(good_sweep, "\"sweep\":", "num_tiers", "2")},
+      {"accepted step zero", &sweep,
+       with_value(good_sweep, traj, "accepted_steps", "0")},
+      {"accepted step beyond the sweep", &sweep,
+       with_text(good_sweep, "\"accepted_steps\":[",
+                 "\"accepted_steps\":[28,")},
+      {"accepted steps repeated", &sweep,
+       with_text(good_sweep, "\"accepted_steps\":[1,",
+                 "\"accepted_steps\":[1,1,")},
+      {"trajectory mask beyond k^n", &online,
+       with_value(good_online, traj, "mask", "27")},
+      {"trajectory index negative", &online,
+       with_value(good_online, traj, "index", "-3")},
+      {"trajectory column missing an entry", &online,
+       with_value(good_online, traj, "observed_time", "1,2")},
+      {"table mask beyond k^n", &online,
+       with_value(good_online, table, "mask", "27")},
+      {"table mask huge", &online,
+       with_value(good_online, table, "mask", "1e300")},
+  };
+
+  for (const auto format : {StoreFormat::Dir, StoreFormat::Packed}) {
+    for (const auto& c : cases) {
+      const std::string what =
+          std::string(to_string(format)) + ": " + c.name;
+      StoreDir dir("hmpt_store_hostile");
+      const OutcomeStore store(dir.path(), format);
+      const std::string fp = c.scenario->fingerprint();
+      ASSERT_NE(c.payload, OutcomeStore::make_payload(
+                               *c.scenario, CampaignRunner::execute(
+                                                *c.scenario)))
+          << what;
+      store.save_payload(fp, c.payload);
+      EXPECT_TRUE(store.load_all_payloads().empty()) << what;
+      EXPECT_TRUE(store.load_all_records().empty()) << what;
+      EXPECT_EQ(store.load_outcome_json(fp), std::nullopt) << what;
+      EXPECT_EQ(store.load(*c.scenario), std::nullopt) << what;
+      EXPECT_EQ(store.payload(fp), std::nullopt) << what;
+      if (format == StoreFormat::Dir) {
+        EXPECT_TRUE(fs::exists(store.path_for(*c.scenario) + ".corrupt"))
+            << what;
+      }
+      // The damaged record does not block the honest one.
+      store.save(*c.scenario, CampaignRunner::execute(*c.scenario));
+      EXPECT_TRUE(store.load(*c.scenario).has_value()) << what;
+    }
+  }
+  // The unmutated records are fine, so the mutations are what failed.
+  StoreDir dir("hmpt_store_hostile_control");
+  const OutcomeStore store(dir.path());
+  store.save_payload(sweep.fingerprint(), good_sweep);
+  store.save_payload(online.fingerprint(), good_online);
+  EXPECT_EQ(store.load_all_records().size(), 2u);
 }
 
 TEST(OutcomeStoreTest, SaveQuarantinesDamagedExistingFile) {

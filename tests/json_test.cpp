@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
 
 #include "common/error.h"
 #include "common/json.h"
@@ -52,11 +55,82 @@ TEST(JsonTest, ParseRoundTripsDump) {
 TEST(JsonTest, NumbersRoundTripExactly) {
   // The outcome store relies on exact double round trips: a resumed
   // campaign must reproduce byte-identical artefacts from parsed values.
+  const double kMinDenormal = std::numeric_limits<double>::denorm_min();
+  const double kMinNormal = std::numeric_limits<double>::min();
   for (const double value :
-       {1.0 / 3.0, 6.02214076e23, -2.5e-13, 1e15, 123456789.125, 0.0}) {
-    const Json parsed = Json::parse(Json(value).dump(-1));
-    EXPECT_EQ(parsed.as_number(), value);
+       {1.0 / 3.0, 6.02214076e23, -2.5e-13, 1e15, 123456789.125, 0.0,
+        // denormals and the normal/denormal boundary
+        kMinDenormal, -kMinDenormal, 3 * kMinDenormal, kMinNormal,
+        std::nextafter(kMinNormal, 0.0), std::numeric_limits<double>::max(),
+        // the integer/non-integer print boundary at 1e15
+        1e15 - 1, 1e15 + 1, 1e15 - 0.5, -(1e15 - 1), -1e15, 9007199254740993.0,
+        0.1, 0.1 + 0.2, -0.0}) {
+    const std::string text = Json(value).dump(-1);
+    const double parsed = Json::parse(text).as_number();
+    EXPECT_EQ(std::memcmp(&parsed, &value, sizeof(double)), 0)
+        << text << " parsed as " << parsed;
+    // Re-dumping the parsed value reproduces the text: the stored bytes
+    // are a fixed point of parse + dump.
+    EXPECT_EQ(Json(parsed).dump(-1), text);
   }
+}
+
+TEST(JsonTest, NumbersPrintShortestAndIntegersPlain) {
+  EXPECT_EQ(Json(0.1).dump(-1), "0.1");
+  EXPECT_EQ(Json(1e-17).dump(-1), "1e-17");
+  EXPECT_EQ(Json(-0.0).dump(-1), "-0");
+  EXPECT_EQ(Json(0.0).dump(-1), "0");
+  EXPECT_EQ(Json(1e15 - 1).dump(-1), "999999999999999");
+  EXPECT_EQ(Json(-42).dump(-1), "-42");
+  EXPECT_EQ(Json(1e15).dump(-1), "1e+15");
+}
+
+TEST(JsonTest, ParserAcceptsTheSameNumberTokens) {
+  // Tokens parse in place; what strtod accepted still parses, to the
+  // same value, and what it rejected still fails.
+  EXPECT_EQ(Json::parse("1.").as_number(), 1.0);
+  EXPECT_EQ(Json::parse("-.5").as_number(), -0.5);
+  EXPECT_EQ(Json::parse("007").as_number(), 7.0);
+  EXPECT_EQ(Json::parse("1E+2").as_number(), 100.0);
+  EXPECT_EQ(Json::parse("[2.5e-3]").as_array().at(0).as_number(), 2.5e-3);
+  EXPECT_TRUE(std::signbit(Json::parse("-0").as_number()));
+  // Magnitudes beyond a double round like strtod: to inf and to zero.
+  EXPECT_TRUE(std::isinf(Json::parse("1e999").as_number()));
+  EXPECT_EQ(Json::parse("1e-999").as_number(), 0.0);
+  for (const char* text : {"-", "1e", "1e+", "--1", "1-2", "1.2.3", "+1"})
+    EXPECT_THROW(Json::parse(text), Error) << "'" << text << "'";
+}
+
+TEST(JsonTest, NestingDepthIsCapped) {
+  // 200,000 '[' once overflowed the stack of the recursive parser; the
+  // cap turns it (and any deep object) into an ordinary parse error.
+  for (const char open : {'[', '{'}) {
+    std::string deep(200000, open);
+    if (open == '{') {
+      deep.clear();
+      for (int i = 0; i < 100000; ++i) deep += "{\"a\":";
+    }
+    try {
+      Json::parse(deep);
+      ADD_FAILURE() << "deep " << open << " parsed";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("nesting deeper"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // Well within the cap, nesting still works.
+  const std::string ok = std::string(100, '[') + std::string(100, ']');
+  EXPECT_NO_THROW(Json::parse(ok));
+}
+
+TEST(JsonTest, AsIntIsRangeChecked) {
+  EXPECT_EQ(Json(-7).as_int(), -7);
+  EXPECT_EQ(Json(2147483647.0).as_int(), 2147483647);
+  for (const double bad : {2.5, 2147483648.0, -2147483649.0, 1e300})
+    EXPECT_THROW(Json(bad).as_int(), Error) << bad;
+  EXPECT_THROW(Json::parse("1e999").as_int(), Error);
+  EXPECT_THROW(Json("7").as_int(), Error);
 }
 
 TEST(JsonTest, ControlCharactersEscape) {

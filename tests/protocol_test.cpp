@@ -45,6 +45,33 @@ TEST(ProtocolTest, SubmitScenarioRoundTrips) {
   EXPECT_TRUE(parsed.campaign_text.empty());
 }
 
+TEST(ProtocolTest, IntegerFieldsRejectFractionsAndOverflow) {
+  // Every integer read off the socket is range-checked before it is
+  // converted: a fraction or a magnitude beyond int is a malformed
+  // request, never a truncation or an undefined conversion.
+  Request request;
+  request.op = Op::Submit;
+  request.scenario = test_scenario();
+  request.priority = 7;
+  request.attempts = 2;
+  const std::string line = request.to_line();
+  const auto with = [&](const std::string& from, const std::string& to) {
+    std::string text = line;
+    const auto at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) text.replace(at, from.size(), to);
+    return text;
+  };
+  for (const std::string& bad :
+       {with("\"priority\":7", "\"priority\":1e300"),
+        with("\"priority\":7", "\"priority\":2.5"),
+        with("\"attempts\":2", "\"attempts\":-1e300"),
+        with("\"repetitions\":2", "\"repetitions\":1e19"),
+        with("\"tiers\":0", "\"tiers\":0.5")})
+    EXPECT_THROW(parse_request(bad), Error) << bad;
+  EXPECT_EQ(parse_request(line).priority, 7);
+}
+
 TEST(ProtocolTest, SubmitRetryFieldsRoundTrip) {
   // Protocol v2: per-job deadline and attempt budget ride the submit.
   Request request;

@@ -649,12 +649,15 @@ class TestClient {
     return read();
   }
 
-  ServerMessage read() {
+  ServerMessage read() { return parse_server_message(read_line()); }
+
+  /// The next response line, unparsed.
+  std::string read_line() {
     std::string line;
     const auto status = reader_.next(line);
     HMPT_REQUIRE(status == LineReader::Status::Line,
                  "connection closed by daemon");
-    return parse_server_message(line);
+    return line;
   }
 
   Socket& socket() { return socket_; }
@@ -796,6 +799,79 @@ TEST_F(DaemonTest, MalformedRequestsGetStructuredErrorsNotCrashes) {
   result.fingerprint = scenario_with_reps(1).fingerprint();
   result.wait = true;
   EXPECT_TRUE(client.call(result).ok);
+
+  daemon.request_shutdown();
+  EXPECT_TRUE(daemon.wait_for(10000));
+}
+
+TEST_F(DaemonTest, DeeplyNestedLineIsAnErrorNotAStackOverflow) {
+  // A 200,000-byte line of '[' once overflowed the recursive parser's
+  // stack and killed the daemon; now it is one more malformed request.
+  CountingProvider provider;
+  Daemon daemon(options_for(&provider), &provider);
+  daemon.start();
+  TestClient client(daemon.endpoint());
+
+  const auto reply = client.call_raw(std::string(200000, '[') + "\n");
+  EXPECT_FALSE(reply.ok);
+  EXPECT_NE(reply.error.find("nesting deeper"), std::string::npos)
+      << reply.error;
+  Request ping;
+  ping.op = Op::Ping;
+  EXPECT_TRUE(client.call(ping).ok);
+  TestClient fresh(daemon.endpoint());
+  EXPECT_TRUE(fresh.call(ping).ok);
+
+  daemon.request_shutdown();
+  EXPECT_TRUE(daemon.wait_for(10000));
+}
+
+TEST_F(DaemonTest, ResultPutsTheStoredOutcomeBytesOnTheWire) {
+  // A real exhaustive sweep (columnar sweep, trajectory derived from it):
+  // the `result` verb forwards the validated stored `outcome` subtree, so
+  // the wire carries exactly the stored bytes.
+  Daemon daemon(options_for(nullptr));
+  daemon.start();
+  TestClient client(daemon.endpoint());
+
+  campaign::Scenario scenario;
+  scenario.workload = campaign::parse_workload_spec("mg");
+  scenario.platform = "spr-cxl";
+  scenario.strategy = "exhaustive";
+  scenario.tiers = 3;
+  scenario.repetitions = 1;
+  Request submit;
+  submit.op = Op::Submit;
+  submit.scenario = scenario;
+  ASSERT_TRUE(client.call(submit).ok);
+
+  Request result;
+  result.op = Op::Result;
+  result.fingerprint = scenario.fingerprint();
+  result.wait = true;
+  HMPT_REQUIRE(client.socket().send_all(result.to_line()), "send failed");
+  const std::string line = client.read_line();
+  ASSERT_TRUE(parse_server_message(line).ok) << line;
+
+  const auto payload =
+      campaign::OutcomeStore(store_dir_.path()).payload(scenario.fingerprint());
+  ASSERT_TRUE(payload.has_value());
+  const std::string key = "\"outcome\":";
+  const auto stored_at = payload->find(key);
+  const auto wire_at = line.find(key);
+  ASSERT_NE(stored_at, std::string::npos);
+  ASSERT_NE(wire_at, std::string::npos);
+  // `outcome` closes both documents: the stored record's last byte and
+  // the response's last byte (before the newline) close their objects.
+  const std::string stored = payload->substr(
+      stored_at + key.size(), payload->size() - stored_at - key.size() - 1);
+  std::string wire = line.substr(wire_at + key.size());
+  while (!wire.empty() && (wire.back() == '\n' || wire.back() == '\r'))
+    wire.pop_back();
+  ASSERT_FALSE(wire.empty());
+  wire.pop_back();
+  EXPECT_EQ(wire, stored);
+  EXPECT_EQ(tuner::outcome_from_json(Json::parse(wire)).configs_measured, 27);
 
   daemon.request_shutdown();
   EXPECT_TRUE(daemon.wait_for(10000));
