@@ -87,6 +87,67 @@ std::string number_text(double value) {
   return buf;
 }
 
+// Checked full-consumption parsing (common/parse.h): partial values
+// ("2x"), overflow ("1e999") and non-finite spellings ("inf", "nan") all
+// produce one structured error — a bad campaign must never crash or
+// silently misconfigure.
+int directive_int(const std::string& text) {
+  const auto v = parse_int_strict(text);
+  if (!v) raise("not an integer: '" + text + "'");
+  return *v;
+}
+
+double directive_double(const std::string& text) {
+  const auto v = parse_double_strict(text);
+  if (!v) raise("not a finite number: '" + text + "'");
+  return *v;
+}
+
+/// The campaign grammar: each directive and what its value does to the
+/// matrix. Repeatable axes append; reps and top-k overwrite.
+using Directive = void (*)(ScenarioMatrix&, const std::string&);
+const std::map<std::string, Directive>& directives() {
+  static const std::map<std::string, Directive> table = {
+      {"workload",
+       [](ScenarioMatrix& m, const std::string& v) {
+         m.workloads.push_back(parse_workload_spec(v));
+       }},
+      {"platform",
+       [](ScenarioMatrix& m, const std::string& v) {
+         m.platforms.push_back(v);
+       }},
+      {"strategy",
+       [](ScenarioMatrix& m, const std::string& v) {
+         m.strategies.push_back(v);
+       }},
+      {"tiers",
+       [](ScenarioMatrix& m, const std::string& v) {
+         m.tiers.push_back(directive_int(v));
+       }},
+      {"budget-gb",
+       [](ScenarioMatrix& m, const std::string& v) {
+         m.budgets_gb.push_back(directive_double(v));
+       }},
+      {"tier-budget-gb",
+       [](ScenarioMatrix& m, const std::string& v) {
+         const auto colon = v.find(':');
+         if (colon == std::string::npos)
+           raise("expects tier:gb (e.g. 2:64), got '" + v + "'");
+         m.tier_budgets_gb.emplace_back(directive_int(v.substr(0, colon)),
+                                        directive_double(v.substr(colon + 1)));
+       }},
+      {"reps",
+       [](ScenarioMatrix& m, const std::string& v) {
+         m.repetitions = directive_int(v);
+       }},
+      {"top-k",
+       [](ScenarioMatrix& m, const std::string& v) {
+         m.top_k = directive_int(v);
+       }},
+  };
+  return table;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- Scenario
@@ -284,10 +345,20 @@ std::vector<Scenario> shard_scenarios(const std::vector<Scenario>& scenarios,
 
 std::vector<Scenario> ScenarioMatrix::expand() const {
   HMPT_REQUIRE(!workloads.empty(), "campaign declares no workloads");
-  HMPT_REQUIRE(!platforms.empty(), "campaign declares no platforms");
-  HMPT_REQUIRE(!strategies.empty(), "campaign declares no strategies");
   HMPT_REQUIRE(repetitions >= 1, "campaign reps must be >= 1");
   HMPT_REQUIRE(top_k >= 1, "campaign top-k must be >= 1");
+
+  // Empty axes take their defaults, so every front end (CLI flags,
+  // campaign files, daemon submissions) shares one notion of "unset".
+  const std::vector<std::string> platform_axis =
+      platforms.empty() ? std::vector<std::string>{"xeon-max"} : platforms;
+  const std::vector<std::string> strategy_axis =
+      strategies.empty() ? std::vector<std::string>{"exhaustive"}
+                         : strategies;
+  const std::vector<int> tier_axis = tiers.empty() ? std::vector<int>{0}
+                                                   : tiers;
+  const std::vector<double> budget_axis =
+      budgets_gb.empty() ? std::vector<double>{0.0} : budgets_gb;
 
   const auto& registry = WorkloadRegistry::instance();
   for (const auto& spec : workloads) {
@@ -298,7 +369,7 @@ std::vector<Scenario> ScenarioMatrix::expand() const {
       raise("unknown workload: '" + spec.name + "' (known: " + known + ")");
     }
   }
-  for (const auto& strategy : strategies) {
+  for (const auto& strategy : strategy_axis) {
     if (!tuner::StrategyRegistry::instance().contains(strategy))
       raise("unknown strategy: '" + strategy + "'");
   }
@@ -313,17 +384,12 @@ std::vector<Scenario> ScenarioMatrix::expand() const {
     HMPT_REQUIRE(tier >= 1 && gb >= 0.0,
                  "campaign tier-budget-gb needs tier >= 1 and budget >= 0");
 
-  const std::vector<int> tier_axis = tiers.empty() ? std::vector<int>{0}
-                                                   : tiers;
-  const std::vector<double> budget_axis =
-      budgets_gb.empty() ? std::vector<double>{0.0} : budgets_gb;
-
   std::vector<Scenario> out;
   std::set<std::string> seen;
   for (const auto& spec : workloads) {
-    for (const auto& platform : platforms) {
+    for (const auto& platform : platform_axis) {
       const std::string canonical = canonical_platform(platform);
-      for (const auto& strategy : strategies) {
+      for (const auto& strategy : strategy_axis) {
         for (const int tier_count : tier_axis) {
           for (const double budget : budget_axis) {
             Scenario s;
@@ -343,6 +409,22 @@ std::vector<Scenario> ScenarioMatrix::expand() const {
     }
   }
   return out;
+}
+
+void ScenarioMatrix::apply(const std::string& directive,
+                           const std::string& value) {
+  const auto it = directives().find(directive);
+  if (it == directives().end())
+    raise("unknown directive '" + directive + "'");
+  try {
+    it->second(*this, value);
+  } catch (const std::exception& e) {
+    raise(directive + ": " + e.what());
+  }
+}
+
+bool ScenarioMatrix::is_directive(const std::string& name) {
+  return directives().count(name) != 0;
 }
 
 ScenarioMatrix ScenarioMatrix::parse(std::istream& is) {
@@ -374,49 +456,11 @@ ScenarioMatrix ScenarioMatrix::parse(std::istream& is) {
       raise("campaign file line " + std::to_string(line_no) +
             ": trailing text after '" + value + "'");
 
-    // Checked full-consumption parsing (common/parse.h): partial values
-    // ("2x"), overflow ("1e999") and non-finite spellings ("inf", "nan")
-    // all produce the same structured parse error naming the line —
-    // a bad campaign file must never crash or silently misconfigure.
-    const auto as_int = [&](const std::string& text) {
-      const auto v = parse_int_strict(text);
-      if (!v)
-        raise("campaign file line " + std::to_string(line_no) +
-              ": not an integer: '" + text + "'");
-      return *v;
-    };
-    const auto as_double = [&](const std::string& text) {
-      const auto v = parse_double_strict(text);
-      if (!v)
-        raise("campaign file line " + std::to_string(line_no) +
-              ": not a finite number: '" + text + "'");
-      return *v;
-    };
-
-    if (directive == "workload") {
-      matrix.workloads.push_back(parse_workload_spec(value));
-    } else if (directive == "platform") {
-      matrix.platforms.push_back(value);
-    } else if (directive == "strategy") {
-      matrix.strategies.push_back(value);
-    } else if (directive == "tiers") {
-      matrix.tiers.push_back(as_int(value));
-    } else if (directive == "budget-gb") {
-      matrix.budgets_gb.push_back(as_double(value));
-    } else if (directive == "tier-budget-gb") {
-      const auto colon = value.find(':');
-      if (colon == std::string::npos)
-        raise("campaign file line " + std::to_string(line_no) +
-              ": tier-budget-gb expects tier:gb");
-      matrix.tier_budgets_gb.emplace_back(as_int(value.substr(0, colon)),
-                                          as_double(value.substr(colon + 1)));
-    } else if (directive == "reps") {
-      matrix.repetitions = as_int(value);
-    } else if (directive == "top-k") {
-      matrix.top_k = as_int(value);
-    } else {
-      raise("campaign file line " + std::to_string(line_no) +
-            ": unknown directive '" + directive + "'");
+    try {
+      matrix.apply(directive, value);
+    } catch (const std::exception& e) {
+      raise("campaign file line " + std::to_string(line_no) + ": " +
+            e.what());
     }
   }
   return matrix;

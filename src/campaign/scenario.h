@@ -111,8 +111,9 @@ std::vector<Scenario> shard_scenarios(const std::vector<Scenario>& scenarios,
 /// up; expand() turns it into the validated, deduplicated scenario list.
 struct ScenarioMatrix {
   std::vector<WorkloadSpec> workloads;  ///< axis: registry workload specs
-  std::vector<std::string> platforms;   ///< any alias; canonicalised on expand
-  std::vector<std::string> strategies;  ///< axis: StrategyRegistry names
+  std::vector<std::string> platforms;   ///< any alias; empty = {"xeon-max"}
+  std::vector<std::string> strategies;  ///< StrategyRegistry names; empty =
+                                        ///< {"exhaustive"}
   std::vector<int> tiers;               ///< empty = {0}
   std::vector<double> budgets_gb;       ///< empty = {0}
   std::vector<std::pair<int, double>> tier_budgets_gb;  ///< applied to all
@@ -120,9 +121,18 @@ struct ScenarioMatrix {
   int top_k = 3;                        ///< single-valued, all scenarios
 
   /// Cross product in declaration order, deduplicated by fingerprint.
+  /// Empty axes take their defaults; platforms are canonicalised.
   /// Validates every axis (known workloads/platforms/strategies, sane
   /// numerics) and throws hmpt::Error on the first violation.
   std::vector<Scenario> expand() const;
+
+  /// Apply one campaign directive (the grammar below; the matrix CLI
+  /// flags are the same words with "--" in front). Throws hmpt::Error on
+  /// an unknown directive, or on a malformed value with a message that
+  /// starts "<directive>: ".
+  void apply(const std::string& directive, const std::string& value);
+  /// True when apply() knows `name`.
+  static bool is_directive(const std::string& name);
 
   /// Parse the campaign-file format (one directive per line, '#' comments):
   ///   workload <name[:k=v,...]>

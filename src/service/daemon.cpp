@@ -161,8 +161,10 @@ void Daemon::teardown() {
   // Stop accepting, finish every admitted job, then disconnect. Order
   // matters: the scheduler drains before sockets die so watchers see
   // their last completions, then the shutdown event, then EOF.
-  if (listener_.has_value()) listener_->close();
+  // The accept thread polls the listener and re-checks the stop flag
+  // every 200 ms: join it before closing the socket it is polling.
   if (accept_thread_.joinable()) accept_thread_.join();
+  if (listener_.has_value()) listener_->close();
   if (metrics_thread_.joinable()) metrics_thread_.join();
   scheduler_->shutdown();
   // One last snapshot after the drain so short-lived daemons (lifetime <
@@ -333,12 +335,10 @@ void Daemon::handle_submit(const std::shared_ptr<Connection>& connection,
   if (request.scenario.has_value()) {
     scenarios.push_back(*request.scenario);
   } else {
-    // A whole campaign matrix, expanded server-side with the same axis
-    // defaults hmpt_campaign applies.
-    auto matrix = campaign::ScenarioMatrix::parse(request.campaign_text);
-    if (matrix.platforms.empty()) matrix.platforms = {"xeon-max"};
-    if (matrix.strategies.empty()) matrix.strategies = {"exhaustive"};
-    scenarios = matrix.expand();
+    // A whole campaign matrix, expanded server-side exactly as
+    // hmpt_campaign expands it (same grammar, same axis defaults).
+    scenarios =
+        campaign::ScenarioMatrix::parse(request.campaign_text).expand();
     campaign_fp = campaign::campaign_fingerprint(scenarios);
   }
 

@@ -1,7 +1,8 @@
 // End-to-end tests of the hmpt_campaign / hmpt_merge / hmpt_report
 // command-line tools (both store formats, the shard/merge workflow and
-// the static HTML report) and of hmpt_analyze's campaign-backed flags
-// (--json, --list-*). All binary paths come from CMake.
+// the static HTML report), of hmpt_analyze's campaign-backed flags
+// (--json, --list-*) and of the matrix flags hmpt_submit shares with
+// hmpt_campaign. All binary paths come from CMake.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -9,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "core/outcome_io.h"
 #include "simmem/simulator.h"
@@ -28,6 +30,9 @@ namespace {
 #endif
 #ifndef HMPT_ANALYZE_PATH
 #define HMPT_ANALYZE_PATH ""
+#endif
+#ifndef HMPT_SUBMIT_PATH
+#define HMPT_SUBMIT_PATH ""
 #endif
 
 namespace fs = std::filesystem;
@@ -71,6 +76,12 @@ class CampaignCliTest : public ::testing::Test {
 
   int run_report(const std::string& args) {
     const std::string cmd = std::string(HMPT_REPORT_PATH) + " " + args +
+                            " > " + out_ + " 2>&1";
+    return std::system(cmd.c_str());
+  }
+
+  int run_submit(const std::string& args) {
+    const std::string cmd = std::string(HMPT_SUBMIT_PATH) + " " + args +
                             " > " + out_ + " 2>&1";
     return std::system(cmd.c_str());
   }
@@ -124,6 +135,22 @@ TEST_F(CampaignCliTest, DryRunPrintsThePlanWithoutExecuting) {
   };
   const std::string dry_plan = plan_of(dry);
   EXPECT_NE(dry_plan.find("fingerprint"), std::string::npos);
+
+  // The matrix flags are the campaign-file directives: the same matrix
+  // declared as a file plans the same scenarios in the same order.
+  {
+    std::ofstream os(campaign_file_);
+    os << "workload mg\n"
+          "workload stream:array_gb=1,iterations=2\n"
+          "workload pointer-chase:window_gb=1,accesses=1e8\n"
+          "platform xeon-max\nplatform spr-cxl\n"
+          "strategy exhaustive\nstrategy estimator\nstrategy online\n"
+          "reps 1\n";
+  }
+  ASSERT_EQ(run(campaign_file_ + " --out " + store_ + " --dry-run"), 0)
+      << slurp(out_);
+  EXPECT_EQ(plan_of(slurp(out_)), dry_plan);
+
   ASSERT_EQ(run(matrix_flags()), 0) << slurp(out_);
   EXPECT_EQ(plan_of(slurp(out_)), dry_plan);
 }
@@ -149,6 +176,18 @@ TEST_F(CampaignCliTest, CampaignFileDrivesTheMatrix) {
       << slurp(out_);
   EXPECT_NE(slurp(out_).find("executed 1, cached 2"), std::string::npos)
       << slurp(out_);
+
+  // The file applies first, then the flags in order: flag axes come
+  // after the file's, and a flag's reps overrides the file's.
+  const auto plan_of = [this](const std::string& args) {
+    EXPECT_EQ(run(args + " --dry-run --out " + store_), 0) << slurp(out_);
+    const std::string text = slurp(out_);
+    return text.substr(0, text.find("\n\n"));
+  };
+  EXPECT_EQ(plan_of(campaign_file_ + " --strategy exhaustive --reps 2"),
+            plan_of("--workload mg --platform spr-cxl --strategy estimator "
+                    "--strategy online --strategy exhaustive --reps 2"));
+  EXPECT_NE(plan_of(campaign_file_ + " --reps 2"), plan_of(campaign_file_));
 }
 
 TEST_F(CampaignCliTest, KeepGoingReportsFailuresInExitCode) {
@@ -182,8 +221,28 @@ TEST_F(CampaignCliTest, ListingsAndUsage) {
   EXPECT_NE(run("--workload mg --platform frobnicate --out " + store_), 0);
   EXPECT_NE(run("--workload mg --jobs -1 --out " + store_), 0);
   EXPECT_NE(run("--workload mg --reps 0 --out " + store_), 0);
-  EXPECT_NE(run("--workload mg --top-k 0 --out " + store_), 0);
   EXPECT_NE(run("--out " + store_), 0);  // no workloads declared
+
+  // A bad matrix-flag value is a usage error naming the flag, on both
+  // tools that take the matrix flags; hmpt_submit expands the matrix
+  // before it ever connects.
+  const std::pair<std::string, std::string> bad_values[] = {
+      {"--reps abc", "--reps: not an integer: 'abc'"},
+      {"--tier-budget-gb 64", "--tier-budget-gb: expects tier:gb"},
+      {"--budget-gb inf", "--budget-gb: not a finite number: 'inf'"},
+      {"--top-k 0", "top-k must be >= 1"}};
+  for (const auto& [flag, message] : bad_values) {
+    EXPECT_EQ(WEXITSTATUS(run("--workload mg " + flag + " --out " + store_)),
+              1)
+        << flag;
+    EXPECT_NE(slurp(out_).find(message), std::string::npos) << slurp(out_);
+    EXPECT_NE(slurp(out_).find("usage:"), std::string::npos) << flag;
+    EXPECT_EQ(WEXITSTATUS(run_submit(
+                  "--socket /nonexistent/hmptd.sock --workload mg " + flag)),
+              1)
+        << flag;
+    EXPECT_NE(slurp(out_).find(message), std::string::npos) << slurp(out_);
+  }
 }
 
 TEST_F(CampaignCliTest, ShardedRunsMergeToTheUnshardedArtifacts) {

@@ -16,6 +16,7 @@
 #include <functional>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "campaign/aggregate.h"
 #include "campaign/campaign.h"
@@ -244,6 +245,20 @@ TEST(ScenarioMatrixTest, ExpandsTheCrossProductAndDedups) {
   EXPECT_EQ(scenarios.size(), 2u * 2u * 2u);
   for (const auto& s : scenarios)
     EXPECT_TRUE(s.platform == "xeon-max" || s.platform == "spr-cxl");
+
+  // Unset platform/strategy axes default to xeon-max/exhaustive, with the
+  // same fingerprints as spelling the defaults out.
+  ScenarioMatrix unset;
+  unset.workloads = matrix.workloads;
+  ScenarioMatrix spelled = unset;
+  spelled.platforms = {"xeon-max"};
+  spelled.strategies = {"exhaustive"};
+  const auto defaulted = unset.expand();
+  const auto explicit_axes = spelled.expand();
+  ASSERT_EQ(defaulted.size(), 2u);
+  ASSERT_EQ(explicit_axes.size(), defaulted.size());
+  for (std::size_t i = 0; i < defaulted.size(); ++i)
+    EXPECT_EQ(defaulted[i].fingerprint(), explicit_axes[i].fingerprint());
 }
 
 TEST(ScenarioMatrixTest, ValidatesEveryAxis) {
@@ -309,6 +324,31 @@ TEST(ScenarioMatrixTest, ParsesTheCampaignFileFormat) {
   ASSERT_EQ(hashed.workloads.size(), 1u);
   EXPECT_EQ(hashed.workloads[0].params.at("path"), "/data/run#3.profile");
 
+  // parse() is apply() per line: the same directives applied one by one
+  // build the same matrix.
+  ScenarioMatrix applied;
+  for (const auto& [directive, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"workload", "mg"},
+           {"workload", "stream:array_gb=2,iterations=4"},
+           {"platform", "xeon-max"},
+           {"platform", "spr-cxl"},
+           {"strategy", "exhaustive"},
+           {"strategy", "estimator"},
+           {"tiers", "0"},
+           {"budget-gb", "0"},
+           {"budget-gb", "16"},
+           {"tier-budget-gb", "2:64"},
+           {"reps", "2"},
+           {"top-k", "4"}}) {
+    EXPECT_TRUE(ScenarioMatrix::is_directive(directive));
+    applied.apply(directive, value);
+  }
+  EXPECT_EQ(campaign_fingerprint(applied.expand()),
+            campaign_fingerprint(matrix.expand()));
+  EXPECT_FALSE(ScenarioMatrix::is_directive("frobnicate"));
+  EXPECT_THROW(applied.apply("frobnicate", "mg"), Error);
+
   EXPECT_THROW(ScenarioMatrix::parse("frobnicate mg\n"), Error);
   EXPECT_THROW(ScenarioMatrix::parse("workload\n"), Error);
   EXPECT_THROW(ScenarioMatrix::parse("reps two\n"), Error);
@@ -334,7 +374,8 @@ TEST(ScenarioMatrixTest, MalformedNumbersFailWithLineNumberedErrors) {
     ScenarioMatrix::parse("workload mg\ntiers 2x\n");
   });
   EXPECT_NE(tiers.find("line 2"), std::string::npos) << tiers;
-  EXPECT_NE(tiers.find("not an integer: '2x'"), std::string::npos) << tiers;
+  EXPECT_NE(tiers.find("tiers: not an integer: '2x'"), std::string::npos)
+      << tiers;
 
   const auto budget = error_text_of([] {
     ScenarioMatrix::parse("budget-gb inf\n");

@@ -4,7 +4,7 @@
 // over worker counts and steal thresholds (coverage exact, stores
 // disjoint after dedup), tolerant manifest tailing under a
 // truncated-write simulator, assignment-file round trips, and the
-// hmpt_fleet / hmpt_campaign --fleet CLIs. Workers here are real
+// hmpt_campaign --fleet CLI. Workers here are real
 // hmpt_campaign child processes (HMPT_CAMPAIGN_PATH), so the whole
 // plan/assign/progress-manifest protocol is exercised end to end.
 #include <gtest/gtest.h>
@@ -393,13 +393,12 @@ int run_cli(const std::string& cmd) {
   return WIFEXITED(status) ? WEXITSTATUS(status) : 128 + WTERMSIG(status);
 }
 
-TEST(FleetCliTest, FleetBinaryAndCampaignFleetFlagReproduceReferenceBytes) {
+TEST(FleetCliTest, CampaignFleetFlagReproducesReferenceBytes) {
   TempDir root("hmpt_fleet_cli");
 
   // A 2-scenario campaign (mg × estimator/online), reps 1.
   ScenarioMatrix matrix;
   matrix.workloads = {campaign::parse_workload_spec("mg")};
-  matrix.platforms = {"xeon-max"};
   matrix.strategies = {"estimator", "online"};
   matrix.repetitions = 1;
   const auto full = matrix.expand();
@@ -408,11 +407,11 @@ TEST(FleetCliTest, FleetBinaryAndCampaignFleetFlagReproduceReferenceBytes) {
   const std::string campaign_flags =
       " --workload mg --strategy estimator --strategy online --reps 1";
   {
-    const std::string out = root.path() + "/fleet";
-    const std::string log = root.path() + "/fleet.log";
+    const std::string out = root.path() + "/campaign-fleet";
+    const std::string log = root.path() + "/campaign-fleet.log";
     const std::string trace = root.path() + "/fleet-trace.json";
-    const int rc = run_cli(std::string(HMPT_FLEET_PATH) + campaign_flags +
-                           " --workers 2 --poll-interval 0.05 --out " + out +
+    const int rc = run_cli(std::string(HMPT_CAMPAIGN_PATH) + campaign_flags +
+                           " --fleet 2 --poll-interval 0.05 --out " + out +
                            " --trace " + trace + " > " + log + " 2>&1");
     ASSERT_EQ(rc, 0) << slurp(log);
     expect_identical_artifacts(out, ref, full);
@@ -425,23 +424,14 @@ TEST(FleetCliTest, FleetBinaryAndCampaignFleetFlagReproduceReferenceBytes) {
     EXPECT_NO_THROW(ShardManifest::load(out));
   }
   {
-    const std::string out = root.path() + "/campaign-fleet";
-    const std::string log = root.path() + "/campaign-fleet.log";
-    const int rc = run_cli(std::string(HMPT_CAMPAIGN_PATH) + campaign_flags +
-                           " --fleet 2 --poll-interval 0.05 --out " + out +
-                           " > " + log + " 2>&1");
-    ASSERT_EQ(rc, 0) << slurp(log);
-    expect_identical_artifacts(out, ref, full);
-  }
-  {
     // Bad combinations are usage errors (exit 1), not crashes.
     const std::string log = root.path() + "/bad.log";
     EXPECT_EQ(run_cli(std::string(HMPT_CAMPAIGN_PATH) + campaign_flags +
                       " --fleet 2 --shard 1/2 > " + log + " 2>&1"),
               1);
-    EXPECT_EQ(run_cli(std::string(HMPT_FLEET_PATH) + campaign_flags +
-                      " > " + log + " 2>&1"),
-              1);  // --workers is required
+    EXPECT_EQ(run_cli(std::string(HMPT_CAMPAIGN_PATH) + campaign_flags +
+                      " --fleet -1 > " + log + " 2>&1"),
+              1);
   }
 }
 

@@ -22,8 +22,10 @@
 // --resume skips every scenario whose fingerprint is already stored (a
 // re-run of a finished campaign executes nothing and reproduces runs.csv
 // byte-for-byte); --dry-run prints the same scenario plan a real run
-// starts with and exits. Flags default missing axes: platform xeon-max,
-// strategy exhaustive.
+// starts with and exits. The matrix flags are the campaign-file
+// directives with "--" in front; they apply after the campaign file, and
+// unset axes take the matrix defaults (platform xeon-max, strategy
+// exhaustive).
 //
 // --shard I/N runs the I-th of N deterministic slices of the campaign
 // (fingerprint-ordered, round-robin — disjoint, stable under --resume and
@@ -32,17 +34,22 @@
 // such stores against the campaign fingerprint and reproduces the
 // unsharded artefacts byte-for-byte.
 //
-// --fleet N runs the whole campaign as N shard worker processes with
-// work stealing and merges the result in-process (see src/fleet/fleet.h
-// and the dedicated hmpt_fleet tool — this flag is the same dispatcher).
+// --fleet N runs the whole campaign as N shard worker processes (this
+// binary, or --worker-bin) with work stealing: the dispatcher tails every
+// worker's manifest and re-deals unfinished work away from dead or
+// stalled workers, then merges in-process — artefacts byte-identical to
+// an unsharded run, whatever was killed or stolen (src/fleet/fleet.h).
+// --exec-template launches each worker through /bin/sh -c with {cmd} and
+// {index} substituted ("ssh node{index} {cmd}" makes an ssh fleet);
+// --sync-template pulls each store back before the merge ({dir}/{index}).
 // --plan/--assign/--progress-manifest are the worker side of that
 // protocol: run the exact scenario list of a dispatcher-written plan
 // file, restricted to an assigned fingerprint set, rewriting the shard
 // manifest after every scenario so the dispatcher can tail progress and
 // a SIGKILLed worker leaves a valid manifest.
 //
-// Exit codes: 0 success, 1 bad usage, 2 campaign failure (including any
-// failed scenario under --keep-going).
+// Exit codes: 0 success, 1 bad usage, 2 campaign or fleet failure
+// (including any failed scenario under --keep-going).
 #include <unistd.h>
 
 #include <cerrno>
@@ -114,7 +121,7 @@ void usage(const char* argv0) {
       << "  --fleet N                  run the campaign as N shard worker\n"
       << "                             processes with work stealing, then\n"
       << "                             merge (artefacts byte-identical to\n"
-      << "                             an unsharded run; see hmpt_fleet)\n"
+      << "                             an unsharded run; docs/FLEET.md)\n"
       << "  --worker-bin PATH          fleet: worker binary (default:\n"
       << "                             this binary)\n"
       << "  --exec-template T          fleet: launch each worker via\n"
@@ -174,11 +181,9 @@ std::string self_exe_path() {
 
 int main(int argc, char** argv) {
   std::string campaign_file;
-  campaign::ScenarioMatrix flags;  // axes added by CLI flags
+  cli::MatrixFlags matrix_flags;  // applied after the campaign file
   campaign::CampaignOptions options;
   campaign::ShardSpec shard;  // default 1/1 = the whole campaign
-  int reps = -1;    // -1 = not set on the command line
-  int top_k = -1;
   bool quiet = false;
   bool write_html_report = false;
   std::string trace_path;
@@ -197,35 +202,8 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--workload") {
-      try {
-        flags.workloads.push_back(campaign::parse_workload_spec(next()));
-      } catch (const std::exception& e) {
-        std::cerr << e.what() << '\n';
-        usage(argv[0]);
-        return 1;
-      }
-    }
-    else if (arg == "--platform") flags.platforms.emplace_back(next());
-    else if (arg == "--strategy") flags.strategies.emplace_back(next());
-    else if (arg == "--tiers")
-      flags.tiers.push_back(parse_int(argv[0], arg, next()));
-    else if (arg == "--budget-gb")
-      flags.budgets_gb.push_back(parse_double(argv[0], arg, next()));
-    else if (arg == "--tier-budget-gb") {
-      const std::string spec = next();
-      const auto colon = spec.find(':');
-      if (colon == std::string::npos) {
-        std::cerr << "--tier-budget-gb expects T:N (e.g. 2:64)\n";
-        usage(argv[0]);
-        return 1;
-      }
-      flags.tier_budgets_gb.emplace_back(
-          parse_int(argv[0], arg, spec.substr(0, colon).c_str()),
-          parse_double(argv[0], arg, spec.substr(colon + 1).c_str()));
-    }
-    else if (arg == "--reps") reps = parse_int(argv[0], arg, next());
-    else if (arg == "--top-k") top_k = parse_int(argv[0], arg, next());
+    if (const auto directive = cli::matrix_directive(arg); !directive.empty())
+      matrix_flags.emplace_back(directive, next());
     else if (arg == "--out") options.output_dir = next();
     else if (arg == "--store-format") {
       try {
@@ -304,11 +282,6 @@ int main(int argc, char** argv) {
     usage(argv[0]);
     return 1;
   }
-  if ((reps != -1 && reps < 1) || (top_k != -1 && top_k < 1)) {
-    std::cerr << "--reps/--top-k must be >= 1\n";
-    usage(argv[0]);
-    return 1;
-  }
   if (options.attempts < 1 || options.scenario_timeout_s < 0.0) {
     std::cerr << "--retries and --scenario-timeout must be >= 0\n";
     usage(argv[0]);
@@ -344,43 +317,14 @@ int main(int argc, char** argv) {
       // A plan file *is* the campaign — mixing in matrix axes would
       // change the campaign fingerprint out from under the dispatcher
       // that wrote the plan.
-      const bool matrix_input =
-          !campaign_file.empty() || !flags.workloads.empty() ||
-          !flags.platforms.empty() || !flags.strategies.empty() ||
-          !flags.tiers.empty() || !flags.budgets_gb.empty() ||
-          !flags.tier_budgets_gb.empty() || reps != -1 || top_k != -1;
-      if (matrix_input)
+      if (!campaign_file.empty() || !matrix_flags.empty())
         raise("--plan replaces the campaign file and matrix flags");
       scenarios = campaign::load_scenario_plan(plan_path);
     } else {
       // The campaign file provides the base matrix; flags append to its
       // axes, so "hmpt_campaign nightly.campaign --platform knl" widens
       // the declared campaign by one platform.
-      campaign::ScenarioMatrix matrix;
-      if (!campaign_file.empty())
-        matrix = campaign::ScenarioMatrix::load(campaign_file);
-      matrix.workloads.insert(matrix.workloads.end(),
-                              flags.workloads.begin(),
-                              flags.workloads.end());
-      matrix.platforms.insert(matrix.platforms.end(),
-                              flags.platforms.begin(),
-                              flags.platforms.end());
-      matrix.strategies.insert(matrix.strategies.end(),
-                               flags.strategies.begin(),
-                               flags.strategies.end());
-      matrix.tiers.insert(matrix.tiers.end(), flags.tiers.begin(),
-                          flags.tiers.end());
-      matrix.budgets_gb.insert(matrix.budgets_gb.end(),
-                               flags.budgets_gb.begin(),
-                               flags.budgets_gb.end());
-      matrix.tier_budgets_gb.insert(matrix.tier_budgets_gb.end(),
-                                    flags.tier_budgets_gb.begin(),
-                                    flags.tier_budgets_gb.end());
-      if (reps != -1) matrix.repetitions = reps;
-      if (top_k != -1) matrix.top_k = top_k;
-      if (matrix.platforms.empty()) matrix.platforms = {"xeon-max"};
-      if (matrix.strategies.empty()) matrix.strategies = {"exhaustive"};
-      scenarios = matrix.expand();
+      scenarios = cli::build_matrix(campaign_file, matrix_flags).expand();
     }
   } catch (const std::exception& e) {
     std::cerr << e.what() << '\n';
@@ -416,74 +360,10 @@ int main(int argc, char** argv) {
                              : campaign::shard_scenarios(scenarios, shard);
   }
 
-  if (fleet_workers > 0) {
-    // Fleet mode: this process becomes the dispatcher; the campaign runs
-    // in worker child processes and is merged in-process at the end.
-    if (options.dry_run) {
-      std::cout << "campaign: " << scenarios.size() << " scenarios, fleet of "
-                << fleet_workers << " workers\n"
-                << campaign::plan_table(scenarios).to_text()
-                << "\ndry run: nothing executed\n";
-      return 0;
-    }
-    try {
-      if (!trace_path.empty()) obs::TraceRecorder::instance().start();
-      fleet_options.workers = fleet_workers;
-      fleet_options.output_dir = options.output_dir;
-      fleet_options.store_format = options.store_format;
-      fleet_options.worker_jobs = options.scenario_jobs;
-      fleet_options.measure_jobs = options.measure_jobs;
-      fleet_options.attempts = options.attempts;
-      fleet_options.scenario_timeout_s = options.scenario_timeout_s;
-      fleet_options.keep_going = options.keep_going;
-      if (fleet_options.worker_bin.empty())
-        fleet_options.worker_bin = self_exe_path();
-      if (fleet_options.worker_bin.empty())
-        raise("cannot resolve this binary's path; pass --worker-bin");
-
-      std::cout << "campaign: " << scenarios.size() << " scenarios, fleet of "
-                << fleet_workers << " workers\n"
-                << campaign::plan_table(scenarios).to_text() << "\n";
-      fleet::FleetStats stats;
-      const auto result = fleet::run_fleet(
-          scenarios, fleet_options, &stats,
-          quiet ? fleet::FleetLog{} : fleet::FleetLog{[](const std::string& m) {
-            std::cout << m << "\n";
-          }});
-      campaign::make_manifest(scenarios, campaign::ShardSpec{}, result)
-          .save(options.output_dir);
-      const auto paths =
-          campaign::write_artifacts(result, options.output_dir);
-      std::cout << "\nranked scenarios:\n"
-                << campaign::ranked_table(result).to_text();
-      std::cout << "\nfleet of " << stats.workers << ": " << stats.launches
-                << " launches, " << stats.steals << " steals, "
-                << stats.worker_deaths << " worker deaths; merged "
-                << stats.merge.outcomes_merged << " outcomes ("
-                << stats.merge.overlapping << " overlapping, "
-                << stats.merge.failed << " failed)\n";
-      for (const auto& path : paths) std::cout << "wrote " << path << "\n";
-      if (!trace_path.empty()) {
-        obs::TraceRecorder::instance().stop_and_write(trace_path);
-        std::cout << "wrote " << trace_path << "\n";
-      }
-      if (write_html_report)
-        std::cout << "wrote "
-                  << report::write_report(result, options.output_dir) << "\n";
-      std::cout << "outcome store: " << options.output_dir
-                << (options.store_format == campaign::StoreFormat::Packed
-                        ? "/outcomes.log"
-                        : "/outcomes/")
-                << "\n";
-      return result.ok() ? 0 : 2;
-    } catch (const std::exception& e) {
-      std::cerr << "fleet failed: " << e.what() << '\n';
-      return 2;
-    }
-  }
-
   std::cout << "campaign: " << scenarios.size() << " scenarios";
-  if (!shard.is_whole() || !assign_path.empty())
+  if (fleet_workers > 0)
+    std::cout << ", fleet of " << fleet_workers << " workers";
+  else if (!shard.is_whole() || !assign_path.empty())
     std::cout << " (fingerprint "
               << campaign::campaign_fingerprint(scenarios) << "), "
               << (assign_path.empty() ? "shard " + shard.to_string()
@@ -501,28 +381,52 @@ int main(int argc, char** argv) {
     // and the stop below lands in the trace. Purely observational: the
     // artefacts written further down are byte-identical either way.
     if (!trace_path.empty()) obs::TraceRecorder::instance().start();
-    const campaign::CampaignRunner runner(options);
+    campaign::CampaignResult result;
+    fleet::FleetStats fleet_stats;
     // --progress-manifest: the manifest is rewritten atomically after
     // every scenario instead of once at the end, so a fleet dispatcher
     // can tail it and a kill at any instant leaves a valid manifest of
     // exactly the finished scenarios.
     std::optional<campaign::ManifestProgress> progress;
-    if (progress_manifest)
-      progress.emplace(scenarios, shard, options.output_dir);
-    const auto result = runner.run(
-        slice, [&](std::size_t index, const campaign::ScenarioRun& run) {
-          if (progress) progress->record(run);
-          if (quiet) return;
-          std::cout << "[" << index + 1 << "/" << slice.size() << "] "
-                    << campaign::to_string(run.status) << " "
-                    << run.scenario.label();
-          if (run.status == campaign::ScenarioRun::Status::Executed ||
-              run.status == campaign::ScenarioRun::Status::Cached)
-            std::cout << " — " << cell(run.outcome.speedup, 2) << "x";
-          if (run.status == campaign::ScenarioRun::Status::Failed)
-            std::cout << " — " << run.error;
-          std::cout << "\n";
-        });
+    if (fleet_workers > 0) {
+      // This process becomes the dispatcher: the campaign runs in worker
+      // child processes and is merged in-process into a 1/1 store.
+      fleet_options.workers = fleet_workers;
+      fleet_options.output_dir = options.output_dir;
+      fleet_options.store_format = options.store_format;
+      fleet_options.worker_jobs = options.scenario_jobs;
+      fleet_options.measure_jobs = options.measure_jobs;
+      fleet_options.attempts = options.attempts;
+      fleet_options.scenario_timeout_s = options.scenario_timeout_s;
+      fleet_options.keep_going = options.keep_going;
+      if (fleet_options.worker_bin.empty())
+        fleet_options.worker_bin = self_exe_path();
+      if (fleet_options.worker_bin.empty())
+        raise("cannot resolve this binary's path; pass --worker-bin");
+      result = fleet::run_fleet(
+          scenarios, fleet_options, &fleet_stats,
+          quiet ? fleet::FleetLog{} : fleet::FleetLog{[](const std::string& m) {
+            std::cout << m << "\n";
+          }});
+    } else {
+      const campaign::CampaignRunner runner(options);
+      if (progress_manifest)
+        progress.emplace(scenarios, shard, options.output_dir);
+      result = runner.run(
+          slice, [&](std::size_t index, const campaign::ScenarioRun& run) {
+            if (progress) progress->record(run);
+            if (quiet) return;
+            std::cout << "[" << index + 1 << "/" << slice.size() << "] "
+                      << campaign::to_string(run.status) << " "
+                      << run.scenario.label();
+            if (run.status == campaign::ScenarioRun::Status::Executed ||
+                run.status == campaign::ScenarioRun::Status::Cached)
+              std::cout << " — " << cell(run.outcome.speedup, 2) << "x";
+            if (run.status == campaign::ScenarioRun::Status::Failed)
+              std::cout << " — " << run.error;
+            std::cout << "\n";
+          });
+    }
 
     // Every real run leaves a manifest so its store can be validated and
     // merged (an unsharded run is the 1/1 shard of its own campaign).
@@ -537,10 +441,19 @@ int main(int argc, char** argv) {
         campaign::write_artifacts(result, options.output_dir);
     std::cout << "\nranked scenarios:\n"
               << campaign::ranked_table(result).to_text();
-    std::cout << "\nexecuted " << result.executed << ", cached "
-              << result.cached << ", failed " << result.failed << " of "
-              << result.runs.size() << " scenarios in "
-              << cell(result.seconds, 2) << " s\n";
+    if (fleet_workers > 0)
+      std::cout << "\nfleet of " << fleet_stats.workers << ": "
+                << fleet_stats.launches << " launches, " << fleet_stats.steals
+                << " steals, " << fleet_stats.worker_deaths
+                << " worker deaths; merged "
+                << fleet_stats.merge.outcomes_merged << " outcomes ("
+                << fleet_stats.merge.overlapping << " overlapping, "
+                << fleet_stats.merge.failed << " failed)\n";
+    else
+      std::cout << "\nexecuted " << result.executed << ", cached "
+                << result.cached << ", failed " << result.failed << " of "
+                << result.runs.size() << " scenarios in "
+                << cell(result.seconds, 2) << " s\n";
     for (const auto& path : paths) std::cout << "wrote " << path << "\n";
     std::cout << "wrote "
               << campaign::ShardManifest::path_in(options.output_dir)
@@ -557,14 +470,15 @@ int main(int argc, char** argv) {
                 << report::write_report(result, options.output_dir, "",
                                         timeline ? &*timeline : nullptr)
                 << "\n";
-    std::cout << "outcome store: " << runner.store().directory()
-              << (runner.store().format() == campaign::StoreFormat::Packed
+    std::cout << "outcome store: " << options.output_dir
+              << (options.store_format == campaign::StoreFormat::Packed
                       ? "/outcomes.log"
                       : "/outcomes/")
               << "\n";
     return result.ok() ? 0 : 2;
   } catch (const std::exception& e) {
-    std::cerr << "campaign failed: " << e.what() << '\n';
+    std::cerr << (fleet_workers > 0 ? "fleet" : "campaign")
+              << " failed: " << e.what() << '\n';
     return 2;
   }
 }

@@ -40,7 +40,6 @@
 
 #include "campaign/aggregate.h"
 #include "campaign/scenario.h"
-#include "campaign/workload_registry.h"
 #include "cli_parse.h"
 #include "common/error.h"
 #include "common/retry.h"
@@ -122,9 +121,7 @@ int main(int argc, char** argv) {
   service::Endpoint endpoint;
   bool port_set = false;
   std::string campaign_file;
-  campaign::ScenarioMatrix flags;
-  int reps = -1;
-  int top_k = -1;
+  cli::MatrixFlags matrix_flags;  // applied after the campaign file
   int priority = 0;
   double deadline_s = -1.0;
   int attempts = 0;
@@ -156,34 +153,9 @@ int main(int argc, char** argv) {
       port_set = true;
     }
     else if (arg == "--host") endpoint.host = next();
-    else if (arg == "--workload") {
-      try {
-        flags.workloads.push_back(campaign::parse_workload_spec(next()));
-      } catch (const std::exception& e) {
-        std::cerr << e.what() << '\n';
-        usage(argv[0]);
-        return 1;
-      }
-    }
-    else if (arg == "--platform") flags.platforms.emplace_back(next());
-    else if (arg == "--strategy") flags.strategies.emplace_back(next());
-    else if (arg == "--tiers") flags.tiers.push_back(parse(next()));
-    else if (arg == "--budget-gb")
-      flags.budgets_gb.push_back(parse_dbl(next()));
-    else if (arg == "--tier-budget-gb") {
-      const std::string spec = next();
-      const auto colon = spec.find(':');
-      if (colon == std::string::npos) {
-        std::cerr << "--tier-budget-gb expects T:N (e.g. 2:64)\n";
-        usage(argv[0]);
-        return 1;
-      }
-      flags.tier_budgets_gb.emplace_back(
-          parse(spec.substr(0, colon).c_str()),
-          parse_dbl(spec.substr(colon + 1).c_str()));
-    }
-    else if (arg == "--reps") reps = parse(next());
-    else if (arg == "--top-k") top_k = parse(next());
+    else if (const auto directive = cli::matrix_directive(arg);
+             !directive.empty())
+      matrix_flags.emplace_back(directive, next());
     else if (arg == "--priority") priority = parse(next());
     else if (arg == "--deadline") deadline_s = parse_dbl(next());
     else if (arg == "--attempts") attempts = parse(next());
@@ -229,34 +201,12 @@ int main(int argc, char** argv) {
 
   // Expand the matrix locally, exactly as hmpt_campaign does: the client
   // then knows every fingerprint and the matrix order, which is what
-  // makes --wait's artefacts byte-identical to the batch run's.
+  // makes --wait's artefacts byte-identical to the batch run's. No
+  // workloads is no submission (a pure query/lifecycle call).
   std::vector<campaign::Scenario> scenarios;
   try {
-    campaign::ScenarioMatrix matrix;
-    if (!campaign_file.empty())
-      matrix = campaign::ScenarioMatrix::load(campaign_file);
-    matrix.workloads.insert(matrix.workloads.end(), flags.workloads.begin(),
-                            flags.workloads.end());
-    matrix.platforms.insert(matrix.platforms.end(), flags.platforms.begin(),
-                            flags.platforms.end());
-    matrix.strategies.insert(matrix.strategies.end(),
-                             flags.strategies.begin(),
-                             flags.strategies.end());
-    matrix.tiers.insert(matrix.tiers.end(), flags.tiers.begin(),
-                        flags.tiers.end());
-    matrix.budgets_gb.insert(matrix.budgets_gb.end(),
-                             flags.budgets_gb.begin(),
-                             flags.budgets_gb.end());
-    matrix.tier_budgets_gb.insert(matrix.tier_budgets_gb.end(),
-                                  flags.tier_budgets_gb.begin(),
-                                  flags.tier_budgets_gb.end());
-    if (reps != -1) matrix.repetitions = reps;
-    if (top_k != -1) matrix.top_k = top_k;
-    if (!matrix.workloads.empty()) {
-      if (matrix.platforms.empty()) matrix.platforms = {"xeon-max"};
-      if (matrix.strategies.empty()) matrix.strategies = {"exhaustive"};
-      scenarios = matrix.expand();
-    }
+    const auto matrix = cli::build_matrix(campaign_file, matrix_flags);
+    if (!matrix.workloads.empty()) scenarios = matrix.expand();
   } catch (const std::exception& e) {
     std::cerr << e.what() << '\n';
     usage(argv[0]);
