@@ -1,11 +1,12 @@
 #include "common/json.h"
 
-#include <cctype>
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <string_view>
 #include <system_error>
 #include <utility>
 
@@ -30,20 +31,23 @@ const Json* JsonObject::find(const std::string& key) const {
 
 // ------------------------------------------------------------------- value
 
-Json::Json(std::string s) : kind_(Kind::String), string_(std::move(s)) {}
-Json::Json(JsonArray a)
-    : kind_(Kind::Array), array_(std::make_unique<JsonArray>(std::move(a))) {}
-Json::Json(JsonObject o)
-    : kind_(Kind::Object),
-      object_(std::make_unique<JsonObject>(std::move(o))) {}
+Json::Json(std::string s) : kind_(Kind::String) {
+  value_.string = new std::string(std::move(s));
+}
+Json::Json(JsonArray a) : kind_(Kind::Array) {
+  value_.array = new JsonArray(std::move(a));
+}
+Json::Json(JsonObject o) : kind_(Kind::Object) {
+  value_.object = new JsonObject(std::move(o));
+}
 
-Json::Json(const Json& other)
-    : kind_(other.kind_),
-      bool_(other.bool_),
-      number_(other.number_),
-      string_(other.string_) {
-  if (other.array_) array_ = std::make_unique<JsonArray>(*other.array_);
-  if (other.object_) object_ = std::make_unique<JsonObject>(*other.object_);
+Json::Json(const Json& other) : kind_(other.kind_), value_(other.value_) {
+  if (kind_ == Kind::String)
+    value_.string = new std::string(*other.value_.string);
+  else if (kind_ == Kind::Array)
+    value_.array = new JsonArray(*other.value_.array);
+  else if (kind_ == Kind::Object)
+    value_.object = new JsonObject(*other.value_.object);
 }
 
 Json& Json::operator=(const Json& other) {
@@ -51,14 +55,36 @@ Json& Json::operator=(const Json& other) {
   return *this;
 }
 
+Json& Json::operator=(Json&& other) noexcept {
+  // Take the payload before releasing ours: `other` may live inside the
+  // container this value owns.
+  const Kind kind = other.kind_;
+  const Value value = other.value_;
+  other.kind_ = Kind::Null;
+  if (kind_ >= Kind::String) release();
+  kind_ = kind;
+  value_ = value;
+  return *this;
+}
+
+void Json::release() noexcept {
+  switch (kind_) {
+    case Kind::String: delete value_.string; break;
+    case Kind::Array: delete value_.array; break;
+    case Kind::Object: delete value_.object; break;
+    default: break;
+  }
+  kind_ = Kind::Null;
+}
+
 bool Json::as_bool() const {
   HMPT_REQUIRE(kind_ == Kind::Bool, "JSON value is not a bool");
-  return bool_;
+  return value_.boolean;
 }
 
 double Json::as_number() const {
   HMPT_REQUIRE(kind_ == Kind::Number, "JSON value is not a number");
-  return number_;
+  return value_.number;
 }
 
 int Json::as_int() const {
@@ -72,17 +98,17 @@ int Json::as_int() const {
 
 const std::string& Json::as_string() const {
   HMPT_REQUIRE(kind_ == Kind::String, "JSON value is not a string");
-  return string_;
+  return *value_.string;
 }
 
 const JsonArray& Json::as_array() const {
   HMPT_REQUIRE(kind_ == Kind::Array, "JSON value is not an array");
-  return *array_;
+  return *value_.array;
 }
 
 const JsonObject& Json::as_object() const {
   HMPT_REQUIRE(kind_ == Kind::Object, "JSON value is not an object");
-  return *object_;
+  return *value_.object;
 }
 
 const Json& Json::at(const std::string& key) const {
@@ -106,25 +132,35 @@ std::string Json::string_or(const std::string& key,
 
 namespace {
 
+/// True for the characters a JSON string must escape.
+bool needs_escape(char c) {
+  return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+}
+
 void write_escaped(std::string& out, const std::string& s) {
   out += '"';
-  for (const char c : s) {
-    switch (c) {
+  const char* run = s.data();
+  const char* const end = run + s.size();
+  while (run != end) {
+    // Append the longest run that needs no escape in one call.
+    const char* stop = run;
+    while (stop != end && !needs_escape(*stop)) ++stop;
+    out.append(run, stop);
+    if (stop == end) break;
+    switch (const char c = *stop) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x",
+                      static_cast<unsigned>(static_cast<unsigned char>(c)));
+        out += buf;
+      }
     }
+    run = stop + 1;
   }
   out += '"';
 }
@@ -161,17 +197,18 @@ void write_newline(std::string& out, int indent, int depth) {
 void Json::write(std::string& out, int indent, int depth) const {
   switch (kind_) {
     case Kind::Null: out += "null"; return;
-    case Kind::Bool: out += bool_ ? "true" : "false"; return;
-    case Kind::Number: write_number(out, number_); return;
-    case Kind::String: write_escaped(out, string_); return;
+    case Kind::Bool: out += value_.boolean ? "true" : "false"; return;
+    case Kind::Number: write_number(out, value_.number); return;
+    case Kind::String: write_escaped(out, *value_.string); return;
     case Kind::Array: {
-      if (array_->empty()) {
+      const JsonArray& array = *value_.array;
+      if (array.empty()) {
         out += "[]";
         return;
       }
       out += '[';
       bool first = true;
-      for (const Json& item : *array_) {
+      for (const Json& item : array) {
         if (!first) out += ',';
         first = false;
         write_newline(out, indent, depth + 1);
@@ -182,13 +219,14 @@ void Json::write(std::string& out, int indent, int depth) const {
       return;
     }
     case Kind::Object: {
-      if (object_->size() == 0) {
+      const JsonObject& object = *value_.object;
+      if (object.size() == 0) {
         out += "{}";
         return;
       }
       out += '{';
       bool first = true;
-      for (const auto& [key, value] : *object_) {
+      for (const auto& [key, value] : object) {
         if (!first) out += ',';
         first = false;
         write_newline(out, indent, depth + 1);
@@ -219,9 +257,15 @@ namespace {
 /// overflowing the stack on hostile input (a socket line of 10^5 '[').
 constexpr int kMaxDepth = 512;
 
-class Parser {
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+}  // namespace
+
+namespace detail {
+
+class JsonParser {
  public:
-  explicit Parser(const std::string& text) : text_(text) {}
+  explicit JsonParser(const std::string& text) : text_(text) {}
 
   Json parse_document() {
     Json value = parse_value();
@@ -271,7 +315,7 @@ class Parser {
   /// Counts one level of container nesting for the scope of a parse.
   class Nest {
    public:
-    explicit Nest(Parser& parser) : parser_(parser) {
+    explicit Nest(JsonParser& parser) : parser_(parser) {
       if (++parser_.depth_ > kMaxDepth)
         parser_.fail("nesting deeper than " + std::to_string(kMaxDepth) +
                      " levels");
@@ -281,7 +325,7 @@ class Parser {
     Nest& operator=(const Nest&) = delete;
 
    private:
-    Parser& parser_;
+    JsonParser& parser_;
   };
 
   Json parse_value() {
@@ -293,7 +337,7 @@ class Parser {
     if (c == 't' && consume_keyword("true")) return Json(true);
     if (c == 'f' && consume_keyword("false")) return Json(false);
     if (c == 'n' && consume_keyword("null")) return Json();
-    if (c == '-' || (c >= '0' && c <= '9')) return parse_number();
+    if (c == '-' || is_digit(c)) return parse_number();
     fail("unexpected character");
   }
 
@@ -308,18 +352,35 @@ class Parser {
     }
     while (true) {
       skip_ws();
-      const std::string key = parse_string();
+      std::string key = parse_string();
       skip_ws();
       expect(':');
-      object[key] = parse_value();
+      // Appended without a lookup: a lookup per key made an object of n
+      // keys cost O(n^2). Uniqueness is checked once at the end.
+      object.entries_.emplace_back(std::move(key), parse_value());
       skip_ws();
       const char next = take();
-      if (next == '}') return Json(std::move(object));
+      if (next == '}') break;
       if (next != ',') {
         --pos_;
         fail("expected ',' or '}' in object");
       }
     }
+    reject_duplicate_keys(object);
+    return Json(std::move(object));
+  }
+
+  /// Fails on a key that appears twice; O(n log n) in the key count.
+  void reject_duplicate_keys(const JsonObject& object) const {
+    const auto& entries = object.entries_;
+    if (entries.size() < 2) return;
+    std::vector<std::string_view> keys;
+    keys.reserve(entries.size());
+    for (const auto& entry : entries) keys.emplace_back(entry.first);
+    std::sort(keys.begin(), keys.end());
+    const auto repeated = std::adjacent_find(keys.begin(), keys.end());
+    if (repeated != keys.end())
+      fail("duplicate object key '" + std::string(*repeated) + "'");
   }
 
   Json parse_array() {
@@ -349,9 +410,11 @@ class Parser {
     while (true) {
       // Copy the run of plain characters up to the next quote or escape
       // in one append.
-      const std::size_t stop = text_.find_first_of("\"\\", pos_);
-      if (stop == std::string::npos) {
-        pos_ = text_.size();
+      std::size_t stop = pos_;
+      while (stop < text_.size() && text_[stop] != '"' && text_[stop] != '\\')
+        ++stop;
+      if (stop == text_.size()) {
+        pos_ = stop;
         fail("unexpected end of input");
       }
       out.append(text_, pos_, stop - pos_);
@@ -392,19 +455,39 @@ class Parser {
     }
   }
 
+  /// Advance over one or more digits; fails when there is none.
+  void digits(const char* what) {
+    if (pos_ >= text_.size() || !is_digit(text_[pos_]))
+      fail(std::string("malformed number: expected a digit ") + what);
+    while (pos_ < text_.size() && is_digit(text_[pos_])) ++pos_;
+  }
+
   Json parse_number() {
+    // RFC 8259: -? (0 | [1-9][0-9]*) (\.[0-9]+)? ([eE][+-]?[0-9]+)?
+    // from_chars alone would also take 01, 1. or -.5, which the RFC
+    // forbids; a stored "01" would then re-dump as "1".
     const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-'))
+    if (text_[pos_] == '-') ++pos_;
+    if (pos_ < text_.size() && text_[pos_] == '0') {
       ++pos_;
-    // The token is converted in place. from_chars accepts what strtod
-    // accepts for these characters, except that it reports magnitudes
+      if (pos_ < text_.size() && is_digit(text_[pos_]))
+        fail("malformed number: leading zero");
+    } else {
+      digits("in the integer part");
+    }
+    if (pos_ < text_.size() && text_[pos_] == '.') {
+      ++pos_;
+      digits("after '.'");
+    }
+    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+      ++pos_;
+      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-'))
+        ++pos_;
+      digits("in the exponent");
+    }
+    // The token is converted in place. from_chars reports magnitudes
     // beyond a double's range instead of rounding them to 0 or inf; that
-    // rare case still goes through strtod, so the accepted tokens and
-    // their values are unchanged.
+    // rare case goes through strtod, which rounds.
     const char* first = text_.data() + start;
     const char* last = text_.data() + pos_;
     double value = 0.0;
@@ -423,10 +506,10 @@ class Parser {
   int depth_ = 0;
 };
 
-}  // namespace
+}  // namespace detail
 
 Json Json::parse(const std::string& text) {
-  return Parser(text).parse_document();
+  return detail::JsonParser(text).parse_document();
 }
 
 }  // namespace hmpt

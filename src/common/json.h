@@ -6,19 +6,23 @@
 // usual tagged union (null/bool/number/string/array/object); objects keep
 // insertion order so written files are stable byte-for-byte — resumed
 // campaigns must reproduce identical artefacts. No external dependency;
-// the dialect is plain RFC 8259 minus \uXXXX escapes beyond ASCII needs.
+// the dialect is plain RFC 8259 minus \uXXXX escapes beyond ASCII needs,
+// and an object may not repeat a key.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace hmpt {
 
 class Json;
 using JsonArray = std::vector<Json>;
+
+namespace detail {
+class JsonParser;
+}
 
 /// Order-preserving string->Json map (insertion order, like the writer
 /// emits and the parser reads — deterministic round trips).
@@ -37,6 +41,9 @@ class JsonObject {
   auto end() { return entries_.end(); }
 
  private:
+  // The parser appends without a lookup and checks key uniqueness once.
+  friend class detail::JsonParser;
+
   std::vector<std::pair<std::string, Json>> entries_;
 };
 
@@ -46,13 +53,18 @@ class Json {
 
   Json() = default;  ///< null
   Json(const Json& other);
-  Json(Json&&) noexcept = default;
+  /// A moved-from value is null.
+  Json(Json&& other) noexcept : kind_(other.kind_), value_(other.value_) {
+    other.kind_ = Kind::Null;
+  }
   Json& operator=(const Json& other);
-  Json& operator=(Json&&) noexcept = default;
-  ~Json() = default;
+  Json& operator=(Json&& other) noexcept;
+  ~Json() {
+    if (kind_ >= Kind::String) release();
+  }
 
-  Json(bool b) : kind_(Kind::Bool), bool_(b) {}
-  Json(double v) : kind_(Kind::Number), number_(v) {}
+  Json(bool b) : kind_(Kind::Bool) { value_.boolean = b; }
+  Json(double v) : kind_(Kind::Number) { value_.number = v; }
   Json(int v) : Json(static_cast<double>(v)) {}
   Json(std::int64_t v) : Json(static_cast<double>(v)) {}
   Json(std::uint64_t v) : Json(static_cast<double>(v)) {}
@@ -87,22 +99,29 @@ class Json {
   /// form that parses back to the same double.
   std::string dump(int indent = 2) const;
 
-  /// Parse a document; throws hmpt::Error with offset context on garbage
+  /// Parse a document; throws hmpt::Error with offset context on garbage,
+  /// on a number outside the RFC 8259 grammar, on a repeated object key
   /// and on containers nested deeper than 512 levels.
   static Json parse(const std::string& text);
 
  private:
   void write(std::string& out, int indent, int depth) const;
+  /// Free the string or container this value owns.
+  void release() noexcept;
 
   Kind kind_ = Kind::Null;
-  bool bool_ = false;
-  double number_ = 0.0;
-  std::string string_;
-  // Containers live behind pointers because JsonObject (which stores Json
-  // by value) is still incomplete here; copies are deep, so a Json behaves
-  // like any other value type.
-  std::unique_ptr<JsonArray> array_;
-  std::unique_ptr<JsonObject> object_;
+  // One word of payload: scalars inline, strings and containers behind an
+  // owning pointer. Copies are deep, so a Json behaves like any other
+  // value type.
+  union Value {
+    double number = 0.0;
+    bool boolean;
+    std::string* string;
+    JsonArray* array;
+    JsonObject* object;
+  } value_;
 };
+
+static_assert(sizeof(Json) == 16, "Json is a kind tag plus one word");
 
 }  // namespace hmpt

@@ -1,12 +1,14 @@
 #include "core/outcome_io.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <climits>
 #include <cmath>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <type_traits>
 
 #include "common/error.h"
 
@@ -89,11 +91,15 @@ std::optional<std::vector<ConfigMask>> gray_enumeration(int num_groups,
 
 // ---------------------------------------------------------------- columns
 //
-// Row lists are stored column-wise: one array per struct field, all of
-// equal length. Row i of every column belongs to the same row.
+// Row lists are stored column-wise: one entry per struct field, all of
+// equal length. Row i of every column belongs to the same row. Integer
+// and bool fields are JSON arrays of numbers; double fields are binary
+// columns (below). The kind of a column follows from its field's type.
 
 template <typename Row, typename Field>
 Json column(const std::vector<Row>& rows, Field field) {
+  static_assert(!std::is_floating_point_v<decltype(field(rows.front()))>,
+                "double fields are stored as binary columns");
   JsonArray values;
   values.reserve(rows.size());
   for (const Row& row : rows) values.push_back(Json(field(row)));
@@ -110,6 +116,155 @@ const JsonArray& column_of(const Json& columns, const char* name,
   return values;
 }
 
+// --------------------------------------------------------- binary columns
+//
+// A double column is one JSON string: the RFC 4648 base64 (padded) of the
+// column's IEEE-754 binary64 values, each in little-endian byte order, row
+// after row. Bytes are placed with shifts, so the text does not depend on
+// the host's byte order; it is exact where shortest decimal is dear to
+// print and parse. The decoder accepts one spelling only: the exact
+// length, the standard alphabet, '=' only as the final padding and zero
+// padding bits; and every value must be finite.
+//
+// Three values are 24 bytes, exactly eight 3-byte/4-character blocks, so
+// both directions work on groups of three rows held in registers. A short
+// last group is coded like a full one whose missing values are zero bits,
+// of which only the characters that carry data are kept.
+
+constexpr char kBase64Alphabet[] =
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+
+/// The 6-bit value of each base64 character; 0xFF for every other byte,
+/// '=' included.
+constexpr std::array<std::uint8_t, 256> kBase64Value = [] {
+  std::array<std::uint8_t, 256> values{};
+  values.fill(0xFF);
+  for (std::uint8_t i = 0; i < 64; ++i)
+    values[static_cast<unsigned char>(kBase64Alphabet[i])] = i;
+  return values;
+}();
+
+constexpr std::size_t kGroupRows = 3;
+constexpr std::size_t kGroupChars = 32;
+
+/// Characters of the base64 text of `rows` doubles.
+std::size_t base64_length(std::size_t rows) { return 4 * ((8 * rows + 2) / 3); }
+
+/// '=' characters that end the base64 text of `rows` doubles.
+std::size_t base64_padding(std::size_t rows) { return (3 - 8 * rows % 3) % 3; }
+
+/// `x` with its eight bytes in reverse order: the big-endian reading of a
+/// little-endian value and back.
+std::uint64_t reverse_bytes(std::uint64_t x) {
+  x = x << 32 | x >> 32;
+  x = (x & 0x0000FFFF0000FFFFull) << 16 | (x >> 16 & 0x0000FFFF0000FFFFull);
+  return (x & 0x00FF00FF00FF00FFull) << 8 | (x >> 8 & 0x00FF00FF00FF00FFull);
+}
+
+/// Base64 of three values' little-endian bytes, 32 characters.
+void encode_group(const std::uint64_t (&bits)[kGroupRows], char* out) {
+  // The 24 bytes as three big-endian words, cut into eight 24-bit blocks.
+  const std::uint64_t a = reverse_bytes(bits[0]);
+  const std::uint64_t b = reverse_bytes(bits[1]);
+  const std::uint64_t c = reverse_bytes(bits[2]);
+  const std::uint64_t blocks[8] = {
+      a >> 40,          a >> 16,          a << 8 | b >> 56, b >> 32,
+      b >> 8,           b << 16 | c >> 48, c >> 24,         c};
+  for (std::size_t i = 0; i < 8; ++i, out += 4) {
+    out[0] = kBase64Alphabet[blocks[i] >> 18 & 63];
+    out[1] = kBase64Alphabet[blocks[i] >> 12 & 63];
+    out[2] = kBase64Alphabet[blocks[i] >> 6 & 63];
+    out[3] = kBase64Alphabet[blocks[i] & 63];
+  }
+}
+
+/// The three values of 32 base64 characters; false when a character lies
+/// outside the alphabet.
+bool decode_group(const char* in, std::uint64_t (&bits)[kGroupRows]) {
+  std::uint64_t blocks[8];
+  unsigned invalid = 0;
+  for (std::size_t i = 0; i < 8; ++i, in += 4) {
+    const unsigned v0 = kBase64Value[static_cast<unsigned char>(in[0])];
+    const unsigned v1 = kBase64Value[static_cast<unsigned char>(in[1])];
+    const unsigned v2 = kBase64Value[static_cast<unsigned char>(in[2])];
+    const unsigned v3 = kBase64Value[static_cast<unsigned char>(in[3])];
+    invalid |= v0 | v1 | v2 | v3;
+    blocks[i] = v0 << 18 | v1 << 12 | v2 << 6 | v3;
+  }
+  bits[0] = reverse_bytes(blocks[0] << 40 | blocks[1] << 16 | blocks[2] >> 8);
+  bits[1] = reverse_bytes(blocks[2] << 56 | blocks[3] << 32 | blocks[4] << 8 |
+                          blocks[5] >> 16);
+  bits[2] = reverse_bytes(blocks[5] << 48 | blocks[6] << 24 | blocks[7]);
+  return invalid <= 63;
+}
+
+template <typename Row>
+Json binary_column(const std::vector<Row>& rows, double Row::*field) {
+  std::string text(base64_length(rows.size()), '=');
+  char* out = text.data();
+  std::size_t i = 0;
+  for (; i + kGroupRows <= rows.size(); i += kGroupRows, out += kGroupChars) {
+    const std::uint64_t bits[kGroupRows] = {
+        std::bit_cast<std::uint64_t>(rows[i].*field),
+        std::bit_cast<std::uint64_t>(rows[i + 1].*field),
+        std::bit_cast<std::uint64_t>(rows[i + 2].*field)};
+    encode_group(bits, out);
+  }
+  if (const std::size_t count = rows.size() - i; count > 0) {
+    std::uint64_t bits[kGroupRows] = {};
+    for (std::size_t j = 0; j < count; ++j)
+      bits[j] = std::bit_cast<std::uint64_t>(rows[i + j].*field);
+    char group[kGroupChars];
+    encode_group(bits, group);
+    // The characters that carry data; the padding is already '='.
+    std::copy_n(group, base64_length(count) - base64_padding(count), out);
+  }
+  return Json(std::move(text));
+}
+
+/// Decode binary column `name` of `columns` into `field` of every row.
+template <typename Row>
+void read_binary_column(const Json& columns, const char* name,
+                        std::vector<Row>& rows, double Row::*field) {
+  const std::string& text = columns.at(name).as_string();
+  if (text.size() != base64_length(rows.size()))
+    bad_field(name, "has " + std::to_string(text.size()) +
+                        " characters, expected " +
+                        std::to_string(base64_length(rows.size())));
+  const auto store = [&](std::size_t i, std::size_t count,
+                         const std::uint64_t (&bits)[kGroupRows]) {
+    for (std::size_t j = 0; j < count; ++j) {
+      const double value = std::bit_cast<double>(bits[j]);
+      if (!std::isfinite(value)) bad_field(name, "holds a non-finite value");
+      rows[i + j].*field = value;
+    }
+  };
+  const char* in = text.data();
+  std::uint64_t bits[kGroupRows];
+  std::size_t i = 0;
+  for (; i + kGroupRows <= rows.size(); i += kGroupRows, in += kGroupChars) {
+    if (!decode_group(in, bits))
+      bad_field(name, "holds a character outside base64");
+    store(i, kGroupRows, bits);
+  }
+  if (const std::size_t count = rows.size() - i; count > 0) {
+    // The short last group: its data characters, then 'A' (zero bits) in
+    // place of the padding and the missing values. Those values must then
+    // decode to zero, padding bits included.
+    const std::size_t pad = base64_padding(count);
+    if (text.find_first_not_of('=', text.size() - pad) != std::string::npos)
+      bad_field(name, "is not padded base64");
+    char group[kGroupChars];
+    std::fill(std::copy_n(in, base64_length(count) - pad, group),
+              group + kGroupChars, 'A');
+    if (!decode_group(group, bits))
+      bad_field(name, "holds a character outside base64");
+    for (std::size_t j = count; j < kGroupRows; ++j)
+      if (bits[j] != 0) bad_field(name, "has non-zero padding bits");
+    store(i, count, bits);
+  }
+}
+
 /// Configuration rows. The mask column is left out when row i holds mask
 /// i (a full sweep), and restored from the row number on decode.
 Json configs_to_json(const std::vector<ConfigResult>& configs) {
@@ -119,16 +274,11 @@ Json configs_to_json(const std::vector<ConfigResult>& configs) {
   JsonObject o;
   if (!identity)
     o["mask"] = column(configs, [](const ConfigResult& c) { return c.mask; });
-  o["mean_time"] =
-      column(configs, [](const ConfigResult& c) { return c.mean_time; });
-  o["stddev_time"] =
-      column(configs, [](const ConfigResult& c) { return c.stddev_time; });
-  o["speedup"] =
-      column(configs, [](const ConfigResult& c) { return c.speedup; });
-  o["hbm_usage"] =
-      column(configs, [](const ConfigResult& c) { return c.hbm_usage; });
-  o["hbm_density"] =
-      column(configs, [](const ConfigResult& c) { return c.hbm_density; });
+  o["mean_time"] = binary_column(configs, &ConfigResult::mean_time);
+  o["stddev_time"] = binary_column(configs, &ConfigResult::stddev_time);
+  o["speedup"] = binary_column(configs, &ConfigResult::speedup);
+  o["hbm_usage"] = binary_column(configs, &ConfigResult::hbm_usage);
+  o["hbm_density"] = binary_column(configs, &ConfigResult::hbm_density);
   o["groups_in_hbm"] =
       column(configs, [](const ConfigResult& c) { return c.groups_in_hbm; });
   return Json(std::move(o));
@@ -137,9 +287,10 @@ Json configs_to_json(const std::vector<ConfigResult>& configs) {
 std::vector<ConfigResult> configs_from_json(const Json& columns,
                                             int num_groups,
                                             std::size_t space) {
-  const std::size_t rows = columns.at("mean_time").as_array().size();
+  const std::size_t rows = columns.at("groups_in_hbm").as_array().size();
   if (rows > space)
-    bad_field("mean_time", "lists more configurations than the space holds");
+    bad_field("groups_in_hbm",
+              "lists more configurations than the space holds");
   std::vector<ConfigResult> configs(rows);
   if (columns.as_object().contains("mask")) {
     const JsonArray& masks = column_of(columns, "mask", rows);
@@ -149,16 +300,13 @@ std::vector<ConfigResult> configs_from_json(const Json& columns,
     for (std::size_t i = 0; i < rows; ++i)
       configs[i].mask = static_cast<ConfigMask>(i);
   }
-  const auto doubles = [&](const char* name, double ConfigResult::*field) {
-    const JsonArray& values = column_of(columns, name, rows);
-    for (std::size_t i = 0; i < rows; ++i)
-      configs[i].*field = finite(values[i], name);
-  };
-  doubles("mean_time", &ConfigResult::mean_time);
-  doubles("stddev_time", &ConfigResult::stddev_time);
-  doubles("speedup", &ConfigResult::speedup);
-  doubles("hbm_usage", &ConfigResult::hbm_usage);
-  doubles("hbm_density", &ConfigResult::hbm_density);
+  read_binary_column(columns, "mean_time", configs, &ConfigResult::mean_time);
+  read_binary_column(columns, "stddev_time", configs,
+                     &ConfigResult::stddev_time);
+  read_binary_column(columns, "speedup", configs, &ConfigResult::speedup);
+  read_binary_column(columns, "hbm_usage", configs, &ConfigResult::hbm_usage);
+  read_binary_column(columns, "hbm_density", configs,
+                     &ConfigResult::hbm_density);
   const JsonArray& groups = column_of(columns, "groups_in_hbm", rows);
   for (std::size_t i = 0; i < rows; ++i)
     configs[i].groups_in_hbm =
@@ -205,9 +353,8 @@ Json trajectory_to_json(const TuningOutcome& outcome) {
   }
   o["index"] = column(steps, [](const TuningStep& s) { return s.index; });
   o["mask"] = column(steps, [](const TuningStep& s) { return s.mask; });
-  o["observed_time"] =
-      column(steps, [](const TuningStep& s) { return s.observed_time; });
-  o["speedup"] = column(steps, [](const TuningStep& s) { return s.speedup; });
+  o["observed_time"] = binary_column(steps, &TuningStep::observed_time);
+  o["speedup"] = binary_column(steps, &TuningStep::speedup);
   o["accepted"] = column(steps, [](const TuningStep& s) { return s.accepted; });
   return Json(std::move(o));
 }
@@ -241,17 +388,16 @@ std::vector<TuningStep> trajectory_from_columns(const Json& columns,
   const std::size_t rows = columns.at("index").as_array().size();
   const JsonArray& index = column_of(columns, "index", rows);
   const JsonArray& mask = column_of(columns, "mask", rows);
-  const JsonArray& observed = column_of(columns, "observed_time", rows);
-  const JsonArray& speedup = column_of(columns, "speedup", rows);
   const JsonArray& accepted = column_of(columns, "accepted", rows);
   std::vector<TuningStep> steps(rows);
   for (std::size_t i = 0; i < rows; ++i) {
     steps[i].index = int_in(index[i], 0, INT_MAX, "index");
     steps[i].mask = mask_in(mask[i], space, "mask");
-    steps[i].observed_time = finite(observed[i], "observed_time");
-    steps[i].speedup = finite(speedup[i], "speedup");
     steps[i].accepted = accepted[i].as_bool();
   }
+  read_binary_column(columns, "observed_time", steps,
+                     &TuningStep::observed_time);
+  read_binary_column(columns, "speedup", steps, &TuningStep::speedup);
   return steps;
 }
 

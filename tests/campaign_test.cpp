@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <atomic>
@@ -14,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -591,6 +593,111 @@ TEST(OutcomeIoTest, TrajectoryIsDerivedOnlyWhenBitIdentical) {
   }
 }
 
+/// RFC 4648 base64 (padded) of `values` as little-endian binary64, built
+/// bit by bit: an oracle independent of the codec under test.
+std::string base64_le(const std::vector<double>& values) {
+  static const char kAlphabet[] =
+      "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+  std::vector<bool> bits;
+  for (const double value : values) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, &value, sizeof word);
+    for (int byte = 0; byte < 8; ++byte)
+      for (int bit = 7; bit >= 0; --bit)
+        bits.push_back(((word >> (8 * byte + bit)) & 1) != 0);
+  }
+  while (bits.size() % 6 != 0) bits.push_back(false);
+  std::string out;
+  for (std::size_t i = 0; i < bits.size(); i += 6) {
+    int sextet = 0;
+    for (std::size_t j = 0; j < 6; ++j) sextet = sextet * 2 + bits[i + j];
+    out += kAlphabet[sextet];
+  }
+  while (out.size() % 4 != 0) out += '=';
+  return out;
+}
+
+/// An online outcome on the three-tier platform: a columnar trajectory
+/// and a measured table, no sweep.
+tuner::TuningOutcome online_outcome() {
+  auto simulator = sim::MachineSimulator::cxl_tiered_platform();
+  const auto app = workloads::make_mg_model(simulator);
+  return tuner::Session::on(simulator)
+      .workload(app.workload)
+      .context(app.context)
+      .strategy("online")
+      .run();
+}
+
+/// `outcome` with `rows` table rows and trajectory steps whose double
+/// fields cycle through `values`, starting at a different value per field.
+tuner::TuningOutcome with_rows(tuner::TuningOutcome outcome, std::size_t rows,
+                               const std::vector<double>& values) {
+  const auto at = [&](std::size_t i, std::size_t field) {
+    return values[(i + field) % values.size()];
+  };
+  outcome.table.assign(rows, {});
+  outcome.trajectory.assign(rows, {});
+  for (std::size_t i = 0; i < rows; ++i) {
+    auto& row = outcome.table[i];
+    row.mask = static_cast<tuner::ConfigMask>(rows - 1 - i);  // reversed
+    row.mean_time = at(i, 0);
+    row.stddev_time = at(i, 1);
+    row.speedup = at(i, 2);
+    row.hbm_usage = at(i, 3);
+    row.hbm_density = at(i, 4);
+    row.groups_in_hbm = static_cast<int>(i % 3);
+    auto& step = outcome.trajectory[i];
+    step.index = static_cast<int>(i + 1);
+    step.mask = static_cast<tuner::ConfigMask>(i);
+    step.observed_time = at(i, 5);
+    step.speedup = at(i, 6);
+    step.accepted = i % 2 == 0;
+  }
+  return outcome;
+}
+
+TEST(OutcomeIoTest, BinaryColumnsRoundTripBitExactly) {
+  // Double columns are base64 of little-endian binary64: one known
+  // answer pins the byte order, then every padding remainder (0-3 rows)
+  // and the edge values of the format round-trip bit for bit.
+  using limits = std::numeric_limits<double>;
+  {
+    const auto one = with_rows(online_outcome(), 1, {1.0});
+    EXPECT_EQ(tuner::outcome_to_json(one).at("table").at("mean_time")
+                  .as_string(),
+              "AAAAAAAA8D8=");
+  }
+  const std::vector<double> edges = {
+      -0.0, 0.0, limits::denorm_min(), -limits::denorm_min(),
+      std::nextafter(limits::min(), 0.0), limits::min(), -limits::min(),
+      limits::max(), limits::lowest(), 1.0 / 3.0, -2.5, 1e300, 6.02214076e23};
+  const auto base = online_outcome();
+  for (const std::size_t rows : {0u, 1u, 2u, 3u, 4u, 13u}) {
+    const auto outcome = with_rows(base, rows, edges);
+    const std::string what = std::to_string(rows) + " rows";
+    const Json encoded = tuner::outcome_to_json(outcome);
+    std::vector<double> means, observed;
+    for (const auto& row : outcome.table) means.push_back(row.mean_time);
+    for (const auto& step : outcome.trajectory)
+      observed.push_back(step.observed_time);
+    const std::string& column =
+        encoded.at("table").at("mean_time").as_string();
+    EXPECT_EQ(column, base64_le(means)) << what;
+    EXPECT_EQ(column.size(), 4 * ((8 * rows + 2) / 3)) << what;
+    EXPECT_EQ(encoded.at("trajectory").at("observed_time").as_string(),
+              base64_le(observed))
+        << what;
+    // Integer and bool columns stay JSON numbers and bools.
+    EXPECT_EQ(encoded.at("table").at("groups_in_hbm").as_array().size(), rows);
+    EXPECT_EQ(encoded.at("trajectory").at("accepted").as_array().size(), rows);
+    const std::string text = encoded.dump(-1);
+    EXPECT_EQ(Json::parse(text).dump(-1), text) << what;  // a fixed point
+    expect_same_outcome(tuner::outcome_from_json(Json::parse(text)), outcome,
+                        what);
+  }
+}
+
 TEST(OutcomeIoTest, CompactPayloadMatchesTheGoldenFile) {
   // Format drift fails loudly: a small three-tier exhaustive record must
   // encode to exactly these bytes, and the bytes must decode back to the
@@ -694,6 +801,109 @@ std::string with_text(std::string text, const std::string& from,
   return text;
 }
 
+struct HostileCase {
+  std::string name;
+  const Scenario* scenario;
+  std::string payload;
+};
+
+/// `text` with the JSON value of the first `"key":` after `anchor` (a
+/// string or an array) replaced by `value`.
+std::string with_column(std::string text, const std::string& anchor,
+                        const std::string& key, const std::string& value) {
+  const auto from = text.find(anchor);
+  auto at = text.find("\"" + key + "\":", from);
+  EXPECT_NE(from, std::string::npos) << anchor;
+  EXPECT_NE(at, std::string::npos) << key;
+  if (from == std::string::npos || at == std::string::npos) return text;
+  at += key.size() + 3;
+  const auto end = text[at] == '"' ? text.find('"', at + 1) + 1
+                                   : text.find(']', at) + 1;
+  text.replace(at, end - at, value);
+  return text;
+}
+
+/// Damaged binary columns, on a record of `scenario` (an online run) cut
+/// to one table row and two trajectory steps, so both padding lengths
+/// occur: 8 bytes end in "x=" and 16 bytes in "x==".
+std::vector<HostileCase> binary_column_cases(const Scenario& scenario) {
+  auto outcome = CampaignRunner::execute(scenario);
+  outcome.table.resize(1);
+  outcome.trajectory.resize(2);
+  const std::string good = OutcomeStore::make_payload(scenario, outcome);
+  const std::string table = "\"table\":";
+  const std::string traj = "\"trajectory\":";
+  const std::string one = base64_le({outcome.table[0].mean_time});
+  const std::string two = base64_le({outcome.trajectory[0].observed_time,
+                                     outcome.trajectory[1].observed_time});
+  EXPECT_EQ(one.substr(11), "=") << one;
+  EXPECT_EQ(two.substr(22), "==") << two;
+  const std::string alphabet =
+      "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+  /// `text` with character `i` replaced by `c`.
+  const auto put = [](std::string text, std::size_t i, char c) {
+    text[i] = c;
+    return text;
+  };
+  /// `text` with the lowest bit of character `i`'s sextet set.
+  const auto low_bit = [&](const std::string& text, std::size_t i) {
+    return put(text, i, alphabet[alphabet.find(text[i]) | 1]);
+  };
+  const auto quoted = [](const std::string& text) {
+    return "\"" + text + "\"";
+  };
+  const auto table_mean = [&](const std::string& value) {
+    return with_column(good, table, "mean_time", value);
+  };
+  const auto observed = [&](const std::string& value) {
+    return with_column(good, traj, "observed_time", value);
+  };
+  std::uint64_t nan_bits = 0x7FF0000000000001;  // a signalling NaN
+  double signalling_nan = 0.0;
+  std::memcpy(&signalling_nan, &nan_bits, sizeof nan_bits);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double time = outcome.trajectory[0].observed_time;
+  std::vector<HostileCase> cases = {
+      {"binary column one block long", &scenario,
+       table_mean(quoted(one + "AAAA"))},
+      {"binary column one block short", &scenario,
+       table_mean(quoted(one.substr(4)))},
+      {"binary column of two values for one row", &scenario,
+       table_mean(quoted(two))},
+      {"binary column with a URL-safe character", &scenario,
+       table_mean(quoted(put(one, 0, '-')))},
+      {"binary column with a space", &scenario,
+       table_mean(quoted(put(one, 3, ' ')))},
+      {"binary column with a non-ASCII byte", &scenario,
+       table_mean(quoted(put(one, 2, '\xC3')))},
+      {"binary column with an interior '='", &scenario,
+       table_mean(quoted(put(one, 5, '=')))},
+      {"binary column with a missing '='", &scenario,
+       table_mean(quoted(put(one, 11, 'A')))},
+      {"binary column with '=' one early", &scenario,
+       observed(quoted(put(put(two, 21, '='), 23, 'A')))},
+      {"binary column with set padding bits (x=)", &scenario,
+       table_mean(quoted(low_bit(one, 10)))},
+      {"binary column with set padding bits (x==)", &scenario,
+       observed(quoted(low_bit(two, 21)))},
+      {"binary column holding a quiet NaN", &scenario,
+       table_mean(quoted(base64_le({std::nan("")})))},
+      {"binary column holding a signalling NaN", &scenario,
+       table_mean(quoted(base64_le({signalling_nan})))},
+      {"binary column holding +inf", &scenario,
+       observed(quoted(base64_le({time, inf})))},
+      {"binary column holding -inf", &scenario,
+       observed(quoted(base64_le({-inf, time})))},
+      {"v2-style array column", &scenario, table_mean("[1.5]")},
+      {"v2-style array trajectory column", &scenario,
+       observed("[" + Json(time).dump(-1) + "," + Json(time).dump(-1) + "]")},
+  };
+  // The unmutated record is fine, so the mutations are what fail.
+  EXPECT_NO_THROW(tuner::outcome_from_json(Json::parse(good).at("outcome")));
+  for (const auto& c : cases) EXPECT_NE(c.payload, good) << c.name;
+  return cases;
+}
+
 TEST(OutcomeStoreTest, OutOfRangeRecordsReadAsDamaged) {
   // Each record below is well-formed JSON carrying the right version and
   // fingerprint, but one decoded value is out of range. Every one must
@@ -716,12 +926,7 @@ TEST(OutcomeStoreTest, OutOfRangeRecordsReadAsDamaged) {
   const std::string traj = "\"trajectory\":";
   const std::string table = "\"table\":";
 
-  struct Case {
-    const char* name;
-    const Scenario* scenario;
-    std::string payload;
-  };
-  const std::vector<Case> cases = {
+  std::vector<HostileCase> cases = {
       {"num_tiers above kNumPoolKinds", &sweep,
        with_value(good_sweep, o, "num_tiers", "4")},
       {"num_tiers below two", &sweep,
@@ -755,12 +960,14 @@ TEST(OutcomeStoreTest, OutOfRangeRecordsReadAsDamaged) {
       {"trajectory index negative", &online,
        with_value(good_online, traj, "index", "-3")},
       {"trajectory column missing an entry", &online,
-       with_value(good_online, traj, "observed_time", "1,2")},
+       with_text(good_online, "\"accepted\":[true,", "\"accepted\":[")},
       {"table mask beyond k^n", &online,
        with_value(good_online, table, "mask", "27")},
       {"table mask huge", &online,
        with_value(good_online, table, "mask", "1e300")},
   };
+
+  for (auto& c : binary_column_cases(online)) cases.push_back(std::move(c));
 
   for (const auto format : {StoreFormat::Dir, StoreFormat::Packed}) {
     for (const auto& c : cases) {

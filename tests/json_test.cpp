@@ -2,10 +2,12 @@
 // campaign outcome store and the bench trajectories.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <string>
+#include <type_traits>
 
 #include "common/error.h"
 #include "common/json.h"
@@ -85,20 +87,37 @@ TEST(JsonTest, NumbersPrintShortestAndIntegersPlain) {
   EXPECT_EQ(Json(1e15).dump(-1), "1e+15");
 }
 
-TEST(JsonTest, ParserAcceptsTheSameNumberTokens) {
-  // Tokens parse in place; what strtod accepted still parses, to the
-  // same value, and what it rejected still fails.
-  EXPECT_EQ(Json::parse("1.").as_number(), 1.0);
-  EXPECT_EQ(Json::parse("-.5").as_number(), -0.5);
-  EXPECT_EQ(Json::parse("007").as_number(), 7.0);
+TEST(JsonTest, NumbersFollowTheRfc8259Grammar) {
+  // -? (0 | [1-9][0-9]*) (\.[0-9]+)? ([eE][+-]?[0-9]+)?
   EXPECT_EQ(Json::parse("1E+2").as_number(), 100.0);
+  EXPECT_EQ(Json::parse("1e-0").as_number(), 1.0);
+  EXPECT_EQ(Json::parse("0.5").as_number(), 0.5);
+  EXPECT_EQ(Json::parse("-12.5e1").as_number(), -125.0);
   EXPECT_EQ(Json::parse("[2.5e-3]").as_array().at(0).as_number(), 2.5e-3);
   EXPECT_TRUE(std::signbit(Json::parse("-0").as_number()));
   // Magnitudes beyond a double round like strtod: to inf and to zero.
   EXPECT_TRUE(std::isinf(Json::parse("1e999").as_number()));
   EXPECT_EQ(Json::parse("1e-999").as_number(), 0.0);
-  for (const char* text : {"-", "1e", "1e+", "--1", "1-2", "1.2.3", "+1"})
+  // Leading zeros, a bare '.', a missing integer part and the other
+  // spellings outside the grammar are errors, in any position. A parsed
+  // "01" would re-dump as "1", so the stored bytes would not be a fixed
+  // point of parse + dump.
+  for (const char* text :
+       {"01", "-01", "00", "007", "1.", "1.e5", "-.5", ".5", "-", "1e",
+        "1e+", "--1", "1-2", "1.2.3", "+1", "0x10", "1e5.5", "-a"}) {
     EXPECT_THROW(Json::parse(text), Error) << "'" << text << "'";
+    EXPECT_THROW(Json::parse(std::string("[") + text + "]"), Error)
+        << "'[" << text << "]'";
+    EXPECT_THROW(Json::parse(std::string("{\"a\":") + text + "}"), Error)
+        << "'{\"a\":" << text << "}'";
+  }
+  try {
+    Json::parse("[1,-01]");
+    ADD_FAILURE() << "-01 parsed";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("leading zero"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(JsonTest, NestingDepthIsCapped) {
@@ -137,6 +156,18 @@ TEST(JsonTest, ControlCharactersEscape) {
   const Json doc(std::string("bell\x07tab\t"));
   EXPECT_EQ(doc.dump(-1), "\"bell\\u0007tab\\t\"");
   EXPECT_EQ(Json::parse(doc.dump(-1)).as_string(), doc.as_string());
+  EXPECT_EQ(Json(std::string("a\"b\\c\nd")).dump(-1),
+            "\"a\\\"b\\\\c\\nd\"");
+  // Plain runs are appended whole; escapes at either end, back to back
+  // and between long runs survive parse + dump.
+  for (const std::string& text :
+       {std::string("\"lead"), std::string("trail\\"), std::string("\n\n\t"),
+        std::string(1000, 'a') + "\x01" + std::string(1000, 'b'),
+        std::string("mid\"dle\\end\x1f"), std::string()}) {
+    const std::string dumped = Json(text).dump(-1);
+    EXPECT_EQ(Json::parse(dumped).as_string(), text);
+    EXPECT_EQ(Json(Json::parse(dumped).as_string()).dump(-1), dumped);
+  }
 }
 
 TEST(JsonTest, AccessorsEnforceKinds) {
@@ -168,6 +199,88 @@ TEST(JsonTest, CopiesAreDeep) {
   b = Json(std::move(o2));
   EXPECT_EQ(a.at("list").as_array().size(), 1u);
   EXPECT_EQ(b.at("list").as_array().size(), 2u);
+
+  // Copies of every owning kind are independent of their source.
+  Json text("original");
+  Json copied_text = text;
+  text = Json("changed");
+  EXPECT_EQ(copied_text.as_string(), "original");
+  Json nested = Json::parse("{\"a\":[1,{\"b\":\"c\"}]}");
+  Json assigned;
+  assigned = nested;
+  nested = Json(7);
+  EXPECT_EQ(assigned.dump(-1), "{\"a\":[1,{\"b\":\"c\"}]}");
+}
+
+TEST(JsonTest, MovesLeaveNullAndSelfAssignmentIsHarmless) {
+  static_assert(sizeof(Json) == 16);
+  static_assert(std::is_nothrow_move_constructible_v<Json>);
+  static_assert(std::is_nothrow_move_assignable_v<Json>);
+  for (const std::string text :
+       {"\"s\"", "[1,2]", "{\"k\":true}", "3.5", "false", "null"}) {
+    Json source = Json::parse(text);
+    Json moved(std::move(source));
+    EXPECT_TRUE(source.is_null()) << text;  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(moved.dump(-1), text);
+    Json target("old");
+    target = std::move(moved);
+    EXPECT_TRUE(moved.is_null()) << text;  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(target.dump(-1), text);
+
+    Json& alias = target;
+    target = alias;  // copy self-assignment
+    EXPECT_EQ(target.dump(-1), text);
+    target = std::move(alias);  // move self-assignment
+    EXPECT_EQ(target.dump(-1), text);
+  }
+  // Assigning a value its own container holds.
+  Json outer = Json::parse("[[\"inner\"]]");
+  outer = Json(outer.as_array().front());
+  EXPECT_EQ(outer.dump(-1), "[\"inner\"]");
+  JsonObject o;
+  o["child"] = Json(JsonArray{Json("x")});
+  Json parent(std::move(o));
+  Json& child = const_cast<Json&>(parent.at("child"));
+  parent = std::move(child);
+  EXPECT_EQ(parent.dump(-1), "[\"x\"]");
+}
+
+TEST(JsonTest, WideObjectsParseFastAndRejectDuplicateKeys) {
+  // Keys were once inserted through a linear lookup each, so an object
+  // of n keys took O(n^2): 80,000 keys took 18.7 s. 200,000 keys must
+  // now parse well within the limit below.
+  constexpr int kKeys = 200000;
+  std::string wide = "{";
+  for (int i = 0; i < kKeys; ++i)
+    wide += (i ? ",\"k" : "\"k") + std::to_string(i) + "\":" +
+            std::to_string(i);
+  wide += "}";
+  const auto start = std::chrono::steady_clock::now();
+  const Json doc = Json::parse(wide);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_LT(seconds, 5.0);
+  ASSERT_EQ(doc.as_object().size(), static_cast<std::size_t>(kKeys));
+  EXPECT_EQ(doc.at("k199999").as_int(), 199999);
+  EXPECT_EQ(doc.dump(-1), wide);  // order kept
+
+  // A repeated key is a parse error, wherever the repeat sits.
+  for (const char* text :
+       {"{\"a\":1,\"a\":2}", "{\"a\":1,\"b\":2,\"a\":1}",
+        "[{\"x\":{\"y\":1,\"y\":1}}]"}) {
+    try {
+      Json::parse(text);
+      ADD_FAILURE() << text << " parsed";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("duplicate object key"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(Json::parse(wide.substr(0, wide.size() - 1) + ",\"k7\":0}"),
+               Error);
+  EXPECT_NO_THROW(Json::parse("{\"a\":{\"a\":1},\"b\":{\"a\":2}}"));
 }
 
 TEST(JsonTest, NonFiniteNumbersRefuseToSerialise) {

@@ -826,6 +826,42 @@ TEST_F(DaemonTest, DeeplyNestedLineIsAnErrorNotAStackOverflow) {
   EXPECT_TRUE(daemon.wait_for(10000));
 }
 
+TEST_F(DaemonTest, WideObjectLineIsAnsweredPromptly) {
+  // A one-line object of 200,000 keys once took minutes to parse (one
+  // linear key lookup per insert) and pinned its connection thread; now
+  // it is parsed in well under a second and answered like any request
+  // without an op, and a repeated key is a parse error.
+  CountingProvider provider;
+  Daemon daemon(options_for(&provider), &provider);
+  daemon.start();
+  TestClient client(daemon.endpoint());
+
+  std::string wide = "{";
+  for (int i = 0; i < 200000; ++i)
+    wide += (i ? ",\"k" : "\"k") + std::to_string(i) + "\":0";
+  ASSERT_LT(wide.size() + 2, kMaxLineBytes);
+  const auto start = std::chrono::steady_clock::now();
+  const auto reply = client.call_raw(wide + "}\n");
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          start)
+                .count(),
+            10.0);
+  EXPECT_FALSE(reply.ok);
+  EXPECT_FALSE(reply.error.empty());
+
+  const auto repeated = client.call_raw(wide + ",\"k5\":0}\n");
+  EXPECT_FALSE(repeated.ok);
+  EXPECT_NE(repeated.error.find("duplicate object key"), std::string::npos)
+      << repeated.error;
+
+  Request ping;
+  ping.op = Op::Ping;
+  EXPECT_TRUE(client.call(ping).ok);
+
+  daemon.request_shutdown();
+  EXPECT_TRUE(daemon.wait_for(10000));
+}
+
 TEST_F(DaemonTest, ResultPutsTheStoredOutcomeBytesOnTheWire) {
   // A real exhaustive sweep (columnar sweep, trajectory derived from it):
   // the `result` verb forwards the validated stored `outcome` subtree, so
