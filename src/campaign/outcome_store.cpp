@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <sys/file.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -13,11 +14,11 @@
 #include <fstream>
 #include <map>
 #include <mutex>
-#include <sstream>
 #include <utility>
 
 #include "common/error.h"
 #include "core/outcome_io.h"
+#include "obs/metrics.h"
 
 namespace hmpt::campaign {
 
@@ -110,11 +111,30 @@ void write_durable(const std::string& path, const std::string& data) {
     raise("cannot close outcome file " + path + ": " + std::strerror(errno));
 }
 
-std::string slurp_file(const std::string& path) {
-  std::ifstream is(path);
-  std::stringstream buffer;
-  buffer << is.rdbuf();
-  return buffer.str();
+/// The bytes of the file at `path`, read with one sized read into a
+/// string of the file's length (no stream buffer, no second copy);
+/// nullopt when it cannot be opened or read.
+std::optional<std::string> read_file(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return std::nullopt;
+  std::optional<std::string> bytes;
+  struct stat info;
+  if (::fstat(fd, &info) == 0) {
+    std::string data(static_cast<std::size_t>(info.st_size), '\0');
+    std::size_t got = 0;
+    bool failed = false;
+    while (got < data.size()) {
+      const ssize_t n = ::read(fd, data.data() + got, data.size() - got);
+      if (n < 0 && errno == EINTR) continue;
+      failed = n < 0;
+      if (n <= 0) break;  // an error, or the file shrank since fstat
+      got += static_cast<std::size_t>(n);
+    }
+    data.resize(got);
+    if (!failed) bytes = std::move(data);
+  }
+  ::close(fd);
+  return bytes;
 }
 
 /// A unique scratch name beside `path`: pid + process-wide counter, so
@@ -183,12 +203,7 @@ class DirBackend : public OutcomeStoreBackend {
 
   std::optional<std::string> payload(
       const std::string& fingerprint) override {
-    const std::string path = dir_outcome_path(directory_, fingerprint);
-    std::ifstream is(path);
-    if (!is.good()) return std::nullopt;
-    std::stringstream buffer;
-    buffer << is.rdbuf();
-    return buffer.str();
+    return read_file(dir_outcome_path(directory_, fingerprint));
   }
 
   void damaged(const std::string& fingerprint) override {
@@ -234,7 +249,7 @@ class DirBackend : public OutcomeStoreBackend {
         raise("cannot finalise outcome file " + path + ": " +
               std::strerror(link_errno));
       }
-      const std::string existing = slurp_file(path);
+      const std::string existing = read_file(path).value_or("");
       if (existing == payload) {
         ::unlink(tmp.c_str());
         return;
@@ -259,7 +274,7 @@ class DirBackend : public OutcomeStoreBackend {
       const fs::path path = it->path();
       if (path.extension() != ".json") continue;
       const std::string fingerprint = path.stem().string();
-      sorted[fingerprint] = slurp_file(path.string());
+      sorted[fingerprint] = read_file(path.string()).value_or("");
     }
     return {sorted.begin(), sorted.end()};
   }
@@ -282,7 +297,10 @@ class DirBackend : public OutcomeStoreBackend {
 // save truncates the torn bytes and appends from the clean boundary.
 // A record whose frame is intact but whose payload bytes are damaged is
 // superseded by appending a fresh record for the same fingerprint; the
-// latest decodable record for a fingerprint wins.
+// latest decodable record for a fingerprint wins. A save reads only the
+// frames appended since its cache was current (catch_up_locked), so n
+// appends cost O(n) log reads; anything unexpected there falls back to
+// scanning the whole log.
 //
 // outcomes.idx is a disposable cache: one "<fingerprint> <offset>
 // <payload-bytes>" line per record, appended in steady state so a
@@ -419,24 +437,32 @@ class PackedBackend : public OutcomeStoreBackend {
               std::strerror(errno));
     }
 
-    // Under the writer lock the log cannot move: rescan it end to end so
-    // the decision below is made against the authoritative state, not a
-    // possibly-stale index.
-    rescan_locked();
-    const auto it = records_.find(fingerprint);
-    if (it != records_.end()) {
-      std::ifstream in(log, std::ios::binary);
-      std::optional<std::string> existing;
-      if (in.good())
-        existing =
-            read_record_payload(in, seen_size_, fingerprint, it->second);
-      if (existing && *existing == payload) return;  // same-race no-op
-      if (existing && parse_record(*existing, fingerprint))
+    // Under the writer lock the log cannot move: bring the cache up to
+    // date with it so the decision below is made against the
+    // authoritative state, not a possibly-stale index.
+    static obs::Counter& scanned =
+        obs::metrics().counter("store.packed_save_scan_bytes");
+    scanned.add(catch_up_locked());
+    std::optional<std::string> existing;
+    if (const auto it = records_.find(fingerprint); it != records_.end()) {
+      existing = read_payload_locked(fingerprint, it->second);
+      if (!existing) {
+        // The cache points at a frame the log does not hold: re-derive
+        // the map from the whole log and look again.
+        scanned.add(rescan_locked());
+        if (const auto again = records_.find(fingerprint);
+            again != records_.end())
+          existing = read_payload_locked(fingerprint, again->second);
+      }
+    }
+    if (existing) {
+      if (*existing == payload) return;  // same-race no-op
+      if (parse_record(*existing, fingerprint))
         raise("conflicting outcome for fingerprint " + fingerprint + ": " +
               log +
               " already holds a different result (delete it to re-run)");
-      // Damaged or unreadable existing record: append a superseding one —
-      // the packed analogue of the dir store's quarantine-and-retry.
+      // A damaged existing record: append a superseding one — the packed
+      // analogue of the dir store's quarantine-and-retry.
     }
 
     bool index_stale = false;
@@ -458,6 +484,7 @@ class PackedBackend : public OutcomeStoreBackend {
     if (::fsync(fd) != 0)
       raise("cannot fsync outcome log " + log + ": " + std::strerror(errno));
     records_[fingerprint] = Record{offset, payload.size()};
+    tail_ = {fingerprint, Record{offset, payload.size()}};
     good_end_ = offset + record.size();
     seen_size_ = good_end_;
 
@@ -567,12 +594,36 @@ class PackedBackend : public OutcomeStoreBackend {
     return bytes;
   }
 
+  /// The payload of `record`, re-verified against the log; nullopt when
+  /// the log does not hold that frame there. Requires mutex_.
+  std::optional<std::string> read_payload_locked(
+      const std::string& fingerprint, const Record& record) const {
+    std::ifstream log(log_path(), std::ios::binary);
+    if (!log.good()) return std::nullopt;
+    return read_record_payload(log, seen_size_, fingerprint, record);
+  }
+
+  /// The end of `record`'s frame when the log at its offset still holds
+  /// it (same fingerprint and size, trailing newline); nullopt otherwise.
+  static std::optional<std::uint64_t> frame_end(
+      std::ifstream& log, std::uint64_t log_size,
+      const std::string& fingerprint, const Record& record) {
+    const auto header = read_record_header(log, record.offset, log_size);
+    if (!header || header->fingerprint != fingerprint ||
+        header->payload_size != record.payload_size)
+      return std::nullopt;
+    const std::uint64_t end =
+        record.offset + header->header_size + header->payload_size + 1;
+    if (end > log_size || byte_at(log, end - 1) != '\n') return std::nullopt;
+    return end;
+  }
+
   /// Walk records from `from`, recording each decodable frame (the
-  /// latest record for a fingerprint wins) and stopping at the first
-  /// frame that does not decode. Returns the clean end offset.
-  static std::uint64_t scan_records(std::ifstream& log, std::uint64_t from,
-                                    std::uint64_t log_size,
-                                    std::map<std::string, Record>& records) {
+  /// latest record for a fingerprint wins, the last one is the tail) and
+  /// stopping at the first frame that does not decode. Sets good_end_ to
+  /// the clean end offset. Requires mutex_.
+  void scan_records_locked(std::ifstream& log, std::uint64_t from,
+                           std::uint64_t log_size) {
     std::uint64_t at = from;
     while (at < log_size) {
       const auto header = read_record_header(log, at, log_size);
@@ -581,31 +632,66 @@ class PackedBackend : public OutcomeStoreBackend {
           at + header->header_size + header->payload_size + 1;
       if (end > log_size) break;
       if (byte_at(log, end - 1) != '\n') break;
-      records[header->fingerprint] = Record{at, header->payload_size};
+      const Record record{at, header->payload_size};
+      records_[header->fingerprint] = record;
+      tail_ = {header->fingerprint, record};
       at = end;
     }
-    return at;
+    good_end_ = at;
   }
 
-  /// Authoritative cache rebuild: scan the whole log. Requires mutex_.
-  void rescan_locked() {
+  /// Authoritative cache rebuild: scan the whole log. Returns the bytes
+  /// of log scanned. Requires mutex_.
+  std::uint64_t rescan_locked() {
     std::error_code ec;
     const auto file_size = fs::file_size(log_path(), ec);
     const std::uint64_t size =
         ec ? 0 : static_cast<std::uint64_t>(file_size);
     records_.clear();
+    tail_.reset();
     good_end_ = 0;
     seen_size_ = size;
     primed_ = true;
-    if (size == 0) return;
+    walked_ = true;
+    if (size == 0) return 0;
     std::ifstream log(log_path(), std::ios::binary);
     if (!log.good()) {
       // Transient open failure: stay unprimed so the next call retries.
       primed_ = false;
       seen_size_ = 0;
-      return;
+      return 0;
     }
-    good_end_ = scan_records(log, 0, size, records_);
+    scan_records_locked(log, 0, size);
+    return good_end_;
+  }
+
+  /// The writer's cache refresh: read only what was appended since the
+  /// cache was last current. That needs a log that has not shrunk, the
+  /// frame at the cached tail still decoding as the same record (so the
+  /// cached end is a frame boundary of this log) and a scan from there
+  /// that reaches the end of the file. A shrink, a torn tail or drift
+  /// between the cache and the log falls back to the full rescan.
+  /// Returns the bytes of log scanned. Requires mutex_.
+  std::uint64_t catch_up_locked() {
+    std::error_code ec;
+    const auto file_size = fs::file_size(log_path(), ec);
+    const std::uint64_t size =
+        ec ? 0 : static_cast<std::uint64_t>(file_size);
+    if (!primed_ || !walked_ || size < seen_size_) return rescan_locked();
+    if (size == 0) return 0;
+    std::ifstream log(log_path(), std::ios::binary);
+    if (!log.good()) return rescan_locked();
+    std::uint64_t scanned = 0;
+    if (tail_) {
+      const auto end = frame_end(log, size, tail_->first, tail_->second);
+      if (end != good_end_) return rescan_locked();
+      scanned = good_end_ - tail_->second.offset;
+    }
+    const std::uint64_t from = good_end_;
+    scan_records_locked(log, from, size);
+    seen_size_ = size;
+    if (good_end_ != size) return scanned + rescan_locked();  // torn tail
+    return scanned + (good_end_ - from);
   }
 
   /// Cheap cache refresh for readers: no-op while the log size is
@@ -618,9 +704,11 @@ class PackedBackend : public OutcomeStoreBackend {
         ec ? 0 : static_cast<std::uint64_t>(file_size);
     if (primed_ && size == seen_size_) return;
     records_.clear();
+    tail_.reset();
     good_end_ = 0;
     seen_size_ = size;
     primed_ = true;
+    walked_ = true;
     if (size == 0) return;
     std::ifstream log(log_path(), std::ios::binary);
     if (!log.good()) {
@@ -662,26 +750,22 @@ class PackedBackend : public OutcomeStoreBackend {
       }
       while (!entries.empty()) {
         const auto& [last_fingerprint, last_record] = entries.back();
-        const auto header =
-            read_record_header(log, last_record.offset, size);
-        if (header && header->fingerprint == last_fingerprint &&
-            header->payload_size == last_record.payload_size) {
-          const std::uint64_t end = last_record.offset +
-                                    header->header_size +
-                                    header->payload_size + 1;
-          if (end <= size && byte_at(log, end - 1) == '\n') {
-            for (const auto& entry : entries)
-              records_[entry.first] = entry.second;
-            scan_from = end;
-            break;
-          }
+        if (const auto end =
+                frame_end(log, size, last_fingerprint, last_record)) {
+          for (const auto& entry : entries)
+            records_[entry.first] = entry.second;
+          tail_ = entries.back();
+          scan_from = *end;
+          break;
         }
         // The final entry may describe a record a crash tore off and a
         // later save truncated away; shrink the prefix and retry.
         entries.pop_back();
       }
     }
-    good_end_ = scan_records(log, scan_from, size, records_);
+    // Writers trust only a cache that walked the log from its start.
+    walked_ = scan_from == 0;
+    scan_records_locked(log, scan_from, size);
   }
 
   /// Rewrite the index from the in-memory map (offset order) and publish
@@ -710,9 +794,12 @@ class PackedBackend : public OutcomeStoreBackend {
 
   std::mutex mutex_;
   bool primed_ = false;            ///< cache reflects some log state
+  bool walked_ = false;            ///< built by walking the log, not the index
   std::uint64_t seen_size_ = 0;    ///< log size the cache reflects
   std::uint64_t good_end_ = 0;     ///< end of the last decodable record
   std::map<std::string, Record> records_;
+  /// The record ending at good_end_; empty when the log holds none.
+  std::optional<std::pair<std::string, Record>> tail_;
   /// Index size after our last write; appends are only safe while the
   /// on-disk size still matches (otherwise another writer or a
   /// truncation intervened and the index is rebuilt).

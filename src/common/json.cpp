@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <string_view>
 #include <system_error>
@@ -259,6 +261,20 @@ constexpr int kMaxDepth = 512;
 
 bool is_digit(char c) { return c >= '0' && c <= '9'; }
 
+/// True when any of the eight bytes of `word` ends a plain run: a '"', a
+/// '\\' or a control byte below 0x20 (needs_escape, eight at a time).
+/// Each term is the classic "has a byte below n" test, exact as a whole
+/// for n <= 0x80; the xors turn the two delimiters into zero bytes.
+bool any_needs_escape(std::uint64_t word) {
+  constexpr std::uint64_t kOnes = 0x0101010101010101ull;
+  constexpr std::uint64_t kHigh = 0x8080808080808080ull;
+  const auto below = [](std::uint64_t x, std::uint64_t n) {
+    return (x - kOnes * n) & ~x & kHigh;
+  };
+  return (below(word ^ (kOnes * '"'), 1) | below(word ^ (kOnes * '\\'), 1) |
+          below(word, 0x20)) != 0;
+}
+
 }  // namespace
 
 namespace detail {
@@ -407,13 +423,17 @@ class JsonParser {
   std::string parse_string() {
     expect('"');
     std::string out;
+    const std::size_t size = text_.size();
     while (true) {
-      // Copy the run of plain characters up to the next quote or escape
-      // in one append.
+      // Copy the run of plain characters up to the next quote, escape or
+      // control byte in one append, finding its end eight bytes at a time.
       std::size_t stop = pos_;
-      while (stop < text_.size() && text_[stop] != '"' && text_[stop] != '\\')
-        ++stop;
-      if (stop == text_.size()) {
+      for (std::uint64_t word; stop + 8 <= size; stop += 8) {
+        std::memcpy(&word, text_.data() + stop, sizeof word);
+        if (any_needs_escape(word)) break;
+      }
+      while (stop < size && !needs_escape(text_[stop])) ++stop;
+      if (stop == size) {
         pos_ = stop;
         fail("unexpected end of input");
       }
@@ -421,6 +441,10 @@ class JsonParser {
       pos_ = stop;
       const char c = take();
       if (c == '"') return out;
+      if (c != '\\') {
+        --pos_;  // RFC 8259: control bytes only appear escaped
+        fail("unescaped control character in string");
+      }
       const char esc = take();
       switch (esc) {
         case '"': out += '"'; break;

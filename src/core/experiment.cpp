@@ -179,6 +179,10 @@ SweepResult ExperimentRunner::sweep(const workloads::Workload& workload,
   sweep.num_groups = space.num_groups();
   sweep.num_tiers = space.num_tiers();
   sweep.configs.resize(space.size());
+  sweep.footprint_bytes = space.group_bytes();
+  sweep.footprint_total = space.total_bytes();
+  sweep.traffic_bytes = stats.group_bytes;
+  sweep.traffic_total = stats.total_bytes;
 
   const auto masks =
       options_.gray_order ? space.gray_masks() : space.all_masks();

@@ -73,6 +73,14 @@ struct SweepResult {
   const ConfigResult& all_hbm() const;
   int num_groups = 0;
   int num_tiers = 2;  ///< tier count of the space the sweep enumerated
+
+  /// The per-group weights every row's HBM fractions are sums of: group
+  /// footprints (ConfigSpace::group_bytes/total_bytes) and trace traffic
+  /// per group. Empty when the sweep was not produced by a runner.
+  std::vector<double> footprint_bytes;
+  double footprint_total = 0.0;
+  std::vector<double> traffic_bytes;
+  double traffic_total = 0.0;
 };
 
 /// Observer invoked after each configuration finishes measuring.

@@ -92,9 +92,10 @@ std::optional<std::vector<ConfigMask>> gray_enumeration(int num_groups,
 // ---------------------------------------------------------------- columns
 //
 // Row lists are stored column-wise: one entry per struct field, all of
-// equal length. Row i of every column belongs to the same row. Integer
-// and bool fields are JSON arrays of numbers; double fields are binary
-// columns (below). The kind of a column follows from its field's type.
+// equal length, except the derived fields a rule rebuilds (below). Row i
+// of every column belongs to the same row. Integer and bool fields are
+// JSON arrays of numbers; double fields are binary columns (below). The
+// kind of a column follows from its field's type.
 
 template <typename Row, typename Field>
 Json column(const std::vector<Row>& rows, Field field) {
@@ -198,22 +199,23 @@ bool decode_group(const char* in, std::uint64_t (&bits)[kGroupRows]) {
   return invalid <= 63;
 }
 
-template <typename Row>
-Json binary_column(const std::vector<Row>& rows, double Row::*field) {
-  std::string text(base64_length(rows.size()), '=');
+/// The binary column of `rows` values, value i being `get(i)`.
+template <typename Get>
+Json encode_doubles(std::size_t rows, Get get) {
+  std::string text(base64_length(rows), '=');
   char* out = text.data();
   std::size_t i = 0;
-  for (; i + kGroupRows <= rows.size(); i += kGroupRows, out += kGroupChars) {
+  for (; i + kGroupRows <= rows; i += kGroupRows, out += kGroupChars) {
     const std::uint64_t bits[kGroupRows] = {
-        std::bit_cast<std::uint64_t>(rows[i].*field),
-        std::bit_cast<std::uint64_t>(rows[i + 1].*field),
-        std::bit_cast<std::uint64_t>(rows[i + 2].*field)};
+        std::bit_cast<std::uint64_t>(get(i)),
+        std::bit_cast<std::uint64_t>(get(i + 1)),
+        std::bit_cast<std::uint64_t>(get(i + 2))};
     encode_group(bits, out);
   }
-  if (const std::size_t count = rows.size() - i; count > 0) {
+  if (const std::size_t count = rows - i; count > 0) {
     std::uint64_t bits[kGroupRows] = {};
     for (std::size_t j = 0; j < count; ++j)
-      bits[j] = std::bit_cast<std::uint64_t>(rows[i + j].*field);
+      bits[j] = std::bit_cast<std::uint64_t>(get(i + j));
     char group[kGroupChars];
     encode_group(bits, group);
     // The characters that carry data; the padding is already '='.
@@ -222,32 +224,39 @@ Json binary_column(const std::vector<Row>& rows, double Row::*field) {
   return Json(std::move(text));
 }
 
-/// Decode binary column `name` of `columns` into `field` of every row.
 template <typename Row>
-void read_binary_column(const Json& columns, const char* name,
-                        std::vector<Row>& rows, double Row::*field) {
+Json binary_column(const std::vector<Row>& rows, double Row::*field) {
+  return encode_doubles(rows.size(),
+                        [&](std::size_t i) { return rows[i].*field; });
+}
+
+/// Decode binary column `name` of `columns`, which must hold `rows`
+/// values, handing value i to `set(i, value)`.
+template <typename Set>
+void decode_doubles(const Json& columns, const char* name, std::size_t rows,
+                    Set set) {
   const std::string& text = columns.at(name).as_string();
-  if (text.size() != base64_length(rows.size()))
+  if (text.size() != base64_length(rows))
     bad_field(name, "has " + std::to_string(text.size()) +
                         " characters, expected " +
-                        std::to_string(base64_length(rows.size())));
+                        std::to_string(base64_length(rows)));
   const auto store = [&](std::size_t i, std::size_t count,
                          const std::uint64_t (&bits)[kGroupRows]) {
     for (std::size_t j = 0; j < count; ++j) {
       const double value = std::bit_cast<double>(bits[j]);
       if (!std::isfinite(value)) bad_field(name, "holds a non-finite value");
-      rows[i + j].*field = value;
+      set(i + j, value);
     }
   };
   const char* in = text.data();
   std::uint64_t bits[kGroupRows];
   std::size_t i = 0;
-  for (; i + kGroupRows <= rows.size(); i += kGroupRows, in += kGroupChars) {
+  for (; i + kGroupRows <= rows; i += kGroupRows, in += kGroupChars) {
     if (!decode_group(in, bits))
       bad_field(name, "holds a character outside base64");
     store(i, kGroupRows, bits);
   }
-  if (const std::size_t count = rows.size() - i; count > 0) {
+  if (const std::size_t count = rows - i; count > 0) {
     // The short last group: its data characters, then 'A' (zero bits) in
     // place of the padding and the missing values. Those values must then
     // decode to zero, padding bits included.
@@ -265,34 +274,193 @@ void read_binary_column(const Json& columns, const char* name,
   }
 }
 
+template <typename Row>
+void read_binary_column(const Json& columns, const char* name,
+                        std::vector<Row>& rows, double Row::*field) {
+  decode_doubles(columns, name, rows.size(),
+                 [&](std::size_t i, double value) { rows[i].*field = value; });
+}
+
+/// Rows of binary column `name`, from its length alone: 4·⌈8r/3⌉
+/// characters hold r values, and ⌊3L/4⌋/8 inverts that. A length no row
+/// count gives fails the exact-length check when the column is read.
+std::size_t binary_rows(const Json& columns, const char* name) {
+  return 3 * columns.at(name).as_string().size() / 4 / 8;
+}
+
+// ------------------------------------------------------------ derivations
+//
+// A row column the decoder can rebuild bit for bit from the rest of the
+// record is left out. Each rule is the expression the runner computes the
+// value with, so it holds for every row the runner produced:
+//
+//   speedup        baseline > 0 ? baseline / mean_time : 1.0
+//   groups_in_hbm  the number of non-zero tier digits of the mask
+//   hbm_usage      the footprint weights of the tier-1 groups, summed in
+//                  group order from 0.0, over the footprint total
+//   hbm_density    the same over the traffic weights; 0 when that total
+//                  is 0
+//
+// The weights are the sweep's own (SweepResult::footprint_bytes and
+// traffic_bytes), so only sweep rows rebuild the two HBM fractions. The
+// encoder drops a column only after rebuilding every row of it exactly;
+// any other row list keeps the column, and the decoder reads whichever
+// is present.
+
+double speedup_of(double baseline, double time) {
+  return baseline > 0.0 ? baseline / time : 1.0;
+}
+
+/// What a row list's derived columns are rebuilt from.
+struct Basis {
+  int num_groups = 0;
+  int num_tiers = 2;
+  double baseline = 0.0;
+  /// The sweep whose weights rebuild the HBM fractions; null when the
+  /// rows have none.
+  const SweepResult* weights = nullptr;
+
+  bool has_footprint() const {
+    return weights != nullptr && !weights->footprint_bytes.empty();
+  }
+  bool has_traffic() const {
+    return weights != nullptr && !weights->traffic_bytes.empty();
+  }
+};
+
+/// The tier digits of configuration ids visited in increasing order. A
+/// step to the next id carries like an odometer, so a full sweep is
+/// walked without a division per row; any other id is decoded in full.
+class TierDigits {
+ public:
+  /// Shapes outside what a record can hold are clamped: the encoder then
+  /// rebuilds values that differ and keeps the columns.
+  TierDigits(int num_groups, int num_tiers)
+      : num_groups_(std::clamp(num_groups, 0, ConfigSpace::kMaxGroups)),
+        num_tiers_(static_cast<std::uint8_t>(
+            std::clamp(num_tiers, 2, topo::kNumPoolKinds))) {}
+
+  void seek(ConfigMask mask) {
+    if (mask == mask_ + 1) {
+      for (int g = 0; g < num_groups_; ++g) {
+        if (++digits_[static_cast<std::size_t>(g)] < num_tiers_) break;
+        digits_[static_cast<std::size_t>(g)] = 0;
+      }
+    } else if (mask != mask_) {
+      ConfigMask rest = mask;
+      for (int g = 0; g < num_groups_; ++g, rest /= num_tiers_)
+        digits_[static_cast<std::size_t>(g)] =
+            static_cast<std::uint8_t>(rest % num_tiers_);
+    }
+    mask_ = mask;
+  }
+
+  int size() const { return num_groups_; }
+  int operator[](int group) const {
+    return digits_[static_cast<std::size_t>(group)];
+  }
+
+ private:
+  int num_groups_;
+  std::uint8_t num_tiers_;
+  ConfigMask mask_ = 0;  ///< the id the digits spell; all zero at first
+  std::array<std::uint8_t, ConfigSpace::kMaxGroups> digits_{};
+};
+
+/// One row's derived values. The HBM fractions are 0 where `basis` has
+/// no weights to rebuild them from.
+struct Derived {
+  double speedup = 0.0;
+  double hbm_usage = 0.0;
+  double hbm_density = 0.0;
+  int groups_in_hbm = 0;
+};
+
+Derived derive(const TierDigits& digits, double mean_time,
+               const Basis& basis) {
+  Derived d;
+  d.speedup = speedup_of(basis.baseline, mean_time);
+  const double* footprint =
+      basis.has_footprint() ? basis.weights->footprint_bytes.data() : nullptr;
+  const double* traffic =
+      basis.has_traffic() ? basis.weights->traffic_bytes.data() : nullptr;
+  double in_hbm = 0.0;
+  double served = 0.0;
+  for (int g = 0; g < digits.size(); ++g) {
+    const int tier = digits[g];
+    d.groups_in_hbm += tier != 0;
+    if (tier != static_cast<int>(topo::PoolKind::HBM)) continue;
+    if (footprint != nullptr) in_hbm += footprint[g];
+    if (traffic != nullptr) served += traffic[g];
+  }
+  if (footprint != nullptr)
+    d.hbm_usage = in_hbm / basis.weights->footprint_total;
+  if (traffic != nullptr) {
+    const double total = basis.weights->traffic_total;
+    d.hbm_density = total > 0.0 ? served / total : 0.0;
+  }
+  return d;
+}
+
+/// True when a rebuilt value reproduces the stored one exactly; a
+/// non-finite rebuild never does, since the decoder refuses it.
+bool rebuilds(double rebuilt, double stored) {
+  return std::isfinite(rebuilt) && same(rebuilt, stored);
+}
+
+/// A rebuilt value, which must be finite like every stored one.
+double rebuilt(double value, const char* name) {
+  if (!std::isfinite(value))
+    bad_field(name, "rebuilds to a non-finite value");
+  return value;
+}
+
 /// Configuration rows. The mask column is left out when row i holds mask
-/// i (a full sweep), and restored from the row number on decode.
-Json configs_to_json(const std::vector<ConfigResult>& configs) {
+/// i (a full sweep), and restored from the row number on decode; the
+/// derived columns are left out where their rule holds on every row.
+Json configs_to_json(const std::vector<ConfigResult>& configs,
+                     const Basis& basis) {
   bool identity = true;
-  for (std::size_t i = 0; i < configs.size() && identity; ++i)
-    identity = configs[i].mask == static_cast<ConfigMask>(i);
+  bool speedup = true;
+  bool groups = true;
+  bool usage = basis.has_footprint() && basis.weights->footprint_total > 0.0;
+  bool density = basis.has_traffic();
+  TierDigits digits(basis.num_groups, basis.num_tiers);
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const ConfigResult& c = configs[i];
+    identity = identity && c.mask == static_cast<ConfigMask>(i);
+    digits.seek(c.mask);
+    const Derived d = derive(digits, c.mean_time, basis);
+    speedup = speedup && rebuilds(d.speedup, c.speedup);
+    usage = usage && rebuilds(d.hbm_usage, c.hbm_usage);
+    density = density && rebuilds(d.hbm_density, c.hbm_density);
+    groups = groups && d.groups_in_hbm == c.groups_in_hbm;
+  }
   JsonObject o;
   if (!identity)
     o["mask"] = column(configs, [](const ConfigResult& c) { return c.mask; });
   o["mean_time"] = binary_column(configs, &ConfigResult::mean_time);
   o["stddev_time"] = binary_column(configs, &ConfigResult::stddev_time);
-  o["speedup"] = binary_column(configs, &ConfigResult::speedup);
-  o["hbm_usage"] = binary_column(configs, &ConfigResult::hbm_usage);
-  o["hbm_density"] = binary_column(configs, &ConfigResult::hbm_density);
-  o["groups_in_hbm"] =
-      column(configs, [](const ConfigResult& c) { return c.groups_in_hbm; });
+  if (!speedup) o["speedup"] = binary_column(configs, &ConfigResult::speedup);
+  if (!usage)
+    o["hbm_usage"] = binary_column(configs, &ConfigResult::hbm_usage);
+  if (!density)
+    o["hbm_density"] = binary_column(configs, &ConfigResult::hbm_density);
+  if (!groups)
+    o["groups_in_hbm"] =
+        column(configs, [](const ConfigResult& c) { return c.groups_in_hbm; });
   return Json(std::move(o));
 }
 
 std::vector<ConfigResult> configs_from_json(const Json& columns,
-                                            int num_groups,
+                                            const Basis& basis,
                                             std::size_t space) {
-  const std::size_t rows = columns.at("groups_in_hbm").as_array().size();
+  const std::size_t rows = binary_rows(columns, "mean_time");
   if (rows > space)
-    bad_field("groups_in_hbm",
-              "lists more configurations than the space holds");
+    bad_field("mean_time", "lists more configurations than the space holds");
   std::vector<ConfigResult> configs(rows);
-  if (columns.as_object().contains("mask")) {
+  const JsonObject& stored = columns.as_object();
+  if (stored.contains("mask")) {
     const JsonArray& masks = column_of(columns, "mask", rows);
     for (std::size_t i = 0; i < rows; ++i)
       configs[i].mask = mask_in(masks[i], space, "mask");
@@ -303,15 +471,58 @@ std::vector<ConfigResult> configs_from_json(const Json& columns,
   read_binary_column(columns, "mean_time", configs, &ConfigResult::mean_time);
   read_binary_column(columns, "stddev_time", configs,
                      &ConfigResult::stddev_time);
-  read_binary_column(columns, "speedup", configs, &ConfigResult::speedup);
-  read_binary_column(columns, "hbm_usage", configs, &ConfigResult::hbm_usage);
-  read_binary_column(columns, "hbm_density", configs,
-                     &ConfigResult::hbm_density);
-  const JsonArray& groups = column_of(columns, "groups_in_hbm", rows);
-  for (std::size_t i = 0; i < rows; ++i)
-    configs[i].groups_in_hbm =
-        int_in(groups[i], 0, num_groups, "groups_in_hbm");
+
+  const bool speedup = !stored.contains("speedup");
+  const bool usage = !stored.contains("hbm_usage");
+  const bool density = !stored.contains("hbm_density");
+  const bool groups = !stored.contains("groups_in_hbm");
+  if (!speedup)
+    read_binary_column(columns, "speedup", configs, &ConfigResult::speedup);
+  if (!usage)
+    read_binary_column(columns, "hbm_usage", configs,
+                       &ConfigResult::hbm_usage);
+  else if (!basis.has_footprint())
+    bad_field("hbm_usage", "is left out with no footprint weights");
+  else if (!(basis.weights->footprint_total > 0.0))
+    bad_field("footprint_total", "must be positive to rebuild hbm_usage");
+  if (!density)
+    read_binary_column(columns, "hbm_density", configs,
+                       &ConfigResult::hbm_density);
+  else if (!basis.has_traffic())
+    bad_field("hbm_density", "is left out with no traffic weights");
+  if (!groups) {
+    const JsonArray& values = column_of(columns, "groups_in_hbm", rows);
+    for (std::size_t i = 0; i < rows; ++i)
+      configs[i].groups_in_hbm =
+          int_in(values[i], 0, basis.num_groups, "groups_in_hbm");
+  }
+  if (!(speedup || usage || density || groups)) return configs;
+
+  TierDigits digits(basis.num_groups, basis.num_tiers);
+  for (ConfigResult& c : configs) {
+    digits.seek(c.mask);
+    const Derived d = derive(digits, c.mean_time, basis);
+    if (speedup) c.speedup = rebuilt(d.speedup, "speedup");
+    if (usage) c.hbm_usage = rebuilt(d.hbm_usage, "hbm_usage");
+    if (density) c.hbm_density = rebuilt(d.hbm_density, "hbm_density");
+    if (groups) c.groups_in_hbm = d.groups_in_hbm;
+  }
   return configs;
+}
+
+/// A sweep's weights `name` (one finite, non-negative value per group)
+/// and their total `total_name`, when the record stores them.
+void weights_from_json(const Json& sweep, const char* name,
+                       const char* total_name, std::vector<double>& weights,
+                       double& total, int num_groups) {
+  if (!sweep.as_object().contains(name)) return;
+  weights.resize(static_cast<std::size_t>(num_groups));
+  decode_doubles(sweep, name, weights.size(), [&](std::size_t i, double w) {
+    if (w < 0.0) bad_field(name, "holds a negative weight");
+    weights[i] = w;
+  });
+  total = finite(sweep.at(total_name), total_name);
+  if (total < 0.0) bad_field(total_name, "is negative");
 }
 
 // ------------------------------------------------------------- trajectory
@@ -354,7 +565,12 @@ Json trajectory_to_json(const TuningOutcome& outcome) {
   o["index"] = column(steps, [](const TuningStep& s) { return s.index; });
   o["mask"] = column(steps, [](const TuningStep& s) { return s.mask; });
   o["observed_time"] = binary_column(steps, &TuningStep::observed_time);
-  o["speedup"] = binary_column(steps, &TuningStep::speedup);
+  const bool speedup =
+      std::all_of(steps.begin(), steps.end(), [&](const TuningStep& s) {
+        return rebuilds(speedup_of(outcome.baseline_time, s.observed_time),
+                        s.speedup);
+      });
+  if (!speedup) o["speedup"] = binary_column(steps, &TuningStep::speedup);
   o["accepted"] = column(steps, [](const TuningStep& s) { return s.accepted; });
   return Json(std::move(o));
 }
@@ -384,7 +600,8 @@ std::vector<TuningStep> trajectory_from_sweep(const Json& accepted_steps,
 }
 
 std::vector<TuningStep> trajectory_from_columns(const Json& columns,
-                                                std::size_t space) {
+                                                std::size_t space,
+                                                double baseline) {
   const std::size_t rows = columns.at("index").as_array().size();
   const JsonArray& index = column_of(columns, "index", rows);
   const JsonArray& mask = column_of(columns, "mask", rows);
@@ -397,7 +614,13 @@ std::vector<TuningStep> trajectory_from_columns(const Json& columns,
   }
   read_binary_column(columns, "observed_time", steps,
                      &TuningStep::observed_time);
-  read_binary_column(columns, "speedup", steps, &TuningStep::speedup);
+  if (columns.as_object().contains("speedup")) {
+    read_binary_column(columns, "speedup", steps, &TuningStep::speedup);
+  } else {
+    for (TuningStep& step : steps)
+      step.speedup =
+          rebuilt(speedup_of(baseline, step.observed_time), "speedup");
+  }
   return steps;
 }
 
@@ -424,13 +647,31 @@ Json outcome_to_json(const TuningOutcome& outcome) {
   o["configs_measured"] = Json(outcome.configs_measured);
   o["measurements"] = Json(outcome.measurements);
   o["trajectory"] = trajectory_to_json(outcome);
-  o["table"] = configs_to_json(outcome.table);
+  o["table"] = configs_to_json(
+      outcome.table,
+      Basis{outcome.num_groups, outcome.num_tiers, outcome.baseline_time});
   if (outcome.sweep.has_value()) {
+    const SweepResult& s = *outcome.sweep;
     JsonObject sweep;
-    sweep["baseline_time"] = Json(outcome.sweep->baseline_time);
-    sweep["num_groups"] = Json(outcome.sweep->num_groups);
-    sweep["num_tiers"] = Json(outcome.sweep->num_tiers);
-    sweep["configs"] = configs_to_json(outcome.sweep->configs);
+    sweep["baseline_time"] = Json(s.baseline_time);
+    sweep["num_groups"] = Json(s.num_groups);
+    sweep["num_tiers"] = Json(s.num_tiers);
+    const auto weights = [&](const char* name, const char* total_name,
+                             const std::vector<double>& values,
+                             double total) {
+      if (values.empty()) return;
+      if (values.size() != static_cast<std::size_t>(s.num_groups))
+        bad_field(name, "does not hold one weight per group");
+      sweep[name] = encode_doubles(values.size(),
+                                   [&](std::size_t i) { return values[i]; });
+      sweep[total_name] = Json(total);
+    };
+    weights("footprint_bytes", "footprint_total", s.footprint_bytes,
+            s.footprint_total);
+    weights("traffic_bytes", "traffic_total", s.traffic_bytes,
+            s.traffic_total);
+    sweep["configs"] = configs_to_json(
+        s.configs, Basis{s.num_groups, s.num_tiers, s.baseline_time, &s});
     o["sweep"] = Json(std::move(sweep));
   }
   return Json(std::move(o));
@@ -469,7 +710,9 @@ TuningOutcome outcome_from_json(const Json& json) {
       int_in(json.at("configs_measured"), 0, INT_MAX, "configs_measured");
   out.measurements =
       int_in(json.at("measurements"), 0, INT_MAX, "measurements");
-  out.table = configs_from_json(json.at("table"), out.num_groups, space);
+  out.table = configs_from_json(
+      json.at("table"),
+      Basis{out.num_groups, out.num_tiers, out.baseline_time}, space);
   if (const Json* sweep = json.as_object().find("sweep")) {
     SweepResult s;
     s.baseline_time = finite(sweep->at("baseline_time"), "baseline_time");
@@ -477,8 +720,14 @@ TuningOutcome outcome_from_json(const Json& json) {
                           ConfigSpace::kMaxGroups, "num_groups");
     s.num_tiers =
         int_in(sweep->at("num_tiers"), 2, topo::kNumPoolKinds, "num_tiers");
-    s.configs = configs_from_json(sweep->at("configs"), s.num_groups,
-                                  space_size(s.num_groups, s.num_tiers));
+    weights_from_json(*sweep, "footprint_bytes", "footprint_total",
+                      s.footprint_bytes, s.footprint_total, s.num_groups);
+    weights_from_json(*sweep, "traffic_bytes", "traffic_total",
+                      s.traffic_bytes, s.traffic_total, s.num_groups);
+    s.configs = configs_from_json(
+        sweep->at("configs"),
+        Basis{s.num_groups, s.num_tiers, s.baseline_time, &s},
+        space_size(s.num_groups, s.num_tiers));
     out.sweep = std::move(s);
   }
   const Json& trajectory = json.at("trajectory");
@@ -487,7 +736,8 @@ TuningOutcome outcome_from_json(const Json& json) {
       bad_field("accepted_steps", "needs a sweep to derive from");
     out.trajectory = trajectory_from_sweep(*accepted, *out.sweep);
   } else {
-    out.trajectory = trajectory_from_columns(trajectory, space);
+    out.trajectory =
+        trajectory_from_columns(trajectory, space, out.baseline_time);
   }
   return out;
 }

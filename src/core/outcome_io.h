@@ -3,9 +3,12 @@
 // The campaign engine persists every finished scenario as JSON so a re-run
 // can skip it (--resume) and external tooling can aggregate fleets of runs;
 // hmpt_analyze --json reuses the same serialiser for single runs. The
-// format is a faithful field-for-field dump: an outcome parsed back from
-// its JSON compares equal to the original (covered by tests), which is
-// what makes the on-disk outcome store a cache rather than a lossy log.
+// format is lossless: fields the decoder can rebuild bit for bit (mask
+// ids, speedups, HBM fractions, group counts, an exhaustive trajectory)
+// are left out, and every other field is stored exactly, so an outcome
+// parsed back from its JSON compares equal to the original (covered by
+// tests). That is what makes the on-disk outcome store a cache rather
+// than a lossy log.
 #pragma once
 
 #include "common/json.h"

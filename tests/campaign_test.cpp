@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <thread>
@@ -25,6 +26,7 @@
 #include "campaign/platforms.h"
 #include "core/outcome_io.h"
 #include "core/session.h"
+#include "obs/metrics.h"
 #include "report/report.h"
 #include "simmem/config.h"
 #include "simmem/simulator.h"
@@ -491,6 +493,19 @@ void expect_same_outcome(const tuner::TuningOutcome& a,
     EXPECT_EQ(a.sweep->num_groups, b.sweep->num_groups) << what;
     EXPECT_EQ(a.sweep->num_tiers, b.sweep->num_tiers) << what;
     expect_same_configs(a.sweep->configs, b.sweep->configs, what + " sweep");
+    const auto same_weights = [](const std::vector<double>& x,
+                                 const std::vector<double>& y) {
+      return x.size() == y.size() &&
+             std::equal(x.begin(), x.end(), y.begin(), same_bits);
+    };
+    EXPECT_TRUE(same_weights(a.sweep->footprint_bytes,
+                             b.sweep->footprint_bytes)) << what;
+    EXPECT_TRUE(same_bits(a.sweep->footprint_total,
+                          b.sweep->footprint_total)) << what;
+    EXPECT_TRUE(same_weights(a.sweep->traffic_bytes,
+                             b.sweep->traffic_bytes)) << what;
+    EXPECT_TRUE(same_bits(a.sweep->traffic_total, b.sweep->traffic_total))
+        << what;
   }
 }
 
@@ -544,8 +559,9 @@ TEST(OutcomeIoTest, OutcomeJsonRoundTripsForEveryStrategy) {
                 std::string(run.strategy) == "exhaustive");
 
       // The derivation rules fired exactly where they are lossless: only
-      // a Gray-order sweep drops its trajectory to the accepted steps,
-      // and a full sweep never stores its mask column.
+      // a Gray-order sweep drops its trajectory to the accepted steps, a
+      // full sweep stores neither its mask column nor a derived one, and
+      // every strategy's speedups rebuild from the baseline.
       const JsonObject& trajectory = encoded.at("trajectory").as_object();
       EXPECT_EQ(trajectory.contains("accepted_steps"),
                 outcome.sweep.has_value() && run.gray)
@@ -553,10 +569,16 @@ TEST(OutcomeIoTest, OutcomeJsonRoundTripsForEveryStrategy) {
       EXPECT_EQ(trajectory.contains("mask"),
                 !trajectory.contains("accepted_steps"))
           << what;
+      EXPECT_FALSE(trajectory.contains("speedup")) << what;
+      const JsonObject& table = encoded.at("table").as_object();
+      EXPECT_FALSE(table.contains("speedup")) << what;
+      EXPECT_FALSE(table.contains("groups_in_hbm")) << what;
       if (outcome.sweep.has_value()) {
-        EXPECT_FALSE(encoded.at("sweep").at("configs").as_object().contains(
-            "mask"))
-            << what;
+        const JsonObject& configs =
+            encoded.at("sweep").at("configs").as_object();
+        for (const char* column : {"mask", "speedup", "hbm_usage",
+                                   "hbm_density", "groups_in_hbm"})
+          EXPECT_FALSE(configs.contains(column)) << what << " " << column;
       }
     }
   }
@@ -591,6 +613,128 @@ TEST(OutcomeIoTest, TrajectoryIsDerivedOnlyWhenBitIdentical) {
         tuner::outcome_from_json(Json::parse(encoded.dump(-1))), *changed,
         "changed trajectory");
   }
+}
+
+TEST(OutcomeIoTest, DerivedColumnsAreLeftOutOnlyWhenBitIdentical) {
+  // A one-ULP change to one row of a derived column (one group more, for
+  // the integer column) makes that column, and only it, fall back to
+  // being stored, and the record still round-trips exactly.
+  auto simulator = sim::MachineSimulator::cxl_tiered_platform();
+  const auto app = workloads::make_mg_model(simulator);
+  const auto session = [&](const char* strategy, bool gray) {
+    return tuner::Session::on(simulator)
+        .workload(app.workload)
+        .context(app.context)
+        .strategy(strategy)
+        .gray_order(gray)
+        .run();
+  };
+  const auto sweep = session("exhaustive", true);
+  const auto natural = session("exhaustive", false);  // columnar trajectory
+  const auto online = session("online", true);        // a measured table
+  ASSERT_TRUE(sweep.sweep.has_value());
+  ASSERT_FALSE(online.table.empty());
+  const auto ulp = [](double& value) {
+    value = std::nextafter(value, 1e300);
+  };
+  struct Change {
+    const char* what;
+    const char* section;  ///< "sweep", "table" or "trajectory"
+    const char* column;
+    tuner::TuningOutcome outcome;
+  };
+  std::vector<Change> changes;
+  const auto add = [&](const char* what, const char* section,
+                       const char* column, tuner::TuningOutcome outcome) {
+    changes.push_back({what, section, column, std::move(outcome)});
+  };
+  {
+    auto o = sweep;
+    ulp(o.sweep->configs[7].speedup);
+    o.trajectory.clear();  // no longer a copy of the sweep
+    add("sweep speedup", "sweep", "speedup", o);
+  }
+  {
+    auto o = sweep;
+    ulp(o.sweep->configs[7].hbm_usage);
+    add("sweep hbm_usage", "sweep", "hbm_usage", o);
+  }
+  {
+    auto o = sweep;
+    ulp(o.sweep->configs.back().hbm_density);
+    add("sweep hbm_density", "sweep", "hbm_density", o);
+  }
+  {
+    auto o = sweep;
+    ++o.sweep->configs[0].groups_in_hbm;
+    add("sweep groups_in_hbm", "sweep", "groups_in_hbm", o);
+  }
+  {
+    auto o = online;
+    ulp(o.table.back().speedup);
+    add("table speedup", "table", "speedup", o);
+  }
+  {
+    auto o = online;
+    ++o.table.front().groups_in_hbm;
+    add("table groups_in_hbm", "table", "groups_in_hbm", o);
+  }
+  {
+    auto o = natural;
+    ulp(o.trajectory[3].speedup);
+    add("trajectory speedup", "trajectory", "speedup", o);
+  }
+  const auto columns = [](const Json& encoded, const std::string& section) {
+    const Json& at = encoded.at(section);
+    return section == "sweep" ? at.at("configs").as_object() : at.as_object();
+  };
+  for (const auto& change : changes) {
+    const Json before = tuner::outcome_to_json(
+        change.section == std::string("table") ? online
+        : change.section == std::string("sweep") ? sweep
+                                                 : natural);
+    const Json after = tuner::outcome_to_json(change.outcome);
+    EXPECT_FALSE(columns(before, change.section).contains(change.column))
+        << change.what;
+    EXPECT_TRUE(columns(after, change.section).contains(change.column))
+        << change.what;
+    // The other columns of the section are still left out.
+    EXPECT_EQ(columns(after, change.section).size(),
+              columns(before, change.section).size() + 1)
+        << change.what;
+    expect_same_outcome(
+        tuner::outcome_from_json(Json::parse(after.dump(-1))), change.outcome,
+        change.what);
+  }
+}
+
+TEST(OutcomeIoTest, ThreeTierSweepRecordFitsTheSizeGate) {
+  // The record of a full 3^8 sweep (bt on spr-cxl, 6,561 configurations)
+  // stores only its measured columns and the sweep's weights: every
+  // derivation rule fires, and the record stays within the byte gate CI
+  // also checks on the hmpt_campaign output.
+  Scenario s;
+  s.workload = parse_workload_spec("bt");
+  s.platform = "spr-cxl";
+  s.strategy = "exhaustive";
+  s.tiers = 3;
+  const auto outcome = CampaignRunner::execute(s);
+  ASSERT_TRUE(outcome.sweep.has_value());
+  ASSERT_EQ(outcome.sweep->configs.size(), 6561u);
+  const std::string payload = OutcomeStore::make_payload(s, outcome);
+  EXPECT_LE(payload.size(), 150000u);
+  const Json doc = Json::parse(payload);
+  const Json& sweep = doc.at("outcome").at("sweep");
+  for (const char* weights : {"footprint_bytes", "footprint_total",
+                              "traffic_bytes", "traffic_total"})
+    EXPECT_TRUE(sweep.as_object().contains(weights)) << weights;
+  const JsonObject& configs = sweep.at("configs").as_object();
+  for (const char* derived :
+       {"speedup", "hbm_usage", "hbm_density", "groups_in_hbm"})
+    EXPECT_FALSE(configs.contains(derived)) << derived;
+  EXPECT_EQ(configs.size(), 2u);  // mean_time and stddev_time
+  expect_same_outcome(tuner::outcome_from_json(doc.at("outcome")), outcome,
+                      "bt 3^8");
 }
 
 /// RFC 4648 base64 (padded) of `values` as little-endian binary64, built
@@ -646,7 +790,7 @@ tuner::TuningOutcome with_rows(tuner::TuningOutcome outcome, std::size_t rows,
     row.speedup = at(i, 2);
     row.hbm_usage = at(i, 3);
     row.hbm_density = at(i, 4);
-    row.groups_in_hbm = static_cast<int>(i % 3);
+    row.groups_in_hbm = static_cast<int>(i % 3) + 1;  // never derived
     auto& step = outcome.trajectory[i];
     step.index = static_cast<int>(i + 1);
     step.mask = static_cast<tuner::ConfigMask>(i);
@@ -688,8 +832,15 @@ TEST(OutcomeIoTest, BinaryColumnsRoundTripBitExactly) {
     EXPECT_EQ(encoded.at("trajectory").at("observed_time").as_string(),
               base64_le(observed))
         << what;
-    // Integer and bool columns stay JSON numbers and bools.
-    EXPECT_EQ(encoded.at("table").at("groups_in_hbm").as_array().size(), rows);
+    // Integer and bool columns stay JSON numbers and bools. (Every rule
+    // holds on no rows, so an empty table stores no derived column.)
+    EXPECT_EQ(encoded.at("table").as_object().contains("groups_in_hbm"),
+              rows > 0)
+        << what;
+    if (rows > 0) {
+      EXPECT_EQ(encoded.at("table").at("groups_in_hbm").as_array().size(),
+                rows);
+    }
     EXPECT_EQ(encoded.at("trajectory").at("accepted").as_array().size(), rows);
     const std::string text = encoded.dump(-1);
     EXPECT_EQ(Json::parse(text).dump(-1), text) << what;  // a fixed point
@@ -904,6 +1055,56 @@ std::vector<HostileCase> binary_column_cases(const Scenario& scenario) {
   return cases;
 }
 
+/// Records whose derived columns cannot be rebuilt, on the records of
+/// `sweep` (a 3-group exhaustive run, which stores weights and no derived
+/// column) and `online` (whose table has no weights).
+std::vector<HostileCase> derivation_cases(const Scenario& sweep,
+                                          const Scenario& online) {
+  const auto outcome = CampaignRunner::execute(sweep);
+  const std::string good = OutcomeStore::make_payload(sweep, outcome);
+  const std::string good_online =
+      OutcomeStore::make_payload(online, CampaignRunner::execute(online));
+  const std::string at = "\"sweep\":";
+  const auto quoted = [](const std::vector<double>& values) {
+    return "\"" + base64_le(values) + "\"";
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> means;
+  for (const auto& c : outcome.sweep->configs) means.push_back(c.mean_time);
+  means[5] = 0.0;  // speedup = baseline / 0
+  std::vector<HostileCase> cases = {
+      {"footprint weights of the wrong length", &sweep,
+       with_column(good, at, "footprint_bytes", quoted({1.0, 2.0}))},
+      {"traffic weights of the wrong length", &sweep,
+       with_column(good, at, "traffic_bytes", quoted({1.0, 2.0, 3.0, 4.0}))},
+      {"a non-finite footprint weight", &sweep,
+       with_column(good, at, "footprint_bytes", quoted({1.0, inf, 1.0}))},
+      {"a negative traffic weight", &sweep,
+       with_column(good, at, "traffic_bytes", quoted({1.0, -1.0, 1.0}))},
+      {"a negative traffic total", &sweep,
+       with_value(good, at, "traffic_total", "-1")},
+      {"a non-finite footprint total", &sweep,
+       with_value(good, at, "footprint_total", "1e999")},
+      {"zero footprint total with hbm_usage left out", &sweep,
+       with_value(good, at, "footprint_total", "0")},
+      {"negative footprint total with hbm_usage left out", &sweep,
+       with_value(good, at, "footprint_total", "-5")},
+      {"hbm_usage left out with no footprint weights", &sweep,
+       with_text(good, "\"footprint_bytes\":", "\"footprint_byte\":")},
+      {"hbm_density left out with no traffic weights", &sweep,
+       with_text(good, "\"traffic_bytes\":", "\"traffic_byte\":")},
+      {"table hbm_usage left out with no weights", &online,
+       with_text(good_online, "\"hbm_usage\":\"", "\"hbm_usagex\":\"")},
+      {"speedup rebuilt as +inf", &sweep,
+       with_column(good, "\"configs\":", "mean_time", quoted(means))},
+      {"hbm_usage rebuilt as +inf", &sweep,
+       with_value(good, at, "footprint_total", "1e-320")},
+  };
+  EXPECT_NO_THROW(tuner::outcome_from_json(Json::parse(good).at("outcome")));
+  for (const auto& c : cases) EXPECT_NE(c.payload, good) << c.name;
+  return cases;
+}
+
 TEST(OutcomeStoreTest, OutOfRangeRecordsReadAsDamaged) {
   // Each record below is well-formed JSON carrying the right version and
   // fingerprint, but one decoded value is out of range. Every one must
@@ -925,6 +1126,11 @@ TEST(OutcomeStoreTest, OutOfRangeRecordsReadAsDamaged) {
   const std::string cols = "\"configs\":";
   const std::string traj = "\"trajectory\":";
   const std::string table = "\"table\":";
+  // A groups_in_hbm column (which a sweep record leaves out) whose first
+  // row claims more groups than the space has.
+  std::string bad_groups = "\"groups_in_hbm\":[4";
+  for (int i = 1; i < 27; ++i) bad_groups += ",0";
+  bad_groups += "],";
 
   std::vector<HostileCase> cases = {
       {"num_tiers above kNumPoolKinds", &sweep,
@@ -942,9 +1148,11 @@ TEST(OutcomeStoreTest, OutOfRangeRecordsReadAsDamaged) {
       {"non-finite baseline", &sweep,
        with_value(good_sweep, o, "baseline_time", "1e999")},
       {"sweep column shorter than the others", &sweep,
-       with_text(good_sweep, "\"groups_in_hbm\":[0,", "\"groups_in_hbm\":[")},
+       with_column(good_sweep, cols, "stddev_time",
+                   "\"" + base64_le(std::vector<double>(26, 0.0)) + "\"")},
       {"sweep groups_in_hbm above num_groups", &sweep,
-       with_value(good_sweep, cols, "groups_in_hbm", "4")},
+       with_text(good_sweep, "\"configs\":{",
+                 "\"configs\":{" + bad_groups)},
       {"sweep wider than its space", &sweep,
        with_value(good_sweep, "\"sweep\":", "num_tiers", "2")},
       {"accepted step zero", &sweep,
@@ -968,6 +1176,8 @@ TEST(OutcomeStoreTest, OutOfRangeRecordsReadAsDamaged) {
   };
 
   for (auto& c : binary_column_cases(online)) cases.push_back(std::move(c));
+  for (auto& c : derivation_cases(sweep, online))
+    cases.push_back(std::move(c));
 
   for (const auto format : {StoreFormat::Dir, StoreFormat::Packed}) {
     for (const auto& c : cases) {
@@ -1319,6 +1529,85 @@ TEST_F(PackedStoreTest, DamagedRecordIsSupersededNotConflicting) {
   auto conflicting = o;
   conflicting.speedup += 1.0;
   EXPECT_THROW(store.save(s, conflicting), Error);
+}
+
+TEST_F(PackedStoreTest, AppendsScanOneFramePerSaveNotTheWholeLog) {
+  // Each save re-reads only the frame it wrote last (the log must still
+  // end there) and whatever other writers appended since, so the bytes
+  // scanned per save stay one frame however long the log grows. A
+  // shrink falls back to the full rescan; first-write-wins spans writers.
+  StoreDir dir("hmpt_packed_linear");
+  const OutcomeStore store(dir.path(), StoreFormat::Packed);
+  const std::string outcome =
+      json_of(CampaignRunner::execute(scenario_with_reps(1)));
+  const auto fingerprint = [](int i) {
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016x", i);
+    return std::string(hex);
+  };
+  const auto payload = [&](int i, const std::string& scenario = "{}") {
+    return "{\"format_version\":" + std::to_string(kFingerprintVersion) +
+           ",\"fingerprint\":\"" + fingerprint(i) + "\",\"scenario\":" +
+           scenario + ",\"outcome\":" + outcome + "}";
+  };
+  const std::uint64_t frame = std::string("hmpt1 ").size() + 16 + 1 +
+                              std::to_string(payload(0).size()).size() + 1 +
+                              payload(0).size() + 1;
+  const obs::Counter& scanned =
+      obs::metrics().counter("store.packed_save_scan_bytes");
+
+  constexpr int kRecords = 2000;
+  const std::uint64_t start = scanned.value();
+  for (int i = 0; i < kRecords; ++i) {
+    const std::uint64_t before = scanned.value();
+    store.save_payload(fingerprint(i), payload(i));
+    ASSERT_LE(scanned.value() - before, frame) << "save " << i;
+  }
+  EXPECT_LE(scanned.value() - start, kRecords * frame);
+  EXPECT_EQ(log_size(dir.path()), kRecords * frame);
+
+  // Another writer's append is picked up by the next save's scan.
+  const OutcomeStore other(dir.path(), StoreFormat::Packed);
+  other.save_payload(fingerprint(kRecords), payload(kRecords));
+  std::uint64_t before = scanned.value();
+  store.save_payload(fingerprint(kRecords + 1), payload(kRecords + 1));
+  EXPECT_LE(scanned.value() - before, 2 * frame);
+  EXPECT_THROW(store.save_payload(fingerprint(kRecords),
+                                  payload(kRecords, "{\"x\":1}")),
+               Error);
+  store.save_payload(fingerprint(kRecords), payload(kRecords));  // no-op
+  EXPECT_EQ(log_size(dir.path()), (kRecords + 2) * frame);
+
+  // Cutting the last record off shrinks the log: the next save rescans
+  // it whole and then appends.
+  fs::resize_file(fs::path(dir.path()) / "outcomes.log",
+                  (kRecords + 1) * frame);
+  before = scanned.value();
+  store.save_payload(fingerprint(kRecords + 2), payload(kRecords + 2));
+  EXPECT_EQ(scanned.value() - before, (kRecords + 1) * frame);
+
+  // A log of the same length whose frames moved (the first one rotated
+  // to the end) no longer holds the cached tail where the cache says:
+  // the next save rescans it whole.
+  const auto log = fs::path(dir.path()) / "outcomes.log";
+  std::string bytes;
+  {
+    std::ifstream is(log, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(is), {});
+  }
+  ASSERT_EQ(bytes.size(), (kRecords + 2) * frame);
+  {
+    std::ofstream os(log, std::ios::binary | std::ios::trunc);
+    os << bytes.substr(frame) << bytes.substr(0, frame);
+  }
+  before = scanned.value();
+  store.save_payload(fingerprint(kRecords + 3), payload(kRecords + 3));
+  EXPECT_EQ(scanned.value() - before, (kRecords + 2) * frame);
+
+  const auto all = OutcomeStore::open_existing(dir.path()).load_all_payloads();
+  ASSERT_EQ(all.size(), static_cast<std::size_t>(kRecords + 3));
+  EXPECT_EQ(all.front().second, payload(0));
+  EXPECT_EQ(all.back().second, payload(kRecords + 3));
 }
 
 // ----------------------------------------------------------------- runner

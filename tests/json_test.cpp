@@ -170,6 +170,40 @@ TEST(JsonTest, ControlCharactersEscape) {
   }
 }
 
+TEST(JsonTest, StringsRoundTripEveryByte) {
+  // Every byte value alone, and all 256 in one string, survive dump +
+  // parse unchanged; so does each byte placed at every offset of a
+  // 24-byte plain run, which covers each position in an 8-byte word.
+  std::string all;
+  for (int b = 0; b < 256; ++b) {
+    const std::string one(1, static_cast<char>(b));
+    all += one;
+    EXPECT_EQ(Json::parse(Json(one).dump(-1)).as_string(), one) << b;
+    for (std::size_t at = 0; at < 24; ++at) {
+      std::string text(24, 'x');
+      text[at] = static_cast<char>(b);
+      EXPECT_EQ(Json::parse(Json(text).dump(-1)).as_string(), text)
+          << b << " at " << at;
+    }
+  }
+  EXPECT_EQ(Json::parse(Json(all).dump(-1)).as_string(), all);
+}
+
+TEST(JsonTest, UnescapedControlBytesAreRejected) {
+  // RFC 8259: a string holds U+0000-U+001F only escaped (the writer
+  // always escapes them). Each control byte is refused raw, at every
+  // offset of a word-sized run, while DEL and bytes >= 0x80 stay legal.
+  for (int b = 0; b < 0x20; ++b) {
+    for (std::size_t at = 0; at < 17; ++at) {
+      std::string text = "\"" + std::string(17, 'y') + "\"";
+      text[1 + at] = static_cast<char>(b);
+      EXPECT_THROW(Json::parse(text), Error) << b << " at " << at;
+    }
+  }
+  EXPECT_EQ(Json::parse("\"a\x7f\xc3\xa9\xff\"").as_string(),
+            "a\x7f\xc3\xa9\xff");
+}
+
 TEST(JsonTest, AccessorsEnforceKinds) {
   const Json doc = Json::parse("{\"a\": 1}");
   EXPECT_THROW(doc.as_array(), Error);
