@@ -34,6 +34,43 @@ const char* to_string(ScenarioRun::Status status) {
   return "?";
 }
 
+ScenarioExecution execute_and_store(
+    const Scenario& scenario, const std::string& fingerprint,
+    const OutcomeStore& store, const RetryPolicy& policy,
+    const std::function<tuner::TuningOutcome(const CancelToken&)>& body,
+    const CancelToken* parent) {
+  ScenarioExecution result;
+  const auto start = Clock::now();
+  const RetryResult retried = run_with_retries(
+      policy, stream_of(fingerprint),
+      [&](const CancelToken& token) {
+        obs::TraceSpan span("campaign", "attempt");
+        span.arg("fingerprint", fingerprint);
+        token.check();
+        auto outcome = body(token);
+        store.save(scenario, outcome);
+        result.outcome = std::move(outcome);
+      },
+      parent);
+  result.seconds = seconds_since(start);
+  result.attempts = retried.attempts();
+  for (const auto& failure : retried.failures)
+    if (failure.error.find("timeout:") != std::string::npos)
+      ++result.timeouts;
+  if (!retried.ok) {
+    result.error = retried.failures.size() == 1
+                       ? retried.failures.front().error
+                       : "after " + std::to_string(result.attempts) +
+                             " attempts: " + format_attempts(retried.failures);
+  }
+
+  static obs::Counter& retries = obs::metrics().counter("scenario.retries");
+  static obs::Counter& timeouts = obs::metrics().counter("scenario.timeouts");
+  retries.add(static_cast<std::uint64_t>(result.attempts - 1));
+  timeouts.add(static_cast<std::uint64_t>(result.timeouts));
+  return result;
+}
+
 CampaignRunner::CampaignRunner(CampaignOptions options)
     : options_(std::move(options)),
       store_(options_.output_dir, options_.store_format) {
@@ -119,37 +156,24 @@ CampaignResult CampaignRunner::run(const std::vector<Scenario>& scenarios,
           return;
         }
       }
-      // The same failure model the daemon scheduler applies: retry
-      // transient failures with deterministic backoff (the fingerprint
-      // seeds the jitter stream), give each attempt a cooperative
-      // deadline, stop on terminal errors.
+      // The executor the daemon scheduler shares: transient failures
+      // retry with deterministic backoff, each attempt has a cooperative
+      // deadline, terminal errors stop the loop.
       RetryPolicy policy;
       policy.max_attempts = options_.attempts;
       policy.attempt_deadline_s = options_.scenario_timeout_s;
-      const auto start = Clock::now();
-      const auto attempted = attempt_with_retries(
-          policy, stream_of(run.fingerprint),
-          [&](const CancelToken& token) {
-            obs::TraceSpan attempt_span("campaign", "attempt");
-            attempt_span.arg("fingerprint", run.fingerprint);
-            token.check();
-            auto outcome = execute(run.scenario, options_.measure_jobs);
-            store_.save(run.scenario, outcome);
-            return outcome;
+      auto executed = execute_and_store(
+          run.scenario, run.fingerprint, store_, policy,
+          [&](const CancelToken&) {
+            return execute(run.scenario, options_.measure_jobs);
           });
-      run.seconds = seconds_since(start);
-      run.attempts = attempted.attempt_count();
+      run.seconds = executed.seconds;
+      run.attempts = executed.attempts;
       span.arg_number("attempts", static_cast<std::uint64_t>(run.attempts));
-      if (attempted.ok()) {
-        run.outcome = std::move(*attempted.value);
-        run.status = ScenarioRun::Status::Executed;
-        span.arg("status", "executed");
-      } else if (attempted.attempts.size() == 1) {
-        raise(attempted.attempts.front().error);
-      } else {
-        raise("after " + std::to_string(run.attempts) +
-              " attempts: " + format_attempts(attempted.attempts));
-      }
+      if (!executed.ok()) raise(executed.error);
+      run.outcome = std::move(*executed.outcome);
+      run.status = ScenarioRun::Status::Executed;
+      span.arg("status", "executed");
     } catch (const std::exception& e) {
       if (!options_.keep_going) throw;  // the pool rethrows to the caller
       run.status = ScenarioRun::Status::Failed;

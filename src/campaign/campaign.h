@@ -13,17 +13,23 @@
 // aggregation (runs.csv, ranked summaries) is deterministic and a resumed
 // campaign reproduces its artefacts byte-for-byte.
 //
+// CampaignRunner and the hmptd scheduler share one scenario executor,
+// execute_and_store(): a batch run and a daemon job retry, store and
+// fail alike.
+//
 // Scaling beyond one process: shard_scenarios (scenario.h) deals the
 // campaign into disjoint slices, each run by its own CampaignRunner with
 // its own store, and merge.h reassembles the stores losslessly.
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "campaign/outcome_store.h"
 #include "campaign/scenario.h"
+#include "common/retry.h"
 #include "core/strategy.h"
 
 namespace hmpt::campaign {
@@ -52,7 +58,7 @@ struct CampaignOptions {
   int attempts = 1;
   /// Per-attempt deadline in seconds; 0 = none. Enforcement is
   /// cooperative (checked at attempt boundaries): an expired deadline
-  /// fails the attempt and stops further ones.
+  /// fails the attempt, and it is retried while attempts remain.
   double scenario_timeout_s = 0.0;
 };
 
@@ -102,6 +108,31 @@ struct CampaignResult {
 /// finishes. `index` is the position in the scenario list.
 using ScenarioCallback =
     std::function<void(std::size_t index, const ScenarioRun& run)>;
+
+/// What execute_and_store() did with one scenario.
+struct ScenarioExecution {
+  std::optional<tuner::TuningOutcome> outcome;  ///< stored; empty on failure
+  /// On failure: the one attempt's error, or "after N attempts: attempt
+  /// 1: <error> (0.12s); ..." when there were several.
+  std::string error;
+  int attempts = 0;      ///< attempts made, retries included
+  int timeouts = 0;      ///< attempts that ended in a "timeout:" error
+  double seconds = 0.0;  ///< wall time of every attempt and backoff
+
+  bool ok() const { return outcome.has_value(); }
+};
+
+/// The scenario executor: run `body` under `policy` until an attempt
+/// succeeds (the fingerprint seeds the jitter), each attempt in a
+/// campaign/attempt span that checks the token first, then save the
+/// outcome to `store` — a failed save fails the attempt. Counts
+/// `scenario.retries` and `scenario.timeouts`. Cancelling `parent`
+/// reaches the attempt in flight.
+ScenarioExecution execute_and_store(
+    const Scenario& scenario, const std::string& fingerprint,
+    const OutcomeStore& store, const RetryPolicy& policy,
+    const std::function<tuner::TuningOutcome(const CancelToken&)>& body,
+    const CancelToken* parent = nullptr);
 
 class CampaignRunner {
  public:

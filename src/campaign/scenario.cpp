@@ -188,6 +188,18 @@ std::string Scenario::fingerprint() const {
   return buf;
 }
 
+void Scenario::validate() const {
+  if (tiers != 0 && tiers < 2)
+    raise("tiers must be 0 (platform native) or >= 2");
+  if (!(std::isfinite(budget_gb) && budget_gb >= 0.0))
+    raise("budget-gb must be >= 0");
+  for (const auto& [tier, gb] : tier_budgets_gb)
+    if (tier < 1 || !(std::isfinite(gb) && gb >= 0.0))
+      raise("tier-budget-gb needs tier >= 1 and budget >= 0");
+  if (repetitions < 1) raise("reps must be >= 1");
+  if (top_k < 1) raise("top-k must be >= 1");
+}
+
 Json Scenario::to_json() const {
   JsonObject o;
   o["workload"] = Json(workload.to_string());
@@ -225,6 +237,7 @@ Scenario Scenario::from_json(const Json& json) {
   }
   s.repetitions = json.at("repetitions").as_int();
   s.top_k = json.at("top_k").as_int();
+  s.validate();
   return s;
 }
 
@@ -345,8 +358,6 @@ std::vector<Scenario> shard_scenarios(const std::vector<Scenario>& scenarios,
 
 std::vector<Scenario> ScenarioMatrix::expand() const {
   HMPT_REQUIRE(!workloads.empty(), "campaign declares no workloads");
-  HMPT_REQUIRE(repetitions >= 1, "campaign reps must be >= 1");
-  HMPT_REQUIRE(top_k >= 1, "campaign top-k must be >= 1");
 
   // Empty axes take their defaults, so every front end (CLI flags,
   // campaign files, daemon submissions) shares one notion of "unset".
@@ -373,16 +384,8 @@ std::vector<Scenario> ScenarioMatrix::expand() const {
     if (!tuner::StrategyRegistry::instance().contains(strategy))
       raise("unknown strategy: '" + strategy + "'");
   }
-  for (const int t : tiers)
-    HMPT_REQUIRE(t == 0 || t >= 2,
-                 "campaign tiers must be 0 (platform native) or >= 2");
-  for (const double gb : budgets_gb)
-    HMPT_REQUIRE(gb >= 0.0, "campaign budget-gb must be >= 0");
   auto sorted_tier_budgets = tier_budgets_gb;
   std::sort(sorted_tier_budgets.begin(), sorted_tier_budgets.end());
-  for (const auto& [tier, gb] : sorted_tier_budgets)
-    HMPT_REQUIRE(tier >= 1 && gb >= 0.0,
-                 "campaign tier-budget-gb needs tier >= 1 and budget >= 0");
 
   std::vector<Scenario> out;
   std::set<std::string> seen;
@@ -401,6 +404,7 @@ std::vector<Scenario> ScenarioMatrix::expand() const {
             s.tier_budgets_gb = sorted_tier_budgets;
             s.repetitions = repetitions;
             s.top_k = top_k;
+            s.validate();
             if (seen.insert(s.fingerprint()).second)
               out.push_back(std::move(s));
           }

@@ -47,8 +47,13 @@ struct Scenario {
   /// 16-hex-digit FNV-1a hash of canonical().
   std::string fingerprint() const;
 
+  /// Throws hmpt::Error naming the field ("top-k must be >= 1") unless
+  /// tiers is 0 or >= 2, budgets are finite and >= 0 on tiers >= 1, and
+  /// reps and top-k are >= 1. expand() and from_json() both call it.
+  void validate() const;
+
   /// Lossless serialisation: from_json(to_json()) preserves canonical()
-  /// and so the fingerprint (covered by tests).
+  /// and so the fingerprint (covered by tests). from_json validates.
   Json to_json() const;
   static Scenario from_json(const Json& json);
 };

@@ -70,9 +70,14 @@ struct CancelToken::State {
   bool canceled = false;
   bool has_deadline = false;
   Clock::time_point deadline{};
+  /// Tokens derived by child(); a cancel reaches the ones still alive.
+  std::vector<std::weak_ptr<State>> children;
 };
 
 CancelToken::CancelToken() : state_(std::make_shared<State>()) {}
+
+CancelToken::CancelToken(std::shared_ptr<State> state)
+    : state_(std::move(state)) {}
 
 void CancelToken::set_deadline_after(double seconds) {
   const auto deadline =
@@ -87,11 +92,32 @@ void CancelToken::set_deadline_after(double seconds) {
 }
 
 void CancelToken::cancel() {
+  std::vector<std::weak_ptr<State>> children;
   {
     std::lock_guard<std::mutex> lock(state_->mutex);
     state_->canceled = true;
+    children.swap(state_->children);
   }
   state_->cv.notify_all();
+  // Outside our lock, so locks never nest.
+  for (const auto& weak : children)
+    if (auto child = weak.lock()) CancelToken(std::move(child)).cancel();
+}
+
+CancelToken CancelToken::child() const {
+  CancelToken child;
+  std::lock_guard<std::mutex> lock(state_->mutex);
+  if (state_->canceled) {
+    child.state_->canceled = true;  // not yet shared: no lock needed
+  } else {
+    // Drop retired children: a long-lived parent holds only live ones.
+    std::erase_if(state_->children,
+                  [](const std::weak_ptr<State>& weak) {
+                    return weak.expired();
+                  });
+    state_->children.push_back(child.state_);
+  }
+  return child;
 }
 
 bool CancelToken::canceled() const {
@@ -141,14 +167,12 @@ bool CancelToken::sleep_for(double seconds) const {
 
 // ------------------------------------------------------------ retry loop
 
-namespace detail {
-
-Attempted<bool> run_attempts(
+RetryResult run_with_retries(
     const RetryPolicy& policy, std::uint64_t stream,
-    const std::function<bool(const CancelToken&)>& body,
+    const std::function<void(const CancelToken&)>& body,
     const CancelToken* parent) {
   policy.validate();
-  Attempted<bool> result;
+  RetryResult result;
   const auto start = Clock::now();
   const auto remaining_total = [&]() -> double {
     if (policy.total_deadline_s <= 0.0)
@@ -158,34 +182,34 @@ Attempted<bool> run_attempts(
 
   for (int attempt = 1; attempt <= policy.max_attempts; ++attempt) {
     if (parent != nullptr && parent->canceled()) {
-      result.attempts.push_back(
+      result.failures.push_back(
           {attempt, "canceled: the job was canceled", 0.0});
       return result;
     }
     const double budget = remaining_total();
     if (budget <= 0.0) {
-      result.attempts.push_back(
+      result.failures.push_back(
           {attempt, "timeout: total retry budget exhausted", 0.0});
       return result;
     }
 
-    CancelToken token;
+    // A child of the parent, so a cancel reaches the attempt in flight.
+    CancelToken token = parent != nullptr ? parent->child() : CancelToken();
     if (policy.attempt_deadline_s > 0.0)
       token.set_deadline_after(policy.attempt_deadline_s);
     if (std::isfinite(budget)) token.set_deadline_after(budget);
-    if (parent != nullptr && parent->canceled()) token.cancel();
 
     const auto attempt_start = Clock::now();
     try {
       body(token);
-      result.value = true;
+      result.ok = true;
       return result;
     } catch (const std::exception& e) {
-      result.attempts.push_back(
+      result.failures.push_back(
           {attempt, e.what(), seconds_since(attempt_start)});
       if (is_terminal_error(e.what())) return result;
     } catch (...) {
-      result.attempts.push_back(
+      result.failures.push_back(
           {attempt, "unknown error", seconds_since(attempt_start)});
     }
 
@@ -198,7 +222,7 @@ Attempted<bool> run_attempts(
       const CancelToken idle;
       const CancelToken& sleeper = parent != nullptr ? *parent : idle;
       if (!sleeper.sleep_for(pause)) {
-        result.attempts.push_back(
+        result.failures.push_back(
             {attempt + 1, "canceled: the job was canceled", 0.0});
         return result;
       }
@@ -206,8 +230,6 @@ Attempted<bool> run_attempts(
   }
   return result;
 }
-
-}  // namespace detail
 
 std::uint64_t stream_of(const std::string& text) {
   // FNV-1a 64-bit, the same construction the scenario fingerprint uses.

@@ -1,7 +1,7 @@
 // retry.h — the one failure model of the execution stack.
 //
 // Everything that retries, times out, or cancels in this codebase goes
-// through the three types here, so the batch campaign runner, the hmptd
+// through the types here, so the batch campaign runner, the hmptd
 // scheduler, and the client tools agree on what "transient" means and
 // back off the same way:
 //
@@ -15,11 +15,12 @@
 //     "canceled:" or "timeout:" prefix past the deadline) and sleeps via
 //     sleep_for(), which wakes early on cancel — a timed-out or canceled
 //     job stops burning its worker instead of finishing a doomed run.
-//   * attempt_with_retries() — the retry loop itself: runs a callable
-//     under a fresh per-attempt token, records an AttemptRecord per
-//     failure, classifies errors (terminal errors never retry), backs
-//     off per the policy, and returns the value plus the full attempt
-//     history.
+//   * run_with_retries() — the retry loop itself: runs each attempt under
+//     a child of the caller's token (so a cancel reaches it), records an
+//     AttemptRecord per failure, classifies errors (terminal errors never
+//     retry), backs off per the policy, and returns the attempt history.
+//     Its one production caller is the scenario executor
+//     (campaign/campaign.h) that batch runs and hmptd jobs share.
 //
 // Error classification is by message prefix, matching the protocol's
 // prefix-tagged errors: "terminal:" and determinism violations
@@ -34,7 +35,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -100,8 +100,13 @@ class CancelToken {
   /// deadline wins; never loosens an existing one.
   void set_deadline_after(double seconds);
 
-  /// Request cancellation; wakes every sleep_for(). Idempotent.
+  /// Request cancellation; wakes every sleep_for() and cancels every
+  /// live child(). Idempotent.
   void cancel();
+
+  /// A fresh token that this one's cancel() reaches, now or later. The
+  /// child keeps its own deadline; its own cancel does not reach back.
+  CancelToken child() const;
 
   bool canceled() const;          ///< cancel() was called
   bool expired() const;           ///< the deadline has passed
@@ -120,59 +125,31 @@ class CancelToken {
 
  private:
   struct State;
+  explicit CancelToken(std::shared_ptr<State> state);
   std::shared_ptr<State> state_;
 };
 
-/// The outcome of attempt_with_retries: the value on success, and the
-/// failure history either way (empty when the first attempt succeeded).
-template <typename T>
-struct Attempted {
-  std::optional<T> value;
-  std::vector<AttemptRecord> attempts;  ///< one record per *failed* attempt
+/// What run_with_retries did: success, and the failure history.
+struct RetryResult {
+  bool ok = false;
+  std::vector<AttemptRecord> failures;  ///< one record per failed attempt
 
-  bool ok() const { return value.has_value(); }
   /// Total attempts made (failed + the successful one, if any).
-  int attempt_count() const {
-    return static_cast<int>(attempts.size()) + (ok() ? 1 : 0);
+  int attempts() const {
+    return static_cast<int>(failures.size()) + (ok ? 1 : 0);
   }
 };
 
-namespace detail {
-
-/// The non-template core of attempt_with_retries: drives the attempt /
-/// classify / backoff loop. `body` runs one attempt under its token and
-/// returns true on success (the template wrapper stores the value).
-Attempted<bool> run_attempts(
+/// Run `body` under the policy until one call returns normally. Each
+/// call gets a fresh token (a child of `parent`, when given) armed with
+/// the attempt deadline and the remaining total budget; terminal errors
+/// and an exhausted budget stop the loop, transient ones back off and
+/// retry. `stream` seeds the jitter (use a per-job id). Cancelling
+/// `parent` cancels the live attempt, wakes the backoff, ends the loop.
+RetryResult run_with_retries(
     const RetryPolicy& policy, std::uint64_t stream,
-    const std::function<bool(const CancelToken&)>& body,
-    const CancelToken* parent);
-
-}  // namespace detail
-
-/// Run `fn` under the policy: fresh CancelToken per attempt (armed with
-/// the per-attempt deadline and the remaining total budget), exceptions
-/// recorded as AttemptRecords, terminal errors and an exhausted budget
-/// stop the loop, transient errors back off deterministically and retry.
-/// `stream` seeds the jitter (use a per-job id); `parent`, when given, is
-/// observed between and during attempts — cancelling it cancels the
-/// attempt tokens and stops the loop.
-template <typename Fn>
-auto attempt_with_retries(const RetryPolicy& policy, std::uint64_t stream,
-                          Fn&& fn, const CancelToken* parent = nullptr)
-    -> Attempted<decltype(fn(std::declval<const CancelToken&>()))> {
-  using T = decltype(fn(std::declval<const CancelToken&>()));
-  Attempted<T> result;
-  auto core = detail::run_attempts(
-      policy, stream,
-      [&](const CancelToken& token) {
-        result.value = fn(token);
-        return true;
-      },
-      parent);
-  result.attempts = std::move(core.attempts);
-  if (!core.ok()) result.value.reset();
-  return result;
-}
+    const std::function<void(const CancelToken&)>& body,
+    const CancelToken* parent = nullptr);
 
 /// FNV-1a of a string as a jitter/fault stream id — the same hash the
 /// scenario fingerprint uses, so "stream = fingerprint" is one call.

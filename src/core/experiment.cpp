@@ -1,7 +1,6 @@
 #include "core/experiment.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "common/error.h"
 #include "common/stats.h"
@@ -17,10 +16,9 @@ namespace {
 /// and (when tracing) mark them in the owning lane. Called when a timer
 /// retires — end of a serial enumeration or of a worker's chunk — so the
 /// counters see each hit exactly once.
-void note_timer_stats(const sim::CachedTraceTimer* timer) {
-  if (timer == nullptr) return;
-  const std::uint64_t hits = timer->hits();
-  const std::uint64_t misses = timer->misses();
+void note_timer_stats(const sim::CachedTraceTimer& timer) {
+  const std::uint64_t hits = timer.hits();
+  const std::uint64_t misses = timer.misses();
   static obs::Counter& hit_counter = obs::metrics().counter("timer.hits");
   static obs::Counter& miss_counter = obs::metrics().counter("timer.misses");
   hit_counter.add(hits);
@@ -139,25 +137,21 @@ std::vector<ConfigResult> ExperimentRunner::measure_batch(
 
   const int jobs = resolved_jobs();
   if (jobs <= 1 || masks.size() < 2) {
-    std::optional<sim::CachedTraceTimer> timer;
-    if (options_.memoize) timer.emplace(sim_->solver(), trace, ctx_);
+    sim::CachedTraceTimer timer(sim_->solver(), trace, ctx_);
     for (std::size_t i = 0; i < masks.size(); ++i)
       results[i] = measure_config(trace, stats, space, masks[i],
-                                  baseline_time,
-                                  timer ? &*timer : nullptr);
-    note_timer_stats(timer ? &*timer : nullptr);
+                                  baseline_time, &timer);
+    note_timer_stats(timer);
     return results;
   }
 
   pool().parallel_chunks(masks.size(), [&](std::size_t begin,
                                            std::size_t end) {
-    std::optional<sim::CachedTraceTimer> timer;
-    if (options_.memoize) timer.emplace(sim_->solver(), trace, ctx_);
+    sim::CachedTraceTimer timer(sim_->solver(), trace, ctx_);
     for (std::size_t i = begin; i < end; ++i)
       results[i] = measure_config(trace, stats, space, masks[i],
-                                  baseline_time,
-                                  timer ? &*timer : nullptr);
-    note_timer_stats(timer ? &*timer : nullptr);
+                                  baseline_time, &timer);
+    note_timer_stats(timer);
   });
   return results;
 }
@@ -195,12 +189,11 @@ SweepResult ExperimentRunner::sweep(const workloads::Workload& workload,
   if (jobs <= 1) {
     // Serial: one timer lives across the whole enumeration, so Gray order
     // re-times only the phases touching the flipped group.
-    std::optional<sim::CachedTraceTimer> timer;
-    if (options_.memoize) timer.emplace(sim_->solver(), trace, ctx_);
-    sim::CachedTraceTimer* t = timer ? &*timer : nullptr;
+    sim::CachedTraceTimer timer(sim_->solver(), trace, ctx_);
 
     // Baseline first: every speedup is relative to the all-DDR mean.
-    ConfigResult baseline = measure_config(trace, stats, space, 0, 0.0, t);
+    ConfigResult baseline =
+        measure_config(trace, stats, space, 0, 0.0, &timer);
     baseline.speedup = 1.0;
     sweep.baseline_time = baseline.mean_time;
     sweep.configs[0] = baseline;
@@ -209,10 +202,10 @@ SweepResult ExperimentRunner::sweep(const workloads::Workload& workload,
     for (const ConfigMask mask : masks) {
       if (mask == 0) continue;
       sweep.configs[mask] = measure_config(trace, stats, space, mask,
-                                           sweep.baseline_time, t);
+                                           sweep.baseline_time, &timer);
       if (on_config) on_config(sweep.configs[mask]);
     }
-    note_timer_stats(t);
+    note_timer_stats(timer);
     return sweep;
   }
 
@@ -233,13 +226,11 @@ SweepResult ExperimentRunner::sweep(const workloads::Workload& workload,
 
   pool().parallel_chunks(rest.size(), [&](std::size_t begin,
                                           std::size_t end) {
-    std::optional<sim::CachedTraceTimer> timer;
-    if (options_.memoize) timer.emplace(sim_->solver(), trace, ctx_);
+    sim::CachedTraceTimer timer(sim_->solver(), trace, ctx_);
     for (std::size_t i = begin; i < end; ++i)
-      sweep.configs[rest[i]] =
-          measure_config(trace, stats, space, rest[i], sweep.baseline_time,
-                         timer ? &*timer : nullptr);
-    note_timer_stats(timer ? &*timer : nullptr);
+      sweep.configs[rest[i]] = measure_config(
+          trace, stats, space, rest[i], sweep.baseline_time, &timer);
+    note_timer_stats(timer);
   });
 
   // Callbacks fire after the barrier, from this thread, in enumeration

@@ -14,8 +14,8 @@
 //     CachedTraceTimer, and the deterministic trace time is computed once
 //     per configuration with per-repetition noise applied on top instead
 //     of re-timing every repetition.
-// Both are exact: serial, parallel, memoized and unmemoized sweeps return
-// bit-identical SweepResults (the simulator's per-(mask, repetition) noise
+// Both are exact: serial and parallel sweeps equal timing every config
+// afresh, bit for bit (the simulator's per-(mask, repetition) noise
 // streams are order-independent, and the cache stores exact doubles).
 #pragma once
 
@@ -54,8 +54,6 @@ struct ExperimentOptions {
   /// thread, 0 = all hardware threads. Results are bit-identical at any
   /// job count.
   int jobs = 1;
-  /// Memoize per-phase timings across configurations (exact; see header).
-  bool memoize = true;
 };
 
 /// Full sweep outcome.

@@ -14,7 +14,7 @@
 // results, and runs.csv/summary.json/outcome stores are byte-identical
 // with or without readers.
 //
-// Metric names are dotted paths ("scheduler.retries", "timer.hits");
+// Metric names are dotted paths ("scenario.retries", "timer.hits");
 // lookups are mutex-guarded and return references stable for the
 // process life, so hot paths resolve a metric once and hold the
 // reference:

@@ -12,10 +12,8 @@ SimulatorProvider::SimulatorProvider(int measure_jobs)
 }
 
 tuner::TuningOutcome SimulatorProvider::run(
-    const campaign::Scenario& scenario, const CancelToken& token) {
-  // The simulator runs in one uninterrupted burst; honour a cancel or an
-  // already-expired deadline before starting the burn.
-  token.check();
+    const campaign::Scenario& scenario, const CancelToken&) {
+  // One uninterrupted burst: the executor checks the token before it.
   return campaign::CampaignRunner::execute(scenario, measure_jobs_);
 }
 

@@ -12,16 +12,16 @@
 // threads, must be deterministic per scenario fingerprint (byte-identical
 // TuningOutcome serialisation for a repeated scenario — the store's
 // first-write-wins race handling relies on it), and reports failure by
-// throwing; the scheduler records the exception text as the job error.
+// throwing. It is the body of the scenario executor (campaign.h), which
+// retries, stores, and reports the exception text as the job error.
 // Errors are classified by message (common/retry): a "terminal:" prefix
-// never retries, anything else is transient and subject to the
-// scheduler's retry policy.
+// never retries, anything else is transient.
 //
-// Cancellation is cooperative: run() receives the job's CancelToken and
-// should call token.check() at its yield points (between phases, loop
-// heads) and token.sleep_for() instead of raw sleeps, so a timed-out or
-// canceled job stops burning its worker. A provider that never checks
-// simply runs to completion — correctness is unaffected, only latency.
+// Cancellation is cooperative: run() receives the attempt's CancelToken
+// (attempt deadline, scheduler stop) and should call token.check() at
+// its yield points and token.sleep_for() instead of raw sleeps, so a
+// timed-out or canceled job stops burning its worker. A provider that
+// never checks simply runs to completion — only latency suffers.
 #pragma once
 
 #include "campaign/scenario.h"
@@ -38,7 +38,7 @@ class ExecutionProvider {
   virtual std::string name() const = 0;
 
   /// Execute one scenario to completion. Thread-safe; throws on failure.
-  /// `token` carries the job's deadline and cancellation — check it
+  /// `token` carries the attempt's deadline and cancellation — check it
   /// cooperatively (see the file comment).
   virtual tuner::TuningOutcome run(const campaign::Scenario& scenario,
                                    const CancelToken& token) = 0;

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <utility>
 
+#include "campaign/campaign.h"
 #include "common/error.h"
 #include "common/thread_name.h"
 #include "obs/metrics.h"
@@ -62,14 +63,9 @@ Scheduler::~Scheduler() {
       job->owners.clear();
     }
     queue_.clear();
-    // Cancel in-flight attempts so cooperative providers stop promptly
-    // and backoff sleeps wake — teardown never waits out a retry
-    // schedule or a hung (deadline-armed) provider.
-    for (auto& [fingerprint, job] : jobs_) {
-      (void)fingerprint;
-      if (job->active_token.has_value()) job->active_token->cancel();
-    }
   }
+  // Reaches the attempts in flight (their tokens are its children) and the
+  // backoff sleeps: teardown never waits out a retry schedule or a hang.
   stop_token_.cancel();
   dispatch_.notify_all();
   terminal_.notify_all();
@@ -306,84 +302,29 @@ void Scheduler::run_job(const std::shared_ptr<Job>& job) {
   if (job->limits.deadline_s >= 0.0)
     policy.total_deadline_s = job->limits.deadline_s;
 
-  const auto start = Clock::now();
-  const auto attempted = attempt_with_retries(
-      policy, stream_of(job->status.fingerprint),
+  const auto executed = campaign::execute_and_store(
+      job->scenario, job->status.fingerprint, store_, policy,
       [&](const CancelToken& token) {
-        obs::TraceSpan attempt_span("scheduler", "attempt");
-        attempt_span.arg("fingerprint", job->status.fingerprint);
-        {
-          // Publish the live attempt's token so teardown can cancel a
-          // running (possibly deadline-parked) provider.
-          std::lock_guard<std::mutex> lock(mutex_);
-          job->active_token = token;
-          if (stopping_) job->active_token->cancel();
-        }
-        const auto outcome = provider_.run(job->scenario, token);
-        store_.save(job->scenario, outcome);
-        return 0;  // the store holds the outcome; the value is unused
+        return provider_.run(job->scenario, token);
       },
       &stop_token_);
-  const double seconds = seconds_since(start);
-  const int attempts = attempted.attempt_count();
-
-  int job_timeouts = 0;
-  for (const auto& record : attempted.attempts)
-    if (record.error.find("timeout:") != std::string::npos) ++job_timeouts;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    job->active_token.reset();
-    if (attempts > 1)
-      tallies_.retries += static_cast<std::size_t>(attempts - 1);
-    tallies_.timeouts += static_cast<std::size_t>(job_timeouts);
-  }
-  busy_us_.fetch_add(static_cast<std::uint64_t>(seconds * 1e6),
+  busy_us_.fetch_add(static_cast<std::uint64_t>(executed.seconds * 1e6),
                      std::memory_order_relaxed);
-  latency_.record_attempts(job->status.label, attempts, job_timeouts);
-  if (attempts > 1) {
-    static obs::Counter& retries =
-        obs::metrics().counter("scheduler.retries");
-    retries.add(static_cast<std::uint64_t>(attempts - 1));
-    obs::trace_instant(
-        "scheduler", "retry",
-        {obs::TraceArg("fingerprint", job->status.fingerprint),
-         obs::TraceArg::number("attempts",
-                               static_cast<std::uint64_t>(attempts))});
-  }
-  if (job_timeouts > 0) {
-    static obs::Counter& timeouts =
-        obs::metrics().counter("scheduler.timeouts");
-    timeouts.add(static_cast<std::uint64_t>(job_timeouts));
-  }
+  latency_.record_attempts(job->status.label, executed.attempts,
+                           executed.timeouts);
+  if (executed.ok()) latency_.record(job->status.label, executed.seconds);
 
-  if (attempted.ok()) {
-    latency_.record(job->status.label, seconds);
-    finish_job(job, JobState::Done, {}, seconds, attempts);
-    return;
-  }
-  std::string error;
-  if (attempted.attempts.size() == 1) {
-    error = attempted.attempts.front().error;
-  } else {
-    error = "after " + std::to_string(attempts) +
-            " attempts: " + format_attempts(attempted.attempts);
-  }
-  finish_job(job, JobState::Failed, error, seconds, attempts);
-}
-
-void Scheduler::finish_job(const std::shared_ptr<Job>& job, JobState state,
-                           const std::string& error, double seconds,
-                           int attempts) {
   JobStatus snapshot;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    job->status.state = state;
-    job->status.error = error;
-    job->status.seconds = seconds;
-    job->status.attempts = attempts;
+    job->status.state = executed.ok() ? JobState::Done : JobState::Failed;
+    job->status.error = executed.error;
+    job->status.seconds = executed.seconds;
+    job->status.attempts = executed.attempts;
     --running_;
-    if (state == JobState::Done) ++tallies_.done;
-    if (state == JobState::Failed) ++tallies_.failed;
+    ++(executed.ok() ? tallies_.done : tallies_.failed);
+    tallies_.retries += static_cast<std::size_t>(executed.attempts - 1);
+    tallies_.timeouts += static_cast<std::size_t>(executed.timeouts);
     ++notifying_;
     for (ClientId owner : job->owners) release_owner(owner);
     job->owners.clear();

@@ -16,18 +16,18 @@
 //     client may own) and a global queue capacity; a submit over either
 //     limit throws hmpt::Error — the daemon turns it into a structured
 //     `busy` error and the client backs off.
-//   * Fault tolerance (common/retry). Every job runs under the
-//     scheduler's RetryPolicy, overridable per job (JobLimits): a
-//     provider failure or timeout is retried with deterministic
-//     exponential backoff, each attempt runs under a CancelToken armed
-//     with the attempt deadline and the job's remaining total budget, and
-//     a job that exhausts its budget is reported Failed with the full
-//     attempt history. Terminal errors ("terminal:", store determinism
-//     violations) never retry.
+//   * Fault tolerance (common/retry). Every job runs through the batch
+//     runner's scenario executor under the scheduler's RetryPolicy,
+//     overridable per job (JobLimits): a provider failure or timeout is
+//     retried with deterministic exponential backoff, each attempt runs
+//     under a CancelToken armed with the attempt deadline and the job's
+//     remaining total budget, and a job that exhausts its budget is
+//     reported Failed with the full attempt history. Terminal errors
+//     ("terminal:", store determinism violations) never retry.
 //   * Cancellation. Queued jobs can be cancelled; running providers are
 //     never interrupted by `cancel` (it returns false once a job
-//     started), but scheduler teardown cancels in-flight attempt tokens
-//     so cooperative providers stop promptly.
+//     started), but scheduler teardown cancels the stop token every
+//     attempt token derives from, so cooperative providers stop promptly.
 //   * Drain / shutdown. drain() stops admission and blocks until every
 //     admitted job is terminal; shutdown() drains, then stops and joins
 //     the workers. Outcomes are byte-identical to batch runs because the
@@ -128,7 +128,7 @@ class Scheduler {
   Scheduler(ExecutionProvider& provider, campaign::OutcomeStore store,
             SchedulerOptions options);
   /// Stops and joins the workers; queued jobs are marked Canceled and
-  /// in-flight attempt tokens are canceled (cooperative providers stop).
+  /// in-flight attempts are canceled (cooperative providers stop).
   ~Scheduler();
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
@@ -204,9 +204,6 @@ class Scheduler {
     JobLimits limits;
     JobStatus status;
     std::set<ClientId> owners;   ///< clients charged for this job
-    /// The live attempt's token while the provider runs (teardown
-    /// cancels it); reset between attempts.
-    std::optional<CancelToken> active_token;
   };
 
   /// The shared submit path; `replay` bypasses admission accounting.
@@ -217,10 +214,8 @@ class Scheduler {
   /// Pop the next dispatchable job (highest priority, lowest sequence);
   /// null when stopping.
   std::shared_ptr<Job> next_job();
-  /// Run one job to a terminal state: the retry loop around the provider.
+  /// Run one job through the scenario executor to Done or Failed.
   void run_job(const std::shared_ptr<Job>& job);
-  void finish_job(const std::shared_ptr<Job>& job, JobState state,
-                  const std::string& error, double seconds, int attempts);
   void notify_subscribers(const JobStatus& status);
   /// Balance a ++notifying_: decrement and wake drain() waiters.
   void finished_notifying();
@@ -254,8 +249,8 @@ class Scheduler {
   /// provider wall time, summed as jobs retire.
   std::atomic<std::uint64_t> busy_us_{0};
   std::chrono::steady_clock::time_point started_at_{};  ///< set by start()
-  /// Canceled when the scheduler stops: wakes backoff sleeps between
-  /// attempts so teardown never waits out a retry schedule.
+  /// Canceled when the scheduler stops; attempt tokens are its children,
+  /// so this stops running providers and backoff sleeps alike.
   CancelToken stop_token_;
 
   std::mutex subscriber_mutex_;  ///< serialises completion callbacks

@@ -17,6 +17,7 @@
 #include <functional>
 #include <iterator>
 #include <limits>
+#include <regex>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -26,8 +27,11 @@
 #include "campaign/platforms.h"
 #include "core/outcome_io.h"
 #include "core/session.h"
+#include "common/retry.h"
 #include "obs/metrics.h"
 #include "report/report.h"
+#include "service/provider.h"
+#include "service/scheduler.h"
 #include "simmem/config.h"
 #include "simmem/simulator.h"
 #include "topo/machine.h"
@@ -1733,6 +1737,128 @@ TEST_F(CampaignRunnerTest, ErrorPolicyKeepGoingVsFailFast) {
 
   options.keep_going = false;
   EXPECT_THROW(CampaignRunner(options).run({bad, good}), Error);
+}
+
+// --------------------------------------------------------------- executor
+
+/// A quick scenario, and one that passes validation but fails every time
+/// it runs: "recorded" with a missing profile throws a transient error
+/// when the workload factory opens it.
+Scenario quick_scenario() {
+  Scenario s;
+  s.workload = parse_workload_spec("mg");
+  s.platform = "xeon-max";
+  s.strategy = "estimator";
+  s.repetitions = 1;
+  return s;
+}
+
+Scenario failing_scenario() {
+  Scenario s = quick_scenario();
+  s.workload = parse_workload_spec("recorded:path=/nonexistent.profile");
+  return s;
+}
+
+/// The failure text with every attempt's wall time, "(0.01s)", blanked:
+/// the only part of it that may differ between two runs.
+std::string without_timings(const std::string& error) {
+  return std::regex_replace(error, std::regex(R"(\([0-9.]+s\))"), "(s)");
+}
+
+TEST(ScenarioExecutorTest, RetriesATransientFailureAndStoresOnce) {
+  StoreDir dir("hmpt_executor_retry");
+  const OutcomeStore store(dir.path());
+  const Scenario scenario = quick_scenario();
+  RetryPolicy policy;
+  policy.max_attempts = 3;
+  policy.initial_backoff_s = 0.0;
+  const std::uint64_t retries_before =
+      obs::metrics().counter("scenario.retries").value();
+
+  int calls = 0;
+  const auto executed = execute_and_store(
+      scenario, scenario.fingerprint(), store, policy,
+      [&](const CancelToken&) {
+        if (++calls == 1) raise("transient wobble");
+        return CampaignRunner::execute(scenario);
+      });
+  ASSERT_TRUE(executed.ok()) << executed.error;
+  EXPECT_EQ(executed.attempts, 2);
+  EXPECT_EQ(executed.timeouts, 0);
+  EXPECT_TRUE(executed.error.empty());
+  EXPECT_EQ(obs::metrics().counter("scenario.retries").value() -
+                retries_before,
+            1u);
+  const auto stored = store.load_all_payloads();
+  ASSERT_EQ(stored.size(), 1u);
+  EXPECT_EQ(stored.front().first, scenario.fingerprint());
+  EXPECT_EQ(json_of(*store.load(scenario)), json_of(*executed.outcome));
+}
+
+TEST(ScenarioExecutorTest, AlwaysFailingBodyReportsHistoryAndStoresNothing) {
+  StoreDir dir("hmpt_executor_fail");
+  const OutcomeStore store(dir.path());
+  const Scenario scenario = quick_scenario();
+  RetryPolicy policy;
+  policy.max_attempts = 3;
+  policy.initial_backoff_s = 0.0;
+
+  const auto executed = execute_and_store(
+      scenario, scenario.fingerprint(), store, policy,
+      [&](const CancelToken&) -> tuner::TuningOutcome {
+        raise("deliberate failure");
+      });
+  EXPECT_FALSE(executed.ok());
+  EXPECT_EQ(executed.attempts, 3);
+  EXPECT_EQ(executed.error.rfind("after 3 attempts: attempt 1: "
+                                 "deliberate failure (",
+                                 0),
+            0u)
+      << executed.error;
+  EXPECT_NE(executed.error.find("; attempt 3: deliberate failure"),
+            std::string::npos);
+  EXPECT_FALSE(store.contains(scenario));
+  EXPECT_TRUE(store.load_all_payloads().empty());
+
+  // One attempt keeps the raw error, with no attempt framing.
+  policy.max_attempts = 1;
+  const auto once = execute_and_store(
+      scenario, scenario.fingerprint(), store, policy,
+      [&](const CancelToken&) -> tuner::TuningOutcome {
+        raise("deliberate failure");
+      });
+  EXPECT_EQ(once.error, "deliberate failure");
+  EXPECT_EQ(once.attempts, 1);
+}
+
+TEST(ScenarioExecutorTest, BatchAndDaemonReportTheSameFailure) {
+  const Scenario scenario = failing_scenario();
+
+  StoreDir batch_dir("hmpt_executor_batch");
+  CampaignOptions options;
+  options.output_dir = batch_dir.path();
+  options.keep_going = true;
+  options.attempts = 3;
+  const auto batch = CampaignRunner(options).run({scenario});
+  ASSERT_EQ(batch.failed, 1);
+  const ScenarioRun& run = batch.runs.front();
+  EXPECT_EQ(run.attempts, 3);
+  EXPECT_EQ(run.error.rfind("after 3 attempts: attempt 1: ", 0), 0u)
+      << run.error;
+
+  StoreDir daemon_dir("hmpt_executor_daemon");
+  service::SimulatorProvider provider;
+  service::SchedulerOptions scheduler_options;
+  scheduler_options.retry.max_attempts = 3;
+  service::Scheduler scheduler(provider, OutcomeStore(daemon_dir.path()),
+                               scheduler_options);
+  scheduler.start();
+  scheduler.submit(scheduler.new_client(), scenario);
+  const auto job = scheduler.wait(scenario.fingerprint());
+  ASSERT_TRUE(job.has_value());
+  EXPECT_EQ(job->state, service::JobState::Failed);
+  EXPECT_EQ(job->attempts, run.attempts);
+  EXPECT_EQ(without_timings(job->error), without_timings(run.error));
 }
 
 TEST_F(CampaignRunnerTest, PackedStoreReproducesDirArtifactsAndResumes) {

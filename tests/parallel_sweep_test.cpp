@@ -1,8 +1,8 @@
 // Tests for the parallel, incrementally-memoized sweep engine: the
 // ThreadPool primitive, the counter-based noise streams, the per-phase
-// timing cache, and the headline guarantee — serial, parallel, memoized
-// and unmemoized campaigns produce bit-identical results for every
-// strategy, with and without measurement noise.
+// timing cache, and the headline guarantee — serial and parallel
+// campaigns produce bit-identical results for every strategy, with and
+// without measurement noise, equal to timing each configuration afresh.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -213,29 +213,33 @@ TEST(ParallelSweepTest, MemoizationAndJobsLeaveSweepBitIdentical) {
     return bytes;
   }());
 
-  const auto run = [&](int jobs, bool memoize) {
-    tuner::ExperimentOptions options;
-    options.repetitions = 3;
+  tuner::ExperimentOptions options;
+  options.repetitions = 3;
+  const auto run = [&](int jobs) {
     options.jobs = jobs;
-    options.memoize = memoize;
     tuner::ExperimentRunner runner(simulator, app.context, options);
     return runner.sweep(*app.workload, space);
   };
 
-  const auto reference = run(1, false);
-  for (const auto& [jobs, memoize] :
-       {std::pair{1, true}, {3, false}, {3, true}, {0, true}}) {
-    const auto sweep = run(jobs, memoize);
-    ASSERT_EQ(sweep.configs.size(), reference.configs.size());
-    EXPECT_EQ(sweep.baseline_time, reference.baseline_time);
-    for (std::size_t i = 0; i < reference.configs.size(); ++i) {
-      EXPECT_EQ(sweep.configs[i].mean_time, reference.configs[i].mean_time)
-          << "jobs=" << jobs << " memoize=" << memoize << " mask=" << i;
-      EXPECT_EQ(sweep.configs[i].stddev_time,
-                reference.configs[i].stddev_time);
-      EXPECT_EQ(sweep.configs[i].speedup, reference.configs[i].speedup);
-      EXPECT_EQ(sweep.configs[i].hbm_density,
-                reference.configs[i].hbm_density);
+  // The reference times every configuration afresh: measure() calls
+  // MachineSimulator::time_trace, never the sweep's timing cache.
+  tuner::ExperimentRunner fresh(simulator, app.context, options);
+  const auto baseline = fresh.measure(*app.workload, space, 0, 0.0);
+  for (const int jobs : {1, 3, 0}) {
+    const auto sweep = run(jobs);
+    ASSERT_EQ(sweep.configs.size(), space.size());
+    EXPECT_EQ(sweep.baseline_time, baseline.mean_time);
+    for (std::size_t i = 0; i < sweep.configs.size(); ++i) {
+      const auto reference =
+          i == 0 ? baseline
+                 : fresh.measure(*app.workload, space,
+                                 static_cast<tuner::ConfigMask>(i),
+                                 baseline.mean_time);
+      EXPECT_EQ(sweep.configs[i].mean_time, reference.mean_time)
+          << "jobs=" << jobs << " mask=" << i;
+      EXPECT_EQ(sweep.configs[i].stddev_time, reference.stddev_time);
+      EXPECT_EQ(sweep.configs[i].speedup, reference.speedup);
+      EXPECT_EQ(sweep.configs[i].hbm_density, reference.hbm_density);
     }
   }
 }

@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/workload_registry.h"
@@ -70,6 +71,43 @@ TEST(ProtocolTest, IntegerFieldsRejectFractionsAndOverflow) {
         with("\"tiers\":0", "\"tiers\":0.5")})
     EXPECT_THROW(parse_request(bad), Error) << bad;
   EXPECT_EQ(parse_request(line).priority, 7);
+}
+
+TEST(ProtocolTest, SubmitRejectsScenariosThatCanNeverRun) {
+  // The ranges a campaign file is held to (Scenario::validate) hold on
+  // the socket too: each out-of-range field is a `bad scenario` reply,
+  // never a job that fails (and retries) once it runs.
+  Request request;
+  request.op = Op::Submit;
+  request.scenario = test_scenario();
+  request.scenario->tier_budgets_gb = {{1, 4.0}};
+  const std::string line = request.to_line();
+  ASSERT_NO_THROW(parse_request(line));
+  const auto with = [&](const std::string& from, const std::string& to) {
+    std::string text = line;
+    const auto at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) text.replace(at, from.size(), to);
+    return text;
+  };
+  const std::pair<std::string, std::string> cases[] = {
+      {with("\"tiers\":0", "\"tiers\":1"), "tiers must be"},
+      {with("\"budget_gb\":0", "\"budget_gb\":-1"), "budget-gb must be"},
+      {with("\"repetitions\":2", "\"repetitions\":0"), "reps must be"},
+      {with("\"top_k\":3", "\"top_k\":-3"), "top-k must be"},
+      {with("\"tier\":1", "\"tier\":0"), "tier-budget-gb needs"},
+      {with("\"gb\":4", "\"gb\":-4"), "tier-budget-gb needs"},
+  };
+  for (const auto& [bad, message] : cases) {
+    try {
+      parse_request(bad);
+      ADD_FAILURE() << "accepted: " << bad;
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("bad scenario: ", 0), 0u) << what;
+      EXPECT_NE(what.find(message), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(ProtocolTest, SubmitRetryFieldsRoundTrip) {

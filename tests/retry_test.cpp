@@ -1,5 +1,6 @@
 // retry_test.cpp — the failure model in common/retry.h: deterministic
-// backoff, cancellation tokens, the attempt loop's classification rules.
+// backoff, cancellation tokens and their parent/child links, the attempt
+// loop's classification rules.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -159,17 +160,41 @@ TEST(CancelTokenTest, CopiesShareState) {
   EXPECT_TRUE(token.canceled());
 }
 
-// ---------------------------------------------------- attempt_with_retries
+TEST(CancelTokenTest, ParentCancelReachesChildrenButNotBack) {
+  CancelToken parent;
+  const CancelToken child = parent.child();
+  const CancelToken grandchild = child.child();
+  CancelToken sibling = parent.child();
+  sibling.cancel();
+  EXPECT_FALSE(parent.canceled());  // a child's cancel does not reach back
+  EXPECT_FALSE(child.canceled());
+  parent.cancel();
+  EXPECT_TRUE(child.canceled());
+  EXPECT_TRUE(grandchild.canceled());
+  // A child of a canceled token is born canceled.
+  EXPECT_TRUE(parent.child().canceled());
+}
+
+TEST(CancelTokenTest, ChildKeepsItsOwnDeadline) {
+  CancelToken parent;
+  CancelToken child = parent.child();
+  child.set_deadline_after(-1.0);
+  EXPECT_TRUE(child.expired());
+  EXPECT_FALSE(parent.expired());
+}
+
+// -------------------------------------------------------- run_with_retries
 
 TEST(AttemptTest, FirstTrySuccessHasNoFailureRecords) {
   RetryPolicy policy;
   policy.max_attempts = 3;
-  const auto result = attempt_with_retries(
-      policy, 0, [](const CancelToken&) { return 41 + 1; });
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(*result.value, 42);
-  EXPECT_TRUE(result.attempts.empty());
-  EXPECT_EQ(result.attempt_count(), 1);
+  int value = 0;
+  const auto result =
+      run_with_retries(policy, 0, [&](const CancelToken&) { value = 41 + 1; });
+  ASSERT_TRUE(result.ok);
+  EXPECT_EQ(value, 42);
+  EXPECT_TRUE(result.failures.empty());
+  EXPECT_EQ(result.attempts(), 1);
 }
 
 TEST(AttemptTest, TransientFailuresRetryUntilSuccess) {
@@ -177,16 +202,15 @@ TEST(AttemptTest, TransientFailuresRetryUntilSuccess) {
   policy.max_attempts = 5;
   policy.initial_backoff_s = 0.0;  // keep the test fast
   int calls = 0;
-  const auto result = attempt_with_retries(policy, 0, [&](const CancelToken&) {
+  const auto result = run_with_retries(policy, 0, [&](const CancelToken&) {
     if (++calls < 3) raise("transient wobble");
-    return calls;
   });
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(*result.value, 3);
-  EXPECT_EQ(result.attempts.size(), 2u);
-  EXPECT_EQ(result.attempt_count(), 3);
-  EXPECT_EQ(result.attempts[0].attempt, 1);
-  EXPECT_NE(result.attempts[0].error.find("transient wobble"),
+  ASSERT_TRUE(result.ok);
+  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(result.failures.size(), 2u);
+  EXPECT_EQ(result.attempts(), 3);
+  EXPECT_EQ(result.failures[0].attempt, 1);
+  EXPECT_NE(result.failures[0].error.find("transient wobble"),
             std::string::npos);
 }
 
@@ -195,15 +219,14 @@ TEST(AttemptTest, BudgetExhaustionReportsFullHistory) {
   policy.max_attempts = 3;
   policy.initial_backoff_s = 0.0;
   int calls = 0;
-  const auto result =
-      attempt_with_retries(policy, 0, [&](const CancelToken&) -> int {
-        ++calls;
-        raise("always failing");
-      });
-  EXPECT_FALSE(result.ok());
+  const auto result = run_with_retries(policy, 0, [&](const CancelToken&) {
+    ++calls;
+    raise("always failing");
+  });
+  EXPECT_FALSE(result.ok);
   EXPECT_EQ(calls, 3);
-  EXPECT_EQ(result.attempts.size(), 3u);
-  EXPECT_EQ(result.attempt_count(), 3);
+  EXPECT_EQ(result.failures.size(), 3u);
+  EXPECT_EQ(result.attempts(), 3);
 }
 
 TEST(AttemptTest, TerminalErrorStopsImmediately) {
@@ -211,15 +234,14 @@ TEST(AttemptTest, TerminalErrorStopsImmediately) {
   policy.max_attempts = 5;
   policy.initial_backoff_s = 0.0;
   int calls = 0;
-  const auto result =
-      attempt_with_retries(policy, 0, [&](const CancelToken&) -> int {
-        ++calls;
-        raise("terminal: unsupported configuration");
-      });
-  EXPECT_FALSE(result.ok());
+  const auto result = run_with_retries(policy, 0, [&](const CancelToken&) {
+    ++calls;
+    raise("terminal: unsupported configuration");
+  });
+  EXPECT_FALSE(result.ok);
   EXPECT_EQ(calls, 1);
-  ASSERT_EQ(result.attempts.size(), 1u);
-  EXPECT_NE(result.attempts[0].error.find("terminal:"), std::string::npos);
+  ASSERT_EQ(result.failures.size(), 1u);
+  EXPECT_NE(result.failures[0].error.find("terminal:"), std::string::npos);
 }
 
 TEST(AttemptTest, AttemptDeadlineArmsTheToken) {
@@ -229,16 +251,15 @@ TEST(AttemptTest, AttemptDeadlineArmsTheToken) {
   policy.attempt_deadline_s = 0.02;
   int calls = 0;
   const auto result =
-      attempt_with_retries(policy, 0, [&](const CancelToken& token) -> int {
+      run_with_retries(policy, 0, [&](const CancelToken& token) {
         ++calls;
         // A cooperative provider parks on the token and notices expiry.
         token.sleep_for(10.0);
         token.check();
-        return 0;
       });
-  EXPECT_FALSE(result.ok());
+  EXPECT_FALSE(result.ok);
   EXPECT_EQ(calls, 2);  // the timeout is transient: it retried once
-  for (const auto& record : result.attempts)
+  for (const auto& record : result.failures)
     EXPECT_NE(record.error.find("timeout:"), std::string::npos);
 }
 
@@ -250,13 +271,12 @@ TEST(AttemptTest, TotalDeadlineStopsTheLoop) {
   policy.total_deadline_s = 0.15;
   std::atomic<int> calls{0};
   const auto start = std::chrono::steady_clock::now();
-  const auto result =
-      attempt_with_retries(policy, 0, [&](const CancelToken&) -> int {
-        ++calls;
-        raise("transient");
-      });
+  const auto result = run_with_retries(policy, 0, [&](const CancelToken&) {
+    ++calls;
+    raise("transient");
+  });
   const auto waited = std::chrono::steady_clock::now() - start;
-  EXPECT_FALSE(result.ok());
+  EXPECT_FALSE(result.ok);
   EXPECT_LT(calls.load(), 100);
   EXPECT_LT(waited, std::chrono::seconds(5));
 }
@@ -271,16 +291,42 @@ TEST(AttemptTest, ParentCancelInterruptsBackoffAndLoop) {
     parent.cancel();
   });
   const auto start = std::chrono::steady_clock::now();
-  const auto result = attempt_with_retries(
-      policy, 0, [&](const CancelToken&) -> int { raise("transient"); },
+  const auto result = run_with_retries(
+      policy, 0, [&](const CancelToken&) { raise("transient"); }, &parent);
+  const auto waited = std::chrono::steady_clock::now() - start;
+  canceller.join();
+  EXPECT_FALSE(result.ok);
+  EXPECT_LT(waited, std::chrono::seconds(4));
+  ASSERT_FALSE(result.failures.empty());
+  EXPECT_NE(result.failures.back().error.find("canceled:"),
+            std::string::npos);
+}
+
+TEST(AttemptTest, ParentCancelReachesTheRunningAttempt) {
+  // The attempt is parked on its own token, not in a backoff: the cancel
+  // must reach that token, not wait for the attempt to finish.
+  RetryPolicy policy;
+  policy.max_attempts = 3;
+  CancelToken parent;
+  std::thread canceller([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    parent.cancel();
+  });
+  const auto start = std::chrono::steady_clock::now();
+  const auto result = run_with_retries(
+      policy, 0,
+      [&](const CancelToken& token) {
+        token.sleep_for(2.0);
+        token.check();
+      },
       &parent);
   const auto waited = std::chrono::steady_clock::now() - start;
   canceller.join();
-  EXPECT_FALSE(result.ok());
-  EXPECT_LT(waited, std::chrono::seconds(4));
-  ASSERT_FALSE(result.attempts.empty());
-  EXPECT_NE(result.attempts.back().error.find("canceled:"),
-            std::string::npos);
+  EXPECT_FALSE(result.ok);
+  EXPECT_LT(waited, std::chrono::seconds(1));
+  ASSERT_EQ(result.failures.size(), 1u);  // canceled: is terminal
+  EXPECT_EQ(result.failures.back().error.rfind("canceled:", 0), 0u)
+      << result.failures.back().error;
 }
 
 TEST(AttemptTest, StreamOfIsStable) {
