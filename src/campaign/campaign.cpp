@@ -22,6 +22,15 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
+/// `outcome` without its row lists, which the store holds: all a
+/// ScenarioRun keeps.
+tuner::TuningOutcome headline_of(tuner::TuningOutcome outcome) {
+  outcome.trajectory = std::vector<tuner::TuningStep>();
+  outcome.table = std::vector<tuner::ConfigResult>();
+  outcome.sweep.reset();
+  return outcome;
+}
+
 }  // namespace
 
 const char* to_string(ScenarioRun::Status status) {
@@ -148,7 +157,7 @@ CampaignResult CampaignRunner::run(const std::vector<Scenario>& scenarios,
     }
     try {
       if (options_.resume) {
-        if (auto cached = store_.load(run.scenario)) {
+        if (auto cached = store_.load(run.scenario, tuner::Rows::Skip)) {
           run.status = ScenarioRun::Status::Cached;
           run.outcome = std::move(*cached);
           span.arg("status", "cached");
@@ -171,7 +180,7 @@ CampaignResult CampaignRunner::run(const std::vector<Scenario>& scenarios,
       run.attempts = executed.attempts;
       span.arg_number("attempts", static_cast<std::uint64_t>(run.attempts));
       if (!executed.ok()) raise(executed.error);
-      run.outcome = std::move(*executed.outcome);
+      run.outcome = headline_of(std::move(*executed.outcome));
       run.status = ScenarioRun::Status::Executed;
       span.arg("status", "executed");
     } catch (const std::exception& e) {

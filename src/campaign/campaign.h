@@ -78,7 +78,10 @@ struct ScenarioRun {
   /// then falls back to recomputing).
   std::string fingerprint;
   Status status = Status::Planned;
-  tuner::TuningOutcome outcome;  ///< valid for Executed/Cached
+  /// Valid for Executed/Cached: the headline only (chosen placement,
+  /// times, counts). `table`, `trajectory` and `sweep` are empty — the
+  /// outcome store holds the rows, and OutcomeStore::load reads them.
+  tuner::TuningOutcome outcome;
   std::string error;             ///< valid for Failed
   double seconds = 0.0;          ///< wall time of the execution (0 otherwise)
   /// Execution attempts made (retries included); 0 for Planned/Cached.
@@ -91,6 +94,8 @@ const char* to_string(ScenarioRun::Status status);
 
 /// Everything a campaign run (or a shard merge) produced, in scenario
 /// order whatever the concurrency — aggregation over it is deterministic.
+/// It holds one headline per scenario, never a sweep, so its size does
+/// not grow with the configuration space.
 struct CampaignResult {
   std::vector<ScenarioRun> runs;  ///< scenario order
   int executed = 0;               ///< ran fresh and were stored

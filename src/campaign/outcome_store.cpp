@@ -53,9 +53,12 @@ struct ParsedRecord {
 
 /// Parse and validate a stored outcome document's bytes; nullopt (not a
 /// throw) on any damage — invalid JSON (truncation lands here), version or
-/// fingerprint mismatch, malformed or out-of-range outcome payload.
+/// fingerprint mismatch, malformed or out-of-range outcome payload. The
+/// outcome's rows are checked either way; `rows` says whether they are
+/// kept (tuner::Rows).
 std::optional<ParsedRecord> parse_record(const std::string& text,
-                                         const std::string& fingerprint) {
+                                         const std::string& fingerprint,
+                                         tuner::Rows rows) {
   try {
     Json doc = Json::parse(text);
     HMPT_REQUIRE(doc.at("format_version").as_number() == kFingerprintVersion,
@@ -63,7 +66,7 @@ std::optional<ParsedRecord> parse_record(const std::string& text,
     HMPT_REQUIRE(doc.at("fingerprint").as_string() == fingerprint,
                  "outcome fingerprint mismatch");
     doc.at("scenario").as_object();
-    auto outcome = tuner::outcome_from_json(doc.at("outcome"));
+    auto outcome = tuner::outcome_from_json(doc.at("outcome"), rows);
     return ParsedRecord{std::move(doc), std::move(outcome)};
   } catch (const std::exception&) {
     return std::nullopt;
@@ -254,7 +257,8 @@ class DirBackend : public OutcomeStoreBackend {
         ::unlink(tmp.c_str());
         return;
       }
-      if (tries == 0 && !parse_record(existing, fingerprint)) {
+      if (tries == 0 &&
+          !parse_record(existing, fingerprint, tuner::Rows::Skip)) {
         quarantine(path);
         continue;
       }
@@ -457,7 +461,7 @@ class PackedBackend : public OutcomeStoreBackend {
     }
     if (existing) {
       if (*existing == payload) return;  // same-race no-op
-      if (parse_record(*existing, fingerprint))
+      if (parse_record(*existing, fingerprint, tuner::Rows::Skip))
         raise("conflicting outcome for fingerprint " + fingerprint + ": " +
               log +
               " already holds a different result (delete it to re-run)");
@@ -853,10 +857,11 @@ namespace {
 /// validated payload.
 std::optional<ParsedRecord> read_record(OutcomeStoreBackend& backend,
                                         const std::string& fingerprint,
+                                        tuner::Rows rows,
                                         std::string* bytes = nullptr) {
   auto payload = backend.payload(fingerprint);
   if (!payload) return std::nullopt;
-  auto parsed = parse_record(*payload, fingerprint);
+  auto parsed = parse_record(*payload, fingerprint, rows);
   if (!parsed) {
     backend.damaged(fingerprint);
     return std::nullopt;
@@ -865,13 +870,14 @@ std::optional<ParsedRecord> read_record(OutcomeStoreBackend& backend,
   return parsed;
 }
 
-/// Validate every record of a bulk load and hand the good ones to `visit`
-/// in fingerprint order. Damaged records are skipped, not reported: bulk
-/// loads (merge, reports) must not mutate the store they read.
+/// Validate every record of a bulk load and hand the good ones, with
+/// headline outcomes, to `visit` in fingerprint order. Damaged records
+/// are skipped, not reported: bulk loads (merge, reports) must not mutate
+/// the store they read.
 template <typename Visit>
 void for_each_record(OutcomeStoreBackend& backend, Visit visit) {
   for (auto& [fingerprint, bytes] : backend.load_all()) {
-    auto parsed = parse_record(bytes, fingerprint);
+    auto parsed = parse_record(bytes, fingerprint, tuner::Rows::Skip);
     if (parsed) visit(fingerprint, bytes, *parsed);
   }
 }
@@ -879,22 +885,22 @@ void for_each_record(OutcomeStoreBackend& backend, Visit visit) {
 }  // namespace
 
 std::optional<tuner::TuningOutcome> OutcomeStore::load(
-    const Scenario& scenario) const {
-  return load_by_fingerprint(scenario.fingerprint());
+    const Scenario& scenario, tuner::Rows rows) const {
+  return load_by_fingerprint(scenario.fingerprint(), rows);
 }
 
 std::optional<tuner::TuningOutcome> OutcomeStore::load_by_fingerprint(
-    const std::string& fingerprint) const {
-  auto parsed = read_record(*backend_, fingerprint);
+    const std::string& fingerprint, tuner::Rows rows) const {
+  auto parsed = read_record(*backend_, fingerprint, rows);
   if (!parsed) return std::nullopt;
   return std::move(parsed->outcome);
 }
 
 std::optional<Json> OutcomeStore::load_outcome_json(
     const std::string& fingerprint) const {
-  const auto parsed = read_record(*backend_, fingerprint);
+  auto parsed = read_record(*backend_, fingerprint, tuner::Rows::Skip);
   if (!parsed) return std::nullopt;
-  return parsed->doc.at("outcome");
+  return parsed->doc.take("outcome");
 }
 
 void OutcomeStore::save(const Scenario& scenario,
@@ -906,7 +912,8 @@ void OutcomeStore::save(const Scenario& scenario,
 std::optional<std::string> OutcomeStore::payload(
     const std::string& fingerprint) const {
   std::string bytes;
-  if (!read_record(*backend_, fingerprint, &bytes)) return std::nullopt;
+  if (!read_record(*backend_, fingerprint, tuner::Rows::Skip, &bytes))
+    return std::nullopt;
   return bytes;
 }
 
@@ -931,7 +938,7 @@ std::vector<StoredRecord> OutcomeStore::load_all_records() const {
   for_each_record(*backend_, [&](const std::string& fingerprint,
                                  std::string& bytes, ParsedRecord& parsed) {
     out.push_back({fingerprint, std::move(bytes),
-                   parsed.doc.at("scenario"), std::move(parsed.outcome)});
+                   parsed.doc.take("scenario"), std::move(parsed.outcome)});
   });
   return out;
 }

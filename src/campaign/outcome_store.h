@@ -47,6 +47,7 @@
 
 #include "campaign/scenario.h"
 #include "common/json.h"
+#include "core/outcome_io.h"
 #include "core/strategy.h"
 
 namespace hmpt::campaign {
@@ -57,6 +58,9 @@ struct StoredRecord {
   std::string fingerprint;
   std::string payload;
   Json scenario;  ///< the record's `scenario` subtree, for Scenario::from_json
+  /// The headline: every row was checked, none kept (tuner::Rows::Skip),
+  /// so `table`, `trajectory` and `sweep` are empty. The rows are in
+  /// `payload`; load() decodes them.
   tuner::TuningOutcome outcome;
 };
 
@@ -101,17 +105,22 @@ class OutcomeStore {
   /// Load a cached outcome; nullopt when absent or damaged (a damaged
   /// record reads as a miss so the scenario re-executes — dir stores
   /// quarantine the file to <fingerprint>.json.corrupt, packed stores
-  /// supersede the record on the repairing save).
-  std::optional<tuner::TuningOutcome> load(const Scenario& scenario) const;
-  /// Load by content address alone (the daemon's `result <fingerprint>`
-  /// path, where no Scenario is in hand); nullopt when absent or damaged
-  /// like load().
+  /// supersede the record on the repairing save). Every row is checked;
+  /// with Rows::Skip the outcome comes back as its headline alone (the
+  /// campaign resume probe), by default with its rows.
+  std::optional<tuner::TuningOutcome> load(
+      const Scenario& scenario, tuner::Rows rows = tuner::Rows::Keep) const;
+  /// Load by content address alone, where no Scenario is in hand (the
+  /// daemon's outcome lookups); nullopt when absent or damaged, and
+  /// `rows` as for load().
   std::optional<tuner::TuningOutcome> load_by_fingerprint(
-      const std::string& fingerprint) const;
+      const std::string& fingerprint,
+      tuner::Rows rows = tuner::Rows::Keep) const;
   /// The validated `outcome` subtree of a stored record as parsed, for
   /// callers that forward it rather than use it (the daemon's `result`
-  /// verb): dumped compactly it reproduces the stored bytes. nullopt when
-  /// absent or damaged like load().
+  /// verb): dumped compactly it reproduces the stored bytes. The record
+  /// is validated with Rows::Skip and the subtree moved out of it, not
+  /// copied. nullopt when absent or damaged like load().
   std::optional<Json> load_outcome_json(const std::string& fingerprint) const;
   /// Persist a finished scenario. First complete write of a fingerprint
   /// wins; a racing identical write is a silent no-op, a differing one
@@ -125,8 +134,8 @@ class OutcomeStore {
   // re-serialise, so they cannot silently normalise away a difference.
 
   // Every read below parses and validates each record once (JSON, format
-  // version, fingerprint, range-checked outcome decode); a record that
-  // fails reads as absent.
+  // version, fingerprint, range-checked outcome decode with Rows::Skip:
+  // every row checked, none kept); a record that fails reads as absent.
 
   /// The stored payload bytes of a fingerprint; nullopt when absent or
   /// damaged (dir stores quarantine a damaged file, like load()).
@@ -140,7 +149,7 @@ class OutcomeStore {
   /// fingerprint — one sequential pass for packed stores, one directory
   /// walk for dir stores. Damaged records are skipped.
   std::vector<std::pair<std::string, std::string>> load_all_payloads() const;
-  /// load_all_payloads() with each record's scenario and decoded outcome
+  /// load_all_payloads() with each record's scenario and headline outcome
   /// from the same validating parse (merge and report).
   std::vector<StoredRecord> load_all_records() const;
 

@@ -119,6 +119,12 @@ const Json& Json::at(const std::string& key) const {
   return *value;
 }
 
+Json Json::take(const std::string& key) {
+  // at() checks the kind and the key; the field it finds belongs to this
+  // (non-const) object, so moving from it is sound.
+  return std::move(const_cast<Json&>(at(key)));
+}
+
 double Json::number_or(const std::string& key, double fallback) const {
   const Json* value = as_object().find(key);
   return value == nullptr ? fallback : value->as_number();

@@ -90,6 +90,10 @@ class Json {
   /// Object field access; throws when this is not an object or the key is
   /// missing. `get_or` variants return the fallback on a missing key only.
   const Json& at(const std::string& key) const;
+  /// Move field `key`'s value out of this object, leaving null in its
+  /// place; throws like at(). For taking a subtree out of a document that
+  /// is about to be dropped, without a deep copy.
+  Json take(const std::string& key);
   double number_or(const std::string& key, double fallback) const;
   std::string string_or(const std::string& key, std::string fallback) const;
 

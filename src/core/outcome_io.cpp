@@ -230,63 +230,115 @@ Json binary_column(const std::vector<Row>& rows, double Row::*field) {
                         [&](std::size_t i) { return rows[i].*field; });
 }
 
-/// Decode binary column `name` of `columns`, which must hold `rows`
-/// values, handing value i to `set(i, value)`.
-template <typename Set>
-void decode_doubles(const Json& columns, const char* name, std::size_t rows,
-                    Set set) {
-  const std::string& text = columns.at(name).as_string();
-  if (text.size() != base64_length(rows))
-    bad_field(name, "has " + std::to_string(text.size()) +
-                        " characters, expected " +
-                        std::to_string(base64_length(rows)));
-  const auto store = [&](std::size_t i, std::size_t count,
-                         const std::uint64_t (&bits)[kGroupRows]) {
-    for (std::size_t j = 0; j < count; ++j) {
-      const double value = std::bit_cast<double>(bits[j]);
-      if (!std::isfinite(value)) bad_field(name, "holds a non-finite value");
-      set(i + j, value);
-    }
-  };
-  const char* in = text.data();
-  std::uint64_t bits[kGroupRows];
-  std::size_t i = 0;
-  for (; i + kGroupRows <= rows; i += kGroupRows, in += kGroupChars) {
-    if (!decode_group(in, bits))
-      bad_field(name, "holds a character outside base64");
-    store(i, kGroupRows, bits);
+/// A binary column of `rows` values. Opening it checks its exact length;
+/// each read() of a row range checks that range's characters and values.
+class BinaryColumn {
+ public:
+  BinaryColumn(const Json& columns, const char* name, std::size_t rows)
+      : name_(name), text_(columns.at(name).as_string()) {
+    if (text_.size() != base64_length(rows))
+      bad_field(name, "has " + std::to_string(text_.size()) +
+                          " characters, expected " +
+                          std::to_string(base64_length(rows)));
   }
-  if (const std::size_t count = rows - i; count > 0) {
-    // The short last group: its data characters, then 'A' (zero bits) in
-    // place of the padding and the missing values. Those values must then
-    // decode to zero, padding bits included.
-    const std::size_t pad = base64_padding(count);
-    if (text.find_first_not_of('=', text.size() - pad) != std::string::npos)
-      bad_field(name, "is not padded base64");
-    char group[kGroupChars];
-    std::fill(std::copy_n(in, base64_length(count) - pad, group),
-              group + kGroupChars, 'A');
-    if (!decode_group(group, bits))
-      bad_field(name, "holds a character outside base64");
-    for (std::size_t j = count; j < kGroupRows; ++j)
-      if (bits[j] != 0) bad_field(name, "has non-zero padding bits");
-    store(i, count, bits);
-  }
-}
 
-template <typename Row>
-void read_binary_column(const Json& columns, const char* name,
-                        std::vector<Row>& rows, double Row::*field) {
-  decode_doubles(columns, name, rows.size(),
-                 [&](std::size_t i, double value) { rows[i].*field = value; });
+  /// Decode rows [begin, end), handing value i to `set(i, value)`.
+  /// `begin` is a multiple of kGroupRows, and so is `end` unless it is
+  /// the column's row count.
+  template <typename Set>
+  void read(std::size_t begin, std::size_t end, Set set) const {
+    const auto store = [&](std::size_t i, std::size_t count,
+                           const std::uint64_t (&bits)[kGroupRows]) {
+      for (std::size_t j = 0; j < count; ++j) {
+        const double value = std::bit_cast<double>(bits[j]);
+        if (!std::isfinite(value))
+          bad_field(name_, "holds a non-finite value");
+        set(i + j, value);
+      }
+    };
+    const char* in = text_.data() + begin / kGroupRows * kGroupChars;
+    std::uint64_t bits[kGroupRows];
+    std::size_t i = begin;
+    for (; i + kGroupRows <= end; i += kGroupRows, in += kGroupChars) {
+      if (!decode_group(in, bits))
+        bad_field(name_, "holds a character outside base64");
+      store(i, kGroupRows, bits);
+    }
+    if (const std::size_t count = end - i; count > 0) {
+      // The short last group: its data characters, then 'A' (zero bits)
+      // in place of the padding and the missing values. Those values
+      // must then decode to zero, padding bits included.
+      const std::size_t pad = base64_padding(count);
+      if (text_.find_first_not_of('=', text_.size() - pad) !=
+          std::string::npos)
+        bad_field(name_, "is not padded base64");
+      char group[kGroupChars];
+      std::fill(std::copy_n(in, base64_length(count) - pad, group),
+                group + kGroupChars, 'A');
+      if (!decode_group(group, bits))
+        bad_field(name_, "holds a character outside base64");
+      for (std::size_t j = count; j < kGroupRows; ++j)
+        if (bits[j] != 0) bad_field(name_, "has non-zero padding bits");
+      store(i, count, bits);
+    }
+  }
+
+ private:
+  const char* name_;
+  const std::string& text_;
+};
+
+/// Binary column `name` of `columns` when the record stores it.
+std::optional<BinaryColumn> stored_column(const Json& columns,
+                                          const char* name,
+                                          std::size_t rows) {
+  if (!columns.as_object().contains(name)) return std::nullopt;
+  return BinaryColumn(columns, name, rows);
 }
 
 /// Rows of binary column `name`, from its length alone: 4·⌈8r/3⌉
 /// characters hold r values, and ⌊3L/4⌋/8 inverts that. A length no row
-/// count gives fails the exact-length check when the column is read.
+/// count gives fails the exact-length check when the column is opened.
 std::size_t binary_rows(const Json& columns, const char* name) {
   return 3 * columns.at(name).as_string().size() / 4 / 8;
 }
+
+// ------------------------------------------------------------ row blocks
+//
+// Row lists are decoded a block of rows at a time, every column of the
+// block before the next, so the checks run in the same order whether the
+// caller keeps the rows (they land in place in the outcome) or skips
+// them (each block reuses one fixed buffer and is then dropped).
+
+/// Rows decoded at a time: whole base64 groups, so only a column's last
+/// block can end inside a group.
+constexpr std::size_t kBlockRows = 32 * kGroupRows;
+
+/// Calls `visit(begin, end)` on consecutive blocks covering [0, rows).
+template <typename Visit>
+void for_each_block(std::size_t rows, Visit visit) {
+  for (std::size_t begin = 0; begin < rows; begin += kBlockRows)
+    visit(begin, std::min(rows, begin + kBlockRows));
+}
+
+/// Where decoded rows go: `kept`, sized for every row, or with no `kept`
+/// (Rows::Skip) one block reused for each block in turn.
+template <typename Row>
+class RowSink {
+ public:
+  RowSink(std::vector<Row>* kept, std::size_t rows) : kept_(kept) {
+    if (kept_ != nullptr) kept_->resize(rows);
+  }
+
+  /// Storage for the block that starts at row `begin`, indexed from 0.
+  Row* block(std::size_t begin) {
+    return kept_ != nullptr ? kept_->data() + begin : reused_.data();
+  }
+
+ private:
+  std::vector<Row>* kept_;
+  std::array<Row, kBlockRows> reused_{};
+};
 
 // ------------------------------------------------------------ derivations
 //
@@ -452,62 +504,78 @@ Json configs_to_json(const std::vector<ConfigResult>& configs,
   return Json(std::move(o));
 }
 
-std::vector<ConfigResult> configs_from_json(const Json& columns,
-                                            const Basis& basis,
-                                            std::size_t space) {
+/// What the trajectory rule needs to know of a decoded sweep.
+struct SweepRows {
+  std::size_t rows = 0;
+  bool by_mask = true;  ///< row i holds mask i, for every row
+};
+
+/// Decode configuration rows into `kept`; with no `kept` every row is
+/// checked and dropped.
+SweepRows configs_from_json(const Json& columns, const Basis& basis,
+                            std::size_t space,
+                            std::vector<ConfigResult>* kept) {
   const std::size_t rows = binary_rows(columns, "mean_time");
   if (rows > space)
     bad_field("mean_time", "lists more configurations than the space holds");
-  std::vector<ConfigResult> configs(rows);
   const JsonObject& stored = columns.as_object();
-  if (stored.contains("mask")) {
-    const JsonArray& masks = column_of(columns, "mask", rows);
-    for (std::size_t i = 0; i < rows; ++i)
-      configs[i].mask = mask_in(masks[i], space, "mask");
-  } else {
-    for (std::size_t i = 0; i < rows; ++i)
-      configs[i].mask = static_cast<ConfigMask>(i);
-  }
-  read_binary_column(columns, "mean_time", configs, &ConfigResult::mean_time);
-  read_binary_column(columns, "stddev_time", configs,
-                     &ConfigResult::stddev_time);
-
-  const bool speedup = !stored.contains("speedup");
-  const bool usage = !stored.contains("hbm_usage");
-  const bool density = !stored.contains("hbm_density");
-  const bool groups = !stored.contains("groups_in_hbm");
-  if (!speedup)
-    read_binary_column(columns, "speedup", configs, &ConfigResult::speedup);
-  if (!usage)
-    read_binary_column(columns, "hbm_usage", configs,
-                       &ConfigResult::hbm_usage);
-  else if (!basis.has_footprint())
+  const JsonArray* masks =
+      stored.contains("mask") ? &column_of(columns, "mask", rows) : nullptr;
+  const BinaryColumn mean_time(columns, "mean_time", rows);
+  const BinaryColumn stddev_time(columns, "stddev_time", rows);
+  const auto speedup = stored_column(columns, "speedup", rows);
+  const auto usage = stored_column(columns, "hbm_usage", rows);
+  if (!usage && !basis.has_footprint())
     bad_field("hbm_usage", "is left out with no footprint weights");
-  else if (!(basis.weights->footprint_total > 0.0))
+  if (!usage && !(basis.weights->footprint_total > 0.0))
     bad_field("footprint_total", "must be positive to rebuild hbm_usage");
-  if (!density)
-    read_binary_column(columns, "hbm_density", configs,
-                       &ConfigResult::hbm_density);
-  else if (!basis.has_traffic())
+  const auto density = stored_column(columns, "hbm_density", rows);
+  if (!density && !basis.has_traffic())
     bad_field("hbm_density", "is left out with no traffic weights");
-  if (!groups) {
-    const JsonArray& values = column_of(columns, "groups_in_hbm", rows);
-    for (std::size_t i = 0; i < rows; ++i)
-      configs[i].groups_in_hbm =
-          int_in(values[i], 0, basis.num_groups, "groups_in_hbm");
-  }
-  if (!(speedup || usage || density || groups)) return configs;
+  const JsonArray* groups = stored.contains("groups_in_hbm")
+                                ? &column_of(columns, "groups_in_hbm", rows)
+                                : nullptr;
+  const bool derives = !speedup || !usage || !density || groups == nullptr;
 
+  SweepRows shape{rows, true};
+  RowSink<ConfigResult> sink(kept, rows);
   TierDigits digits(basis.num_groups, basis.num_tiers);
-  for (ConfigResult& c : configs) {
-    digits.seek(c.mask);
-    const Derived d = derive(digits, c.mean_time, basis);
-    if (speedup) c.speedup = rebuilt(d.speedup, "speedup");
-    if (usage) c.hbm_usage = rebuilt(d.hbm_usage, "hbm_usage");
-    if (density) c.hbm_density = rebuilt(d.hbm_density, "hbm_density");
-    if (groups) c.groups_in_hbm = d.groups_in_hbm;
-  }
-  return configs;
+  for_each_block(rows, [&](std::size_t begin, std::size_t end) {
+    ConfigResult* block = sink.block(begin);
+    const auto row = [&](std::size_t i) -> ConfigResult& {
+      return block[i - begin];
+    };
+    const auto into = [&](double ConfigResult::*field) {
+      return [&, field](std::size_t i, double value) { row(i).*field = value; };
+    };
+    for (std::size_t i = begin; i < end; ++i) {
+      ConfigResult& c = row(i);
+      c.mask = masks != nullptr ? mask_in((*masks)[i], space, "mask")
+                                : static_cast<ConfigMask>(i);
+      shape.by_mask = shape.by_mask && c.mask == static_cast<ConfigMask>(i);
+    }
+    mean_time.read(begin, end, into(&ConfigResult::mean_time));
+    stddev_time.read(begin, end, into(&ConfigResult::stddev_time));
+    if (speedup) speedup->read(begin, end, into(&ConfigResult::speedup));
+    if (usage) usage->read(begin, end, into(&ConfigResult::hbm_usage));
+    if (density) density->read(begin, end, into(&ConfigResult::hbm_density));
+    if (groups != nullptr) {
+      for (std::size_t i = begin; i < end; ++i)
+        row(i).groups_in_hbm =
+            int_in((*groups)[i], 0, basis.num_groups, "groups_in_hbm");
+    }
+    if (!derives) return;
+    for (std::size_t i = begin; i < end; ++i) {
+      ConfigResult& c = row(i);
+      digits.seek(c.mask);
+      const Derived d = derive(digits, c.mean_time, basis);
+      if (!speedup) c.speedup = rebuilt(d.speedup, "speedup");
+      if (!usage) c.hbm_usage = rebuilt(d.hbm_usage, "hbm_usage");
+      if (!density) c.hbm_density = rebuilt(d.hbm_density, "hbm_density");
+      if (groups == nullptr) c.groups_in_hbm = d.groups_in_hbm;
+    }
+  });
+  return shape;
 }
 
 /// A sweep's weights `name` (one finite, non-negative value per group)
@@ -517,10 +585,11 @@ void weights_from_json(const Json& sweep, const char* name,
                        double& total, int num_groups) {
   if (!sweep.as_object().contains(name)) return;
   weights.resize(static_cast<std::size_t>(num_groups));
-  decode_doubles(sweep, name, weights.size(), [&](std::size_t i, double w) {
-    if (w < 0.0) bad_field(name, "holds a negative weight");
-    weights[i] = w;
-  });
+  BinaryColumn(sweep, name, weights.size())
+      .read(0, weights.size(), [&](std::size_t i, double w) {
+        if (w < 0.0) bad_field(name, "holds a negative weight");
+        weights[i] = w;
+      });
   total = finite(sweep.at(total_name), total_name);
   if (total < 0.0) bad_field(total_name, "is negative");
 }
@@ -575,53 +644,74 @@ Json trajectory_to_json(const TuningOutcome& outcome) {
   return Json(std::move(o));
 }
 
-std::vector<TuningStep> trajectory_from_sweep(const Json& accepted_steps,
-                                              const SweepResult& sweep) {
-  const auto order = gray_enumeration(sweep.num_groups, sweep.num_tiers);
-  if (!order || order->size() != sweep.configs.size())
+/// Rebuild an exhaustive trajectory from its sweep into `kept`; with no
+/// `kept` only the checks run. The rule needs every configuration of the
+/// space, each Gray mask indexing its own row. The Gray order is a
+/// permutation of the space's ids, so that holds exactly when the sweep
+/// has one row per configuration and row i holds mask i: no enumeration
+/// is needed to check it.
+void trajectory_from_sweep(const Json& accepted_steps,
+                           const SweepResult& sweep, const SweepRows& shape,
+                           std::vector<TuningStep>* kept) {
+  const std::size_t size = config_count(sweep.num_groups, sweep.num_tiers);
+  if (shape.rows != size)
     bad_field("accepted_steps", "needs a complete sweep to derive from");
-  std::vector<TuningStep> steps(order->size());
-  for (std::size_t i = 0; i < steps.size(); ++i) {
-    const ConfigMask mask = (*order)[i];
-    const ConfigResult& config = sweep.configs[mask];
-    if (config.mask != mask)
-      bad_field("accepted_steps", "needs a sweep indexed by mask");
-    steps[i] = {static_cast<int>(i + 1), mask, config.mean_time,
-                config.speedup, false};
+  if (!shape.by_mask)
+    bad_field("accepted_steps", "needs a sweep indexed by mask");
+  if (kept != nullptr) {
+    const auto order =
+        gray_enumeration(sweep.num_groups, sweep.num_tiers).value();
+    kept->resize(size);
+    for (std::size_t i = 0; i < size; ++i) {
+      const ConfigResult& config = sweep.configs[order[i]];
+      (*kept)[i] = {static_cast<int>(i + 1), order[i], config.mean_time,
+                    config.speedup, false};
+    }
   }
   int previous = 0;
   for (const Json& index : accepted_steps.as_array()) {
-    const int step = int_in(index, previous + 1,
-                            static_cast<int>(steps.size()), "accepted_steps");
-    steps[static_cast<std::size_t>(step - 1)].accepted = true;
-    previous = step;
+    previous = int_in(index, previous + 1, static_cast<int>(size),
+                      "accepted_steps");
+    if (kept != nullptr)
+      (*kept)[static_cast<std::size_t>(previous - 1)].accepted = true;
   }
-  return steps;
 }
 
-std::vector<TuningStep> trajectory_from_columns(const Json& columns,
-                                                std::size_t space,
-                                                double baseline) {
+/// Decode a columnar trajectory into `kept`; with no `kept` every step is
+/// checked and dropped.
+void trajectory_from_columns(const Json& columns, std::size_t space,
+                             double baseline,
+                             std::vector<TuningStep>* kept) {
   const std::size_t rows = columns.at("index").as_array().size();
   const JsonArray& index = column_of(columns, "index", rows);
   const JsonArray& mask = column_of(columns, "mask", rows);
   const JsonArray& accepted = column_of(columns, "accepted", rows);
-  std::vector<TuningStep> steps(rows);
-  for (std::size_t i = 0; i < rows; ++i) {
-    steps[i].index = int_in(index[i], 0, INT_MAX, "index");
-    steps[i].mask = mask_in(mask[i], space, "mask");
-    steps[i].accepted = accepted[i].as_bool();
-  }
-  read_binary_column(columns, "observed_time", steps,
-                     &TuningStep::observed_time);
-  if (columns.as_object().contains("speedup")) {
-    read_binary_column(columns, "speedup", steps, &TuningStep::speedup);
-  } else {
-    for (TuningStep& step : steps)
-      step.speedup =
-          rebuilt(speedup_of(baseline, step.observed_time), "speedup");
-  }
-  return steps;
+  const BinaryColumn observed_time(columns, "observed_time", rows);
+  const auto speedup = stored_column(columns, "speedup", rows);
+  RowSink<TuningStep> sink(kept, rows);
+  for_each_block(rows, [&](std::size_t begin, std::size_t end) {
+    TuningStep* block = sink.block(begin);
+    const auto step = [&](std::size_t i) -> TuningStep& {
+      return block[i - begin];
+    };
+    for (std::size_t i = begin; i < end; ++i) {
+      step(i).index = int_in(index[i], 0, INT_MAX, "index");
+      step(i).mask = mask_in(mask[i], space, "mask");
+      step(i).accepted = accepted[i].as_bool();
+    }
+    observed_time.read(begin, end, [&](std::size_t i, double value) {
+      step(i).observed_time = value;
+    });
+    if (speedup) {
+      speedup->read(begin, end, [&](std::size_t i, double value) {
+        step(i).speedup = value;
+      });
+    } else {
+      for (std::size_t i = begin; i < end; ++i)
+        step(i).speedup =
+            rebuilt(speedup_of(baseline, step(i).observed_time), "speedup");
+    }
+  });
 }
 
 }  // namespace
@@ -677,7 +767,8 @@ Json outcome_to_json(const TuningOutcome& outcome) {
   return Json(std::move(o));
 }
 
-TuningOutcome outcome_from_json(const Json& json) {
+TuningOutcome outcome_from_json(const Json& json, Rows rows) {
+  const bool keep = rows == Rows::Keep;
   TuningOutcome out;
   out.strategy = json.at("strategy").as_string();
   out.workload = json.at("workload").as_string();
@@ -710,35 +801,38 @@ TuningOutcome outcome_from_json(const Json& json) {
       int_in(json.at("configs_measured"), 0, INT_MAX, "configs_measured");
   out.measurements =
       int_in(json.at("measurements"), 0, INT_MAX, "measurements");
-  out.table = configs_from_json(
-      json.at("table"),
-      Basis{out.num_groups, out.num_tiers, out.baseline_time}, space);
-  if (const Json* sweep = json.as_object().find("sweep")) {
-    SweepResult s;
-    s.baseline_time = finite(sweep->at("baseline_time"), "baseline_time");
-    s.num_groups = int_in(sweep->at("num_groups"), 1,
+  configs_from_json(json.at("table"),
+                    Basis{out.num_groups, out.num_tiers, out.baseline_time},
+                    space, keep ? &out.table : nullptr);
+  std::optional<SweepResult> sweep;
+  SweepRows sweep_rows;
+  if (const Json* stored = json.as_object().find("sweep")) {
+    SweepResult& s = sweep.emplace();
+    s.baseline_time = finite(stored->at("baseline_time"), "baseline_time");
+    s.num_groups = int_in(stored->at("num_groups"), 1,
                           ConfigSpace::kMaxGroups, "num_groups");
     s.num_tiers =
-        int_in(sweep->at("num_tiers"), 2, topo::kNumPoolKinds, "num_tiers");
-    weights_from_json(*sweep, "footprint_bytes", "footprint_total",
+        int_in(stored->at("num_tiers"), 2, topo::kNumPoolKinds, "num_tiers");
+    weights_from_json(*stored, "footprint_bytes", "footprint_total",
                       s.footprint_bytes, s.footprint_total, s.num_groups);
-    weights_from_json(*sweep, "traffic_bytes", "traffic_total",
+    weights_from_json(*stored, "traffic_bytes", "traffic_total",
                       s.traffic_bytes, s.traffic_total, s.num_groups);
-    s.configs = configs_from_json(
-        sweep->at("configs"),
+    sweep_rows = configs_from_json(
+        stored->at("configs"),
         Basis{s.num_groups, s.num_tiers, s.baseline_time, &s},
-        space_size(s.num_groups, s.num_tiers));
-    out.sweep = std::move(s);
+        space_size(s.num_groups, s.num_tiers),
+        keep ? &s.configs : nullptr);
   }
   const Json& trajectory = json.at("trajectory");
+  std::vector<TuningStep>* steps = keep ? &out.trajectory : nullptr;
   if (const Json* accepted = trajectory.as_object().find("accepted_steps")) {
-    if (!out.sweep.has_value())
+    if (!sweep.has_value())
       bad_field("accepted_steps", "needs a sweep to derive from");
-    out.trajectory = trajectory_from_sweep(*accepted, *out.sweep);
+    trajectory_from_sweep(*accepted, *sweep, sweep_rows, steps);
   } else {
-    out.trajectory =
-        trajectory_from_columns(trajectory, space, out.baseline_time);
+    trajectory_from_columns(trajectory, space, out.baseline_time, steps);
   }
+  if (keep) out.sweep = std::move(sweep);
   return out;
 }
 

@@ -20,7 +20,16 @@ namespace hmpt::tuner {
 /// present, the full sweep) to a JSON object.
 Json outcome_to_json(const TuningOutcome& outcome);
 
+/// What outcome_from_json does with an outcome's row lists (`table`,
+/// `sweep` and `trajectory`). Either way every range check runs on every
+/// row, in the same order, so a document is rejected with the same error
+/// in both modes. Keep returns the rows. Skip returns the headline alone
+/// (empty `table` and `trajectory`, no `sweep`): each column is decoded a
+/// fixed block of rows at a time into one reused buffer, so validating a
+/// record allocates nothing per row.
+enum class Rows { Keep, Skip };
+
 /// Parse an outcome back; throws hmpt::Error on a malformed document.
-TuningOutcome outcome_from_json(const Json& json);
+TuningOutcome outcome_from_json(const Json& json, Rows rows = Rows::Keep);
 
 }  // namespace hmpt::tuner

@@ -139,7 +139,10 @@ pid_t spawn_worker(const FleetOptions& options, int index,
       ::execv(options.worker_bin.c_str(), argv.data());
     } else {
       std::string cmd = shell_quote(options.worker_bin);
-      for (const auto& arg : args) cmd += " " + shell_quote(arg);
+      for (const auto& arg : args) {
+        cmd += ' ';
+        cmd += shell_quote(arg);
+      }
       std::string rendered = replace_all(options.exec_template, "{cmd}", cmd);
       rendered = replace_all(rendered, "{index}", std::to_string(index));
       ::execl("/bin/sh", "sh", "-c", rendered.c_str(),

@@ -435,7 +435,10 @@ void Daemon::start_watch(const std::shared_ptr<Connection>& connection) {
         JsonObject extra;
         if (status.state == JobState::Done ||
             status.state == JobState::Cached) {
-          if (const auto outcome = scheduler_->outcome(status.fingerprint))
+          // The event carries the headline's speedup: the record is
+          // validated, its rows not kept.
+          if (const auto outcome = scheduler_->store().load_by_fingerprint(
+                  status.fingerprint, tuner::Rows::Skip))
             extra["speedup"] = Json(outcome->speedup);
         }
         if (!status.error.empty()) extra["error"] = Json(status.error);

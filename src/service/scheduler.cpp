@@ -368,7 +368,8 @@ std::optional<JobStatus> Scheduler::status(
     if (it != jobs_.end()) return it->second->status;
   }
   // Not a job of this process — but a previous run may have stored it.
-  if (store_.load_by_fingerprint(fingerprint).has_value()) {
+  if (store_.load_by_fingerprint(fingerprint, tuner::Rows::Skip)
+          .has_value()) {
     JobStatus status;
     status.fingerprint = fingerprint;
     status.state = JobState::Cached;

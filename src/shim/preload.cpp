@@ -6,8 +6,7 @@
 // return address), and dump a per-site profile at process exit to
 // $HMPT_PROFILE_OUT. Usage:
 //
-//   HMPT_PROFILE_OUT=/tmp/profile.txt \
-//   LD_PRELOAD=$BUILD/src/shim/libhmpt_preload.so ./your_app
+//   HMPT_PROFILE_OUT=profile.txt LD_PRELOAD=$BUILD/libhmpt_preload.so ./app
 //
 // Keep this translation unit free of anything that may allocate during
 // early process startup; all logic lives in preload_core.{h,cpp}.

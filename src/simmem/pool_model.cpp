@@ -64,12 +64,13 @@ double PoolPerfModel::random_bandwidth(topo::PoolKind kind, int threads,
   return smooth_min(linear, saturation);
 }
 
-double PoolPerfModel::chase_bandwidth(topo::PoolKind kind, int threads,
+double PoolPerfModel::chase_bandwidth(topo::PoolKind, int threads,
                                       double effective_latency) const {
   HMPT_REQUIRE(threads >= 1, "chase_bandwidth needs >= 1 thread");
   HMPT_REQUIRE(effective_latency > 0, "latency must be positive");
   // One outstanding line per thread; the paper observes this never
-  // saturates either pool up to 48 cores (Sec. I-A).
+  // saturates either pool up to 48 cores (Sec. I-A), so the pool kind
+  // enters only through the latency.
   return threads * config_.mlp_chase * kCacheLine / effective_latency;
 }
 

@@ -157,9 +157,6 @@ MiniKWaveResult run_mini_kwave(shim::ShimAllocator& shim,
   rho_mean0 /= static_cast<double>(cells);
   for (std::size_t i = 0; i < 3 * cells; ++i) u.store(i, 0.0);
 
-  // Index stride of axis a in the row-major volume.
-  const std::size_t stride[3] = {n * n, n, 1};
-
   // Spectral derivative: out = ifft3(i * k_a * fft3(field)).
   auto spectral_derivative = [&](const TrackedArray<double>& field,
                                  std::size_t base_offset, int axis,

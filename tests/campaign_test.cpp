@@ -17,6 +17,7 @@
 #include <functional>
 #include <iterator>
 #include <limits>
+#include <optional>
 #include <regex>
 #include <sstream>
 #include <thread>
@@ -28,6 +29,7 @@
 #include "core/outcome_io.h"
 #include "core/session.h"
 #include "common/retry.h"
+#include "common/rng.h"
 #include "obs/metrics.h"
 #include "report/report.h"
 #include "service/provider.h"
@@ -462,11 +464,11 @@ void expect_same_configs(const std::vector<tuner::ConfigResult>& a,
   }
 }
 
-/// Field-by-field outcome equality that does not go through the codec
-/// under test.
-void expect_same_outcome(const tuner::TuningOutcome& a,
-                         const tuner::TuningOutcome& b,
-                         const std::string& what) {
+/// Field-by-field equality of the headlines (everything but the row
+/// lists), bit for bit.
+void expect_same_headline(const tuner::TuningOutcome& a,
+                          const tuner::TuningOutcome& b,
+                          const std::string& what) {
   EXPECT_EQ(a.strategy, b.strategy) << what;
   EXPECT_EQ(a.workload, b.workload) << what;
   EXPECT_EQ(a.num_groups, b.num_groups) << what;
@@ -480,6 +482,14 @@ void expect_same_outcome(const tuner::TuningOutcome& a,
   EXPECT_TRUE(same_bits(a.hbm_usage, b.hbm_usage)) << what;
   EXPECT_EQ(a.configs_measured, b.configs_measured) << what;
   EXPECT_EQ(a.measurements, b.measurements) << what;
+}
+
+/// Field-by-field outcome equality that does not go through the codec
+/// under test.
+void expect_same_outcome(const tuner::TuningOutcome& a,
+                         const tuner::TuningOutcome& b,
+                         const std::string& what) {
+  expect_same_headline(a, b, what);
   ASSERT_EQ(a.trajectory.size(), b.trajectory.size()) << what;
   for (std::size_t i = 0; i < a.trajectory.size(); ++i) {
     const auto& x = a.trajectory[i];
@@ -883,6 +893,291 @@ TEST(OutcomeIoTest, CompactPayloadMatchesTheGoldenFile) {
   expect_same_outcome(tuner::outcome_from_json(doc.at("outcome")), outcome,
                       "golden");
   EXPECT_EQ(payload.find('\n'), std::string::npos);  // compact, one line
+}
+
+// ----------------------------------------------- decoding without the rows
+
+/// The doubles of a binary column: base64_le's inverse, bit by bit.
+std::vector<double> doubles_of(const std::string& base64) {
+  static const std::string kAlphabet =
+      "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+  std::vector<bool> bits;
+  for (const char c : base64) {
+    if (c == '=') break;
+    const auto sextet = kAlphabet.find(c);
+    for (int bit = 5; bit >= 0; --bit) bits.push_back((sextet >> bit) & 1);
+  }
+  std::vector<double> values(bits.size() / 64);
+  for (std::size_t v = 0; v < values.size(); ++v) {
+    std::uint64_t word = 0;
+    for (int byte = 0; byte < 8; ++byte)
+      for (int bit = 0; bit < 8; ++bit)
+        if (bits[64 * v + 8 * static_cast<std::size_t>(byte) +
+                 static_cast<std::size_t>(7 - bit)])
+          word |= std::uint64_t{1} << (8 * byte + bit);
+    std::memcpy(&values[v], &word, sizeof word);
+  }
+  return values;
+}
+
+/// The key path of every field of an outcome document, depth first.
+void field_paths(const Json& node, std::vector<std::string>& path,
+                 std::vector<std::vector<std::string>>& out) {
+  for (const auto& [key, value] : node.as_object()) {
+    path.push_back(key);
+    out.push_back(path);
+    if (value.kind() == Json::Kind::Object) field_paths(value, path, out);
+    path.pop_back();
+  }
+}
+
+/// `node` with the field at path[depth...] replaced by `change(value)`,
+/// or dropped when that is nullopt.
+Json with_field(
+    const Json& node, const std::vector<std::string>& path,
+    std::size_t depth,
+    const std::function<std::optional<Json>(const Json&)>& change) {
+  JsonObject out;
+  for (const auto& [key, value] : node.as_object()) {
+    if (key != path[depth]) {
+      out[key] = value;
+    } else if (depth + 1 < path.size()) {
+      out[key] = with_field(value, path, depth + 1, change);
+    } else if (auto changed = change(value)) {
+      out[key] = std::move(*changed);
+    }
+  }
+  return Json(std::move(out));
+}
+
+/// A number a range check may refuse: out of range, fractional, past
+/// the exact integers of a double, or not a number at all.
+Json hostile_number(const Json& value, Rng& rng) {
+  const double v = value.kind() == Json::Kind::Number ? value.as_number() : 0;
+  const Json choices[] = {
+      Json(-1.0),         Json(v + 1),  Json(v - 1),      Json(v + 0.5),
+      Json(1e300),        Json(-1e300), Json(0.0),        Json(1e-320),
+      Json(2147483648.0), Json(0x1p53 + 2), Json("7"),    Json(true)};
+  return choices[rng.next_below(std::size(choices))];
+}
+
+/// A field-level mutation of `value`, described in `what`; nullopt drops
+/// the field.
+std::optional<Json> mutate_field(const Json& value, bool binary, Rng& rng,
+                                 std::string& what) {
+  if (rng.next_below(6) == 0) {
+    what += "drop the key";
+    return std::nullopt;
+  }
+  switch (value.kind()) {
+    case Json::Kind::Number:
+      what += "out-of-range number";
+      return hostile_number(value, rng);
+    case Json::Kind::String: {
+      std::string text = value.as_string();
+      if (!binary || text.empty()) {
+        what += "rename";
+        return Json(text + "x");
+      }
+      std::vector<double> values = doubles_of(text);
+      switch (rng.next_below(5)) {
+        case 0: {
+          const std::string spellings =
+              "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+              "0123456789+/=-_ \xC3";
+          text[rng.next_below(text.size())] =
+              spellings[rng.next_below(spellings.size())];
+          what += "flip one base64 character";
+          return Json(text);
+        }
+        case 1:
+          if (!values.empty()) values.pop_back();
+          what += "shorten the column by one value";
+          return Json(base64_le(values));
+        case 2:
+          values.push_back(values.empty() ? 1.0 : values.front());
+          what += "lengthen the column by one value";
+          return Json(base64_le(values));
+        case 3: {
+          if (values.empty()) values.push_back(0.0);
+          const double hostile[] = {std::numeric_limits<double>::infinity(),
+                                    std::nan(""), -1.0, 0.0, -0.0, 1e-320};
+          values[rng.next_below(values.size())] =
+              hostile[rng.next_below(std::size(hostile))];
+          what += "rewrite one value";
+          return Json(base64_le(values));
+        }
+        default:
+          text.pop_back();
+          what += "drop the last character";
+          return Json(text);
+      }
+    }
+    case Json::Kind::Array: {
+      JsonArray items = value.as_array();
+      if (items.empty()) {
+        what += "fill an empty column";
+        return Json(JsonArray{hostile_number(Json(0.0), rng)});
+      }
+      const std::size_t i = rng.next_below(items.size());
+      const std::size_t j = rng.next_below(items.size());
+      switch (rng.next_below(5)) {
+        case 0:
+          items.pop_back();
+          what += "shorten the column by one value";
+          break;
+        case 1:
+          items.push_back(items.back());
+          what += "lengthen the column by one value";
+          break;
+        case 2:
+          std::swap(items[i], items[j]);
+          what += "swap two values";
+          break;
+        case 3:
+          items[i] = items[i > 0 ? i - 1 : items.size() - 1];
+          what += "repeat a value";
+          break;
+        default:
+          items[i] = hostile_number(items[i], rng);
+          what += "one out-of-range value";
+          break;
+      }
+      return Json(std::move(items));
+    }
+    case Json::Kind::Object: {
+      // A row list gains a mask column: the row ids, two of them swapped.
+      const Json* means = value.as_object().find("mean_time");
+      if (means == nullptr || rng.next_below(2) == 0) break;
+      const std::size_t rows = doubles_of(means->as_string()).size();
+      JsonArray masks;
+      for (std::size_t i = 0; i < rows; ++i)
+        masks.push_back(Json(static_cast<std::uint64_t>(i)));
+      if (rows > 0)
+        std::swap(masks[rng.next_below(rows)], masks[rng.next_below(rows)]);
+      JsonObject columns = value.as_object();
+      columns["mask"] = Json(std::move(masks));
+      what += "add a mask column";
+      return Json(std::move(columns));
+    }
+    default:
+      break;
+  }
+  what += "change the kind";
+  return Json(1.0);
+}
+
+/// A byte-level mutation of a document's compact text: overwrite, insert
+/// or delete one byte, mostly from the characters numbers, base64 and
+/// JSON punctuation use. nullopt when the text no longer parses.
+std::optional<Json> mutate_bytes(std::string text, Rng& rng,
+                                 std::string& what) {
+  const std::string bytes = "0123456789+-.eE=AZaz/\",:[]{} \xC3";
+  const std::size_t at = rng.next_below(text.size());
+  const char byte = bytes[rng.next_below(bytes.size())];
+  switch (rng.next_below(3)) {
+    case 0: text[at] = byte; what += "overwrite"; break;
+    case 1: text.insert(at, 1, byte); what += "insert"; break;
+    default: text.erase(at, 1); what += "delete"; break;
+  }
+  what += " byte " + std::to_string(at);
+  try {
+    return Json::parse(text);
+  } catch (const Error&) {
+    return std::nullopt;
+  }
+}
+
+TEST(OutcomeIoTest, SkipRowsRejectsExactlyWhatFullDecodeRejects) {
+  // The decoder has one rows switch. Rows::Skip must run every check
+  // Rows::Keep runs: on thousands of damaged documents both modes throw
+  // together, with the same error, and where both accept they decode
+  // bit-identical headlines. Inputs: the golden 3^3 record, a fresh 3^8
+  // record (Gray trajectory derived from the sweep), an online record
+  // (columnar trajectory, table with masks) and one that stores every
+  // derivable column too. Each mutation draws from its own counter-based
+  // stream, so a failure names a reproducible case.
+  std::ifstream golden(
+      std::string(HMPT_TEST_DATA_DIR) + "/mg_cxl_exhaustive.payload.json",
+      std::ios::binary);
+  std::stringstream golden_text;
+  golden_text << golden.rdbuf();
+  Scenario bt;
+  bt.workload = parse_workload_spec("bt");
+  bt.platform = "spr-cxl";
+  bt.strategy = "exhaustive";
+  bt.tiers = 3;
+  const auto reparsed = [](const tuner::TuningOutcome& outcome) {
+    return Json::parse(tuner::outcome_to_json(outcome).dump(-1));
+  };
+  const std::pair<std::string, Json> inputs[] = {
+      {"golden 3^3", Json::parse(golden_text.str()).at("outcome")},
+      {"bt 3^8", reparsed(CampaignRunner::execute(bt))},
+      {"online", reparsed(online_outcome())},
+      {"every column stored",
+       reparsed(with_rows(online_outcome(), 20, {0.5, -0.0, 3.0, 1e-310}))},
+  };
+  constexpr std::uint64_t kSeed = 0x5eed0f5c1f;
+  constexpr std::uint64_t kMutations = 1000;
+  int decoded = 0;
+  for (std::size_t input = 0; input < std::size(inputs); ++input) {
+    const auto& [name, original] = inputs[input];
+    const std::string text = original.dump(-1);
+    std::vector<std::vector<std::string>> paths;
+    std::vector<std::string> path;
+    field_paths(original, path, paths);
+    int accepted = 0;
+    int rejected = 0;
+    for (std::uint64_t m = 0; m < kMutations; ++m) {
+      Rng rng(mix_seed(kSeed, input, m));
+      std::string what = name + " mutation " + std::to_string(m) + ": ";
+      std::optional<Json> doc;
+      if (m % 2 == 0) {
+        const auto& field = paths[rng.next_below(paths.size())];
+        for (const auto& key : field) what += key + ".";
+        const bool binary =
+            field.back() != "strategy" && field.back() != "workload";
+        doc = with_field(original, field, 0, [&](const Json& value) {
+          return mutate_field(value, binary, rng, what);
+        });
+      } else {
+        doc = mutate_bytes(text, rng, what);
+      }
+      if (!doc) continue;  // no longer JSON: not the decoder's input
+      ++decoded;
+      std::optional<tuner::TuningOutcome> kept;
+      std::optional<tuner::TuningOutcome> skipped;
+      std::string keep_error;
+      std::string skip_error;
+      try {
+        kept = tuner::outcome_from_json(*doc, tuner::Rows::Keep);
+      } catch (const std::exception& e) {
+        keep_error = e.what();
+      }
+      try {
+        skipped = tuner::outcome_from_json(*doc, tuner::Rows::Skip);
+      } catch (const std::exception& e) {
+        skip_error = e.what();
+      }
+      ASSERT_EQ(kept.has_value(), skipped.has_value())
+          << what << " (keep: '" << keep_error << "', skip: '" << skip_error
+          << "')";
+      EXPECT_EQ(keep_error, skip_error) << what;
+      if (!kept) {
+        ++rejected;
+        continue;
+      }
+      ++accepted;
+      expect_same_headline(*kept, *skipped, what);
+      EXPECT_TRUE(skipped->table.empty() && skipped->trajectory.empty() &&
+                  !skipped->sweep.has_value())
+          << what;
+    }
+    // Both outcomes occur, so neither check above is vacuous.
+    EXPECT_GT(accepted, 20) << name;
+    EXPECT_GT(rejected, 200) << name;
+  }
+  EXPECT_GE(decoded, 2000);
 }
 
 // ------------------------------------------------------------------ store

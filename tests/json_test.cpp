@@ -279,6 +279,16 @@ TEST(JsonTest, MovesLeaveNullAndSelfAssignmentIsHarmless) {
   EXPECT_EQ(parent.dump(-1), "[\"x\"]");
 }
 
+TEST(JsonTest, TakeMovesAFieldOutAndLeavesNull) {
+  Json doc = Json::parse("{\"a\":{\"b\":[1,2]},\"c\":\"s\"}");
+  const Json taken = doc.take("a");
+  EXPECT_EQ(taken.dump(-1), "{\"b\":[1,2]}");
+  EXPECT_EQ(doc.dump(-1), "{\"a\":null,\"c\":\"s\"}");
+  EXPECT_THROW(doc.take("missing"), Error);
+  Json text("not an object");
+  EXPECT_THROW(text.take("a"), Error);
+}
+
 TEST(JsonTest, WideObjectsParseFastAndRejectDuplicateKeys) {
   // Keys were once inserted through a linear lookup each, so an object
   // of n keys took O(n^2): 80,000 keys took 18.7 s. 200,000 keys must

@@ -113,7 +113,9 @@ TEST(TraceRecorderTest, ConcurrentSpansRenderValidBalancedJson) {
                                          event.at("tid").as_number()};
     const double ts = event.at("ts").as_number();
     const auto it = last_ts.find(lane);
-    if (it != last_ts.end()) EXPECT_GE(ts, it->second);
+    if (it != last_ts.end()) {
+      EXPECT_GE(ts, it->second);
+    }
     last_ts[lane] = ts;
     if (ph == "B") {
       ++begins;

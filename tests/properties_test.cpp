@@ -284,8 +284,9 @@ TEST_P(SweepProperty, SummaryInvariantsHold) {
   // The 90 % config is genuinely above threshold and minimal in usage.
   EXPECT_GE(summary.usage90_speedup, summary.threshold90 - 1e-9);
   for (const auto& cfg : sweep.configs) {
-    if (cfg.speedup + 1e-12 >= summary.threshold90)
+    if (cfg.speedup + 1e-12 >= summary.threshold90) {
       EXPECT_GE(cfg.hbm_usage, summary.usage90 - 1e-12);
+    }
   }
   // Threshold sits between baseline and max.
   EXPECT_GE(summary.threshold90, 1.0);

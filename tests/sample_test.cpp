@@ -54,8 +54,12 @@ TEST(SamplerTest, DensityMatchesTrafficSplit) {
   EXPECT_NEAR(report.density(2), 0.25, 0.03);
   // Node attribution travels with the range.
   for (const auto& tag : report.per_tag) {
-    if (tag.tag == 1) EXPECT_EQ(tag.node, 0);
-    if (tag.tag == 2) EXPECT_EQ(tag.node, 4);
+    if (tag.tag == 1) {
+      EXPECT_EQ(tag.node, 0);
+    }
+    if (tag.tag == 2) {
+      EXPECT_EQ(tag.node, 4);
+    }
   }
 }
 

@@ -364,7 +364,8 @@ int main(int argc, char** argv) {
           run.status = state == "cached"
                            ? campaign::ScenarioRun::Status::Cached
                            : campaign::ScenarioRun::Status::Executed;
-          run.outcome = tuner::outcome_from_json(reply.body.at("outcome"));
+          run.outcome = tuner::outcome_from_json(reply.body.at("outcome"),
+                                                 tuner::Rows::Skip);
           (run.status == campaign::ScenarioRun::Status::Cached
                ? result.cached
                : result.executed)++;
