@@ -323,64 +323,49 @@ CampaignResult merge_shards(const std::vector<std::string>& shard_dirs,
       raise("shard " + shard_dirs[owner.shard] + " ran scenario " + fp +
             " which is not part of campaign " + ref.campaign);
 
-  // 3. Union the content-addressed outcome stores, restricted to the
-  //    campaign's fingerprints (shard directories may be reused stores
-  //    holding outcomes of other campaigns — those are left alone). Every
-  //    store is bulk-loaded through the payload API — dir or packed
-  //    format alike, one sequential pass each — and every shard's copy of
-  //    every fingerprint is byte-compared: identical bytes merge silently
-  //    (content addressing at work); *different* bytes for the same
+  // 3. Union the content-addressed outcome stores one fingerprint at a
+  //    time, in campaign order, so memory holds one record whatever the
+  //    campaign's size. Only campaign fingerprints are read (shard
+  //    directories may be reused stores holding other campaigns'
+  //    outcomes). Every shard's copy is read with find_record, which never
+  //    quarantines (a merge must not change the stores it reads), and
+  //    byte-compared with the first valid copy: *different* bytes for one
   //    fingerprint are a determinism bug or a foreign store and fail the
   //    merge. Raw payload bytes flow straight into the output store, so
   //    the merged records are byte-identical whatever formats are on
-  //    either side. Each record is parsed once, by the bulk load that
-  //    validates it; its bytes are moved, never copied, and dropped once
-  //    saved, so no record is held twice.
+  //    either side. Only the headline is kept.
   const OutcomeStore merged_store(output_dir, output_format);
-  std::map<std::string, std::string> already_merged;
-  for (auto& [fp, bytes] : merged_store.load_all_payloads())
-    already_merged.emplace(fp, std::move(bytes));
-  std::vector<std::map<std::string, StoredRecord>> shard_records;
-  for (const auto& dir : shard_dirs) {
-    std::map<std::string, StoredRecord> records;
-    for (auto& record : OutcomeStore::open_existing(dir).load_all_records()) {
-      std::string fp = record.fingerprint;
-      records.emplace(std::move(fp), std::move(record));
-    }
-    shard_records.push_back(std::move(records));
-  }
+  std::vector<OutcomeStore> shard_stores;
+  for (const auto& dir : shard_dirs)
+    shard_stores.push_back(OutcomeStore::open_existing(dir));
   int merged_records = 0;
   std::map<std::string, tuner::TuningOutcome> merged;  // step 4's working set
   for (const auto& fp : ref.campaign_order) {
-    std::string bytes;
-    tuner::TuningOutcome outcome;
+    std::optional<ValidRecord> record;
     std::string source;
-    for (std::size_t i = 0; i < shard_dirs.size(); ++i) {
-      const auto it = shard_records[i].find(fp);
-      if (it == shard_records[i].end()) continue;
-      if (source.empty()) {
-        bytes = std::move(it->second.payload);
-        outcome = std::move(it->second.outcome);
+    for (std::size_t i = 0; i < shard_stores.size(); ++i) {
+      auto copy = shard_stores[i].find_record(fp);
+      if (!copy) continue;
+      if (!record) {
+        record = std::move(copy);
         source = shard_dirs[i];
-      } else if (it->second.payload != bytes) {
+      } else if (copy->payload != record->payload) {
         raise("conflicting outcomes for fingerprint " + fp + ": " +
               shard_dirs[i] + " differs from " + source +
               " — same scenario, different results (determinism bug or "
               "stores from different experiments)");
       }
-      shard_records[i].erase(it);
     }
-    if (source.empty()) continue;  // failed scenario: no outcome anywhere
-    const auto existing = already_merged.find(fp);
-    if (existing != already_merged.end()) {
-      if (existing->second != bytes)
+    if (!record) continue;  // failed scenario: no outcome anywhere
+    if (const auto existing = merged_store.find_record(fp)) {
+      if (existing->payload != record->payload)
         raise("conflicting outcomes for fingerprint " + fp + ": " + source +
               " differs from the copy already merged into " + output_dir);
     } else {
-      merged_store.save_payload(fp, bytes);
+      merged_store.save_payload(fp, record->payload);
       ++merged_records;
     }
-    merged.emplace(fp, std::move(outcome));
+    merged.emplace(fp, std::move(record->outcome));
   }
 
   // 4. Reconstruct the campaign-ordered result from the merged records

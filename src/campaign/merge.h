@@ -156,7 +156,8 @@ struct MergeStats {
 /// directory) and `output_format` picks the merged store's layout
 /// independently, so a merge doubles as a lossless cross-format
 /// conversion: outcome records are copied as raw payload bytes, never
-/// re-serialised.
+/// re-serialised. They are read one fingerprint at a time, and a damaged
+/// shard copy is skipped, never quarantined: shard stores stay unchanged.
 ///
 /// Returns the campaign-ordered CampaignResult (outcomes loaded from the
 /// merged store, status Cached; failures reproduced from the manifests),

@@ -178,9 +178,11 @@ class OutcomeStoreBackend {
   /// First-write-wins byte-compare persist; see the header.
   virtual void save_payload(const std::string& fingerprint,
                             const std::string& payload) = 0;
-  /// Every (fingerprint, payload) with an intact frame, sorted by
-  /// fingerprint; the payloads are not yet validated.
-  virtual std::vector<std::pair<std::string, std::string>> load_all() = 0;
+  /// Hand every (fingerprint, payload) with an intact frame to `visit`,
+  /// one at a time in fingerprint order; the payloads are not yet
+  /// validated.
+  using Visit = std::function<void(const std::string&, std::string&)>;
+  virtual void for_each(const Visit& visit) = 0;
 
   const std::string& directory() const { return directory_; }
 
@@ -268,19 +270,20 @@ class DirBackend : public OutcomeStoreBackend {
     }
   }
 
-  std::vector<std::pair<std::string, std::string>> load_all() override {
-    std::map<std::string, std::string> sorted;
+  void for_each(const Visit& visit) override {
+    std::vector<std::string> fingerprints;
     std::error_code ec;
     fs::directory_iterator it(fs::path(directory_) / "outcomes", ec);
-    if (ec) return {};
+    if (ec) return;
     for (const fs::directory_iterator end; it != end; it.increment(ec)) {
       if (ec) break;
       const fs::path path = it->path();
-      if (path.extension() != ".json") continue;
-      const std::string fingerprint = path.stem().string();
-      sorted[fingerprint] = read_file(path.string()).value_or("");
+      if (path.extension() == ".json")
+        fingerprints.push_back(path.stem().string());
     }
-    return {sorted.begin(), sorted.end()};
+    std::sort(fingerprints.begin(), fingerprints.end());
+    for (const auto& fingerprint : fingerprints)
+      if (auto bytes = payload(fingerprint)) visit(fingerprint, *bytes);
   }
 };
 
@@ -510,18 +513,18 @@ class PackedBackend : public OutcomeStoreBackend {
     }
   }
 
-  std::vector<std::pair<std::string, std::string>> load_all() override {
-    std::lock_guard<std::mutex> lock(mutex_);
+  void for_each(const Visit& visit) override {
+    std::unique_lock<std::mutex> lock(mutex_);
     rescan_locked();  // one authoritative sequential pass
-    std::vector<std::pair<std::string, std::string>> out;
-    if (records_.empty()) return out;
+    const std::vector<std::pair<std::string, Record>> records(
+        records_.begin(), records_.end());  // fingerprint order
+    const std::uint64_t log_size = seen_size_;
+    lock.unlock();  // visit without the lock
     std::ifstream log(log_path(), std::ios::binary);
-    if (!log.good()) return out;
-    for (const auto& [fingerprint, record] : records_) {
-      auto bytes = read_record_payload(log, seen_size_, fingerprint, record);
-      if (bytes) out.emplace_back(fingerprint, std::move(*bytes));
-    }
-    return out;  // records_ is fingerprint-ordered
+    if (!log.good()) return;
+    for (const auto& [fingerprint, record] : records)
+      if (auto bytes = read_record_payload(log, log_size, fingerprint, record))
+        visit(fingerprint, *bytes);
   }
 
  private:
@@ -870,16 +873,15 @@ std::optional<ParsedRecord> read_record(OutcomeStoreBackend& backend,
   return parsed;
 }
 
-/// Validate every record of a bulk load and hand the good ones, with
-/// headline outcomes, to `visit` in fingerprint order. Damaged records
-/// are skipped, not reported: bulk loads (merge, reports) must not mutate
-/// the store they read.
-template <typename Visit>
-void for_each_record(OutcomeStoreBackend& backend, Visit visit) {
-  for (auto& [fingerprint, bytes] : backend.load_all()) {
-    auto parsed = parse_record(bytes, fingerprint, tuner::Rows::Skip);
-    if (parsed) visit(fingerprint, bytes, *parsed);
-  }
+/// `payload` validated as the record of `fingerprint`; nullopt when it
+/// is damaged. The damage is not reported: merge and reports must not
+/// mutate the stores they read.
+std::optional<ValidRecord> valid_record(const std::string& fingerprint,
+                                        std::string payload) {
+  auto parsed = parse_record(payload, fingerprint, tuner::Rows::Skip);
+  if (!parsed) return std::nullopt;
+  return ValidRecord{std::move(payload), parsed->doc.take("scenario"),
+                     std::move(parsed->outcome)};
 }
 
 }  // namespace
@@ -923,22 +925,27 @@ void OutcomeStore::save_payload(const std::string& fingerprint,
   backend_->save_payload(fingerprint, payload);
 }
 
+std::optional<ValidRecord> OutcomeStore::find_record(
+    const std::string& fingerprint) const {
+  auto payload = backend_->payload(fingerprint);
+  if (!payload) return std::nullopt;
+  return valid_record(fingerprint, std::move(*payload));
+}
+
+void OutcomeStore::for_each_record(
+    const std::function<void(const std::string&, ValidRecord&)>& visit)
+    const {
+  backend_->for_each([&](const std::string& fingerprint, std::string& bytes) {
+    if (auto record = valid_record(fingerprint, std::move(bytes)))
+      visit(fingerprint, *record);
+  });
+}
+
 std::vector<std::pair<std::string, std::string>>
 OutcomeStore::load_all_payloads() const {
   std::vector<std::pair<std::string, std::string>> out;
-  for_each_record(*backend_, [&](const std::string& fingerprint,
-                                 std::string& bytes, ParsedRecord&) {
-    out.emplace_back(fingerprint, std::move(bytes));
-  });
-  return out;
-}
-
-std::vector<StoredRecord> OutcomeStore::load_all_records() const {
-  std::vector<StoredRecord> out;
-  for_each_record(*backend_, [&](const std::string& fingerprint,
-                                 std::string& bytes, ParsedRecord& parsed) {
-    out.push_back({fingerprint, std::move(bytes),
-                   parsed.doc.take("scenario"), std::move(parsed.outcome)});
+  for_each_record([&](const std::string& fingerprint, ValidRecord& record) {
+    out.emplace_back(fingerprint, std::move(record.payload));
   });
   return out;
 }

@@ -25,7 +25,7 @@
 //     (append-only in steady state, rebuilt and published by atomic
 //     rename when stale). One file per scenario stops scaling around
 //     10^5 scenarios — the packed log keeps fleet-scale campaigns to two
-//     files and gives the aggregator/merger one sequential bulk load.
+//     files and gives bulk readers (report) one sequential pass.
 //     Appends are fsynced under an exclusive flock; a torn tail from a
 //     crash mid-append is skipped on load (the same discipline as the
 //     service job journal) and truncated away by the next save, so
@@ -39,6 +39,7 @@
 // well-formed conflicting write for an existing fingerprint throws.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -52,10 +53,9 @@
 
 namespace hmpt::campaign {
 
-/// One validated stored record, as a bulk load returns it: the payload
+/// One validated stored record as merge and report read it: the payload
 /// bytes and what they decode to, from a single parse.
-struct StoredRecord {
-  std::string fingerprint;
+struct ValidRecord {
   std::string payload;
   Json scenario;  ///< the record's `scenario` subtree, for Scenario::from_json
   /// The headline: every row was checked, none kept (tuner::Rows::Skip),
@@ -145,13 +145,17 @@ class OutcomeStore {
   /// payload/fingerprint consistency (merge copies validated records).
   void save_payload(const std::string& fingerprint,
                     const std::string& payload) const;
-  /// Bulk load of every (fingerprint, payload) in the store, sorted by
-  /// fingerprint — one sequential pass for packed stores, one directory
-  /// walk for dir stores. Damaged records are skipped.
+  /// The validated record of a fingerprint; nullopt when absent or
+  /// damaged. A damaged copy is left as it is, never quarantined (merge
+  /// reads shard stores this way).
+  std::optional<ValidRecord> find_record(const std::string& fingerprint) const;
+  /// Hand every valid record to `visit`, one at a time in fingerprint
+  /// order (one pass over a packed log, a sorted listing of a dir store);
+  /// damaged ones are skipped and left as they are.
+  void for_each_record(const std::function<void(const std::string&,
+                                                ValidRecord&)>& visit) const;
+  /// Every (fingerprint, payload) of for_each_record(), collected.
   std::vector<std::pair<std::string, std::string>> load_all_payloads() const;
-  /// load_all_payloads() with each record's scenario and headline outcome
-  /// from the same validating parse (merge and report).
-  std::vector<StoredRecord> load_all_records() const;
 
   /// The document bytes save() would store for this (scenario, outcome):
   /// format_version + fingerprint + scenario + outcome as compact JSON

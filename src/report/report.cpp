@@ -254,20 +254,21 @@ CampaignResult load_store_result(const std::string& store_dir) {
   const campaign::OutcomeStore store(store_dir, *format);
 
   CampaignResult result;
-  for (auto& record : store.load_all_records()) {
+  store.for_each_record([&](const std::string& fingerprint,
+                            campaign::ValidRecord& record) {
     ScenarioRun run;
     try {
       run.scenario = Scenario::from_json(record.scenario);
     } catch (const std::exception& e) {
-      raise("corrupt outcome record " + record.fingerprint + " in " +
-            store_dir + ": " + e.what());
+      raise("corrupt outcome record " + fingerprint + " in " + store_dir +
+            ": " + e.what());
     }
     run.outcome = std::move(record.outcome);
-    run.fingerprint = std::move(record.fingerprint);
+    run.fingerprint = fingerprint;
     run.status = ScenarioRun::Status::Cached;
     ++result.cached;
     result.runs.push_back(std::move(run));
-  }
+  });
   return result;
 }
 

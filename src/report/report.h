@@ -56,8 +56,9 @@ TraceTimeline load_trace_timeline(const std::string& trace_path);
 /// (dir or packed format, auto-detected): every stored record carries its
 /// full scenario, so no manifest or campaign file is needed. Runs come
 /// back fingerprint-ordered with status Cached; failures are not
-/// represented (a store only holds successes). Throws hmpt::Error when
-/// the directory holds no outcome store.
+/// represented (a store only holds successes). Records are read one at a
+/// time, headlines kept. Throws hmpt::Error when the directory holds no
+/// outcome store.
 campaign::CampaignResult load_store_result(const std::string& store_dir);
 
 /// Render the full report document. `title` is the page heading; empty

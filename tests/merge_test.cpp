@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <random>
 #include <set>
 #include <sstream>
@@ -45,6 +46,39 @@ class TempDir {
  private:
   std::string path_;
 };
+
+/// Every file and directory under `dir` with its bytes and modification
+/// time: equal snapshots mean nothing was written, renamed or fsynced.
+std::map<std::string, std::string> tree_of(const std::string& dir) {
+  std::map<std::string, std::string> tree;
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    std::string& value = tree[entry.path().string()];
+    value = std::to_string(
+        entry.last_write_time().time_since_epoch().count());
+    if (entry.is_regular_file()) value += " " + slurp(entry.path().string());
+  }
+  return tree;
+}
+
+/// Damage the stored copy of `fingerprint` in the store at `dir` so that
+/// it fails validation: truncate its file (dir format) or overwrite the
+/// first payload byte of its frame in place (packed format, frame
+/// intact). Returns the path of the file that holds it.
+std::string damage_record(const std::string& dir,
+                          const std::string& fingerprint) {
+  std::string path = dir + "/outcomes/" + fingerprint + ".json";
+  if (fs::exists(path)) {
+    fs::resize_file(path, fs::file_size(path) / 2);
+    return path;
+  }
+  path = dir + "/outcomes.log";
+  std::string log = slurp(path);
+  const auto frame = log.find("hmpt1 " + fingerprint + " ");
+  EXPECT_NE(frame, std::string::npos) << fingerprint << " in " << path;
+  log[log.find('\n', frame) + 1] = '#';
+  std::ofstream(path, std::ios::binary) << log;
+  return path;
+}
 
 // ------------------------------------------------------------- shard spec
 
@@ -780,6 +814,15 @@ TEST_F(MergeTest, ForeignOutcomesInReusedStoresAreLeftAlone) {
     std::ofstream os(shard_dirs[i] + "/outcomes/feedfacefeedface.json");
     os << "stale bytes from another campaign " << i;
   }
+  // And a damaged foreign record: a truncated record of another campaign.
+  // It must not fail the merge, and a merge never quarantines it.
+  const std::string record =
+      slurp(shard_dirs[0] + "/outcomes/" + full[0].fingerprint() + ".json");
+  std::ofstream(shard_dirs[0] + "/outcomes/0123456789abcdef.json",
+                std::ios::binary)
+      << record.substr(0, record.size() / 2);
+  const auto before1 = tree_of(shard_dirs[0]);
+  const auto before2 = tree_of(shard_dirs[1]);
 
   MergeStats stats;
   const auto merged =
@@ -788,6 +831,115 @@ TEST_F(MergeTest, ForeignOutcomesInReusedStoresAreLeftAlone) {
   EXPECT_EQ(stats.outcomes_merged, static_cast<int>(full.size()));
   EXPECT_FALSE(fs::exists(root.path() +
                           "/merged/outcomes/feedfacefeedface.json"));
+  EXPECT_FALSE(fs::exists(root.path() +
+                          "/merged/outcomes/0123456789abcdef.json"));
+  EXPECT_EQ(tree_of(shard_dirs[0]), before1);
+  EXPECT_EQ(tree_of(shard_dirs[1]), before2);
+}
+
+TEST_F(MergeTest, MergeNeverChangesTheShardStoresItReads) {
+  for (const auto format : {StoreFormat::Dir, StoreFormat::Packed}) {
+    const std::string tag = to_string(format);
+    TempDir root("hmpt_merge_read_only_" + tag);
+    const auto full = scenarios();
+    CampaignOptions whole;
+    whole.output_dir = root.path() + "/whole";
+    const auto cold = CampaignRunner(whole).run(full);
+    ASSERT_TRUE(cold.ok());
+    write_artifacts(cold, whole.output_dir);
+
+    std::vector<std::string> shard_dirs;
+    for (int i = 1; i <= 2; ++i) {
+      shard_dirs.push_back(root.path() + "/shard" + std::to_string(i));
+      ASSERT_TRUE(run_shard(full, {i, 2}, shard_dirs.back(), false, format)
+                      .ok());
+    }
+    // Shard 1 also ran one of shard 2's scenarios (a steal), and shard
+    // 2's copy of it is damaged: the merge takes shard 1's intact copy.
+    const auto stolen = shard_scenarios(full, {2, 2}).front();
+    CampaignOptions dup;
+    dup.output_dir = shard_dirs[0];
+    dup.store_format = format;
+    ASSERT_TRUE(CampaignRunner(dup).run({stolen}).ok());
+    const std::string damaged =
+        damage_record(shard_dirs[1], stolen.fingerprint());
+    auto before = tree_of(shard_dirs[1]);
+
+    const auto merged = merge_shards(shard_dirs, root.path() + "/merged");
+    EXPECT_EQ(merged.cached, static_cast<int>(full.size())) << tag;
+    write_artifacts(merged, root.path() + "/merged");
+    EXPECT_EQ(slurp(root.path() + "/merged/runs.csv"),
+              slurp(whole.output_dir + "/runs.csv"))
+        << tag;
+    EXPECT_EQ(tree_of(shard_dirs[1]), before) << tag;
+    EXPECT_FALSE(fs::exists(damaged + ".corrupt")) << tag;
+
+    // Damage the only copy of one of shard 1's own scenarios: the merge
+    // fails loudly and still leaves the shard exactly as it was.
+    const auto only = shard_scenarios(full, {1, 2}).front();
+    const std::string lost = damage_record(shard_dirs[0], only.fingerprint());
+    before = tree_of(shard_dirs[0]);
+    try {
+      merge_shards(shard_dirs, root.path() + "/merged-again");
+      FAIL() << tag << ": a complete scenario without a record must not merge";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "complete but its outcome record is missing or damaged"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(tree_of(shard_dirs[0]), before) << tag;
+    EXPECT_FALSE(fs::exists(lost + ".corrupt")) << tag;
+  }
+}
+
+TEST_F(MergeTest, MergingAgainIntoTheSameOutputWritesNothing) {
+  TempDir root("hmpt_merge_again");
+  const auto full = scenarios();
+  std::vector<std::string> shard_dirs;
+  for (int i = 1; i <= 2; ++i) {
+    shard_dirs.push_back(root.path() + "/shard" + std::to_string(i));
+    ASSERT_TRUE(run_shard(full, {i, 2}, shard_dirs.back()).ok());
+  }
+
+  for (const auto format : {StoreFormat::Dir, StoreFormat::Packed}) {
+    const std::string tag = to_string(format);
+    const std::string out = root.path() + "/merged-" + tag;
+    write_artifacts(merge_shards(shard_dirs, out, nullptr, format), out);
+
+    // Every record is already there, byte for byte: no save, so no file,
+    // rename or fsync, and the same artefacts.
+    const auto before = tree_of(out);
+    MergeStats stats;
+    const auto again = merge_shards(shard_dirs, out, &stats, format);
+    EXPECT_EQ(stats.outcomes_merged, 0) << tag;
+    EXPECT_EQ(tree_of(out), before) << tag;
+    write_artifacts(again, root.path() + "/again-" + tag);
+    for (const char* artefact : {"/runs.csv", "/summary.json"})
+      EXPECT_EQ(slurp(root.path() + "/again-" + tag + artefact),
+                slurp(out + artefact))
+          << tag;
+
+    // A differing well-formed record already in the output still fails.
+    const std::string fp = full[0].fingerprint();
+    const std::string payload = *OutcomeStore(out, format).payload(fp) + " ";
+    if (format == StoreFormat::Dir) {
+      std::ofstream(out + "/outcomes/" + fp + ".json", std::ios::binary)
+          << payload;
+    } else {
+      std::ofstream(out + "/outcomes.log", std::ios::binary | std::ios::app)
+          << "hmpt1 " << fp << " " << payload.size() << "\n"
+          << payload << "\n";
+    }
+    try {
+      merge_shards(shard_dirs, out, nullptr, format);
+      FAIL() << tag << ": a conflicting merged copy must not be overwritten";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("already merged into " + out),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST_F(MergeTest, FailedScenariosAreReproducedFromTheManifests) {
