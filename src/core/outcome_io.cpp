@@ -460,6 +460,21 @@ bool rebuilds(double rebuilt, double stored) {
   return std::isfinite(rebuilt) && same(rebuilt, stored);
 }
 
+/// Whether every left-out HBM fraction rebuilds finite, judged from the
+/// row with every group in HBM: any other row sums a subset of the same
+/// non-negative weights in the same order, and rounding is monotone.
+bool fractions_bounded(const Basis& basis, bool usage_stored,
+                       bool density_stored) {
+  ConfigMask all_in_hbm = 0;  // every tier digit 1, HBM
+  for (int g = 0; g < basis.num_groups; ++g)
+    all_in_hbm = all_in_hbm * static_cast<ConfigMask>(basis.num_tiers) + 1;
+  TierDigits digits(basis.num_groups, basis.num_tiers);
+  digits.seek(all_in_hbm);
+  const Derived bound = derive(digits, basis.baseline, basis);
+  return (usage_stored || std::isfinite(bound.hbm_usage)) &&
+         (density_stored || std::isfinite(bound.hbm_density));
+}
+
 /// A rebuilt value, which must be finite like every stored one.
 double rebuilt(double value, const char* name) {
   if (!std::isfinite(value))
@@ -536,6 +551,11 @@ SweepRows configs_from_json(const Json& columns, const Basis& basis,
                                 ? &column_of(columns, "groups_in_hbm", rows)
                                 : nullptr;
   const bool derives = !speedup || !usage || !density || groups == nullptr;
+  // Skipped rows are only checked finite, so with the HBM fractions
+  // bounded once, speedup is the one rebuild left that can fail per row.
+  const bool per_row =
+      kept != nullptr || !fractions_bounded(basis, usage.has_value(),
+                                            density.has_value());
 
   SweepRows shape{rows, true};
   RowSink<ConfigResult> sink(kept, rows);
@@ -565,6 +585,12 @@ SweepRows configs_from_json(const Json& columns, const Basis& basis,
             int_in((*groups)[i], 0, basis.num_groups, "groups_in_hbm");
     }
     if (!derives) return;
+    if (!per_row) {
+      if (!speedup)
+        for (std::size_t i = begin; i < end; ++i)
+          rebuilt(speedup_of(basis.baseline, row(i).mean_time), "speedup");
+      return;
+    }
     for (std::size_t i = begin; i < end; ++i) {
       ConfigResult& c = row(i);
       digits.seek(c.mask);

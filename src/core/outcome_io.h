@@ -26,7 +26,10 @@ Json outcome_to_json(const TuningOutcome& outcome);
 /// in both modes. Keep returns the rows. Skip returns the headline alone
 /// (empty `table` and `trajectory`, no `sweep`): each column is decoded a
 /// fixed block of rows at a time into one reused buffer, so validating a
-/// record allocates nothing per row.
+/// record allocates nothing per row. Keep rebuilds every row's left-out
+/// HBM fractions; Skip proves them finite once per row list, from the row
+/// with every group in HBM, and rebuilds every row only when that bound
+/// is not finite.
 enum class Rows { Keep, Skip };
 
 /// Parse an outcome back; throws hmpt::Error on a malformed document.

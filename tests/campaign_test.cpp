@@ -1000,8 +1000,11 @@ std::optional<Json> mutate_field(const Json& value, bool binary, Rng& rng,
           return Json(base64_le(values));
         case 3: {
           if (values.empty()) values.push_back(0.0);
+          // 1.7e308 in a weight column overflows the sum of every
+          // group's weights, the bound skipped rows are checked against.
           const double hostile[] = {std::numeric_limits<double>::infinity(),
-                                    std::nan(""), -1.0, 0.0, -0.0, 1e-320};
+                                    std::nan(""), -1.0, 0.0, -0.0, 1e-320,
+                                    1.7e308};
           values[rng.next_below(values.size())] =
               hostile[rng.next_below(std::size(hostile))];
           what += "rewrite one value";
@@ -1178,6 +1181,75 @@ TEST(OutcomeIoTest, SkipRowsRejectsExactlyWhatFullDecodeRejects) {
     EXPECT_GT(rejected, 200) << name;
   }
   EXPECT_GE(decoded, 2000);
+}
+
+/// A document whose sweep holds the first `rows` configurations of two
+/// groups on three tiers, both HBM fractions left out, so the decoder
+/// rebuilds them from `footprint` over `footprint_total` and `traffic`
+/// over 1.0.
+Json two_group_sweep(std::size_t rows, const std::vector<double>& footprint,
+                     double footprint_total,
+                     const std::vector<double>& traffic) {
+  auto outcome = online_outcome();
+  tuner::SweepResult& s = outcome.sweep.emplace();
+  s.num_groups = 2;
+  s.num_tiers = 3;
+  s.baseline_time = 2.0;
+  s.footprint_bytes = footprint;
+  s.traffic_bytes = traffic;
+  for (std::size_t i = 0; i < rows; ++i)
+    s.configs.push_back({static_cast<tuner::ConfigMask>(i), 1.0, 0.0});
+  Json doc = tuner::outcome_to_json(outcome);
+  const auto set = [&](const std::string& key, Json value) {
+    doc = with_field(doc, {"sweep", key}, 0,
+                     [&](const Json&) { return value; });
+  };
+  set("footprint_total", Json(footprint_total));
+  set("traffic_total", Json(1.0));
+  for (const char* column : {"hbm_usage", "hbm_density"})
+    doc = with_field(doc, {"sweep", "configs", column}, 0,
+                     [](const Json&) { return std::nullopt; });
+  return doc;
+}
+
+TEST(OutcomeIoTest, SkipRowsFallBackToEveryRowWhenTheBoundOverflows) {
+  // Skipped rows are checked against one bound, the row with every group
+  // in HBM. When that bound is not finite every row is rebuilt instead,
+  // so a row can still fail alone: masks 0-3 put at most one group in HBM
+  // (1e308, finite) and mask 4 puts both (1e308 + 1e308, infinite). Both
+  // modes accept the first four rows and reject the fifth with one error.
+  const std::vector<double> big = {1e308, 1e308};
+  const std::vector<double> ones = {1.0, 1.0};
+  const struct {
+    std::string what;
+    Json accepted, rejected;
+    std::string error;
+  } cases[] = {
+      {"footprint", two_group_sweep(4, big, 1.0, ones),
+       two_group_sweep(5, big, 1.0, ones), "hbm_usage"},
+      {"traffic", two_group_sweep(4, ones, 1.0, big),
+       two_group_sweep(5, ones, 1.0, big), "hbm_density"},
+      // 1.0 over a denormal total overflows: only mask 0, no group in
+      // HBM, rebuilds finite.
+      {"denormal total", two_group_sweep(1, ones, 1e-320, ones),
+       two_group_sweep(2, ones, 1e-320, ones), "hbm_usage"},
+  };
+  for (const auto& c : cases) {
+    const auto kept = tuner::outcome_from_json(c.accepted, tuner::Rows::Keep);
+    const auto skipped =
+        tuner::outcome_from_json(c.accepted, tuner::Rows::Skip);
+    expect_same_headline(kept, skipped, c.what);
+    const std::string error =
+        "outcome field '" + c.error + "' rebuilds to a non-finite value";
+    for (const auto rows : {tuner::Rows::Keep, tuner::Rows::Skip}) {
+      try {
+        tuner::outcome_from_json(c.rejected, rows);
+        ADD_FAILURE() << c.what << ": accepted a non-finite rebuild";
+      } catch (const Error& e) {
+        EXPECT_EQ(e.what(), error) << c.what;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------------ store
