@@ -70,7 +70,8 @@ int main() {
     }());
     tuner::ExperimentRunner runner(simulator, app.context, {2, true});
     const auto sweep = runner.sweep(*wl, space);
-    const auto summary = tuner::summarize(sweep);
+    const auto summary =
+        tuner::summarize(sweep, tuner::group_weights(*wl, space));
     table.add_row({std::to_string(wl->num_groups()),
                    cell(summary.max_speedup, 3),
                    cell(summary.usage90 * 100.0, 1),

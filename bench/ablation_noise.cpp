@@ -26,8 +26,9 @@ int main() {
     return bytes;
   }());
   tuner::ExperimentRunner clean_runner(clean, app.context, {1, true});
-  const auto truth = tuner::summarize(clean_runner.sweep(*app.workload,
-                                                         space));
+  const auto weights = tuner::group_weights(*app.workload, space);
+  const auto truth =
+      tuner::summarize(clean_runner.sweep(*app.workload, space), weights);
 
   constexpr int kTrials = 50;
   constexpr double kSigma = 0.02;  // 2 % run-to-run noise
@@ -44,7 +45,7 @@ int main() {
           {kSigma, static_cast<std::uint64_t>(trial * 977 + reps)});
       tuner::ExperimentRunner runner(noisy, app.context, {reps, true});
       const auto summary =
-          tuner::summarize(runner.sweep(*app.workload, space));
+          tuner::summarize(runner.sweep(*app.workload, space), weights);
       if (summary.max_mask == truth.max_mask) ++best_ok;
       if (summary.usage90_mask == truth.usage90_mask) ++usage_ok;
       speedup_err +=

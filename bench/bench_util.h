@@ -42,7 +42,7 @@ inline tuner::SummaryAnalysis sweep_app(sim::MachineSimulator& sim,
   }());
   tuner::ExperimentRunner runner(sim, app.context, {repetitions, true});
   const auto sweep = runner.sweep(*app.workload, space);
-  return tuner::summarize(sweep);
+  return tuner::summarize(sweep, tuner::group_weights(*app.workload, space));
 }
 
 }  // namespace hmpt::bench

@@ -23,10 +23,11 @@ int main() {
   }());
   tuner::ExperimentRunner runner(simulator, app.context, {3, true});
   const auto sweep = runner.sweep(*app.workload, space);
-  const auto summary = tuner::summarize(sweep);
+  const auto weights = tuner::group_weights(*app.workload, space);
+  const auto summary = tuner::summarize(sweep, weights);
 
   std::cout << "-- Fig. 7a: detailed view --\n";
-  const auto detailed = tuner::render_detailed_view(sweep, summary);
+  const auto detailed = tuner::render_detailed_view(sweep, weights, summary);
   std::cout << detailed.table.to_text() << detailed.bar_chart;
   bench::print_csv_block("fig07a", detailed.table);
 

@@ -24,7 +24,8 @@ int main() {
     }());
     tuner::ExperimentRunner runner(simulator, app.context, {3, true});
     const auto sweep = runner.sweep(*app.workload, space);
-    const auto summary = tuner::summarize(sweep);
+    const auto summary =
+        tuner::summarize(sweep, tuner::group_weights(*app.workload, space));
 
     std::cout << "\n-- " << figure_of[idx++] << ": " << app.name << " ("
               << app.variant << ") --\n";

@@ -40,7 +40,8 @@ int main() {
           planner.best_under_budget(fraction * space.total_bytes());
       row.push_back(cell(choice.speedup, 2) + "x");
     }
-    const auto summary = tuner::summarize(sweep);
+    const auto summary =
+        tuner::summarize(sweep, tuner::group_weights(*app.workload, space));
     const auto cheapest = planner.cheapest_reaching(summary.threshold90);
     row.push_back(cheapest ? format_bytes(cheapest->hbm_bytes) : "-");
     table.add_row(row);
@@ -66,6 +67,9 @@ int main() {
             << ", estimated " << cell(plan.speedup, 2) << "x using "
             << format_bytes(plan.hbm_bytes) << " of HBM\n"
             << "  (measured at that placement: "
-            << cell(sweep.of(plan.mask).speedup, 2) << "x)\n";
+            << cell(tuner::speedup_of(sweep.baseline_time,
+                                      sweep.of(plan.mask).mean_time),
+                    2)
+            << "x)\n";
   return 0;
 }

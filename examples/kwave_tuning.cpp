@@ -60,7 +60,8 @@ int main() {
   tuner::ConfigSpace space(bytes);
   tuner::ExperimentRunner runner(simulator, app.context, {3, true});
   const auto sweep = runner.sweep(*app.workload, space);
-  const auto summary = tuner::summarize(sweep);
+  const auto summary =
+      tuner::summarize(sweep, tuner::group_weights(*app.workload, space));
 
   std::cout << tuner::render_summary_view(summary, app.variant).scatter
             << '\n';

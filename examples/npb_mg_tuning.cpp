@@ -33,9 +33,10 @@ int main() {
             << " placement configurations x 3 repetitions...\n\n";
   tuner::ExperimentRunner runner(simulator, app.context, {3, true});
   const auto sweep = runner.sweep(*app.workload, space);
-  const auto summary = tuner::summarize(sweep);
+  const auto weights = tuner::group_weights(*app.workload, space);
+  const auto summary = tuner::summarize(sweep, weights);
 
-  const auto detailed = tuner::render_detailed_view(sweep, summary);
+  const auto detailed = tuner::render_detailed_view(sweep, weights, summary);
   std::cout << "detailed view (Fig. 7a):\n"
             << detailed.table.to_text() << '\n'
             << detailed.bar_chart << '\n';

@@ -52,7 +52,7 @@ int main() {
                            .strategy("exhaustive")
                            .repetitions(3)
                            .run();
-  const auto summary = tuner::summarize(*outcome.sweep);
+  const auto summary = tuner::summarize(*outcome.sweep, outcome.weights);
 
   std::cout << '\n'
             << tuner::render_summary_view(summary, workload.name()).scatter;

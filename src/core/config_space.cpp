@@ -1,6 +1,7 @@
 #include "core/config_space.h"
 
 #include "common/error.h"
+#include "core/experiment.h"
 
 namespace hmpt::tuner {
 
@@ -78,10 +79,9 @@ std::vector<ConfigMask> ConfigSpace::gray_masks() const {
 std::vector<ConfigMask> ConfigSpace::masks_of_rank(int k) const {
   HMPT_REQUIRE(k >= 0 && k <= num_groups(), "rank out of range");
   std::vector<ConfigMask> masks;
-  for (std::size_t i = 0; i < size(); ++i) {
-    if (popcount(static_cast<ConfigMask>(i)) == k)
-      masks.push_back(static_cast<ConfigMask>(i));
-  }
+  for (ConfigMask mask = 0; mask < size(); ++mask)
+    if (groups_in_hbm_of(mask, num_groups(), num_tiers_) == k)
+      masks.push_back(mask);
   return masks;
 }
 
@@ -118,39 +118,24 @@ topo::PoolKind ConfigSpace::tier_of(ConfigMask mask, int group) const {
   return static_cast<topo::PoolKind>(mask % k);
 }
 
-double ConfigSpace::tier_bytes(ConfigMask mask, topo::PoolKind tier) const {
-  HMPT_REQUIRE(mask < size(), "mask out of range");
-  const auto k = static_cast<ConfigMask>(num_tiers_);
-  double bytes = 0.0;
-  for (int g = 0; g < num_groups(); ++g) {
-    if (static_cast<topo::PoolKind>(mask % k) == tier)
-      bytes += bytes_[static_cast<std::size_t>(g)];
+double tier_sum(const std::vector<double>& weights, ConfigMask mask,
+                int num_tiers, topo::PoolKind tier) {
+  const auto k = static_cast<ConfigMask>(num_tiers);
+  double sum = 0.0;
+  for (const double weight : weights) {
+    if (static_cast<topo::PoolKind>(mask % k) == tier) sum += weight;
     mask /= k;
   }
-  return bytes;
+  return sum;
 }
 
-double ConfigSpace::tier_usage(ConfigMask mask, topo::PoolKind tier) const {
-  return tier_bytes(mask, tier) / total_;
-}
-
-double ConfigSpace::hbm_usage(ConfigMask mask) const {
-  return hbm_bytes(mask) / total_;
+double ConfigSpace::tier_bytes(ConfigMask mask, topo::PoolKind tier) const {
+  HMPT_REQUIRE(mask < size(), "mask out of range");
+  return tier_sum(bytes_, mask, num_tiers_, tier);
 }
 
 double ConfigSpace::hbm_bytes(ConfigMask mask) const {
   return tier_bytes(mask, topo::PoolKind::HBM);
-}
-
-int ConfigSpace::popcount(ConfigMask mask) const {
-  HMPT_REQUIRE(mask < size(), "mask out of range");
-  const auto k = static_cast<ConfigMask>(num_tiers_);
-  int count = 0;
-  while (mask != 0) {
-    count += (mask % k) != 0;
-    mask /= k;
-  }
-  return count;
 }
 
 }  // namespace hmpt::tuner

@@ -48,6 +48,12 @@ constexpr ConfigMask config_uniform_id(int num_groups, int tier,
   return id;
 }
 
+/// Sum of the per-group `weights` (in group order, from 0.0) of the
+/// groups `mask` places in `tier` — the one sum behind a configuration's
+/// tier bytes and its HBM usage and density fractions.
+double tier_sum(const std::vector<double>& weights, ConfigMask mask,
+                int num_tiers, topo::PoolKind tier);
+
 class ConfigSpace {
  public:
   /// `group_bytes[i]` is group i's footprint (for per-tier usage
@@ -74,16 +80,10 @@ class ConfigSpace {
   /// Tier of group `g` under `mask` (the mixed-radix digit).
   topo::PoolKind tier_of(ConfigMask mask, int group) const;
 
-  /// Bytes placed in `tier` under `mask`, and the footprint fraction.
+  /// Bytes placed in `tier` under `mask`.
   double tier_bytes(ConfigMask mask, topo::PoolKind tier) const;
-  double tier_usage(ConfigMask mask, topo::PoolKind tier) const;
-  /// Fraction of total footprint in HBM under `mask` (tier 1).
-  double hbm_usage(ConfigMask mask) const;
   /// Bytes in HBM under `mask`.
   double hbm_bytes(ConfigMask mask) const;
-  /// Number of groups placed outside the DDR baseline tier (for two tiers:
-  /// the popcount of the HBM bitmask).
-  int popcount(ConfigMask mask) const;
 
   const std::vector<double>& group_bytes() const { return bytes_; }
   double total_bytes() const { return total_; }

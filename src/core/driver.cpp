@@ -99,7 +99,7 @@ AnalysisReport Driver::analyze(const workloads::Workload& workload) const {
   outcome.sweep.reset();
   outcome.trajectory = {};
   SummaryAnalysis summary =
-      summarize(sweep, options_.threshold_fraction);
+      summarize(sweep, outcome.weights, options_.threshold_fraction);
   const LinearEstimator estimator(sweep);
 
   CapacityPlanner planner(sweep, space);
@@ -108,6 +108,8 @@ AnalysisReport Driver::analyze(const workloads::Workload& workload) const {
   HMPT_REQUIRE(minimal.has_value(),
                "no configuration reaches the threshold");
 
+  DetailedView detailed =
+      render_detailed_view(sweep, outcome.weights, summary);
   AnalysisReport report{
       workload.name(),
       space,
@@ -117,7 +119,7 @@ AnalysisReport Driver::analyze(const workloads::Workload& workload) const {
       estimator_error(sweep, estimator),
       recommended,
       *minimal,
-      render_detailed_view(sweep, summary),
+      std::move(detailed),
       render_summary_view(summary, workload.name()),
   };
   return report;

@@ -28,7 +28,8 @@ LinearEstimator::LinearEstimator(const SweepResult& sweep)
     for (int t = 1; t < num_tiers_; ++t)
       single_speedups_[static_cast<std::size_t>(g * (num_tiers_ - 1) +
                                                 (t - 1))] =
-          sweep.of(single_id(g, t, num_tiers_)).speedup;
+          speedup_of(sweep.baseline_time,
+                     sweep.of(single_id(g, t, num_tiers_)).mean_time);
 }
 
 LinearEstimator::LinearEstimator(std::vector<double> single_speedups,
@@ -92,7 +93,8 @@ EstimatorError estimator_error(const SweepResult& sweep,
   EstimatorError err;
   double sq_sum = 0.0, abs_sum = 0.0;
   for (const auto& cfg : sweep.configs) {
-    const double e = estimator.estimate(cfg.mask) - cfg.speedup;
+    const double e = estimator.estimate(cfg.mask) -
+                     speedup_of(sweep.baseline_time, cfg.mean_time);
     abs_sum += std::fabs(e);
     sq_sum += e * e;
     if (std::fabs(e) > err.max_abs) {

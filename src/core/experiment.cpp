@@ -1,7 +1,5 @@
 #include "core/experiment.h"
 
-#include <algorithm>
-
 #include "common/error.h"
 #include "common/stats.h"
 #include "common/thread_pool.h"
@@ -68,25 +66,8 @@ ThreadPool& ExperimentRunner::pool() {
   return *pool_;
 }
 
-ExperimentRunner::TraceStats ExperimentRunner::trace_stats(
-    const sim::PhaseTrace& trace, int num_groups) {
-  TraceStats stats;
-  stats.group_bytes.assign(static_cast<std::size_t>(num_groups), 0.0);
-  for (const auto& phase : trace.phases) {
-    for (const auto& s : phase.streams) {
-      const double bytes = s.bytes_read + s.bytes_written;
-      HMPT_REQUIRE(s.group >= 0 && s.group < num_groups,
-                   "trace group out of range");
-      stats.group_bytes[static_cast<std::size_t>(s.group)] += bytes;
-      stats.total_bytes += bytes;
-    }
-  }
-  return stats;
-}
-
 ConfigResult ExperimentRunner::measure_config(
-    const sim::PhaseTrace& trace, const TraceStats& stats,
-    const ConfigSpace& space, ConfigMask mask, double baseline_time,
+    const sim::PhaseTrace& trace, const ConfigSpace& space, ConfigMask mask,
     sim::CachedTraceTimer* timer) const {
   const auto placement = space.placement(mask);
   // The deterministic time is a pure function of the placement: compute it
@@ -98,38 +79,19 @@ ConfigResult ExperimentRunner::measure_config(
   RunningStats runs;
   for (int rep = 0; rep < options_.repetitions; ++rep)
     runs.add(t * sim_->noise_factor({mask, static_cast<std::uint64_t>(rep)}));
-
-  ConfigResult result;
-  result.mask = mask;
-  result.mean_time = runs.mean();
-  result.stddev_time = runs.stddev();
-  result.speedup = baseline_time > 0.0 ? baseline_time / runs.mean() : 1.0;
-  result.hbm_usage = space.hbm_usage(mask);
-  // Access density from the per-group totals: bit-for-bit the same value
-  // for every enumeration order, job count and cache setting.
-  double hbm = 0.0;
-  for (int g = 0; g < space.num_groups(); ++g)
-    if (placement.of(g) == topo::PoolKind::HBM)
-      hbm += stats.group_bytes[static_cast<std::size_t>(g)];
-  result.hbm_density = stats.total_bytes > 0.0 ? hbm / stats.total_bytes : 0.0;
-  result.groups_in_hbm = space.popcount(mask);
-  return result;
+  return {mask, runs.mean(), runs.stddev()};
 }
 
 ConfigResult ExperimentRunner::measure(const workloads::Workload& workload,
                                        const ConfigSpace& space,
-                                       ConfigMask mask,
-                                       double baseline_time) {
-  const auto trace = workload.trace();
-  const TraceStats stats = trace_stats(trace, space.num_groups());
-  return measure_config(trace, stats, space, mask, baseline_time, nullptr);
+                                       ConfigMask mask) {
+  return measure_config(workload.trace(), space, mask, nullptr);
 }
 
 std::vector<ConfigResult> ExperimentRunner::measure_batch(
     const workloads::Workload& workload, const ConfigSpace& space,
-    const std::vector<ConfigMask>& masks, double baseline_time) {
+    const std::vector<ConfigMask>& masks) {
   const auto trace = workload.trace();
-  const TraceStats stats = trace_stats(trace, space.num_groups());
   std::vector<ConfigResult> results(masks.size());
 
   obs::TraceSpan span("experiment", "measure_batch");
@@ -139,8 +101,7 @@ std::vector<ConfigResult> ExperimentRunner::measure_batch(
   if (jobs <= 1 || masks.size() < 2) {
     sim::CachedTraceTimer timer(sim_->solver(), trace, ctx_);
     for (std::size_t i = 0; i < masks.size(); ++i)
-      results[i] = measure_config(trace, stats, space, masks[i],
-                                  baseline_time, &timer);
+      results[i] = measure_config(trace, space, masks[i], &timer);
     note_timer_stats(timer);
     return results;
   }
@@ -149,8 +110,7 @@ std::vector<ConfigResult> ExperimentRunner::measure_batch(
                                            std::size_t end) {
     sim::CachedTraceTimer timer(sim_->solver(), trace, ctx_);
     for (std::size_t i = begin; i < end; ++i)
-      results[i] = measure_config(trace, stats, space, masks[i],
-                                  baseline_time, &timer);
+      results[i] = measure_config(trace, space, masks[i], &timer);
     note_timer_stats(timer);
   });
   return results;
@@ -167,17 +127,14 @@ SweepResult ExperimentRunner::sweep(const workloads::Workload& workload,
   HMPT_REQUIRE(space.num_groups() == workload.num_groups(),
                "config space arity does not match the workload");
   const auto trace = workload.trace();
-  const TraceStats stats = trace_stats(trace, space.num_groups());
 
   SweepResult sweep;
   sweep.num_groups = space.num_groups();
   sweep.num_tiers = space.num_tiers();
   sweep.configs.resize(space.size());
-  sweep.footprint_bytes = space.group_bytes();
-  sweep.footprint_total = space.total_bytes();
-  sweep.traffic_bytes = stats.group_bytes;
-  sweep.traffic_total = stats.total_bytes;
 
+  // Both orders start at mask 0, so the all-DDR baseline is measured (and
+  // reported) first.
   const auto masks =
       options_.gray_order ? space.gray_masks() : space.all_masks();
   const int jobs = resolved_jobs();
@@ -190,70 +147,80 @@ SweepResult ExperimentRunner::sweep(const workloads::Workload& workload,
     // Serial: one timer lives across the whole enumeration, so Gray order
     // re-times only the phases touching the flipped group.
     sim::CachedTraceTimer timer(sim_->solver(), trace, ctx_);
-
-    // Baseline first: every speedup is relative to the all-DDR mean.
-    ConfigResult baseline =
-        measure_config(trace, stats, space, 0, 0.0, &timer);
-    baseline.speedup = 1.0;
-    sweep.baseline_time = baseline.mean_time;
-    sweep.configs[0] = baseline;
-    if (on_config) on_config(sweep.configs[0]);
-
     for (const ConfigMask mask : masks) {
-      if (mask == 0) continue;
-      sweep.configs[mask] = measure_config(trace, stats, space, mask,
-                                           sweep.baseline_time, &timer);
+      sweep.configs[mask] = measure_config(trace, space, mask, &timer);
       if (on_config) on_config(sweep.configs[mask]);
     }
     note_timer_stats(timer);
+    sweep.baseline_time = sweep.configs[0].mean_time;
     return sweep;
   }
 
-  // Parallel: the baseline is measured up front (speedups need its mean),
-  // then the remaining enumeration is split into contiguous chunks — each
+  // Parallel: the enumeration is split into contiguous chunks — each
   // worker keeps its own timer, so Gray-order adjacency still pays off
   // within a chunk. Per-mask result slots make the region write-disjoint.
-  ConfigResult baseline = measure_config(trace, stats, space, 0, 0.0,
-                                         nullptr);
-  baseline.speedup = 1.0;
-  sweep.baseline_time = baseline.mean_time;
-  sweep.configs[0] = baseline;
-
-  std::vector<ConfigMask> rest;
-  rest.reserve(masks.size() - 1);
-  for (const ConfigMask mask : masks)
-    if (mask != 0) rest.push_back(mask);
-
-  pool().parallel_chunks(rest.size(), [&](std::size_t begin,
-                                          std::size_t end) {
+  pool().parallel_chunks(masks.size(), [&](std::size_t begin,
+                                           std::size_t end) {
     sim::CachedTraceTimer timer(sim_->solver(), trace, ctx_);
     for (std::size_t i = begin; i < end; ++i)
-      sweep.configs[rest[i]] = measure_config(
-          trace, stats, space, rest[i], sweep.baseline_time, &timer);
+      sweep.configs[masks[i]] =
+          measure_config(trace, space, masks[i], &timer);
     note_timer_stats(timer);
   });
+  sweep.baseline_time = sweep.configs[0].mean_time;
 
   // Callbacks fire after the barrier, from this thread, in enumeration
   // order — the exact sequence the serial sweep produces.
-  if (on_config) {
-    on_config(sweep.configs[0]);
-    for (const ConfigMask mask : masks)
-      if (mask != 0) on_config(sweep.configs[mask]);
-  }
+  if (on_config)
+    for (const ConfigMask mask : masks) on_config(sweep.configs[mask]);
   return sweep;
 }
 
-double hbm_access_fraction(const sim::PhaseTrace& trace,
-                           const sim::Placement& placement) {
-  double total = 0.0, hbm = 0.0;
+GroupWeights group_weights(const workloads::Workload& workload,
+                           const ConfigSpace& space) {
+  GroupWeights weights;
+  weights.footprint_bytes = space.group_bytes();
+  weights.footprint_total = space.total_bytes();
+  weights.traffic_bytes.assign(static_cast<std::size_t>(space.num_groups()),
+                               0.0);
+  const auto trace = workload.trace();
   for (const auto& phase : trace.phases) {
     for (const auto& s : phase.streams) {
       const double bytes = s.bytes_read + s.bytes_written;
-      total += bytes;
-      if (placement.of(s.group) == topo::PoolKind::HBM) hbm += bytes;
+      HMPT_REQUIRE(s.group >= 0 && s.group < space.num_groups(),
+                   "trace group out of range");
+      weights.traffic_bytes[static_cast<std::size_t>(s.group)] += bytes;
+      weights.traffic_total += bytes;
     }
   }
-  return total > 0.0 ? hbm / total : 0.0;
+  return weights;
+}
+
+double speedup_of(double baseline_time, double time) {
+  return baseline_time > 0.0 ? baseline_time / time : 1.0;
+}
+
+double hbm_usage_of(const GroupWeights& weights, ConfigMask mask,
+                    int num_tiers) {
+  return tier_sum(weights.footprint_bytes, mask, num_tiers,
+                  topo::PoolKind::HBM) /
+         weights.footprint_total;
+}
+
+double hbm_density_of(const GroupWeights& weights, ConfigMask mask,
+                      int num_tiers) {
+  return weights.traffic_total > 0.0
+             ? tier_sum(weights.traffic_bytes, mask, num_tiers,
+                        topo::PoolKind::HBM) /
+                   weights.traffic_total
+             : 0.0;
+}
+
+int groups_in_hbm_of(ConfigMask mask, int num_groups, int num_tiers) {
+  const auto k = static_cast<ConfigMask>(num_tiers);
+  int count = 0;
+  for (int g = 0; g < num_groups; ++g, mask /= k) count += mask % k != 0;
+  return count;
 }
 
 }  // namespace hmpt::tuner

@@ -1,9 +1,10 @@
 // experiment.h — the measurement campaign over the configuration space.
 //
 // For a fixed workload, the runner measures every placement configuration
-// n times on the (simulated) platform and aggregates speedups relative to
-// the all-DDR baseline — the roughly 2^|AG| * n measurements of Sec. III-A
-// on the paper's two-tier platform, k^|AG| * n on a k-tier machine.
+// n times on the (simulated) platform and aggregates the run times, whose
+// ratio to the all-DDR baseline is the speedup — the roughly 2^|AG| * n
+// measurements of Sec. III-A on the paper's two-tier platform, k^|AG| * n
+// on a k-tier machine.
 //
 // The campaign is the tuner's hot path, so the runner scales it two ways:
 //   * parallelism — `jobs` worker threads split the enumeration into
@@ -34,16 +35,46 @@ class ThreadPool;
 
 namespace hmpt::tuner {
 
-/// Aggregated result of one placement configuration.
+/// Aggregated result of one placement configuration: what was measured.
+/// Every value derived from it (speedup, HBM usage and density, groups in
+/// HBM) is one function below, of the row, the baseline and the weights.
 struct ConfigResult {
   ConfigMask mask = 0;
   double mean_time = 0.0;
   double stddev_time = 0.0;
-  double speedup = 0.0;       ///< vs. the all-DDR baseline's mean time
-  double hbm_usage = 0.0;     ///< footprint fraction in HBM
-  double hbm_density = 0.0;   ///< access fraction (bytes) served from HBM
-  int groups_in_hbm = 0;
 };
+
+/// The per-group weights a configuration's HBM fractions are sums of:
+/// group footprints (ConfigSpace::group_bytes/total_bytes) and the bytes
+/// each group's streams access in the workload's trace.
+struct GroupWeights {
+  std::vector<double> footprint_bytes;
+  double footprint_total = 0.0;
+  std::vector<double> traffic_bytes;
+  double traffic_total = 0.0;
+};
+
+/// The weights of `workload` placed over `space`.
+GroupWeights group_weights(const workloads::Workload& workload,
+                           const ConfigSpace& space);
+
+// The derived values, one definition each. The HBM fractions sum the
+// weights of the groups in HBM (tier 1) in group order from 0.0, so a
+// value is bit-for-bit the same wherever it is computed.
+
+/// Speedup of a run taking `time` over the all-DDR baseline's time; 1
+/// when there is no baseline.
+double speedup_of(double baseline_time, double time);
+/// Fraction of the footprint `mask` places in HBM.
+double hbm_usage_of(const GroupWeights& weights, ConfigMask mask,
+                    int num_tiers);
+/// Fraction of the trace's bytes `mask` serves from HBM; 0 when the trace
+/// moves no bytes.
+double hbm_density_of(const GroupWeights& weights, ConfigMask mask,
+                      int num_tiers);
+/// Groups `mask` places outside the DDR baseline tier (for two tiers: the
+/// popcount of the HBM bitmask).
+int groups_in_hbm_of(ConfigMask mask, int num_groups, int num_tiers);
 
 struct ExperimentOptions {
   int repetitions = 3;  ///< n runs averaged per configuration
@@ -71,14 +102,6 @@ struct SweepResult {
   const ConfigResult& all_hbm() const;
   int num_groups = 0;
   int num_tiers = 2;  ///< tier count of the space the sweep enumerated
-
-  /// The per-group weights every row's HBM fractions are sums of: group
-  /// footprints (ConfigSpace::group_bytes/total_bytes) and trace traffic
-  /// per group. Empty when the sweep was not produced by a runner.
-  std::vector<double> footprint_bytes;
-  double footprint_total = 0.0;
-  std::vector<double> traffic_bytes;
-  double traffic_total = 0.0;
 };
 
 /// Observer invoked after each configuration finishes measuring.
@@ -102,8 +125,7 @@ class ExperimentRunner {
 
   /// Measure a single configuration (n repetitions).
   ConfigResult measure(const workloads::Workload& workload,
-                       const ConfigSpace& space, ConfigMask mask,
-                       double baseline_time);
+                       const ConfigSpace& space, ConfigMask mask);
 
   /// Measure a batch of configurations (in parallel when options.jobs says
   /// so); results are returned in the order of `masks` and are identical
@@ -111,25 +133,14 @@ class ExperimentRunner {
   /// sweep() for strategies that probe selected configurations.
   std::vector<ConfigResult> measure_batch(const workloads::Workload& workload,
                                           const ConfigSpace& space,
-                                          const std::vector<ConfigMask>& masks,
-                                          double baseline_time);
+                                          const std::vector<ConfigMask>& masks);
 
   /// The worker-thread count a sweep will actually use.
   int resolved_jobs() const;
 
  private:
-  /// Per-group trace traffic, precomputed once per campaign so HBM access
-  /// density is O(groups) per configuration instead of O(streams).
-  struct TraceStats {
-    std::vector<double> group_bytes;  ///< bytes accessed per group
-    double total_bytes = 0.0;
-  };
-  static TraceStats trace_stats(const sim::PhaseTrace& trace, int num_groups);
-
   ConfigResult measure_config(const sim::PhaseTrace& trace,
-                              const TraceStats& stats,
                               const ConfigSpace& space, ConfigMask mask,
-                              double baseline_time,
                               sim::CachedTraceTimer* timer) const;
 
   /// The worker pool, created on the first parallel campaign and reused
@@ -141,10 +152,5 @@ class ExperimentRunner {
   ExperimentOptions options_;
   std::shared_ptr<ThreadPool> pool_;  ///< shared so runners stay copyable
 };
-
-/// Fraction of trace bytes that land in HBM under `placement` — the
-/// model-side analogue of the blue crosses in Fig. 7a.
-double hbm_access_fraction(const sim::PhaseTrace& trace,
-                           const sim::Placement& placement);
 
 }  // namespace hmpt::tuner

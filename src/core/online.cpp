@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.h"
+#include "core/experiment.h"
 
 namespace hmpt::tuner {
 
@@ -163,7 +164,7 @@ OnlineResult OnlineTuner::tune(const workloads::Workload& workload,
 
   result.final_mask = mask;
   result.final_time = current;
-  result.speedup = result.baseline_time / current;
+  result.speedup = speedup_of(result.baseline_time, current);
   result.iterations_used = iterations;
   return result;
 }

@@ -92,10 +92,9 @@ std::optional<std::vector<ConfigMask>> gray_enumeration(int num_groups,
 // ---------------------------------------------------------------- columns
 //
 // Row lists are stored column-wise: one entry per struct field, all of
-// equal length, except the derived fields a rule rebuilds (below). Row i
-// of every column belongs to the same row. Integer and bool fields are
-// JSON arrays of numbers; double fields are binary columns (below). The
-// kind of a column follows from its field's type.
+// equal length. Row i of every column belongs to the same row. Integer
+// and bool fields are JSON arrays of numbers; double fields are binary
+// columns (below). The kind of a column follows from its field's type.
 
 template <typename Row, typename Field>
 Json column(const std::vector<Row>& rows, Field field) {
@@ -288,14 +287,6 @@ class BinaryColumn {
   const std::string& text_;
 };
 
-/// Binary column `name` of `columns` when the record stores it.
-std::optional<BinaryColumn> stored_column(const Json& columns,
-                                          const char* name,
-                                          std::size_t rows) {
-  if (!columns.as_object().contains(name)) return std::nullopt;
-  return BinaryColumn(columns, name, rows);
-}
-
 /// Rows of binary column `name`, from its length alone: 4·⌈8r/3⌉
 /// characters hold r values, and ⌊3L/4⌋/8 inverts that. A length no row
 /// count gives fails the exact-length check when the column is opened.
@@ -340,182 +331,73 @@ class RowSink {
   std::array<Row, kBlockRows> reused_{};
 };
 
-// ------------------------------------------------------------ derivations
+// ---------------------------------------------------------- derived values
 //
-// A row column the decoder can rebuild bit for bit from the rest of the
-// record is left out. Each rule is the expression the runner computes the
-// value with, so it holds for every row the runner produced:
+// A row stores what was measured. Its speedup, HBM fractions and group
+// count are functions of the row (experiment.h), computed by whoever
+// reads them, so the decoder's checks make every one of them finite:
 //
-//   speedup        baseline > 0 ? baseline / mean_time : 1.0
-//   groups_in_hbm  the number of non-zero tier digits of the mask
-//   hbm_usage      the footprint weights of the tier-1 groups, summed in
-//                  group order from 0.0, over the footprint total
-//   hbm_density    the same over the traffic weights; 0 when that total
-//                  is 0
-//
-// The weights are the sweep's own (SweepResult::footprint_bytes and
-// traffic_bytes), so only sweep rows rebuild the two HBM fractions. The
-// encoder drops a column only after rebuilding every row of it exactly;
-// any other row list keeps the column, and the decoder reads whichever
-// is present.
+//   speedup        baseline / time: checked on every row, one division
+//   hbm_usage      sums of the outcome's weights over their totals: the
+//   hbm_density    sums of any placement are bounded by the sums of the
+//                  one with every group in HBM, checked once per record
+//   groups_in_hbm  a count of the mask's digits: always in range
 
-double speedup_of(double baseline, double time) {
-  return baseline > 0.0 ? baseline / time : 1.0;
+/// Checks that a row of time `time` has a finite speedup.
+void check_speedup(double baseline, double time, const char* name) {
+  if (!std::isfinite(speedup_of(baseline, time)))
+    bad_field(name, "gives a non-finite speedup");
 }
 
-/// What a row list's derived columns are rebuilt from.
-struct Basis {
-  int num_groups = 0;
-  int num_tiers = 2;
-  double baseline = 0.0;
-  /// The sweep whose weights rebuild the HBM fractions; null when the
-  /// rows have none.
-  const SweepResult* weights = nullptr;
-
-  bool has_footprint() const {
-    return weights != nullptr && !weights->footprint_bytes.empty();
-  }
-  bool has_traffic() const {
-    return weights != nullptr && !weights->traffic_bytes.empty();
-  }
-};
-
-/// The tier digits of configuration ids visited in increasing order. A
-/// step to the next id carries like an odometer, so a full sweep is
-/// walked without a division per row; any other id is decoded in full.
-class TierDigits {
- public:
-  /// Shapes outside what a record can hold are clamped: the encoder then
-  /// rebuilds values that differ and keeps the columns.
-  TierDigits(int num_groups, int num_tiers)
-      : num_groups_(std::clamp(num_groups, 0, ConfigSpace::kMaxGroups)),
-        num_tiers_(static_cast<std::uint8_t>(
-            std::clamp(num_tiers, 2, topo::kNumPoolKinds))) {}
-
-  void seek(ConfigMask mask) {
-    if (mask == mask_ + 1) {
-      for (int g = 0; g < num_groups_; ++g) {
-        if (++digits_[static_cast<std::size_t>(g)] < num_tiers_) break;
-        digits_[static_cast<std::size_t>(g)] = 0;
-      }
-    } else if (mask != mask_) {
-      ConfigMask rest = mask;
-      for (int g = 0; g < num_groups_; ++g, rest /= num_tiers_)
-        digits_[static_cast<std::size_t>(g)] =
-            static_cast<std::uint8_t>(rest % num_tiers_);
-    }
-    mask_ = mask;
-  }
-
-  int size() const { return num_groups_; }
-  int operator[](int group) const {
-    return digits_[static_cast<std::size_t>(group)];
-  }
-
- private:
-  int num_groups_;
-  std::uint8_t num_tiers_;
-  ConfigMask mask_ = 0;  ///< the id the digits spell; all zero at first
-  std::array<std::uint8_t, ConfigSpace::kMaxGroups> digits_{};
-};
-
-/// One row's derived values. The HBM fractions are 0 where `basis` has
-/// no weights to rebuild them from.
-struct Derived {
-  double speedup = 0.0;
-  double hbm_usage = 0.0;
-  double hbm_density = 0.0;
-  int groups_in_hbm = 0;
-};
-
-Derived derive(const TierDigits& digits, double mean_time,
-               const Basis& basis) {
-  Derived d;
-  d.speedup = speedup_of(basis.baseline, mean_time);
-  const double* footprint =
-      basis.has_footprint() ? basis.weights->footprint_bytes.data() : nullptr;
-  const double* traffic =
-      basis.has_traffic() ? basis.weights->traffic_bytes.data() : nullptr;
-  double in_hbm = 0.0;
-  double served = 0.0;
-  for (int g = 0; g < digits.size(); ++g) {
-    const int tier = digits[g];
-    d.groups_in_hbm += tier != 0;
-    if (tier != static_cast<int>(topo::PoolKind::HBM)) continue;
-    if (footprint != nullptr) in_hbm += footprint[g];
-    if (traffic != nullptr) served += traffic[g];
-  }
-  if (footprint != nullptr)
-    d.hbm_usage = in_hbm / basis.weights->footprint_total;
-  if (traffic != nullptr) {
-    const double total = basis.weights->traffic_total;
-    d.hbm_density = total > 0.0 ? served / total : 0.0;
-  }
-  return d;
+/// Checks an outcome's weights, on encode and decode alike: one finite,
+/// non-negative weight per group, a positive footprint total and a
+/// non-negative traffic total. Any placement's HBM fraction sums a subset
+/// of the same weights in the same order, and rounding is monotone, so
+/// when the placement with every group in HBM has finite fractions, every
+/// placement does.
+void check_weights(const GroupWeights& w, int num_groups, int num_tiers) {
+  const auto per_group = [&](const std::vector<double>& weights,
+                             const char* name) {
+    if (weights.size() != static_cast<std::size_t>(num_groups))
+      bad_field(name, "does not hold one weight per group");
+    for (const double weight : weights)
+      if (!(std::isfinite(weight) && weight >= 0.0))
+        bad_field(name, "holds a negative or non-finite weight");
+  };
+  per_group(w.footprint_bytes, "footprint_bytes");
+  per_group(w.traffic_bytes, "traffic_bytes");
+  if (!(std::isfinite(w.footprint_total) && w.footprint_total > 0.0))
+    bad_field("footprint_total", "is not positive and finite");
+  if (!(std::isfinite(w.traffic_total) && w.traffic_total >= 0.0))
+    bad_field("traffic_total", "is negative or not finite");
+  const ConfigMask all_in_hbm = config_uniform_id(num_groups, 1, num_tiers);
+  if (!std::isfinite(hbm_usage_of(w, all_in_hbm, num_tiers)))
+    bad_field("footprint_bytes", "gives a non-finite HBM usage");
+  if (!std::isfinite(hbm_density_of(w, all_in_hbm, num_tiers)))
+    bad_field("traffic_bytes", "gives a non-finite HBM density");
 }
 
-/// True when a rebuilt value reproduces the stored one exactly; a
-/// non-finite rebuild never does, since the decoder refuses it.
-bool rebuilds(double rebuilt, double stored) {
-  return std::isfinite(rebuilt) && same(rebuilt, stored);
-}
-
-/// Whether every left-out HBM fraction rebuilds finite, judged from the
-/// row with every group in HBM: any other row sums a subset of the same
-/// non-negative weights in the same order, and rounding is monotone.
-bool fractions_bounded(const Basis& basis, bool usage_stored,
-                       bool density_stored) {
-  ConfigMask all_in_hbm = 0;  // every tier digit 1, HBM
-  for (int g = 0; g < basis.num_groups; ++g)
-    all_in_hbm = all_in_hbm * static_cast<ConfigMask>(basis.num_tiers) + 1;
-  TierDigits digits(basis.num_groups, basis.num_tiers);
-  digits.seek(all_in_hbm);
-  const Derived bound = derive(digits, basis.baseline, basis);
-  return (usage_stored || std::isfinite(bound.hbm_usage)) &&
-         (density_stored || std::isfinite(bound.hbm_density));
-}
-
-/// A rebuilt value, which must be finite like every stored one.
-double rebuilt(double value, const char* name) {
-  if (!std::isfinite(value))
-    bad_field(name, "rebuilds to a non-finite value");
-  return value;
+/// The binary column `name` of `json`, one value per group.
+std::vector<double> weights_from_json(const Json& json, const char* name,
+                                      int num_groups) {
+  std::vector<double> weights(static_cast<std::size_t>(num_groups));
+  BinaryColumn(json, name, weights.size())
+      .read(0, weights.size(),
+            [&](std::size_t i, double weight) { weights[i] = weight; });
+  return weights;
 }
 
 /// Configuration rows. The mask column is left out when row i holds mask
-/// i (a full sweep), and restored from the row number on decode; the
-/// derived columns are left out where their rule holds on every row.
-Json configs_to_json(const std::vector<ConfigResult>& configs,
-                     const Basis& basis) {
+/// i (a full sweep), and restored from the row number on decode.
+Json configs_to_json(const std::vector<ConfigResult>& configs) {
   bool identity = true;
-  bool speedup = true;
-  bool groups = true;
-  bool usage = basis.has_footprint() && basis.weights->footprint_total > 0.0;
-  bool density = basis.has_traffic();
-  TierDigits digits(basis.num_groups, basis.num_tiers);
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    const ConfigResult& c = configs[i];
-    identity = identity && c.mask == static_cast<ConfigMask>(i);
-    digits.seek(c.mask);
-    const Derived d = derive(digits, c.mean_time, basis);
-    speedup = speedup && rebuilds(d.speedup, c.speedup);
-    usage = usage && rebuilds(d.hbm_usage, c.hbm_usage);
-    density = density && rebuilds(d.hbm_density, c.hbm_density);
-    groups = groups && d.groups_in_hbm == c.groups_in_hbm;
-  }
+  for (std::size_t i = 0; i < configs.size(); ++i)
+    identity = identity && configs[i].mask == static_cast<ConfigMask>(i);
   JsonObject o;
   if (!identity)
     o["mask"] = column(configs, [](const ConfigResult& c) { return c.mask; });
   o["mean_time"] = binary_column(configs, &ConfigResult::mean_time);
   o["stddev_time"] = binary_column(configs, &ConfigResult::stddev_time);
-  if (!speedup) o["speedup"] = binary_column(configs, &ConfigResult::speedup);
-  if (!usage)
-    o["hbm_usage"] = binary_column(configs, &ConfigResult::hbm_usage);
-  if (!density)
-    o["hbm_density"] = binary_column(configs, &ConfigResult::hbm_density);
-  if (!groups)
-    o["groups_in_hbm"] =
-        column(configs, [](const ConfigResult& c) { return c.groups_in_hbm; });
   return Json(std::move(o));
 }
 
@@ -527,46 +409,24 @@ struct SweepRows {
 
 /// Decode configuration rows into `kept`; with no `kept` every row is
 /// checked and dropped.
-SweepRows configs_from_json(const Json& columns, const Basis& basis,
+SweepRows configs_from_json(const Json& columns, double baseline,
                             std::size_t space,
                             std::vector<ConfigResult>* kept) {
   const std::size_t rows = binary_rows(columns, "mean_time");
   if (rows > space)
     bad_field("mean_time", "lists more configurations than the space holds");
-  const JsonObject& stored = columns.as_object();
-  const JsonArray* masks =
-      stored.contains("mask") ? &column_of(columns, "mask", rows) : nullptr;
+  const JsonArray* masks = columns.as_object().contains("mask")
+                               ? &column_of(columns, "mask", rows)
+                               : nullptr;
   const BinaryColumn mean_time(columns, "mean_time", rows);
   const BinaryColumn stddev_time(columns, "stddev_time", rows);
-  const auto speedup = stored_column(columns, "speedup", rows);
-  const auto usage = stored_column(columns, "hbm_usage", rows);
-  if (!usage && !basis.has_footprint())
-    bad_field("hbm_usage", "is left out with no footprint weights");
-  if (!usage && !(basis.weights->footprint_total > 0.0))
-    bad_field("footprint_total", "must be positive to rebuild hbm_usage");
-  const auto density = stored_column(columns, "hbm_density", rows);
-  if (!density && !basis.has_traffic())
-    bad_field("hbm_density", "is left out with no traffic weights");
-  const JsonArray* groups = stored.contains("groups_in_hbm")
-                                ? &column_of(columns, "groups_in_hbm", rows)
-                                : nullptr;
-  const bool derives = !speedup || !usage || !density || groups == nullptr;
-  // Skipped rows are only checked finite, so with the HBM fractions
-  // bounded once, speedup is the one rebuild left that can fail per row.
-  const bool per_row =
-      kept != nullptr || !fractions_bounded(basis, usage.has_value(),
-                                            density.has_value());
 
   SweepRows shape{rows, true};
   RowSink<ConfigResult> sink(kept, rows);
-  TierDigits digits(basis.num_groups, basis.num_tiers);
   for_each_block(rows, [&](std::size_t begin, std::size_t end) {
     ConfigResult* block = sink.block(begin);
     const auto row = [&](std::size_t i) -> ConfigResult& {
       return block[i - begin];
-    };
-    const auto into = [&](double ConfigResult::*field) {
-      return [&, field](std::size_t i, double value) { row(i).*field = value; };
     };
     for (std::size_t i = begin; i < end; ++i) {
       ConfigResult& c = row(i);
@@ -574,60 +434,35 @@ SweepRows configs_from_json(const Json& columns, const Basis& basis,
                                 : static_cast<ConfigMask>(i);
       shape.by_mask = shape.by_mask && c.mask == static_cast<ConfigMask>(i);
     }
-    mean_time.read(begin, end, into(&ConfigResult::mean_time));
-    stddev_time.read(begin, end, into(&ConfigResult::stddev_time));
-    if (speedup) speedup->read(begin, end, into(&ConfigResult::speedup));
-    if (usage) usage->read(begin, end, into(&ConfigResult::hbm_usage));
-    if (density) density->read(begin, end, into(&ConfigResult::hbm_density));
-    if (groups != nullptr) {
-      for (std::size_t i = begin; i < end; ++i)
-        row(i).groups_in_hbm =
-            int_in((*groups)[i], 0, basis.num_groups, "groups_in_hbm");
-    }
-    if (!derives) return;
-    if (!per_row) {
-      if (!speedup)
-        for (std::size_t i = begin; i < end; ++i)
-          rebuilt(speedup_of(basis.baseline, row(i).mean_time), "speedup");
-      return;
-    }
-    for (std::size_t i = begin; i < end; ++i) {
-      ConfigResult& c = row(i);
-      digits.seek(c.mask);
-      const Derived d = derive(digits, c.mean_time, basis);
-      if (!speedup) c.speedup = rebuilt(d.speedup, "speedup");
-      if (!usage) c.hbm_usage = rebuilt(d.hbm_usage, "hbm_usage");
-      if (!density) c.hbm_density = rebuilt(d.hbm_density, "hbm_density");
-      if (groups == nullptr) c.groups_in_hbm = d.groups_in_hbm;
-    }
+    mean_time.read(begin, end, [&](std::size_t i, double value) {
+      check_speedup(baseline, value, "mean_time");
+      row(i).mean_time = value;
+    });
+    stddev_time.read(begin, end, [&](std::size_t i, double value) {
+      row(i).stddev_time = value;
+    });
   });
   return shape;
 }
 
-/// A sweep's weights `name` (one finite, non-negative value per group)
-/// and their total `total_name`, when the record stores them.
-void weights_from_json(const Json& sweep, const char* name,
-                       const char* total_name, std::vector<double>& weights,
-                       double& total, int num_groups) {
-  if (!sweep.as_object().contains(name)) return;
-  weights.resize(static_cast<std::size_t>(num_groups));
-  BinaryColumn(sweep, name, weights.size())
-      .read(0, weights.size(), [&](std::size_t i, double w) {
-        if (w < 0.0) bad_field(name, "holds a negative weight");
-        weights[i] = w;
-      });
-  total = finite(sweep.at(total_name), total_name);
-  if (total < 0.0) bad_field(total_name, "is negative");
+/// Checks that a sweep is its outcome's: the outcome's weights are one per
+/// group of the same space, and every row list has one baseline.
+void check_sweep(const SweepResult& sweep, const TuningOutcome& outcome) {
+  if (sweep.num_groups != outcome.num_groups ||
+      sweep.num_tiers != outcome.num_tiers ||
+      !same(sweep.baseline_time, outcome.baseline_time))
+    bad_field("sweep", "does not share the outcome's num_groups, num_tiers "
+                       "and baseline_time");
 }
 
 // ------------------------------------------------------------- trajectory
 //
 // An exhaustive sweep in Gray order produces a trajectory that repeats the
 // sweep: step i measures the i-th Gray mask and observes that
-// configuration's mean time and speedup. Such a trajectory is stored as
-// the 1-based indices of its accepted steps alone ("accepted_steps") and
-// re-derived from the sweep on decode. Any other trajectory (natural
-// order, online, estimator) is stored as columns.
+// configuration's mean time. Such a trajectory is stored as the 1-based
+// indices of its accepted steps alone ("accepted_steps") and re-derived
+// from the sweep on decode. Any other trajectory (natural order, online,
+// estimator) is stored as columns.
 
 bool derives_from_sweep(const std::vector<TuningStep>& trajectory,
                         const std::optional<SweepResult>& sweep) {
@@ -640,8 +475,7 @@ bool derives_from_sweep(const std::vector<TuningStep>& trajectory,
     const ConfigMask mask = (*order)[i];
     const ConfigResult& config = sweep->configs[mask];
     if (step.index != static_cast<int>(i + 1) || step.mask != mask ||
-        config.mask != mask || !same(step.observed_time, config.mean_time) ||
-        !same(step.speedup, config.speedup))
+        config.mask != mask || !same(step.observed_time, config.mean_time))
       return false;
   }
   return true;
@@ -660,12 +494,6 @@ Json trajectory_to_json(const TuningOutcome& outcome) {
   o["index"] = column(steps, [](const TuningStep& s) { return s.index; });
   o["mask"] = column(steps, [](const TuningStep& s) { return s.mask; });
   o["observed_time"] = binary_column(steps, &TuningStep::observed_time);
-  const bool speedup =
-      std::all_of(steps.begin(), steps.end(), [&](const TuningStep& s) {
-        return rebuilds(speedup_of(outcome.baseline_time, s.observed_time),
-                        s.speedup);
-      });
-  if (!speedup) o["speedup"] = binary_column(steps, &TuningStep::speedup);
   o["accepted"] = column(steps, [](const TuningStep& s) { return s.accepted; });
   return Json(std::move(o));
 }
@@ -691,7 +519,7 @@ void trajectory_from_sweep(const Json& accepted_steps,
     for (std::size_t i = 0; i < size; ++i) {
       const ConfigResult& config = sweep.configs[order[i]];
       (*kept)[i] = {static_cast<int>(i + 1), order[i], config.mean_time,
-                    config.speedup, false};
+                    false};
     }
   }
   int previous = 0;
@@ -713,7 +541,6 @@ void trajectory_from_columns(const Json& columns, std::size_t space,
   const JsonArray& mask = column_of(columns, "mask", rows);
   const JsonArray& accepted = column_of(columns, "accepted", rows);
   const BinaryColumn observed_time(columns, "observed_time", rows);
-  const auto speedup = stored_column(columns, "speedup", rows);
   RowSink<TuningStep> sink(kept, rows);
   for_each_block(rows, [&](std::size_t begin, std::size_t end) {
     TuningStep* block = sink.block(begin);
@@ -726,17 +553,9 @@ void trajectory_from_columns(const Json& columns, std::size_t space,
       step(i).accepted = accepted[i].as_bool();
     }
     observed_time.read(begin, end, [&](std::size_t i, double value) {
+      check_speedup(baseline, value, "observed_time");
       step(i).observed_time = value;
     });
-    if (speedup) {
-      speedup->read(begin, end, [&](std::size_t i, double value) {
-        step(i).speedup = value;
-      });
-    } else {
-      for (std::size_t i = begin; i < end; ++i)
-        step(i).speedup =
-            rebuilt(speedup_of(baseline, step(i).observed_time), "speedup");
-    }
   });
 }
 
@@ -762,32 +581,27 @@ Json outcome_to_json(const TuningOutcome& outcome) {
   o["hbm_usage"] = Json(outcome.hbm_usage);
   o["configs_measured"] = Json(outcome.configs_measured);
   o["measurements"] = Json(outcome.measurements);
+  const GroupWeights& w = outcome.weights;
+  check_weights(w, outcome.num_groups, outcome.num_tiers);
+  const auto weights = [&](const char* name, const char* total_name,
+                           const std::vector<double>& values, double total) {
+    o[name] = encode_doubles(values.size(),
+                             [&](std::size_t i) { return values[i]; });
+    o[total_name] = Json(total);
+  };
+  weights("footprint_bytes", "footprint_total", w.footprint_bytes,
+          w.footprint_total);
+  weights("traffic_bytes", "traffic_total", w.traffic_bytes, w.traffic_total);
   o["trajectory"] = trajectory_to_json(outcome);
-  o["table"] = configs_to_json(
-      outcome.table,
-      Basis{outcome.num_groups, outcome.num_tiers, outcome.baseline_time});
+  o["table"] = configs_to_json(outcome.table);
   if (outcome.sweep.has_value()) {
     const SweepResult& s = *outcome.sweep;
+    check_sweep(s, outcome);
     JsonObject sweep;
     sweep["baseline_time"] = Json(s.baseline_time);
     sweep["num_groups"] = Json(s.num_groups);
     sweep["num_tiers"] = Json(s.num_tiers);
-    const auto weights = [&](const char* name, const char* total_name,
-                             const std::vector<double>& values,
-                             double total) {
-      if (values.empty()) return;
-      if (values.size() != static_cast<std::size_t>(s.num_groups))
-        bad_field(name, "does not hold one weight per group");
-      sweep[name] = encode_doubles(values.size(),
-                                   [&](std::size_t i) { return values[i]; });
-      sweep[total_name] = Json(total);
-    };
-    weights("footprint_bytes", "footprint_total", s.footprint_bytes,
-            s.footprint_total);
-    weights("traffic_bytes", "traffic_total", s.traffic_bytes,
-            s.traffic_total);
-    sweep["configs"] = configs_to_json(
-        s.configs, Basis{s.num_groups, s.num_tiers, s.baseline_time, &s});
+    sweep["configs"] = configs_to_json(s.configs);
     o["sweep"] = Json(std::move(sweep));
   }
   return Json(std::move(o));
@@ -827,9 +641,17 @@ TuningOutcome outcome_from_json(const Json& json, Rows rows) {
       int_in(json.at("configs_measured"), 0, INT_MAX, "configs_measured");
   out.measurements =
       int_in(json.at("measurements"), 0, INT_MAX, "measurements");
-  configs_from_json(json.at("table"),
-                    Basis{out.num_groups, out.num_tiers, out.baseline_time},
-                    space, keep ? &out.table : nullptr);
+  out.weights.footprint_bytes =
+      weights_from_json(json, "footprint_bytes", out.num_groups);
+  out.weights.footprint_total =
+      finite(json.at("footprint_total"), "footprint_total");
+  out.weights.traffic_bytes =
+      weights_from_json(json, "traffic_bytes", out.num_groups);
+  out.weights.traffic_total =
+      finite(json.at("traffic_total"), "traffic_total");
+  check_weights(out.weights, out.num_groups, out.num_tiers);
+  configs_from_json(json.at("table"), out.baseline_time, space,
+                    keep ? &out.table : nullptr);
   std::optional<SweepResult> sweep;
   SweepRows sweep_rows;
   if (const Json* stored = json.as_object().find("sweep")) {
@@ -839,15 +661,9 @@ TuningOutcome outcome_from_json(const Json& json, Rows rows) {
                           ConfigSpace::kMaxGroups, "num_groups");
     s.num_tiers =
         int_in(stored->at("num_tiers"), 2, topo::kNumPoolKinds, "num_tiers");
-    weights_from_json(*stored, "footprint_bytes", "footprint_total",
-                      s.footprint_bytes, s.footprint_total, s.num_groups);
-    weights_from_json(*stored, "traffic_bytes", "traffic_total",
-                      s.traffic_bytes, s.traffic_total, s.num_groups);
-    sweep_rows = configs_from_json(
-        stored->at("configs"),
-        Basis{s.num_groups, s.num_tiers, s.baseline_time, &s},
-        space_size(s.num_groups, s.num_tiers),
-        keep ? &s.configs : nullptr);
+    check_sweep(s, out);
+    sweep_rows = configs_from_json(stored->at("configs"), s.baseline_time,
+                                   space, keep ? &s.configs : nullptr);
   }
   const Json& trajectory = json.at("trajectory");
   std::vector<TuningStep>* steps = keep ? &out.trajectory : nullptr;

@@ -2,13 +2,15 @@
 //
 // The campaign engine persists every finished scenario as JSON so a re-run
 // can skip it (--resume) and external tooling can aggregate fleets of runs;
-// hmpt_analyze --json reuses the same serialiser for single runs. The
-// format is lossless: fields the decoder can rebuild bit for bit (mask
-// ids, speedups, HBM fractions, group counts, an exhaustive trajectory)
-// are left out, and every other field is stored exactly, so an outcome
-// parsed back from its JSON compares equal to the original (covered by
-// tests). That is what makes the on-disk outcome store a cache rather
-// than a lossy log.
+// hmpt_analyze --json reuses the same serialiser for single runs. A row
+// holds only what was measured (mask, mean and stddev time); speedups, HBM
+// fractions and group counts are functions of the row, the baseline and
+// the outcome's per-group weights (experiment.h), stored once per record.
+// The format is lossless: what the decoder can rebuild bit for bit (mask
+// ids of a full sweep, an exhaustive trajectory) is left out, and every
+// other field is stored exactly, so an outcome parsed back from its JSON
+// compares equal to the original (covered by tests). That is what makes
+// the on-disk outcome store a cache rather than a lossy log.
 #pragma once
 
 #include "common/json.h"
@@ -17,19 +19,19 @@
 namespace hmpt::tuner {
 
 /// Serialise an outcome (including trajectory, measured table and, when
-/// present, the full sweep) to a JSON object.
+/// present, the full sweep) to a JSON object. Throws hmpt::Error when its
+/// weights or sweep are ones the decoder would refuse.
 Json outcome_to_json(const TuningOutcome& outcome);
 
 /// What outcome_from_json does with an outcome's row lists (`table`,
-/// `sweep` and `trajectory`). Either way every range check runs on every
-/// row, in the same order, so a document is rejected with the same error
-/// in both modes. Keep returns the rows. Skip returns the headline alone
-/// (empty `table` and `trajectory`, no `sweep`): each column is decoded a
-/// fixed block of rows at a time into one reused buffer, so validating a
-/// record allocates nothing per row. Keep rebuilds every row's left-out
-/// HBM fractions; Skip proves them finite once per row list, from the row
-/// with every group in HBM, and rebuilds every row only when that bound
-/// is not finite.
+/// `sweep` and `trajectory`). Either way every check runs on every row, in
+/// the same order, so a document is rejected with the same error in both
+/// modes. Keep returns the rows. Skip returns the headline and the weights
+/// alone (empty `table` and `trajectory`, no `sweep`): each column is
+/// decoded a fixed block of rows at a time into one reused buffer, so
+/// validating a record allocates nothing per row. The weights are checked
+/// once per record, which bounds every row's HBM fractions; each row's
+/// speedup is checked finite on its own.
 enum class Rows { Keep, Skip };
 
 /// Parse an outcome back; throws hmpt::Error on a malformed document.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "common/error.h"
 
@@ -34,13 +35,11 @@ PlanChoice CapacityPlanner::best_under_caps(
     }
     if (!fits) continue;
     const double bytes = space_->hbm_bytes(cfg.mask);
-    if (!found || cfg.speedup > best.speedup ||
-        (cfg.speedup == best.speedup && bytes < best.hbm_bytes)) {
+    const double speedup = speedup_of(sweep_->baseline_time, cfg.mean_time);
+    if (!found || speedup > best.speedup ||
+        (speedup == best.speedup && bytes < best.hbm_bytes)) {
       found = true;
-      best.mask = cfg.mask;
-      best.speedup = cfg.speedup;
-      best.hbm_bytes = bytes;
-      best.hbm_usage = cfg.hbm_usage;
+      best = choice(cfg, bytes);
     }
   }
   HMPT_REQUIRE(found, "not even the all-DDR configuration fits");
@@ -51,11 +50,12 @@ std::optional<PlanChoice> CapacityPlanner::cheapest_reaching(
     double target_speedup) const {
   std::optional<PlanChoice> best;
   for (const auto& cfg : sweep_->configs) {
-    if (cfg.speedup + 1e-12 < target_speedup) continue;
+    const double speedup = speedup_of(sweep_->baseline_time, cfg.mean_time);
+    if (speedup + 1e-12 < target_speedup) continue;
     const double bytes = space_->hbm_bytes(cfg.mask);
     if (!best || bytes < best->hbm_bytes ||
-        (bytes == best->hbm_bytes && cfg.speedup > best->speedup)) {
-      best = PlanChoice{cfg.mask, cfg.speedup, bytes, cfg.hbm_usage, true};
+        (bytes == best->hbm_bytes && speedup > best->speedup)) {
+      best = choice(cfg, bytes);
     }
   }
   return best;
@@ -64,8 +64,7 @@ std::optional<PlanChoice> CapacityPlanner::cheapest_reaching(
 std::vector<PlanChoice> CapacityPlanner::pareto_front() const {
   std::vector<PlanChoice> all;
   for (const auto& cfg : sweep_->configs)
-    all.push_back({cfg.mask, cfg.speedup, space_->hbm_bytes(cfg.mask),
-                   cfg.hbm_usage, true});
+    all.push_back(choice(cfg, space_->hbm_bytes(cfg.mask)));
   std::sort(all.begin(), all.end(), [](const PlanChoice& a,
                                        const PlanChoice& b) {
     if (a.hbm_bytes != b.hbm_bytes) return a.hbm_bytes < b.hbm_bytes;
@@ -80,6 +79,12 @@ std::vector<PlanChoice> CapacityPlanner::pareto_front() const {
     }
   }
   return front;
+}
+
+PlanChoice CapacityPlanner::choice(const ConfigResult& cfg,
+                                   double hbm_bytes) const {
+  return {cfg.mask, speedup_of(sweep_->baseline_time, cfg.mean_time),
+          hbm_bytes, hbm_bytes / space_->total_bytes(), true};
 }
 
 PlanChoice knapsack_plan(const LinearEstimator& estimator,
@@ -118,12 +123,10 @@ PlanChoice knapsack_plan(const LinearEstimator& estimator,
   choice.from_measurement = false;
   choice.mask = pick[static_cast<std::size_t>(capacity)];
   choice.speedup = 1.0 + dp[static_cast<std::size_t>(capacity)];
-  double total = 0.0;
-  for (int g = 0; g < n; ++g) {
-    total += group_bytes[static_cast<std::size_t>(g)];
-    if (choice.mask & (ConfigMask{1} << g))
-      choice.hbm_bytes += group_bytes[static_cast<std::size_t>(g)];
-  }
+  choice.hbm_bytes =
+      tier_sum(group_bytes, choice.mask, 2, topo::PoolKind::HBM);
+  const double total =
+      std::accumulate(group_bytes.begin(), group_bytes.end(), 0.0);
   choice.hbm_usage = total > 0.0 ? choice.hbm_bytes / total : 0.0;
   return choice;
 }

@@ -48,6 +48,9 @@ class CapacityPlanner {
   std::vector<PlanChoice> pareto_front() const;
 
  private:
+  /// The plan of one measured configuration placing `hbm_bytes` in HBM.
+  PlanChoice choice(const ConfigResult& cfg, double hbm_bytes) const;
+
   const SweepResult* sweep_;
   const ConfigSpace* space_;
 };

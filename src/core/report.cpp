@@ -27,6 +27,7 @@ std::string mask_label(ConfigMask mask, int num_groups, int num_tiers) {
 }
 
 DetailedView render_detailed_view(const SweepResult& sweep,
+                                  const GroupWeights& weights,
                                   const SummaryAnalysis& summary,
                                   int max_rank) {
   DetailedView view;
@@ -36,14 +37,17 @@ DetailedView render_detailed_view(const SweepResult& sweep,
   std::vector<BarItem> bars;
   for (const auto& point : summary.points) {
     if (point.mask == 0) continue;
+    if (max_rank > 0 && groups_in_hbm_of(point.mask, sweep.num_groups,
+                                         sweep.num_tiers) > max_rank)
+      continue;
     const auto& cfg = sweep.of(point.mask);
-    if (max_rank > 0 && cfg.groups_in_hbm > max_rank) continue;
     const std::string label =
         mask_label(point.mask, sweep.num_groups, sweep.num_tiers);
-    view.table.add_row({label, cell(point.speedup, 3),
-                        cell(point.estimate, 3), cell(point.hbm_usage, 3),
-                        cell(cfg.hbm_density, 3), cell(cfg.mean_time, 4),
-                        cell(cfg.stddev_time, 5)});
+    view.table.add_row(
+        {label, cell(point.speedup, 3), cell(point.estimate, 3),
+         cell(point.hbm_usage, 3),
+         cell(hbm_density_of(weights, point.mask, sweep.num_tiers), 3),
+         cell(cfg.mean_time, 4), cell(cfg.stddev_time, 5)});
     bars.push_back({label, point.speedup, point.estimate});
   }
   // The paper orders the x-axis by rank then index; points is mask-ordered,

@@ -30,10 +30,11 @@ struct SummaryView {
   std::string scatter;  ///< the Fig. 7b-style chart
 };
 
-/// Fig. 7a equivalent. `max_rank` limits rows to configurations with at
-/// most that many groups in HBM (0 = no limit); the paper shows ranks
-/// 1..n for MG's three groups.
+/// Fig. 7a equivalent; the access fractions come from `weights`.
+/// `max_rank` limits rows to configurations with at most that many groups
+/// in HBM (0 = no limit); the paper shows ranks 1..n for MG's three groups.
 DetailedView render_detailed_view(const SweepResult& sweep,
+                                  const GroupWeights& weights,
                                   const SummaryAnalysis& summary,
                                   int max_rank = 0);
 

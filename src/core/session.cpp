@@ -134,7 +134,12 @@ TuningOutcome Session::run() const {
 
   const sim::ExecutionContext ctx =
       ctx_.has_value() ? *ctx_ : sim_->full_machine();
-  return strategy->tune(*sim_, ctx, *workload_, space, budget_, callbacks_);
+  TuningOutcome out =
+      strategy->tune(*sim_, ctx, *workload_, space, budget_, callbacks_);
+  // Every outcome, whichever strategy produced it, carries the weights its
+  // rows' HBM fractions are computed from.
+  out.weights = group_weights(*workload_, space);
+  return out;
 }
 
 }  // namespace hmpt::tuner

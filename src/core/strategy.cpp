@@ -58,7 +58,7 @@ void finish_outcome(TuningOutcome& out, const ConfigSpace& space) {
   out.num_tiers = space.num_tiers();
   out.chosen_placement = space.placement(out.chosen_mask);
   out.hbm_bytes = space.hbm_bytes(out.chosen_mask);
-  out.hbm_usage = space.hbm_usage(out.chosen_mask);
+  out.hbm_usage = out.hbm_bytes / space.total_bytes();
   std::sort(out.table.begin(), out.table.end(),
             [](const ConfigResult& a, const ConfigResult& b) {
               return a.mask < b.mask;
@@ -88,16 +88,19 @@ std::string TuningOutcome::to_text() const {
     for (const auto& s : trajectory)
       steps.add_row({std::to_string(s.index),
                      mask_label(s.mask, num_groups, num_tiers),
-                     format_time(s.observed_time), cell(s.speedup, 2) + "x",
+                     format_time(s.observed_time),
+                     cell(speedup_of(baseline_time, s.observed_time), 2) + "x",
                      s.accepted ? "yes" : "no"});
     os << "\ntrajectory:\n" << steps.to_text();
   }
   if (!configs().empty()) {
     Table rows({"config", "speedup", "HBM usage", "groups in HBM"});
     for (const auto& c : configs())
-      rows.add_row({mask_label(c.mask, num_groups, num_tiers),
-                    cell(c.speedup, 2) + "x", format_percent(c.hbm_usage),
-                    std::to_string(c.groups_in_hbm)});
+      rows.add_row(
+          {mask_label(c.mask, num_groups, num_tiers),
+           cell(speedup_of(baseline_time, c.mean_time), 2) + "x",
+           format_percent(hbm_usage_of(weights, c.mask, num_tiers)),
+           std::to_string(groups_in_hbm_of(c.mask, num_groups, num_tiers))});
     os << "\nmeasured configurations:\n" << rows.to_text();
   }
   return os.str();
@@ -175,12 +178,15 @@ TuningOutcome ExhaustiveStrategy::tune(
     sweep_span.arg_number("configs",
                           static_cast<std::uint64_t>(space.size()));
     return runner.sweep(workload, space, [&](const ConfigResult& result) {
+      // The sweep reports the all-DDR baseline first.
+      if (result.mask == 0) out.baseline_time = result.mean_time;
       ++out.configs_measured;
+      const double speedup = speedup_of(out.baseline_time, result.mean_time);
       const bool accepted =
-          fits_caps(space, result.mask, caps) && result.speedup > best;
-      if (accepted) best = result.speedup;
-      out.trajectory.push_back({out.configs_measured, result.mask,
-                                result.mean_time, result.speedup, accepted});
+          fits_caps(space, result.mask, caps) && speedup > best;
+      if (accepted) best = speedup;
+      out.trajectory.push_back(
+          {out.configs_measured, result.mask, result.mean_time, accepted});
       emit_progress(callbacks, name(), out.configs_measured, result.mask,
                     result.mean_time, best);
     });
@@ -191,7 +197,6 @@ TuningOutcome ExhaustiveStrategy::tune(
       CapacityPlanner(sweep, space).best_under_caps(caps);
   out.chosen_mask = chosen.mask;
   out.chosen_time = sweep.of(chosen.mask).mean_time;
-  out.baseline_time = sweep.baseline_time;
   out.speedup = chosen.speedup;
   out.sweep = std::move(sweep);  // configs() serves the table from here
   finish_outcome(out, space);
@@ -240,10 +245,10 @@ TuningOutcome OnlineGreedyStrategy::tune(
   double best_speedup = 1.0;
   options.on_step = [&](const OnlineStep& step) {
     note(step.tried_mask, step.observed_time);
-    const double speedup = out.baseline_time / step.observed_time;
-    if (step.kept) best_speedup = speedup;
-    out.trajectory.push_back({step.iteration, step.tried_mask,
-                              step.observed_time, speedup, step.kept});
+    if (step.kept)
+      best_speedup = speedup_of(out.baseline_time, step.observed_time);
+    out.trajectory.push_back(
+        {step.iteration, step.tried_mask, step.observed_time, step.kept});
     emit_progress(callbacks, name(), distinct, step.tried_mask,
                   step.observed_time, best_speedup);
   };
@@ -263,15 +268,8 @@ TuningOutcome OnlineGreedyStrategy::tune(
   out.configs_measured = distinct;
   for (ConfigMask mask = 0; mask < seen.size(); ++mask) {
     const auto& times = seen[mask].times;
-    if (times.count() == 0) continue;
-    ConfigResult r;
-    r.mask = mask;
-    r.mean_time = times.mean();
-    r.stddev_time = times.stddev();
-    r.speedup = result.baseline_time / times.mean();
-    r.hbm_usage = space.hbm_usage(mask);
-    r.groups_in_hbm = space.popcount(mask);
-    out.table.push_back(r);
+    if (times.count() > 0)
+      out.table.push_back({mask, times.mean(), times.stddev()});
   }
   finish_outcome(out, space);
   return out;
@@ -306,15 +304,16 @@ TuningOutcome EstimatorGuidedStrategy::tune(
   const auto record = [&](const ConfigResult& result) {
     measured[result.mask] = 1;
     ++out.configs_measured;
+    const double speedup = speedup_of(out.baseline_time, result.mean_time);
     const bool accepted =
-        fits_caps(space, result.mask, caps) && result.speedup > best;
+        fits_caps(space, result.mask, caps) && speedup > best;
     if (accepted) {
-      best = result.speedup;
+      best = speedup;
       out.chosen_mask = result.mask;
       out.chosen_time = result.mean_time;
     }
-    out.trajectory.push_back({out.configs_measured, result.mask,
-                              result.mean_time, result.speedup, accepted});
+    out.trajectory.push_back(
+        {out.configs_measured, result.mask, result.mean_time, accepted});
     out.table.push_back(result);
     emit_progress(callbacks, name(), out.configs_measured, result.mask,
                   result.mean_time, best);
@@ -334,16 +333,15 @@ TuningOutcome EstimatorGuidedStrategy::tune(
     obs::TraceSpan phase_span("strategy", "enumerate");
     phase_span.arg_number("singles",
                           static_cast<std::uint64_t>(single_masks.size()));
-    ConfigResult baseline = runner.measure(workload, space, 0, 0.0);
-    baseline.speedup = 1.0;
+    const ConfigResult baseline = runner.measure(workload, space, 0);
     out.baseline_time = baseline.mean_time;
     record(baseline);
 
-    const auto single_results = runner.measure_batch(
-        workload, space, single_masks, out.baseline_time);
+    const auto single_results =
+        runner.measure_batch(workload, space, single_masks);
     for (std::size_t i = 0; i < single_results.size(); ++i) {
       record(single_results[i]);
-      singles[i] = single_results[i].speedup;
+      singles[i] = speedup_of(out.baseline_time, single_results[i].mean_time);
     }
   }
 
@@ -374,8 +372,7 @@ TuningOutcome EstimatorGuidedStrategy::tune(
     obs::TraceSpan phase_span("strategy", "measure");
     phase_span.arg_number("batch",
                           static_cast<std::uint64_t>(top_masks.size()));
-    for (const auto& result : runner.measure_batch(workload, space, top_masks,
-                                                   out.baseline_time))
+    for (const auto& result : runner.measure_batch(workload, space, top_masks))
       record(result);
   }
 

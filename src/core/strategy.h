@@ -75,8 +75,7 @@ struct TuningCallbacks {
 struct TuningStep {
   int index = 0;          ///< 1-based measurement order
   ConfigMask mask = 0;    ///< configuration tried
-  double observed_time = 0.0;
-  double speedup = 0.0;   ///< vs. the all-DDR baseline
+  double observed_time = 0.0;  ///< its speedup: speedup_of(baseline_time, it)
   bool accepted = false;  ///< became (or stayed part of) the incumbent
 };
 
@@ -99,6 +98,10 @@ struct TuningOutcome {
 
   int configs_measured = 0;  ///< distinct configurations measured
   int measurements = 0;      ///< simulator runs incl. repetitions
+
+  /// The weights every row's HBM fractions are computed from. Session::run
+  /// fills them for every strategy, built-in or added to the registry.
+  GroupWeights weights;
 
   std::vector<TuningStep> trajectory;
   /// Distinct configurations measured, sorted by mask. Strategies that

@@ -35,7 +35,9 @@ struct SummaryAnalysis {
   std::vector<SummaryPoint> points;  ///< the full scatter (Fig. 7b)
 };
 
-/// Analyse a finished sweep. `fraction` generalises the 90 % criterion.
-SummaryAnalysis summarize(const SweepResult& sweep, double fraction = 0.9);
+/// Analyse a finished sweep, whose HBM usage comes from `weights`.
+/// `fraction` generalises the 90 % criterion.
+SummaryAnalysis summarize(const SweepResult& sweep,
+                          const GroupWeights& weights, double fraction = 0.9);
 
 }  // namespace hmpt::tuner

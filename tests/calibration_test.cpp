@@ -26,7 +26,7 @@ class CalibrationTest : public ::testing::Test {
     tuner::ConfigSpace space(bytes);
     tuner::ExperimentRunner runner(sim_, app.context, {1, true});
     const auto sweep = runner.sweep(*app.workload, space);
-    return tuner::summarize(sweep);
+    return tuner::summarize(sweep, tuner::group_weights(*app.workload, space));
   }
 };
 
@@ -94,13 +94,16 @@ TEST_F(CalibrationTest, MgSinglesMatchFig7a) {
   tuner::ConfigSpace space(bytes);
   tuner::ExperimentRunner runner(sim_, app.context, {1, true});
   const auto sweep = runner.sweep(*app.workload, space);
+  const auto speedup = [&](tuner::ConfigMask mask) {
+    return tuner::speedup_of(sweep.baseline_time, sweep.of(mask).mean_time);
+  };
   // Fig. 7a: moving either hot allocation alone yields > 1.6x; both
   // together > 2.2x.
-  EXPECT_GT(sweep.of(0b001).speedup, 1.6);
-  EXPECT_GT(sweep.of(0b010).speedup, 1.55);
-  EXPECT_GT(sweep.of(0b011).speedup, 2.2);
+  EXPECT_GT(speedup(0b001), 1.6);
+  EXPECT_GT(speedup(0b010), 1.55);
+  EXPECT_GT(speedup(0b011), 2.2);
   // The rarely-touched rhs array contributes nearly nothing.
-  EXPECT_LT(sweep.of(0b100).speedup, 1.05);
+  EXPECT_LT(speedup(0b100), 1.05);
 }
 
 TEST_F(CalibrationTest, LuSingleAllocationCarriesMostSpeedup) {
@@ -112,10 +115,14 @@ TEST_F(CalibrationTest, LuSingleAllocationCarriesMostSpeedup) {
   tuner::ConfigSpace space(bytes);
   tuner::ExperimentRunner runner(sim_, app.context, {1, true});
   const auto sweep = runner.sweep(*app.workload, space);
-  const double single = sweep.of(0b0000001).speedup;
-  const double full = sweep.all_hbm().speedup;
+  const double single =
+      tuner::speedup_of(sweep.baseline_time, sweep.of(0b0000001).mean_time);
+  const double full =
+      tuner::speedup_of(sweep.baseline_time, sweep.all_hbm().mean_time);
   EXPECT_GT((single - 1.0) / (full - 1.0), 0.55);
-  EXPECT_NEAR(space.hbm_usage(0b0000001), 0.25, 0.01);
+  EXPECT_NEAR(tuner::hbm_usage_of(tuner::group_weights(*app.workload, space),
+                                  0b0000001, 2),
+              0.25, 0.01);
 }
 
 // ------------------------------------------------- platform analysis checks

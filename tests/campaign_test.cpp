@@ -19,6 +19,7 @@
 #include <limits>
 #include <optional>
 #include <regex>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -457,15 +458,17 @@ void expect_same_configs(const std::vector<tuner::ConfigResult>& a,
     EXPECT_EQ(a[i].mask, b[i].mask) << what << " row " << i;
     EXPECT_TRUE(same_bits(a[i].mean_time, b[i].mean_time)) << what << i;
     EXPECT_TRUE(same_bits(a[i].stddev_time, b[i].stddev_time)) << what << i;
-    EXPECT_TRUE(same_bits(a[i].speedup, b[i].speedup)) << what << i;
-    EXPECT_TRUE(same_bits(a[i].hbm_usage, b[i].hbm_usage)) << what << i;
-    EXPECT_TRUE(same_bits(a[i].hbm_density, b[i].hbm_density)) << what << i;
-    EXPECT_EQ(a[i].groups_in_hbm, b[i].groups_in_hbm) << what << i;
   }
 }
 
-/// Field-by-field equality of the headlines (everything but the row
-/// lists), bit for bit.
+/// Bit-for-bit equality of two weight lists.
+bool same_weights(const std::vector<double>& x, const std::vector<double>& y) {
+  return x.size() == y.size() &&
+         std::equal(x.begin(), x.end(), y.begin(), same_bits);
+}
+
+/// Field-by-field equality of the headlines and weights (everything but
+/// the row lists), bit for bit.
 void expect_same_headline(const tuner::TuningOutcome& a,
                           const tuner::TuningOutcome& b,
                           const std::string& what) {
@@ -482,6 +485,14 @@ void expect_same_headline(const tuner::TuningOutcome& a,
   EXPECT_TRUE(same_bits(a.hbm_usage, b.hbm_usage)) << what;
   EXPECT_EQ(a.configs_measured, b.configs_measured) << what;
   EXPECT_EQ(a.measurements, b.measurements) << what;
+  EXPECT_TRUE(same_weights(a.weights.footprint_bytes,
+                           b.weights.footprint_bytes)) << what;
+  EXPECT_TRUE(same_bits(a.weights.footprint_total, b.weights.footprint_total))
+      << what;
+  EXPECT_TRUE(same_weights(a.weights.traffic_bytes, b.weights.traffic_bytes))
+      << what;
+  EXPECT_TRUE(same_bits(a.weights.traffic_total, b.weights.traffic_total))
+      << what;
 }
 
 /// Field-by-field outcome equality that does not go through the codec
@@ -497,7 +508,6 @@ void expect_same_outcome(const tuner::TuningOutcome& a,
     EXPECT_EQ(x.index, y.index) << what << " step " << i;
     EXPECT_EQ(x.mask, y.mask) << what << " step " << i;
     EXPECT_TRUE(same_bits(x.observed_time, y.observed_time)) << what << i;
-    EXPECT_TRUE(same_bits(x.speedup, y.speedup)) << what << " step " << i;
     EXPECT_EQ(x.accepted, y.accepted) << what << " step " << i;
   }
   expect_same_configs(a.table, b.table, what + " table");
@@ -507,19 +517,6 @@ void expect_same_outcome(const tuner::TuningOutcome& a,
     EXPECT_EQ(a.sweep->num_groups, b.sweep->num_groups) << what;
     EXPECT_EQ(a.sweep->num_tiers, b.sweep->num_tiers) << what;
     expect_same_configs(a.sweep->configs, b.sweep->configs, what + " sweep");
-    const auto same_weights = [](const std::vector<double>& x,
-                                 const std::vector<double>& y) {
-      return x.size() == y.size() &&
-             std::equal(x.begin(), x.end(), y.begin(), same_bits);
-    };
-    EXPECT_TRUE(same_weights(a.sweep->footprint_bytes,
-                             b.sweep->footprint_bytes)) << what;
-    EXPECT_TRUE(same_bits(a.sweep->footprint_total,
-                          b.sweep->footprint_total)) << what;
-    EXPECT_TRUE(same_weights(a.sweep->traffic_bytes,
-                             b.sweep->traffic_bytes)) << what;
-    EXPECT_TRUE(same_bits(a.sweep->traffic_total, b.sweep->traffic_total))
-        << what;
   }
 }
 
@@ -572,10 +569,8 @@ TEST(OutcomeIoTest, OutcomeJsonRoundTripsForEveryStrategy) {
       EXPECT_EQ(outcome.sweep.has_value(),
                 std::string(run.strategy) == "exhaustive");
 
-      // The derivation rules fired exactly where they are lossless: only
-      // a Gray-order sweep drops its trajectory to the accepted steps, a
-      // full sweep stores neither its mask column nor a derived one, and
-      // every strategy's speedups rebuild from the baseline.
+      // Only a Gray-order sweep drops its trajectory to the accepted
+      // steps, and a full sweep stores no mask column.
       const JsonObject& trajectory = encoded.at("trajectory").as_object();
       EXPECT_EQ(trajectory.contains("accepted_steps"),
                 outcome.sweep.has_value() && run.gray)
@@ -583,24 +578,29 @@ TEST(OutcomeIoTest, OutcomeJsonRoundTripsForEveryStrategy) {
       EXPECT_EQ(trajectory.contains("mask"),
                 !trajectory.contains("accepted_steps"))
           << what;
-      EXPECT_FALSE(trajectory.contains("speedup")) << what;
-      const JsonObject& table = encoded.at("table").as_object();
-      EXPECT_FALSE(table.contains("speedup")) << what;
-      EXPECT_FALSE(table.contains("groups_in_hbm")) << what;
+      // No row list stores a derived column: every strategy's record
+      // carries the weights once instead.
+      std::vector<const JsonObject*> rows = {&trajectory,
+                                             &encoded.at("table").as_object()};
       if (outcome.sweep.has_value()) {
-        const JsonObject& configs =
-            encoded.at("sweep").at("configs").as_object();
-        for (const char* column : {"mask", "speedup", "hbm_usage",
-                                   "hbm_density", "groups_in_hbm"})
-          EXPECT_FALSE(configs.contains(column)) << what << " " << column;
+        rows.push_back(&encoded.at("sweep").at("configs").as_object());
+        EXPECT_FALSE(rows.back()->contains("mask")) << what;
       }
+      for (const JsonObject* columns : rows)
+        for (const char* derived :
+             {"speedup", "hbm_usage", "hbm_density", "groups_in_hbm"})
+          EXPECT_FALSE(columns->contains(derived)) << what << " " << derived;
+      for (const char* weights : {"footprint_bytes", "footprint_total",
+                                  "traffic_bytes", "traffic_total"})
+        EXPECT_TRUE(encoded.as_object().contains(weights))
+            << what << " " << weights;
     }
   }
 }
 
 TEST(OutcomeIoTest, TrajectoryIsDerivedOnlyWhenBitIdentical) {
   // A Gray-order sweep trajectory that differs from the sweep in any
-  // bit (here: one observed time, one speedup sign, one step order) must
+  // bit (here: one observed time, one time's sign, one step order) must
   // fall back to columns and still round-trip exactly.
   auto simulator = sim::MachineSimulator::cxl_tiered_platform();
   const auto app = workloads::make_mg_model(simulator);
@@ -616,7 +616,8 @@ TEST(OutcomeIoTest, TrajectoryIsDerivedOnlyWhenBitIdentical) {
       std::nextafter(time_bumped.trajectory[5].observed_time, 1e300);
   auto sign_flipped = outcome;
   sign_flipped.sweep->configs[0].stddev_time = -0.0;  // not a derived field
-  sign_flipped.trajectory[0].speedup = -sign_flipped.trajectory[0].speedup;
+  sign_flipped.trajectory[0].observed_time =
+      -sign_flipped.trajectory[0].observed_time;
   auto reordered = outcome;
   std::swap(reordered.trajectory[1].mask, reordered.trajectory[2].mask);
   for (const auto* changed : {&time_bumped, &sign_flipped, &reordered}) {
@@ -629,104 +630,71 @@ TEST(OutcomeIoTest, TrajectoryIsDerivedOnlyWhenBitIdentical) {
   }
 }
 
-TEST(OutcomeIoTest, DerivedColumnsAreLeftOutOnlyWhenBitIdentical) {
-  // A one-ULP change to one row of a derived column (one group more, for
-  // the integer column) makes that column, and only it, fall back to
-  // being stored, and the record still round-trips exactly.
-  auto simulator = sim::MachineSimulator::cxl_tiered_platform();
-  const auto app = workloads::make_mg_model(simulator);
-  const auto session = [&](const char* strategy, bool gray) {
-    return tuner::Session::on(simulator)
-        .workload(app.workload)
-        .context(app.context)
-        .strategy(strategy)
-        .gray_order(gray)
-        .run();
-  };
-  const auto sweep = session("exhaustive", true);
-  const auto natural = session("exhaustive", false);  // columnar trajectory
-  const auto online = session("online", true);        // a measured table
-  ASSERT_TRUE(sweep.sweep.has_value());
-  ASSERT_FALSE(online.table.empty());
-  const auto ulp = [](double& value) {
-    value = std::nextafter(value, 1e300);
-  };
-  struct Change {
-    const char* what;
-    const char* section;  ///< "sweep", "table" or "trajectory"
-    const char* column;
-    tuner::TuningOutcome outcome;
-  };
-  std::vector<Change> changes;
-  const auto add = [&](const char* what, const char* section,
-                       const char* column, tuner::TuningOutcome outcome) {
-    changes.push_back({what, section, column, std::move(outcome)});
-  };
-  {
-    auto o = sweep;
-    ulp(o.sweep->configs[7].speedup);
-    o.trajectory.clear();  // no longer a copy of the sweep
-    add("sweep speedup", "sweep", "speedup", o);
-  }
-  {
-    auto o = sweep;
-    ulp(o.sweep->configs[7].hbm_usage);
-    add("sweep hbm_usage", "sweep", "hbm_usage", o);
-  }
-  {
-    auto o = sweep;
-    ulp(o.sweep->configs.back().hbm_density);
-    add("sweep hbm_density", "sweep", "hbm_density", o);
-  }
-  {
-    auto o = sweep;
-    ++o.sweep->configs[0].groups_in_hbm;
-    add("sweep groups_in_hbm", "sweep", "groups_in_hbm", o);
-  }
-  {
-    auto o = online;
-    ulp(o.table.back().speedup);
-    add("table speedup", "table", "speedup", o);
-  }
-  {
-    auto o = online;
-    ++o.table.front().groups_in_hbm;
-    add("table groups_in_hbm", "table", "groups_in_hbm", o);
-  }
-  {
-    auto o = natural;
-    ulp(o.trajectory[3].speedup);
-    add("trajectory speedup", "trajectory", "speedup", o);
-  }
-  const auto columns = [](const Json& encoded, const std::string& section) {
-    const Json& at = encoded.at(section);
-    return section == "sweep" ? at.at("configs").as_object() : at.as_object();
-  };
-  for (const auto& change : changes) {
-    const Json before = tuner::outcome_to_json(
-        change.section == std::string("table") ? online
-        : change.section == std::string("sweep") ? sweep
-                                                 : natural);
-    const Json after = tuner::outcome_to_json(change.outcome);
-    EXPECT_FALSE(columns(before, change.section).contains(change.column))
-        << change.what;
-    EXPECT_TRUE(columns(after, change.section).contains(change.column))
-        << change.what;
-    // The other columns of the section are still left out.
-    EXPECT_EQ(columns(after, change.section).size(),
-              columns(before, change.section).size() + 1)
-        << change.what;
-    expect_same_outcome(
-        tuner::outcome_from_json(Json::parse(after.dump(-1))), change.outcome,
-        change.what);
+TEST(OutcomeIoTest, EveryStrategyReportsTheSameHbmFractionsForAMask) {
+  // A configuration's HBM usage, HBM density and group count are
+  // functions of its mask and its outcome's weights, so every strategy
+  // that measured a mask reports the same three values for it, bit for
+  // bit, in memory and decoded from its record. (Online tables used to
+  // store a density of 0 for every configuration.)
+  const std::pair<const char*, sim::MachineSimulator (*)()> platforms[] = {
+      {"2-tier", &sim::MachineSimulator::paper_platform},
+      {"3-tier", &sim::MachineSimulator::cxl_tiered_platform}};
+  for (const auto& [platform, make] : platforms) {
+    auto simulator = make();
+    const auto app = workloads::make_mg_model(simulator);
+    std::vector<tuner::TuningOutcome> outcomes;
+    for (const char* strategy : {"exhaustive", "online", "estimator"}) {
+      outcomes.push_back(tuner::Session::on(simulator)
+                             .workload(app.workload)
+                             .context(app.context)
+                             .strategy(strategy)
+                             .run());
+      outcomes.push_back(tuner::outcome_from_json(Json::parse(
+          tuner::outcome_to_json(outcomes.back()).dump(-1))));
+    }
+    // The masks every outcome measured.
+    std::set<tuner::ConfigMask> common;
+    for (const auto& c : outcomes.front().configs()) common.insert(c.mask);
+    for (const auto& o : outcomes) {
+      std::set<tuner::ConfigMask> measured;
+      for (const auto& c : o.configs())
+        if (common.count(c.mask) != 0) measured.insert(c.mask);
+      common = std::move(measured);
+    }
+    int dense = 0;
+    for (const tuner::ConfigMask mask : common) {
+      const auto& reference = outcomes.front();
+      const int tiers = reference.num_tiers;
+      const double usage = tuner::hbm_usage_of(reference.weights, mask, tiers);
+      const double density =
+          tuner::hbm_density_of(reference.weights, mask, tiers);
+      const int groups =
+          tuner::groups_in_hbm_of(mask, reference.num_groups, tiers);
+      dense += density > 0.0;
+      for (std::size_t i = 1; i < outcomes.size(); ++i) {
+        const auto& o = outcomes[i];
+        const std::string what = std::string(platform) + " " + o.strategy +
+                                 (i % 2 == 1 ? " decoded" : "") + " mask " +
+                                 std::to_string(mask);
+        EXPECT_TRUE(same_bits(tuner::hbm_usage_of(o.weights, mask, tiers),
+                              usage))
+            << what;
+        EXPECT_TRUE(same_bits(tuner::hbm_density_of(o.weights, mask, tiers),
+                              density))
+            << what;
+        EXPECT_EQ(tuner::groups_in_hbm_of(mask, o.num_groups, tiers), groups)
+            << what;
+      }
+    }
+    // Masks with HBM traffic are among them, so densities are compared.
+    EXPECT_GT(dense, 0) << platform;
   }
 }
 
 TEST(OutcomeIoTest, ThreeTierSweepRecordFitsTheSizeGate) {
   // The record of a full 3^8 sweep (bt on spr-cxl, 6,561 configurations)
-  // stores only its measured columns and the sweep's weights: every
-  // derivation rule fires, and the record stays within the byte gate CI
-  // also checks on the hmpt_campaign output.
+  // stores only its measured columns and the outcome's weights, and stays
+  // within the byte gate CI also checks on the hmpt_campaign output.
   Scenario s;
   s.workload = parse_workload_spec("bt");
   s.platform = "spr-cxl";
@@ -738,14 +706,11 @@ TEST(OutcomeIoTest, ThreeTierSweepRecordFitsTheSizeGate) {
   const std::string payload = OutcomeStore::make_payload(s, outcome);
   EXPECT_LE(payload.size(), 150000u);
   const Json doc = Json::parse(payload);
-  const Json& sweep = doc.at("outcome").at("sweep");
   for (const char* weights : {"footprint_bytes", "footprint_total",
                               "traffic_bytes", "traffic_total"})
-    EXPECT_TRUE(sweep.as_object().contains(weights)) << weights;
-  const JsonObject& configs = sweep.at("configs").as_object();
-  for (const char* derived :
-       {"speedup", "hbm_usage", "hbm_density", "groups_in_hbm"})
-    EXPECT_FALSE(configs.contains(derived)) << derived;
+    EXPECT_TRUE(doc.at("outcome").as_object().contains(weights)) << weights;
+  const JsonObject& configs =
+      doc.at("outcome").at("sweep").at("configs").as_object();
   EXPECT_EQ(configs.size(), 2u);  // mean_time and stddev_time
   expect_same_outcome(tuner::outcome_from_json(doc.at("outcome")), outcome,
                       "bt 3^8");
@@ -789,11 +754,13 @@ tuner::TuningOutcome online_outcome() {
 
 /// `outcome` with `rows` table rows and trajectory steps whose double
 /// fields cycle through `values`, starting at a different value per field.
+/// The baseline is 0, so every speedup is 1 and any finite time decodes.
 tuner::TuningOutcome with_rows(tuner::TuningOutcome outcome, std::size_t rows,
                                const std::vector<double>& values) {
   const auto at = [&](std::size_t i, std::size_t field) {
     return values[(i + field) % values.size()];
   };
+  outcome.baseline_time = 0.0;
   outcome.table.assign(rows, {});
   outcome.trajectory.assign(rows, {});
   for (std::size_t i = 0; i < rows; ++i) {
@@ -801,15 +768,10 @@ tuner::TuningOutcome with_rows(tuner::TuningOutcome outcome, std::size_t rows,
     row.mask = static_cast<tuner::ConfigMask>(rows - 1 - i);  // reversed
     row.mean_time = at(i, 0);
     row.stddev_time = at(i, 1);
-    row.speedup = at(i, 2);
-    row.hbm_usage = at(i, 3);
-    row.hbm_density = at(i, 4);
-    row.groups_in_hbm = static_cast<int>(i % 3) + 1;  // never derived
     auto& step = outcome.trajectory[i];
     step.index = static_cast<int>(i + 1);
     step.mask = static_cast<tuner::ConfigMask>(i);
-    step.observed_time = at(i, 5);
-    step.speedup = at(i, 6);
+    step.observed_time = at(i, 2);
     step.accepted = i % 2 == 0;
   }
   return outcome;
@@ -846,14 +808,12 @@ TEST(OutcomeIoTest, BinaryColumnsRoundTripBitExactly) {
     EXPECT_EQ(encoded.at("trajectory").at("observed_time").as_string(),
               base64_le(observed))
         << what;
-    // Integer and bool columns stay JSON numbers and bools. (Every rule
-    // holds on no rows, so an empty table stores no derived column.)
-    EXPECT_EQ(encoded.at("table").as_object().contains("groups_in_hbm"),
-              rows > 0)
+    // Integer and bool columns stay JSON numbers and bools. (Masks of
+    // fewer than two rows are in row order, so they are left out.)
+    EXPECT_EQ(encoded.at("table").as_object().contains("mask"), rows > 1)
         << what;
-    if (rows > 0) {
-      EXPECT_EQ(encoded.at("table").at("groups_in_hbm").as_array().size(),
-                rows);
+    if (rows > 1) {
+      EXPECT_EQ(encoded.at("table").at("mask").as_array().size(), rows);
     }
     EXPECT_EQ(encoded.at("trajectory").at("accepted").as_array().size(), rows);
     const std::string text = encoded.dump(-1);
@@ -1000,14 +960,20 @@ std::optional<Json> mutate_field(const Json& value, bool binary, Rng& rng,
           return Json(base64_le(values));
         case 3: {
           if (values.empty()) values.push_back(0.0);
-          // 1.7e308 in a weight column overflows the sum of every
-          // group's weights, the bound skipped rows are checked against.
           const double hostile[] = {std::numeric_limits<double>::infinity(),
                                     std::nan(""), -1.0, 0.0, -0.0, 1e-320,
                                     1.7e308};
-          values[rng.next_below(values.size())] =
-              hostile[rng.next_below(std::size(hostile))];
-          what += "rewrite one value";
+          const double value = hostile[rng.next_below(std::size(hostile))];
+          // One value, or (in a weight column) every value: 1.7e308 in
+          // each of two weights overflows their sum, the bound every
+          // row's HBM fraction is checked against.
+          if (rng.next_below(2) == 0) {
+            values[rng.next_below(values.size())] = value;
+            what += "rewrite one value";
+          } else {
+            std::fill(values.begin(), values.end(), value);
+            what += "rewrite every value";
+          }
           return Json(base64_le(values));
         }
         default:
@@ -1095,11 +1061,13 @@ TEST(OutcomeIoTest, SkipRowsRejectsExactlyWhatFullDecodeRejects) {
   // The decoder has one rows switch. Rows::Skip must run every check
   // Rows::Keep runs: on thousands of damaged documents both modes throw
   // together, with the same error, and where both accept they decode
-  // bit-identical headlines. Inputs: the golden 3^3 record, a fresh 3^8
-  // record (Gray trajectory derived from the sweep), an online record
-  // (columnar trajectory, table with masks) and one that stores every
-  // derivable column too. Each mutation draws from its own counter-based
-  // stream, so a failure names a reproducible case.
+  // bit-identical headlines and weights. Inputs: the golden 3^3 record, a
+  // fresh 3^8 record (Gray trajectory derived from the sweep), online and
+  // estimator records (columnar trajectory, table with masks, no sweep)
+  // and hand-made rows. Every record carries its weights once, so the
+  // weights are mutated on the table-only records as on the sweeps. Each
+  // mutation draws from its own counter-based stream, so a failure names
+  // a reproducible case.
   std::ifstream golden(
       std::string(HMPT_TEST_DATA_DIR) + "/mg_cxl_exhaustive.payload.json",
       std::ios::binary);
@@ -1113,11 +1081,14 @@ TEST(OutcomeIoTest, SkipRowsRejectsExactlyWhatFullDecodeRejects) {
   const auto reparsed = [](const tuner::TuningOutcome& outcome) {
     return Json::parse(tuner::outcome_to_json(outcome).dump(-1));
   };
+  Scenario estimator = bt;
+  estimator.strategy = "estimator";
   const std::pair<std::string, Json> inputs[] = {
       {"golden 3^3", Json::parse(golden_text.str()).at("outcome")},
       {"bt 3^8", reparsed(CampaignRunner::execute(bt))},
       {"online", reparsed(online_outcome())},
-      {"every column stored",
+      {"estimator", reparsed(CampaignRunner::execute(estimator))},
+      {"hand-made rows",
        reparsed(with_rows(online_outcome(), 20, {0.5, -0.0, 3.0, 1e-310}))},
   };
   constexpr std::uint64_t kSeed = 0x5eed0f5c1f;
@@ -1131,6 +1102,7 @@ TEST(OutcomeIoTest, SkipRowsRejectsExactlyWhatFullDecodeRejects) {
     field_paths(original, path, paths);
     int accepted = 0;
     int rejected = 0;
+    int weights = 0;  // mutations of the weights
     for (std::uint64_t m = 0; m < kMutations; ++m) {
       Rng rng(mix_seed(kSeed, input, m));
       std::string what = name + " mutation " + std::to_string(m) + ": ";
@@ -1138,6 +1110,9 @@ TEST(OutcomeIoTest, SkipRowsRejectsExactlyWhatFullDecodeRejects) {
       if (m % 2 == 0) {
         const auto& field = paths[rng.next_below(paths.size())];
         for (const auto& key : field) what += key + ".";
+        weights += field.size() == 1 &&
+                   (field[0].starts_with("footprint_") ||
+                    field[0].starts_with("traffic_"));
         const bool binary =
             field.back() != "strategy" && field.back() != "workload";
         doc = with_field(original, field, 0, [&](const Json& value) {
@@ -1179,74 +1154,83 @@ TEST(OutcomeIoTest, SkipRowsRejectsExactlyWhatFullDecodeRejects) {
     // Both outcomes occur, so neither check above is vacuous.
     EXPECT_GT(accepted, 20) << name;
     EXPECT_GT(rejected, 200) << name;
+    EXPECT_GT(weights, 20) << name;
   }
-  EXPECT_GE(decoded, 2000);
+  EXPECT_GE(decoded, 2500);
 }
 
-/// A document whose sweep holds the first `rows` configurations of two
-/// groups on three tiers, both HBM fractions left out, so the decoder
-/// rebuilds them from `footprint` over `footprint_total` and `traffic`
-/// over 1.0.
-Json two_group_sweep(std::size_t rows, const std::vector<double>& footprint,
-                     double footprint_total,
-                     const std::vector<double>& traffic) {
-  auto outcome = online_outcome();
-  tuner::SweepResult& s = outcome.sweep.emplace();
-  s.num_groups = 2;
-  s.num_tiers = 3;
-  s.baseline_time = 2.0;
-  s.footprint_bytes = footprint;
-  s.traffic_bytes = traffic;
-  for (std::size_t i = 0; i < rows; ++i)
-    s.configs.push_back({static_cast<tuner::ConfigMask>(i), 1.0, 0.0});
-  Json doc = tuner::outcome_to_json(outcome);
+/// `doc` with its weights `name` (one per group) and their total replaced.
+Json with_weights(Json doc, const std::string& name,
+                  const std::vector<double>& weights, double total) {
   const auto set = [&](const std::string& key, Json value) {
-    doc = with_field(doc, {"sweep", key}, 0,
-                     [&](const Json&) { return value; });
+    doc = with_field(doc, {key}, 0, [&](const Json&) { return value; });
   };
-  set("footprint_total", Json(footprint_total));
-  set("traffic_total", Json(1.0));
-  for (const char* column : {"hbm_usage", "hbm_density"})
-    doc = with_field(doc, {"sweep", "configs", column}, 0,
-                     [](const Json&) { return std::nullopt; });
+  set(name + "_bytes", Json(base64_le(weights)));
+  set(name + "_total", Json(total));
   return doc;
 }
 
-TEST(OutcomeIoTest, SkipRowsFallBackToEveryRowWhenTheBoundOverflows) {
-  // Skipped rows are checked against one bound, the row with every group
-  // in HBM. When that bound is not finite every row is rebuilt instead,
-  // so a row can still fail alone: masks 0-3 put at most one group in HBM
-  // (1e308, finite) and mask 4 puts both (1e308 + 1e308, infinite). Both
-  // modes accept the first four rows and reject the fifth with one error.
-  const std::vector<double> big = {1e308, 1e308};
-  const std::vector<double> ones = {1.0, 1.0};
+TEST(OutcomeIoTest, WeightsThatOverflowAnHbmFractionAreRejectedOncePerRecord) {
+  // Every row's HBM fractions sum a subset of the record's weights, so the
+  // weights are checked once per record, against the placement with every
+  // group in HBM: 1e308 + 1e308 overflows, 1e308 + 0 does not, and a
+  // denormal total makes any non-zero sum overflow. Table-only records
+  // (online) carry weights as sweeps (the golden record) do, and both
+  // modes reject a record with one error text.
+  std::ifstream golden(
+      std::string(HMPT_TEST_DATA_DIR) + "/mg_cxl_exhaustive.payload.json",
+      std::ios::binary);
+  std::stringstream golden_text;
+  golden_text << golden.rdbuf();
+  const std::pair<std::string, Json> records[] = {
+      {"sweep", Json::parse(golden_text.str()).at("outcome")},
+      {"online", Json::parse(tuner::outcome_to_json(online_outcome()).dump())},
+  };
+  const std::vector<double> big = {1e308, 1e308, 1.0};
+  const std::vector<double> one_big = {1e308, 0.0, 1.0};
+  const std::vector<double> ones = {1.0, 1.0, 1.0};
+  const std::vector<double> zeros = {0.0, 0.0, 0.0};
   const struct {
-    std::string what;
-    Json accepted, rejected;
+    std::string name;  ///< "footprint" or "traffic"
+    std::vector<double> accepted;
+    std::vector<double> rejected;
+    double total;
     std::string error;
   } cases[] = {
-      {"footprint", two_group_sweep(4, big, 1.0, ones),
-       two_group_sweep(5, big, 1.0, ones), "hbm_usage"},
-      {"traffic", two_group_sweep(4, ones, 1.0, big),
-       two_group_sweep(5, ones, 1.0, big), "hbm_density"},
-      // 1.0 over a denormal total overflows: only mask 0, no group in
-      // HBM, rebuilds finite.
-      {"denormal total", two_group_sweep(1, ones, 1e-320, ones),
-       two_group_sweep(2, ones, 1e-320, ones), "hbm_usage"},
+      {"footprint", one_big, big, 1.0,
+       "outcome field 'footprint_bytes' gives a non-finite HBM usage"},
+      {"traffic", one_big, big, 1.0,
+       "outcome field 'traffic_bytes' gives a non-finite HBM density"},
+      {"footprint", zeros, ones, 1e-320,
+       "outcome field 'footprint_bytes' gives a non-finite HBM usage"},
   };
-  for (const auto& c : cases) {
-    const auto kept = tuner::outcome_from_json(c.accepted, tuner::Rows::Keep);
-    const auto skipped =
-        tuner::outcome_from_json(c.accepted, tuner::Rows::Skip);
-    expect_same_headline(kept, skipped, c.what);
-    const std::string error =
-        "outcome field '" + c.error + "' rebuilds to a non-finite value";
-    for (const auto rows : {tuner::Rows::Keep, tuner::Rows::Skip}) {
+  for (const auto& [kind, record] : records) {
+    ASSERT_EQ(record.at("num_groups").as_int(), 3) << kind;
+    for (const auto& c : cases) {
+      const std::string what =
+          kind + " " + c.name + " total " + Json(c.total).dump(-1);
+      const Json accepted = with_weights(record, c.name, c.accepted, c.total);
+      const auto kept = tuner::outcome_from_json(accepted, tuner::Rows::Keep);
+      expect_same_headline(
+          kept, tuner::outcome_from_json(accepted, tuner::Rows::Skip), what);
+      const Json rejected = with_weights(record, c.name, c.rejected, c.total);
+      for (const auto rows : {tuner::Rows::Keep, tuner::Rows::Skip}) {
+        try {
+          tuner::outcome_from_json(rejected, rows);
+          ADD_FAILURE() << what << ": accepted overflowing weights";
+        } catch (const Error& e) {
+          EXPECT_EQ(e.what(), c.error) << what;
+        }
+      }
+      // The writer refuses what the reader would.
+      auto damaged = kept;
+      (c.name == "footprint" ? damaged.weights.footprint_bytes
+                             : damaged.weights.traffic_bytes) = c.rejected;
       try {
-        tuner::outcome_from_json(c.rejected, rows);
-        ADD_FAILURE() << c.what << ": accepted a non-finite rebuild";
+        tuner::outcome_to_json(damaged);
+        ADD_FAILURE() << what << ": wrote overflowing weights";
       } catch (const Error& e) {
-        EXPECT_EQ(e.what(), error) << c.what;
+        EXPECT_EQ(e.what(), c.error) << what;
       }
     }
   }
@@ -1426,16 +1410,16 @@ std::vector<HostileCase> binary_column_cases(const Scenario& scenario) {
   return cases;
 }
 
-/// Records whose derived columns cannot be rebuilt, on the records of
-/// `sweep` (a 3-group exhaustive run, which stores weights and no derived
-/// column) and `online` (whose table has no weights).
+/// Records whose weights, or whose rows' speedups, are out of range, on
+/// the records of `sweep` (a 3-group exhaustive run) and `online` (whose
+/// table is all its rows). Every record carries its weights at the top.
 std::vector<HostileCase> derivation_cases(const Scenario& sweep,
                                           const Scenario& online) {
   const auto outcome = CampaignRunner::execute(sweep);
   const std::string good = OutcomeStore::make_payload(sweep, outcome);
   const std::string good_online =
       OutcomeStore::make_payload(online, CampaignRunner::execute(online));
-  const std::string at = "\"sweep\":";
+  const std::string at = "\"outcome\":";
   const auto quoted = [](const std::vector<double>& values) {
     return "\"" + base64_le(values) + "\"";
   };
@@ -1446,30 +1430,33 @@ std::vector<HostileCase> derivation_cases(const Scenario& sweep,
   std::vector<HostileCase> cases = {
       {"footprint weights of the wrong length", &sweep,
        with_column(good, at, "footprint_bytes", quoted({1.0, 2.0}))},
-      {"traffic weights of the wrong length", &sweep,
-       with_column(good, at, "traffic_bytes", quoted({1.0, 2.0, 3.0, 4.0}))},
+      {"traffic weights of the wrong length", &online,
+       with_column(good_online, at, "traffic_bytes",
+                   quoted({1.0, 2.0, 3.0, 4.0}))},
       {"a non-finite footprint weight", &sweep,
        with_column(good, at, "footprint_bytes", quoted({1.0, inf, 1.0}))},
-      {"a negative traffic weight", &sweep,
-       with_column(good, at, "traffic_bytes", quoted({1.0, -1.0, 1.0}))},
+      {"a negative traffic weight", &online,
+       with_column(good_online, at, "traffic_bytes", quoted({1.0, -1.0, 1.0}))},
       {"a negative traffic total", &sweep,
        with_value(good, at, "traffic_total", "-1")},
-      {"a non-finite footprint total", &sweep,
-       with_value(good, at, "footprint_total", "1e999")},
-      {"zero footprint total with hbm_usage left out", &sweep,
+      {"a non-finite footprint total", &online,
+       with_value(good_online, at, "footprint_total", "1e999")},
+      {"zero footprint total", &sweep,
        with_value(good, at, "footprint_total", "0")},
-      {"negative footprint total with hbm_usage left out", &sweep,
-       with_value(good, at, "footprint_total", "-5")},
-      {"hbm_usage left out with no footprint weights", &sweep,
+      {"negative footprint total", &online,
+       with_value(good_online, at, "footprint_total", "-5")},
+      {"no footprint weights", &sweep,
        with_text(good, "\"footprint_bytes\":", "\"footprint_byte\":")},
-      {"hbm_density left out with no traffic weights", &sweep,
-       with_text(good, "\"traffic_bytes\":", "\"traffic_byte\":")},
-      {"table hbm_usage left out with no weights", &online,
-       with_text(good_online, "\"hbm_usage\":\"", "\"hbm_usagex\":\"")},
-      {"speedup rebuilt as +inf", &sweep,
+      {"no traffic weights", &online,
+       with_text(good_online, "\"traffic_bytes\":", "\"traffic_byte\":")},
+      {"speedup of +inf", &sweep,
        with_column(good, "\"configs\":", "mean_time", quoted(means))},
-      {"hbm_usage rebuilt as +inf", &sweep,
+      {"hbm_usage of +inf in a sweep record", &sweep,
        with_value(good, at, "footprint_total", "1e-320")},
+      {"hbm_usage of +inf in a table-only record", &online,
+       with_value(good_online, at, "footprint_total", "1e-320")},
+      {"sweep with another baseline", &sweep,
+       with_value(good, "\"sweep\":", "baseline_time", "41")},
   };
   EXPECT_NO_THROW(tuner::outcome_from_json(Json::parse(good).at("outcome")));
   for (const auto& c : cases) EXPECT_NE(c.payload, good) << c.name;
@@ -1497,12 +1484,6 @@ TEST(OutcomeStoreTest, OutOfRangeRecordsReadAsDamaged) {
   const std::string cols = "\"configs\":";
   const std::string traj = "\"trajectory\":";
   const std::string table = "\"table\":";
-  // A groups_in_hbm column (which a sweep record leaves out) whose first
-  // row claims more groups than the space has.
-  std::string bad_groups = "\"groups_in_hbm\":[4";
-  for (int i = 1; i < 27; ++i) bad_groups += ",0";
-  bad_groups += "],";
-
   std::vector<HostileCase> cases = {
       {"num_tiers above kNumPoolKinds", &sweep,
        with_value(good_sweep, o, "num_tiers", "4")},
@@ -1521,9 +1502,6 @@ TEST(OutcomeStoreTest, OutOfRangeRecordsReadAsDamaged) {
       {"sweep column shorter than the others", &sweep,
        with_column(good_sweep, cols, "stddev_time",
                    "\"" + base64_le(std::vector<double>(26, 0.0)) + "\"")},
-      {"sweep groups_in_hbm above num_groups", &sweep,
-       with_text(good_sweep, "\"configs\":{",
-                 "\"configs\":{" + bad_groups)},
       {"sweep wider than its space", &sweep,
        with_value(good_sweep, "\"sweep\":", "num_tiers", "2")},
       {"accepted step zero", &sweep,

@@ -175,7 +175,8 @@ TEST_F(OnlineTest, ConvergesToNearOptimalForMg) {
   // Exhaustive optimum for comparison.
   tuner::ExperimentRunner runner(sim_, app.context, {1, true});
   const auto sweep = runner.sweep(*app.workload, space);
-  const auto summary = tuner::summarize(sweep);
+  const auto summary =
+      tuner::summarize(sweep, tuner::group_weights(*app.workload, space));
   EXPECT_GT(result.speedup, 0.95 * summary.max_speedup);
   // Far fewer runs than the 2^n sweep would need per-config repetitions.
   EXPECT_LT(result.iterations_used, 40);
@@ -188,7 +189,8 @@ TEST_F(OnlineTest, AllAppsReachNinetyPercentOfOptimum) {
     const auto result = online.tune(*app.workload, space);
     tuner::ExperimentRunner runner(sim_, app.context, {1, true});
     const auto sweep = runner.sweep(*app.workload, space);
-    const auto summary = tuner::summarize(sweep);
+    const auto summary =
+        tuner::summarize(sweep, tuner::group_weights(*app.workload, space));
     EXPECT_GE(result.speedup, 1.0 + 0.9 * (summary.max_speedup - 1.0))
         << app.name;
   }

@@ -15,6 +15,7 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "core/config_space.h"
+#include "core/experiment.h"
 #include "simmem/timing_cache.h"
 #include "workloads/app_models.h"
 
@@ -110,11 +111,11 @@ TEST(GrayEnumerationTest, FuzzedSpacesKeepBothInvariants) {
       EXPECT_EQ(space.config_id(placement), id);
       for (int g = 0; g < n; ++g)
         EXPECT_EQ(space.tier_of(id, g), placement.of(g));
-      // popcount counts the groups promoted out of DDR.
+      // groups_in_hbm_of counts the groups promoted out of DDR.
       int promoted = 0;
       for (int g = 0; g < n; ++g)
         promoted += placement.of(g) != topo::PoolKind::DDR;
-      EXPECT_EQ(space.popcount(id), promoted);
+      EXPECT_EQ(tuner::groups_in_hbm_of(id, n, space.num_tiers()), promoted);
     }
   }
 }

@@ -105,7 +105,8 @@ TEST_F(PipelineTest, MiniMgProfileSweepPlanReplay) {
   tuner::ConfigSpace space(bytes);
   tuner::ExperimentRunner runner(sim_, sim_.full_machine(), {2, true});
   const auto sweep = runner.sweep(workload, space);
-  const auto summary = tuner::summarize(sweep);
+  const auto summary =
+      tuner::summarize(sweep, tuner::group_weights(workload, space));
   EXPECT_GT(summary.max_speedup, 1.5);  // mini MG is bandwidth-bound
 
   // ---- Step 5: materialise the best-under-budget plan and replay.
@@ -192,7 +193,8 @@ TEST_F(PipelineTest, KWaveCustomGroupingFlowsThroughSweep) {
       }());
   tuner::ExperimentRunner runner(sim_, sim_.full_machine(), {1, true});
   const auto sweep = runner.sweep(workload, space);
-  const auto summary = tuner::summarize(sweep);
+  const auto summary =
+      tuner::summarize(sweep, tuner::group_weights(workload, space));
   EXPECT_GE(summary.max_speedup, 1.0);
   EXPECT_LE(summary.usage90, 1.0);
 }
@@ -225,7 +227,10 @@ TEST_F(PipelineTest, StreamWorkloadSweepReproducesFig5Insight) {
                                  {1, true});
   const auto sweep = runner.sweep(stream, space);
   // b+c in HBM, a in DDR (mask 0b110) ~ all-HBM performance.
-  EXPECT_GT(sweep.of(0b110).speedup, 0.9 * sweep.all_hbm().speedup);
+  const auto speedup = [&](tuner::ConfigMask mask) {
+    return tuner::speedup_of(sweep.baseline_time, sweep.of(mask).mean_time);
+  };
+  EXPECT_GT(speedup(0b110), 0.9 * speedup(sweep.all_hbm().mask));
 }
 
 }  // namespace

@@ -433,6 +433,8 @@ TEST_F(MergeTest, ThousandScenarioSyntheticTwinsMergeByteIdentically) {
     o.workload = s.workload.name;
     o.num_groups = 1 + i % 5;
     o.num_tiers = 2;
+    const std::vector<double> ones(static_cast<std::size_t>(o.num_groups), 1);
+    o.weights = {ones, 1.0 * o.num_groups, ones, 1.0 * o.num_groups};
     o.chosen_mask = static_cast<unsigned>(i % 31);
     o.baseline_time = 10.0;
     o.chosen_time = 10.0 / (1.0 + (i % 97) / 31.0);

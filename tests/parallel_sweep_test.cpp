@@ -169,9 +169,9 @@ void expect_identical_outcomes(const tuner::TuningOutcome& a,
     EXPECT_EQ(x.mask, y.mask) << label;
     EXPECT_EQ(x.mean_time, y.mean_time) << label;
     EXPECT_EQ(x.stddev_time, y.stddev_time) << label;
-    EXPECT_EQ(x.speedup, y.speedup) << label;
-    EXPECT_EQ(x.hbm_density, y.hbm_density) << label;
   }
+  EXPECT_EQ(a.weights.traffic_bytes, b.weights.traffic_bytes) << label;
+  EXPECT_EQ(a.weights.traffic_total, b.weights.traffic_total) << label;
 }
 
 TEST(ParallelSweepTest, BitIdenticalAcrossJobsForAllStrategies) {
@@ -224,7 +224,7 @@ TEST(ParallelSweepTest, MemoizationAndJobsLeaveSweepBitIdentical) {
   // The reference times every configuration afresh: measure() calls
   // MachineSimulator::time_trace, never the sweep's timing cache.
   tuner::ExperimentRunner fresh(simulator, app.context, options);
-  const auto baseline = fresh.measure(*app.workload, space, 0, 0.0);
+  const auto baseline = fresh.measure(*app.workload, space, 0);
   for (const int jobs : {1, 3, 0}) {
     const auto sweep = run(jobs);
     ASSERT_EQ(sweep.configs.size(), space.size());
@@ -233,13 +233,10 @@ TEST(ParallelSweepTest, MemoizationAndJobsLeaveSweepBitIdentical) {
       const auto reference =
           i == 0 ? baseline
                  : fresh.measure(*app.workload, space,
-                                 static_cast<tuner::ConfigMask>(i),
-                                 baseline.mean_time);
+                                 static_cast<tuner::ConfigMask>(i));
       EXPECT_EQ(sweep.configs[i].mean_time, reference.mean_time)
           << "jobs=" << jobs << " mask=" << i;
       EXPECT_EQ(sweep.configs[i].stddev_time, reference.stddev_time);
-      EXPECT_EQ(sweep.configs[i].speedup, reference.speedup);
-      EXPECT_EQ(sweep.configs[i].hbm_density, reference.hbm_density);
     }
   }
 }
@@ -286,18 +283,13 @@ TEST(ParallelSweepTest, MeasureBatchMatchesSingleMeasurements) {
   tuner::ExperimentRunner runner(simulator, app.context, options);
 
   const std::vector<tuner::ConfigMask> masks = {5, 0, 129, 7, 255, 64, 33};
-  const double baseline = 40.0;
-  const auto batch = runner.measure_batch(*app.workload, space, masks,
-                                          baseline);
+  const auto batch = runner.measure_batch(*app.workload, space, masks);
   ASSERT_EQ(batch.size(), masks.size());
   for (std::size_t i = 0; i < masks.size(); ++i) {
-    const auto single =
-        runner.measure(*app.workload, space, masks[i], baseline);
+    const auto single = runner.measure(*app.workload, space, masks[i]);
     EXPECT_EQ(batch[i].mask, masks[i]);
     EXPECT_EQ(batch[i].mean_time, single.mean_time);
     EXPECT_EQ(batch[i].stddev_time, single.stddev_time);
-    EXPECT_EQ(batch[i].speedup, single.speedup);
-    EXPECT_EQ(batch[i].hbm_density, single.hbm_density);
   }
 }
 

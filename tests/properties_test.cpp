@@ -263,7 +263,10 @@ TEST_P(SweepProperty, EstimatorExactOnSingletonsAndBaseline) {
   EXPECT_DOUBLE_EQ(est.estimate(0), 1.0);
   for (int g = 0; g < sweep.num_groups; ++g) {
     const auto mask = tuner::ConfigMask{1} << g;
-    EXPECT_NEAR(est.estimate(mask), sweep.of(mask).speedup, 1e-9);
+    EXPECT_NEAR(est.estimate(mask),
+                tuner::speedup_of(sweep.baseline_time,
+                                  sweep.of(mask).mean_time),
+                1e-9);
   }
 }
 
@@ -276,16 +279,21 @@ TEST_P(SweepProperty, SummaryInvariantsHold) {
   tuner::ConfigSpace space(bytes);
   tuner::ExperimentRunner runner(sim_, app.context, {1, true});
   const auto sweep = runner.sweep(*app.workload, space);
-  const auto summary = tuner::summarize(sweep);
+  const auto weights = tuner::group_weights(*app.workload, space);
+  const auto summary = tuner::summarize(sweep, weights);
+  const auto speedup = [&](const tuner::ConfigResult& cfg) {
+    return tuner::speedup_of(sweep.baseline_time, cfg.mean_time);
+  };
 
   // Max speedup dominates every configuration.
   for (const auto& cfg : sweep.configs)
-    EXPECT_LE(cfg.speedup, summary.max_speedup * (1.0 + 1e-12));
+    EXPECT_LE(speedup(cfg), summary.max_speedup * (1.0 + 1e-12));
   // The 90 % config is genuinely above threshold and minimal in usage.
   EXPECT_GE(summary.usage90_speedup, summary.threshold90 - 1e-9);
   for (const auto& cfg : sweep.configs) {
-    if (cfg.speedup + 1e-12 >= summary.threshold90) {
-      EXPECT_GE(cfg.hbm_usage, summary.usage90 - 1e-12);
+    if (speedup(cfg) + 1e-12 >= summary.threshold90) {
+      EXPECT_GE(tuner::hbm_usage_of(weights, cfg.mask, sweep.num_tiers),
+                summary.usage90 - 1e-12);
     }
   }
   // Threshold sits between baseline and max.
@@ -304,13 +312,16 @@ TEST_P(SweepProperty, ParetoFrontDominatesAllConfigs) {
   const auto sweep = runner.sweep(*app.workload, space);
   tuner::CapacityPlanner planner(sweep, space);
   const auto front = planner.pareto_front();
+  const auto speedup = [&](const tuner::ConfigResult& cfg) {
+    return tuner::speedup_of(sweep.baseline_time, cfg.mean_time);
+  };
   // Every configuration is dominated by some front point.
   for (const auto& cfg : sweep.configs) {
     const double cfg_bytes = space.hbm_bytes(cfg.mask);
     bool dominated = false;
     for (const auto& p : front) {
       if (p.hbm_bytes <= cfg_bytes * (1.0 + 1e-12) &&
-          p.speedup >= cfg.speedup * (1.0 - 1e-12)) {
+          p.speedup >= speedup(cfg) * (1.0 - 1e-12)) {
         dominated = true;
         break;
       }
@@ -325,7 +336,7 @@ TEST_P(SweepProperty, ParetoFrontDominatesAllConfigs) {
     double brute = 0.0;
     for (const auto& cfg : sweep.configs)
       if (space.hbm_bytes(cfg.mask) <= budget)
-        brute = std::max(brute, cfg.speedup);
+        brute = std::max(brute, speedup(cfg));
     EXPECT_NEAR(best.speedup, brute, 1e-12);
   }
 }

@@ -8,6 +8,7 @@
 #include "common/error.h"
 #include "common/units.h"
 #include "core/driver.h"
+#include "core/outcome_io.h"
 #include "core/session.h"
 #include "core/strategy.h"
 #include "core/summary.h"
@@ -82,6 +83,16 @@ TEST(StrategyRegistryTest, CustomStrategyPlugsIn) {
                            .run();
   EXPECT_EQ(outcome.strategy, "test-all-ddr");
   EXPECT_EQ(outcome.chosen_mask, 0u);
+  // The session fills the weights, so the custom outcome stores and reads
+  // back like a built-in one.
+  EXPECT_EQ(outcome.weights.footprint_bytes.size(), 3u);
+  const auto back = outcome_from_json(outcome_to_json(outcome));
+  EXPECT_EQ(back.strategy, "test-all-ddr");
+  EXPECT_EQ(back.chosen_mask, 0u);
+  EXPECT_EQ(back.weights.footprint_bytes, outcome.weights.footprint_bytes);
+  EXPECT_EQ(back.weights.footprint_total, outcome.weights.footprint_total);
+  EXPECT_EQ(back.weights.traffic_bytes, outcome.weights.traffic_bytes);
+  EXPECT_EQ(back.weights.traffic_total, outcome.weights.traffic_total);
 }
 
 // ----------------------------------------------------------------- session
@@ -278,9 +289,9 @@ TEST(SweepAccessTest, SparseTableFallsBackToScan) {
   sweep.num_groups = 3;
   ConfigResult r;
   r.mask = 0b101;
-  r.speedup = 1.5;
+  r.mean_time = 1.5;
   sweep.configs = {r};  // not mask-indexed: configs[0].mask != 0
-  EXPECT_DOUBLE_EQ(sweep.of(0b101).speedup, 1.5);
+  EXPECT_DOUBLE_EQ(sweep.of(0b101).mean_time, 1.5);
   EXPECT_THROW(sweep.of(0b001), Error);
   EXPECT_THROW(sweep.of(0), Error);
 }

@@ -295,7 +295,9 @@ TEST_P(TierEquivalenceTest, ExhaustiveSweepMatchesMaskPath) {
         EXPECT_EQ(sweep.configs[m].mean_time, reference[m].mean_time)
             << app.workload->name() << " mask " << m << " jobs " << jobs;
         EXPECT_EQ(sweep.configs[m].stddev_time, reference[m].stddev_time);
-        EXPECT_EQ(sweep.configs[m].speedup, reference[m].speedup);
+        EXPECT_EQ(tuner::speedup_of(sweep.baseline_time,
+                                    sweep.configs[m].mean_time),
+                  reference[m].speedup);
       }
       // The enumeration itself is the binary reflected Gray code.
       int step = 0;

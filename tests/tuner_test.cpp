@@ -12,6 +12,7 @@
 #include "core/report.h"
 #include "core/summary.h"
 #include "workloads/app_models.h"
+#include "workloads/recorded.h"
 
 namespace hmpt::tuner {
 namespace {
@@ -89,9 +90,11 @@ TEST(ConfigSpaceTest, EnumerationAndUsage) {
   ConfigSpace space({100.0, 200.0, 700.0});
   EXPECT_EQ(space.size(), 8u);
   EXPECT_DOUBLE_EQ(space.total_bytes(), 1000.0);
-  EXPECT_DOUBLE_EQ(space.hbm_usage(0b101), 0.8);
   EXPECT_DOUBLE_EQ(space.hbm_bytes(0b010), 200.0);
-  EXPECT_EQ(space.popcount(0b111), 3);
+  const GroupWeights weights{space.group_bytes(), space.total_bytes(), {}, 0};
+  EXPECT_DOUBLE_EQ(hbm_usage_of(weights, 0b101, 2), 0.8);
+  EXPECT_EQ(groups_in_hbm_of(0b111, 3, 2), 3);
+  EXPECT_EQ(groups_in_hbm_of(0b011, 3, 2), 2);
 }
 
 TEST(ConfigSpaceTest, GrayOrderFlipsOneBitAtATime) {
@@ -140,12 +143,17 @@ class ExperimentTest : public ::testing::Test {
     for (const auto& g : app_.workload->groups()) bytes.push_back(g.bytes);
     return bytes;
   }()};
+  GroupWeights weights_ = group_weights(*app_.workload, space_);
+
+  static double speedup(const SweepResult& sweep, const ConfigResult& cfg) {
+    return speedup_of(sweep.baseline_time, cfg.mean_time);
+  }
 };
 
 TEST_F(ExperimentTest, BaselineHasSpeedupOne) {
   ExperimentRunner runner(sim_, app_.context, {2, true});
   const auto sweep = runner.sweep(*app_.workload, space_);
-  EXPECT_DOUBLE_EQ(sweep.all_ddr().speedup, 1.0);
+  EXPECT_DOUBLE_EQ(speedup(sweep, sweep.all_ddr()), 1.0);
   EXPECT_GT(sweep.baseline_time, 0.0);
   EXPECT_EQ(sweep.configs.size(), 8u);
 }
@@ -153,20 +161,20 @@ TEST_F(ExperimentTest, BaselineHasSpeedupOne) {
 TEST_F(ExperimentTest, AllHbmBeatsAllDdrForMg) {
   ExperimentRunner runner(sim_, app_.context, {2, true});
   const auto sweep = runner.sweep(*app_.workload, space_);
-  EXPECT_GT(sweep.all_hbm().speedup, 2.0);
+  EXPECT_GT(speedup(sweep, sweep.all_hbm()), 2.0);
 }
 
 TEST_F(ExperimentTest, HbmUsageAndDensityConsistent) {
   ExperimentRunner runner(sim_, app_.context, {1, false});
   const auto sweep = runner.sweep(*app_.workload, space_);
   for (const auto& cfg : sweep.configs) {
-    EXPECT_GE(cfg.hbm_usage, 0.0);
-    EXPECT_LE(cfg.hbm_usage, 1.0);
-    EXPECT_GE(cfg.hbm_density, 0.0);
-    EXPECT_LE(cfg.hbm_density, 1.0);
+    EXPECT_GE(hbm_usage_of(weights_, cfg.mask, 2), 0.0);
+    EXPECT_LE(hbm_usage_of(weights_, cfg.mask, 2), 1.0);
+    EXPECT_GE(hbm_density_of(weights_, cfg.mask, 2), 0.0);
+    EXPECT_LE(hbm_density_of(weights_, cfg.mask, 2), 1.0);
   }
-  EXPECT_DOUBLE_EQ(sweep.of(0).hbm_density, 0.0);
-  EXPECT_DOUBLE_EQ(sweep.all_hbm().hbm_density, 1.0);
+  EXPECT_DOUBLE_EQ(hbm_density_of(weights_, sweep.of(0).mask, 2), 0.0);
+  EXPECT_DOUBLE_EQ(hbm_density_of(weights_, sweep.all_hbm().mask, 2), 1.0);
 }
 
 TEST_F(ExperimentTest, ArityMismatchThrows) {
@@ -183,10 +191,12 @@ TEST(AccessFractionTest, WeighsBytesByPlacement) {
   phase.streams.push_back({1, 70.0, 0.0, sim::AccessPattern::Sequential,
                            true, 0.0});
   trace.phases.push_back(phase);
-  EXPECT_DOUBLE_EQ(
-      hbm_access_fraction(trace,
-                          sim::Placement({PoolKind::HBM, PoolKind::DDR})),
-      0.3);
+  const workloads::RecordedWorkload workload(
+      "two streams", {{"a", 1.0}, {"b", 1.0}}, trace);
+  const ConfigSpace space({1.0, 1.0});
+  // Group 0 alone in HBM serves its 30 of the trace's 100 bytes.
+  EXPECT_DOUBLE_EQ(hbm_density_of(group_weights(workload, space), 0b01, 2),
+                   0.3);
 }
 
 // --------------------------------------------------------------- estimator
@@ -222,7 +232,7 @@ TEST_F(ExperimentTest, EstimatorNearExactForAdditiveAppWithConvexBias) {
   // composed of HBM-beneficial groups only.
   for (const auto& cfg : sweep.configs) {
     if (cfg.mask & (ConfigMask{1} << 7)) continue;
-    EXPECT_LE(est.estimate(cfg.mask), cfg.speedup + 1e-9) << cfg.mask;
+    EXPECT_LE(est.estimate(cfg.mask), speedup(sweep, cfg) + 1e-9) << cfg.mask;
   }
 }
 
@@ -258,7 +268,7 @@ TEST_F(ExperimentTest, SharedPhaseAppViolatesRuntimeAdditivity) {
 TEST_F(ExperimentTest, SummaryMatchesPaperForMg) {
   ExperimentRunner runner(sim_, app_.context, {2, true});
   const auto sweep = runner.sweep(*app_.workload, space_);
-  const auto summary = summarize(sweep);
+  const auto summary = summarize(sweep, weights_);
   EXPECT_NEAR(summary.max_speedup, 2.27, 0.05);
   EXPECT_NEAR(summary.hbm_only_speedup, 2.26, 0.05);
   EXPECT_NEAR(summary.usage90, 0.696, 0.01);
@@ -270,20 +280,12 @@ TEST(SummaryTest, ThresholdFractionGeneralises) {
   SweepResult sweep;
   sweep.num_groups = 1;
   sweep.baseline_time = 1.0;
-  ConfigResult base;
-  base.mask = 0;
-  base.speedup = 1.0;
-  base.mean_time = 1.0;
-  ConfigResult hbm;
-  hbm.mask = 1;
-  hbm.speedup = 2.0;
-  hbm.mean_time = 0.5;
-  hbm.hbm_usage = 1.0;
-  hbm.groups_in_hbm = 1;
-  sweep.configs = {base, hbm};
-  const auto s50 = summarize(sweep, 0.5);
+  sweep.configs = {{0, 1.0, 0.0}, {1, 0.5, 0.0}};  // 1x and 2x
+  const GroupWeights weights{{1.0}, 1.0, {1.0}, 1.0};
+  const auto s50 = summarize(sweep, weights, 0.5);
   EXPECT_DOUBLE_EQ(s50.threshold90, 1.5);
-  EXPECT_THROW(summarize(sweep, 0.0), Error);
+  EXPECT_DOUBLE_EQ(s50.usage90, 1.0);
+  EXPECT_THROW(summarize(sweep, weights, 0.0), Error);
 }
 
 // ----------------------------------------------------------------- planner
@@ -294,12 +296,13 @@ TEST_F(ExperimentTest, BudgetPlannerRespectsCapacity) {
 
   // Unlimited budget: picks the global optimum.
   const auto best = planner.best_under_budget(1e18);
-  EXPECT_NEAR(best.speedup, summarize(sweep).max_speedup, 1e-9);
+  EXPECT_NEAR(best.speedup, summarize(sweep, weights_).max_speedup, 1e-9);
 
   // Budget for one group (~9 GB): must pick the best single group.
   const auto one = planner.best_under_budget(10.0 * GB);
   EXPECT_LE(one.hbm_bytes, 10.0 * GB);
-  EXPECT_EQ(space_.popcount(one.mask), 1);
+  EXPECT_EQ(groups_in_hbm_of(one.mask, 3, 2), 1);
+  EXPECT_DOUBLE_EQ(one.hbm_usage, hbm_usage_of(weights_, one.mask, 2));
 
   // Zero budget: all-DDR.
   const auto none = planner.best_under_budget(0.0);
@@ -370,18 +373,18 @@ TEST(PlannerPlanTest, MultiSiteGroupsPinnedThroughRegistry) {
 TEST_F(ExperimentTest, DetailedViewListsAllNonBaselineConfigs) {
   ExperimentRunner runner(sim_, app_.context, {1, true});
   const auto sweep = runner.sweep(*app_.workload, space_);
-  const auto summary = summarize(sweep);
-  const auto view = render_detailed_view(sweep, summary);
+  const auto summary = summarize(sweep, weights_);
+  const auto view = render_detailed_view(sweep, weights_, summary);
   EXPECT_EQ(view.table.num_rows(), 7u);  // 2^3 - 1
   EXPECT_NE(view.bar_chart.find('#'), std::string::npos);
-  const auto capped = render_detailed_view(sweep, summary, 1);
+  const auto capped = render_detailed_view(sweep, weights_, summary, 1);
   EXPECT_EQ(capped.table.num_rows(), 3u);  // singles only
 }
 
 TEST_F(ExperimentTest, SummaryViewRendersReferenceLines) {
   ExperimentRunner runner(sim_, app_.context, {1, true});
   const auto sweep = runner.sweep(*app_.workload, space_);
-  const auto summary = summarize(sweep);
+  const auto summary = summarize(sweep, weights_);
   const auto view = render_summary_view(summary, "mg.D");
   EXPECT_EQ(view.table.num_rows(), 8u);
   EXPECT_NE(view.scatter.find("mg.D"), std::string::npos);

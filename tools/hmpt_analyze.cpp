@@ -293,7 +293,12 @@ int main(int argc, char** argv) {
         for (const auto& c : outcome.configs())
           table.add_row({tuner::mask_label(c.mask, outcome.num_groups,
                                            outcome.num_tiers),
-                         cell(c.speedup, 4), cell(c.hbm_usage, 4)});
+                         cell(tuner::speedup_of(outcome.baseline_time,
+                                                c.mean_time),
+                              4),
+                         cell(tuner::hbm_usage_of(outcome.weights, c.mask,
+                                                  outcome.num_tiers),
+                              4)});
         std::cout << "\nmeasured configurations CSV:\n" << table.to_csv();
       }
     }
