@@ -30,7 +30,7 @@ int main() {
       for (const auto& g : app.workload->groups()) bytes.push_back(g.bytes);
       return bytes;
     }());
-    tuner::ExperimentRunner runner(simulator, app.context, {2, true});
+    tuner::ExperimentRunner runner(simulator, app.context, {2});
     const auto sweep = runner.sweep(*app.workload, space);
     const tuner::LinearEstimator estimator(sweep);
     const auto err = tuner::estimator_error(sweep, estimator);

@@ -68,7 +68,7 @@ int main() {
       for (const auto& g : wl->groups()) bytes.push_back(g.bytes);
       return bytes;
     }());
-    tuner::ExperimentRunner runner(simulator, app.context, {2, true});
+    tuner::ExperimentRunner runner(simulator, app.context, {2});
     const auto sweep = runner.sweep(*wl, space);
     const auto summary =
         tuner::summarize(sweep, tuner::group_weights(*wl, space));

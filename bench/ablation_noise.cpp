@@ -25,7 +25,7 @@ int main() {
     for (const auto& g : app.workload->groups()) bytes.push_back(g.bytes);
     return bytes;
   }());
-  tuner::ExperimentRunner clean_runner(clean, app.context, {1, true});
+  tuner::ExperimentRunner clean_runner(clean, app.context, {1});
   const auto weights = tuner::group_weights(*app.workload, space);
   const auto truth =
       tuner::summarize(clean_runner.sweep(*app.workload, space), weights);
@@ -43,7 +43,7 @@ int main() {
           topo::xeon_max_9468_duo_flat_snc4(),
           sim::default_spr_hbm_calibration(),
           {kSigma, static_cast<std::uint64_t>(trial * 977 + reps)});
-      tuner::ExperimentRunner runner(noisy, app.context, {reps, true});
+      tuner::ExperimentRunner runner(noisy, app.context, {reps});
       const auto summary =
           tuner::summarize(runner.sweep(*app.workload, space), weights);
       if (summary.max_mask == truth.max_mask) ++best_ok;

@@ -40,7 +40,7 @@ inline tuner::SummaryAnalysis sweep_app(sim::MachineSimulator& sim,
     for (const auto& g : app.workload->groups()) bytes.push_back(g.bytes);
     return bytes;
   }());
-  tuner::ExperimentRunner runner(sim, app.context, {repetitions, true});
+  tuner::ExperimentRunner runner(sim, app.context, {repetitions});
   const auto sweep = runner.sweep(*app.workload, space);
   return tuner::summarize(sweep, tuner::group_weights(*app.workload, space));
 }

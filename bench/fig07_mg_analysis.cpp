@@ -21,7 +21,7 @@ int main() {
     for (const auto& g : app.workload->groups()) bytes.push_back(g.bytes);
     return bytes;
   }());
-  tuner::ExperimentRunner runner(simulator, app.context, {3, true});
+  tuner::ExperimentRunner runner(simulator, app.context, {3});
   const auto sweep = runner.sweep(*app.workload, space);
   const auto weights = tuner::group_weights(*app.workload, space);
   const auto summary = tuner::summarize(sweep, weights);

@@ -147,7 +147,7 @@ void BM_FullSweep(benchmark::State& state) {
     return bytes;
   }());
   for (auto _ : state) {
-    tuner::ExperimentRunner runner(simulator, app.context, {1, true});
+    tuner::ExperimentRunner runner(simulator, app.context, {1});
     auto sweep = runner.sweep(*app.workload, space);
     benchmark::DoNotOptimize(sweep.baseline_time);
   }

@@ -30,7 +30,7 @@ int main() {
     std::vector<double> bytes;
     for (const auto& g : app.workload->groups()) bytes.push_back(g.bytes);
     tuner::ConfigSpace space(bytes);
-    tuner::ExperimentRunner runner(simulator, app.context, {2, true});
+    tuner::ExperimentRunner runner(simulator, app.context, {2});
     const auto sweep = runner.sweep(*app.workload, space);
     tuner::CapacityPlanner planner(sweep, space);
 
@@ -54,7 +54,7 @@ int main() {
   std::vector<double> bytes;
   for (const auto& g : sp.workload->groups()) bytes.push_back(g.bytes);
   tuner::ConfigSpace space(bytes);
-  tuner::ExperimentRunner runner(simulator, sp.context, {1, true});
+  tuner::ExperimentRunner runner(simulator, sp.context, {1});
   const auto sweep = runner.sweep(*sp.workload, space);
   const tuner::LinearEstimator estimator(sweep);
 

@@ -31,7 +31,7 @@ int main() {
   tuner::ConfigSpace space(bytes);
   std::cout << "\nsweeping " << space.size()
             << " placement configurations x 3 repetitions...\n\n";
-  tuner::ExperimentRunner runner(simulator, app.context, {3, true});
+  tuner::ExperimentRunner runner(simulator, app.context, {3});
   const auto sweep = runner.sweep(*app.workload, space);
   const auto weights = tuner::group_weights(*app.workload, space);
   const auto summary = tuner::summarize(sweep, weights);

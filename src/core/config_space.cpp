@@ -25,13 +25,6 @@ ConfigSpace::ConfigSpace(std::vector<double> group_bytes, int num_tiers)
   HMPT_REQUIRE(total_ > 0.0, "config space with zero total footprint");
 }
 
-std::vector<ConfigMask> ConfigSpace::all_masks() const {
-  std::vector<ConfigMask> masks(size());
-  for (std::size_t i = 0; i < masks.size(); ++i)
-    masks[i] = static_cast<ConfigMask>(i);
-  return masks;
-}
-
 std::vector<ConfigMask> ConfigSpace::gray_masks() const {
   // k-ary reflected Gray enumeration (boustrophedon digits): each step
   // moves the lowest digit that can advance in its current direction and

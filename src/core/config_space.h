@@ -11,7 +11,7 @@
 // is bit-for-bit the original HBM bitmask (bit g set = group g in HBM), so
 // two-tier enumeration orders, noise-stream keys and reports are unchanged
 // by the k-tier generalisation. This module enumerates configuration ids
-// (natural and k-ary reflected Gray order), converts them to Placements,
+// (in k-ary reflected Gray order), converts them to Placements,
 // and computes per-configuration footprint statistics per tier.
 #pragma once
 
@@ -64,8 +64,6 @@ class ConfigSpace {
   int num_tiers() const { return num_tiers_; }
   std::size_t size() const { return size_; }
 
-  /// All configuration ids in natural order (0 = all-DDR first, baseline).
-  std::vector<ConfigMask> all_masks() const;
   /// All ids in k-ary reflected Gray order: consecutive configurations
   /// move exactly one group by exactly one tier, minimising replacement
   /// work between measurements. For two tiers this is the binary reflected

@@ -133,10 +133,9 @@ SweepResult ExperimentRunner::sweep(const workloads::Workload& workload,
   sweep.num_tiers = space.num_tiers();
   sweep.configs.resize(space.size());
 
-  // Both orders start at mask 0, so the all-DDR baseline is measured (and
-  // reported) first.
-  const auto masks =
-      options_.gray_order ? space.gray_masks() : space.all_masks();
+  // The Gray order starts at mask 0, so the all-DDR baseline is measured
+  // (and reported) first.
+  const auto masks = space.gray_masks();
   const int jobs = resolved_jobs();
 
   obs::TraceSpan span("experiment", "sweep");

@@ -78,9 +78,6 @@ int groups_in_hbm_of(ConfigMask mask, int num_groups, int num_tiers);
 
 struct ExperimentOptions {
   int repetitions = 3;  ///< n runs averaged per configuration
-  /// When true, enumerate in Gray order (adjacent configs differ by one
-  /// group); results are returned sorted by mask either way.
-  bool gray_order = true;
   /// Worker threads measuring configurations; 1 = serial in the calling
   /// thread, 0 = all hardware threads. Results are bit-identical at any
   /// job count.
@@ -112,11 +109,11 @@ class ExperimentRunner {
   ExperimentRunner(sim::MachineSimulator& sim, sim::ExecutionContext ctx,
                    ExperimentOptions options = {});
 
-  /// Measure every configuration of `space` for `workload`. `on_config`
-  /// (when given) fires once per configuration, always from the calling
-  /// thread and always in enumeration order (baseline first, then Gray or
-  /// natural order) whatever the job count — the hook the strategy layer
-  /// uses for progress reporting.
+  /// Measure every configuration of `space` for `workload`, enumerated in
+  /// Gray order; results are returned sorted by mask. `on_config` (when
+  /// given) fires once per configuration, always from the calling thread
+  /// and always in Gray order (baseline first) whatever the job count —
+  /// the hook the strategy layer uses for progress reporting.
   SweepResult sweep(const workloads::Workload& workload,
                     const ConfigSpace& space);
   SweepResult sweep(const workloads::Workload& workload,

@@ -74,7 +74,7 @@ bool same(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
-/// The sweep enumeration order of an exhaustive strategy in Gray mode;
+/// The exhaustive strategy's sweep order (ExperimentRunner::sweep);
 /// nullopt when the shape is not one ConfigSpace enumerates.
 std::optional<std::vector<ConfigMask>> gray_enumeration(int num_groups,
                                                         int num_tiers) {
@@ -457,12 +457,12 @@ void check_sweep(const SweepResult& sweep, const TuningOutcome& outcome) {
 
 // ------------------------------------------------------------- trajectory
 //
-// An exhaustive sweep in Gray order produces a trajectory that repeats the
-// sweep: step i measures the i-th Gray mask and observes that
-// configuration's mean time. Such a trajectory is stored as the 1-based
-// indices of its accepted steps alone ("accepted_steps") and re-derived
-// from the sweep on decode. Any other trajectory (natural order, online,
-// estimator) is stored as columns.
+// The exhaustive strategy's trajectory repeats its Gray-order sweep: step
+// i measures the i-th Gray mask and observes that configuration's mean
+// time. Such a trajectory is stored as the 1-based indices of its
+// accepted steps alone ("accepted_steps") and re-derived from the sweep
+// on decode. Any other trajectory (online, estimator, or
+// a registered strategy's own sweep order) is stored as columns.
 
 bool derives_from_sweep(const std::vector<TuningStep>& trajectory,
                         const std::optional<SweepResult>& sweep) {

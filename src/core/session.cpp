@@ -73,11 +73,6 @@ Session& Session::repetitions(int reps) {
   return *this;
 }
 
-Session& Session::gray_order(bool enabled) {
-  budget_.gray_order = enabled;
-  return *this;
-}
-
 Session& Session::jobs(int n) {
   HMPT_REQUIRE(n >= 0, "jobs must be >= 0 (0 = all hardware threads)");
   budget_.jobs = n;

@@ -13,7 +13,10 @@
 //
 // Strategies are resolved by name through the StrategyRegistry, so a
 // Session drives any registered method — built-in or user-supplied —
-// without the caller wiring up config spaces, runners or tuner options.
+// without the caller wiring up config spaces, runners or capacity caps.
+// It is the only way the library, the CLIs and the campaign engine
+// configure and run a tune; the paper's full report of an exhaustive
+// outcome is analyze() (analysis.h), layered on what run() returns.
 #pragma once
 
 #include <optional>
@@ -48,7 +51,6 @@ class Session {
   /// num_memory_tiers); 0 (the default) = the machine's full tier count.
   Session& tiers(int count);
   Session& repetitions(int reps);
-  Session& gray_order(bool enabled);
   /// Measurement worker threads (1 = serial, 0 = all hardware threads);
   /// the outcome is bit-identical at any job count.
   Session& jobs(int n);

@@ -9,7 +9,6 @@
 #include "common/table.h"
 #include "common/units.h"
 #include "core/estimator.h"
-#include "core/online.h"
 #include "core/planner.h"
 #include "core/report.h"
 #include "obs/trace.h"
@@ -162,7 +161,6 @@ TuningOutcome ExhaustiveStrategy::tune(
     const TuningBudget& budget, const TuningCallbacks& callbacks) const {
   ExperimentOptions options;
   options.repetitions = budget.repetitions;
-  options.gray_order = budget.gray_order;
   options.jobs = budget.jobs;
   ExperimentRunner runner(sim, ctx, options);
 
@@ -204,73 +202,190 @@ TuningOutcome ExhaustiveStrategy::tune(
 }
 
 // ------------------------------------------------------------ online greedy
+//
+// The paper positions its tool as "the first step towards a more dynamic
+// approach ... potentially allows for online profiling and control"
+// (Sec. III). Instead of sweeping all k^n configurations offline, the
+// search starts from all-DDR and adjusts the placement between iterations
+// of the running application: observe one iteration's time, greedily move
+// the group with the best expected gain to another tier, and keep the
+// move only if the next observed iteration confirms it. It converges in
+// O(n^2) iterations and respects the per-tier capacity caps throughout.
+// On a k-tier machine candidate moves cover every (group, other tier)
+// pair; for k = 2 the search is exactly the original HBM flip sequence.
+
+namespace {
+
+/// Relative improvement a trial move must show to be kept.
+constexpr double kKeepThreshold = 1e-3;
+/// Iteration cap when the budget sets no max_measurements.
+constexpr int kDefaultMaxIterations = 200;
+
+}  // namespace
 
 TuningOutcome OnlineGreedyStrategy::tune(
     sim::MachineSimulator& sim, sim::ExecutionContext ctx,
     const workloads::Workload& workload, const ConfigSpace& space,
     const TuningBudget& budget, const TuningCallbacks& callbacks) const {
+  // tune() can be called without a Session, so it checks the budget the
+  // Session's builder would have.
+  HMPT_REQUIRE(budget.max_measurements >= 0,
+               "max_measurements must be >= 0 (0 = strategy default)");
+  HMPT_REQUIRE(budget.patience >= 1, "patience must be >= 1");
+  const int max_iterations = budget.max_measurements > 0
+                                 ? budget.max_measurements
+                                 : kDefaultMaxIterations;
+  HMPT_REQUIRE(space.num_groups() == workload.num_groups(),
+               "space/workload arity mismatch");
   TuningOutcome out;
   out.strategy = name();
   out.workload = workload.name();
   out.num_groups = space.num_groups();
 
-  OnlineTunerOptions options;
-  options.tier_budget_bytes = resolved_caps(sim, budget, space.num_tiers());
-  options.patience = budget.patience;
-  if (budget.max_measurements > 0)
-    options.max_iterations = budget.max_measurements;
+  const auto trace = workload.trace();
+  const int n = space.num_groups();
+  const int tiers = space.num_tiers();
+  const auto caps = resolved_caps(sim, budget, tiers);
 
-  // Per-mask aggregation of the observations the tuner makes along the way
-  // (the online search has no separate measurement table). Repeated
-  // observations of a mask — confirmation passes — average like the
-  // runner's repetitions do, so the table is not min-biased under noise.
-  struct Seen {
-    RunningStats times;
-  };
-  std::vector<Seen> seen(space.size());
+  // Every observation, aggregated per mask: repeated observations of a
+  // mask (confirmation passes) average like the runner's repetitions do,
+  // so the table is not min-biased under noise. The i-th observation of a
+  // mask draws noise stream (mask, i), matching the i-th repetition of an
+  // exhaustive sweep over the same configuration.
+  std::vector<RunningStats> seen(space.size());
   int distinct = 0;
-  const auto note = [&](ConfigMask mask, double time) {
-    if (seen[mask].times.count() == 0) ++distinct;
-    seen[mask].times.add(time);
+  const auto observe = [&](ConfigMask mask) {
+    RunningStats& times = seen[mask];
+    const double time =
+        sim.measure_trace(trace, space.placement(mask), ctx,
+                          {mask, static_cast<std::uint64_t>(times.count())});
+    if (times.count() == 0) ++distinct;
+    times.add(time);
+    return time;
   };
 
-  // The tuner's first observation is the all-DDR baseline; every speedup
-  // the hooks report is relative to it.
-  options.on_baseline = [&](double time) {
-    out.baseline_time = time;
-    note(0, time);
-    emit_progress(callbacks, name(), distinct, 0, time, 1.0);
-  };
+  obs::TraceSpan search_span("strategy", "search");
+  search_span.arg_number("patience",
+                         static_cast<std::uint64_t>(budget.patience));
 
+  // The first observation is the all-DDR baseline; every speedup is
+  // relative to it.
+  ConfigMask mask = 0;
+  std::vector<int> tier(static_cast<std::size_t>(n), 0);  ///< current digits
+  double current = observe(mask);
+  out.baseline_time = current;
+  emit_progress(callbacks, name(), distinct, mask, current, 1.0);
   double best_speedup = 1.0;
-  options.on_step = [&](const OnlineStep& step) {
-    note(step.tried_mask, step.observed_time);
-    if (step.kept)
-      best_speedup = speedup_of(out.baseline_time, step.observed_time);
-    out.trajectory.push_back(
-        {step.iteration, step.tried_mask, step.observed_time, step.kept});
-    emit_progress(callbacks, name(), distinct, step.tried_mask,
-                  step.observed_time, best_speedup);
+  int iterations = 1;
+  int rejections = 0;
+
+  // Place value of each group's digit, for single-move id updates.
+  std::vector<ConfigMask> place(static_cast<std::size_t>(n), 1);
+  for (int g = 0; g < n; ++g)
+    place[static_cast<std::size_t>(g)] = config_place_value(g, tiers);
+
+  // Heuristic priority: sampled access density per byte — the quantity
+  // the IBS profile gives the online controller for free.
+  std::vector<double> density(static_cast<std::size_t>(n), 0.0);
+  for (int g = 0; g < n; ++g)
+    density[static_cast<std::size_t>(g)] =
+        trace.access_fraction(g) /
+        std::max(1.0, space.group_bytes()[static_cast<std::size_t>(g)]);
+
+  // Directional weight of a tier move: the difference of the tiers' speed
+  // ranks (position in the saturated-bandwidth ordering; bandwidth ties
+  // break toward the lower tier index), normalised to [-1, 1]. For two
+  // tiers with HBM at least as fast as DDR the weights are exactly the
+  // +1/-1 of the original flip heuristic.
+  std::vector<int> order(static_cast<std::size_t>(tiers), 0);
+  for (int t = 0; t < tiers; ++t) order[static_cast<std::size_t>(t)] = t;
+  const auto bw = [&](int t) {
+    return sim.config().of(static_cast<topo::PoolKind>(t))
+        .sat_bandwidth_per_tile;
   };
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    if (bw(a) != bw(b)) return bw(a) < bw(b);
+    return a < b;
+  });
+  std::vector<double> rank(static_cast<std::size_t>(tiers), 0.0);
+  for (int r = 0; r < tiers; ++r)
+    rank[static_cast<std::size_t>(order[static_cast<std::size_t>(r)])] = r;
 
-  OnlineTuner tuner(sim, ctx, options);
-  OnlineResult result = [&] {
-    obs::TraceSpan search_span("strategy", "search");
-    search_span.arg_number("patience",
-                           static_cast<std::uint64_t>(options.patience));
-    return tuner.tune(workload, space);
-  }();
+  while (iterations < max_iterations && rejections < budget.patience) {
+    // Candidate moves, best heuristic first: hot groups toward fast
+    // tiers, cold groups toward slow ones.
+    struct Candidate {
+      int group;
+      int to_tier;
+      double score;
+    };
+    std::vector<Candidate> candidates;
+    for (int g = 0; g < n; ++g) {
+      const auto gi = static_cast<std::size_t>(g);
+      const int from = tier[gi];
+      for (int to = 0; to < tiers; ++to) {
+        if (to == from) continue;
+        if (to != 0) {
+          // Would the move blow the target tier's capacity?
+          const double used =
+              space.tier_bytes(mask, static_cast<topo::PoolKind>(to));
+          if (used + space.group_bytes()[gi] >
+              caps[static_cast<std::size_t>(to)])
+            continue;
+        }
+        const double weight = (rank[static_cast<std::size_t>(to)] -
+                               rank[static_cast<std::size_t>(from)]) /
+                              static_cast<double>(tiers - 1);
+        candidates.push_back({g, to, weight * density[gi]});
+      }
+    }
+    std::sort(candidates.begin(), candidates.end(),
+              [](const Candidate& a, const Candidate& b) {
+                return a.score > b.score;
+              });
 
-  out.chosen_mask = result.final_mask;
-  out.chosen_time = result.final_time;
-  out.speedup = result.speedup;
-  out.measurements = result.iterations_used;
-  out.configs_measured = distinct;
-  for (ConfigMask mask = 0; mask < seen.size(); ++mask) {
-    const auto& times = seen[mask].times;
-    if (times.count() > 0)
-      out.table.push_back({mask, times.mean(), times.stddev()});
+    bool improved = false;
+    for (const auto& candidate : candidates) {
+      if (iterations >= max_iterations) break;
+      const auto gi = static_cast<std::size_t>(candidate.group);
+      const ConfigMask trial_mask =
+          mask + (static_cast<ConfigMask>(candidate.to_tier) * place[gi] -
+                  static_cast<ConfigMask>(tier[gi]) * place[gi]);
+      const double trial = observe(trial_mask);
+      ++iterations;
+
+      const bool kept = trial < current * (1.0 - kKeepThreshold);
+      if (kept) best_speedup = speedup_of(out.baseline_time, trial);
+      out.trajectory.push_back({iterations, trial_mask, trial, kept});
+      emit_progress(callbacks, name(), distinct, trial_mask, trial,
+                    best_speedup);
+
+      if (kept) {
+        mask = trial_mask;
+        tier[gi] = candidate.to_tier;
+        current = trial;
+        improved = true;
+        break;  // re-rank candidates from the new state
+      }
+    }
+    if (improved) {
+      rejections = 0;
+    } else {
+      // A full pass found nothing; with measurement noise a further pass
+      // (up to `patience` of them) may still flip a verdict.
+      ++rejections;
+      if (candidates.empty()) break;
+    }
   }
+
+  out.chosen_mask = mask;
+  out.chosen_time = current;
+  out.speedup = speedup_of(out.baseline_time, current);
+  out.measurements = iterations;
+  out.configs_measured = distinct;
+  for (ConfigMask m = 0; m < seen.size(); ++m)
+    if (seen[m].count() > 0)
+      out.table.push_back({m, seen[m].mean(), seen[m].stddev()});
   finish_outcome(out, space);
   return out;
 }

@@ -43,8 +43,6 @@ struct TuningBudget {
   /// entry takes precedence over the legacy `hbm_budget_bytes`.
   std::vector<double> tier_budget_bytes;
   int repetitions = 3;  ///< simulator runs averaged per configuration
-  /// Enumerate exhaustive sweeps in Gray order (single-group deltas).
-  bool gray_order = true;
   /// "estimator": number of top predicted configurations to measure.
   int top_k = 3;
   /// Cap on measured runs for iterative strategies; 0 = strategy default.
@@ -120,12 +118,11 @@ struct TuningOutcome {
   std::string to_text() const;
 };
 
-/// Per-tier capacity caps every strategy (and the Driver's planner)
-/// enforces, resolved from a budget: tier 0 (DDR) is never constrained; a
-/// non-DDR tier takes its positive tier_budget_bytes entry, falling back
-/// to the legacy hbm_budget_bytes for tier 1 and then to the machine's
-/// capacity of the tier's pool kind ("<= 0 means the machine's full
-/// capacity", as before).
+/// Per-tier capacity caps every strategy enforces, resolved from a budget:
+/// tier 0 (DDR) is never constrained; a non-DDR tier takes its positive
+/// tier_budget_bytes entry, falling back to the legacy hbm_budget_bytes
+/// for tier 1 and then to the machine's capacity of the tier's pool kind
+/// ("<= 0 means the machine's full capacity", as before).
 std::vector<double> resolved_caps(const sim::MachineSimulator& sim,
                                   const TuningBudget& budget, int num_tiers);
 
@@ -180,7 +177,10 @@ class ExhaustiveStrategy : public TuningStrategy {
                      const TuningCallbacks& callbacks) const override;
 };
 
-/// Greedy iterative extension with confirmation runs (wraps OnlineTuner).
+/// Greedy iterative extension with confirmation runs: starts at all-DDR,
+/// tries the most promising single-group tier move, keeps it only when the
+/// observed time confirms the gain, and stops after `patience` rejected
+/// passes or `max_measurements` runs (default 200).
 class OnlineGreedyStrategy : public TuningStrategy {
  public:
   std::string name() const override { return "online"; }

@@ -1,7 +1,7 @@
 // recorded.h — a Workload built from a profiling run.
 //
-// The driver profiles the real application once through the shim (recorded
-// trace + registry groups) and then analyses the recorded behaviour
+// The tool profiles the real application once through the shim (recorded
+// trace + registry groups; tuner::record_workload) and then analyses the recorded behaviour
 // offline against arbitrary placements — the "analysis from a previous
 // run" mode of the paper's tool. Also supports remapping the trace's group
 // ids when the grouping step reorders or folds allocations.

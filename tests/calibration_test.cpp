@@ -24,7 +24,7 @@ class CalibrationTest : public ::testing::Test {
     std::vector<double> bytes;
     for (const auto& g : app.workload->groups()) bytes.push_back(g.bytes);
     tuner::ConfigSpace space(bytes);
-    tuner::ExperimentRunner runner(sim_, app.context, {1, true});
+    tuner::ExperimentRunner runner(sim_, app.context, {1});
     const auto sweep = runner.sweep(*app.workload, space);
     return tuner::summarize(sweep, tuner::group_weights(*app.workload, space));
   }
@@ -92,7 +92,7 @@ TEST_F(CalibrationTest, MgSinglesMatchFig7a) {
   std::vector<double> bytes;
   for (const auto& g : app.workload->groups()) bytes.push_back(g.bytes);
   tuner::ConfigSpace space(bytes);
-  tuner::ExperimentRunner runner(sim_, app.context, {1, true});
+  tuner::ExperimentRunner runner(sim_, app.context, {1});
   const auto sweep = runner.sweep(*app.workload, space);
   const auto speedup = [&](tuner::ConfigMask mask) {
     return tuner::speedup_of(sweep.baseline_time, sweep.of(mask).mean_time);
@@ -113,7 +113,7 @@ TEST_F(CalibrationTest, LuSingleAllocationCarriesMostSpeedup) {
   std::vector<double> bytes;
   for (const auto& g : app.workload->groups()) bytes.push_back(g.bytes);
   tuner::ConfigSpace space(bytes);
-  tuner::ExperimentRunner runner(sim_, app.context, {1, true});
+  tuner::ExperimentRunner runner(sim_, app.context, {1});
   const auto sweep = runner.sweep(*app.workload, space);
   const double single =
       tuner::speedup_of(sweep.baseline_time, sweep.of(0b0000001).mean_time);

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <utility>
 
@@ -391,11 +392,13 @@ class AnalyzeJsonTest : public ::testing::Test {
     auto simulator = hmpt::sim::MachineSimulator::paper_platform();
     const auto app = hmpt::workloads::make_mg_model(simulator);
     hmpt::workloads::save_workload(profile_, *app.workload);
+    fs::remove_all(store_);
   }
   void TearDown() override {
     std::remove(profile_.c_str());
     std::remove(out_.c_str());
     std::remove(json_.c_str());
+    fs::remove_all(store_);
   }
 
   int run(const std::string& args) {
@@ -404,9 +407,16 @@ class AnalyzeJsonTest : public ::testing::Test {
     return std::system(cmd.c_str());
   }
 
+  int run_campaign(const std::string& args) {
+    const std::string cmd = std::string(HMPT_CAMPAIGN_PATH) + " " + args +
+                            " > " + out_ + " 2>&1";
+    return std::system(cmd.c_str());
+  }
+
   const std::string profile_ = "/tmp/hmpt_analyze_json_test.profile";
   const std::string out_ = "/tmp/hmpt_analyze_json_test.out";
   const std::string json_ = "/tmp/hmpt_analyze_json_test.json";
+  const std::string store_ = "/tmp/hmpt_analyze_json_test_store";
 };
 
 TEST_F(AnalyzeJsonTest, ListsPlatformsAndWorkloads) {
@@ -417,22 +427,43 @@ TEST_F(AnalyzeJsonTest, ListsPlatformsAndWorkloads) {
 }
 
 TEST_F(AnalyzeJsonTest, JsonFlagWritesARoundTrippableOutcome) {
-  for (const std::string strategy : {"exhaustive", "online"}) {
-    ASSERT_EQ(run(profile_ + " --strategy " + strategy + " --json " + json_),
+  // --json writes the campaign outcome format: for every strategy the
+  // bytes equal the outcome a campaign stores for the same profile.
+  ASSERT_EQ(run_campaign("--workload recorded:path=" + profile_ +
+                         " --platform xeon-max --strategy exhaustive"
+                         " --strategy online --strategy estimator"
+                         " --reps 3 --quiet --out " +
+                         store_),
+            0)
+      << slurp(out_);
+  std::map<std::string, std::string> stored;  // strategy -> outcome bytes
+  for (const auto& record : fs::directory_iterator(store_ + "/outcomes")) {
+    const auto outcome =
+        hmpt::Json::parse(slurp(record.path().string())).at("outcome");
+    stored[outcome.at("strategy").as_string()] = outcome.dump();
+  }
+  ASSERT_EQ(stored.size(), 3u);
+
+  for (const std::string strategy : {"exhaustive", "online", "estimator"}) {
+    ASSERT_EQ(run(profile_ + " --strategy " + strategy +
+                  " --reps 3 --json " + json_),
               0)
         << slurp(out_);
     const std::string text = slurp(json_);
     ASSERT_FALSE(text.empty());
+    EXPECT_EQ(text, stored[strategy]) << strategy;
     const auto outcome =
         hmpt::tuner::outcome_from_json(hmpt::Json::parse(text));
     EXPECT_EQ(outcome.strategy, strategy);
     EXPECT_EQ(outcome.workload, "NPB:_Multi-Grid");  // profile-sanitised
     EXPECT_NEAR(outcome.speedup, 2.27, 0.01);
-    // The exhaustive artefact carries the full sweep (like a campaign
-    // scenario's stored outcome); online carries its measured table.
+    // The exhaustive artefact carries the full sweep and its trajectory
+    // (like a campaign scenario's stored outcome); the others carry their
+    // measured table.
     if (strategy == "exhaustive") {
       ASSERT_TRUE(outcome.sweep.has_value());
       EXPECT_EQ(outcome.sweep->configs.size(), 8u);  // 2^3 on MG
+      EXPECT_EQ(outcome.trajectory.size(), 8u);
     } else {
       EXPECT_FALSE(outcome.configs().empty());
     }

@@ -539,24 +539,17 @@ TEST(OutcomeIoTest, OutcomeJsonRoundTripsForEveryStrategy) {
                                       sim::cxl_tiered_calibration(),
                                       sim::NoiseModel{0.05, 11});
        }}};
-  struct Run {
-    const char* strategy;
-    bool gray;
-  };
   for (const auto& platform : platforms) {
-    for (const Run run : {Run{"exhaustive", true}, Run{"exhaustive", false},
-                          Run{"online", true}, Run{"estimator", true}}) {
+    for (const std::string strategy : {"exhaustive", "online", "estimator"}) {
       auto simulator = platform.make();
       const auto app = workloads::make_mg_model(simulator);
       const auto outcome = tuner::Session::on(simulator)
                                .workload(app.workload)
                                .context(app.context)
-                               .strategy(run.strategy)
-                               .gray_order(run.gray)
+                               .strategy(strategy)
                                .repetitions(2)
                                .run();
-      const std::string what = std::string(platform.name) + " " +
-                               run.strategy + (run.gray ? "" : " natural");
+      const std::string what = std::string(platform.name) + " " + strategy;
       const Json encoded = tuner::outcome_to_json(outcome);
       for (const int indent : {-1, 2}) {
         const auto back =
@@ -566,14 +559,13 @@ TEST(OutcomeIoTest, OutcomeJsonRoundTripsForEveryStrategy) {
         // the human-readable report regenerates identically.
         EXPECT_EQ(back.to_text(), outcome.to_text()) << what;
       }
-      EXPECT_EQ(outcome.sweep.has_value(),
-                std::string(run.strategy) == "exhaustive");
+      EXPECT_EQ(outcome.sweep.has_value(), strategy == "exhaustive");
 
-      // Only a Gray-order sweep drops its trajectory to the accepted
-      // steps, and a full sweep stores no mask column.
+      // Only the exhaustive trajectory drops to the accepted steps, and a
+      // full sweep stores no mask column.
       const JsonObject& trajectory = encoded.at("trajectory").as_object();
       EXPECT_EQ(trajectory.contains("accepted_steps"),
-                outcome.sweep.has_value() && run.gray)
+                outcome.sweep.has_value())
           << what;
       EXPECT_EQ(trajectory.contains("mask"),
                 !trajectory.contains("accepted_steps"))
@@ -595,6 +587,46 @@ TEST(OutcomeIoTest, OutcomeJsonRoundTripsForEveryStrategy) {
         EXPECT_TRUE(encoded.as_object().contains(weights))
             << what << " " << weights;
     }
+  }
+}
+
+TEST(OutcomeIoTest, SweepWithItsOwnTrajectoryOrderStoresColumns) {
+  // A registered strategy may return a full sweep whose trajectory is not
+  // the Gray enumeration: here, the exhaustive sweep re-walked in mask
+  // order. Such a trajectory is stored as columns beside the sweep and
+  // decodes exactly.
+  sim::MachineSimulator simulator(topo::cxl_tiered_xeon_max(),
+                                  sim::cxl_tiered_calibration(),
+                                  sim::NoiseModel{0.05, 11});
+  const auto app = workloads::make_mg_model(simulator);
+  auto outcome = tuner::Session::on(simulator)
+                     .workload(app.workload)
+                     .context(app.context)
+                     .strategy("exhaustive")
+                     .repetitions(2)
+                     .run();
+  ASSERT_TRUE(outcome.sweep.has_value());
+  outcome.strategy = "test-mask-order";
+  std::sort(outcome.trajectory.begin(), outcome.trajectory.end(),
+            [](const tuner::TuningStep& a, const tuner::TuningStep& b) {
+              return a.mask < b.mask;
+            });
+  for (std::size_t i = 0; i < outcome.trajectory.size(); ++i)
+    outcome.trajectory[i].index = static_cast<int>(i + 1);
+  const Json encoded = tuner::outcome_to_json(outcome);
+  const JsonObject& trajectory = encoded.at("trajectory").as_object();
+  EXPECT_TRUE(trajectory.contains("mask"));
+  EXPECT_FALSE(trajectory.contains("accepted_steps"));
+  for (const int indent : {-1, 2}) {
+    const Json doc = Json::parse(encoded.dump(indent));
+    const auto kept = tuner::outcome_from_json(doc, tuner::Rows::Keep);
+    expect_same_outcome(kept, outcome, "mask-order trajectory");
+    EXPECT_EQ(tuner::outcome_to_json(kept).dump(indent),
+              encoded.dump(indent));
+    const auto skipped = tuner::outcome_from_json(doc, tuner::Rows::Skip);
+    expect_same_headline(skipped, kept, "mask-order trajectory, skipped");
+    EXPECT_TRUE(skipped.trajectory.empty());
+    EXPECT_FALSE(skipped.sweep.has_value());
   }
 }
 

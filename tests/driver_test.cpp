@@ -1,5 +1,6 @@
-// Tests for the driver (one-call analysis), the online tuner, allocation
-// migration, the recorded-workload adapter and the preload-shim core.
+// Tests for the analysis of an exhaustive outcome, the online strategy,
+// allocation migration, the recorded-workload adapter and the preload-shim
+// core.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -7,8 +8,8 @@
 
 #include "common/error.h"
 #include "common/units.h"
-#include "core/driver.h"
-#include "core/online.h"
+#include "core/analysis.h"
+#include "core/session.h"
 #include "shim/preload_core.h"
 #include "workloads/app_models.h"
 #include "workloads/line_solver.h"
@@ -84,37 +85,57 @@ TEST(RecordedWorkloadTest, InvalidConstructionsThrow) {
       workloads::RecordedWorkload("x", {{"only-one", 1.0}}, trace), Error);
 }
 
-// ------------------------------------------------------------------ driver
-class DriverTest : public ::testing::Test {
+// ---------------------------------------------------------------- analysis
+class AnalysisTest : public ::testing::Test {
  protected:
   sim::MachineSimulator sim_ = sim::MachineSimulator::paper_platform();
+
+  tuner::AnalysisReport analyze(const workloads::Workload& workload,
+                                double budget_gb = 0.0) {
+    return tuner::analyze(tuner::Session::on(sim_)
+                              .workload(workload)
+                              .budget_gb(budget_gb)
+                              .run());
+  }
 };
 
-TEST_F(DriverTest, AnalyzeMgReproducesSummary) {
-  tuner::Driver driver(sim_, sim_.full_machine());
+TEST_F(AnalysisTest, AnalyzeMgReproducesSummary) {
   const auto app = workloads::make_mg_model(sim_);
-  const auto report = driver.analyze(*app.workload);
+  const auto report = analyze(*app.workload);
   EXPECT_NEAR(report.summary.max_speedup, 2.27, 0.05);
   EXPECT_NEAR(report.minimal90.hbm_usage, 0.696, 0.01);
   // MG fits entirely into the machine's HBM, so the recommendation is the
   // global optimum.
-  EXPECT_EQ(report.recommended.mask, report.summary.max_mask);
+  EXPECT_EQ(report.outcome.chosen_mask, report.summary.max_mask);
+  // The report keeps the outcome whole: sweep and Gray-order trajectory.
+  ASSERT_TRUE(report.outcome.sweep.has_value());
+  EXPECT_EQ(report.outcome.trajectory.size(), 8u);
   const std::string text = report.to_text();
   EXPECT_NE(text.find("maximum speedup"), std::string::npos);
   EXPECT_NE(text.find("recommended placement"), std::string::npos);
 }
 
-TEST_F(DriverTest, BudgetConstrainsRecommendation) {
-  tuner::DriverOptions options;
-  options.hbm_budget_bytes = 10.0 * GB;  // less than one MG group pair
-  tuner::Driver driver(sim_, sim_.full_machine(), options);
+TEST_F(AnalysisTest, BudgetConstrainsRecommendation) {
   const auto app = workloads::make_mg_model(sim_);
-  const auto report = driver.analyze(*app.workload);
-  EXPECT_LE(report.recommended.hbm_bytes, 10.0 * GB);
-  EXPECT_LT(report.recommended.speedup, report.summary.max_speedup);
+  const auto report = analyze(*app.workload, 10.0);  // < one group pair
+  EXPECT_LE(report.outcome.hbm_bytes, 10.0 * GB);
+  EXPECT_LT(report.outcome.speedup, report.summary.max_speedup);
 }
 
-TEST_F(DriverTest, RecordBuildsWorkloadFromProfilingRun) {
+TEST_F(AnalysisTest, RejectsOutcomesWithoutASweepAndBadThresholds) {
+  const auto app = workloads::make_mg_model(sim_);
+  auto online = tuner::Session::on(sim_)
+                    .workload(*app.workload)
+                    .strategy("online")
+                    .run();
+  EXPECT_THROW(tuner::analyze(online), Error);
+  auto exhaustive = tuner::Session::on(sim_).workload(*app.workload).run();
+  EXPECT_THROW(tuner::analyze(exhaustive, 0.0), Error);
+  EXPECT_THROW(tuner::analyze(exhaustive, 1.5), Error);
+  EXPECT_NO_THROW(tuner::analyze(exhaustive, 1.0));
+}
+
+TEST_F(AnalysisTest, RecordBuildsWorkloadFromProfilingRun) {
   pools::PoolAllocator pool(sim_.machine());
   shim::ShimAllocator shim(pool);
   sample::IbsSampler sampler({256, sample::SamplingMode::Poisson, 9});
@@ -122,22 +143,20 @@ TEST_F(DriverTest, RecordBuildsWorkloadFromProfilingRun) {
   config.n = 16;
   const auto profile = workloads::run_mini_mg(shim, config, &sampler);
 
-  tuner::Driver driver(sim_, sim_.full_machine());
   tuner::GroupingOptions grouping;
   grouping.max_groups = 8;
-  const auto recorded =
-      driver.record(shim, sampler.report(), profile.trace,
-                    {"mg::u", "mg::r", "mg::v"}, grouping, "mini-mg");
+  const auto recorded = tuner::record_workload(
+      shim, sampler.report(), profile.trace, {"mg::u", "mg::r", "mg::v"},
+      grouping, "mini-mg");
   EXPECT_EQ(recorded.num_groups(), 3);
-  // Analysis of the recorded run goes straight through the driver.
-  const auto report = driver.analyze(recorded);
+  // Analysis of the recorded run goes straight through a Session.
+  const auto report = analyze(recorded);
   EXPECT_GT(report.summary.max_speedup, 1.2);
 }
 
-TEST_F(DriverTest, PlanMaterialisationMatchesRecommendation) {
-  tuner::Driver driver(sim_, sim_.full_machine());
+TEST_F(AnalysisTest, PlanMaterialisationMatchesRecommendation) {
   const auto app = workloads::make_lu_model(sim_);
-  const auto report = driver.analyze(*app.workload);
+  const auto report = analyze(*app.workload);
   std::vector<tuner::AllocationGroup> groups;
   for (const auto& g : app.workload->groups()) {
     tuner::AllocationGroup ag;
@@ -145,20 +164,30 @@ TEST_F(DriverTest, PlanMaterialisationMatchesRecommendation) {
     ag.bytes = g.bytes;
     groups.push_back(ag);
   }
-  const auto plan = driver.plan_for(report, groups);
+  const auto plan =
+      tuner::to_placement_plan(groups, report.outcome.chosen_placement);
   for (std::size_t g = 0; g < groups.size(); ++g) {
     const bool in_hbm =
-        report.recommended.mask & (tuner::ConfigMask{1} << g);
+        report.outcome.chosen_mask & (tuner::ConfigMask{1} << g);
     EXPECT_EQ(plan.kind_for_named(groups[g].label) == PoolKind::HBM,
               in_hbm)
         << groups[g].label;
   }
 }
 
-// ------------------------------------------------------------ online tuner
+// ---------------------------------------------------------- online strategy
 class OnlineTest : public ::testing::Test {
  protected:
   sim::MachineSimulator sim_ = sim::MachineSimulator::paper_platform();
+
+  tuner::Session session(const workloads::AppInfo& app,
+                         const std::string& strategy) {
+    return tuner::Session::on(sim_)
+        .workload(*app.workload)
+        .context(app.context)
+        .strategy(strategy)
+        .repetitions(1);
+  }
 
   tuner::ConfigSpace space_for(const workloads::AppInfo& app) {
     std::vector<double> bytes;
@@ -169,29 +198,19 @@ class OnlineTest : public ::testing::Test {
 
 TEST_F(OnlineTest, ConvergesToNearOptimalForMg) {
   const auto app = workloads::make_mg_model(sim_);
-  const auto space = space_for(app);
-  tuner::OnlineTuner online(sim_, app.context);
-  const auto result = online.tune(*app.workload, space);
+  const auto result = session(app, "online").run();
   // Exhaustive optimum for comparison.
-  tuner::ExperimentRunner runner(sim_, app.context, {1, true});
-  const auto sweep = runner.sweep(*app.workload, space);
-  const auto summary =
-      tuner::summarize(sweep, tuner::group_weights(*app.workload, space));
-  EXPECT_GT(result.speedup, 0.95 * summary.max_speedup);
+  const auto optimum = session(app, "exhaustive").run();
+  EXPECT_GT(result.speedup, 0.95 * optimum.speedup);
   // Far fewer runs than the 2^n sweep would need per-config repetitions.
-  EXPECT_LT(result.iterations_used, 40);
+  EXPECT_LT(result.measurements, 40);
 }
 
 TEST_F(OnlineTest, AllAppsReachNinetyPercentOfOptimum) {
   for (const auto& app : workloads::paper_benchmark_suite(sim_)) {
-    const auto space = space_for(app);
-    tuner::OnlineTuner online(sim_, app.context);
-    const auto result = online.tune(*app.workload, space);
-    tuner::ExperimentRunner runner(sim_, app.context, {1, true});
-    const auto sweep = runner.sweep(*app.workload, space);
-    const auto summary =
-        tuner::summarize(sweep, tuner::group_weights(*app.workload, space));
-    EXPECT_GE(result.speedup, 1.0 + 0.9 * (summary.max_speedup - 1.0))
+    const auto result = session(app, "online").run();
+    const auto optimum = session(app, "exhaustive").run();
+    EXPECT_GE(result.speedup, 1.0 + 0.9 * (optimum.speedup - 1.0))
         << app.name;
   }
 }
@@ -199,31 +218,56 @@ TEST_F(OnlineTest, AllAppsReachNinetyPercentOfOptimum) {
 TEST_F(OnlineTest, RespectsCapacityBudget) {
   const auto app = workloads::make_mg_model(sim_);
   const auto space = space_for(app);
-  tuner::OnlineTunerOptions options;
-  options.hbm_budget_bytes = 10.0 * GB;
-  tuner::OnlineTuner online(sim_, app.context, options);
-  const auto result = online.tune(*app.workload, space);
-  EXPECT_LE(space.hbm_bytes(result.final_mask), 10.0 * GB);
+  const auto result = session(app, "online").budget_gb(10.0).run();
+  EXPECT_LE(space.hbm_bytes(result.chosen_mask), 10.0 * GB);
+  // Every tried placement fits, not just the chosen one.
   for (const auto& step : result.trajectory)
     EXPECT_LE(space.hbm_bytes(step.mask), 10.0 * GB);
+  // And it is no better than the exhaustive optimum under the same cap.
+  const auto optimum = session(app, "exhaustive").budget_gb(10.0).run();
+  EXPECT_LE(result.speedup, optimum.speedup * (1.0 + 1e-12));
 }
 
 TEST_F(OnlineTest, TrajectoryOnlyKeepsImprovements) {
   const auto app = workloads::make_sp_model(sim_);
-  const auto space = space_for(app);
-  tuner::OnlineTuner online(sim_, app.context);
-  const auto result = online.tune(*app.workload, space);
+  const auto result = session(app, "online").run();
   double best = result.baseline_time;
   for (const auto& step : result.trajectory) {
-    if (step.kept) {
+    if (step.accepted) {
       EXPECT_LT(step.observed_time, best);
       best = step.observed_time;
     }
   }
-  EXPECT_DOUBLE_EQ(best, result.final_time);
-  // SP's chase groups prefer DDR: the tuner must leave them there.
-  EXPECT_EQ(result.final_mask & (tuner::ConfigMask{1} << 6), 0u);
-  EXPECT_EQ(result.final_mask & (tuner::ConfigMask{1} << 7), 0u);
+  EXPECT_DOUBLE_EQ(best, result.chosen_time);
+  // SP's chase groups prefer DDR: the search must leave them there.
+  EXPECT_EQ(result.chosen_mask & (tuner::ConfigMask{1} << 6), 0u);
+  EXPECT_EQ(result.chosen_mask & (tuner::ConfigMask{1} << 7), 0u);
+}
+
+TEST_F(OnlineTest, DirectTuneChecksItsInputs) {
+  // tune() can be called without a Session, so it checks its own budget.
+  const auto app = workloads::make_mg_model(sim_);
+  const auto space = space_for(app);
+  const auto tune = [&](const tuner::TuningBudget& budget) {
+    return tuner::OnlineGreedyStrategy().tune(sim_, app.context,
+                                              *app.workload, space, budget,
+                                              {});
+  };
+  tuner::TuningBudget no_patience;
+  no_patience.patience = 0;
+  EXPECT_THROW(tune(no_patience), Error);
+  tuner::TuningBudget negative_cap;
+  negative_cap.max_measurements = -1;
+  EXPECT_THROW(tune(negative_cap), Error);
+  tuner::TuningBudget one_run;
+  one_run.max_measurements = 1;  // the baseline alone
+  const auto baseline_only = tune(one_run);
+  EXPECT_EQ(baseline_only.measurements, 1);
+  EXPECT_EQ(baseline_only.chosen_mask, 0u);
+  EXPECT_THROW(tuner::OnlineGreedyStrategy().tune(
+                   sim_, app.context, *app.workload,
+                   tuner::ConfigSpace({1.0, 2.0}), {}, {}),
+               Error);
 }
 
 // -------------------------------------------------------------- line solver

@@ -8,7 +8,8 @@
 
 #include "common/error.h"
 #include "common/units.h"
-#include "core/driver.h"
+#include "core/analysis.h"
+#include "core/session.h"
 #include "simmem/simulator.h"
 #include "workloads/app_models.h"
 #include "workloads/fft.h"
@@ -58,9 +59,14 @@ TEST(TraceIoTest, AnalysisIdenticalAfterRoundTrip) {
   const auto restored =
       workloads::parse_workload(workloads::serialize_workload(
           *app.workload));
-  tuner::Driver driver(simulator, app.context);
-  const auto a = driver.analyze(*app.workload);
-  const auto b = driver.analyze(restored);
+  const auto analyze = [&](const workloads::Workload& workload) {
+    return tuner::analyze(tuner::Session::on(simulator)
+                              .workload(workload)
+                              .context(app.context)
+                              .run());
+  };
+  const auto a = analyze(*app.workload);
+  const auto b = analyze(restored);
   EXPECT_DOUBLE_EQ(a.summary.max_speedup, b.summary.max_speedup);
   EXPECT_EQ(a.summary.usage90_mask, b.summary.usage90_mask);
 }
@@ -135,11 +141,11 @@ TEST(KnlPlatformTest, TunerWorksUnchangedOnKnl) {
   sim::MachineSimulator knl(topo::knl_like_flat_snc4(),
                             sim::knl_like_calibration());
   workloads::StreamWorkload stream(4.0 * GB, 1);
-  tuner::Driver driver(knl, knl.full_machine());
-  const auto report = driver.analyze(stream);
+  const auto report =
+      tuner::analyze(tuner::Session::on(knl).workload(stream).run());
   // MCDRAM/DDR ratio ~5x on KNL: larger headroom than SPR's 3.5x.
   EXPECT_GT(report.summary.max_speedup, 3.0);
-  EXPECT_LE(report.recommended.hbm_bytes,
+  EXPECT_LE(report.outcome.hbm_bytes,
             knl.machine().capacity_of_kind(PoolKind::HBM));
 }
 
@@ -288,7 +294,7 @@ TEST_F(MiniUaTest, ManySmallSitesRequireFolding) {
   EXPECT_TRUE(finest_hot_found);
 }
 
-TEST_F(MiniUaTest, RecordedTraceSweepsThroughDriver) {
+TEST_F(MiniUaTest, RecordedTraceSweepsThroughAnalysis) {
   workloads::MiniUaConfig config;
   config.base_vertices = 128;
   config.levels = 2;
@@ -309,10 +315,10 @@ TEST_F(MiniUaTest, RecordedTraceSweepsThroughDriver) {
   }
   workloads::RecordedWorkload recorded("mini-ua", infos, result.trace);
   auto simulator = sim::MachineSimulator::paper_platform();
-  tuner::Driver driver(simulator, simulator.full_machine());
-  const auto report = driver.analyze(recorded);
+  const auto report =
+      tuner::analyze(tuner::Session::on(simulator).workload(recorded).run());
   EXPECT_GE(report.summary.max_speedup, 1.0);
-  EXPECT_EQ(report.space.num_groups(), 10);
+  EXPECT_EQ(report.outcome.num_groups, 10);
 }
 
 // Knapsack planning agrees with exhaustive search for additive apps.
@@ -323,7 +329,7 @@ TEST(KnapsackVsExhaustiveTest, AgreeOnAdditiveApps) {
     std::vector<double> bytes;
     for (const auto& g : app.workload->groups()) bytes.push_back(g.bytes);
     tuner::ConfigSpace space(bytes);
-    tuner::ExperimentRunner runner(simulator, app.context, {1, true});
+    tuner::ExperimentRunner runner(simulator, app.context, {1});
     const auto sweep = runner.sweep(*app.workload, space);
     const tuner::LinearEstimator est(sweep);
     tuner::CapacityPlanner planner(sweep, space);
@@ -341,25 +347,6 @@ TEST(KnapsackVsExhaustiveTest, AgreeOnAdditiveApps) {
   }
 }
 
-// Sweep of the Gray-vs-natural enumeration: identical results either way.
-TEST(SweepOrderTest, GrayAndNaturalOrdersAgree) {
-  auto simulator = sim::MachineSimulator::paper_platform();
-  const auto app = workloads::make_mg_model(simulator);
-  tuner::ConfigSpace space([&] {
-    std::vector<double> bytes;
-    for (const auto& g : app.workload->groups()) bytes.push_back(g.bytes);
-    return bytes;
-  }());
-  tuner::ExperimentRunner gray(simulator, app.context, {1, true});
-  tuner::ExperimentRunner natural(simulator, app.context, {1, false});
-  const auto a = gray.sweep(*app.workload, space);
-  const auto b = natural.sweep(*app.workload, space);
-  EXPECT_DOUBLE_EQ(a.baseline_time, b.baseline_time);  // so the speedups
-  for (std::size_t m = 0; m < a.configs.size(); ++m) {
-    EXPECT_DOUBLE_EQ(a.configs[m].mean_time, b.configs[m].mean_time) << m;
-  }
-}
-
 // Execution-context sweep: speedup conclusions are stable across thread
 // counts for bandwidth-bound workloads once both pools are saturated.
 class ContextSweep : public ::testing::TestWithParam<int> {};
@@ -373,7 +360,7 @@ TEST_P(ContextSweep, MgNinetyPercentConfigStableWhenSaturated) {
     return bytes;
   }());
   const sim::ExecutionContext ctx{GetParam(), 8};
-  tuner::ExperimentRunner runner(simulator, ctx, {1, true});
+  tuner::ExperimentRunner runner(simulator, ctx, {1});
   const auto summary =
       tuner::summarize(runner.sweep(*app.workload, space),
                        tuner::group_weights(*app.workload, space));

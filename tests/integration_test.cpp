@@ -103,7 +103,7 @@ TEST_F(PipelineTest, MiniMgProfileSweepPlanReplay) {
 
   RecordedWorkload workload("mini-mg", infos, trace);
   tuner::ConfigSpace space(bytes);
-  tuner::ExperimentRunner runner(sim_, sim_.full_machine(), {2, true});
+  tuner::ExperimentRunner runner(sim_, sim_.full_machine(), {2});
   const auto sweep = runner.sweep(workload, space);
   const auto summary =
       tuner::summarize(sweep, tuner::group_weights(workload, space));
@@ -129,7 +129,7 @@ TEST_F(PipelineTest, MiniMgProfileSweepPlanReplay) {
   }
 }
 
-TEST_F(PipelineTest, PlanSerialisationSurvivesDriverRoundTrip) {
+TEST_F(PipelineTest, PlanSerialisationSurvivesDiskRoundTrip) {
   // The driver script writes the plan to disk between runs; emulate that.
   workloads::MiniIsConfig config;
   config.num_keys = 1u << 12;
@@ -191,7 +191,7 @@ TEST_F(PipelineTest, KWaveCustomGroupingFlowsThroughSweep) {
             s.group = remap[s.group];
         return trace;
       }());
-  tuner::ExperimentRunner runner(sim_, sim_.full_machine(), {1, true});
+  tuner::ExperimentRunner runner(sim_, sim_.full_machine(), {1});
   const auto sweep = runner.sweep(workload, space);
   const auto summary =
       tuner::summarize(sweep, tuner::group_weights(workload, space));
@@ -223,8 +223,7 @@ TEST_F(PipelineTest, StreamWorkloadSweepReproducesFig5Insight) {
                                    {workloads::StreamKernel::Add});
   tuner::ConfigSpace space({16.0 * GB, 16.0 * GB, 16.0 * GB});
   auto single = sim::MachineSimulator::paper_platform_single();
-  tuner::ExperimentRunner runner(single, single.socket_context(12),
-                                 {1, true});
+  tuner::ExperimentRunner runner(single, single.socket_context(12), {1});
   const auto sweep = runner.sweep(stream, space);
   // b+c in HBM, a in DDR (mask 0b110) ~ all-HBM performance.
   const auto speedup = [&](tuner::ConfigMask mask) {

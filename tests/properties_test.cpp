@@ -257,7 +257,7 @@ TEST_P(SweepProperty, EstimatorExactOnSingletonsAndBaseline) {
   std::vector<double> bytes;
   for (const auto& g : app.workload->groups()) bytes.push_back(g.bytes);
   tuner::ConfigSpace space(bytes);
-  tuner::ExperimentRunner runner(sim_, app.context, {1, true});
+  tuner::ExperimentRunner runner(sim_, app.context, {1});
   const auto sweep = runner.sweep(*app.workload, space);
   const tuner::LinearEstimator est(sweep);
   EXPECT_DOUBLE_EQ(est.estimate(0), 1.0);
@@ -277,7 +277,7 @@ TEST_P(SweepProperty, SummaryInvariantsHold) {
   std::vector<double> bytes;
   for (const auto& g : app.workload->groups()) bytes.push_back(g.bytes);
   tuner::ConfigSpace space(bytes);
-  tuner::ExperimentRunner runner(sim_, app.context, {1, true});
+  tuner::ExperimentRunner runner(sim_, app.context, {1});
   const auto sweep = runner.sweep(*app.workload, space);
   const auto weights = tuner::group_weights(*app.workload, space);
   const auto summary = tuner::summarize(sweep, weights);
@@ -308,7 +308,7 @@ TEST_P(SweepProperty, ParetoFrontDominatesAllConfigs) {
   std::vector<double> bytes;
   for (const auto& g : app.workload->groups()) bytes.push_back(g.bytes);
   tuner::ConfigSpace space(bytes);
-  tuner::ExperimentRunner runner(sim_, app.context, {1, true});
+  tuner::ExperimentRunner runner(sim_, app.context, {1});
   const auto sweep = runner.sweep(*app.workload, space);
   tuner::CapacityPlanner planner(sweep, space);
   const auto front = planner.pareto_front();

@@ -1,14 +1,14 @@
 // Tests for the pluggable strategy layer: registry lookup, the Session
-// facade, parity between Session("exhaustive") and the Driver, and the
-// cheaper search strategies (online, estimator-guided).
+// facade, the capacity caps every strategy honours, and the cheaper search
+// strategies (online, estimator-guided).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "common/error.h"
 #include "common/units.h"
-#include "core/driver.h"
 #include "core/outcome_io.h"
+#include "core/planner.h"
 #include "core/session.h"
 #include "core/strategy.h"
 #include "core/summary.h"
@@ -107,22 +107,13 @@ TEST_F(StrategyTest, SessionRejectsBadBuilderValues) {
   EXPECT_THROW(Session::on(sim_).workload(workloads::WorkloadPtr{}), Error);
 }
 
-TEST_F(StrategyTest, ExhaustiveSessionMatchesDriverAnalysis) {
-  // The Session front door and the Driver's report must recommend the same
-  // placement on the 3-group MG workload: both run ExhaustiveStrategy.
+TEST_F(StrategyTest, ExhaustiveSessionHoldsItsSweepOnce) {
   const auto outcome = Session::on(sim_)
                            .workload(*mg_.workload)
                            .context(mg_.context)
                            .repetitions(2)
                            .run();
-  tuner::DriverOptions options;
-  options.experiment.repetitions = 2;
-  Driver driver(sim_, mg_.context, options);
-  const auto report = driver.analyze(*mg_.workload);
-
   EXPECT_EQ(outcome.strategy, "exhaustive");
-  EXPECT_EQ(outcome.chosen_mask, report.recommended.mask);
-  EXPECT_NEAR(outcome.speedup, report.recommended.speedup, 1e-9);
   EXPECT_EQ(outcome.configs_measured, 8);
   EXPECT_EQ(outcome.measurements, 16);
   ASSERT_TRUE(outcome.sweep.has_value());
@@ -130,11 +121,72 @@ TEST_F(StrategyTest, ExhaustiveSessionMatchesDriverAnalysis) {
   // Exhaustive outcomes hold the per-config data once, in the sweep.
   EXPECT_EQ(outcome.configs().size(), 8u);
   EXPECT_TRUE(outcome.table.empty());
-  // The driver embeds the same outcome (minus the duplicated sweep).
-  EXPECT_EQ(report.outcome.strategy, "exhaustive");
-  EXPECT_EQ(report.outcome.chosen_mask, outcome.chosen_mask);
-  EXPECT_FALSE(report.outcome.sweep.has_value());
-  EXPECT_TRUE(report.outcome.trajectory.empty());
+  EXPECT_EQ(outcome.trajectory.size(), 8u);
+}
+
+TEST(ThreeTierCapsTest, EveryStrategyFitsEveryResolvedCap) {
+  // MG on the HBM/DDR/CXL platform: three groups of 9.2, 9.2 and 8.0 GB.
+  // Unconstrained, the estimator parks mg::v in CXL; with HBM capped at
+  // one group every strategy does.
+  auto sim = sim::MachineSimulator::cxl_tiered_platform();
+  const auto app = workloads::make_mg_model(sim);
+  struct Case {
+    const char* what;
+    double budget_gb;  ///< legacy HBM budget (0 = unset)
+    double tier1_gb;   ///< tier-1 cap; takes precedence over budget_gb
+    double tier2_gb;   ///< CXL cap
+  };
+  const Case cases[] = {{"CXL cap", 0.0, 0.0, 5.0},
+                        {"tier-1 cap over a larger budget", 1000.0, 10.0, 0.0},
+                        {"both caps", 1000.0, 10.0, 5.0}};
+  for (const Case& c : cases) {
+    bool binds = false;  // the caps change at least one strategy's choice
+    for (const char* strategy : {"exhaustive", "online", "estimator"}) {
+      const std::string what = std::string(c.what) + " " + strategy;
+      auto session = Session::on(sim)
+                         .workload(*app.workload)
+                         .context(app.context)
+                         .strategy(strategy)
+                         .repetitions(1);
+      const auto unconstrained = session.run();
+      if (c.budget_gb > 0.0) session.budget_gb(c.budget_gb);
+      if (c.tier1_gb > 0.0) session.tier_budget_gb(1, c.tier1_gb);
+      if (c.tier2_gb > 0.0) session.tier_budget_gb(2, c.tier2_gb);
+      const auto caps = resolved_caps(sim, session.budget(), 3);
+      // A set tier cap wins over the budget and the machine's capacity.
+      if (c.tier1_gb > 0.0) {
+        EXPECT_EQ(caps[1], c.tier1_gb * GB) << what;
+      }
+      if (c.tier2_gb > 0.0) {
+        EXPECT_EQ(caps[2], c.tier2_gb * GB) << what;
+      }
+      const auto outcome = session.run();
+
+      const ConfigSpace space(outcome.weights.footprint_bytes, 3);
+      const auto fits = [&](ConfigMask mask) {
+        for (int t = 1; t < 3; ++t)
+          if (space.tier_bytes(mask, static_cast<topo::PoolKind>(t)) >
+              caps[static_cast<std::size_t>(t)])
+            return false;
+        return true;
+      };
+      binds |= !fits(unconstrained.chosen_mask);
+      EXPECT_TRUE(fits(outcome.chosen_mask)) << what;
+      if (std::string(strategy) == "online") {
+        // The online search never even tries a placement over a cap.
+        for (const auto& step : outcome.trajectory)
+          EXPECT_TRUE(fits(step.mask)) << what << " step " << step.index;
+      }
+      if (std::string(strategy) == "exhaustive") {
+        ASSERT_TRUE(outcome.sweep.has_value());
+        const PlanChoice best =
+            CapacityPlanner(*outcome.sweep, space).best_under_caps(caps);
+        EXPECT_EQ(outcome.chosen_mask, best.mask) << what;
+        EXPECT_EQ(outcome.speedup, best.speedup) << what;
+      }
+    }
+    EXPECT_TRUE(binds) << c.what;
+  }
 }
 
 TEST_F(StrategyTest, OnlineProgressReportsLiveSpeedups) {
@@ -272,7 +324,7 @@ TEST_F(StrategyTest, OutcomeRendersUnifiedReport) {
 
 // ------------------------------------------------- hardened sweep accessor
 TEST_F(StrategyTest, SweepOfUnknownMaskThrows) {
-  ExperimentRunner runner(sim_, mg_.context, {1, true});
+  ExperimentRunner runner(sim_, mg_.context, {1});
   ConfigSpace space([&] {
     std::vector<double> bytes;
     for (const auto& g : mg_.workload->groups()) bytes.push_back(g.bytes);

@@ -151,7 +151,7 @@ class ExperimentTest : public ::testing::Test {
 };
 
 TEST_F(ExperimentTest, BaselineHasSpeedupOne) {
-  ExperimentRunner runner(sim_, app_.context, {2, true});
+  ExperimentRunner runner(sim_, app_.context, {2});
   const auto sweep = runner.sweep(*app_.workload, space_);
   EXPECT_DOUBLE_EQ(speedup(sweep, sweep.all_ddr()), 1.0);
   EXPECT_GT(sweep.baseline_time, 0.0);
@@ -159,13 +159,13 @@ TEST_F(ExperimentTest, BaselineHasSpeedupOne) {
 }
 
 TEST_F(ExperimentTest, AllHbmBeatsAllDdrForMg) {
-  ExperimentRunner runner(sim_, app_.context, {2, true});
+  ExperimentRunner runner(sim_, app_.context, {2});
   const auto sweep = runner.sweep(*app_.workload, space_);
   EXPECT_GT(speedup(sweep, sweep.all_hbm()), 2.0);
 }
 
 TEST_F(ExperimentTest, HbmUsageAndDensityConsistent) {
-  ExperimentRunner runner(sim_, app_.context, {1, false});
+  ExperimentRunner runner(sim_, app_.context, {1});
   const auto sweep = runner.sweep(*app_.workload, space_);
   for (const auto& cfg : sweep.configs) {
     EXPECT_GE(hbm_usage_of(weights_, cfg.mask, 2), 0.0);
@@ -179,7 +179,7 @@ TEST_F(ExperimentTest, HbmUsageAndDensityConsistent) {
 
 TEST_F(ExperimentTest, ArityMismatchThrows) {
   ConfigSpace wrong({1.0, 2.0});
-  ExperimentRunner runner(sim_, app_.context, {1, true});
+  ExperimentRunner runner(sim_, app_.context, {1});
   EXPECT_THROW(runner.sweep(*app_.workload, wrong), Error);
 }
 
@@ -222,7 +222,7 @@ TEST_F(ExperimentTest, EstimatorNearExactForAdditiveAppWithConvexBias) {
     for (const auto& g : bt.workload->groups()) bytes.push_back(g.bytes);
     return bytes;
   }());
-  ExperimentRunner runner(sim_, bt.context, {1, true});
+  ExperimentRunner runner(sim_, bt.context, {1});
   const auto sweep = runner.sweep(*bt.workload, space);
   const LinearEstimator est(sweep);
   const auto err = estimator_error(sweep, est);
@@ -245,7 +245,7 @@ TEST_F(ExperimentTest, AdditiveAppRuntimesComposeExactly) {
     for (const auto& g : bt.workload->groups()) bytes.push_back(g.bytes);
     return bytes;
   }());
-  ExperimentRunner runner(sim_, bt.context, {1, true});
+  ExperimentRunner runner(sim_, bt.context, {1});
   const auto sweep = runner.sweep(*bt.workload, space);
   const double expected = sweep.of(0b01).mean_time +
                           sweep.of(0b10).mean_time - sweep.baseline_time;
@@ -256,7 +256,7 @@ TEST_F(ExperimentTest, AdditiveAppRuntimesComposeExactly) {
 TEST_F(ExperimentTest, SharedPhaseAppViolatesRuntimeAdditivity) {
   // MG's shared V-cycle phase couples u and r through the per-pool max:
   // the runtime of moving both differs from the additive composition.
-  ExperimentRunner runner(sim_, app_.context, {1, true});
+  ExperimentRunner runner(sim_, app_.context, {1});
   const auto sweep = runner.sweep(*app_.workload, space_);
   const double additive = sweep.of(0b001).mean_time +
                           sweep.of(0b010).mean_time - sweep.baseline_time;
@@ -266,7 +266,7 @@ TEST_F(ExperimentTest, SharedPhaseAppViolatesRuntimeAdditivity) {
 
 // ----------------------------------------------------------------- summary
 TEST_F(ExperimentTest, SummaryMatchesPaperForMg) {
-  ExperimentRunner runner(sim_, app_.context, {2, true});
+  ExperimentRunner runner(sim_, app_.context, {2});
   const auto sweep = runner.sweep(*app_.workload, space_);
   const auto summary = summarize(sweep, weights_);
   EXPECT_NEAR(summary.max_speedup, 2.27, 0.05);
@@ -290,7 +290,7 @@ TEST(SummaryTest, ThresholdFractionGeneralises) {
 
 // ----------------------------------------------------------------- planner
 TEST_F(ExperimentTest, BudgetPlannerRespectsCapacity) {
-  ExperimentRunner runner(sim_, app_.context, {1, true});
+  ExperimentRunner runner(sim_, app_.context, {1});
   const auto sweep = runner.sweep(*app_.workload, space_);
   CapacityPlanner planner(sweep, space_);
 
@@ -310,7 +310,7 @@ TEST_F(ExperimentTest, BudgetPlannerRespectsCapacity) {
 }
 
 TEST_F(ExperimentTest, CheapestReachingFindsMinimalBytes) {
-  ExperimentRunner runner(sim_, app_.context, {1, true});
+  ExperimentRunner runner(sim_, app_.context, {1});
   const auto sweep = runner.sweep(*app_.workload, space_);
   CapacityPlanner planner(sweep, space_);
   const auto choice = planner.cheapest_reaching(2.0);
@@ -321,7 +321,7 @@ TEST_F(ExperimentTest, CheapestReachingFindsMinimalBytes) {
 }
 
 TEST_F(ExperimentTest, ParetoFrontIsMonotone) {
-  ExperimentRunner runner(sim_, app_.context, {1, true});
+  ExperimentRunner runner(sim_, app_.context, {1});
   const auto sweep = runner.sweep(*app_.workload, space_);
   CapacityPlanner planner(sweep, space_);
   const auto front = planner.pareto_front();
@@ -371,7 +371,7 @@ TEST(PlannerPlanTest, MultiSiteGroupsPinnedThroughRegistry) {
 
 // ------------------------------------------------------------------ report
 TEST_F(ExperimentTest, DetailedViewListsAllNonBaselineConfigs) {
-  ExperimentRunner runner(sim_, app_.context, {1, true});
+  ExperimentRunner runner(sim_, app_.context, {1});
   const auto sweep = runner.sweep(*app_.workload, space_);
   const auto summary = summarize(sweep, weights_);
   const auto view = render_detailed_view(sweep, weights_, summary);
@@ -382,7 +382,7 @@ TEST_F(ExperimentTest, DetailedViewListsAllNonBaselineConfigs) {
 }
 
 TEST_F(ExperimentTest, SummaryViewRendersReferenceLines) {
-  ExperimentRunner runner(sim_, app_.context, {1, true});
+  ExperimentRunner runner(sim_, app_.context, {1});
   const auto sweep = runner.sweep(*app_.workload, space_);
   const auto summary = summarize(sweep, weights_);
   const auto view = render_summary_view(summary, "mg.D");

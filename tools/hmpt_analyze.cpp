@@ -1,9 +1,10 @@
 // hmpt_analyze — command-line front end of the tuner.
 //
-// Loads a recorded workload profile (the format trace_io writes and the
-// driver's profiling path produces), tunes its placement on a simulated
-// platform with the selected strategy, prints the analysis, and optionally
-// writes the recommended shim placement plan for the next run:
+// Loads a recorded workload profile (the format trace_io writes, e.g. for
+// a workload record_workload built from a profiling run), tunes its
+// placement on a simulated platform with the selected strategy, prints the
+// analysis, and optionally writes the recommended shim placement plan for
+// the next run:
 //
 //   hmpt_analyze <profile> [--platform NAME] [--strategy NAME]
 //                [--tiers K] [--budget-gb N] [--tier-budget-gb T:N]
@@ -36,10 +37,10 @@
 #include "campaign/workload_registry.h"
 #include "cli_parse.h"
 #include "common/units.h"
-#include "core/driver.h"
-#include "obs/trace.h"
+#include "core/analysis.h"
 #include "core/outcome_io.h"
 #include "core/session.h"
+#include "obs/trace.h"
 #include "simmem/simulator.h"
 #include "version.h"
 #include "workloads/trace_io.h"
@@ -241,53 +242,30 @@ int main(int argc, char** argv) {
               << format_bytes(workload.total_bytes()) << ")\n";
     std::cout << "platform: " << simulator.machine().name() << "\n\n";
 
-    // Every strategy runs through the Session facade; "exhaustive"
-    // additionally gets the full paper-style report from the Driver, whose
-    // analysis is built on the same strategy layer.
-    sim::Placement plan_placement;
-    tuner::TuningOutcome run_outcome;  ///< what --json serialises
+    // Every strategy runs through the Session front door; "exhaustive"
+    // additionally gets the paper's full report, analysed from the same
+    // outcome.
+    auto session = tuner::Session::on(simulator)
+                       .workload(workload)
+                       .strategy(strategy)
+                       .tiers(tiers)
+                       .repetitions(reps)
+                       .budget_gb(budget_gb)
+                       .top_k(top_k)
+                       .jobs(jobs);
+    for (const auto& [tier, gb] : tier_budgets_gb)
+      session.tier_budget_gb(tier, gb);
+    auto outcome = session.run();
     if (strategy == "exhaustive") {
-      tuner::DriverOptions options;
-      options.experiment.repetitions = reps;
-      options.experiment.jobs = jobs;
-      options.threshold_fraction = threshold;
-      options.hbm_budget_bytes = budget_gb * GB;
-      options.tiers = tiers;
-      for (const auto& [tier, gb] : tier_budgets_gb) {
-        if (options.tier_budget_bytes.size() <=
-            static_cast<std::size_t>(tier))
-          options.tier_budget_bytes.resize(
-              static_cast<std::size_t>(tier) + 1, 0.0);
-        options.tier_budget_bytes[static_cast<std::size_t>(tier)] =
-            gb * GB;
-      }
-      tuner::Driver driver(simulator, simulator.full_machine(), options);
-      auto report = driver.analyze(workload);
-      plan_placement = report.space.placement(report.recommended.mask);
+      auto report = tuner::analyze(std::move(outcome), threshold);
       std::cout << report.to_text();
-      run_outcome = std::move(report.outcome);
-      // The driver keeps the sweep outside its embedded outcome; the JSON
-      // artefact should carry it like a campaign scenario's outcome does.
-      run_outcome.sweep = std::move(report.sweep);
       if (csv) {
         std::cout << "\nsummary view CSV:\n"
                   << report.summary_view.table.to_csv();
       }
+      outcome = std::move(report.outcome);
     } else {
-      auto session = tuner::Session::on(simulator)
-                         .workload(workload)
-                         .strategy(strategy)
-                         .tiers(tiers)
-                         .repetitions(reps)
-                         .budget_gb(budget_gb)
-                         .top_k(top_k)
-                         .jobs(jobs);
-      for (const auto& [tier, gb] : tier_budgets_gb)
-        session.tier_budget_gb(tier, gb);
-      auto outcome = session.run();
-      plan_placement = outcome.chosen_placement;
       std::cout << outcome.to_text();
-      run_outcome = outcome;
       if (csv) {
         Table table({"config", "speedup", "hbm_usage"});
         for (const auto& c : outcome.configs())
@@ -313,7 +291,8 @@ int main(int argc, char** argv) {
         ag.bytes = g.bytes;
         groups.push_back(ag);
       }
-      const auto plan = tuner::to_placement_plan(groups, plan_placement);
+      const auto plan =
+          tuner::to_placement_plan(groups, outcome.chosen_placement);
       std::ofstream os(plan_out);
       if (!os.good()) {
         std::cerr << "cannot write plan to " << plan_out << '\n';
@@ -325,7 +304,7 @@ int main(int argc, char** argv) {
 
     if (!json_out.empty()) {
       std::ofstream os(json_out);
-      os << tuner::outcome_to_json(run_outcome).dump();
+      os << tuner::outcome_to_json(outcome).dump();
       os.flush();
       if (!os.good()) {
         std::cerr << "cannot write JSON to " << json_out << '\n';
