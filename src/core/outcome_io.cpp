@@ -388,16 +388,22 @@ std::vector<double> weights_from_json(const Json& json, const char* name,
 }
 
 /// Configuration rows. The mask column is left out when row i holds mask
-/// i (a full sweep), and restored from the row number on decode.
+/// i (a full sweep), and restored from the row number on decode. The
+/// stddev column is left out when every stddev is +0.0 (a noise-free
+/// simulator), and restored as +0.0; a stored one must hold another value.
 Json configs_to_json(const std::vector<ConfigResult>& configs) {
   bool identity = true;
-  for (std::size_t i = 0; i < configs.size(); ++i)
+  bool noise_free = true;
+  for (std::size_t i = 0; i < configs.size(); ++i) {
     identity = identity && configs[i].mask == static_cast<ConfigMask>(i);
+    noise_free = noise_free && same(configs[i].stddev_time, 0.0);
+  }
   JsonObject o;
   if (!identity)
     o["mask"] = column(configs, [](const ConfigResult& c) { return c.mask; });
   o["mean_time"] = binary_column(configs, &ConfigResult::mean_time);
-  o["stddev_time"] = binary_column(configs, &ConfigResult::stddev_time);
+  if (!noise_free)
+    o["stddev_time"] = binary_column(configs, &ConfigResult::stddev_time);
   return Json(std::move(o));
 }
 
@@ -419,7 +425,10 @@ SweepRows configs_from_json(const Json& columns, double baseline,
                                ? &column_of(columns, "mask", rows)
                                : nullptr;
   const BinaryColumn mean_time(columns, "mean_time", rows);
-  const BinaryColumn stddev_time(columns, "stddev_time", rows);
+  std::optional<BinaryColumn> stddev_time;
+  if (columns.as_object().contains("stddev_time"))
+    stddev_time.emplace(columns, "stddev_time", rows);
+  bool noise_free = true;
 
   SweepRows shape{rows, true};
   RowSink<ConfigResult> sink(kept, rows);
@@ -433,15 +442,20 @@ SweepRows configs_from_json(const Json& columns, double baseline,
       c.mask = masks != nullptr ? mask_in((*masks)[i], space, "mask")
                                 : static_cast<ConfigMask>(i);
       shape.by_mask = shape.by_mask && c.mask == static_cast<ConfigMask>(i);
+      c.stddev_time = 0.0;
     }
     mean_time.read(begin, end, [&](std::size_t i, double value) {
       check_speedup(baseline, value, "mean_time");
       row(i).mean_time = value;
     });
-    stddev_time.read(begin, end, [&](std::size_t i, double value) {
-      row(i).stddev_time = value;
-    });
+    if (stddev_time)
+      stddev_time->read(begin, end, [&](std::size_t i, double value) {
+        noise_free = noise_free && same(value, 0.0);
+        row(i).stddev_time = value;
+      });
   });
+  if (stddev_time && noise_free)
+    bad_field("stddev_time", "is stored though every value is +0.0");
   return shape;
 }
 

@@ -7,10 +7,11 @@
 // fractions and group counts are functions of the row, the baseline and
 // the outcome's per-group weights (experiment.h), stored once per record.
 // The format is lossless: what the decoder can rebuild bit for bit (mask
-// ids of a full sweep, an exhaustive trajectory) is left out, and every
-// other field is stored exactly, so an outcome parsed back from its JSON
-// compares equal to the original (covered by tests). That is what makes
-// the on-disk outcome store a cache rather than a lossy log.
+// ids of a full sweep, an exhaustive trajectory, a noise-free run's
+// stddevs) is left out, and every other field is stored exactly, so an
+// outcome parsed back from its JSON compares equal to the original
+// (covered by tests). That is what makes the on-disk outcome store a
+// cache rather than a lossy log.
 #pragma once
 
 #include "common/json.h"

@@ -725,8 +725,9 @@ TEST(OutcomeIoTest, EveryStrategyReportsTheSameHbmFractionsForAMask) {
 
 TEST(OutcomeIoTest, ThreeTierSweepRecordFitsTheSizeGate) {
   // The record of a full 3^8 sweep (bt on spr-cxl, 6,561 configurations)
-  // stores only its measured columns and the outcome's weights, and stays
-  // within the byte gate CI also checks on the hmpt_campaign output.
+  // stores only its mean times and the outcome's weights (the simulator is
+  // noise-free, so every stddev is +0.0 and left out), and stays within
+  // the byte gate CI also checks on the hmpt_campaign output.
   Scenario s;
   s.workload = parse_workload_spec("bt");
   s.platform = "spr-cxl";
@@ -736,14 +737,15 @@ TEST(OutcomeIoTest, ThreeTierSweepRecordFitsTheSizeGate) {
   ASSERT_TRUE(outcome.sweep.has_value());
   ASSERT_EQ(outcome.sweep->configs.size(), 6561u);
   const std::string payload = OutcomeStore::make_payload(s, outcome);
-  EXPECT_LE(payload.size(), 150000u);
+  EXPECT_LE(payload.size(), 75000u);
   const Json doc = Json::parse(payload);
   for (const char* weights : {"footprint_bytes", "footprint_total",
                               "traffic_bytes", "traffic_total"})
     EXPECT_TRUE(doc.at("outcome").as_object().contains(weights)) << weights;
   const JsonObject& configs =
       doc.at("outcome").at("sweep").at("configs").as_object();
-  EXPECT_EQ(configs.size(), 2u);  // mean_time and stddev_time
+  EXPECT_EQ(configs.size(), 1u);  // mean_time alone
+  EXPECT_TRUE(configs.contains("mean_time"));
   expect_same_outcome(tuner::outcome_from_json(doc.at("outcome")), outcome,
                       "bt 3^8");
 }
@@ -781,6 +783,20 @@ tuner::TuningOutcome online_outcome() {
       .workload(app.workload)
       .context(app.context)
       .strategy("online")
+      .run();
+}
+
+/// An exhaustive outcome on the three-tier platform, two repetitions per
+/// configuration: with `noise`, every row has a non-zero stddev; without,
+/// every stddev is +0.0.
+tuner::TuningOutcome sweep_3tier(sim::NoiseModel noise = {}) {
+  sim::MachineSimulator simulator(topo::cxl_tiered_xeon_max(),
+                                  sim::cxl_tiered_calibration(), noise);
+  const auto app = workloads::make_mg_model(simulator);
+  return tuner::Session::on(simulator)
+      .workload(app.workload)
+      .context(app.context)
+      .repetitions(2)
       .run();
 }
 
@@ -1095,11 +1111,11 @@ TEST(OutcomeIoTest, SkipRowsRejectsExactlyWhatFullDecodeRejects) {
   // together, with the same error, and where both accept they decode
   // bit-identical headlines and weights. Inputs: the golden 3^3 record, a
   // fresh 3^8 record (Gray trajectory derived from the sweep), online and
-  // estimator records (columnar trajectory, table with masks, no sweep)
-  // and hand-made rows. Every record carries its weights once, so the
-  // weights are mutated on the table-only records as on the sweeps. Each
-  // mutation draws from its own counter-based stream, so a failure names
-  // a reproducible case.
+  // estimator records (columnar trajectory, table with masks, no sweep),
+  // a noisy 3^3 record and hand-made rows (both store stddev columns).
+  // Every record carries its weights once, so the weights are mutated on
+  // the table-only records as on the sweeps. Each mutation draws from its
+  // own counter-based stream, so a failure names a reproducible case.
   std::ifstream golden(
       std::string(HMPT_TEST_DATA_DIR) + "/mg_cxl_exhaustive.payload.json",
       std::ios::binary);
@@ -1120,6 +1136,7 @@ TEST(OutcomeIoTest, SkipRowsRejectsExactlyWhatFullDecodeRejects) {
       {"bt 3^8", reparsed(CampaignRunner::execute(bt))},
       {"online", reparsed(online_outcome())},
       {"estimator", reparsed(CampaignRunner::execute(estimator))},
+      {"noisy 3^3", reparsed(sweep_3tier({0.05, 11}))},
       {"hand-made rows",
        reparsed(with_rows(online_outcome(), 20, {0.5, -0.0, 3.0, 1e-310}))},
   };
@@ -1189,6 +1206,120 @@ TEST(OutcomeIoTest, SkipRowsRejectsExactlyWhatFullDecodeRejects) {
     EXPECT_GT(weights, 20) << name;
   }
   EXPECT_GE(decoded, 2500);
+}
+
+/// The stored row lists of an encoded outcome: its table and, when it
+/// has one, its sweep.
+std::vector<const JsonObject*> row_lists(const Json& encoded) {
+  std::vector<const JsonObject*> lists = {&encoded.at("table").as_object()};
+  if (const Json* sweep = encoded.as_object().find("sweep"))
+    lists.push_back(&sweep->at("configs").as_object());
+  return lists;
+}
+
+/// Every configuration row of `outcome`: its table, then its sweep.
+std::vector<tuner::ConfigResult> all_rows(const tuner::TuningOutcome& outcome) {
+  std::vector<tuner::ConfigResult> rows = outcome.table;
+  if (outcome.sweep.has_value())
+    rows.insert(rows.end(), outcome.sweep->configs.begin(),
+                outcome.sweep->configs.end());
+  return rows;
+}
+
+TEST(OutcomeIoTest, NoiseFreeRowListsStoreNoStddevColumn) {
+  // Without a NoiseModel the simulator repeats itself exactly, so every
+  // stddev is +0.0. A row list then stores no stddev column, and the
+  // decoder restores +0.0 in every row, bit for bit.
+  const std::pair<std::string, tuner::TuningOutcome> outcomes[] = {
+      {"3-tier sweep", sweep_3tier()}, {"online", online_outcome()}};
+  for (const auto& [what, outcome] : outcomes) {
+    const auto rows = all_rows(outcome);
+    ASSERT_GE(rows.size(), 8u) << what;
+    for (const auto& row : rows)
+      ASSERT_TRUE(same_bits(row.stddev_time, 0.0)) << what;
+    const Json encoded = tuner::outcome_to_json(outcome);
+    for (const JsonObject* columns : row_lists(encoded))
+      EXPECT_FALSE(columns->contains("stddev_time")) << what;
+    const Json doc = Json::parse(encoded.dump(-1));
+    const auto kept = tuner::outcome_from_json(doc, tuner::Rows::Keep);
+    expect_same_outcome(kept, outcome, what);
+    for (const auto& row : all_rows(kept))
+      EXPECT_TRUE(same_bits(row.stddev_time, 0.0)) << what;
+    EXPECT_EQ(tuner::outcome_to_json(kept).dump(-1), encoded.dump(-1))
+        << what;
+    expect_same_headline(tuner::outcome_from_json(doc, tuner::Rows::Skip),
+                         kept, what);
+  }
+}
+
+TEST(OutcomeIoTest, NonZeroStddevsAreStoredBitExactly) {
+  // A noisy run stores its stddevs exactly. So does a row list whose only
+  // stddev other than +0.0 is -0.0: the rule compares bits, not values.
+  // (TrajectoryIsDerivedOnlyWhenBitIdentical puts a -0.0 in a sweep.)
+  auto signed_table = online_outcome();
+  ASSERT_FALSE(signed_table.table.empty());
+  signed_table.table.back().stddev_time = -0.0;
+  const struct {
+    std::string what;
+    tuner::TuningOutcome outcome;
+    std::vector<bool> stored;  ///< per row list: is a stddev column stored
+  } cases[] = {
+      {"noisy sweep", sweep_3tier({0.05, 11}), {false, true}},
+      {"-0.0 in a table", signed_table, {true}},
+  };
+  for (const auto& c : cases) {
+    const Json encoded = tuner::outcome_to_json(c.outcome);
+    const auto lists = row_lists(encoded);
+    ASSERT_EQ(lists.size(), c.stored.size()) << c.what;
+    for (std::size_t i = 0; i < lists.size(); ++i)
+      EXPECT_EQ(lists[i]->contains("stddev_time"), c.stored[i])
+          << c.what << " row list " << i;
+    const Json doc = Json::parse(encoded.dump(-1));
+    const auto kept = tuner::outcome_from_json(doc, tuner::Rows::Keep);
+    expect_same_outcome(kept, c.outcome, c.what);
+    EXPECT_EQ(tuner::outcome_to_json(kept).dump(-1), encoded.dump(-1))
+        << c.what;
+    expect_same_headline(tuner::outcome_from_json(doc, tuner::Rows::Skip),
+                         kept, c.what);
+  }
+  for (const auto& row : all_rows(cases[0].outcome))
+    EXPECT_FALSE(same_bits(row.stddev_time, 0.0));
+}
+
+TEST(OutcomeIoTest, StoredAllZeroStddevColumnIsRefused) {
+  // One spelling per outcome: the writer leaves a stddev column of +0.0
+  // values out, so the reader refuses one that is stored, in both modes
+  // with one error text. An empty table's "" column is one of them.
+  const Json sweep = tuner::outcome_to_json(sweep_3tier());
+  const auto online = online_outcome();
+  const auto with_zeros = [](const Json& doc,
+                             const std::vector<std::string>& rows,
+                             std::size_t count) {
+    return with_field(doc, rows, 0, [&](const Json& columns) {
+      JsonObject out = columns.as_object();
+      out["stddev_time"] = Json(base64_le(std::vector<double>(count, 0.0)));
+      return std::optional<Json>(Json(std::move(out)));
+    });
+  };
+  const std::pair<std::string, Json> cases[] = {
+      {"empty table", with_zeros(sweep, {"table"}, 0)},
+      {"sweep", with_zeros(sweep, {"sweep", "configs"}, 27)},
+      {"online table", with_zeros(tuner::outcome_to_json(online), {"table"},
+                                  online.table.size())},
+  };
+  ASSERT_EQ(sweep.at("table").at("mean_time").as_string(), "");
+  for (const auto& [what, doc] : cases) {
+    for (const auto rows : {tuner::Rows::Keep, tuner::Rows::Skip}) {
+      try {
+        tuner::outcome_from_json(doc, rows);
+        ADD_FAILURE() << what << ": accepted an all-+0.0 stddev column";
+      } catch (const Error& e) {
+        EXPECT_STREQ(e.what(), "outcome field 'stddev_time' is stored though "
+                               "every value is +0.0")
+            << what;
+      }
+    }
+  }
 }
 
 /// `doc` with its weights `name` (one per group) and their total replaced.
@@ -1363,10 +1494,12 @@ std::string with_column(std::string text, const std::string& anchor,
 
 /// Damaged binary columns, on a record of `scenario` (an online run) cut
 /// to one table row and two trajectory steps, so both padding lengths
-/// occur: 8 bytes end in "x=" and 16 bytes in "x==".
+/// occur: 8 bytes end in "x=" and 16 bytes in "x==". The row is given a
+/// non-zero stddev, so the record stores that column too.
 std::vector<HostileCase> binary_column_cases(const Scenario& scenario) {
   auto outcome = CampaignRunner::execute(scenario);
   outcome.table.resize(1);
+  outcome.table[0].stddev_time = 0.25;
   outcome.trajectory.resize(2);
   const std::string good = OutcomeStore::make_payload(scenario, outcome);
   const std::string table = "\"table\":";
@@ -1395,6 +1528,9 @@ std::vector<HostileCase> binary_column_cases(const Scenario& scenario) {
   };
   const auto observed = [&](const std::string& value) {
     return with_column(good, traj, "observed_time", value);
+  };
+  const auto table_stddev = [&](const std::string& value) {
+    return with_column(good, table, "stddev_time", value);
   };
   std::uint64_t nan_bits = 0x7FF0000000000001;  // a signalling NaN
   double signalling_nan = 0.0;
@@ -1432,6 +1568,14 @@ std::vector<HostileCase> binary_column_cases(const Scenario& scenario) {
        observed(quoted(base64_le({time, inf})))},
       {"binary column holding -inf", &scenario,
        observed(quoted(base64_le({-inf, time})))},
+      {"stddev column holding a quiet NaN", &scenario,
+       table_stddev(quoted(base64_le({std::nan("")})))},
+      {"stddev column one block short", &scenario,
+       table_stddev(quoted(one.substr(4)))},
+      {"stddev column of two values for one row", &scenario,
+       table_stddev(quoted(base64_le({0.25, 0.25})))},
+      {"stddev column holding only +0.0", &scenario,
+       table_stddev(quoted(base64_le({0.0})))},
       {"v2-style array column", &scenario, table_mean("[1.5]")},
       {"v2-style array trajectory column", &scenario,
        observed("[" + Json(time).dump(-1) + "," + Json(time).dump(-1) + "]")},
@@ -1532,8 +1676,13 @@ TEST(OutcomeStoreTest, OutOfRangeRecordsReadAsDamaged) {
       {"non-finite baseline", &sweep,
        with_value(good_sweep, o, "baseline_time", "1e999")},
       {"sweep column shorter than the others", &sweep,
-       with_column(good_sweep, cols, "stddev_time",
-                   "\"" + base64_le(std::vector<double>(26, 0.0)) + "\"")},
+       with_text(good_sweep, cols + "{",
+                 cols + "{\"stddev_time\":\"" +
+                     base64_le(std::vector<double>(26, 0.5)) + "\",")},
+      {"sweep stddev column of only +0.0", &sweep,
+       with_text(good_sweep, cols + "{",
+                 cols + "{\"stddev_time\":\"" +
+                     base64_le(std::vector<double>(27, 0.0)) + "\",")},
       {"sweep wider than its space", &sweep,
        with_value(good_sweep, "\"sweep\":", "num_tiers", "2")},
       {"accepted step zero", &sweep,
