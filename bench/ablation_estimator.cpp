@@ -63,9 +63,9 @@ int main() {
                             .top_k(3)
                             .run();
     guided_table.add_row(
-        {app.name, cell(exhaustive.speedup, 2) + "x",
-         cell(guided.speedup, 2) + "x",
-         format_percent(guided.speedup / exhaustive.speedup),
+        {app.name, cell(exhaustive.speedup(), 2) + "x",
+         cell(guided.speedup(), 2) + "x",
+         format_percent(guided.speedup() / exhaustive.speedup()),
          std::to_string(guided.configs_measured),
          std::to_string(exhaustive.configs_measured)});
   }

@@ -41,10 +41,10 @@ int main() {
                              .patience(2)  // noise warrants a second look
                              .run();
 
-    table.add_row({app.name, cell(exhaustive.speedup, 2) + "x",
-                   cell(r_clean.speedup, 2) + "x",
+    table.add_row({app.name, cell(exhaustive.speedup(), 2) + "x",
+                   cell(r_clean.speedup(), 2) + "x",
                    std::to_string(r_clean.measurements),
-                   cell(r_noisy.speedup, 2) + "x",
+                   cell(r_noisy.speedup(), 2) + "x",
                    std::to_string(r_noisy.measurements),
                    std::to_string(exhaustive.measurements)});
   }

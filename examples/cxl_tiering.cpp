@@ -46,7 +46,7 @@ int main() {
             << " configurations (vs " << three_tier.configs_measured
             << " with CXL) and recommends "
             << tuner::mask_label(two_tier.chosen_mask, two_tier.num_groups)
-            << " at " << cell(two_tier.speedup, 2) << "x\n\n";
+            << " at " << cell(two_tier.speedup(), 2) << "x\n\n";
 
   // Per-tier budgets: 10 GB of HBM forces one hot group out; 64 GB of CXL
   // absorbs the cold group, keeping DDR for the remaining hot one.
@@ -59,15 +59,15 @@ int main() {
   std::cout << "with 10 GB HBM + 64 GB CXL budgets: "
             << tuner::mask_label(budgeted.chosen_mask, budgeted.num_groups,
                                  budgeted.num_tiers)
-            << " at " << cell(budgeted.speedup, 2) << "x using "
-            << format_bytes(budgeted.hbm_bytes) << " of HBM\n";
+            << " at " << cell(budgeted.speedup(), 2) << "x using "
+            << format_bytes(budgeted.hbm_bytes()) << " of HBM\n";
 
   // The chosen placement as a per-group tier vector.
   std::cout << "placement vector:";
   for (int g = 0; g < budgeted.num_groups; ++g)
     std::cout << ' ' << app.workload->groups()[static_cast<std::size_t>(g)].label
               << "->"
-              << topo::to_string(budgeted.chosen_placement.of(g));
+              << topo::to_string(budgeted.chosen_placement().of(g));
   std::cout << '\n';
   return 0;
 }

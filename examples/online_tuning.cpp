@@ -38,8 +38,8 @@ int main() {
                                 .strategy("exhaustive")
                                 .repetitions(3)
                                 .run();
-    table.add_row({app.name, cell(online.speedup, 2) + "x",
-                   cell(exhaustive.speedup, 2) + "x",
+    table.add_row({app.name, cell(online.speedup(), 2) + "x",
+                   cell(exhaustive.speedup(), 2) + "x",
                    std::to_string(online.measurements),
                    std::to_string(exhaustive.measurements)});
   }

@@ -61,8 +61,8 @@ Table runs_table(const CampaignResult& result) {
                    std::to_string(s.repetitions),
                    tuner::mask_label(o.chosen_mask, o.num_groups,
                                      o.num_tiers),
-                   cell(o.speedup, 4), cell(o.baseline_time, 6),
-                   cell(o.chosen_time, 6), cell(o.hbm_usage, 4),
+                   cell(o.speedup(), 4), cell(o.baseline_time, 6),
+                   cell(o.chosen_time, 6), cell(o.hbm_usage(), 4),
                    std::to_string(o.configs_measured),
                    std::to_string(o.measurements)});
   }
@@ -75,8 +75,8 @@ std::vector<const ScenarioRun*> ranked_runs(const CampaignResult& result) {
     if (has_outcome(run)) ranked.push_back(&run);
   std::sort(ranked.begin(), ranked.end(),
             [](const ScenarioRun* a, const ScenarioRun* b) {
-              if (a->outcome.speedup != b->outcome.speedup)
-                return a->outcome.speedup > b->outcome.speedup;
+              if (a->outcome.speedup() != b->outcome.speedup())
+                return a->outcome.speedup() > b->outcome.speedup();
               return a->scenario.label() < b->scenario.label();
             });
   return ranked;
@@ -91,10 +91,10 @@ Table ranked_table(const CampaignResult& result) {
   for (const ScenarioRun* run : ranked) {
     const auto& o = run->outcome;
     table.add_row({std::to_string(++rank), run->scenario.label(),
-                   cell(o.speedup, 2) + "x",
+                   cell(o.speedup(), 2) + "x",
                    tuner::mask_label(o.chosen_mask, o.num_groups,
                                      o.num_tiers),
-                   format_percent(o.hbm_usage),
+                   format_percent(o.hbm_usage()),
                    std::to_string(o.configs_measured)});
   }
   return table;
@@ -121,7 +121,7 @@ Json summary_json(const CampaignResult& result) {
     JsonObject r;
     r["fingerprint"] = Json(fingerprint_of(run));
     r["scenario"] = run.scenario.to_json();
-    if (has_outcome(run)) r["speedup"] = Json(run.outcome.speedup);
+    if (has_outcome(run)) r["speedup"] = Json(run.outcome.speedup());
     if (run.status == ScenarioRun::Status::Failed)
       r["error"] = Json(run.error);
     runs.push_back(Json(std::move(r)));

@@ -31,12 +31,15 @@ std::string AnalysisReport::to_text() const {
      << mask_label(summary.usage90_mask, groups, tiers) << ")\n";
   os << "linear-estimator error: max " << cell(estimator_error.max_abs, 3)
      << ", rmse " << cell(estimator_error.rmse, 3) << "\n\n";
-  os << "recommended placement (budget " << format_bytes(outcome.hbm_bytes)
+  os << "recommended placement (budget " << format_bytes(outcome.hbm_bytes())
      << " HBM): " << mask_label(outcome.chosen_mask, groups, tiers) << " at "
-     << cell(outcome.speedup, 2) << "x\n";
+     << cell(outcome.speedup(), 2) << "x\n";
   os << "minimal 90 %-speedup placement: "
-     << mask_label(minimal90.mask, groups, tiers) << " using "
-     << format_bytes(minimal90.hbm_bytes) << " of HBM\n";
+     << mask_label(summary.usage90_mask, groups, tiers) << " using "
+     << format_bytes(tier_sum(outcome.weights.footprint_bytes,
+                              summary.usage90_mask, tiers,
+                              topo::PoolKind::HBM))
+     << " of HBM\n";
   return os.str();
 }
 
@@ -46,19 +49,13 @@ AnalysisReport analyze(TuningOutcome exhaustive, double fraction) {
   HMPT_REQUIRE(exhaustive.sweep.has_value(),
                "analysis needs an exhaustive outcome (one with a sweep)");
   const SweepResult& sweep = *exhaustive.sweep;
-  const ConfigSpace space(exhaustive.weights.footprint_bytes,
-                          exhaustive.num_tiers);
   SummaryAnalysis summary = summarize(sweep, exhaustive.weights, fraction);
-  const auto minimal =
-      CapacityPlanner(sweep, space).cheapest_reaching(summary.threshold90);
-  HMPT_REQUIRE(minimal.has_value(),
-               "no configuration reaches the threshold");
   EstimatorError error = estimator_error(sweep, LinearEstimator(sweep));
   DetailedView detailed =
       render_detailed_view(sweep, exhaustive.weights, summary);
   SummaryView summary_view = render_summary_view(summary, exhaustive.workload);
   return {std::move(exhaustive), std::move(summary), std::move(error),
-          *minimal, std::move(detailed), std::move(summary_view)};
+          std::move(detailed), std::move(summary_view)};
 }
 
 workloads::RecordedWorkload record_workload(

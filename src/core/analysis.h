@@ -4,10 +4,10 @@
 // (record_workload), tune it through the Session front door (session.h)
 // with the "exhaustive" strategy, and turn that outcome into the paper's
 // full report with analyze(): summary views, linear-estimator error and
-// the minimal placement reaching 90 % of the maximum speedup. The
-// recommended placement is the outcome's own chosen placement, so a shim
-// plan for the next run is to_placement_plan(groups,
-// outcome.chosen_placement).
+// the minimal placement reaching 90 % of the maximum speedup
+// (summary.usage90_mask). The recommended placement is the outcome's own
+// chosen placement, so a shim plan for the next run is
+// to_placement_plan(groups, outcome.chosen_placement()).
 #pragma once
 
 #include <string>
@@ -32,7 +32,6 @@ struct AnalysisReport {
   TuningOutcome outcome;
   SummaryAnalysis summary;
   EstimatorError estimator_error;
-  PlanChoice minimal90;  ///< cheapest config at >= 90 % of max
   DetailedView detailed;
   SummaryView summary_view;
 

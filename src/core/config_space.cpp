@@ -78,16 +78,20 @@ std::vector<ConfigMask> ConfigSpace::masks_of_rank(int k) const {
   return masks;
 }
 
-sim::Placement ConfigSpace::placement(ConfigMask mask) const {
-  HMPT_REQUIRE(mask < size(), "mask out of range");
-  std::vector<topo::PoolKind> pools(bytes_.size(), topo::PoolKind::DDR);
-  const auto k = static_cast<ConfigMask>(num_tiers_);
-  for (int g = 0; g < num_groups(); ++g) {
-    pools[static_cast<std::size_t>(g)] =
-        static_cast<topo::PoolKind>(mask % k);
+sim::Placement config_placement(ConfigMask mask, int num_groups,
+                                int num_tiers) {
+  std::vector<topo::PoolKind> pools(static_cast<std::size_t>(num_groups));
+  const auto k = static_cast<ConfigMask>(num_tiers);
+  for (auto& pool : pools) {
+    pool = static_cast<topo::PoolKind>(mask % k);
     mask /= k;
   }
   return sim::Placement(std::move(pools));
+}
+
+sim::Placement ConfigSpace::placement(ConfigMask mask) const {
+  HMPT_REQUIRE(mask < size(), "mask out of range");
+  return config_placement(mask, num_groups(), num_tiers_);
 }
 
 ConfigMask ConfigSpace::config_id(const sim::Placement& placement) const {

@@ -48,6 +48,10 @@ constexpr ConfigMask config_uniform_id(int num_groups, int tier,
   return id;
 }
 
+/// The placement `mask` encodes: group g in the tier of its digit g.
+sim::Placement config_placement(ConfigMask mask, int num_groups,
+                                int num_tiers);
+
 /// Sum of the per-group `weights` (in group order, from 0.0) of the
 /// groups `mask` places in `tier` — the one sum behind a configuration's
 /// tier bytes and its HBM usage and density fractions.

@@ -74,21 +74,6 @@ bool same(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
-/// The exhaustive strategy's sweep order (ExperimentRunner::sweep);
-/// nullopt when the shape is not one ConfigSpace enumerates.
-std::optional<std::vector<ConfigMask>> gray_enumeration(int num_groups,
-                                                        int num_tiers) {
-  try {
-    return ConfigSpace(std::vector<double>(
-                           static_cast<std::size_t>(std::max(num_groups, 0)),
-                           1.0),
-                       num_tiers)
-        .gray_masks();
-  } catch (const Error&) {
-    return std::nullopt;
-  }
-}
-
 // ---------------------------------------------------------------- columns
 //
 // Row lists are stored column-wise: one entry per struct field, all of
@@ -337,7 +322,8 @@ class RowSink {
 // count are functions of the row (experiment.h), computed by whoever
 // reads them, so the decoder's checks make every one of them finite:
 //
-//   speedup        baseline / time: checked on every row, one division
+//   speedup        baseline / time: checked on every row and on the
+//                  chosen time, one division each
 //   hbm_usage      sums of the outcome's weights over their totals: the
 //   hbm_density    sums of any placement are bounded by the sums of the
 //                  one with every group in HBM, checked once per record
@@ -407,17 +393,10 @@ Json configs_to_json(const std::vector<ConfigResult>& configs) {
   return Json(std::move(o));
 }
 
-/// What the trajectory rule needs to know of a decoded sweep.
-struct SweepRows {
-  std::size_t rows = 0;
-  bool by_mask = true;  ///< row i holds mask i, for every row
-};
-
 /// Decode configuration rows into `kept`; with no `kept` every row is
 /// checked and dropped.
-SweepRows configs_from_json(const Json& columns, double baseline,
-                            std::size_t space,
-                            std::vector<ConfigResult>* kept) {
+void configs_from_json(const Json& columns, double baseline,
+                       std::size_t space, std::vector<ConfigResult>* kept) {
   const std::size_t rows = binary_rows(columns, "mean_time");
   if (rows > space)
     bad_field("mean_time", "lists more configurations than the space holds");
@@ -430,7 +409,6 @@ SweepRows configs_from_json(const Json& columns, double baseline,
     stddev_time.emplace(columns, "stddev_time", rows);
   bool noise_free = true;
 
-  SweepRows shape{rows, true};
   RowSink<ConfigResult> sink(kept, rows);
   for_each_block(rows, [&](std::size_t begin, std::size_t end) {
     ConfigResult* block = sink.block(begin);
@@ -441,7 +419,6 @@ SweepRows configs_from_json(const Json& columns, double baseline,
       ConfigResult& c = row(i);
       c.mask = masks != nullptr ? mask_in((*masks)[i], space, "mask")
                                 : static_cast<ConfigMask>(i);
-      shape.by_mask = shape.by_mask && c.mask == static_cast<ConfigMask>(i);
       c.stddev_time = 0.0;
     }
     mean_time.read(begin, end, [&](std::size_t i, double value) {
@@ -456,93 +433,27 @@ SweepRows configs_from_json(const Json& columns, double baseline,
   });
   if (stddev_time && noise_free)
     bad_field("stddev_time", "is stored though every value is +0.0");
-  return shape;
 }
 
-/// Checks that a sweep is its outcome's: the outcome's weights are one per
-/// group of the same space, and every row list has one baseline.
+/// Checks that a sweep is its outcome's. A sweep stores only its rows: the
+/// decoder takes its baseline and shape from the outcome, which must have
+/// a group, as every ConfigSpace does.
 void check_sweep(const SweepResult& sweep, const TuningOutcome& outcome) {
   if (sweep.num_groups != outcome.num_groups ||
       sweep.num_tiers != outcome.num_tiers ||
       !same(sweep.baseline_time, outcome.baseline_time))
     bad_field("sweep", "does not share the outcome's num_groups, num_tiers "
                        "and baseline_time");
+  if (outcome.num_groups < 1) bad_field("sweep", "needs at least one group");
 }
 
-// ------------------------------------------------------------- trajectory
-//
-// The exhaustive strategy's trajectory repeats its Gray-order sweep: step
-// i measures the i-th Gray mask and observes that configuration's mean
-// time. Such a trajectory is stored as the 1-based indices of its
-// accepted steps alone ("accepted_steps") and re-derived from the sweep
-// on decode. Any other trajectory (online, estimator, or
-// a registered strategy's own sweep order) is stored as columns.
-
-bool derives_from_sweep(const std::vector<TuningStep>& trajectory,
-                        const std::optional<SweepResult>& sweep) {
-  if (!sweep.has_value() || trajectory.size() != sweep->configs.size())
-    return false;
-  const auto order = gray_enumeration(sweep->num_groups, sweep->num_tiers);
-  if (!order || order->size() != trajectory.size()) return false;
-  for (std::size_t i = 0; i < trajectory.size(); ++i) {
-    const TuningStep& step = trajectory[i];
-    const ConfigMask mask = (*order)[i];
-    const ConfigResult& config = sweep->configs[mask];
-    if (step.index != static_cast<int>(i + 1) || step.mask != mask ||
-        config.mask != mask || !same(step.observed_time, config.mean_time))
-      return false;
-  }
-  return true;
-}
-
-Json trajectory_to_json(const TuningOutcome& outcome) {
-  const auto& steps = outcome.trajectory;
+Json trajectory_to_json(const std::vector<TuningStep>& steps) {
   JsonObject o;
-  if (derives_from_sweep(steps, outcome.sweep)) {
-    JsonArray accepted;
-    for (const TuningStep& step : steps)
-      if (step.accepted) accepted.push_back(Json(step.index));
-    o["accepted_steps"] = Json(std::move(accepted));
-    return Json(std::move(o));
-  }
   o["index"] = column(steps, [](const TuningStep& s) { return s.index; });
   o["mask"] = column(steps, [](const TuningStep& s) { return s.mask; });
   o["observed_time"] = binary_column(steps, &TuningStep::observed_time);
   o["accepted"] = column(steps, [](const TuningStep& s) { return s.accepted; });
   return Json(std::move(o));
-}
-
-/// Rebuild an exhaustive trajectory from its sweep into `kept`; with no
-/// `kept` only the checks run. The rule needs every configuration of the
-/// space, each Gray mask indexing its own row. The Gray order is a
-/// permutation of the space's ids, so that holds exactly when the sweep
-/// has one row per configuration and row i holds mask i: no enumeration
-/// is needed to check it.
-void trajectory_from_sweep(const Json& accepted_steps,
-                           const SweepResult& sweep, const SweepRows& shape,
-                           std::vector<TuningStep>* kept) {
-  const std::size_t size = config_count(sweep.num_groups, sweep.num_tiers);
-  if (shape.rows != size)
-    bad_field("accepted_steps", "needs a complete sweep to derive from");
-  if (!shape.by_mask)
-    bad_field("accepted_steps", "needs a sweep indexed by mask");
-  if (kept != nullptr) {
-    const auto order =
-        gray_enumeration(sweep.num_groups, sweep.num_tiers).value();
-    kept->resize(size);
-    for (std::size_t i = 0; i < size; ++i) {
-      const ConfigResult& config = sweep.configs[order[i]];
-      (*kept)[i] = {static_cast<int>(i + 1), order[i], config.mean_time,
-                    false};
-    }
-  }
-  int previous = 0;
-  for (const Json& index : accepted_steps.as_array()) {
-    previous = int_in(index, previous + 1, static_cast<int>(size),
-                      "accepted_steps");
-    if (kept != nullptr)
-      (*kept)[static_cast<std::size_t>(previous - 1)].accepted = true;
-  }
 }
 
 /// Decode a columnar trajectory into `kept`; with no `kept` every step is
@@ -582,17 +493,9 @@ Json outcome_to_json(const TuningOutcome& outcome) {
   o["num_groups"] = Json(outcome.num_groups);
   o["num_tiers"] = Json(outcome.num_tiers);
   o["chosen_mask"] = Json(static_cast<std::uint64_t>(outcome.chosen_mask));
-  {
-    JsonArray tiers;
-    for (const auto kind : outcome.chosen_placement.pools())
-      tiers.push_back(Json(static_cast<int>(kind)));
-    o["chosen_placement"] = Json(std::move(tiers));
-  }
+  check_speedup(outcome.baseline_time, outcome.chosen_time, "chosen_time");
   o["chosen_time"] = Json(outcome.chosen_time);
   o["baseline_time"] = Json(outcome.baseline_time);
-  o["speedup"] = Json(outcome.speedup);
-  o["hbm_bytes"] = Json(outcome.hbm_bytes);
-  o["hbm_usage"] = Json(outcome.hbm_usage);
   o["configs_measured"] = Json(outcome.configs_measured);
   o["measurements"] = Json(outcome.measurements);
   const GroupWeights& w = outcome.weights;
@@ -606,16 +509,12 @@ Json outcome_to_json(const TuningOutcome& outcome) {
   weights("footprint_bytes", "footprint_total", w.footprint_bytes,
           w.footprint_total);
   weights("traffic_bytes", "traffic_total", w.traffic_bytes, w.traffic_total);
-  o["trajectory"] = trajectory_to_json(outcome);
+  o["trajectory"] = trajectory_to_json(outcome.trajectory);
   o["table"] = configs_to_json(outcome.table);
   if (outcome.sweep.has_value()) {
-    const SweepResult& s = *outcome.sweep;
-    check_sweep(s, outcome);
+    check_sweep(*outcome.sweep, outcome);
     JsonObject sweep;
-    sweep["baseline_time"] = Json(s.baseline_time);
-    sweep["num_groups"] = Json(s.num_groups);
-    sweep["num_tiers"] = Json(s.num_tiers);
-    sweep["configs"] = configs_to_json(s.configs);
+    sweep["configs"] = configs_to_json(outcome.sweep->configs);
     o["sweep"] = Json(std::move(sweep));
   }
   return Json(std::move(o));
@@ -631,26 +530,10 @@ TuningOutcome outcome_from_json(const Json& json, Rows rows) {
   out.num_tiers =
       int_in(json.at("num_tiers"), 2, topo::kNumPoolKinds, "num_tiers");
   const std::size_t space = space_size(out.num_groups, out.num_tiers);
-  // Exact in a double, whatever the space: the id is only ever compared
-  // and labelled, never used to index.
-  out.chosen_mask = static_cast<ConfigMask>(
-      integer_in(json.at("chosen_mask"), 0.0, 0x1p53, "chosen_mask"));
-  {
-    const JsonArray& tiers = json.at("chosen_placement").as_array();
-    if (tiers.size() > static_cast<std::size_t>(out.num_groups))
-      bad_field("chosen_placement", "places more groups than num_groups");
-    std::vector<topo::PoolKind> pools;
-    pools.reserve(tiers.size());
-    for (const Json& tier : tiers)
-      pools.push_back(static_cast<topo::PoolKind>(
-          int_in(tier, 0, out.num_tiers - 1, "chosen_placement")));
-    out.chosen_placement = sim::Placement(std::move(pools));
-  }
+  out.chosen_mask = mask_in(json.at("chosen_mask"), space, "chosen_mask");
   out.chosen_time = finite(json.at("chosen_time"), "chosen_time");
   out.baseline_time = finite(json.at("baseline_time"), "baseline_time");
-  out.speedup = finite(json.at("speedup"), "speedup");
-  out.hbm_bytes = finite(json.at("hbm_bytes"), "hbm_bytes");
-  out.hbm_usage = finite(json.at("hbm_usage"), "hbm_usage");
+  check_speedup(out.baseline_time, out.chosen_time, "chosen_time");
   out.configs_measured =
       int_in(json.at("configs_measured"), 0, INT_MAX, "configs_measured");
   out.measurements =
@@ -666,29 +549,18 @@ TuningOutcome outcome_from_json(const Json& json, Rows rows) {
   check_weights(out.weights, out.num_groups, out.num_tiers);
   configs_from_json(json.at("table"), out.baseline_time, space,
                     keep ? &out.table : nullptr);
-  std::optional<SweepResult> sweep;
-  SweepRows sweep_rows;
   if (const Json* stored = json.as_object().find("sweep")) {
-    SweepResult& s = sweep.emplace();
-    s.baseline_time = finite(stored->at("baseline_time"), "baseline_time");
-    s.num_groups = int_in(stored->at("num_groups"), 1,
-                          ConfigSpace::kMaxGroups, "num_groups");
-    s.num_tiers =
-        int_in(stored->at("num_tiers"), 2, topo::kNumPoolKinds, "num_tiers");
-    check_sweep(s, out);
-    sweep_rows = configs_from_json(stored->at("configs"), s.baseline_time,
-                                   space, keep ? &s.configs : nullptr);
+    SweepResult sweep;
+    sweep.baseline_time = out.baseline_time;
+    sweep.num_groups = out.num_groups;
+    sweep.num_tiers = out.num_tiers;
+    check_sweep(sweep, out);
+    configs_from_json(stored->at("configs"), out.baseline_time, space,
+                      keep ? &sweep.configs : nullptr);
+    if (keep) out.sweep = std::move(sweep);
   }
-  const Json& trajectory = json.at("trajectory");
-  std::vector<TuningStep>* steps = keep ? &out.trajectory : nullptr;
-  if (const Json* accepted = trajectory.as_object().find("accepted_steps")) {
-    if (!sweep.has_value())
-      bad_field("accepted_steps", "needs a sweep to derive from");
-    trajectory_from_sweep(*accepted, *sweep, sweep_rows, steps);
-  } else {
-    trajectory_from_columns(trajectory, space, out.baseline_time, steps);
-  }
-  if (keep) out.sweep = std::move(sweep);
+  trajectory_from_columns(json.at("trajectory"), space, out.baseline_time,
+                          keep ? &out.trajectory : nullptr);
   return out;
 }
 

@@ -5,9 +5,10 @@
 // hmpt_analyze --json reuses the same serialiser for single runs. A row
 // holds only what was measured (mask, mean and stddev time); speedups, HBM
 // fractions and group counts are functions of the row, the baseline and
-// the outcome's per-group weights (experiment.h), stored once per record.
-// The format is lossless: what the decoder can rebuild bit for bit (mask
-// ids of a full sweep, an exhaustive trajectory, a noise-free run's
+// the outcome's per-group weights (experiment.h), stored once per record,
+// and so is the headline's (TuningOutcome::speedup() and the rest). The
+// format is lossless: what the decoder can rebuild bit for bit (mask ids
+// of a full sweep, a sweep's baseline and shape, a noise-free run's
 // stddevs) is left out, and every other field is stored exactly, so an
 // outcome parsed back from its JSON compares equal to the original
 // (covered by tests). That is what makes the on-disk outcome store a
@@ -21,7 +22,7 @@ namespace hmpt::tuner {
 
 /// Serialise an outcome (including trajectory, measured table and, when
 /// present, the full sweep) to a JSON object. Throws hmpt::Error when its
-/// weights or sweep are ones the decoder would refuse.
+/// weights, chosen time or sweep are ones the decoder would refuse.
 Json outcome_to_json(const TuningOutcome& outcome);
 
 /// What outcome_from_json does with an outcome's row lists (`table`,

@@ -52,12 +52,9 @@ void emit_progress(const TuningCallbacks& callbacks, const std::string& name,
   callbacks.on_progress({name, configs_measured, mask, time, best_speedup});
 }
 
-/// Fill the placement-derived fields of a finished outcome.
+/// Set a finished outcome's tier count and sort its table by mask.
 void finish_outcome(TuningOutcome& out, const ConfigSpace& space) {
   out.num_tiers = space.num_tiers();
-  out.chosen_placement = space.placement(out.chosen_mask);
-  out.hbm_bytes = space.hbm_bytes(out.chosen_mask);
-  out.hbm_usage = out.hbm_bytes / space.total_bytes();
   std::sort(out.table.begin(), out.table.end(),
             [](const ConfigResult& a, const ConfigResult& b) {
               return a.mask < b.mask;
@@ -79,8 +76,8 @@ std::string TuningOutcome::to_text() const {
   os << "all-DDR baseline: " << format_time(baseline_time) << "\n";
   os << "recommended placement: "
      << mask_label(chosen_mask, num_groups, num_tiers) << " at "
-     << cell(speedup, 2) << "x, using " << format_bytes(hbm_bytes)
-     << " of HBM (" << format_percent(hbm_usage) << " of footprint)\n";
+     << cell(speedup(), 2) << "x, using " << format_bytes(hbm_bytes())
+     << " of HBM (" << format_percent(hbm_usage()) << " of footprint)\n";
 
   if (!trajectory.empty()) {
     Table steps({"step", "config", "time", "speedup", "accepted"});
@@ -170,32 +167,31 @@ TuningOutcome ExhaustiveStrategy::tune(
   out.num_groups = space.num_groups();
 
   const auto caps = resolved_caps(sim, budget, space.num_tiers());
-  double best = 0.0;
+  // The sweep is its own record of the search, so it keeps no trajectory;
+  // only a progress listener needs each configuration's incumbent.
+  ConfigCallback on_config;
+  if (callbacks.on_progress)
+    on_config = [&, measured = 0, baseline = 0.0,
+                 best = 0.0](const ConfigResult& result) mutable {
+      // The sweep reports the all-DDR baseline first.
+      if (result.mask == 0) baseline = result.mean_time;
+      const double speedup = speedup_of(baseline, result.mean_time);
+      if (fits_caps(space, result.mask, caps) && speedup > best)
+        best = speedup;
+      callbacks.on_progress(
+          {name(), ++measured, result.mask, result.mean_time, best});
+    };
   SweepResult sweep = [&] {
     obs::TraceSpan sweep_span("strategy", "sweep");
     sweep_span.arg_number("configs",
                           static_cast<std::uint64_t>(space.size()));
-    return runner.sweep(workload, space, [&](const ConfigResult& result) {
-      // The sweep reports the all-DDR baseline first.
-      if (result.mask == 0) out.baseline_time = result.mean_time;
-      ++out.configs_measured;
-      const double speedup = speedup_of(out.baseline_time, result.mean_time);
-      const bool accepted =
-          fits_caps(space, result.mask, caps) && speedup > best;
-      if (accepted) best = speedup;
-      out.trajectory.push_back(
-          {out.configs_measured, result.mask, result.mean_time, accepted});
-      emit_progress(callbacks, name(), out.configs_measured, result.mask,
-                    result.mean_time, best);
-    });
+    return runner.sweep(workload, space, on_config);
   }();
+  out.baseline_time = sweep.baseline_time;
+  out.configs_measured = static_cast<int>(sweep.configs.size());
   out.measurements = out.configs_measured * budget.repetitions;
-
-  const PlanChoice chosen =
-      CapacityPlanner(sweep, space).best_under_caps(caps);
-  out.chosen_mask = chosen.mask;
-  out.chosen_time = sweep.of(chosen.mask).mean_time;
-  out.speedup = chosen.speedup;
+  out.chosen_mask = CapacityPlanner(sweep, space).best_under_caps(caps).mask;
+  out.chosen_time = sweep.of(out.chosen_mask).mean_time;
   out.sweep = std::move(sweep);  // configs() serves the table from here
   finish_outcome(out, space);
   return out;
@@ -380,7 +376,6 @@ TuningOutcome OnlineGreedyStrategy::tune(
 
   out.chosen_mask = mask;
   out.chosen_time = current;
-  out.speedup = speedup_of(out.baseline_time, current);
   out.measurements = iterations;
   out.configs_measured = distinct;
   for (ConfigMask m = 0; m < seen.size(); ++m)
@@ -492,7 +487,6 @@ TuningOutcome EstimatorGuidedStrategy::tune(
   }
 
   out.measurements = out.configs_measured * budget.repetitions;
-  out.speedup = best;
   finish_outcome(out, space);
   return out;
 }

@@ -86,13 +86,8 @@ struct TuningOutcome {
   int num_tiers = 2;  ///< tier count of the searched placement space
 
   ConfigMask chosen_mask = 0;
-  /// The chosen placement as a per-group tier vector (decodes chosen_mask).
-  sim::Placement chosen_placement;
   double chosen_time = 0.0;
   double baseline_time = 0.0;
-  double speedup = 1.0;
-  double hbm_bytes = 0.0;  ///< footprint of the chosen placement in HBM
-  double hbm_usage = 0.0;
 
   int configs_measured = 0;  ///< distinct configurations measured
   int measurements = 0;      ///< simulator runs incl. repetitions
@@ -101,6 +96,8 @@ struct TuningOutcome {
   /// fills them for every strategy, built-in or added to the registry.
   GroupWeights weights;
 
+  /// The search's measurements in order. Empty for a full sweep, whose
+  /// order is the space's Gray enumeration and whose rows are in `sweep`.
   std::vector<TuningStep> trajectory;
   /// Distinct configurations measured, sorted by mask. Strategies that
   /// sweep the whole space store it once in `sweep` instead of duplicating
@@ -112,6 +109,26 @@ struct TuningOutcome {
   /// The per-configuration results, wherever they live.
   const std::vector<ConfigResult>& configs() const {
     return sweep.has_value() ? sweep->configs : table;
+  }
+
+  // The headline's derived values, one definition each. The HBM ones read
+  // `weights`, which a strategy's tune() called without a Session leaves
+  // empty.
+
+  /// Speedup of the chosen placement over the all-DDR baseline.
+  double speedup() const { return speedup_of(baseline_time, chosen_time); }
+  /// Footprint of the chosen placement in HBM.
+  double hbm_bytes() const {
+    return tier_sum(weights.footprint_bytes, chosen_mask, num_tiers,
+                    topo::PoolKind::HBM);
+  }
+  /// Fraction of the footprint the chosen placement puts in HBM.
+  double hbm_usage() const {
+    return hbm_usage_of(weights, chosen_mask, num_tiers);
+  }
+  /// The chosen placement as a per-group tier vector.
+  sim::Placement chosen_placement() const {
+    return config_placement(chosen_mask, num_groups, num_tiers);
   }
 
   /// Human-readable report: chosen placement, trajectory, config table.

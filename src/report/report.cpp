@@ -61,7 +61,7 @@ std::string speedup_bar_svg(const std::vector<const ScenarioRun*>& ranked,
   std::vector<BarItem> items;
   for (std::size_t i = 0; i < ranked.size() && i < limit; ++i)
     items.push_back(BarItem{ranked[i]->scenario.label(),
-                            ranked[i]->outcome.speedup, std::nullopt});
+                            ranked[i]->outcome.speedup(), std::nullopt});
   return render_bar_chart_svg(items, "Top scenarios by tuned speedup");
 }
 
@@ -73,8 +73,8 @@ std::string summary_scatter_svg(
   for (const ScenarioRun* run : ranked) {
     ChartSeries& series = by_strategy[run->scenario.strategy];
     series.name = run->scenario.strategy;
-    series.x.push_back(run->outcome.hbm_usage * 100.0);
-    series.y.push_back(run->outcome.speedup);
+    series.x.push_back(run->outcome.hbm_usage() * 100.0);
+    series.y.push_back(run->outcome.speedup());
   }
   std::vector<ChartSeries> series;
   for (auto& [name, s] : by_strategy) series.push_back(std::move(s));
@@ -298,7 +298,7 @@ std::string render_report_html(const CampaignResult& result,
      << ranked.size() << " with outcome &middot; " << result.failed
      << " failed";
   if (!ranked.empty())
-    os << " &middot; best speedup " << cell(ranked[0]->outcome.speedup, 2)
+    os << " &middot; best speedup " << cell(ranked[0]->outcome.speedup(), 2)
        << "x (<code>" << html_escape(fingerprint_of(*ranked[0]))
        << "</code>)";
   os << "</p>\n";
@@ -334,11 +334,11 @@ std::string render_report_html(const CampaignResult& result,
        << "</td><td>" << html_escape(s.workload.to_string()) << "</td><td>"
        << html_escape(s.platform) << "</td><td>" << html_escape(s.strategy)
        << "</td><td>" << s.tiers << "</td><td>"
-       << html_escape(budget_text(s)) << "</td><td>" << cell(o.speedup, 2)
+       << html_escape(budget_text(s)) << "</td><td>" << cell(o.speedup(), 2)
        << "x</td><td><code>"
        << html_escape(
               tuner::mask_label(o.chosen_mask, o.num_groups, o.num_tiers))
-       << "</code></td><td>" << html_escape(format_percent(o.hbm_usage))
+       << "</code></td><td>" << html_escape(format_percent(o.hbm_usage()))
        << "</td><td>" << o.configs_measured << "</td><td><a href=\"#fp-"
        << html_escape(fp) << "\"><code>" << html_escape(fp)
        << "</code></a></td></tr>\n";
@@ -367,7 +367,7 @@ std::string render_report_html(const CampaignResult& result,
     const std::string fp = fingerprint_of(*run);
     os << "<details id=\"fp-" << html_escape(fp) << "\"><summary><code>"
        << html_escape(fp) << "</code> &mdash; " << html_escape(s.label())
-       << " &mdash; " << cell(o.speedup, 2) << "x</summary>\n"
+       << " &mdash; " << cell(o.speedup(), 2) << "x</summary>\n"
        << "<table class=\"kv\">\n";
     append_kv_row(os, "workload", s.workload.to_string());
     append_kv_row(os, "platform", s.platform);
@@ -380,8 +380,8 @@ std::string render_report_html(const CampaignResult& result,
                                     o.num_tiers));
     append_kv_row(os, "baseline time (s)", cell(o.baseline_time, 6));
     append_kv_row(os, "chosen time (s)", cell(o.chosen_time, 6));
-    append_kv_row(os, "speedup", cell(o.speedup, 4));
-    append_kv_row(os, "HBM usage", format_percent(o.hbm_usage));
+    append_kv_row(os, "speedup", cell(o.speedup(), 4));
+    append_kv_row(os, "HBM usage", format_percent(o.hbm_usage()));
     append_kv_row(os, "configs measured",
                   std::to_string(o.configs_measured));
     append_kv_row(os, "measurements", std::to_string(o.measurements));

@@ -439,7 +439,7 @@ void Daemon::start_watch(const std::shared_ptr<Connection>& connection) {
           // validated, its rows not kept.
           if (const auto outcome = scheduler_->store().load_by_fingerprint(
                   status.fingerprint, tuner::Rows::Skip))
-            extra["speedup"] = Json(outcome->speedup);
+            extra["speedup"] = Json(outcome->speedup());
         }
         if (!status.error.empty()) extra["error"] = Json(status.error);
         // A failed send marks the connection dead; its reader thread

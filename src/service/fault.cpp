@@ -165,7 +165,7 @@ tuner::TuningOutcome FaultInjectingProvider::run(
     // A deterministic perturbation: byte-different from the honest
     // outcome, so a clean run of the same fingerprint trips the store's
     // conflicting-outcome detection.
-    outcome.speedup += 1.0;
+    outcome.chosen_time += 1.0;
   }
   return outcome;
 }

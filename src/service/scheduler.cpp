@@ -392,13 +392,6 @@ std::optional<JobStatus> Scheduler::wait(const std::string& fingerprint) {
   }
 }
 
-std::optional<tuner::TuningOutcome> Scheduler::outcome(
-    const std::string& fingerprint) const {
-  // Workers save before marking Done, so the store is authoritative for
-  // every terminal job — no separate in-memory result cache to bound.
-  return store_.load_by_fingerprint(fingerprint);
-}
-
 bool Scheduler::cancel(const std::string& fingerprint) {
   JobStatus snapshot;
   {

@@ -170,11 +170,6 @@ class Scheduler {
   /// fingerprint is unknown (and not in the store).
   std::optional<JobStatus> wait(const std::string& fingerprint);
 
-  /// The finished outcome for a fingerprint: from this process's results
-  /// or the backing store. nullopt while pending or unknown.
-  std::optional<tuner::TuningOutcome> outcome(
-      const std::string& fingerprint) const;
-
   /// Cancel a queued job (true). Running/terminal/unknown: false.
   bool cancel(const std::string& fingerprint);
 

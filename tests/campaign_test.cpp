@@ -467,6 +467,17 @@ bool same_weights(const std::vector<double>& x, const std::vector<double>& y) {
          std::equal(x.begin(), x.end(), y.begin(), same_bits);
 }
 
+/// Bit-for-bit equality of the four values derived from a headline.
+void expect_same_derived_headline(const tuner::TuningOutcome& a,
+                                  const tuner::TuningOutcome& b,
+                                  const std::string& what) {
+  EXPECT_EQ(a.chosen_placement().pools(), b.chosen_placement().pools())
+      << what;
+  EXPECT_TRUE(same_bits(a.speedup(), b.speedup())) << what;
+  EXPECT_TRUE(same_bits(a.hbm_bytes(), b.hbm_bytes())) << what;
+  EXPECT_TRUE(same_bits(a.hbm_usage(), b.hbm_usage())) << what;
+}
+
 /// Field-by-field equality of the headlines and weights (everything but
 /// the row lists), bit for bit.
 void expect_same_headline(const tuner::TuningOutcome& a,
@@ -477,12 +488,9 @@ void expect_same_headline(const tuner::TuningOutcome& a,
   EXPECT_EQ(a.num_groups, b.num_groups) << what;
   EXPECT_EQ(a.num_tiers, b.num_tiers) << what;
   EXPECT_EQ(a.chosen_mask, b.chosen_mask) << what;
-  EXPECT_EQ(a.chosen_placement.pools(), b.chosen_placement.pools()) << what;
   EXPECT_TRUE(same_bits(a.chosen_time, b.chosen_time)) << what;
   EXPECT_TRUE(same_bits(a.baseline_time, b.baseline_time)) << what;
-  EXPECT_TRUE(same_bits(a.speedup, b.speedup)) << what;
-  EXPECT_TRUE(same_bits(a.hbm_bytes, b.hbm_bytes)) << what;
-  EXPECT_TRUE(same_bits(a.hbm_usage, b.hbm_usage)) << what;
+  expect_same_derived_headline(a, b, what);
   EXPECT_EQ(a.configs_measured, b.configs_measured) << what;
   EXPECT_EQ(a.measurements, b.measurements) << what;
   EXPECT_TRUE(same_weights(a.weights.footprint_bytes,
@@ -561,14 +569,11 @@ TEST(OutcomeIoTest, OutcomeJsonRoundTripsForEveryStrategy) {
       }
       EXPECT_EQ(outcome.sweep.has_value(), strategy == "exhaustive");
 
-      // Only the exhaustive trajectory drops to the accepted steps, and a
-      // full sweep stores no mask column.
+      // Every trajectory is stored as columns, and a full sweep's is empty
+      // (the sweep is its record). A full sweep stores no mask column.
       const JsonObject& trajectory = encoded.at("trajectory").as_object();
-      EXPECT_EQ(trajectory.contains("accepted_steps"),
-                outcome.sweep.has_value())
-          << what;
-      EXPECT_EQ(trajectory.contains("mask"),
-                !trajectory.contains("accepted_steps"))
+      EXPECT_TRUE(trajectory.contains("mask")) << what;
+      EXPECT_EQ(outcome.trajectory.empty(), outcome.sweep.has_value())
           << what;
       // No row list stores a derived column: every strategy's record
       // carries the weights once instead.
@@ -591,8 +596,8 @@ TEST(OutcomeIoTest, OutcomeJsonRoundTripsForEveryStrategy) {
 }
 
 TEST(OutcomeIoTest, SweepWithItsOwnTrajectoryOrderStoresColumns) {
-  // A registered strategy may return a full sweep whose trajectory is not
-  // the Gray enumeration: here, the exhaustive sweep re-walked in mask
+  // A registered strategy may return a full sweep together with a
+  // trajectory of its own: here, the exhaustive sweep re-walked in mask
   // order. Such a trajectory is stored as columns beside the sweep and
   // decodes exactly.
   sim::MachineSimulator simulator(topo::cxl_tiered_xeon_max(),
@@ -606,17 +611,13 @@ TEST(OutcomeIoTest, SweepWithItsOwnTrajectoryOrderStoresColumns) {
                      .repetitions(2)
                      .run();
   ASSERT_TRUE(outcome.sweep.has_value());
+  ASSERT_TRUE(outcome.trajectory.empty());
   outcome.strategy = "test-mask-order";
-  std::sort(outcome.trajectory.begin(), outcome.trajectory.end(),
-            [](const tuner::TuningStep& a, const tuner::TuningStep& b) {
-              return a.mask < b.mask;
-            });
-  for (std::size_t i = 0; i < outcome.trajectory.size(); ++i)
-    outcome.trajectory[i].index = static_cast<int>(i + 1);
+  for (const auto& c : outcome.sweep->configs)
+    outcome.trajectory.push_back(
+        {static_cast<int>(c.mask) + 1, c.mask, c.mean_time, c.mask == 4});
   const Json encoded = tuner::outcome_to_json(outcome);
-  const JsonObject& trajectory = encoded.at("trajectory").as_object();
-  EXPECT_TRUE(trajectory.contains("mask"));
-  EXPECT_FALSE(trajectory.contains("accepted_steps"));
+  EXPECT_EQ(encoded.at("trajectory").at("mask").as_array().size(), 27u);
   for (const int indent : {-1, 2}) {
     const Json doc = Json::parse(encoded.dump(indent));
     const auto kept = tuner::outcome_from_json(doc, tuner::Rows::Keep);
@@ -630,35 +631,54 @@ TEST(OutcomeIoTest, SweepWithItsOwnTrajectoryOrderStoresColumns) {
   }
 }
 
-TEST(OutcomeIoTest, TrajectoryIsDerivedOnlyWhenBitIdentical) {
-  // A Gray-order sweep trajectory that differs from the sweep in any
-  // bit (here: one observed time, one time's sign, one step order) must
-  // fall back to columns and still round-trip exactly.
-  auto simulator = sim::MachineSimulator::cxl_tiered_platform();
-  const auto app = workloads::make_mg_model(simulator);
-  const auto outcome = tuner::Session::on(simulator)
-                           .workload(app.workload)
-                           .context(app.context)
-                           .run();
-  ASSERT_TRUE(outcome.sweep.has_value());
-  ASSERT_TRUE(tuner::outcome_to_json(outcome).at("trajectory").as_object()
-                  .contains("accepted_steps"));
-  auto time_bumped = outcome;
-  time_bumped.trajectory[5].observed_time =
-      std::nextafter(time_bumped.trajectory[5].observed_time, 1e300);
-  auto sign_flipped = outcome;
-  sign_flipped.sweep->configs[0].stddev_time = -0.0;  // not a derived field
-  sign_flipped.trajectory[0].observed_time =
-      -sign_flipped.trajectory[0].observed_time;
-  auto reordered = outcome;
-  std::swap(reordered.trajectory[1].mask, reordered.trajectory[2].mask);
-  for (const auto* changed : {&time_bumped, &sign_flipped, &reordered}) {
-    const Json encoded = tuner::outcome_to_json(*changed);
-    EXPECT_FALSE(
-        encoded.at("trajectory").as_object().contains("accepted_steps"));
-    expect_same_outcome(
-        tuner::outcome_from_json(Json::parse(encoded.dump(-1))), *changed,
-        "changed trajectory");
+TEST(OutcomeIoTest, HeadlineValuesAreDerivedAlikeInBothDecodeModes) {
+  // A record stores no value its headline derives: the speedup, the HBM
+  // bytes and usage and the chosen placement are functions of the chosen
+  // mask and time, the baseline and the weights. For every built-in
+  // strategy on two and three tiers, both decode modes derive them bit for
+  // bit as the in-memory outcome does.
+  const std::pair<const char*, sim::MachineSimulator (*)()> platforms[] = {
+      {"2-tier", &sim::MachineSimulator::paper_platform},
+      {"3-tier", &sim::MachineSimulator::cxl_tiered_platform}};
+  for (const auto& [platform, make] : platforms) {
+    auto simulator = make();
+    const auto app = workloads::make_mg_model(simulator);
+    for (const char* strategy : {"exhaustive", "online", "estimator"}) {
+      const auto outcome = tuner::Session::on(simulator)
+                               .workload(app.workload)
+                               .context(app.context)
+                               .strategy(strategy)
+                               .budget_gb(20.0)
+                               .run();
+      const std::string what = std::string(platform) + " " + strategy;
+      const Json encoded = tuner::outcome_to_json(outcome);
+      for (const char* derived :
+           {"speedup", "hbm_bytes", "hbm_usage", "chosen_placement"})
+        EXPECT_FALSE(encoded.as_object().contains(derived))
+            << what << " " << derived;
+      const Json doc = Json::parse(encoded.dump(-1));
+      for (const auto rows : {tuner::Rows::Keep, tuner::Rows::Skip})
+        expect_same_derived_headline(tuner::outcome_from_json(doc, rows),
+                                     outcome, what);
+      // They equal the ConfigSpace values format version 6 stored.
+      const tuner::ConfigSpace space(outcome.weights.footprint_bytes,
+                                     outcome.num_tiers);
+      EXPECT_TRUE(same_bits(outcome.speedup(),
+                            outcome.baseline_time / outcome.chosen_time))
+          << what;
+      EXPECT_TRUE(same_bits(outcome.hbm_bytes(),
+                            space.hbm_bytes(outcome.chosen_mask)))
+          << what;
+      EXPECT_TRUE(same_bits(outcome.hbm_usage(),
+                            space.hbm_bytes(outcome.chosen_mask) /
+                                space.total_bytes()))
+          << what;
+      EXPECT_EQ(outcome.chosen_placement().pools(),
+                space.placement(outcome.chosen_mask).pools())
+          << what;
+      EXPECT_LE(outcome.hbm_bytes(), 20.0 * GB) << what;
+      EXPECT_GT(outcome.speedup(), 1.0) << what;
+    }
   }
 }
 
@@ -1110,7 +1130,7 @@ TEST(OutcomeIoTest, SkipRowsRejectsExactlyWhatFullDecodeRejects) {
   // Rows::Keep runs: on thousands of damaged documents both modes throw
   // together, with the same error, and where both accept they decode
   // bit-identical headlines and weights. Inputs: the golden 3^3 record, a
-  // fresh 3^8 record (Gray trajectory derived from the sweep), online and
+  // fresh 3^8 record (empty trajectory, sweep rows only), online and
   // estimator records (columnar trajectory, table with masks, no sweep),
   // a noisy 3^3 record and hand-made rows (both store stddev columns).
   // Every record carries its weights once, so the weights are mutated on
@@ -1255,10 +1275,11 @@ TEST(OutcomeIoTest, NoiseFreeRowListsStoreNoStddevColumn) {
 TEST(OutcomeIoTest, NonZeroStddevsAreStoredBitExactly) {
   // A noisy run stores its stddevs exactly. So does a row list whose only
   // stddev other than +0.0 is -0.0: the rule compares bits, not values.
-  // (TrajectoryIsDerivedOnlyWhenBitIdentical puts a -0.0 in a sweep.)
   auto signed_table = online_outcome();
   ASSERT_FALSE(signed_table.table.empty());
   signed_table.table.back().stddev_time = -0.0;
+  auto signed_sweep = sweep_3tier();
+  signed_sweep.sweep->configs[0].stddev_time = -0.0;
   const struct {
     std::string what;
     tuner::TuningOutcome outcome;
@@ -1266,6 +1287,7 @@ TEST(OutcomeIoTest, NonZeroStddevsAreStoredBitExactly) {
   } cases[] = {
       {"noisy sweep", sweep_3tier({0.05, 11}), {false, true}},
       {"-0.0 in a table", signed_table, {true}},
+      {"-0.0 in a sweep", signed_sweep, {false, true}},
   };
   for (const auto& c : cases) {
     const Json encoded = tuner::outcome_to_json(c.outcome);
@@ -1284,6 +1306,60 @@ TEST(OutcomeIoTest, NonZeroStddevsAreStoredBitExactly) {
   }
   for (const auto& row : all_rows(cases[0].outcome))
     EXPECT_FALSE(same_bits(row.stddev_time, 0.0));
+}
+
+TEST(OutcomeIoTest, SweepRecordsStoreOnlyTheSweepRows) {
+  // An exhaustive outcome keeps no trajectory: its sweep is the record of
+  // the search, so the trajectory is stored as empty columns. The sweep
+  // stores only its rows; its baseline and shape come from the outcome.
+  const auto outcome = sweep_3tier();
+  ASSERT_TRUE(outcome.sweep.has_value());
+  EXPECT_TRUE(outcome.trajectory.empty());
+  const Json encoded = tuner::outcome_to_json(outcome);
+  EXPECT_EQ(encoded.at("trajectory").dump(-1),
+            "{\"index\":[],\"mask\":[],\"observed_time\":\"\","
+            "\"accepted\":[]}");
+  const JsonObject& sweep = encoded.at("sweep").as_object();
+  EXPECT_EQ(sweep.size(), 1u);
+  EXPECT_TRUE(sweep.contains("configs"));
+  const Json doc = Json::parse(encoded.dump(-1));
+  const auto kept = tuner::outcome_from_json(doc, tuner::Rows::Keep);
+  expect_same_outcome(kept, outcome, "3^3 sweep");
+  EXPECT_EQ(tuner::outcome_to_json(kept).dump(-1), encoded.dump(-1));
+
+  // A format-6 trajectory of accepted steps is refused in both modes.
+  const Json v6 = with_field(doc, {"trajectory"}, 0, [](const Json&) {
+    return std::optional<Json>(Json::parse("{\"accepted_steps\":[1,2,5]}"));
+  });
+  std::string errors[2];
+  for (const auto rows : {tuner::Rows::Keep, tuner::Rows::Skip}) {
+    try {
+      tuner::outcome_from_json(v6, rows);
+      ADD_FAILURE() << "accepted a trajectory of accepted steps";
+    } catch (const Error& e) {
+      errors[rows == tuner::Rows::Skip] = e.what();
+    }
+  }
+  EXPECT_EQ(errors[0], errors[1]);
+
+  // The writer refuses a sweep the reader would not rebuild as it was.
+  auto other_baseline = outcome;
+  other_baseline.sweep->baseline_time += 1.0;
+  auto other_tiers = outcome;
+  other_tiers.sweep->num_tiers = 2;
+  auto no_groups = outcome;
+  no_groups.num_groups = 0;
+  no_groups.sweep->num_groups = 0;
+  no_groups.weights = {{}, 1.0, {}, 0.0};
+  for (const auto* damaged : {&other_baseline, &other_tiers, &no_groups}) {
+    try {
+      tuner::outcome_to_json(*damaged);
+      ADD_FAILURE() << "wrote a sweep the reader would not rebuild";
+    } catch (const Error& e) {
+      EXPECT_TRUE(std::string(e.what()).starts_with("outcome field 'sweep'"))
+          << e.what();
+    }
+  }
 }
 
 TEST(OutcomeIoTest, StoredAllZeroStddevColumnIsRefused) {
@@ -1631,8 +1707,6 @@ std::vector<HostileCase> derivation_cases(const Scenario& sweep,
        with_value(good, at, "footprint_total", "1e-320")},
       {"hbm_usage of +inf in a table-only record", &online,
        with_value(good_online, at, "footprint_total", "1e-320")},
-      {"sweep with another baseline", &sweep,
-       with_value(good, "\"sweep\":", "baseline_time", "41")},
   };
   EXPECT_NO_THROW(tuner::outcome_from_json(Json::parse(good).at("outcome")));
   for (const auto& c : cases) EXPECT_NE(c.payload, good) << c.name;
@@ -1671,8 +1745,12 @@ TEST(OutcomeStoreTest, OutOfRangeRecordsReadAsDamaged) {
        with_value(good_sweep, o, "num_groups", "2.5")},
       {"chosen_mask negative", &sweep,
        with_value(good_sweep, o, "chosen_mask", "-1")},
-      {"chosen_placement tier beyond num_tiers", &sweep,
-       with_value(good_sweep, o, "chosen_placement", "3")},
+      {"chosen_mask of k^n", &sweep,
+       with_value(good_sweep, o, "chosen_mask", "27")},
+      {"chosen_mask of k^n in a table-only record", &online,
+       with_value(good_online, o, "chosen_mask", "27")},
+      {"chosen_time of 0", &sweep,
+       with_value(good_sweep, o, "chosen_time", "0")},
       {"non-finite baseline", &sweep,
        with_value(good_sweep, o, "baseline_time", "1e999")},
       {"sweep column shorter than the others", &sweep,
@@ -1683,16 +1761,20 @@ TEST(OutcomeStoreTest, OutOfRangeRecordsReadAsDamaged) {
        with_text(good_sweep, cols + "{",
                  cols + "{\"stddev_time\":\"" +
                      base64_le(std::vector<double>(27, 0.0)) + "\",")},
-      {"sweep wider than its space", &sweep,
-       with_value(good_sweep, "\"sweep\":", "num_tiers", "2")},
-      {"accepted step zero", &sweep,
-       with_value(good_sweep, traj, "accepted_steps", "0")},
-      {"accepted step beyond the sweep", &sweep,
-       with_text(good_sweep, "\"accepted_steps\":[",
-                 "\"accepted_steps\":[28,")},
-      {"accepted steps repeated", &sweep,
-       with_text(good_sweep, "\"accepted_steps\":[1,",
-                 "\"accepted_steps\":[1,1,")},
+      {"sweep on a zero-group outcome", &sweep,
+       with_column(
+           with_column(
+               with_column(
+                   with_value(with_value(good_sweep, o, "num_groups", "0"), o,
+                              "chosen_mask", "0"),
+                   o, "footprint_bytes", "\"\""),
+               o, "traffic_bytes", "\"\""),
+           cols, "mean_time", "\"\"")},
+      {"format-6 trajectory of accepted steps", &sweep,
+       with_text(good_sweep,
+                 traj + "{\"index\":[],\"mask\":[],\"observed_time\":\"\","
+                        "\"accepted\":[]}",
+                 traj + "{\"accepted_steps\":[1,2,5]}")},
       {"trajectory mask beyond k^n", &online,
        with_value(good_online, traj, "mask", "27")},
       {"trajectory index negative", &online,
@@ -1778,7 +1860,7 @@ TEST(OutcomeStoreTest, SaveQuarantinesDamagedExistingFile) {
 
   // A *well-formed* conflicting outcome is still a loud failure.
   auto conflicting = outcome;
-  conflicting.speedup += 1.0;
+  conflicting.chosen_time += 1.0;
   EXPECT_THROW(store.save(s, conflicting), Error);
 }
 
@@ -1847,7 +1929,7 @@ TEST(OutcomeStoreTest, ConflictingSaveForSameFingerprintThrows) {
   // Same fingerprint, different bytes: a silent overwrite (or silent
   // drop) would poison the cache, so this must fail loudly.
   auto tampered = outcome;
-  tampered.speedup += 1.0;
+  tampered.chosen_time += 1.0;
   EXPECT_THROW(store.save(s, tampered), Error);
   // The first write survives untouched.
   const auto loaded = store.load(s);
@@ -1909,7 +1991,7 @@ TEST_F(PackedStoreTest, SavesLoadsAndMatchesTheDirFormatRecordForRecord) {
   // Conflicting bytes for a stored fingerprint fail loudly, first write
   // wins.
   auto tampered = o1;
-  tampered.speedup += 1.0;
+  tampered.chosen_time += 1.0;
   EXPECT_THROW(packed.save(s1, tampered), Error);
   EXPECT_EQ(json_of(*packed.load(s1)), json_of(o1));
 
@@ -2064,7 +2146,7 @@ TEST_F(PackedStoreTest, DamagedRecordIsSupersededNotConflicting) {
 
   // A *well-formed* conflicting outcome is still a loud failure.
   auto conflicting = o;
-  conflicting.speedup += 1.0;
+  conflicting.chosen_time += 1.0;
   EXPECT_THROW(store.save(s, conflicting), Error);
 }
 

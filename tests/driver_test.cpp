@@ -103,13 +103,15 @@ TEST_F(AnalysisTest, AnalyzeMgReproducesSummary) {
   const auto app = workloads::make_mg_model(sim_);
   const auto report = analyze(*app.workload);
   EXPECT_NEAR(report.summary.max_speedup, 2.27, 0.05);
-  EXPECT_NEAR(report.minimal90.hbm_usage, 0.696, 0.01);
+  EXPECT_NEAR(report.summary.usage90, 0.696, 0.01);
   // MG fits entirely into the machine's HBM, so the recommendation is the
   // global optimum.
   EXPECT_EQ(report.outcome.chosen_mask, report.summary.max_mask);
-  // The report keeps the outcome whole: sweep and Gray-order trajectory.
+  // The report keeps the outcome whole: its sweep, which is the record of
+  // the search (an exhaustive outcome keeps no trajectory).
   ASSERT_TRUE(report.outcome.sweep.has_value());
-  EXPECT_EQ(report.outcome.trajectory.size(), 8u);
+  EXPECT_EQ(report.outcome.sweep->configs.size(), 8u);
+  EXPECT_TRUE(report.outcome.trajectory.empty());
   const std::string text = report.to_text();
   EXPECT_NE(text.find("maximum speedup"), std::string::npos);
   EXPECT_NE(text.find("recommended placement"), std::string::npos);
@@ -118,8 +120,8 @@ TEST_F(AnalysisTest, AnalyzeMgReproducesSummary) {
 TEST_F(AnalysisTest, BudgetConstrainsRecommendation) {
   const auto app = workloads::make_mg_model(sim_);
   const auto report = analyze(*app.workload, 10.0);  // < one group pair
-  EXPECT_LE(report.outcome.hbm_bytes, 10.0 * GB);
-  EXPECT_LT(report.outcome.speedup, report.summary.max_speedup);
+  EXPECT_LE(report.outcome.hbm_bytes(), 10.0 * GB);
+  EXPECT_LT(report.outcome.speedup(), report.summary.max_speedup);
 }
 
 TEST_F(AnalysisTest, RejectsOutcomesWithoutASweepAndBadThresholds) {
@@ -165,7 +167,7 @@ TEST_F(AnalysisTest, PlanMaterialisationMatchesRecommendation) {
     groups.push_back(ag);
   }
   const auto plan =
-      tuner::to_placement_plan(groups, report.outcome.chosen_placement);
+      tuner::to_placement_plan(groups, report.outcome.chosen_placement());
   for (std::size_t g = 0; g < groups.size(); ++g) {
     const bool in_hbm =
         report.outcome.chosen_mask & (tuner::ConfigMask{1} << g);
@@ -201,7 +203,7 @@ TEST_F(OnlineTest, ConvergesToNearOptimalForMg) {
   const auto result = session(app, "online").run();
   // Exhaustive optimum for comparison.
   const auto optimum = session(app, "exhaustive").run();
-  EXPECT_GT(result.speedup, 0.95 * optimum.speedup);
+  EXPECT_GT(result.speedup(), 0.95 * optimum.speedup());
   // Far fewer runs than the 2^n sweep would need per-config repetitions.
   EXPECT_LT(result.measurements, 40);
 }
@@ -210,7 +212,7 @@ TEST_F(OnlineTest, AllAppsReachNinetyPercentOfOptimum) {
   for (const auto& app : workloads::paper_benchmark_suite(sim_)) {
     const auto result = session(app, "online").run();
     const auto optimum = session(app, "exhaustive").run();
-    EXPECT_GE(result.speedup, 1.0 + 0.9 * (optimum.speedup - 1.0))
+    EXPECT_GE(result.speedup(), 1.0 + 0.9 * (optimum.speedup() - 1.0))
         << app.name;
   }
 }
@@ -225,7 +227,7 @@ TEST_F(OnlineTest, RespectsCapacityBudget) {
     EXPECT_LE(space.hbm_bytes(step.mask), 10.0 * GB);
   // And it is no better than the exhaustive optimum under the same cap.
   const auto optimum = session(app, "exhaustive").budget_gb(10.0).run();
-  EXPECT_LE(result.speedup, optimum.speedup * (1.0 + 1e-12));
+  EXPECT_LE(result.speedup(), optimum.speedup() * (1.0 + 1e-12));
 }
 
 TEST_F(OnlineTest, TrajectoryOnlyKeepsImprovements) {

@@ -145,7 +145,7 @@ TEST(KnlPlatformTest, TunerWorksUnchangedOnKnl) {
       tuner::analyze(tuner::Session::on(knl).workload(stream).run());
   // MCDRAM/DDR ratio ~5x on KNL: larger headroom than SPR's 3.5x.
   EXPECT_GT(report.summary.max_speedup, 3.0);
-  EXPECT_LE(report.outcome.hbm_bytes,
+  EXPECT_LE(report.outcome.hbm_bytes(),
             knl.machine().capacity_of_kind(PoolKind::HBM));
 }
 

@@ -159,7 +159,9 @@ TEST(FaultRetryTest, TransientFailuresDrainWithinTheRetryBudget) {
   EXPECT_EQ(done->state, JobState::Done) << done->error;
   EXPECT_EQ(done->attempts, 3);
   EXPECT_EQ(scheduler.counts().retries, 2u);
-  ASSERT_TRUE(scheduler.outcome(scenario.fingerprint()).has_value());
+  ASSERT_TRUE(scheduler.store()
+                  .load_by_fingerprint(scenario.fingerprint())
+                  .has_value());
 }
 
 TEST(FaultRetryTest, BudgetTooSmallFailsWithTheAttemptHistory) {
@@ -246,7 +248,7 @@ TEST(FaultRetryTest, CorruptFaultPerturbsTheOutcomeDeterministically) {
   CancelToken token;
   const auto honest = inner.run(scenario, token);
   const auto corrupted = faulty.run(scenario, token);
-  EXPECT_DOUBLE_EQ(corrupted.speedup, honest.speedup + 1.0);
+  EXPECT_DOUBLE_EQ(corrupted.chosen_time, honest.chosen_time + 1.0);
   // The store notices: an honest save followed by a corrupted save of
   // the same fingerprint is a determinism violation, and that error is
   // terminal — the retry loop must never paper over it.
@@ -390,7 +392,10 @@ TEST(JournalTest, DaemonReplaysJournaledJobsToCompletion) {
   EXPECT_TRUE(done->state == JobState::Done ||
               done->state == JobState::Cached)
       << to_string(done->state);
-  EXPECT_TRUE(daemon.scheduler().outcome(scenario.fingerprint()).has_value());
+  EXPECT_TRUE(daemon.scheduler()
+                  .store()
+                  .load_by_fingerprint(scenario.fingerprint())
+                  .has_value());
 
   daemon.request_shutdown();
   ASSERT_TRUE(daemon.wait_for(10000));

@@ -435,12 +435,9 @@ TEST_F(MergeTest, ThousandScenarioSyntheticTwinsMergeByteIdentically) {
     o.num_tiers = 2;
     const std::vector<double> ones(static_cast<std::size_t>(o.num_groups), 1);
     o.weights = {ones, 1.0 * o.num_groups, ones, 1.0 * o.num_groups};
-    o.chosen_mask = static_cast<unsigned>(i % 31);
+    o.chosen_mask = static_cast<unsigned>(i % 31) % (1u << o.num_groups);
     o.baseline_time = 10.0;
     o.chosen_time = 10.0 / (1.0 + (i % 97) / 31.0);
-    o.speedup = 1.0 + (i % 97) / 31.0;
-    o.hbm_bytes = static_cast<double>(i) * 1e6;
-    o.hbm_usage = (i % 100) / 100.0;
     o.configs_measured = 1 + i % 7;
     dir_twin.save(s, o);
     packed_twin.save(s, o);

@@ -152,7 +152,7 @@ void expect_identical_outcomes(const tuner::TuningOutcome& a,
   EXPECT_EQ(a.chosen_mask, b.chosen_mask) << label;
   EXPECT_EQ(a.chosen_time, b.chosen_time) << label;
   EXPECT_EQ(a.baseline_time, b.baseline_time) << label;
-  EXPECT_EQ(a.speedup, b.speedup) << label;
+  EXPECT_EQ(a.speedup(), b.speedup()) << label;
   EXPECT_EQ(a.configs_measured, b.configs_measured) << label;
   EXPECT_EQ(a.measurements, b.measurements) << label;
   ASSERT_EQ(a.trajectory.size(), b.trajectory.size()) << label;

@@ -70,7 +70,8 @@ class CountingProvider : public ExecutionProvider {
     outcome.workload = scenario.workload.name;
     outcome.num_groups = 1;
     outcome.weights = {{1.0}, 1.0, {1.0}, 1.0};
-    outcome.speedup = 2.0;
+    outcome.baseline_time = 2.0;
+    outcome.chosen_time = 1.0;  // a speedup of 2
     return outcome;
   }
   std::atomic<int> runs{0};
@@ -217,9 +218,10 @@ TEST(SchedulerTest, ResubmitIsServedFromStoreWithZeroExecutions) {
   EXPECT_EQ(hit.state, JobState::Cached);
   EXPECT_EQ(provider.runs.load(), 1);
   EXPECT_EQ(scheduler.counts().cached, 1u);
-  const auto outcome = scheduler.outcome(scenario.fingerprint());
+  const auto outcome =
+      scheduler.store().load_by_fingerprint(scenario.fingerprint());
   ASSERT_TRUE(outcome.has_value());
-  EXPECT_DOUBLE_EQ(outcome->speedup, 2.0);
+  EXPECT_DOUBLE_EQ(outcome->speedup(), 2.0);
 }
 
 TEST(SchedulerTest, InFlightDuplicateAttachesInsteadOfTwinning) {
@@ -376,7 +378,8 @@ TEST(SchedulerTest, FailedJobRecordsErrorAndResubmitRetries) {
   EXPECT_EQ(failed->state, JobState::Failed);
   EXPECT_NE(failed->error.find("deliberate provider failure"),
             std::string::npos);
-  EXPECT_EQ(scheduler.outcome(scenario.fingerprint()), std::nullopt);
+  EXPECT_EQ(scheduler.store().load_by_fingerprint(scenario.fingerprint()),
+            std::nullopt);
 
   // A failure is not cached: resubmitting re-enqueues.
   const auto retry = scheduler.submit(client, scenario);
@@ -465,7 +468,9 @@ TEST(SchedulerRetryTest, TransientFailuresRetryToSuccess) {
   EXPECT_EQ(counts.done, 1u);
   EXPECT_EQ(counts.retries, 2u);
   EXPECT_EQ(counts.timeouts, 0u);
-  ASSERT_TRUE(scheduler.outcome(scenario.fingerprint()).has_value());
+  ASSERT_TRUE(scheduler.store()
+                  .load_by_fingerprint(scenario.fingerprint())
+                  .has_value());
 }
 
 TEST(SchedulerRetryTest, ExhaustedBudgetFailsWithTheFullHistory) {
@@ -718,7 +723,7 @@ TEST_F(DaemonTest, SubmitStatusResultOverRealSocket) {
   const auto reply = client.call(result);
   ASSERT_TRUE(reply.ok) << reply.error;
   const auto outcome = tuner::outcome_from_json(reply.body.at("outcome"));
-  EXPECT_DOUBLE_EQ(outcome.speedup, 2.0);
+  EXPECT_DOUBLE_EQ(outcome.speedup(), 2.0);
   EXPECT_EQ(provider.runs.load(), 1);
 
   // Resubmit: answered cached, still exactly one execution.

@@ -121,7 +121,8 @@ TEST_F(StrategyTest, ExhaustiveSessionHoldsItsSweepOnce) {
   // Exhaustive outcomes hold the per-config data once, in the sweep.
   EXPECT_EQ(outcome.configs().size(), 8u);
   EXPECT_TRUE(outcome.table.empty());
-  EXPECT_EQ(outcome.trajectory.size(), 8u);
+  // The sweep is the record of the search: no trajectory repeats it.
+  EXPECT_TRUE(outcome.trajectory.empty());
 }
 
 TEST(ThreeTierCapsTest, EveryStrategyFitsEveryResolvedCap) {
@@ -182,7 +183,7 @@ TEST(ThreeTierCapsTest, EveryStrategyFitsEveryResolvedCap) {
         const PlanChoice best =
             CapacityPlanner(*outcome.sweep, space).best_under_caps(caps);
         EXPECT_EQ(outcome.chosen_mask, best.mask) << what;
-        EXPECT_EQ(outcome.speedup, best.speedup) << what;
+        EXPECT_EQ(outcome.speedup(), best.speedup) << what;
       }
     }
     EXPECT_TRUE(binds) << c.what;
@@ -206,7 +207,7 @@ TEST_F(StrategyTest, OnlineProgressReportsLiveSpeedups) {
   // One tick per measured run: the baseline plus every trial.
   EXPECT_EQ(ticks, outcome.measurements);
   // The hook sees real speedups while the search runs, not placeholders.
-  EXPECT_NEAR(last_best, outcome.speedup, 1e-9);
+  EXPECT_NEAR(last_best, outcome.speedup(), 1e-9);
   EXPECT_GT(last_best, 1.5);
   EXPECT_EQ(last_distinct, outcome.configs_measured);
 }
@@ -226,7 +227,7 @@ TEST_F(StrategyTest, ProgressCallbackFiresPerConfiguration) {
                            })
                            .run();
   EXPECT_EQ(ticks, outcome.configs_measured);
-  EXPECT_NEAR(last_best, outcome.speedup, 1e-9);
+  EXPECT_NEAR(last_best, outcome.speedup(), 1e-9);
 }
 
 TEST_F(StrategyTest, BudgetConstrainsTheChosenPlacement) {
@@ -238,8 +239,8 @@ TEST_F(StrategyTest, BudgetConstrainsTheChosenPlacement) {
                              .strategy(strategy)
                              .budget_gb(10.0)
                              .run();
-    EXPECT_LE(outcome.hbm_bytes, 10.0 * GB) << strategy;
-    EXPECT_GT(outcome.speedup, 1.0) << strategy;
+    EXPECT_LE(outcome.hbm_bytes(), 10.0 * GB) << strategy;
+    EXPECT_GT(outcome.speedup(), 1.0) << strategy;
   }
 }
 
@@ -256,7 +257,7 @@ TEST_F(StrategyTest, OnlineStrategyAgreesWithExhaustiveOnMg) {
                           .strategy("online")
                           .run();
   EXPECT_EQ(online.chosen_mask, exhaustive.chosen_mask);
-  EXPECT_NEAR(online.speedup, exhaustive.speedup, 0.01);
+  EXPECT_NEAR(online.speedup(), exhaustive.speedup(), 0.01);
   EXPECT_LT(online.configs_measured, exhaustive.configs_measured);
   EXPECT_FALSE(online.sweep.has_value());
   // Trajectory entries carry the tried configuration and its verdict.
@@ -283,7 +284,7 @@ TEST_F(StrategyTest, EstimatorGuidedMeasuresFewerWithinFivePercent) {
   EXPECT_LT(guided.configs_measured, exhaustive.configs_measured);
   EXPECT_LT(guided.measurements, exhaustive.measurements);
   // ...while staying within 5 % of the exhaustive best speedup.
-  EXPECT_GE(guided.speedup, 0.95 * exhaustive.speedup);
+  EXPECT_GE(guided.speedup(), 0.95 * exhaustive.speedup());
 }
 
 TEST_F(StrategyTest, EstimatorGuidedScalesLinearlyOnWiderSpaces) {
@@ -304,7 +305,7 @@ TEST_F(StrategyTest, EstimatorGuidedScalesLinearlyOnWiderSpaces) {
                               .repetitions(1)
                               .run();
   EXPECT_EQ(exhaustive.configs_measured, 256);
-  EXPECT_GE(guided.speedup, 0.95 * exhaustive.speedup);
+  EXPECT_GE(guided.speedup(), 0.95 * exhaustive.speedup());
 }
 
 // ----------------------------------------------------------------- outcome

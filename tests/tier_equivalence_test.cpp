@@ -279,12 +279,17 @@ TEST_P(TierEquivalenceTest, ExhaustiveSweepMatchesMaskPath) {
         legacy_sweep(simulator, w, /*reps=*/3, &legacy_baseline);
 
     for (const int jobs : {1, 4}) {
-      const auto outcome = tuner::Session::on(simulator)
-                               .workload(*app.workload)
-                               .context(app.context)
-                               .repetitions(3)
-                               .jobs(jobs)
-                               .run();
+      std::vector<ConfigMask> order;
+      const auto outcome =
+          tuner::Session::on(simulator)
+              .workload(*app.workload)
+              .context(app.context)
+              .repetitions(3)
+              .jobs(jobs)
+              .progress([&](const tuner::TuningProgress& p) {
+                order.push_back(p.mask);
+              })
+              .run();
       ASSERT_TRUE(outcome.sweep.has_value());
       const auto& sweep = *outcome.sweep;
       ASSERT_EQ(sweep.configs.size(), reference.size())
@@ -300,12 +305,10 @@ TEST_P(TierEquivalenceTest, ExhaustiveSweepMatchesMaskPath) {
                   reference[m].speedup);
       }
       // The enumeration itself is the binary reflected Gray code.
-      int step = 0;
-      for (const auto& s : outcome.trajectory) {
-        const auto expected = static_cast<ConfigMask>(step ^ (step >> 1));
-        EXPECT_EQ(s.mask, expected) << "gray step " << step;
-        ++step;
-      }
+      ASSERT_EQ(order.size(), reference.size());
+      for (std::size_t step = 0; step < order.size(); ++step)
+        EXPECT_EQ(order[step], static_cast<ConfigMask>(step ^ (step >> 1)))
+            << "gray step " << step;
     }
   }
 }

@@ -292,7 +292,7 @@ int main(int argc, char** argv) {
         groups.push_back(ag);
       }
       const auto plan =
-          tuner::to_placement_plan(groups, outcome.chosen_placement);
+          tuner::to_placement_plan(groups, outcome.chosen_placement());
       std::ofstream os(plan_out);
       if (!os.good()) {
         std::cerr << "cannot write plan to " << plan_out << '\n';

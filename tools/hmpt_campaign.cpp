@@ -421,7 +421,7 @@ int main(int argc, char** argv) {
                       << run.scenario.label();
             if (run.status == campaign::ScenarioRun::Status::Executed ||
                 run.status == campaign::ScenarioRun::Status::Cached)
-              std::cout << " — " << cell(run.outcome.speedup, 2) << "x";
+              std::cout << " — " << cell(run.outcome.speedup(), 2) << "x";
             if (run.status == campaign::ScenarioRun::Status::Failed)
               std::cout << " — " << run.error;
             std::cout << "\n";

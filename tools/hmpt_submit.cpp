@@ -379,7 +379,7 @@ int main(int argc, char** argv) {
                     << campaign::to_string(run.status) << " "
                     << run.scenario.label();
           if (run.status != campaign::ScenarioRun::Status::Failed)
-            std::cout << " — " << cell(run.outcome.speedup, 2) << "x";
+            std::cout << " — " << cell(run.outcome.speedup(), 2) << "x";
           else
             std::cout << " — " << run.error;
           std::cout << "\n";
