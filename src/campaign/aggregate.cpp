@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <ostream>
 
 #include "common/error.h"
 #include "common/units.h"
@@ -17,8 +18,8 @@ bool has_outcome(const ScenarioRun& run) {
          run.status == ScenarioRun::Status::Cached;
 }
 
-/// The content address captured when the scenario ran; recomputed only
-/// for hand-built results that never went through a runner or merge.
+}  // namespace
+
 std::string fingerprint_of(const ScenarioRun& run) {
   return run.fingerprint.empty() ? run.scenario.fingerprint()
                                  : run.fingerprint;
@@ -33,7 +34,11 @@ std::string budget_text(const Scenario& s) {
   return out;
 }
 
-}  // namespace
+std::string campaign_fingerprint(const CampaignResult& result) {
+  CampaignHasher hasher;
+  for (const auto& run : result.runs) hasher.add(fingerprint_of(run));
+  return hasher.digest();
+}
 
 Table plan_table(const std::vector<Scenario>& scenarios) {
   Table table({"#", "workload", "platform", "strategy", "tiers", "budget_gb",
@@ -47,26 +52,25 @@ Table plan_table(const std::vector<Scenario>& scenarios) {
   return table;
 }
 
-Table runs_table(const CampaignResult& result) {
-  Table table({"fingerprint", "workload", "platform", "strategy", "tiers",
-               "budget_gb", "reps", "chosen_config", "speedup",
-               "baseline_time_s", "chosen_time_s", "hbm_usage",
-               "configs_measured", "measurements"});
+void write_runs_csv(std::ostream& os, const CampaignResult& result) {
+  write_csv_row(os, {"fingerprint", "workload", "platform", "strategy",
+                     "tiers", "budget_gb", "reps", "chosen_config",
+                     "speedup", "baseline_time_s", "chosen_time_s",
+                     "hbm_usage", "configs_measured", "measurements"});
   for (const auto& run : result.runs) {
     if (!has_outcome(run)) continue;
     const auto& s = run.scenario;
     const auto& o = run.outcome;
-    table.add_row({fingerprint_of(run), s.workload.to_string(), s.platform,
-                   s.strategy, std::to_string(s.tiers), budget_text(s),
-                   std::to_string(s.repetitions),
-                   tuner::mask_label(o.chosen_mask, o.num_groups,
-                                     o.num_tiers),
-                   cell(o.speedup(), 4), cell(o.baseline_time, 6),
-                   cell(o.chosen_time, 6), cell(o.hbm_usage(), 4),
-                   std::to_string(o.configs_measured),
-                   std::to_string(o.measurements)});
+    write_csv_row(os, {fingerprint_of(run), s.workload.to_string(),
+                       s.platform, s.strategy, std::to_string(s.tiers),
+                       budget_text(s), std::to_string(s.repetitions),
+                       tuner::mask_label(o.chosen_mask, o.num_groups,
+                                         o.num_tiers),
+                       cell(o.speedup(), 4), cell(o.baseline_time, 6),
+                       cell(o.chosen_time, 6), cell(o.hbm_usage(), 4),
+                       std::to_string(o.configs_measured),
+                       std::to_string(o.measurements)});
   }
-  return table;
 }
 
 std::vector<const ScenarioRun*> ranked_runs(const CampaignResult& result) {
@@ -100,23 +104,21 @@ Table ranked_table(const CampaignResult& result) {
   return table;
 }
 
-Json summary_json(const CampaignResult& result) {
+void write_summary_json(std::ostream& os, const CampaignResult& result) {
   int with_outcome = 0;
   int failed = 0;
-  std::vector<std::string> fingerprints;
   for (const auto& run : result.runs) {
-    fingerprints.push_back(fingerprint_of(run));
     if (has_outcome(run)) ++with_outcome;
     if (run.status == ScenarioRun::Status::Failed) ++failed;
   }
 
-  JsonObject o;
-  o["campaign"] = Json(campaign_fingerprint(fingerprints));
-  o["scenarios"] = Json(static_cast<int>(result.runs.size()));
-  o["with_outcome"] = Json(with_outcome);
-  o["failed"] = Json(failed);
+  JsonObject head;
+  head["campaign"] = Json(campaign_fingerprint(result));
+  head["scenarios"] = Json(static_cast<int>(result.runs.size()));
+  head["with_outcome"] = Json(with_outcome);
+  head["failed"] = Json(failed);
 
-  JsonArray runs;
+  JsonArrayStream runs(os, head, "runs");
   for (const auto& run : result.runs) {
     JsonObject r;
     r["fingerprint"] = Json(fingerprint_of(run));
@@ -124,22 +126,21 @@ Json summary_json(const CampaignResult& result) {
     if (has_outcome(run)) r["speedup"] = Json(run.outcome.speedup());
     if (run.status == ScenarioRun::Status::Failed)
       r["error"] = Json(run.error);
-    runs.push_back(Json(std::move(r)));
+    runs.push(Json(std::move(r)));
   }
-  o["runs"] = Json(std::move(runs));
-  return Json(std::move(o));
+  runs.finish();
 }
 
-Json status_json(const CampaignResult& result) {
-  JsonObject o;
-  o["scenarios"] = Json(static_cast<int>(result.runs.size()));
-  o["executed"] = Json(result.executed);
-  o["cached"] = Json(result.cached);
-  o["failed"] = Json(result.failed);
-  o["planned"] = Json(result.planned);
-  o["seconds"] = Json(result.seconds);
+void write_status_json(std::ostream& os, const CampaignResult& result) {
+  JsonObject head;
+  head["scenarios"] = Json(static_cast<int>(result.runs.size()));
+  head["executed"] = Json(result.executed);
+  head["cached"] = Json(result.cached);
+  head["failed"] = Json(result.failed);
+  head["planned"] = Json(result.planned);
+  head["seconds"] = Json(result.seconds);
 
-  JsonArray runs;
+  JsonArrayStream runs(os, head, "runs");
   for (const auto& run : result.runs) {
     JsonObject r;
     r["fingerprint"] = Json(fingerprint_of(run));
@@ -152,10 +153,20 @@ Json status_json(const CampaignResult& result) {
     // belong here, never in runs.csv/summary.json — those stay
     // byte-identical across faulty and fault-free runs.
     if (run.attempts > 0) r["attempts"] = Json(run.attempts);
-    runs.push_back(Json(std::move(r)));
+    runs.push(Json(std::move(r)));
   }
-  o["runs"] = Json(std::move(runs));
-  return Json(std::move(o));
+  runs.finish();
+}
+
+void write_file(const std::string& path,
+                const std::function<void(std::ostream&)>& write) {
+  std::ofstream os(path, std::ios::binary);
+  if (!os.good()) raise("cannot write " + path);
+  write(os);
+  os.flush();
+  if (!os.good()) raise("short write to " + path);
+  os.close();
+  if (os.fail()) raise("short write to " + path + " (at close)");
 }
 
 std::vector<std::string> write_artifacts(const CampaignResult& result,
@@ -167,19 +178,15 @@ std::vector<std::string> write_artifacts(const CampaignResult& result,
     raise("cannot create campaign output dir " + output_dir + ": " +
           ec.message());
 
-  const auto write = [&](const std::string& name, const std::string& text) {
+  using Writer = void (*)(std::ostream&, const CampaignResult&);
+  const auto write = [&](const char* name, Writer writer) {
     const std::string path = (fs::path(output_dir) / name).string();
-    std::ofstream os(path);
-    if (!os.good()) raise("cannot write " + path);
-    os << text;
-    os.flush();
-    if (!os.good()) raise("short write to " + path);
+    write_file(path, [&](std::ostream& os) { writer(os, result); });
     return path;
   };
-
-  return {write("runs.csv", runs_table(result).to_csv()),
-          write("summary.json", summary_json(result).dump()),
-          write("status.json", status_json(result).dump())};
+  return {write("runs.csv", write_runs_csv),
+          write("summary.json", write_summary_json),
+          write("status.json", write_status_json)};
 }
 
 }  // namespace hmpt::campaign

@@ -10,6 +10,7 @@
 #include <mutex>
 #include <set>
 #include <sstream>
+#include <string_view>
 
 #include "campaign/platforms.h"
 #include "common/error.h"
@@ -20,13 +21,25 @@ namespace hmpt::campaign {
 
 namespace {
 
-std::uint64_t fnv1a(const std::string& text) {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
+constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
+
+/// FNV-1a 64-bit over `text`, continuing from `hash` (the offset basis
+/// starts a fresh hash), so a long text can be hashed piece by piece.
+std::uint64_t fnv1a(std::string_view text,
+                    std::uint64_t hash = kFnvOffsetBasis) {
   for (const char c : text) {
     hash ^= static_cast<unsigned char>(c);
     hash *= 0x100000001b3ull;
   }
   return hash;
+}
+
+/// A 64-bit hash as the 16 hex digits every fingerprint is spelled in.
+std::string hex_digest(std::uint64_t hash) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(hash));
+  return buf;
 }
 
 /// A "recorded" workload is really the *contents* of its profile file, so
@@ -66,12 +79,10 @@ std::string profile_digest(const WorkloadParams& params) {
   if (!is.good()) return "unreadable";
   std::stringstream buffer;
   buffer << is.rdbuf();
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(fnv1a(buffer.str())));
+  const std::string digest = hex_digest(fnv1a(buffer.str()));
   std::lock_guard<std::mutex> lock(mutex);
-  cache[path] = {mtime, size, buf};
-  return buf;
+  cache[path] = {mtime, size, digest};
+  return digest;
 }
 
 /// Render a double compactly but losslessly for canonical()/labels.
@@ -182,10 +193,7 @@ std::string Scenario::canonical() const {
 std::string Scenario::fingerprint() const {
   // FNV-1a 64-bit over the canonical text: stable across platforms and
   // builds (no std::hash, whose value is implementation-defined).
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(fnv1a(canonical())));
-  return buf;
+  return hex_digest(fnv1a(canonical()));
 }
 
 void Scenario::validate() const {
@@ -243,21 +251,19 @@ Scenario Scenario::from_json(const Json& json) {
 
 // ------------------------------------------------------ campaign / shards
 
-std::string campaign_fingerprint(const std::vector<Scenario>& scenarios) {
-  std::vector<std::string> fingerprints;
-  fingerprints.reserve(scenarios.size());
-  for (const auto& s : scenarios) fingerprints.push_back(s.fingerprint());
-  return campaign_fingerprint(fingerprints);
+CampaignHasher::CampaignHasher()
+    : hash_(fnv1a("campaign-v" + std::to_string(kFingerprintVersion))) {}
+
+void CampaignHasher::add(std::string_view scenario_fingerprint) {
+  hash_ = fnv1a(scenario_fingerprint, fnv1a("|", hash_));
 }
 
-std::string campaign_fingerprint(
-    const std::vector<std::string>& fingerprints) {
-  std::string text = "campaign-v" + std::to_string(kFingerprintVersion);
-  for (const auto& fp : fingerprints) text += "|" + fp;
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(fnv1a(text)));
-  return buf;
+std::string CampaignHasher::digest() const { return hex_digest(hash_); }
+
+std::string campaign_fingerprint(const std::vector<Scenario>& scenarios) {
+  CampaignHasher hasher;
+  for (const auto& s : scenarios) hasher.add(s.fingerprint());
+  return hasher.digest();
 }
 
 std::string ShardSpec::to_string() const {

@@ -16,8 +16,10 @@
 // budgets, expanded to a validated, deduplicated scenario list.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -69,11 +71,21 @@ inline constexpr int kFingerprintVersion = 7;
 /// one set of artefacts (`runs.csv`/`summary.json` are matrix-ordered, so
 /// order is part of the identity).
 std::string campaign_fingerprint(const std::vector<Scenario>& scenarios);
-/// Same hash over already-computed scenario fingerprints — for callers
-/// holding the content addresses captured at run time (aggregation,
-/// merge), which must not re-hash scenarios whose recorded-profile files
-/// may have changed since.
-std::string campaign_fingerprint(const std::vector<std::string>& fingerprints);
+
+/// The campaign fingerprint fed one scenario fingerprint at a time, in
+/// matrix order — for callers holding the content addresses captured at
+/// run time (aggregation, reports), which must not re-hash scenarios
+/// whose recorded-profile files may have changed since, and need not
+/// collect them first.
+class CampaignHasher {
+ public:
+  CampaignHasher();
+  void add(std::string_view scenario_fingerprint);
+  std::string digest() const;  ///< 16 hex digits
+
+ private:
+  std::uint64_t hash_;
+};
 
 /// Which slice of a campaign one process runs: shard `index` of `count`,
 /// 1-based ("2/3" = the second of three shards). The default 1/1 is the

@@ -162,8 +162,9 @@ std::string svg_text(double x, double y, const std::string& anchor,
 
 }  // namespace
 
-std::string render_xy_chart_svg(const std::vector<ChartSeries>& series,
-                                const ChartOptions& options) {
+void render_xy_chart_svg(std::ostream& os,
+                         const std::vector<ChartSeries>& series,
+                         const ChartOptions& options) {
   // The ASCII grid size scaled to pixels, with fixed margins for ticks,
   // title and labels.
   const double plot_w = std::max(16, options.width) * 8.0;
@@ -193,7 +194,6 @@ std::string render_xy_chart_svg(const std::vector<ChartSeries>& series,
     return top + plot_h - (y - yr.lo) / (yr.hi - yr.lo) * plot_h;
   };
 
-  std::ostringstream os;
   os << "<svg xmlns=\"http://www.w3.org/2000/svg\" viewBox=\"0 0 "
      << svg_num(width) << " " << svg_num(height) << "\" width=\""
      << svg_num(width) << "\" height=\"" << svg_num(height)
@@ -257,7 +257,6 @@ std::string render_xy_chart_svg(const std::vector<ChartSeries>& series,
     os << svg_text(left + plot_w - 112.0, ly, "start", s.name);
   }
   os << "</svg>\n";
-  return os.str();
 }
 
 std::string render_bar_chart(const std::vector<BarItem>& items,
@@ -292,8 +291,8 @@ std::string render_bar_chart(const std::vector<BarItem>& items,
   return os.str();
 }
 
-std::string render_bar_chart_svg(const std::vector<BarItem>& items,
-                                 const std::string& title, double baseline) {
+void render_bar_chart_svg(std::ostream& os, const std::vector<BarItem>& items,
+                          const std::string& title, double baseline) {
   double max_v = baseline;
   for (const auto& item : items) {
     max_v = std::max(max_v, item.value);
@@ -313,7 +312,6 @@ std::string render_bar_chart_svg(const std::vector<BarItem>& items,
     return std::clamp(t, 0.0, 1.0) * bar_area;
   };
 
-  std::ostringstream os;
   os << "<svg xmlns=\"http://www.w3.org/2000/svg\" viewBox=\"0 0 "
      << svg_num(width) << " " << svg_num(height) << "\" width=\""
      << svg_num(width) << "\" height=\"" << svg_num(height)
@@ -344,12 +342,11 @@ std::string render_bar_chart_svg(const std::vector<BarItem>& items,
     }
   }
   os << "</svg>\n";
-  return os.str();
 }
 
-std::string render_timeline_svg(const std::vector<TimelineItem>& items,
-                                const std::string& title,
-                                const std::string& unit) {
+void render_timeline_svg(std::ostream& os,
+                         const std::vector<TimelineItem>& items,
+                         const std::string& title, const std::string& unit) {
   // Lanes in first-appearance order; the axis runs from 0 to the latest
   // end so concurrent bars line up across lanes.
   std::vector<std::string> lanes;
@@ -377,7 +374,6 @@ std::string render_timeline_svg(const std::vector<TimelineItem>& items,
     return label_w + std::clamp(t / max_t, 0.0, 1.0) * bar_area;
   };
 
-  std::ostringstream os;
   os << "<svg xmlns=\"http://www.w3.org/2000/svg\" viewBox=\"0 0 "
      << svg_num(width) << " " << svg_num(height) << "\" width=\""
      << svg_num(width) << "\" height=\"" << svg_num(height)
@@ -418,7 +414,6 @@ std::string render_timeline_svg(const std::vector<TimelineItem>& items,
        << "</title></rect>\n";
   }
   os << "</svg>\n";
-  return os.str();
 }
 
 }  // namespace hmpt

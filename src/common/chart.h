@@ -7,6 +7,7 @@
 // view (Fig. 7a).
 #pragma once
 
+#include <iosfwd>
 #include <optional>
 #include <string>
 #include <vector>
@@ -51,22 +52,22 @@ std::string render_bar_chart(const std::vector<BarItem>& items,
 
 // Inline-SVG twins of the two renderers above, consuming the same series
 // types so every figure the benches print has an HTML-embeddable form
-// (campaign reports use these). The output is one self-contained <svg>
-// element — no external assets, stylesheets or scripts — and is
+// (campaign reports use these). Each writes one self-contained <svg>
+// element to `os` — no external assets, stylesheets or scripts — and is
 // deterministic for identical inputs, so report artefacts stay
 // byte-comparable across runs.
 
 /// Render scatter/line series as an <svg> element with axes, ticks,
 /// reference hlines and a legend. `options.width`/`height` are
 /// interpreted as the ASCII grid size and scaled to pixels.
-std::string render_xy_chart_svg(const std::vector<ChartSeries>& series,
-                                const ChartOptions& options);
+void render_xy_chart_svg(std::ostream& os,
+                         const std::vector<ChartSeries>& series,
+                         const ChartOptions& options);
 
 /// Render a labelled horizontal bar chart as an <svg> element; bars grow
 /// rightwards from `baseline` (secondary values draw as hollow bars).
-std::string render_bar_chart_svg(const std::vector<BarItem>& items,
-                                 const std::string& title,
-                                 double baseline = 0.0);
+void render_bar_chart_svg(std::ostream& os, const std::vector<BarItem>& items,
+                          const std::string& title, double baseline = 0.0);
 
 /// One span bar on a timeline: [start, end) on a shared time axis (any
 /// unit — the caller labels it), drawn in the row of its `lane`.
@@ -83,8 +84,9 @@ struct TimelineItem {
 /// axis from 0 to the latest end, axis ticks in the caller's time unit
 /// (`unit` is the tick suffix, e.g. "ms"). Deterministic for identical
 /// inputs, like the other SVG renderers.
-std::string render_timeline_svg(const std::vector<TimelineItem>& items,
-                                const std::string& title,
-                                const std::string& unit = "ms");
+void render_timeline_svg(std::ostream& os,
+                         const std::vector<TimelineItem>& items,
+                         const std::string& title,
+                         const std::string& unit = "ms");
 
 }  // namespace hmpt

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <ostream>
 #include <string_view>
 #include <system_error>
 #include <utility>
@@ -254,6 +255,51 @@ std::string Json::dump(int indent) const {
   write(out, indent, 0);
   if (indent >= 0) out += '\n';
   return out;
+}
+
+// ----------------------------------------------------------- array stream
+
+namespace {
+constexpr int kStreamIndent = 2;  ///< dump()'s default
+}  // namespace
+
+JsonArrayStream::JsonArrayStream(std::ostream& os, const JsonObject& head,
+                                 const std::string& array_key)
+    : os_(os) {
+  // The bytes Json::write gives for the object up to the array's '['.
+  text_ += '{';
+  for (const auto& [key, value] : head) {
+    write_newline(text_, kStreamIndent, 1);
+    write_escaped(text_, key);
+    text_ += ": ";
+    value.write(text_, kStreamIndent, 1);
+    text_ += ',';
+  }
+  write_newline(text_, kStreamIndent, 1);
+  write_escaped(text_, array_key);
+  text_ += ": ";
+  os_ << text_;
+}
+
+void JsonArrayStream::push(const Json& element) {
+  text_.clear();
+  text_ += empty_ ? '[' : ',';
+  empty_ = false;
+  write_newline(text_, kStreamIndent, 2);
+  element.write(text_, kStreamIndent, 2);
+  os_ << text_;
+}
+
+void JsonArrayStream::finish() {
+  text_.clear();
+  if (empty_) {
+    text_ += "[]";
+  } else {
+    write_newline(text_, kStreamIndent, 1);
+    text_ += ']';
+  }
+  text_ += "\n}\n";
+  os_ << text_;
 }
 
 // ------------------------------------------------------------------ parser

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <utility>
 #include <vector>
@@ -109,6 +110,8 @@ class Json {
   static Json parse(const std::string& text);
 
  private:
+  friend class JsonArrayStream;
+
   void write(std::string& out, int indent, int depth) const;
   /// Free the string or container this value owns.
   void release() noexcept;
@@ -127,5 +130,23 @@ class Json {
 };
 
 static_assert(sizeof(Json) == 16, "Json is a kind tag plus one word");
+
+/// Writes an object whose last key holds an array straight to a stream,
+/// one element at a time, in exactly the bytes dump() (indent 2, closing
+/// newline) gives for the whole object — so a document of any length is
+/// written without holding its array. `head` holds the keys before
+/// `array_key`; the array and object close in finish().
+class JsonArrayStream {
+ public:
+  JsonArrayStream(std::ostream& os, const JsonObject& head,
+                  const std::string& array_key);
+  void push(const Json& element);
+  void finish();
+
+ private:
+  std::ostream& os_;
+  std::string text_;  ///< the pending bytes, reused from write to write
+  bool empty_ = true;
+};
 
 }  // namespace hmpt

@@ -55,18 +55,16 @@ std::string Table::to_csv() const {
 }
 
 void Table::write_csv(std::ostream& os) const {
-  for (std::size_t c = 0; c < headers_.size(); ++c) {
+  write_csv_row(os, headers_);
+  for (const auto& row : rows_) write_csv_row(os, row);
+}
+
+void write_csv_row(std::ostream& os, const std::vector<std::string>& cells) {
+  for (std::size_t c = 0; c < cells.size(); ++c) {
     if (c) os << ',';
-    os << csv_escape(headers_[c]);
+    os << csv_escape(cells[c]);
   }
   os << '\n';
-  for (const auto& row : rows_) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) os << ',';
-      os << csv_escape(row[c]);
-    }
-    os << '\n';
-  }
 }
 
 std::string Table::to_text() const {

@@ -46,6 +46,10 @@ class Table {
   std::vector<std::vector<std::string>> rows_;
 };
 
+/// Write one CSV line, quoting cells as Table::to_csv() does — for
+/// writers that stream rows instead of holding a Table.
+void write_csv_row(std::ostream& os, const std::vector<std::string>& cells);
+
 /// Format a double with fixed precision (helper for table cells).
 std::string cell(double value, int precision = 4);
 

@@ -17,7 +17,9 @@
 namespace hmpt::report {
 
 namespace fs = std::filesystem;
+using campaign::budget_text;
 using campaign::CampaignResult;
+using campaign::fingerprint_of;
 using campaign::Scenario;
 using campaign::ScenarioRun;
 
@@ -38,37 +40,22 @@ std::string html_escape(const std::string& text) {
   return out;
 }
 
-/// The content address captured when the scenario ran (recomputed only
-/// for hand-built results), matching the aggregation layer.
-std::string fingerprint_of(const ScenarioRun& run) {
-  return run.fingerprint.empty() ? run.scenario.fingerprint()
-                                 : run.fingerprint;
-}
-
-std::string budget_text(const Scenario& s) {
-  std::string out = cell(s.budget_gb, 1);
-  for (const auto& [tier, gb] : s.tier_budgets_gb) {
-    out.append(";").append(std::to_string(tier));
-    out.append(":").append(cell(gb, 1));
-  }
-  return out;
-}
-
 /// Top-scenarios speedup bars (at most `limit` rows so a fleet-scale
 /// campaign keeps a readable chart; the table below holds everything).
-std::string speedup_bar_svg(const std::vector<const ScenarioRun*>& ranked,
-                            std::size_t limit) {
+void speedup_bar_svg(std::ostream& os,
+                     const std::vector<const ScenarioRun*>& ranked,
+                     std::size_t limit) {
   std::vector<BarItem> items;
   for (std::size_t i = 0; i < ranked.size() && i < limit; ++i)
     items.push_back(BarItem{ranked[i]->scenario.label(),
                             ranked[i]->outcome.speedup(), std::nullopt});
-  return render_bar_chart_svg(items, "Top scenarios by tuned speedup");
+  render_bar_chart_svg(os, items, "Top scenarios by tuned speedup");
 }
 
 /// Speedup vs chosen-config HBM usage, one series per strategy — the
 /// report twin of the paper's summary-view scatters.
-std::string summary_scatter_svg(
-    const std::vector<const ScenarioRun*>& ranked) {
+void summary_scatter_svg(std::ostream& os,
+                         const std::vector<const ScenarioRun*>& ranked) {
   std::map<std::string, ChartSeries> by_strategy;
   for (const ScenarioRun* run : ranked) {
     ChartSeries& series = by_strategy[run->scenario.strategy];
@@ -84,10 +71,10 @@ std::string summary_scatter_svg(
   options.y_label = "speedup";
   options.x_min = 0.0;
   options.hlines = {1.0};
-  return render_xy_chart_svg(series, options);
+  render_xy_chart_svg(os, series, options);
 }
 
-void append_kv_row(std::ostringstream& os, const std::string& key,
+void append_kv_row(std::ostream& os, const std::string& key,
                    const std::string& value) {
   os << "<tr><th>" << html_escape(key) << "</th><td>" << html_escape(value)
      << "</td></tr>\n";
@@ -105,7 +92,7 @@ std::string status_color(const std::string& status) {
 
 /// The per-job timeline section: one Gantt strip of scenario spans per
 /// recording lane, coloured by how each scenario ended.
-std::string timeline_section(const TraceTimeline& timeline) {
+void timeline_section(std::ostream& os, const TraceTimeline& timeline) {
   std::vector<TimelineItem> items;
   items.reserve(timeline.spans.size());
   for (const auto& span : timeline.spans) {
@@ -118,15 +105,13 @@ std::string timeline_section(const TraceTimeline& timeline) {
     item.color = status_color(span.status);
     items.push_back(std::move(item));
   }
-  std::ostringstream os;
   os << "<h2>Per-job timeline</h2>\n"
      << "<p class=\"meta\">Scenario execution windows from the run's "
         "trace, one row per worker lane; green executed, blue cached, "
         "red failed. Hover a bar for the scenario.</p>\n"
-     << "<div class=\"charts\">\n"
-     << render_timeline_svg(items, "Scenario spans by worker lane", "ms")
-     << "</div>\n";
-  return os.str();
+     << "<div class=\"charts\">\n";
+  render_timeline_svg(os, items, "Scenario spans by worker lane", "ms");
+  os << "</div>\n";
 }
 
 // Styling and behaviour are embedded so the document is one file. The
@@ -272,17 +257,13 @@ CampaignResult load_store_result(const std::string& store_dir) {
   return result;
 }
 
-std::string render_report_html(const CampaignResult& result,
-                               const std::string& title,
-                               const TraceTimeline* timeline) {
+void write_report_html(std::ostream& os, const CampaignResult& result,
+                       const std::string& title,
+                       const TraceTimeline* timeline) {
   const std::vector<const ScenarioRun*> ranked = campaign::ranked_runs(result);
-  std::vector<std::string> fingerprints;
-  for (const auto& run : result.runs)
-    fingerprints.push_back(fingerprint_of(run));
-  const std::string campaign_fp = campaign::campaign_fingerprint(fingerprints);
+  const std::string campaign_fp = campaign::campaign_fingerprint(result);
   const std::string heading = title.empty() ? "hmpt campaign report" : title;
 
-  std::ostringstream os;
   os << "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n"
      << "<meta charset=\"utf-8\">\n"
      << "<meta name=\"viewport\" content=\"width=device-width, "
@@ -305,16 +286,18 @@ std::string render_report_html(const CampaignResult& result,
 
   // -------------------------------------------------------------- charts
   if (!ranked.empty()) {
-    os << "<div class=\"charts\">\n"
-       << speedup_bar_svg(ranked, 12) << "\n"
-       << summary_scatter_svg(ranked) << "</div>\n";
+    os << "<div class=\"charts\">\n";
+    speedup_bar_svg(os, ranked, 12);
+    os << "\n";
+    summary_scatter_svg(os, ranked);
+    os << "</div>\n";
   }
 
   // ------------------------------------------------------------ timeline
   // Only when the caller ran with --trace and the trace recorded spans;
   // reports without a trace render the exact pre-timeline document.
   if (timeline != nullptr && !timeline->spans.empty())
-    os << timeline_section(*timeline);
+    timeline_section(os, *timeline);
 
   // -------------------------------------------------- ranked (sortable)
   os << "<h2>Ranked scenarios</h2>\n"
@@ -390,7 +373,6 @@ std::string render_report_html(const CampaignResult& result,
   }
 
   os << "<script>" << kScript << "</script>\n</body>\n</html>\n";
-  return os.str();
 }
 
 std::string write_report(const CampaignResult& result,
@@ -403,12 +385,9 @@ std::string write_report(const CampaignResult& result,
   if (ec)
     raise("cannot create report dir " + dir.string() + ": " + ec.message());
   const std::string path = (dir / "index.html").string();
-  const std::string html = render_report_html(result, title, timeline);
-  std::ofstream os(path, std::ios::binary);
-  if (!os.good()) raise("cannot write " + path);
-  os << html;
-  os.flush();
-  if (!os.good()) raise("short write to " + path);
+  campaign::write_file(path, [&](std::ostream& os) {
+    write_report_html(os, result, title, timeline);
+  });
   return path;
 }
 

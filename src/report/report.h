@@ -22,6 +22,7 @@
 // cold, resumed, or was merged from shards.
 #pragma once
 
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -61,16 +62,19 @@ TraceTimeline load_trace_timeline(const std::string& trace_path);
 /// outcome store.
 campaign::CampaignResult load_store_result(const std::string& store_dir);
 
-/// Render the full report document. `title` is the page heading; empty
-/// picks a default. A non-null `timeline` adds a per-job timeline
-/// section (span bars per worker lane); null renders the exact document
-/// earlier revisions produced, so untraced reports stay byte-stable.
-std::string render_report_html(const campaign::CampaignResult& result,
-                               const std::string& title = "",
-                               const TraceTimeline* timeline = nullptr);
+/// Write the full report document to `os`, streaming one run at a time.
+/// `title` is the page heading; empty picks a default. A non-null
+/// `timeline` adds a per-job timeline section (span bars per worker
+/// lane); null renders the exact document earlier revisions produced, so
+/// untraced reports stay byte-stable.
+void write_report_html(std::ostream& os,
+                       const campaign::CampaignResult& result,
+                       const std::string& title = "",
+                       const TraceTimeline* timeline = nullptr);
 
 /// Write `<output_dir>/report/index.html` (directories created as
-/// needed); returns the path written.
+/// needed); returns the path written. Throws hmpt::Error naming the path
+/// when any byte fails to reach the file.
 std::string write_report(const campaign::CampaignResult& result,
                          const std::string& output_dir,
                          const std::string& title = "",

@@ -51,6 +51,21 @@ std::string json_of(const tuner::TuningOutcome& outcome) {
   return tuner::outcome_to_json(outcome).dump(-1);
 }
 
+/// The bytes an artefact writer streams for `result`.
+std::string text_of(void (*writer)(std::ostream&, const CampaignResult&),
+                    const CampaignResult& result) {
+  std::ostringstream os;
+  writer(os, result);
+  return os.str();
+}
+
+/// The report document for `result`, as write_report() writes it.
+std::string html_of(const CampaignResult& result) {
+  std::ostringstream os;
+  report::write_report_html(os, result);
+  return os.str();
+}
+
 /// A fresh store directory per test, removed on scope exit.
 class StoreDir {
  public:
@@ -2293,7 +2308,7 @@ TEST_F(CampaignRunnerTest, ResumeSkipsEverythingAndReproducesArtifacts) {
   const auto warm = CampaignRunner(options).run(scenario_list);
   EXPECT_EQ(warm.executed, 0);
   EXPECT_EQ(warm.cached, static_cast<int>(scenario_list.size()));
-  EXPECT_EQ(runs_table(warm).to_csv(), cold_csv.str());
+  EXPECT_EQ(text_of(write_runs_csv, warm), cold_csv.str());
   for (std::size_t i = 0; i < scenario_list.size(); ++i)
     EXPECT_EQ(json_of(warm.runs[i].outcome), json_of(cold.runs[i].outcome));
 }
@@ -2312,12 +2327,13 @@ TEST_F(CampaignRunnerTest, ConcurrencyDoesNotChangeResults) {
 
   const auto a = CampaignRunner(serial).run(scenario_list);
   const auto b = CampaignRunner(parallel).run(scenario_list);
-  EXPECT_EQ(runs_table(a).to_csv(), runs_table(b).to_csv());
+  EXPECT_EQ(text_of(write_runs_csv, a), text_of(write_runs_csv, b));
   // The deterministic summary is byte-identical across concurrency; the
   // volatile execution log agrees on counts (but not wall times).
-  EXPECT_EQ(summary_json(a).dump(), summary_json(b).dump());
-  EXPECT_EQ(status_json(a).at("executed").as_number(),
-            status_json(b).at("executed").as_number());
+  EXPECT_EQ(text_of(write_summary_json, a), text_of(write_summary_json, b));
+  EXPECT_EQ(
+      Json::parse(text_of(write_status_json, a)).at("executed").as_number(),
+      Json::parse(text_of(write_status_json, b)).at("executed").as_number());
 }
 
 TEST_F(CampaignRunnerTest, ErrorPolicyKeepGoingVsFailFast) {
@@ -2347,7 +2363,7 @@ TEST_F(CampaignRunnerTest, ErrorPolicyKeepGoingVsFailFast) {
   EXPECT_FALSE(result.runs[0].error.empty());
   EXPECT_EQ(result.runs[1].status, ScenarioRun::Status::Executed);
   // The failure is recorded in summary.json for post-mortems.
-  const auto summary = summary_json(result);
+  const auto summary = Json::parse(text_of(write_summary_json, result));
   EXPECT_EQ(summary.at("failed").as_number(), 1.0);
 
   options.keep_going = false;
@@ -2492,8 +2508,8 @@ TEST_F(CampaignRunnerTest, PackedStoreReproducesDirArtifactsAndResumes) {
   // byte-identical — the format is an implementation detail of the store.
   const auto a = CampaignRunner(plain).run(scenario_list);
   const auto b = CampaignRunner(packed).run(scenario_list);
-  EXPECT_EQ(runs_table(a).to_csv(), runs_table(b).to_csv());
-  EXPECT_EQ(summary_json(a).dump(), summary_json(b).dump());
+  EXPECT_EQ(text_of(write_runs_csv, a), text_of(write_runs_csv, b));
+  EXPECT_EQ(text_of(write_summary_json, a), text_of(write_summary_json, b));
   EXPECT_TRUE(fs::exists(fs::path(dir_packed.path()) / "outcomes.log"));
   EXPECT_FALSE(fs::exists(fs::path(dir_packed.path()) / "outcomes"));
 
@@ -2503,7 +2519,7 @@ TEST_F(CampaignRunnerTest, PackedStoreReproducesDirArtifactsAndResumes) {
   const auto warm = CampaignRunner(packed).run(scenario_list);
   EXPECT_EQ(warm.executed, 0);
   EXPECT_EQ(warm.cached, static_cast<int>(scenario_list.size()));
-  EXPECT_EQ(runs_table(warm).to_csv(), runs_table(a).to_csv());
+  EXPECT_EQ(text_of(write_runs_csv, warm), text_of(write_runs_csv, a));
 }
 
 // ------------------------------------------------------------------ report
@@ -2518,7 +2534,7 @@ TEST_F(CampaignRunnerTest, HtmlReportIsSelfContainedAndStoreDerivable) {
   const auto result = CampaignRunner(options).run(scenario_list);
   ASSERT_TRUE(result.ok());
 
-  const auto html = report::render_report_html(result);
+  const auto html = html_of(result);
   // One self-contained document: inline SVG charts and inline script,
   // nothing fetched from anywhere.
   EXPECT_NE(html.find("<svg"), std::string::npos);
@@ -2528,10 +2544,7 @@ TEST_F(CampaignRunnerTest, HtmlReportIsSelfContainedAndStoreDerivable) {
   EXPECT_EQ(html.find("@import"), std::string::npos);
 
   // The campaign fingerprint headline and one drill-down per run.
-  std::vector<std::string> fingerprints;
-  for (const auto& run : result.runs)
-    fingerprints.push_back(run.scenario.fingerprint());
-  EXPECT_NE(html.find(campaign_fingerprint(fingerprints)),
+  EXPECT_NE(html.find(campaign_fingerprint(scenario_list)),
             std::string::npos);
   for (const auto& run : result.runs)
     EXPECT_NE(html.find("id=\"fp-" + run.scenario.fingerprint() + "\""),
@@ -2539,7 +2552,7 @@ TEST_F(CampaignRunnerTest, HtmlReportIsSelfContainedAndStoreDerivable) {
 
   // Rendering is deterministic, and write_report publishes exactly those
   // bytes at <out>/report/index.html.
-  EXPECT_EQ(report::render_report_html(result), html);
+  EXPECT_EQ(html_of(result), html);
   const auto path = report::write_report(result, dir.path());
   EXPECT_EQ(path,
             (fs::path(dir.path()) / "report" / "index.html").string());
@@ -2564,6 +2577,195 @@ TEST_F(CampaignRunnerTest, HtmlReportIsSelfContainedAndStoreDerivable) {
   // No store, no report.
   StoreDir empty("hmpt_report_empty");
   EXPECT_THROW(report::load_store_result(empty.path()), Error);
+}
+
+// -------------------------------------------------------- artefact bytes
+
+/// A hand-built headline over two groups of 1 and 3 GB.
+tuner::TuningOutcome headline(int num_tiers, tuner::ConfigMask mask,
+                              double baseline_time, double chosen_time,
+                              int configs_measured) {
+  tuner::TuningOutcome o;
+  o.num_groups = 2;
+  o.num_tiers = num_tiers;
+  o.chosen_mask = mask;
+  o.baseline_time = baseline_time;
+  o.chosen_time = chosen_time;
+  o.configs_measured = configs_measured;
+  o.measurements = 3 * configs_measured;
+  o.weights.footprint_bytes = {1e9, 3e9};
+  o.weights.footprint_total = 4e9;
+  return o;
+}
+
+ScenarioRun edge_run(const std::string& workload, const std::string& platform,
+                     const std::string& strategy, ScenarioRun::Status status) {
+  ScenarioRun run;
+  run.scenario.workload = parse_workload_spec(workload);
+  run.scenario.platform = platform;
+  run.scenario.strategy = strategy;
+  run.scenario.repetitions = 2;
+  run.status = status;
+  return run;
+}
+
+/// Every row kind the artefacts know, in one result: executed, cached
+/// (one with per-tier budgets and a hand-built empty fingerprint), a
+/// speedup tie, failures whose error text needs CSV, JSON and HTML
+/// escaping, and a planned entry.
+CampaignResult mixed_edge_result() {
+  using Status = ScenarioRun::Status;
+  CampaignResult result;
+  ScenarioRun mg = edge_run("mg", "xeon-max", "estimator", Status::Executed);
+  mg.scenario.budget_gb = 16.0;
+  mg.outcome = headline(2, 1, 2.0, 1.6, 3);
+  mg.fingerprint = mg.scenario.fingerprint();
+  mg.seconds = 0.25;
+  mg.attempts = 1;
+  result.runs.push_back(mg);
+
+  ScenarioRun bt = edge_run("bt", "spr-cxl", "exhaustive", Status::Cached);
+  bt.scenario.tiers = 3;
+  bt.scenario.tier_budgets_gb = {{1, 8.0}, {2, 64.5}};
+  bt.outcome = headline(3, 7, 3.0, 1.5, 9);
+  result.runs.push_back(bt);
+
+  ScenarioRun failed =
+      edge_run("kwave", "xeon-max", "online", Status::Failed);
+  failed.fingerprint = failed.scenario.fingerprint();
+  failed.error = "after 2 attempts: attempt 1: a, \"quoted\" <b> & c\n"
+                 "line two\x01 end";
+  failed.attempts = 2;
+  result.runs.push_back(failed);
+
+  ScenarioRun stream = edge_run("stream:array_gb=4,iterations=5", "xeon-max",
+                                "exhaustive", Status::Executed);
+  stream.outcome = headline(2, 2, 1.0, 0.8, 4);  // ties mg's 1.25x
+  stream.fingerprint = stream.scenario.fingerprint();
+  stream.seconds = 0.5;
+  stream.attempts = 1;
+  result.runs.push_back(stream);
+
+  ScenarioRun planned = edge_run("sp", "knl", "estimator", Status::Planned);
+  planned.fingerprint = planned.scenario.fingerprint();
+  result.runs.push_back(planned);
+
+  ScenarioRun timeout = edge_run("ua", "spr-cxl", "online", Status::Failed);
+  timeout.error = "timeout: scenario exceeded 60s";
+  result.runs.push_back(timeout);
+
+  result.executed = 2;
+  result.cached = 1;
+  result.failed = 2;
+  result.planned = 1;
+  result.seconds = 1.5;
+  return result;
+}
+
+/// A --dry-run result: every scenario planned, one with tier budgets.
+CampaignResult dry_run_edge_result() {
+  CampaignResult result;
+  for (const char* workload : {"mg", "bt"}) {
+    ScenarioRun run = edge_run(workload, "spr-cxl", "estimator",
+                               ScenarioRun::Status::Planned);
+    run.fingerprint = run.scenario.fingerprint();
+    result.runs.push_back(run);
+  }
+  result.runs[1].scenario.tier_budgets_gb = {{2, 32.0}};
+  result.runs[1].fingerprint = result.runs[1].scenario.fingerprint();
+  result.planned = 2;
+  result.seconds = 0.125;
+  return result;
+}
+
+/// Three scenario spans on two lanes, one unlabelled and one without a
+/// status.
+report::TraceTimeline edge_timeline() {
+  report::TraceTimeline timeline;
+  report::TimelineSpan a;
+  a.label = "mg/xeon-max/estimator";
+  a.fingerprint = "0123456789abcdef";
+  a.status = "executed";
+  a.lane = "hmpt-worker-1";
+  a.start_ms = 0.5;
+  a.end_ms = 12.25;
+  timeline.spans.push_back(a);
+  report::TimelineSpan b = a;
+  b.label.clear();
+  b.status = "failed";
+  b.lane = "hmpt-worker-2";
+  b.start_ms = 1.0;
+  b.end_ms = 30.0;
+  timeline.spans.push_back(b);
+  report::TimelineSpan c = a;
+  c.status.clear();
+  c.start_ms = 13.0;
+  c.end_ms = 14.5;
+  timeline.spans.push_back(c);
+  return timeline;
+}
+
+TEST(ArtefactBytesTest, EdgeCasesMatchTheirGoldens) {
+  // Each artefact's bytes for the edge cases a campaign can reach, against
+  // tests/data/artefacts/<case>.<artefact> (HMPT_UPDATE_GOLDEN=1 rewrites
+  // them; regenerate only for an intended format change). The hand-built
+  // results hold fixed wall times, so status.json is pinned too.
+  StoreDir dir("hmpt_artefact_goldens");
+  const report::TraceTimeline timeline = edge_timeline();
+  const auto check = [&](const std::string& tag, const CampaignResult& result,
+                         const report::TraceTimeline* trace) {
+    const std::string out = dir.path() + "/" + tag;
+    write_artifacts(result, out);
+    report::write_report(result, out, "", trace);
+    for (const std::string name :
+         {"runs.csv", "summary.json", "status.json", "report/index.html"}) {
+      std::ifstream is(out + "/" + name, std::ios::binary);
+      std::ostringstream written;
+      written << is.rdbuf();
+      const std::string golden_path =
+          std::string(HMPT_TEST_DATA_DIR) + "/artefacts/" + tag + "." +
+          fs::path(name).filename().string();
+      if (std::getenv("HMPT_UPDATE_GOLDEN") != nullptr) {
+        fs::create_directories(fs::path(golden_path).parent_path());
+        std::ofstream os(golden_path, std::ios::binary);
+        os << written.str();
+      }
+      std::ifstream gs(golden_path, std::ios::binary);
+      ASSERT_TRUE(gs.good()) << "missing golden " << golden_path;
+      std::ostringstream golden;
+      golden << gs.rdbuf();
+      EXPECT_EQ(written.str(), golden.str())
+          << tag << " " << name << " diverged from " << golden_path;
+    }
+  };
+  check("empty", CampaignResult{}, nullptr);
+  check("dry_run", dry_run_edge_result(), nullptr);
+  check("mixed", mixed_edge_result(), &timeline);
+}
+
+TEST(ArtefactBytesTest, AWriteThatFailsPartwayRaisesNamingThePath) {
+  // A streamed artefact can fail after its first bytes reached the file;
+  // each writer must raise rather than leave a truncated file looking
+  // finished. /dev/full accepts the open and refuses every byte.
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  StoreDir dir("hmpt_artefact_full_disk");
+  const CampaignResult result = mixed_edge_result();
+  int index = 0;
+  for (const std::string name :
+       {"runs.csv", "summary.json", "status.json", "report/index.html"}) {
+    const fs::path out = fs::path(dir.path()) / std::to_string(++index);
+    fs::create_directories(out / "report");
+    const fs::path full = out / name;
+    fs::create_symlink("/dev/full", full);
+    try {
+      write_artifacts(result, out.string());
+      report::write_report(result, out.string());
+      ADD_FAILURE() << "writing " << name << " to a full disk succeeded";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(full.string()), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

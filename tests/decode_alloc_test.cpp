@@ -2,7 +2,9 @@
 // record with tuner::Rows::Skip must allocate a bounded amount whatever
 // its row count; a decode that keeps the rows allocates them. Merging
 // shard stores and rebuilding a report from a store must hold one record
-// at a time, so their heap peak must not grow with the number of records.
+// at a time, so their heap peak must not grow with the number of records;
+// the artefact writers stream one run at a time, so theirs grows by a few
+// pointers per run at most.
 // A replaced global operator new counts the bytes every allocation asks
 // for and the bytes live at once, so the bounds are exact and repeatable,
 // unlike resident memory or time.
@@ -16,6 +18,7 @@
 #include <map>
 #include <new>
 
+#include "campaign/aggregate.h"
 #include "campaign/campaign.h"
 #include "campaign/merge.h"
 #include "common/json.h"
@@ -186,6 +189,71 @@ TEST(DecodeAllocTest, MergeAndReportHoldOneRecordAtATime) {
         << tag << ": report heap peak over 8 records " << report_peak[0]
         << " B, over 32 records " << report_peak[1] << " B";
   }
+  fs::remove_all(root);
+#endif
+}
+
+TEST(DecodeAllocTest, ArtefactWritersHoldOneRunAtATime) {
+#ifdef HMPT_SANITIZED
+  GTEST_SKIP() << "a sanitizer owns the allocator";
+#else
+  namespace fs = std::filesystem;
+  const fs::path root = fs::temp_directory_path() / "hmpt_artefact_heap";
+  fs::remove_all(root);
+
+  // Headline-only results of `n` executed runs, as a campaign holds them.
+  const auto result_of = [](int n) {
+    static const char* const kStrategies[] = {"exhaustive", "estimator",
+                                              "online"};
+    CampaignResult result;
+    for (int i = 0; i < n; ++i) {
+      ScenarioRun run;
+      run.scenario.workload =
+          parse_workload_spec("stream:array_gb=" + std::to_string(i + 1));
+      run.scenario.platform = "xeon-max";
+      run.scenario.strategy = kStrategies[i % 3];
+      run.fingerprint = run.scenario.fingerprint();
+      run.status = ScenarioRun::Status::Executed;
+      run.seconds = 0.01 * i;
+      run.attempts = 1;
+      auto& o = run.outcome;
+      o.num_groups = 2;
+      o.chosen_mask = static_cast<tuner::ConfigMask>(i % 4);
+      o.baseline_time = 1.0;
+      o.chosen_time = 1.0 / (1.0 + 0.001 * i);
+      o.configs_measured = 4;
+      o.measurements = 12;
+      o.weights.footprint_bytes = {1e9, 3e9};
+      o.weights.footprint_total = 4e9;
+      result.runs.push_back(std::move(run));
+    }
+    result.executed = n;
+    return result;
+  };
+  const auto writers_peak = [&](const CampaignResult& result) {
+    const std::string out =
+        (root / std::to_string(result.runs.size())).string();
+    return heap_peak_of([&] {
+      write_artifacts(result, out);
+      report::write_report(result, out);
+    });
+  };
+
+  constexpr int kRuns = 256;
+  const CampaignResult small = result_of(kRuns);
+  const CampaignResult large = result_of(4 * kRuns);
+  writers_peak(small);  // first-use statics
+  const std::size_t small_peak = writers_peak(small);
+  const std::size_t large_peak = writers_peak(large);
+  // The ranking and the scatter chart keep a pointer and two doubles per
+  // run; a writer holding a document, a cell table or per-run JSON trees
+  // needs several KB per run.
+  const double per_run =
+      (static_cast<double>(large_peak) - static_cast<double>(small_peak)) /
+      (3.0 * kRuns);
+  EXPECT_LE(per_run, 512.0)
+      << "artefact writers' heap peak: " << small_peak << " B over "
+      << kRuns << " runs, " << large_peak << " B over " << 4 * kRuns;
   fs::remove_all(root);
 #endif
 }

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <type_traits>
 
@@ -330,6 +331,33 @@ TEST(JsonTest, WideObjectsParseFastAndRejectDuplicateKeys) {
 TEST(JsonTest, NonFiniteNumbersRefuseToSerialise) {
   EXPECT_THROW(Json(std::nan("")).dump(), Error);
   EXPECT_THROW(Json(INFINITY).dump(), Error);
+}
+
+TEST(JsonTest, ArrayStreamWritesTheBytesDumpGives) {
+  // An object whose last key is an array, streamed element by element,
+  // equals the whole tree's dump() byte for byte: with and without keys
+  // before the array, and with no elements, one, or several nested ones.
+  JsonObject nested;
+  nested["name"] = Json("a \"b\"\n");
+  nested["list"] = Json(JsonArray{Json(1), Json(JsonArray{}), Json()});
+  nested["empty"] = Json(JsonObject{});
+  const std::vector<std::vector<Json>> arrays = {
+      {}, {Json(2.5)}, {Json(nested), Json("x"), Json(nested)}};
+  JsonObject head;
+  head["campaign"] = Json("0123");
+  head["nested"] = Json(nested);
+  for (const JsonObject& keys : {JsonObject{}, head}) {
+    for (const auto& elements : arrays) {
+      JsonObject whole = keys;
+      whole["runs"] = Json(JsonArray(elements));
+      std::ostringstream os;
+      JsonArrayStream stream(os, keys, "runs");
+      for (const Json& element : elements) stream.push(element);
+      stream.finish();
+      EXPECT_EQ(os.str(), Json(whole).dump())
+          << keys.size() << " keys, " << elements.size() << " elements";
+    }
+  }
 }
 
 }  // namespace

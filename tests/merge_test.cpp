@@ -194,6 +194,14 @@ TEST(CampaignFingerprintTest, HashesTheOrderedScenarioList) {
   const std::string fp = campaign_fingerprint(scenarios);
   EXPECT_EQ(fp.size(), 16u);
   EXPECT_EQ(fp, campaign_fingerprint(scenarios));  // deterministic
+  // The digest is part of every summary.json and shard manifest: pinned,
+  // so hashing it piece by piece cannot drift from the whole-text hash
+  // `campaign-v7|<fp>|<fp>` the format defines.
+  EXPECT_EQ(fp, "ab37d8efca871ffb");
+  EXPECT_EQ(campaign_fingerprint(std::vector<Scenario>{}), "c1f4232155673429");
+  CampaignHasher hasher;
+  for (const auto& s : scenarios) hasher.add(s.fingerprint());
+  EXPECT_EQ(hasher.digest(), fp);
 
   // Order is part of the identity (artefacts are matrix-ordered)...
   auto reversed = scenarios;
