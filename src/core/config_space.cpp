@@ -1,5 +1,7 @@
 #include "core/config_space.h"
 
+#include <algorithm>
+
 #include "common/error.h"
 #include "core/experiment.h"
 
@@ -80,13 +82,16 @@ std::vector<ConfigMask> ConfigSpace::masks_of_rank(int k) const {
 
 sim::Placement config_placement(ConfigMask mask, int num_groups,
                                 int num_tiers) {
-  std::vector<topo::PoolKind> pools(static_cast<std::size_t>(num_groups));
+  auto placement = sim::Placement::uniform(num_groups, topo::PoolKind::DDR);
+  refill_placement(placement, mask, num_tiers);
+  return placement;
+}
+
+void refill_placement(sim::Placement& placement, ConfigMask mask,
+                      int num_tiers) {
   const auto k = static_cast<ConfigMask>(num_tiers);
-  for (auto& pool : pools) {
-    pool = static_cast<topo::PoolKind>(mask % k);
-    mask /= k;
-  }
-  return sim::Placement(std::move(pools));
+  for (int g = 0; g < placement.size(); ++g, mask /= k)
+    placement.set(g, static_cast<topo::PoolKind>(mask % k));
 }
 
 sim::Placement ConfigSpace::placement(ConfigMask mask) const {
@@ -115,24 +120,31 @@ topo::PoolKind ConfigSpace::tier_of(ConfigMask mask, int group) const {
   return static_cast<topo::PoolKind>(mask % k);
 }
 
-double tier_sum(const std::vector<double>& weights, ConfigMask mask,
-                int num_tiers, topo::PoolKind tier) {
+TierSums tier_sums(const std::vector<double>& weights, ConfigMask mask,
+                   int num_tiers) {
+  // Every digit then indexes a tier of TierSums.
+  HMPT_REQUIRE(num_tiers >= 2 && num_tiers <= topo::kNumPoolKinds,
+               "tier sums need 2 <= num_tiers <= kNumPoolKinds");
   const auto k = static_cast<ConfigMask>(num_tiers);
-  double sum = 0.0;
+  TierSums sums{};
   for (const double weight : weights) {
-    if (static_cast<topo::PoolKind>(mask % k) == tier) sum += weight;
+    sums[mask % k] += weight;
     mask /= k;
   }
-  return sum;
+  return sums;
 }
 
-double ConfigSpace::tier_bytes(ConfigMask mask, topo::PoolKind tier) const {
-  HMPT_REQUIRE(mask < size(), "mask out of range");
-  return tier_sum(bytes_, mask, num_tiers_, tier);
+double tier_sum(const std::vector<double>& weights, ConfigMask mask,
+                int num_tiers, topo::PoolKind tier) {
+  return tier_sums(weights, mask, num_tiers)[static_cast<std::size_t>(tier)];
 }
 
-double ConfigSpace::hbm_bytes(ConfigMask mask) const {
-  return tier_bytes(mask, topo::PoolKind::HBM);
+bool fits_caps(const TierSums& bytes, const std::vector<double>& caps,
+               int num_tiers) {
+  const auto tiers = std::min(caps.size(), static_cast<std::size_t>(num_tiers));
+  for (std::size_t t = 1; t < tiers; ++t)
+    if (bytes[t] > caps[t]) return false;
+  return true;
 }
 
 }  // namespace hmpt::tuner

@@ -12,9 +12,10 @@
 // two-tier enumeration orders, noise-stream keys and reports are unchanged
 // by the k-tier generalisation. This module enumerates configuration ids
 // (in k-ary reflected Gray order), converts them to Placements,
-// and computes per-configuration footprint statistics per tier.
+// and sums per-group weights per tier.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -51,12 +52,31 @@ constexpr ConfigMask config_uniform_id(int num_groups, int tier,
 /// The placement `mask` encodes: group g in the tier of its digit g.
 sim::Placement config_placement(ConfigMask mask, int num_groups,
                                 int num_tiers);
+/// Overwrite every group of `placement` with the tier `mask` encodes for
+/// it, reusing its storage.
+void refill_placement(sim::Placement& placement, ConfigMask mask,
+                      int num_tiers);
 
-/// Sum of the per-group `weights` (in group order, from 0.0) of the
-/// groups `mask` places in `tier` — the one sum behind a configuration's
-/// tier bytes and its HBM usage and density fractions.
+/// Per-tier sums of per-group weights under one configuration, indexed
+/// by tier (PoolKind value).
+using TierSums = std::array<double, topo::kNumPoolKinds>;
+
+/// For every tier, the sum of the per-group `weights` (in group order,
+/// from 0.0) of the groups `mask` places in it, from one walk of the
+/// mask's digits — the one sum behind a configuration's tier bytes, its
+/// capacity check and its HBM usage and density fractions.
+TierSums tier_sums(const std::vector<double>& weights, ConfigMask mask,
+                   int num_tiers);
+
+/// tier_sums(weights, mask, num_tiers)[tier].
 double tier_sum(const std::vector<double>& weights, ConfigMask mask,
                 int num_tiers, topo::PoolKind tier);
+
+/// Does every non-DDR tier of a `num_tiers`-tier configuration placing
+/// `bytes` fit its cap? `caps` is indexed by tier: tier 0 (DDR) is never
+/// constrained, and neither is a tier beyond `caps`.
+bool fits_caps(const TierSums& bytes, const std::vector<double>& caps,
+               int num_tiers);
 
 class ConfigSpace {
  public:
@@ -81,11 +101,6 @@ class ConfigSpace {
   ConfigMask config_id(const sim::Placement& placement) const;
   /// Tier of group `g` under `mask` (the mixed-radix digit).
   topo::PoolKind tier_of(ConfigMask mask, int group) const;
-
-  /// Bytes placed in `tier` under `mask`.
-  double tier_bytes(ConfigMask mask, topo::PoolKind tier) const;
-  /// Bytes in HBM under `mask`.
-  double hbm_bytes(ConfigMask mask) const;
 
   const std::vector<double>& group_bytes() const { return bytes_; }
   double total_bytes() const { return total_; }

@@ -68,8 +68,9 @@ ThreadPool& ExperimentRunner::pool() {
 
 ConfigResult ExperimentRunner::measure_config(
     const sim::PhaseTrace& trace, const ConfigSpace& space, ConfigMask mask,
-    sim::CachedTraceTimer* timer) const {
-  const auto placement = space.placement(mask);
+    sim::Placement& placement, sim::CachedTraceTimer* timer) const {
+  HMPT_REQUIRE(mask < space.size(), "mask out of range");
+  refill_placement(placement, mask, space.num_tiers());
   // The deterministic time is a pure function of the placement: compute it
   // once and apply per-repetition noise on top, instead of re-timing the
   // whole trace `repetitions` times.
@@ -85,7 +86,8 @@ ConfigResult ExperimentRunner::measure_config(
 ConfigResult ExperimentRunner::measure(const workloads::Workload& workload,
                                        const ConfigSpace& space,
                                        ConfigMask mask) {
-  return measure_config(workload.trace(), space, mask, nullptr);
+  auto placement = space.placement(0);
+  return measure_config(workload.trace(), space, mask, placement, nullptr);
 }
 
 std::vector<ConfigResult> ExperimentRunner::measure_batch(
@@ -100,8 +102,10 @@ std::vector<ConfigResult> ExperimentRunner::measure_batch(
   const int jobs = resolved_jobs();
   if (jobs <= 1 || masks.size() < 2) {
     sim::CachedTraceTimer timer(sim_->solver(), trace, ctx_);
+    auto placement = space.placement(0);
     for (std::size_t i = 0; i < masks.size(); ++i)
-      results[i] = measure_config(trace, space, masks[i], &timer);
+      results[i] =
+          measure_config(trace, space, masks[i], placement, &timer);
     note_timer_stats(timer);
     return results;
   }
@@ -109,8 +113,10 @@ std::vector<ConfigResult> ExperimentRunner::measure_batch(
   pool().parallel_chunks(masks.size(), [&](std::size_t begin,
                                            std::size_t end) {
     sim::CachedTraceTimer timer(sim_->solver(), trace, ctx_);
+    auto placement = space.placement(0);
     for (std::size_t i = begin; i < end; ++i)
-      results[i] = measure_config(trace, space, masks[i], &timer);
+      results[i] =
+          measure_config(trace, space, masks[i], placement, &timer);
     note_timer_stats(timer);
   });
   return results;
@@ -143,11 +149,14 @@ SweepResult ExperimentRunner::sweep(const workloads::Workload& workload,
   span.arg_number("jobs", static_cast<std::uint64_t>(jobs));
 
   if (jobs <= 1) {
-    // Serial: one timer lives across the whole enumeration, so Gray order
-    // re-times only the phases touching the flipped group.
+    // Serial: one timer and one placement live across the whole
+    // enumeration, so Gray order re-times only the phases touching the
+    // flipped group and no configuration allocates.
     sim::CachedTraceTimer timer(sim_->solver(), trace, ctx_);
+    auto placement = space.placement(0);
     for (const ConfigMask mask : masks) {
-      sweep.configs[mask] = measure_config(trace, space, mask, &timer);
+      sweep.configs[mask] =
+          measure_config(trace, space, mask, placement, &timer);
       if (on_config) on_config(sweep.configs[mask]);
     }
     note_timer_stats(timer);
@@ -161,9 +170,10 @@ SweepResult ExperimentRunner::sweep(const workloads::Workload& workload,
   pool().parallel_chunks(masks.size(), [&](std::size_t begin,
                                            std::size_t end) {
     sim::CachedTraceTimer timer(sim_->solver(), trace, ctx_);
+    auto placement = space.placement(0);
     for (std::size_t i = begin; i < end; ++i)
       sweep.configs[masks[i]] =
-          measure_config(trace, space, masks[i], &timer);
+          measure_config(trace, space, masks[i], placement, &timer);
     note_timer_stats(timer);
   });
   sweep.baseline_time = sweep.configs[0].mean_time;

@@ -136,8 +136,10 @@ class ExperimentRunner {
   int resolved_jobs() const;
 
  private:
+  /// Measure `mask`, refilling `placement` (one group per entry) with it.
   ConfigResult measure_config(const sim::PhaseTrace& trace,
                               const ConfigSpace& space, ConfigMask mask,
+                              sim::Placement& placement,
                               sim::CachedTraceTimer* timer) const;
 
   /// The worker pool, created on the first parallel campaign and reused

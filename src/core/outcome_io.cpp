@@ -373,14 +373,17 @@ std::vector<double> weights_from_json(const Json& json, const char* name,
   return weights;
 }
 
-/// Configuration rows. The mask column is left out when row i holds mask
-/// i (a full sweep), and restored from the row number on decode. The
-/// stddev column is left out when every stddev is +0.0 (a noise-free
-/// simulator), and restored as +0.0; a stored one must hold another value.
+/// Configuration rows, whose masks must strictly increase. The mask
+/// column is left out when row i holds mask i (a full sweep), and restored
+/// from the row number on decode. The stddev column is left out when every
+/// stddev is +0.0 (a noise-free simulator), and restored as +0.0; a stored
+/// one must hold another value.
 Json configs_to_json(const std::vector<ConfigResult>& configs) {
   bool identity = true;
   bool noise_free = true;
   for (std::size_t i = 0; i < configs.size(); ++i) {
+    if (i > 0 && configs[i].mask <= configs[i - 1].mask)
+      bad_field("mask", "is not strictly increasing");
     identity = identity && configs[i].mask == static_cast<ConfigMask>(i);
     noise_free = noise_free && same(configs[i].stddev_time, 0.0);
   }
@@ -408,6 +411,7 @@ void configs_from_json(const Json& columns, double baseline,
   if (columns.as_object().contains("stddev_time"))
     stddev_time.emplace(columns, "stddev_time", rows);
   bool noise_free = true;
+  ConfigMask previous = 0;
 
   RowSink<ConfigResult> sink(kept, rows);
   for_each_block(rows, [&](std::size_t begin, std::size_t end) {
@@ -419,6 +423,9 @@ void configs_from_json(const Json& columns, double baseline,
       ConfigResult& c = row(i);
       c.mask = masks != nullptr ? mask_in((*masks)[i], space, "mask")
                                 : static_cast<ConfigMask>(i);
+      if (i > 0 && c.mask <= previous)
+        bad_field("mask", "is not strictly increasing");
+      previous = c.mask;
       c.stddev_time = 0.0;
     }
     mean_time.read(begin, end, [&](std::size_t i, double value) {
@@ -447,41 +454,155 @@ void check_sweep(const SweepResult& sweep, const TuningOutcome& outcome) {
   if (outcome.num_groups < 1) bad_field("sweep", "needs at least one group");
 }
 
-Json trajectory_to_json(const std::vector<TuningStep>& steps) {
+/// The configuration rows a trajectory's times are looked up in: those of
+/// TuningOutcome::configs(), as stored. The decoder has checked them
+/// (their masks strictly increase) before it reads the trajectory, and
+/// finds a mask by binary search over the stored mask column, or as row
+/// i = mask i where there is none, so a lookup allocates nothing.
+class StoredRows {
+ public:
+  explicit StoredRows(const Json& columns)
+      : rows_(binary_rows(columns, "mean_time")),
+        masks_(columns.as_object().find("mask")),
+        mean_time_(columns, "mean_time", rows_) {}
+
+  /// The row holding `mask`, or nullopt.
+  std::optional<std::size_t> find(ConfigMask mask) const {
+    if (masks_ == nullptr)
+      return mask < rows_ ? std::optional<std::size_t>(mask) : std::nullopt;
+    const JsonArray& masks = masks_->as_array();
+    std::size_t lo = 0;
+    std::size_t hi = rows_;
+    while (lo < hi) {
+      const std::size_t mid = lo + (hi - lo) / 2;
+      const auto at = static_cast<ConfigMask>(masks[mid].as_number());
+      if (at == mask) return mid;
+      if (at < mask) lo = mid + 1; else hi = mid;
+    }
+    return std::nullopt;
+  }
+
+  /// The mean time of row `row`.
+  double mean_time(std::size_t row) const {
+    const std::size_t begin = row - row % kGroupRows;
+    double value = 0.0;
+    mean_time_.read(begin, std::min(rows_, begin + kGroupRows),
+                    [&](std::size_t i, double time) {
+                      if (i == row) value = time;
+                    });
+    return value;
+  }
+
+ private:
+  std::size_t rows_;
+  const Json* masks_;
+  BinaryColumn mean_time_;
+};
+
+/// A trajectory, column-wise, with two derivation rules:
+///   observed_time  left out when every step's time has the bits of the
+///                  mean_time of its mask's row in `rows` (a step and its
+///                  row are one measurement, or identical observations
+///                  of a noise-free simulator averaged), and restored
+///                  from the rows; a stored column must differ somewhere
+///   index          stored as its first value when each index is one
+///                  more than the previous (an empty trajectory stores
+///                  1), else as an array, which must not count up by one
+/// `rows` are sorted by mask (configs_to_json refuses them otherwise).
+Json trajectory_to_json(const std::vector<TuningStep>& steps,
+                        const std::vector<ConfigResult>& rows) {
+  bool counts = true;
+  bool derivable = true;
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    counts = counts && (i == 0 || std::int64_t{steps[i].index} ==
+                                      std::int64_t{steps[i - 1].index} + 1);
+    const auto row = std::lower_bound(
+        rows.begin(), rows.end(), steps[i].mask,
+        [](const ConfigResult& c, ConfigMask mask) { return c.mask < mask; });
+    derivable = derivable && row != rows.end() && row->mask == steps[i].mask &&
+                same(row->mean_time, steps[i].observed_time);
+  }
   JsonObject o;
-  o["index"] = column(steps, [](const TuningStep& s) { return s.index; });
+  if (counts)
+    o["index"] = Json(steps.empty() ? 1 : steps.front().index);
+  else
+    o["index"] = column(steps, [](const TuningStep& s) { return s.index; });
   o["mask"] = column(steps, [](const TuningStep& s) { return s.mask; });
-  o["observed_time"] = binary_column(steps, &TuningStep::observed_time);
+  if (!derivable)
+    o["observed_time"] = binary_column(steps, &TuningStep::observed_time);
   o["accepted"] = column(steps, [](const TuningStep& s) { return s.accepted; });
   return Json(std::move(o));
 }
 
-/// Decode a columnar trajectory into `kept`; with no `kept` every step is
-/// checked and dropped.
+/// Decode a columnar trajectory into `kept`, taking left-out times from
+/// `rows`; with no `kept` every step is checked and dropped.
 void trajectory_from_columns(const Json& columns, std::size_t space,
-                             double baseline,
+                             double baseline, const StoredRows& rows,
                              std::vector<TuningStep>* kept) {
-  const std::size_t rows = columns.at("index").as_array().size();
-  const JsonArray& index = column_of(columns, "index", rows);
-  const JsonArray& mask = column_of(columns, "mask", rows);
-  const JsonArray& accepted = column_of(columns, "accepted", rows);
-  const BinaryColumn observed_time(columns, "observed_time", rows);
-  RowSink<TuningStep> sink(kept, rows);
-  for_each_block(rows, [&](std::size_t begin, std::size_t end) {
+  const std::size_t steps = columns.at("mask").as_array().size();
+  const JsonArray& mask = column_of(columns, "mask", steps);
+  const JsonArray& accepted = column_of(columns, "accepted", steps);
+  const Json& index = columns.at("index");
+  const JsonArray* indices = nullptr;
+  int start = 0;
+  if (index.kind() == Json::Kind::Number) {
+    // An empty trajectory's start is 1; a run of steps ends by INT_MAX.
+    const double last = steps == 0 ? 1.0
+                                   : static_cast<double>(INT_MAX) -
+                                         static_cast<double>(steps - 1);
+    start = static_cast<int>(
+        integer_in(index, steps == 0 ? 1.0 : 0.0, last, "index"));
+  } else {
+    indices = &column_of(columns, "index", steps);
+  }
+  std::optional<BinaryColumn> observed_time;
+  if (columns.as_object().contains("observed_time"))
+    observed_time.emplace(columns, "observed_time", steps);
+  bool counts = true;
+  int previous = 0;
+  bool derivable = true;
+
+  RowSink<TuningStep> sink(kept, steps);
+  for_each_block(steps, [&](std::size_t begin, std::size_t end) {
     TuningStep* block = sink.block(begin);
     const auto step = [&](std::size_t i) -> TuningStep& {
       return block[i - begin];
     };
     for (std::size_t i = begin; i < end; ++i) {
-      step(i).index = int_in(index[i], 0, INT_MAX, "index");
-      step(i).mask = mask_in(mask[i], space, "mask");
-      step(i).accepted = accepted[i].as_bool();
+      TuningStep& s = step(i);
+      if (indices != nullptr) {
+        s.index = int_in((*indices)[i], 0, INT_MAX, "index");
+        counts = counts && (i == 0 || std::int64_t{s.index} ==
+                                          std::int64_t{previous} + 1);
+        previous = s.index;
+      } else {
+        s.index = start + static_cast<int>(i);
+      }
+      s.mask = mask_in(mask[i], space, "mask");
+      s.accepted = accepted[i].as_bool();
     }
-    observed_time.read(begin, end, [&](std::size_t i, double value) {
-      check_speedup(baseline, value, "observed_time");
-      step(i).observed_time = value;
-    });
+    if (observed_time) {
+      observed_time->read(begin, end, [&](std::size_t i, double value) {
+        check_speedup(baseline, value, "observed_time");
+        step(i).observed_time = value;
+        const auto row = rows.find(step(i).mask);
+        derivable = derivable && row && same(rows.mean_time(*row), value);
+      });
+    } else {
+      for (std::size_t i = begin; i < end; ++i) {
+        const auto row = rows.find(step(i).mask);
+        if (!row)
+          bad_field("observed_time",
+                    "is left out though a step's mask has no row");
+        step(i).observed_time = rows.mean_time(*row);
+      }
+    }
   });
+  if (indices != nullptr && counts)
+    bad_field("index", "is stored as an array though it counts up by one");
+  if (observed_time && derivable)
+    bad_field("observed_time",
+              "is stored though every step's time is its row's mean_time");
 }
 
 }  // namespace
@@ -509,7 +630,9 @@ Json outcome_to_json(const TuningOutcome& outcome) {
   weights("footprint_bytes", "footprint_total", w.footprint_bytes,
           w.footprint_total);
   weights("traffic_bytes", "traffic_total", w.traffic_bytes, w.traffic_total);
-  o["trajectory"] = trajectory_to_json(outcome.trajectory);
+  // The trajectory keeps its place and is filled once the row lists it
+  // looks its times up in are checked (sorted by mask).
+  o["trajectory"] = Json();
   o["table"] = configs_to_json(outcome.table);
   if (outcome.sweep.has_value()) {
     check_sweep(*outcome.sweep, outcome);
@@ -517,6 +640,7 @@ Json outcome_to_json(const TuningOutcome& outcome) {
     sweep["configs"] = configs_to_json(outcome.sweep->configs);
     o["sweep"] = Json(std::move(sweep));
   }
+  o["trajectory"] = trajectory_to_json(outcome.trajectory, outcome.configs());
   return Json(std::move(o));
 }
 
@@ -549,7 +673,8 @@ TuningOutcome outcome_from_json(const Json& json, Rows rows) {
   check_weights(out.weights, out.num_groups, out.num_tiers);
   configs_from_json(json.at("table"), out.baseline_time, space,
                     keep ? &out.table : nullptr);
-  if (const Json* stored = json.as_object().find("sweep")) {
+  const Json* stored = json.as_object().find("sweep");
+  if (stored != nullptr) {
     SweepResult sweep;
     sweep.baseline_time = out.baseline_time;
     sweep.num_groups = out.num_groups;
@@ -559,8 +684,11 @@ TuningOutcome outcome_from_json(const Json& json, Rows rows) {
                       keep ? &sweep.configs : nullptr);
     if (keep) out.sweep = std::move(sweep);
   }
+  // configs(): the sweep's rows when there is a sweep, else the table.
+  const StoredRows configs(stored != nullptr ? stored->at("configs")
+                                             : json.at("table"));
   trajectory_from_columns(json.at("trajectory"), space, out.baseline_time,
-                          keep ? &out.trajectory : nullptr);
+                          configs, keep ? &out.trajectory : nullptr);
   return out;
 }
 

@@ -6,13 +6,17 @@
 // holds only what was measured (mask, mean and stddev time); speedups, HBM
 // fractions and group counts are functions of the row, the baseline and
 // the outcome's per-group weights (experiment.h), stored once per record,
-// and so is the headline's (TuningOutcome::speedup() and the rest). The
-// format is lossless: what the decoder can rebuild bit for bit (mask ids
-// of a full sweep, a sweep's baseline and shape, a noise-free run's
-// stddevs) is left out, and every other field is stored exactly, so an
-// outcome parsed back from its JSON compares equal to the original
+// and so is the headline's (TuningOutcome::speedup() and the rest). A
+// trajectory stores the search's order and verdicts; a step's time is its
+// row's when the two are one measurement. The format is lossless: what
+// the decoder can rebuild bit for bit (mask ids of a full sweep, a
+// sweep's baseline and shape, a noise-free run's stddevs, step times
+// equal to their rows' mean times, indices counting up by one from a
+// stored start) is left out, and every other field is stored exactly, so
+// an outcome parsed back from its JSON compares equal to the original
 // (covered by tests). That is what makes the on-disk outcome store a
-// cache rather than a lossy log.
+// cache rather than a lossy log. Row lists must be sorted by mask, as
+// every strategy's are; the writer refuses others.
 #pragma once
 
 #include "common/json.h"
@@ -22,7 +26,8 @@ namespace hmpt::tuner {
 
 /// Serialise an outcome (including trajectory, measured table and, when
 /// present, the full sweep) to a JSON object. Throws hmpt::Error when its
-/// weights, chosen time or sweep are ones the decoder would refuse.
+/// weights, chosen time, row order or sweep are ones the decoder would
+/// refuse.
 Json outcome_to_json(const TuningOutcome& outcome);
 
 /// What outcome_from_json does with an outcome's row lists (`table`,
@@ -30,8 +35,9 @@ Json outcome_to_json(const TuningOutcome& outcome);
 /// the same order, so a document is rejected with the same error in both
 /// modes. Keep returns the rows. Skip returns the headline and the weights
 /// alone (empty `table` and `trajectory`, no `sweep`): each column is
-/// decoded a fixed block of rows at a time into one reused buffer, so
-/// validating a record allocates nothing per row. The weights are checked
+/// decoded a fixed block of rows at a time into one reused buffer, and a
+/// step's row is found in the stored columns in place, so validating a
+/// record allocates nothing per row or step. The weights are checked
 /// once per record, which bounds every row's HBM fractions; each row's
 /// speedup is checked finite on its own.
 enum class Rows { Keep, Skip };

@@ -26,20 +26,15 @@ PlanChoice CapacityPlanner::best_under_caps(
   best.speedup = 0.0;
   bool found = false;
   for (const auto& cfg : sweep_->configs) {
-    bool fits = true;
-    for (int t = 1; t < space_->num_tiers() && fits; ++t) {
-      const auto ti = static_cast<std::size_t>(t);
-      if (ti < caps.size())
-        fits = space_->tier_bytes(cfg.mask,
-                                  static_cast<topo::PoolKind>(t)) <= caps[ti];
-    }
-    if (!fits) continue;
-    const double bytes = space_->hbm_bytes(cfg.mask);
+    const TierSums bytes =
+        tier_sums(space_->group_bytes(), cfg.mask, space_->num_tiers());
+    if (!fits_caps(bytes, caps, space_->num_tiers())) continue;
+    const double hbm = bytes[static_cast<std::size_t>(topo::PoolKind::HBM)];
     const double speedup = speedup_of(sweep_->baseline_time, cfg.mean_time);
     if (!found || speedup > best.speedup ||
-        (speedup == best.speedup && bytes < best.hbm_bytes)) {
+        (speedup == best.speedup && hbm < best.hbm_bytes)) {
       found = true;
-      best = choice(cfg, bytes);
+      best = choice(cfg, hbm);
     }
   }
   HMPT_REQUIRE(found, "not even the all-DDR configuration fits");
@@ -52,7 +47,7 @@ std::optional<PlanChoice> CapacityPlanner::cheapest_reaching(
   for (const auto& cfg : sweep_->configs) {
     const double speedup = speedup_of(sweep_->baseline_time, cfg.mean_time);
     if (speedup + 1e-12 < target_speedup) continue;
-    const double bytes = space_->hbm_bytes(cfg.mask);
+    const double bytes = hbm_bytes(cfg.mask);
     if (!best || bytes < best->hbm_bytes ||
         (bytes == best->hbm_bytes && speedup > best->speedup)) {
       best = choice(cfg, bytes);
@@ -64,7 +59,7 @@ std::optional<PlanChoice> CapacityPlanner::cheapest_reaching(
 std::vector<PlanChoice> CapacityPlanner::pareto_front() const {
   std::vector<PlanChoice> all;
   for (const auto& cfg : sweep_->configs)
-    all.push_back(choice(cfg, space_->hbm_bytes(cfg.mask)));
+    all.push_back(choice(cfg, hbm_bytes(cfg.mask)));
   std::sort(all.begin(), all.end(), [](const PlanChoice& a,
                                        const PlanChoice& b) {
     if (a.hbm_bytes != b.hbm_bytes) return a.hbm_bytes < b.hbm_bytes;
@@ -79,6 +74,11 @@ std::vector<PlanChoice> CapacityPlanner::pareto_front() const {
     }
   }
   return front;
+}
+
+double CapacityPlanner::hbm_bytes(ConfigMask mask) const {
+  return tier_sum(space_->group_bytes(), mask, space_->num_tiers(),
+                  topo::PoolKind::HBM);
 }
 
 PlanChoice CapacityPlanner::choice(const ConfigResult& cfg,

@@ -48,6 +48,8 @@ class CapacityPlanner {
   std::vector<PlanChoice> pareto_front() const;
 
  private:
+  /// Bytes `mask` places in HBM.
+  double hbm_bytes(ConfigMask mask) const;
   /// The plan of one measured configuration placing `hbm_bytes` in HBM.
   PlanChoice choice(const ConfigResult& cfg, double hbm_bytes) const;
 

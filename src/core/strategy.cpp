@@ -36,13 +36,10 @@ std::vector<double> resolved_caps(const sim::MachineSimulator& sim,
 namespace {
 
 /// Does every non-DDR tier of `mask` fit its capacity cap?
-bool fits_caps(const ConfigSpace& space, ConfigMask mask,
-               const std::vector<double>& caps) {
-  for (int t = 1; t < space.num_tiers(); ++t)
-    if (space.tier_bytes(mask, static_cast<topo::PoolKind>(t)) >
-        caps[static_cast<std::size_t>(t)])
-      return false;
-  return true;
+bool fits(const ConfigSpace& space, ConfigMask mask,
+          const std::vector<double>& caps) {
+  return fits_caps(tier_sums(space.group_bytes(), mask, space.num_tiers()),
+                   caps, space.num_tiers());
 }
 
 void emit_progress(const TuningCallbacks& callbacks, const std::string& name,
@@ -176,7 +173,7 @@ TuningOutcome ExhaustiveStrategy::tune(
       // The sweep reports the all-DDR baseline first.
       if (result.mask == 0) baseline = result.mean_time;
       const double speedup = speedup_of(baseline, result.mean_time);
-      if (fits_caps(space, result.mask, caps) && speedup > best)
+      if (fits(space, result.mask, caps) && speedup > best)
         best = speedup;
       callbacks.on_progress(
           {name(), ++measured, result.mask, result.mean_time, best});
@@ -316,19 +313,15 @@ TuningOutcome OnlineGreedyStrategy::tune(
       double score;
     };
     std::vector<Candidate> candidates;
+    const TierSums used = tier_sums(space.group_bytes(), mask, tiers);
     for (int g = 0; g < n; ++g) {
       const auto gi = static_cast<std::size_t>(g);
       const int from = tier[gi];
       for (int to = 0; to < tiers; ++to) {
         if (to == from) continue;
-        if (to != 0) {
-          // Would the move blow the target tier's capacity?
-          const double used =
-              space.tier_bytes(mask, static_cast<topo::PoolKind>(to));
-          if (used + space.group_bytes()[gi] >
-              caps[static_cast<std::size_t>(to)])
-            continue;
-        }
+        // Would the move blow the target tier's capacity?
+        const auto ti = static_cast<std::size_t>(to);
+        if (to != 0 && used[ti] + space.group_bytes()[gi] > caps[ti]) continue;
         const double weight = (rank[static_cast<std::size_t>(to)] -
                                rank[static_cast<std::size_t>(from)]) /
                               static_cast<double>(tiers - 1);
@@ -416,7 +409,7 @@ TuningOutcome EstimatorGuidedStrategy::tune(
     ++out.configs_measured;
     const double speedup = speedup_of(out.baseline_time, result.mean_time);
     const bool accepted =
-        fits_caps(space, result.mask, caps) && speedup > best;
+        fits(space, result.mask, caps) && speedup > best;
     if (accepted) {
       best = speedup;
       out.chosen_mask = result.mask;
@@ -464,7 +457,7 @@ TuningOutcome EstimatorGuidedStrategy::tune(
     std::vector<std::pair<double, ConfigMask>> ranked;
     for (ConfigMask mask = 0; mask < space.size(); ++mask) {
       if (measured[mask]) continue;
-      if (!fits_caps(space, mask, caps)) continue;
+      if (!fits(space, mask, caps)) continue;
       ranked.emplace_back(estimator.estimate(mask), mask);
     }
     std::sort(ranked.begin(), ranked.end(),

@@ -203,6 +203,11 @@ TEST_F(CampaignCliTest, KeepGoingReportsFailuresInExitCode) {
       << out;
   EXPECT_NE(out.find("executed 1, cached 0, failed 1"), std::string::npos)
       << out;
+  // The recorded failure names its source relative to the checkout, so
+  // the artefacts do not depend on where the tool was built.
+  const std::string summary = slurp(store_ + "/summary.json");
+  EXPECT_NE(summary.find("src/workloads/"), std::string::npos) << summary;
+  EXPECT_EQ(summary.find(HMPT_SOURCE_DIR), std::string::npos) << summary;
 }
 
 TEST_F(CampaignCliTest, ListingsAndUsage) {

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <atomic>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -590,6 +591,16 @@ TEST(OutcomeIoTest, OutcomeJsonRoundTripsForEveryStrategy) {
       EXPECT_TRUE(trajectory.contains("mask")) << what;
       EXPECT_EQ(outcome.trajectory.empty(), outcome.sweep.has_value())
           << what;
+      // Every built-in trajectory counts up by one, so it stores its first
+      // index (an empty one stores 1). Only the online search, which
+      // re-observes masks under noise, stores its step times; the others'
+      // are their rows' mean times.
+      ASSERT_TRUE(trajectory.contains("index")) << what;
+      EXPECT_EQ(trajectory.find("index")->dump(-1),
+                strategy == "online" ? "2" : "1")
+          << what;
+      EXPECT_EQ(trajectory.contains("observed_time"), strategy == "online")
+          << what;
       // No row list stores a derived column: every strategy's record
       // carries the weights once instead.
       std::vector<const JsonObject*> rows = {&trajectory,
@@ -681,12 +692,12 @@ TEST(OutcomeIoTest, HeadlineValuesAreDerivedAlikeInBothDecodeModes) {
       EXPECT_TRUE(same_bits(outcome.speedup(),
                             outcome.baseline_time / outcome.chosen_time))
           << what;
-      EXPECT_TRUE(same_bits(outcome.hbm_bytes(),
-                            space.hbm_bytes(outcome.chosen_mask)))
-          << what;
+      const double hbm_bytes =
+          tuner::tier_sum(space.group_bytes(), outcome.chosen_mask,
+                          outcome.num_tiers, topo::PoolKind::HBM);
+      EXPECT_TRUE(same_bits(outcome.hbm_bytes(), hbm_bytes)) << what;
       EXPECT_TRUE(same_bits(outcome.hbm_usage(),
-                            space.hbm_bytes(outcome.chosen_mask) /
-                                space.total_bytes()))
+                            hbm_bytes / space.total_bytes()))
           << what;
       EXPECT_EQ(outcome.chosen_placement().pools(),
                 space.placement(outcome.chosen_mask).pools())
@@ -809,17 +820,23 @@ std::string base64_le(const std::vector<double>& values) {
   return out;
 }
 
-/// An online outcome on the three-tier platform: a columnar trajectory
-/// and a measured table, no sweep.
-tuner::TuningOutcome online_outcome() {
-  auto simulator = sim::MachineSimulator::cxl_tiered_platform();
+/// A run of `strategy` on the three-tier platform; with `noise`, every
+/// measurement draws its own noise.
+tuner::TuningOutcome run_3tier(const std::string& strategy,
+                               sim::NoiseModel noise = {}) {
+  sim::MachineSimulator simulator(topo::cxl_tiered_xeon_max(),
+                                  sim::cxl_tiered_calibration(), noise);
   const auto app = workloads::make_mg_model(simulator);
   return tuner::Session::on(simulator)
       .workload(app.workload)
       .context(app.context)
-      .strategy("online")
+      .strategy(strategy)
       .run();
 }
+
+/// An online outcome on the three-tier platform: a columnar trajectory
+/// and a measured table, no sweep.
+tuner::TuningOutcome online_outcome() { return run_3tier("online"); }
 
 /// An exhaustive outcome on the three-tier platform, two repetitions per
 /// configuration: with `noise`, every row has a non-zero stddev; without,
@@ -838,6 +855,9 @@ tuner::TuningOutcome sweep_3tier(sim::NoiseModel noise = {}) {
 /// `outcome` with `rows` table rows and trajectory steps whose double
 /// fields cycle through `values`, starting at a different value per field.
 /// The baseline is 0, so every speedup is 1 and any finite time decodes.
+/// Row i holds mask i + 1, so the table stores its masks, and step i
+/// mask i, so step 0's time (of a mask with no row) is stored; the step
+/// indices are odd, so they are stored as an array.
 tuner::TuningOutcome with_rows(tuner::TuningOutcome outcome, std::size_t rows,
                                const std::vector<double>& values) {
   const auto at = [&](std::size_t i, std::size_t field) {
@@ -848,11 +868,11 @@ tuner::TuningOutcome with_rows(tuner::TuningOutcome outcome, std::size_t rows,
   outcome.trajectory.assign(rows, {});
   for (std::size_t i = 0; i < rows; ++i) {
     auto& row = outcome.table[i];
-    row.mask = static_cast<tuner::ConfigMask>(rows - 1 - i);  // reversed
+    row.mask = static_cast<tuner::ConfigMask>(i + 1);
     row.mean_time = at(i, 0);
     row.stddev_time = at(i, 1);
     auto& step = outcome.trajectory[i];
-    step.index = static_cast<int>(i + 1);
+    step.index = static_cast<int>(2 * i + 1);
     step.mask = static_cast<tuner::ConfigMask>(i);
     step.observed_time = at(i, 2);
     step.accepted = i % 2 == 0;
@@ -888,17 +908,27 @@ TEST(OutcomeIoTest, BinaryColumnsRoundTripBitExactly) {
         encoded.at("table").at("mean_time").as_string();
     EXPECT_EQ(column, base64_le(means)) << what;
     EXPECT_EQ(column.size(), 4 * ((8 * rows + 2) / 3)) << what;
-    EXPECT_EQ(encoded.at("trajectory").at("observed_time").as_string(),
-              base64_le(observed))
+    // An empty trajectory's times are all derivable from the rows, so
+    // they are left out, and its index is the number 1.
+    const Json& trajectory = encoded.at("trajectory");
+    EXPECT_EQ(trajectory.as_object().contains("observed_time"), rows > 0)
         << what;
-    // Integer and bool columns stay JSON numbers and bools. (Masks of
-    // fewer than two rows are in row order, so they are left out.)
-    EXPECT_EQ(encoded.at("table").as_object().contains("mask"), rows > 1)
+    if (rows > 0) {
+      EXPECT_EQ(trajectory.at("observed_time").as_string(),
+                base64_le(observed))
+          << what;
+    }
+    // Integer and bool columns stay JSON numbers and bools.
+    // (Row i holds mask i + 1, so only an empty table's masks are in row
+    // order and left out.)
+    EXPECT_EQ(encoded.at("table").as_object().contains("mask"), rows > 0)
         << what;
-    if (rows > 1) {
+    if (rows > 0) {
       EXPECT_EQ(encoded.at("table").at("mask").as_array().size(), rows);
     }
-    EXPECT_EQ(encoded.at("trajectory").at("accepted").as_array().size(), rows);
+    EXPECT_EQ(trajectory.at("index").kind() == Json::Kind::Array, rows > 1)
+        << what;
+    EXPECT_EQ(trajectory.at("accepted").as_array().size(), rows);
     const std::string text = encoded.dump(-1);
     EXPECT_EQ(Json::parse(text).dump(-1), text) << what;  // a fixed point
     expect_same_outcome(tuner::outcome_from_json(Json::parse(text)), outcome,
@@ -1146,8 +1176,10 @@ TEST(OutcomeIoTest, SkipRowsRejectsExactlyWhatFullDecodeRejects) {
   // together, with the same error, and where both accept they decode
   // bit-identical headlines and weights. Inputs: the golden 3^3 record, a
   // fresh 3^8 record (empty trajectory, sweep rows only), online and
-  // estimator records (columnar trajectory, table with masks, no sweep),
-  // a noisy 3^3 record and hand-made rows (both store stddev columns).
+  // estimator records (columnar trajectory whose times and indices derive
+  // from the table, table with masks, no sweep), a noisy online record
+  // (stored step times), a noisy 3^3 record and hand-made rows (both
+  // store stddev columns; the rows store step times and an index array).
   // Every record carries its weights once, so the weights are mutated on
   // the table-only records as on the sweeps. Each mutation draws from its
   // own counter-based stream, so a failure names a reproducible case.
@@ -1170,6 +1202,7 @@ TEST(OutcomeIoTest, SkipRowsRejectsExactlyWhatFullDecodeRejects) {
       {"golden 3^3", Json::parse(golden_text.str()).at("outcome")},
       {"bt 3^8", reparsed(CampaignRunner::execute(bt))},
       {"online", reparsed(online_outcome())},
+      {"noisy online", reparsed(run_3tier("online", {0.05, 11}))},
       {"estimator", reparsed(CampaignRunner::execute(estimator))},
       {"noisy 3^3", reparsed(sweep_3tier({0.05, 11}))},
       {"hand-made rows",
@@ -1332,8 +1365,7 @@ TEST(OutcomeIoTest, SweepRecordsStoreOnlyTheSweepRows) {
   EXPECT_TRUE(outcome.trajectory.empty());
   const Json encoded = tuner::outcome_to_json(outcome);
   EXPECT_EQ(encoded.at("trajectory").dump(-1),
-            "{\"index\":[],\"mask\":[],\"observed_time\":\"\","
-            "\"accepted\":[]}");
+            "{\"index\":1,\"mask\":[],\"accepted\":[]}");
   const JsonObject& sweep = encoded.at("sweep").as_object();
   EXPECT_EQ(sweep.size(), 1u);
   EXPECT_TRUE(sweep.contains("configs"));
@@ -1375,6 +1407,57 @@ TEST(OutcomeIoTest, SweepRecordsStoreOnlyTheSweepRows) {
           << e.what();
     }
   }
+}
+
+TEST(OutcomeIoTest, TrajectoriesStoreTheirOrderAndVerdictsNotTheirRowsTimes) {
+  // A step's time is left out when it has the bits of the mean time of its
+  // mask's row: the estimator's step and row are one measurement, and a
+  // noise-free online search averages identical observations. A noisy
+  // online search re-observes masks, so its times stay stored, bit for
+  // bit. An index that counts up by one is stored as its start. Either
+  // way Rows::Keep restores every step exactly.
+  auto near_int_max = online_outcome();
+  const int steps = static_cast<int>(near_int_max.trajectory.size());
+  for (int i = 0; i < steps; ++i)
+    near_int_max.trajectory[static_cast<std::size_t>(i)].index =
+        INT_MAX - steps + 1 + i;
+  const struct {
+    std::string what;
+    tuner::TuningOutcome outcome;
+    bool times_stored;
+    std::string index;
+  } cases[] = {
+      {"noise-free online", online_outcome(), false, "2"},
+      {"noise-free estimator", run_3tier("estimator"), false, "1"},
+      {"noisy online", run_3tier("online", {0.05, 11}), true, "2"},
+      {"noisy estimator", run_3tier("estimator", {0.05, 11}), false, "1"},
+      {"indices up to INT_MAX", near_int_max, false,
+       std::to_string(INT_MAX - steps + 1)},
+  };
+  for (const auto& c : cases) {
+    ASSERT_GE(c.outcome.trajectory.size(), 8u) << c.what;
+    const Json encoded = tuner::outcome_to_json(c.outcome);
+    const JsonObject& trajectory = encoded.at("trajectory").as_object();
+    EXPECT_EQ(trajectory.contains("observed_time"), c.times_stored)
+        << c.what;
+    EXPECT_EQ(trajectory.find("index")->dump(-1), c.index) << c.what;
+    const Json doc = Json::parse(encoded.dump(-1));
+    const auto kept = tuner::outcome_from_json(doc, tuner::Rows::Keep);
+    expect_same_outcome(kept, c.outcome, c.what);
+    EXPECT_EQ(tuner::outcome_to_json(kept).dump(-1), encoded.dump(-1))
+        << c.what;
+    expect_same_headline(tuner::outcome_from_json(doc, tuner::Rows::Skip),
+                         kept, c.what);
+  }
+  // The noisy search's table averages re-observations: some step's time
+  // is not its row's mean, which is why its column is stored.
+  const auto& noisy = cases[2].outcome;
+  int differ = 0;
+  for (const auto& step : noisy.trajectory)
+    for (const auto& row : noisy.table)
+      differ += row.mask == step.mask &&
+                !same_bits(row.mean_time, step.observed_time);
+  EXPECT_GT(differ, 0);
 }
 
 TEST(OutcomeIoTest, StoredAllZeroStddevColumnIsRefused) {
@@ -1728,6 +1811,65 @@ std::vector<HostileCase> derivation_cases(const Scenario& sweep,
   return cases;
 }
 
+/// Records that break a trajectory derivation rule, on the records of
+/// `sweep` (an empty trajectory) and `online` (a noise-free run: every
+/// step time is its row's mean time, and the indices count up from 2).
+std::vector<HostileCase> trajectory_cases(const Scenario& sweep,
+                                          const Scenario& online) {
+  const auto outcome = CampaignRunner::execute(online);
+  const std::string good = OutcomeStore::make_payload(online, outcome);
+  const std::string good_sweep =
+      OutcomeStore::make_payload(sweep, CampaignRunner::execute(sweep));
+  const std::string traj = "\"trajectory\":{";
+  const std::string table = "\"table\":";
+  const auto& steps = outcome.trajectory;
+  EXPECT_EQ(steps.front().index, 2);
+  const std::string start = "\"index\":2,";
+  EXPECT_NE(good.find(traj + start), std::string::npos);
+  EXPECT_EQ(good.find("observed_time"), std::string::npos);
+  // A mask the search never measured, so it has no row.
+  tuner::ConfigMask unmeasured = 0;
+  while (std::any_of(outcome.table.begin(), outcome.table.end(),
+                     [&](const tuner::ConfigResult& c) {
+                       return c.mask == unmeasured;
+                     }))
+    ++unmeasured;
+  std::vector<double> times;
+  std::string counting;
+  for (const auto& step : steps) {
+    times.push_back(step.observed_time);
+    counting += (counting.empty() ? "[" : ",") + std::to_string(step.index);
+  }
+  const auto past_int_max = static_cast<long long>(INT_MAX) -
+                            static_cast<long long>(steps.size()) + 2;
+  std::vector<HostileCase> cases = {
+      {"left-out step time of a mask with no row", &online,
+       with_value(good, traj, "mask", std::to_string(unmeasured))},
+      {"table masks not increasing", &online,
+       with_value(good, table, "mask",
+                  std::to_string(outcome.table[1].mask))},
+      {"stored step times equal to their rows' mean times", &online,
+       with_text(good, traj + start,
+                 traj + "\"observed_time\":\"" + base64_le(times) + "\"," +
+                     start)},
+      {"index array counting up by one", &online,
+       with_text(good, traj + start, traj + "\"index\":" + counting + "],")},
+      {"fractional index start", &online,
+       with_value(good, traj, "index", "2.5")},
+      {"index start whose run passes INT_MAX", &online,
+       with_value(good, traj, "index", std::to_string(past_int_max))},
+      {"index start far out of int range", &online,
+       with_value(good, traj, "index", "1e300")},
+      {"empty trajectory index other than 1", &sweep,
+       with_value(good_sweep, traj, "index", "2")},
+      {"empty trajectory index array", &sweep,
+       with_text(good_sweep, traj + "\"index\":1,", traj + "\"index\":[],")},
+  };
+  EXPECT_NO_THROW(tuner::outcome_from_json(Json::parse(good).at("outcome")));
+  for (const auto& c : cases) EXPECT_NE(c.payload, good) << c.name;
+  return cases;
+}
+
 TEST(OutcomeStoreTest, OutOfRangeRecordsReadAsDamaged) {
   // Each record below is well-formed JSON carrying the right version and
   // fingerprint, but one decoded value is out of range. Every one must
@@ -1787,8 +1929,7 @@ TEST(OutcomeStoreTest, OutOfRangeRecordsReadAsDamaged) {
            cols, "mean_time", "\"\"")},
       {"format-6 trajectory of accepted steps", &sweep,
        with_text(good_sweep,
-                 traj + "{\"index\":[],\"mask\":[],\"observed_time\":\"\","
-                        "\"accepted\":[]}",
+                 traj + "{\"index\":1,\"mask\":[],\"accepted\":[]}",
                  traj + "{\"accepted_steps\":[1,2,5]}")},
       {"trajectory mask beyond k^n", &online,
        with_value(good_online, traj, "mask", "27")},
@@ -1804,6 +1945,8 @@ TEST(OutcomeStoreTest, OutOfRangeRecordsReadAsDamaged) {
 
   for (auto& c : binary_column_cases(online)) cases.push_back(std::move(c));
   for (auto& c : derivation_cases(sweep, online))
+    cases.push_back(std::move(c));
+  for (auto& c : trajectory_cases(sweep, online))
     cases.push_back(std::move(c));
 
   for (const auto format : {StoreFormat::Dir, StoreFormat::Packed}) {

@@ -1,6 +1,6 @@
 // Allocation proxies for reading stored records. Validating a stored
 // record with tuner::Rows::Skip must allocate a bounded amount whatever
-// its row count; a decode that keeps the rows allocates them. Merging
+// its row or step count; a decode that keeps the rows allocates them. Merging
 // shard stores and rebuilding a report from a store must hold one record
 // at a time, so their heap peak must not grow with the number of records;
 // the artefact writers stream one run at a time, so theirs grows by a few
@@ -96,6 +96,57 @@ TEST(DecodeAllocTest, SkippingTheRowsOfA3To8OutcomeAllocatesUnder64KiB) {
   // 6,561 configurations: the counter sees them.
   EXPECT_GE(keep, 6561 * sizeof(tuner::ConfigResult))
       << "bytes allocated by a Rows::Keep decode";
+#endif
+}
+
+TEST(DecodeAllocTest, SkippingADerivedTrajectoryAllocatesNothingPerStep) {
+#ifdef HMPT_SANITIZED
+  GTEST_SKIP() << "a sanitizer owns the allocator";
+#else
+  // A hand-built noise-free online record: each step re-observes one of
+  // eight table rows, so its time is the row's mean time and is left out,
+  // and its indices count up from 2. Rows::Skip checks each step's mask
+  // against the stored rows in place, so 200 steps allocate what 10 do.
+  const auto record = [](int steps) {
+    tuner::TuningOutcome o;
+    o.strategy = "online";
+    o.workload = "hand-built";
+    o.num_groups = 3;
+    o.num_tiers = 3;
+    o.baseline_time = 40.0;
+    o.weights.footprint_bytes = {1e9, 2e9, 3e9};
+    o.weights.footprint_total = 6e9;
+    o.weights.traffic_bytes = {5e9, 1e9, 0.0};
+    o.weights.traffic_total = 6e9;
+    for (const tuner::ConfigMask mask : {0, 1, 2, 4, 5, 9, 13, 26})
+      o.table.push_back({mask, 40.0 - static_cast<double>(mask), 0.0});
+    for (int i = 0; i < steps; ++i) {
+      const auto& row = o.table[static_cast<std::size_t>(1 + i % 7)];
+      o.trajectory.push_back({i + 2, row.mask, row.mean_time, i == 0});
+    }
+    o.chosen_mask = o.trajectory.front().mask;
+    o.chosen_time = o.trajectory.front().observed_time;
+    o.configs_measured = 8;
+    o.measurements = steps + 1;
+    return Json::parse(tuner::outcome_to_json(o).dump(-1));
+  };
+  const Json small = record(10);
+  const Json large = record(200);
+  const JsonObject& trajectory = large.at("trajectory").as_object();
+  EXPECT_FALSE(trajectory.contains("observed_time"));
+  EXPECT_EQ(trajectory.find("index")->dump(-1), "2");
+  const auto bytes_allocated = [](const Json& json, tuner::Rows rows) {
+    const std::size_t before = g_allocated_bytes.load();
+    const auto decoded = tuner::outcome_from_json(json, rows);
+    EXPECT_EQ(decoded.trajectory.empty(), rows == tuner::Rows::Skip);
+    return g_allocated_bytes.load() - before;
+  };
+  EXPECT_EQ(bytes_allocated(small, tuner::Rows::Skip),
+            bytes_allocated(large, tuner::Rows::Skip));
+  // Keeping the steps allocates them: the counter sees the difference.
+  EXPECT_GE(bytes_allocated(large, tuner::Rows::Keep),
+            bytes_allocated(small, tuner::Rows::Keep) +
+                190 * sizeof(tuner::TuningStep));
 #endif
 }
 

@@ -221,10 +221,14 @@ TEST_F(OnlineTest, RespectsCapacityBudget) {
   const auto app = workloads::make_mg_model(sim_);
   const auto space = space_for(app);
   const auto result = session(app, "online").budget_gb(10.0).run();
-  EXPECT_LE(space.hbm_bytes(result.chosen_mask), 10.0 * GB);
+  const auto hbm_bytes = [&](tuner::ConfigMask mask) {
+    return tuner::tier_sum(space.group_bytes(), mask, space.num_tiers(),
+                           PoolKind::HBM);
+  };
+  EXPECT_LE(hbm_bytes(result.chosen_mask), 10.0 * GB);
   // Every tried placement fits, not just the chosen one.
   for (const auto& step : result.trajectory)
-    EXPECT_LE(space.hbm_bytes(step.mask), 10.0 * GB);
+    EXPECT_LE(hbm_bytes(step.mask), 10.0 * GB);
   // And it is no better than the exhaustive optimum under the same cap.
   const auto optimum = session(app, "exhaustive").budget_gb(10.0).run();
   EXPECT_LE(result.speedup(), optimum.speedup() * (1.0 + 1e-12));

@@ -196,9 +196,10 @@ TEST(CampaignFingerprintTest, HashesTheOrderedScenarioList) {
   EXPECT_EQ(fp, campaign_fingerprint(scenarios));  // deterministic
   // The digest is part of every summary.json and shard manifest: pinned,
   // so hashing it piece by piece cannot drift from the whole-text hash
-  // `campaign-v7|<fp>|<fp>` the format defines.
-  EXPECT_EQ(fp, "ab37d8efca871ffb");
-  EXPECT_EQ(campaign_fingerprint(std::vector<Scenario>{}), "c1f4232155673429");
+  // `campaign-v8|<fp>|<fp>` the format defines (the scenario fingerprints
+  // dfc177e50d5342f9 and a247e2dde7d12373, hashed as one text).
+  EXPECT_EQ(fp, "27d383814dbe0ed4");
+  EXPECT_EQ(campaign_fingerprint(std::vector<Scenario>{}), "c1f42c2155674374");
   CampaignHasher hasher;
   for (const auto& s : scenarios) hasher.add(s.fingerprint());
   EXPECT_EQ(hasher.digest(), fp);

@@ -317,7 +317,8 @@ TEST_P(SweepProperty, ParetoFrontDominatesAllConfigs) {
   };
   // Every configuration is dominated by some front point.
   for (const auto& cfg : sweep.configs) {
-    const double cfg_bytes = space.hbm_bytes(cfg.mask);
+    const double cfg_bytes = tuner::tier_sum(space.group_bytes(), cfg.mask,
+                                             2, PoolKind::HBM);
     bool dominated = false;
     for (const auto& p : front) {
       if (p.hbm_bytes <= cfg_bytes * (1.0 + 1e-12) &&
@@ -335,7 +336,8 @@ TEST_P(SweepProperty, ParetoFrontDominatesAllConfigs) {
     const auto best = planner.best_under_budget(budget);
     double brute = 0.0;
     for (const auto& cfg : sweep.configs)
-      if (space.hbm_bytes(cfg.mask) <= budget)
+      if (tuner::tier_sum(space.group_bytes(), cfg.mask, 2, PoolKind::HBM) <=
+          budget)
         brute = std::max(brute, speedup(cfg));
     EXPECT_NEAR(best.speedup, brute, 1e-12);
   }

@@ -165,8 +165,8 @@ TEST(ThreeTierCapsTest, EveryStrategyFitsEveryResolvedCap) {
 
       const ConfigSpace space(outcome.weights.footprint_bytes, 3);
       const auto fits = [&](ConfigMask mask) {
-        for (int t = 1; t < 3; ++t)
-          if (space.tier_bytes(mask, static_cast<topo::PoolKind>(t)) >
+        for (const auto t : {topo::PoolKind::HBM, topo::PoolKind::CXL})
+          if (tier_sum(space.group_bytes(), mask, 3, t) >
               caps[static_cast<std::size_t>(t)])
             return false;
         return true;

@@ -90,7 +90,12 @@ TEST(ConfigSpaceTest, EnumerationAndUsage) {
   ConfigSpace space({100.0, 200.0, 700.0});
   EXPECT_EQ(space.size(), 8u);
   EXPECT_DOUBLE_EQ(space.total_bytes(), 1000.0);
-  EXPECT_DOUBLE_EQ(space.hbm_bytes(0b010), 200.0);
+  // One walk of the mask's digits sums every tier.
+  EXPECT_EQ(tier_sums(space.group_bytes(), 0b010, 2),
+            (TierSums{800.0, 200.0, 0.0}));
+  EXPECT_EQ(tier_sum(space.group_bytes(), 0b010, 2, PoolKind::HBM), 200.0);
+  EXPECT_EQ(tier_sums({1.0, 2.0, 4.0}, 2 * 1 + 1 * 3 + 0 * 9, 3),
+            (TierSums{4.0, 2.0, 1.0}));
   const GroupWeights weights{space.group_bytes(), space.total_bytes(), {}, 0};
   EXPECT_DOUBLE_EQ(hbm_usage_of(weights, 0b101, 2), 0.8);
   EXPECT_EQ(groups_in_hbm_of(0b111, 3, 2), 3);
