@@ -1,6 +1,9 @@
 #include "campaign/aggregate.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <ostream>
@@ -167,6 +170,20 @@ void write_file(const std::string& path,
   if (!os.good()) raise("short write to " + path);
   os.close();
   if (os.fail()) raise("short write to " + path + " (at close)");
+}
+
+void publish_file(const std::string& path,
+                  const std::function<void(std::ostream&)>& write) {
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+  try {
+    write_file(tmp, write);
+    std::error_code ec;
+    std::filesystem::rename(tmp, path, ec);
+    if (ec) raise("cannot publish " + path + ": " + ec.message());
+  } catch (...) {
+    std::remove(tmp.c_str());
+    throw;
+  }
 }
 
 std::vector<std::string> write_artifacts(const CampaignResult& result,

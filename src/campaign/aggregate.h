@@ -77,6 +77,13 @@ void write_status_json(std::ostream& os, const CampaignResult& result);
 void write_file(const std::string& path,
                 const std::function<void(std::ostream&)>& write);
 
+/// write_file() to `path + ".tmp." + pid`, then rename it over `path`, so
+/// readers see the old bytes or the new ones, never a torn file. On any
+/// failure the temporary is removed, `path` is left as it was, and the
+/// error is rethrown.
+void publish_file(const std::string& path,
+                  const std::function<void(std::ostream&)>& write);
+
 /// Write runs.csv, summary.json and status.json under `output_dir`;
 /// returns the paths written. Per-scenario outcome JSONs are already in
 /// the store.

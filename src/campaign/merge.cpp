@@ -1,12 +1,12 @@
 #include "campaign/merge.h"
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
 
+#include "campaign/aggregate.h"
 #include "common/error.h"
 
 namespace hmpt::campaign {
@@ -23,22 +23,27 @@ std::string slurp(const std::string& path) {
   return buffer.str();
 }
 
-/// Atomic write (temp + rename), the same discipline as OutcomeStore.
-void spill(const std::string& path, const std::string& bytes) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::binary);
-    if (!os.good()) raise("cannot write " + tmp);
-    os << bytes;
-    os.flush();
-    if (!os.good()) raise("short write to " + tmp);
+/// The manifest entry of one finished run, keyed by its stored
+/// fingerprint (re-hashed only when the run has none). Planned runs leave
+/// no outcome to merge and throw.
+ShardManifest::Entry manifest_entry(const ScenarioRun& run) {
+  ShardManifest::Entry entry;
+  entry.fingerprint = fingerprint_of(run);
+  entry.scenario = run.scenario;
+  switch (run.status) {
+    case ScenarioRun::Status::Executed:
+    case ScenarioRun::Status::Cached:
+      entry.status = ShardEntryStatus::Complete;
+      break;
+    case ScenarioRun::Status::Failed:
+      entry.status = ShardEntryStatus::Failed;
+      entry.error = run.error;
+      break;
+    case ScenarioRun::Status::Planned:
+      raise("cannot write a shard manifest for a dry run — plans leave "
+            "no outcomes to merge");
   }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    std::remove(tmp.c_str());
-    raise("cannot finalise " + path + ": " + ec.message());
-  }
+  return entry;
 }
 
 }  // namespace
@@ -117,7 +122,8 @@ void ShardManifest::save(const std::string& store_dir) const {
   fs::create_directories(store_dir, ec);
   if (ec)
     raise("cannot create shard store at " + store_dir + ": " + ec.message());
-  spill(path_in(store_dir), to_json().dump());
+  const std::string bytes = to_json().dump();
+  publish_file(path_in(store_dir), [&](std::ostream& os) { os << bytes; });
 }
 
 ShardManifest ShardManifest::load(const std::string& store_dir) {
@@ -141,25 +147,18 @@ ShardManifest make_manifest(const std::vector<Scenario>& campaign_scenarios,
   manifest.shard = shard;
   for (const auto& s : campaign_scenarios)
     manifest.campaign_order.push_back(s.fingerprint());
+  for (const auto& run : result.runs)
+    manifest.entries.push_back(manifest_entry(run));
+  return manifest;
+}
+
+ShardManifest make_manifest(const std::string& campaign,
+                            const CampaignResult& result) {
+  ShardManifest manifest;
+  manifest.campaign = campaign;
   for (const auto& run : result.runs) {
-    ShardManifest::Entry entry;
-    entry.fingerprint = run.fingerprint.empty() ? run.scenario.fingerprint()
-                                                : run.fingerprint;
-    entry.scenario = run.scenario;
-    switch (run.status) {
-      case ScenarioRun::Status::Executed:
-      case ScenarioRun::Status::Cached:
-        entry.status = ShardEntryStatus::Complete;
-        break;
-      case ScenarioRun::Status::Failed:
-        entry.status = ShardEntryStatus::Failed;
-        entry.error = run.error;
-        break;
-      case ScenarioRun::Status::Planned:
-        raise("cannot write a shard manifest for a dry run — plans leave "
-              "no outcomes to merge");
-    }
-    manifest.entries.push_back(std::move(entry));
+    manifest.entries.push_back(manifest_entry(run));
+    manifest.campaign_order.push_back(manifest.entries.back().fingerprint);
   }
   return manifest;
 }
@@ -169,12 +168,8 @@ ShardManifest make_manifest(const std::vector<Scenario>& campaign_scenarios,
 ManifestProgress::ManifestProgress(
     const std::vector<Scenario>& campaign_scenarios, const ShardSpec& shard,
     std::string store_dir)
-    : store_dir_(std::move(store_dir)) {
-  manifest_.campaign = campaign_fingerprint(campaign_scenarios);
-  manifest_.shard = shard;
-  for (const auto& s : campaign_scenarios)
-    manifest_.campaign_order.push_back(s.fingerprint());
-
+    : manifest_(make_manifest(campaign_scenarios, shard, CampaignResult{})),
+      store_dir_(std::move(store_dir)) {
   // Union with an existing manifest for the same campaign and shard: a
   // relaunched worker (or a thief's later generation) appends to what
   // the store already proved finished. Anything else — a stale manifest
@@ -198,23 +193,7 @@ ManifestProgress::ManifestProgress(
 }
 
 void ManifestProgress::record(const ScenarioRun& run) {
-  ShardManifest::Entry entry;
-  entry.fingerprint = run.fingerprint.empty() ? run.scenario.fingerprint()
-                                              : run.fingerprint;
-  entry.scenario = run.scenario;
-  switch (run.status) {
-    case ScenarioRun::Status::Executed:
-    case ScenarioRun::Status::Cached:
-      entry.status = ShardEntryStatus::Complete;
-      break;
-    case ScenarioRun::Status::Failed:
-      entry.status = ShardEntryStatus::Failed;
-      entry.error = run.error;
-      break;
-    case ScenarioRun::Status::Planned:
-      raise("cannot record a dry-run scenario in a shard manifest");
-  }
-
+  ShardManifest::Entry entry = manifest_entry(run);
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = index_.find(entry.fingerprint);
   if (it == index_.end()) {

@@ -83,6 +83,14 @@ ShardManifest make_manifest(const std::vector<Scenario>& campaign_scenarios,
                             const ShardSpec& shard,
                             const CampaignResult& result);
 
+/// The 1/1 manifest of a whole, merged campaign, so the store hmpt_merge
+/// writes merges (and regenerates its report) again. `campaign` is the
+/// merge's validated fingerprint (MergeStats::campaign); the campaign
+/// order and entries are `result`'s runs under their stored
+/// fingerprints, never re-hashed scenarios.
+ShardManifest make_manifest(const std::string& campaign,
+                            const CampaignResult& result);
+
 /// Incremental manifest writing for fleet workers (`hmpt_campaign
 /// --progress-manifest`): the manifest is (re)written atomically after
 /// every completed scenario, so

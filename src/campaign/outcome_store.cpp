@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <utility>
@@ -932,20 +933,12 @@ std::optional<ValidRecord> OutcomeStore::find_record(
   return valid_record(fingerprint, std::move(*payload));
 }
 
-void OutcomeStore::for_each_record(
-    const std::function<void(const std::string&, ValidRecord&)>& visit)
-    const {
-  backend_->for_each([&](const std::string& fingerprint, std::string& bytes) {
-    if (auto record = valid_record(fingerprint, std::move(bytes)))
-      visit(fingerprint, *record);
-  });
-}
-
 std::vector<std::pair<std::string, std::string>>
 OutcomeStore::load_all_payloads() const {
   std::vector<std::pair<std::string, std::string>> out;
-  for_each_record([&](const std::string& fingerprint, ValidRecord& record) {
-    out.emplace_back(fingerprint, std::move(record.payload));
+  backend_->for_each([&](const std::string& fingerprint, std::string& bytes) {
+    if (auto record = valid_record(fingerprint, std::move(bytes)))
+      out.emplace_back(fingerprint, std::move(record->payload));
   });
   return out;
 }

@@ -39,7 +39,6 @@
 // well-formed conflicting write for an existing fingerprint throws.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -149,12 +148,9 @@ class OutcomeStore {
   /// damaged. A damaged copy is left as it is, never quarantined (merge
   /// reads shard stores this way).
   std::optional<ValidRecord> find_record(const std::string& fingerprint) const;
-  /// Hand every valid record to `visit`, one at a time in fingerprint
-  /// order (one pass over a packed log, a sorted listing of a dir store);
-  /// damaged ones are skipped and left as they are.
-  void for_each_record(const std::function<void(const std::string&,
-                                                ValidRecord&)>& visit) const;
-  /// Every (fingerprint, payload) of for_each_record(), collected.
+  /// Every valid (fingerprint, payload), in fingerprint order (one pass
+  /// over a packed log, a sorted listing of a dir store); damaged records
+  /// are skipped and left as they are. Tests compare stores with it.
   std::vector<std::pair<std::string, std::string>> load_all_payloads() const;
 
   /// The document bytes save() would store for this (scenario, outcome):

@@ -12,6 +12,7 @@
 #include <sstream>
 #include <string_view>
 
+#include "campaign/aggregate.h"
 #include "campaign/platforms.h"
 #include "common/error.h"
 #include "common/parse.h"
@@ -299,21 +300,7 @@ void save_scenario_plan(const std::string& path,
   for (const auto& s : scenarios) list.push_back(s.to_json());
   o["scenarios"] = Json(std::move(list));
   const std::string bytes = Json(std::move(o)).dump();
-
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::binary);
-    if (!os.good()) raise("cannot write " + tmp);
-    os << bytes;
-    os.flush();
-    if (!os.good()) raise("short write to " + tmp);
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::remove(tmp.c_str());
-    raise("cannot finalise " + path + ": " + ec.message());
-  }
+  publish_file(path, [&](std::ostream& os) { os << bytes; });
 }
 
 std::vector<Scenario> load_scenario_plan(const std::string& path) {

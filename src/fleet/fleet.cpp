@@ -16,6 +16,7 @@
 #include <sstream>
 #include <thread>
 
+#include "campaign/aggregate.h"
 #include "common/error.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -188,16 +189,9 @@ void save_assignment(const std::string& path,
   const fs::path target(path);
   std::error_code ec;
   if (target.has_parent_path()) fs::create_directories(target.parent_path(), ec);
-  const fs::path tmp = fs::path(path + ".tmp." + std::to_string(::getpid()));
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    HMPT_REQUIRE(os.good(), "cannot write assignment file: " + path);
+  campaign::publish_file(path, [&](std::ostream& os) {
     for (const auto& fp : fingerprints) os << fp << "\n";
-    os.flush();
-    HMPT_REQUIRE(os.good(), "cannot write assignment file: " + path);
-  }
-  fs::rename(tmp, target, ec);
-  if (ec) raise("cannot publish assignment file " + path + ": " + ec.message());
+  });
 }
 
 std::vector<std::string> load_assignment(const std::string& path) {

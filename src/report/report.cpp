@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "campaign/aggregate.h"
-#include "campaign/outcome_store.h"
 #include "common/chart.h"
 #include "common/error.h"
 #include "common/table.h"
@@ -20,7 +19,6 @@ namespace fs = std::filesystem;
 using campaign::budget_text;
 using campaign::CampaignResult;
 using campaign::fingerprint_of;
-using campaign::Scenario;
 using campaign::ScenarioRun;
 
 namespace {
@@ -231,48 +229,20 @@ TraceTimeline load_trace_timeline(const std::string& trace_path) {
   return timeline;
 }
 
-CampaignResult load_store_result(const std::string& store_dir) {
-  const auto format = campaign::detect_store_format(store_dir);
-  if (!format)
-    raise("no outcome store at " + store_dir +
-          " (expected outcomes/ or outcomes.log)");
-  const campaign::OutcomeStore store(store_dir, *format);
-
-  CampaignResult result;
-  store.for_each_record([&](const std::string& fingerprint,
-                            campaign::ValidRecord& record) {
-    ScenarioRun run;
-    try {
-      run.scenario = Scenario::from_json(record.scenario);
-    } catch (const std::exception& e) {
-      raise("corrupt outcome record " + fingerprint + " in " + store_dir +
-            ": " + e.what());
-    }
-    run.outcome = std::move(record.outcome);
-    run.fingerprint = fingerprint;
-    run.status = ScenarioRun::Status::Cached;
-    ++result.cached;
-    result.runs.push_back(std::move(run));
-  });
-  return result;
-}
-
 void write_report_html(std::ostream& os, const CampaignResult& result,
-                       const std::string& title,
                        const TraceTimeline* timeline) {
   const std::vector<const ScenarioRun*> ranked = campaign::ranked_runs(result);
   const std::string campaign_fp = campaign::campaign_fingerprint(result);
-  const std::string heading = title.empty() ? "hmpt campaign report" : title;
 
   os << "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n"
      << "<meta charset=\"utf-8\">\n"
      << "<meta name=\"viewport\" content=\"width=device-width, "
         "initial-scale=1\">\n"
-     << "<title>" << html_escape(heading) << "</title>\n"
+     << "<title>hmpt campaign report</title>\n"
      << "<style>" << kStyle << "</style>\n</head>\n<body>\n";
 
   // ------------------------------------------------------------ headline
-  os << "<h1>" << html_escape(heading) << "</h1>\n";
+  os << "<h1>hmpt campaign report</h1>\n";
   os << "<p class=\"meta\">campaign <code>" << html_escape(campaign_fp)
      << "</code> &middot; " << result.runs.size() << " scenario"
      << (result.runs.size() == 1 ? "" : "s") << " &middot; "
@@ -377,7 +347,6 @@ void write_report_html(std::ostream& os, const CampaignResult& result,
 
 std::string write_report(const CampaignResult& result,
                          const std::string& output_dir,
-                         const std::string& title,
                          const TraceTimeline* timeline) {
   const fs::path dir = fs::path(output_dir) / "report";
   std::error_code ec;
@@ -386,7 +355,7 @@ std::string write_report(const CampaignResult& result,
     raise("cannot create report dir " + dir.string() + ": " + ec.message());
   const std::string path = (dir / "index.html").string();
   campaign::write_file(path, [&](std::ostream& os) {
-    write_report_html(os, result, title, timeline);
+    write_report_html(os, result, timeline);
   });
   return path;
 }

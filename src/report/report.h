@@ -53,23 +53,12 @@ struct TraceTimeline {
 /// file throws hmpt::Error. An armed-but-idle trace yields no spans.
 TraceTimeline load_trace_timeline(const std::string& trace_path);
 
-/// Reconstruct a campaign result from an outcome store directory alone
-/// (dir or packed format, auto-detected): every stored record carries its
-/// full scenario, so no manifest or campaign file is needed. Runs come
-/// back fingerprint-ordered with status Cached; failures are not
-/// represented (a store only holds successes). Records are read one at a
-/// time, headlines kept. Throws hmpt::Error when the directory holds no
-/// outcome store.
-campaign::CampaignResult load_store_result(const std::string& store_dir);
-
 /// Write the full report document to `os`, streaming one run at a time.
-/// `title` is the page heading; empty picks a default. A non-null
-/// `timeline` adds a per-job timeline section (span bars per worker
-/// lane); null renders the exact document earlier revisions produced, so
-/// untraced reports stay byte-stable.
+/// A non-null `timeline` adds a per-job timeline section (span bars per
+/// worker lane); null renders the exact document earlier revisions
+/// produced, so untraced reports stay byte-stable.
 void write_report_html(std::ostream& os,
                        const campaign::CampaignResult& result,
-                       const std::string& title = "",
                        const TraceTimeline* timeline = nullptr);
 
 /// Write `<output_dir>/report/index.html` (directories created as
@@ -77,7 +66,6 @@ void write_report_html(std::ostream& os,
 /// when any byte fails to reach the file.
 std::string write_report(const campaign::CampaignResult& result,
                          const std::string& output_dir,
-                         const std::string& title = "",
                          const TraceTimeline* timeline = nullptr);
 
 }  // namespace hmpt::report

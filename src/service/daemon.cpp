@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <utility>
 
+#include "campaign/aggregate.h"
 #include "common/error.h"
 #include "common/thread_name.h"
 #include "obs/metrics.h"
@@ -525,15 +524,9 @@ JsonObject Daemon::stats_fields() const {
 
 void Daemon::write_metrics_snapshot() const {
   try {
-    const std::string tmp = options_.metrics_path + ".tmp";
-    {
-      std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-      if (!os.good()) return;
+    campaign::publish_file(options_.metrics_path, [&](std::ostream& os) {
       os << Json(stats_fields()).dump() << "\n";
-      os.flush();
-      if (!os.good()) return;
-    }
-    std::rename(tmp.c_str(), options_.metrics_path.c_str());
+    });
   } catch (const std::exception&) {
     // Best-effort by contract: a full disk or a bad path costs the
     // snapshot, never a job or the daemon.

@@ -1,6 +1,6 @@
-// End-to-end tests of the hmpt_campaign / hmpt_merge / hmpt_report
-// command-line tools (both store formats, the shard/merge workflow and
-// the static HTML report), of hmpt_analyze's campaign-backed flags
+// End-to-end tests of the hmpt_campaign / hmpt_merge command-line tools
+// (both store formats, the shard/merge workflow and the static HTML
+// report), of hmpt_analyze's campaign-backed flags
 // (--json, --list-*) and of the matrix flags hmpt_submit shares with
 // hmpt_campaign. All binary paths come from CMake.
 #include <gtest/gtest.h>
@@ -26,9 +26,6 @@ namespace {
 #ifndef HMPT_MERGE_PATH
 #define HMPT_MERGE_PATH ""
 #endif
-#ifndef HMPT_REPORT_PATH
-#define HMPT_REPORT_PATH ""
-#endif
 #ifndef HMPT_ANALYZE_PATH
 #define HMPT_ANALYZE_PATH ""
 #endif
@@ -53,6 +50,7 @@ class CampaignCliTest : public ::testing::Test {
     std::remove(out_.c_str());
     std::remove(json_.c_str());
     std::remove(campaign_file_.c_str());
+    std::remove(trace_.c_str());
   }
 
   void remove_stores() {
@@ -61,6 +59,7 @@ class CampaignCliTest : public ::testing::Test {
       fs::remove_all(store_ + "-shard" + std::to_string(i));
     fs::remove_all(store_ + "-merged");
     fs::remove_all(store_ + "-packed");
+    fs::remove_all(store_ + "-regen");
   }
 
   int run(const std::string& args) {
@@ -71,12 +70,6 @@ class CampaignCliTest : public ::testing::Test {
 
   int run_merge(const std::string& args) {
     const std::string cmd = std::string(HMPT_MERGE_PATH) + " " + args +
-                            " > " + out_ + " 2>&1";
-    return std::system(cmd.c_str());
-  }
-
-  int run_report(const std::string& args) {
-    const std::string cmd = std::string(HMPT_REPORT_PATH) + " " + args +
                             " > " + out_ + " 2>&1";
     return std::system(cmd.c_str());
   }
@@ -101,6 +94,7 @@ class CampaignCliTest : public ::testing::Test {
   const std::string out_ = "/tmp/hmpt_campaign_cli.out";
   const std::string json_ = "/tmp/hmpt_campaign_cli.json";
   const std::string campaign_file_ = "/tmp/hmpt_campaign_cli.campaign";
+  const std::string trace_ = "/tmp/hmpt_campaign_cli.trace.json";
 };
 
 TEST_F(CampaignCliTest, RunsResumesAndReproducesRunsCsv) {
@@ -306,8 +300,10 @@ TEST_F(CampaignCliTest, ShardedRunsMergeToTheUnshardedArtifacts) {
 }
 
 TEST_F(CampaignCliTest, PackedStoreAndHtmlReportEndToEnd) {
-  // Dir-format reference run (the default layout).
-  ASSERT_EQ(run(matrix_flags() + " --jobs 0 --quiet"), 0) << slurp(out_);
+  // Dir-format reference run (the default layout), traced for the
+  // timeline section below.
+  ASSERT_EQ(run(matrix_flags() + " --jobs 0 --quiet --trace " + trace_), 0)
+      << slurp(out_);
   const std::string dir_csv = slurp(store_ + "/runs.csv");
   const std::string dir_summary = slurp(store_ + "/summary.json");
   ASSERT_FALSE(dir_csv.empty());
@@ -369,20 +365,47 @@ TEST_F(CampaignCliTest, PackedStoreAndHtmlReportEndToEnd) {
   EXPECT_EQ(slurp(merged + "/runs.csv"), dir_csv);
   EXPECT_EQ(slurp(merged + "/summary.json"), dir_summary);
 
-  // hmpt_report renders from a store alone, either format, and the two
-  // documents agree byte for byte (fingerprint-ordered reconstruction).
-  ASSERT_EQ(run_report(packed), 0) << slurp(out_);
-  ASSERT_EQ(run_report(store_), 0) << slurp(out_);
-  const std::string from_packed = slurp(packed + "/report/index.html");
-  const std::string from_dir = slurp(store_ + "/report/index.html");
-  ASSERT_FALSE(from_dir.empty());
-  EXPECT_EQ(from_dir, from_packed);
-
-  // Errors: no store is a report failure (2); bad usage is 1.
-  EXPECT_EQ(WEXITSTATUS(run_report("/tmp/hmpt_cli_no_store_here")), 2);
-  EXPECT_NE(slurp(out_).find("report failed"), std::string::npos)
+  // hmpt_merge --report on one store, either format, regenerates the
+  // campaign's exact page; the merged store it writes does too.
+  const std::string regen = store_ + "-regen";
+  for (const std::string& source : {packed, store_, merged}) {
+    fs::remove_all(regen);
+    ASSERT_EQ(run_merge("--quiet --report --out " + regen + " " + source), 0)
+        << slurp(out_);
+    EXPECT_EQ(slurp(regen + "/report/index.html"), html) << source;
+  }
+  // --out may name the store itself: no record is copied, and the page
+  // comes back the same.
+  fs::remove_all(packed + "/report");
+  ASSERT_EQ(run_merge("--quiet --report --store-format packed --out " +
+                      packed + " " + packed),
+            0)
       << slurp(out_);
-  EXPECT_EQ(WEXITSTATUS(run_report("")), 1);
+  EXPECT_EQ(slurp(packed + "/report/index.html"), html);
+  EXPECT_EQ(slurp(packed + "/runs.csv"), dir_csv);
+
+  // --trace adds the per-job timeline section, and only with --report.
+  fs::remove_all(regen);
+  ASSERT_EQ(run_merge("--quiet --report --trace " + trace_ + " --out " +
+                      regen + " " + store_),
+            0)
+      << slurp(out_);
+  const std::string traced = slurp(regen + "/report/index.html");
+  EXPECT_NE(traced.find("Per-job timeline"), std::string::npos);
+  EXPECT_EQ(html.find("Per-job timeline"), std::string::npos);
+  EXPECT_EQ(WEXITSTATUS(run_merge("--trace " + trace_ + " --out " + regen +
+                                  " " + store_)),
+            1);
+  EXPECT_NE(slurp(out_).find("--trace only applies with --report"),
+            std::string::npos)
+      << slurp(out_);
+
+  // Errors: no store is a merge failure (2); bad usage is 1.
+  EXPECT_EQ(WEXITSTATUS(run_merge("--report --out " + regen +
+                                  " /tmp/hmpt_cli_no_store_here")),
+            2);
+  EXPECT_NE(slurp(out_).find("merge failed"), std::string::npos)
+      << slurp(out_);
   EXPECT_EQ(WEXITSTATUS(run(matrix_flags() + " --store-format sqlite")), 1);
   EXPECT_EQ(WEXITSTATUS(run_merge("--out " + merged + " --store-format " +
                                   "sqlite " + store_)),

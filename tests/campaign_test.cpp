@@ -27,6 +27,7 @@
 
 #include "campaign/aggregate.h"
 #include "campaign/campaign.h"
+#include "campaign/merge.h"
 #include "campaign/platforms.h"
 #include "core/outcome_io.h"
 #include "core/session.h"
@@ -1985,9 +1986,7 @@ TEST(OutcomeStoreTest, OutOfRangeRecordsReadAsDamaged) {
   const OutcomeStore store(dir.path());
   store.save_payload(sweep.fingerprint(), good_sweep);
   store.save_payload(online.fingerprint(), good_online);
-  int valid = 0;
-  store.for_each_record([&](const std::string&, ValidRecord&) { ++valid; });
-  EXPECT_EQ(valid, 2);
+  EXPECT_EQ(store.load_all_payloads().size(), 2u);
 }
 
 TEST(OutcomeStoreTest, SaveQuarantinesDamagedExistingFile) {
@@ -2704,22 +2703,11 @@ TEST_F(CampaignRunnerTest, HtmlReportIsSelfContainedAndStoreDerivable) {
   written << is.rdbuf();
   EXPECT_EQ(written.str(), html);
 
-  // The store alone reconstructs the same ranked view: every record
-  // carries its scenario, so a report needs no campaign file.
-  const auto from_store = report::load_store_result(dir.path());
-  ASSERT_EQ(from_store.runs.size(), scenario_list.size());
-  const auto ranked_a = ranked_runs(result);
-  const auto ranked_b = ranked_runs(from_store);
-  ASSERT_EQ(ranked_a.size(), ranked_b.size());
-  for (std::size_t i = 0; i < ranked_a.size(); ++i) {
-    EXPECT_EQ(ranked_a[i]->scenario.fingerprint(),
-              ranked_b[i]->scenario.fingerprint());
-    EXPECT_EQ(json_of(ranked_a[i]->outcome), json_of(ranked_b[i]->outcome));
-  }
-
-  // No store, no report.
-  StoreDir empty("hmpt_report_empty");
-  EXPECT_THROW(report::load_store_result(empty.path()), Error);
+  // The store and the manifest every campaign run leaves regenerate the
+  // same document: a merge of the one store rebuilds the campaign order.
+  make_manifest(scenario_list, {1, 1}, result).save(dir.path());
+  StoreDir regen("hmpt_campaign_report_regen");
+  EXPECT_EQ(html_of(merge_shards({dir.path()}, regen.path())), html);
 }
 
 // -------------------------------------------------------- artefact bytes
@@ -2859,7 +2847,7 @@ TEST(ArtefactBytesTest, EdgeCasesMatchTheirGoldens) {
                          const report::TraceTimeline* trace) {
     const std::string out = dir.path() + "/" + tag;
     write_artifacts(result, out);
-    report::write_report(result, out, "", trace);
+    report::write_report(result, out, trace);
     for (const std::string name :
          {"runs.csv", "summary.json", "status.json", "report/index.html"}) {
       std::ifstream is(out + "/" + name, std::ios::binary);
@@ -2909,6 +2897,57 @@ TEST(ArtefactBytesTest, AWriteThatFailsPartwayRaisesNamingThePath) {
           << e.what();
     }
   }
+}
+
+TEST(ArtefactBytesTest, AFailedPublishKeepsTheOldFileAndNoTemporary) {
+  // publish_file (manifests, plans, assignments, metrics snapshots)
+  // writes `<path>.tmp.<pid>` and renames it over `path`: whatever step
+  // fails, the published bytes stay as they were and no temporary is
+  // left behind.
+  StoreDir dir("hmpt_publish_failure");
+  fs::create_directories(dir.path());
+  const std::string path = dir.path() + "/shard.manifest.json";
+  const auto bytes_of = [](const std::string& file) {
+    std::ifstream is(file, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << is.rdbuf();
+    return bytes.str();
+  };
+  const auto entries = [&] {
+    std::set<std::string> names;
+    for (const auto& entry : fs::directory_iterator(dir.path()))
+      names.insert(entry.path().filename().string());
+    return names;
+  };
+  publish_file(path, [](std::ostream& os) { os << "old"; });
+
+  const std::function<void(std::ostream&)> failing_writers[] = {
+      [](std::ostream& os) {  // a short write
+        os << "torn";
+        os.setstate(std::ios::badbit);
+      },
+      [](std::ostream& os) {  // a writer that throws partway
+        os << "torn";
+        raise("writer failed");
+      },
+  };
+  for (const auto& writer : failing_writers) {
+    EXPECT_THROW(publish_file(path, writer), Error);
+    EXPECT_EQ(bytes_of(path), "old");
+    EXPECT_EQ(entries(), std::set<std::string>{"shard.manifest.json"});
+  }
+
+  // A rename that fails (the target is a non-empty directory) cleans up
+  // its temporary too.
+  const std::string busy = dir.path() + "/busy";
+  fs::create_directories(busy + "/inside");
+  EXPECT_THROW(publish_file(busy, [](std::ostream& os) { os << "new"; }),
+               Error);
+  EXPECT_TRUE(fs::is_directory(busy + "/inside"));
+  EXPECT_EQ(entries(), (std::set<std::string>{"busy", "shard.manifest.json"}));
+
+  publish_file(path, [](std::ostream& os) { os << "new"; });
+  EXPECT_EQ(bytes_of(path), "new");
 }
 
 }  // namespace

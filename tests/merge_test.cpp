@@ -4,7 +4,7 @@
 // coverage), conflicting-outcome detection, and the headline guarantee —
 // N merged shards reproduce the unsharded artefacts byte for byte, in
 // either store layout (dir or packed) and across lossless dir<->packed
-// conversions.
+// conversions, and a merged store merges again to the same artefacts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +18,7 @@
 #include "campaign/aggregate.h"
 #include "campaign/campaign.h"
 #include "campaign/merge.h"
+#include "report/report.h"
 #include "workloads/app_models.h"
 #include "workloads/trace_io.h"
 
@@ -991,6 +992,84 @@ TEST_F(MergeTest, FailedScenariosAreReproducedFromTheManifests) {
             slurp(whole.output_dir + "/summary.json"));
   EXPECT_EQ(slurp(root.path() + "/merged/runs.csv"),
             slurp(whole.output_dir + "/runs.csv"));
+}
+
+TEST_F(MergeTest, MergedStoresMergeAgainToTheSameArtefacts) {
+  TempDir root("hmpt_merge_remerge");
+
+  // One scenario pair fails at execute time ("recorded" with a missing
+  // profile passes planning), so failures must survive both merges.
+  ScenarioMatrix matrix;
+  matrix.workloads = {parse_workload_spec("mg"),
+                      parse_workload_spec(
+                          "recorded:path=/nonexistent.profile")};
+  matrix.platforms = {"xeon-max"};
+  matrix.strategies = {"estimator", "online"};
+  matrix.repetitions = 1;
+  const auto full = matrix.expand();
+  const auto report_of = [](const CampaignResult& result) {
+    std::ostringstream os;
+    report::write_report_html(os, result);
+    return os.str();
+  };
+
+  CampaignOptions whole;
+  whole.output_dir = root.path() + "/whole";
+  whole.keep_going = true;
+  const auto cold = CampaignRunner(whole).run(full);
+  ASSERT_EQ(cold.failed, 2);
+  write_artifacts(cold, whole.output_dir);
+  make_manifest(full, {1, 1}, cold).save(whole.output_dir);
+  const std::string cold_report = report_of(cold);
+
+  for (const auto format : {StoreFormat::Dir, StoreFormat::Packed}) {
+    const std::string tag = to_string(format);
+    std::vector<std::string> shard_dirs;
+    for (int i = 1; i <= 2; ++i) {
+      shard_dirs.push_back(root.path() + "/" + tag + "-shard" +
+                           std::to_string(i));
+      run_shard(full, {i, 2}, shard_dirs.back(), /*keep_going=*/true,
+                format);
+    }
+    // Shard 1 also completes one of shard 2's scenarios: an overlapping
+    // claim, as a steal leaves it.
+    const auto slice = shard_scenarios(full, {2, 2});
+    const auto stolen =
+        *std::find_if(slice.begin(), slice.end(), [](const Scenario& s) {
+          return s.workload.to_string() == "mg";
+        });
+    CampaignOptions dup;
+    dup.output_dir = shard_dirs[0];
+    dup.store_format = format;
+    const auto dup_run = CampaignRunner(dup).run({stolen});
+    ASSERT_TRUE(dup_run.ok()) << tag;
+    ManifestProgress(full, {1, 2}, shard_dirs[0]).record(dup_run.runs[0]);
+
+    // Merge the shards, then the merged store alone, each writing what
+    // hmpt_merge writes: the artefacts and a manifest of the stored
+    // fingerprints. Both match the unsharded run.
+    const auto merge_into = [&](const std::vector<std::string>& inputs,
+                                const std::string& out, int overlapping) {
+      MergeStats stats;
+      const auto merged = merge_shards(inputs, out, &stats, format);
+      EXPECT_EQ(stats.campaign, campaign_fingerprint(full)) << out;
+      EXPECT_EQ(stats.overlapping, overlapping) << out;
+      EXPECT_EQ(merged.failed, 2) << out;
+      write_artifacts(merged, out);
+      make_manifest(stats.campaign, merged).save(out);
+      EXPECT_EQ(report_of(merged), cold_report) << out;
+      for (const char* artefact :
+           {"/runs.csv", "/summary.json", "/shard.manifest.json"})
+        EXPECT_EQ(slurp(out + artefact), slurp(whole.output_dir + artefact))
+            << out << artefact;
+    };
+    const std::string merged = root.path() + "/" + tag;
+    merge_into(shard_dirs, merged, 1);
+    merge_into({merged}, merged + "-again", 0);
+    EXPECT_EQ(OutcomeStore(merged + "-again", format).load_all_payloads(),
+              OutcomeStore(merged, format).load_all_payloads())
+        << tag;
+  }
 }
 
 }  // namespace

@@ -467,7 +467,7 @@ int main(int argc, char** argv) {
     }
     if (write_html_report)
       std::cout << "wrote "
-                << report::write_report(result, options.output_dir, "",
+                << report::write_report(result, options.output_dir,
                                         timeline ? &*timeline : nullptr)
                 << "\n";
     std::cout << "outcome store: " << options.output_dir
