@@ -17,7 +17,6 @@
 // stays one run's text, whatever the campaign's size.
 #pragma once
 
-#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -69,20 +68,6 @@ void write_summary_json(std::ostream& os, const CampaignResult& result);
 /// Deliberately separate from summary.json so the deterministic
 /// artefacts stay comparable across resume and shard merges.
 void write_status_json(std::ostream& os, const CampaignResult& result);
-
-/// Create `path` and stream `write`'s bytes into it. Throws hmpt::Error
-/// naming the path when the file cannot be opened, or when any byte
-/// fails to reach it (checked after the last byte and again at close),
-/// so a full disk never passes for a finished artefact.
-void write_file(const std::string& path,
-                const std::function<void(std::ostream&)>& write);
-
-/// write_file() to `path + ".tmp." + pid`, then rename it over `path`, so
-/// readers see the old bytes or the new ones, never a torn file. On any
-/// failure the temporary is removed, `path` is left as it was, and the
-/// error is rethrown.
-void publish_file(const std::string& path,
-                  const std::function<void(std::ostream&)>& write);
 
 /// Write runs.csv, summary.json and status.json under `output_dir`;
 /// returns the paths written. Per-scenario outcome JSONs are already in

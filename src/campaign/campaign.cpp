@@ -85,8 +85,8 @@ CampaignRunner::CampaignRunner(CampaignOptions options)
       store_(options_.output_dir, options_.store_format) {
   HMPT_REQUIRE(options_.scenario_jobs >= 0,
                "scenario_jobs must be >= 0 (0 = all hardware threads)");
-  HMPT_REQUIRE(options_.measure_jobs >= 0,
-               "measure_jobs must be >= 0 (0 = all hardware threads)");
+  HMPT_REQUIRE(options_.measure_jobs == 1,
+               "measure_jobs must be 1 (measurement is serial)");
   HMPT_REQUIRE(options_.attempts >= 1, "attempts must be >= 1");
   HMPT_REQUIRE(options_.scenario_timeout_s >= 0.0,
                "scenario_timeout_s must be >= 0 (0 = none)");
@@ -94,6 +94,8 @@ CampaignRunner::CampaignRunner(CampaignOptions options)
 
 tuner::TuningOutcome CampaignRunner::execute(const Scenario& scenario,
                                              int measure_jobs) {
+  HMPT_REQUIRE(measure_jobs == 1,
+               "measure_jobs must be 1 (measurement is serial)");
   auto simulator = make_platform(scenario.platform);
   const auto resolved = WorkloadRegistry::instance().create(
       scenario.workload, simulator);
@@ -106,8 +108,7 @@ tuner::TuningOutcome CampaignRunner::execute(const Scenario& scenario,
                      .tiers(scenario.tiers)
                      .repetitions(scenario.repetitions)
                      .budget_gb(scenario.budget_gb)
-                     .top_k(scenario.top_k)
-                     .jobs(measure_jobs);
+                     .top_k(scenario.top_k);
   if (resolved.context.has_value()) session.context(*resolved.context);
   for (const auto& [tier, gb] : scenario.tier_budgets_gb)
     session.tier_budget_gb(tier, gb);
@@ -174,7 +175,7 @@ CampaignResult CampaignRunner::run(const std::vector<Scenario>& scenarios,
       auto executed = execute_and_store(
           run.scenario, run.fingerprint, store_, policy,
           [&](const CancelToken&) {
-            return execute(run.scenario, options_.measure_jobs);
+            return execute(run.scenario);
           });
       run.seconds = executed.seconds;
       run.attempts = executed.attempts;

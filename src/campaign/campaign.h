@@ -48,9 +48,7 @@ struct CampaignOptions {
   bool keep_going = false;
   /// Concurrent scenarios (1 = serial, 0 = all hardware threads).
   int scenario_jobs = 1;
-  /// Measurement worker threads inside each scenario's Session. The
-  /// default keeps one thread per scenario — scenario-level parallelism
-  /// composes badly with nested measurement pools.
+  /// Kept only because perfbench sets it; must be 1, nothing reads it.
   int measure_jobs = 1;
   /// Execution attempts per scenario (>= 1; 1 = fail fast). Transient
   /// failures are retried with the same deterministic backoff the daemon
@@ -157,6 +155,8 @@ class CampaignRunner {
   /// Execute one scenario end to end: build the platform, resolve the
   /// workload by name, tune through a Session. Public so single-scenario
   /// callers (tests, tools) share the exact campaign execution path.
+  /// `measure_jobs` is kept only because perfbench passes 1; any other
+  /// value throws.
   static tuner::TuningOutcome execute(const Scenario& scenario,
                                       int measure_jobs = 1);
 

@@ -8,6 +8,7 @@
 
 #include "campaign/aggregate.h"
 #include "common/error.h"
+#include "common/file_io.h"
 
 namespace hmpt::campaign {
 

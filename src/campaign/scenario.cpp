@@ -12,9 +12,9 @@
 #include <sstream>
 #include <string_view>
 
-#include "campaign/aggregate.h"
 #include "campaign/platforms.h"
 #include "common/error.h"
+#include "common/file_io.h"
 #include "common/parse.h"
 #include "core/strategy.h"
 

@@ -6,10 +6,9 @@
 // sorted tier budgets — is hashed into a content-addressed fingerprint
 // that keys the on-disk outcome store: two scenarios with the same
 // fingerprint are the same experiment, whatever order or spelling they
-// were declared in. Fields that cannot change the result (worker-thread
-// counts — outcomes are bit-identical at any job count) are deliberately
-// excluded, so re-running a campaign with different parallelism still
-// hits the cache.
+// were declared in. Execution knobs that cannot change the result (how
+// many scenarios run at once) are deliberately excluded, so re-running a
+// campaign with different parallelism still hits the cache.
 //
 // A ScenarioMatrix is the declarative cross product the campaign file and
 // the CLI flags build up: workloads × platforms × strategies × tiers ×

@@ -110,18 +110,6 @@ void ThreadPool::parallel_for(std::size_t n,
   run_region(region);
 }
 
-void ThreadPool::parallel_chunks(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (n == 0) return;
-  const std::size_t chunks =
-      std::min<std::size_t>(static_cast<std::size_t>(size()), n);
-  parallel_for(chunks, [&](std::size_t c) {
-    const std::size_t begin = c * n / chunks;
-    const std::size_t end = (c + 1) * n / chunks;
-    if (begin < end) fn(begin, end);
-  });
-}
-
 void parallel_for(int jobs, std::size_t n,
                   const std::function<void(std::size_t)>& fn) {
   const int resolved = jobs == 0 ? ThreadPool::hardware_jobs() : jobs;

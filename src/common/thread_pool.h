@@ -1,12 +1,12 @@
-// thread_pool.h — a small fixed-size worker pool for data-parallel loops.
+// thread_pool.h — a small fixed-size worker pool for independent tasks.
 //
-// The measurement campaign of the tuner is embarrassingly parallel (every
-// placement configuration is independent once the simulator is const), so
-// all it needs is a work-stealing-free pool: workers claim loop indices
-// from one atomic counter, or whole contiguous chunks when the caller keeps
-// per-worker state (e.g. the per-phase timing cache of a Gray-order sweep).
-// The pool threads persist across parallel regions; a region blocks its
-// caller until every index has run and rethrows the first task exception.
+// The tuner's concurrency is across scenarios: a campaign runs its
+// scenarios through parallel_for (--jobs), and the daemon scheduler runs
+// one long-lived worker loop per lane. Each task is independent, so all
+// the pool needs is one atomic counter its workers claim indices from —
+// no work stealing. The pool threads persist across parallel regions; a
+// region blocks its caller until every index has run and rethrows the
+// first task exception.
 #pragma once
 
 #include <atomic>
@@ -43,13 +43,6 @@ class ThreadPool {
   /// throws is rethrown here after the region drains. Not reentrant: do not
   /// start a region from inside a task of the same pool.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-  /// Split [0, n) into size() contiguous chunks and run fn(begin, end) once
-  /// per non-empty chunk. Contiguity is the point: a Gray-order sweep keeps
-  /// per-chunk state (timing caches) effective because adjacent indices
-  /// differ by one allocation group.
-  void parallel_chunks(std::size_t n,
-                       const std::function<void(std::size_t, std::size_t)>& fn);
 
  private:
   /// One parallel region: shared by the caller and all workers.

@@ -2,18 +2,18 @@
 
 #include "common/error.h"
 #include "common/stats.h"
-#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "simmem/timing_cache.h"
 
 namespace hmpt::tuner {
 
 namespace {
 
 /// Fold one timer's lifetime tallies into the process-wide cache metrics
-/// and (when tracing) mark them in the owning lane. Called when a timer
-/// retires — end of a serial enumeration or of a worker's chunk — so the
-/// counters see each hit exactly once.
+/// and (when tracing) mark them in the calling lane. Called once, when the
+/// measurement loop's timer retires, so the counters see each hit exactly
+/// once.
 void note_timer_stats(const sim::CachedTraceTimer& timer) {
   const std::uint64_t hits = timer.hits();
   const std::uint64_t misses = timer.misses();
@@ -54,71 +54,43 @@ ExperimentRunner::ExperimentRunner(sim::MachineSimulator& sim,
                                    ExperimentOptions options)
     : sim_(&sim), ctx_(ctx), options_(options) {
   HMPT_REQUIRE(options_.repetitions >= 1, "need >= 1 repetition");
-  HMPT_REQUIRE(options_.jobs >= 0, "jobs must be >= 0 (0 = hardware)");
 }
 
-int ExperimentRunner::resolved_jobs() const {
-  return options_.jobs == 0 ? ThreadPool::hardware_jobs() : options_.jobs;
-}
-
-ThreadPool& ExperimentRunner::pool() {
-  if (!pool_) pool_ = std::make_shared<ThreadPool>(resolved_jobs());
-  return *pool_;
-}
-
-ConfigResult ExperimentRunner::measure_config(
-    const sim::PhaseTrace& trace, const ConfigSpace& space, ConfigMask mask,
-    sim::Placement& placement, sim::CachedTraceTimer* timer) const {
-  HMPT_REQUIRE(mask < space.size(), "mask out of range");
-  refill_placement(placement, mask, space.num_tiers());
-  // The deterministic time is a pure function of the placement: compute it
-  // once and apply per-repetition noise on top, instead of re-timing the
-  // whole trace `repetitions` times.
-  const double t = timer != nullptr
-                       ? timer->time(placement)
-                       : sim_->time_trace(trace, placement, ctx_);
-  RunningStats runs;
-  for (int rep = 0; rep < options_.repetitions; ++rep)
-    runs.add(t * sim_->noise_factor({mask, static_cast<std::uint64_t>(rep)}));
-  return {mask, runs.mean(), runs.stddev()};
-}
-
-ConfigResult ExperimentRunner::measure(const workloads::Workload& workload,
-                                       const ConfigSpace& space,
-                                       ConfigMask mask) {
+void ExperimentRunner::measure_each(
+    const workloads::Workload& workload, const ConfigSpace& space,
+    const std::vector<ConfigMask>& masks,
+    const std::function<void(std::size_t, const ConfigResult&)>& emit) const {
+  const auto trace = workload.trace();
+  // One timer and one placement live across the whole list, so a
+  // Gray-order enumeration re-times only the phases touching the flipped
+  // group and no configuration allocates.
+  sim::CachedTraceTimer timer(sim_->solver(), trace, ctx_);
   auto placement = space.placement(0);
-  return measure_config(workload.trace(), space, mask, placement, nullptr);
+  for (std::size_t i = 0; i < masks.size(); ++i) {
+    const ConfigMask mask = masks[i];
+    HMPT_REQUIRE(mask < space.size(), "mask out of range");
+    refill_placement(placement, mask, space.num_tiers());
+    // The deterministic time is a pure function of the placement: compute
+    // it once and apply per-repetition noise on top, instead of re-timing
+    // the whole trace `repetitions` times.
+    const double t = timer.time(placement);
+    RunningStats runs;
+    for (int rep = 0; rep < options_.repetitions; ++rep)
+      runs.add(t *
+               sim_->noise_factor({mask, static_cast<std::uint64_t>(rep)}));
+    emit(i, {mask, runs.mean(), runs.stddev()});
+  }
+  note_timer_stats(timer);
 }
 
 std::vector<ConfigResult> ExperimentRunner::measure_batch(
     const workloads::Workload& workload, const ConfigSpace& space,
     const std::vector<ConfigMask>& masks) {
-  const auto trace = workload.trace();
-  std::vector<ConfigResult> results(masks.size());
-
   obs::TraceSpan span("experiment", "measure_batch");
   span.arg_number("masks", static_cast<std::uint64_t>(masks.size()));
-
-  const int jobs = resolved_jobs();
-  if (jobs <= 1 || masks.size() < 2) {
-    sim::CachedTraceTimer timer(sim_->solver(), trace, ctx_);
-    auto placement = space.placement(0);
-    for (std::size_t i = 0; i < masks.size(); ++i)
-      results[i] =
-          measure_config(trace, space, masks[i], placement, &timer);
-    note_timer_stats(timer);
-    return results;
-  }
-
-  pool().parallel_chunks(masks.size(), [&](std::size_t begin,
-                                           std::size_t end) {
-    sim::CachedTraceTimer timer(sim_->solver(), trace, ctx_);
-    auto placement = space.placement(0);
-    for (std::size_t i = begin; i < end; ++i)
-      results[i] =
-          measure_config(trace, space, masks[i], placement, &timer);
-    note_timer_stats(timer);
-  });
+  std::vector<ConfigResult> results(masks.size());
+  measure_each(workload, space, masks,
+               [&](std::size_t i, const ConfigResult& r) { results[i] = r; });
   return results;
 }
 
@@ -132,8 +104,6 @@ SweepResult ExperimentRunner::sweep(const workloads::Workload& workload,
                                     const ConfigCallback& on_config) {
   HMPT_REQUIRE(space.num_groups() == workload.num_groups(),
                "config space arity does not match the workload");
-  const auto trace = workload.trace();
-
   SweepResult sweep;
   sweep.num_groups = space.num_groups();
   sweep.num_tiers = space.num_tiers();
@@ -142,46 +112,14 @@ SweepResult ExperimentRunner::sweep(const workloads::Workload& workload,
   // The Gray order starts at mask 0, so the all-DDR baseline is measured
   // (and reported) first.
   const auto masks = space.gray_masks();
-  const int jobs = resolved_jobs();
-
   obs::TraceSpan span("experiment", "sweep");
   span.arg_number("configs", static_cast<std::uint64_t>(masks.size()));
-  span.arg_number("jobs", static_cast<std::uint64_t>(jobs));
-
-  if (jobs <= 1) {
-    // Serial: one timer and one placement live across the whole
-    // enumeration, so Gray order re-times only the phases touching the
-    // flipped group and no configuration allocates.
-    sim::CachedTraceTimer timer(sim_->solver(), trace, ctx_);
-    auto placement = space.placement(0);
-    for (const ConfigMask mask : masks) {
-      sweep.configs[mask] =
-          measure_config(trace, space, mask, placement, &timer);
-      if (on_config) on_config(sweep.configs[mask]);
-    }
-    note_timer_stats(timer);
-    sweep.baseline_time = sweep.configs[0].mean_time;
-    return sweep;
-  }
-
-  // Parallel: the enumeration is split into contiguous chunks — each
-  // worker keeps its own timer, so Gray-order adjacency still pays off
-  // within a chunk. Per-mask result slots make the region write-disjoint.
-  pool().parallel_chunks(masks.size(), [&](std::size_t begin,
-                                           std::size_t end) {
-    sim::CachedTraceTimer timer(sim_->solver(), trace, ctx_);
-    auto placement = space.placement(0);
-    for (std::size_t i = begin; i < end; ++i)
-      sweep.configs[masks[i]] =
-          measure_config(trace, space, masks[i], placement, &timer);
-    note_timer_stats(timer);
-  });
+  measure_each(workload, space, masks,
+               [&](std::size_t, const ConfigResult& r) {
+                 sweep.configs[r.mask] = r;
+                 if (on_config) on_config(r);
+               });
   sweep.baseline_time = sweep.configs[0].mean_time;
-
-  // Callbacks fire after the barrier, from this thread, in enumeration
-  // order — the exact sequence the serial sweep produces.
-  if (on_config)
-    for (const ConfigMask mask : masks) on_config(sweep.configs[mask]);
   return sweep;
 }
 

@@ -6,32 +6,25 @@
 // measurements of Sec. III-A on the paper's two-tier platform, k^|AG| * n
 // on a k-tier machine.
 //
-// The campaign is the tuner's hot path, so the runner scales it two ways:
-//   * parallelism — `jobs` worker threads split the enumeration into
-//     contiguous chunks (the simulator is const and thread-safe);
-//   * memoization — each worker re-times only the phases whose allocation
-//     group moved tier, exploiting the Gray-order enumeration (one group
-//     moves one tier per step, at any k) through a per-worker
-//     CachedTraceTimer, and the deterministic trace time is computed once
-//     per configuration with per-repetition noise applied on top instead
-//     of re-timing every repetition.
-// Both are exact: serial and parallel sweeps equal timing every config
-// afresh, bit for bit (the simulator's per-(mask, repetition) noise
-// streams are order-independent, and the cache stores exact doubles).
+// The campaign is the tuner's hot path. It runs as one serial loop in the
+// calling thread, memoized: a CachedTraceTimer re-times only the phases
+// whose allocation group moved tier, exploiting the Gray-order enumeration
+// (one group moves one tier per step, at any k), and the deterministic
+// trace time is computed once per configuration with per-repetition noise
+// applied on top instead of re-timing every repetition. Memoization is
+// exact: the cache stores the solver's exact doubles, and the simulator's
+// per-(mask, repetition) noise streams are order-independent, so a sweep
+// equals timing every config afresh, bit for bit. Concurrency lives one
+// level up, across scenarios (campaign --jobs, fleet and daemon workers).
 #pragma once
 
+#include <cstddef>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "core/config_space.h"
 #include "simmem/simulator.h"
-#include "simmem/timing_cache.h"
 #include "workloads/workload.h"
-
-namespace hmpt {
-class ThreadPool;
-}
 
 namespace hmpt::tuner {
 
@@ -78,10 +71,6 @@ int groups_in_hbm_of(ConfigMask mask, int num_groups, int num_tiers);
 
 struct ExperimentOptions {
   int repetitions = 3;  ///< n runs averaged per configuration
-  /// Worker threads measuring configurations; 1 = serial in the calling
-  /// thread, 0 = all hardware threads. Results are bit-identical at any
-  /// job count.
-  int jobs = 1;
 };
 
 /// Full sweep outcome.
@@ -111,8 +100,7 @@ class ExperimentRunner {
 
   /// Measure every configuration of `space` for `workload`, enumerated in
   /// Gray order; results are returned sorted by mask. `on_config` (when
-  /// given) fires once per configuration, always from the calling thread
-  /// and always in Gray order (baseline first) whatever the job count —
+  /// given) fires once per configuration, in Gray order (baseline first) —
   /// the hook the strategy layer uses for progress reporting.
   SweepResult sweep(const workloads::Workload& workload,
                     const ConfigSpace& space);
@@ -120,36 +108,24 @@ class ExperimentRunner {
                     const ConfigSpace& space,
                     const ConfigCallback& on_config);
 
-  /// Measure a single configuration (n repetitions).
-  ConfigResult measure(const workloads::Workload& workload,
-                       const ConfigSpace& space, ConfigMask mask);
-
-  /// Measure a batch of configurations (in parallel when options.jobs says
-  /// so); results are returned in the order of `masks` and are identical
-  /// to measuring each mask serially. The partial-space counterpart of
-  /// sweep() for strategies that probe selected configurations.
+  /// Measure a batch of configurations; results are returned in the order
+  /// of `masks`. The partial-space counterpart of sweep() for strategies
+  /// that probe selected configurations.
   std::vector<ConfigResult> measure_batch(const workloads::Workload& workload,
                                           const ConfigSpace& space,
                                           const std::vector<ConfigMask>& masks);
 
-  /// The worker-thread count a sweep will actually use.
-  int resolved_jobs() const;
-
  private:
-  /// Measure `mask`, refilling `placement` (one group per entry) with it.
-  ConfigResult measure_config(const sim::PhaseTrace& trace,
-                              const ConfigSpace& space, ConfigMask mask,
-                              sim::Placement& placement,
-                              sim::CachedTraceTimer* timer) const;
-
-  /// The worker pool, created on the first parallel campaign and reused
-  /// across sweeps and batches (its threads persist).
-  ThreadPool& pool();
+  /// The one measurement loop: time `masks` in order through one timer and
+  /// one refilled placement, handing each result and its index to `emit`.
+  void measure_each(
+      const workloads::Workload& workload, const ConfigSpace& space,
+      const std::vector<ConfigMask>& masks,
+      const std::function<void(std::size_t, const ConfigResult&)>& emit) const;
 
   sim::MachineSimulator* sim_;
   sim::ExecutionContext ctx_;
   ExperimentOptions options_;
-  std::shared_ptr<ThreadPool> pool_;  ///< shared so runners stay copyable
 };
 
 }  // namespace hmpt::tuner

@@ -74,8 +74,7 @@ Session& Session::repetitions(int reps) {
 }
 
 Session& Session::jobs(int n) {
-  HMPT_REQUIRE(n >= 0, "jobs must be >= 0 (0 = all hardware threads)");
-  budget_.jobs = n;
+  HMPT_REQUIRE(n == 1, "jobs must be 1 (measurement is serial)");
   return *this;
 }
 

@@ -51,8 +51,8 @@ class Session {
   /// num_memory_tiers); 0 (the default) = the machine's full tier count.
   Session& tiers(int count);
   Session& repetitions(int reps);
-  /// Measurement worker threads (1 = serial, 0 = all hardware threads);
-  /// the outcome is bit-identical at any job count.
+  /// Kept only because perfbench calls jobs(1); measurement is serial, and
+  /// any other value throws.
   Session& jobs(int n);
   Session& top_k(int k);
   Session& max_measurements(int n);

@@ -155,7 +155,6 @@ TuningOutcome ExhaustiveStrategy::tune(
     const TuningBudget& budget, const TuningCallbacks& callbacks) const {
   ExperimentOptions options;
   options.repetitions = budget.repetitions;
-  options.jobs = budget.jobs;
   ExperimentRunner runner(sim, ctx, options);
 
   TuningOutcome out;
@@ -387,7 +386,6 @@ TuningOutcome EstimatorGuidedStrategy::tune(
   HMPT_REQUIRE(budget.top_k >= 1, "estimator strategy needs top_k >= 1");
   ExperimentOptions options;
   options.repetitions = budget.repetitions;
-  options.jobs = budget.jobs;
   ExperimentRunner runner(sim, ctx, options);
 
   TuningOutcome out;
@@ -401,9 +399,7 @@ TuningOutcome EstimatorGuidedStrategy::tune(
   double best = 0.0;
 
   std::vector<char> measured(space.size(), 0);
-  // Bookkeeping of one finished measurement. Batches measure in parallel
-  // but record in batch order, and the simulator's noise streams are
-  // order-independent, so the trajectory matches a serial run exactly.
+  // Bookkeeping of one finished measurement, in batch order.
   const auto record = [&](const ConfigResult& result) {
     measured[result.mask] = 1;
     ++out.configs_measured;
@@ -423,28 +419,25 @@ TuningOutcome EstimatorGuidedStrategy::tune(
   };
 
   // Phase 1: baseline + the n * (tiers - 1) single-group runs the
-  // estimator needs — group g alone in each non-DDR tier. The singles are
-  // measured even when over budget — the fit needs them; only the chosen
-  // placement must fit.
-  std::vector<ConfigMask> single_masks;
+  // estimator needs — group g alone in each non-DDR tier — measured as one
+  // probe batch, baseline first. The singles are measured even when over
+  // budget — the fit needs them; only the chosen placement must fit.
+  std::vector<ConfigMask> probe_masks = {0};
   for (int g = 0; g < n; ++g)
     for (int t = 1; t < tiers; ++t)
-      single_masks.push_back(static_cast<ConfigMask>(t) *
-                             config_place_value(g, tiers));
-  std::vector<double> singles(single_masks.size(), 1.0);
+      probe_masks.push_back(static_cast<ConfigMask>(t) *
+                            config_place_value(g, tiers));
+  std::vector<double> singles;
   {
     obs::TraceSpan phase_span("strategy", "enumerate");
     phase_span.arg_number("singles",
-                          static_cast<std::uint64_t>(single_masks.size()));
-    const ConfigResult baseline = runner.measure(workload, space, 0);
-    out.baseline_time = baseline.mean_time;
-    record(baseline);
-
-    const auto single_results =
-        runner.measure_batch(workload, space, single_masks);
-    for (std::size_t i = 0; i < single_results.size(); ++i) {
-      record(single_results[i]);
-      singles[i] = speedup_of(out.baseline_time, single_results[i].mean_time);
+                          static_cast<std::uint64_t>(probe_masks.size() - 1));
+    const auto probes = runner.measure_batch(workload, space, probe_masks);
+    out.baseline_time = probes.front().mean_time;
+    for (const auto& result : probes) {
+      record(result);
+      if (result.mask != 0)
+        singles.push_back(speedup_of(out.baseline_time, result.mean_time));
     }
   }
 

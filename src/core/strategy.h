@@ -50,10 +50,6 @@ struct TuningBudget {
   /// "online": rejected full passes tolerated before stopping — lower it
   /// on noisy platforms for fewer confirmation runs, raise it for more.
   int patience = 3;
-  /// Worker threads for the measurement campaign (exhaustive sweeps and
-  /// the estimator's probe batches); 1 = serial, 0 = all hardware threads.
-  /// Outcomes are bit-identical at any job count.
-  int jobs = 1;
 };
 
 /// One progress tick: a configuration finished measuring.

@@ -16,8 +16,8 @@
 #include <sstream>
 #include <thread>
 
-#include "campaign/aggregate.h"
 #include "common/error.h"
+#include "common/file_io.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -99,8 +99,6 @@ std::vector<std::string> worker_args(const FleetOptions& options,
       "--quiet",
       "--jobs",
       std::to_string(options.worker_jobs),
-      "--measure-jobs",
-      std::to_string(options.measure_jobs),
   };
   if (options.keep_going) args.push_back("--keep-going");
   if (options.attempts > 1) {
@@ -189,7 +187,7 @@ void save_assignment(const std::string& path,
   const fs::path target(path);
   std::error_code ec;
   if (target.has_parent_path()) fs::create_directories(target.parent_path(), ec);
-  campaign::publish_file(path, [&](std::ostream& os) {
+  publish_file(path, [&](std::ostream& os) {
     for (const auto& fp : fingerprints) os << fp << "\n";
   });
 }

@@ -63,8 +63,6 @@ struct FleetOptions {
   int max_deals = 3;
   /// Per-worker --jobs (concurrent scenarios inside one worker).
   int worker_jobs = 1;
-  /// Per-worker --measure-jobs.
-  int measure_jobs = 1;
   /// Per-scenario attempts (1 = fail fast) and per-attempt deadline,
   /// forwarded to workers as --retries/--scenario-timeout.
   int attempts = 1;

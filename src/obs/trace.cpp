@@ -6,12 +6,12 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <vector>
 
 #include "common/error.h"
+#include "common/file_io.h"
 #include "common/thread_name.h"
 
 namespace hmpt::obs {
@@ -276,11 +276,7 @@ std::string TraceRecorder::stop_and_render() {
 
 void TraceRecorder::stop_and_write(const std::string& path) {
   const std::string document = stop_and_render();
-  std::ofstream os(path, std::ios::binary);
-  if (!os.good()) raise("cannot write trace to " + path);
-  os << document;
-  os.flush();
-  if (!os.good()) raise("short write to trace file " + path);
+  write_file(path, [&](std::ostream& os) { os << document; });
 }
 
 TraceSpan::TraceSpan(const char* cat, std::string name)

@@ -9,6 +9,7 @@
 #include "campaign/aggregate.h"
 #include "common/chart.h"
 #include "common/error.h"
+#include "common/file_io.h"
 #include "common/table.h"
 #include "common/units.h"
 #include "core/report.h"
@@ -354,7 +355,7 @@ std::string write_report(const CampaignResult& result,
   if (ec)
     raise("cannot create report dir " + dir.string() + ": " + ec.message());
   const std::string path = (dir / "index.html").string();
-  campaign::write_file(path, [&](std::ostream& os) {
+  write_file(path, [&](std::ostream& os) {
     write_report_html(os, result, timeline);
   });
   return path;

@@ -4,8 +4,8 @@
 #include <chrono>
 #include <utility>
 
-#include "campaign/aggregate.h"
 #include "common/error.h"
+#include "common/file_io.h"
 #include "common/thread_name.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -52,9 +52,10 @@ bool Daemon::Connection::send(const std::string& line) {
 
 Daemon::Daemon(DaemonOptions options, ExecutionProvider* provider)
     : options_(std::move(options)) {
+  HMPT_REQUIRE(options_.measure_jobs == 1,
+               "measure_jobs must be 1 (measurement is serial)");
   if (provider == nullptr) {
-    owned_provider_ =
-        std::make_unique<SimulatorProvider>(options_.measure_jobs);
+    owned_provider_ = std::make_unique<SimulatorProvider>();
     provider = owned_provider_.get();
   }
   provider_ = provider;
@@ -524,7 +525,7 @@ JsonObject Daemon::stats_fields() const {
 
 void Daemon::write_metrics_snapshot() const {
   try {
-    campaign::publish_file(options_.metrics_path, [&](std::ostream& os) {
+    publish_file(options_.metrics_path, [&](std::ostream& os) {
       os << Json(stats_fields()).dump() << "\n";
     });
   } catch (const std::exception&) {

@@ -50,16 +50,9 @@ class ExecutionProvider {
 /// batch outcomes for the same fingerprint.
 class SimulatorProvider : public ExecutionProvider {
  public:
-  /// `measure_jobs` = measurement threads per scenario (the campaign
-  /// default 1 composes best with scheduler-level concurrency).
-  explicit SimulatorProvider(int measure_jobs = 1);
-
   std::string name() const override { return "simulator"; }
   tuner::TuningOutcome run(const campaign::Scenario& scenario,
                            const CancelToken& token) override;
-
- private:
-  int measure_jobs_ = 1;
 };
 
 }  // namespace hmpt::service

@@ -28,9 +28,9 @@
 // from which thread, or in which order. The configuration id is the
 // mixed-radix code of the placement (digit g, base num_tiers, = group g's
 // tier), which for two tiers is exactly the legacy placement bitmask — so
-// two-tier noise streams are unchanged. A parallel sweep, a serial sweep,
-// and a cheaper strategy (estimator, online) that touch the same keys
-// therefore observe bit-identical measured times.
+// two-tier noise streams are unchanged. A sweep in any order and a
+// cheaper strategy (estimator, online) that touch the same keys therefore
+// observe bit-identical measured times.
 #pragma once
 
 #include <optional>

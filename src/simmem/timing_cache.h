@@ -13,9 +13,8 @@
 // produces, and time() sums them in phase order like time_trace does, so
 // cached and uncached timings are bit-identical.
 //
-// One timer serves one (trace, context) pair and is NOT thread-safe; a
-// parallel sweep gives each worker its own timer over its contiguous
-// Gray-order chunk.
+// One timer serves one (trace, context) pair and is NOT thread-safe; the
+// experiment runner's serial loop keeps one timer per sweep or batch.
 #pragma once
 
 #include <cstdint>

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/error.h"
+#include "common/file_io.h"
 
 namespace hmpt::workloads {
 
@@ -134,9 +135,8 @@ RecordedWorkload parse_workload(const std::string& text) {
 }
 
 void save_workload(const std::string& path, const Workload& workload) {
-  std::ofstream os(path);
-  HMPT_REQUIRE(os.good(), "cannot open profile for writing: " + path);
-  write_workload(os, workload);
+  // Checked to the last byte and the close: a full disk throws.
+  write_file(path, [&](std::ostream& os) { write_workload(os, workload); });
 }
 
 RecordedWorkload load_workload(const std::string& path) {

@@ -32,6 +32,9 @@ namespace {
 #ifndef HMPT_SUBMIT_PATH
 #define HMPT_SUBMIT_PATH ""
 #endif
+#ifndef HMPTD_PATH
+#define HMPTD_PATH ""
+#endif
 
 namespace fs = std::filesystem;
 
@@ -243,6 +246,27 @@ TEST_F(CampaignCliTest, ListingsAndUsage) {
         << flag;
     EXPECT_NE(slurp(out_).find(message), std::string::npos) << slurp(out_);
   }
+}
+
+TEST_F(CampaignCliTest, RemovedMeasureJobsFlagIsAUsageError) {
+  // Measurement inside a scenario is serial; the flag is gone from the
+  // batch runner and the daemon rather than silently ignored. hmptd
+  // rejects it while parsing, before it binds the socket.
+  EXPECT_EQ(WEXITSTATUS(run("--workload mg --measure-jobs 1 --out " +
+                            store_)),
+            1);
+  EXPECT_NE(slurp(out_).find("unknown option: --measure-jobs"),
+            std::string::npos)
+      << slurp(out_);
+  EXPECT_FALSE(fs::exists(store_));
+  const std::string daemon = std::string(HMPTD_PATH) +
+                             " --socket /nonexistent/hmptd.sock"
+                             " --measure-jobs 1 > " +
+                             out_ + " 2>&1";
+  EXPECT_EQ(WEXITSTATUS(std::system(daemon.c_str())), 1);
+  EXPECT_NE(slurp(out_).find("unknown option: --measure-jobs"),
+            std::string::npos)
+      << slurp(out_);
 }
 
 TEST_F(CampaignCliTest, ShardedRunsMergeToTheUnshardedArtifacts) {

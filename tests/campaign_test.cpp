@@ -31,6 +31,7 @@
 #include "campaign/platforms.h"
 #include "core/outcome_io.h"
 #include "core/session.h"
+#include "common/file_io.h"
 #include "common/retry.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
@@ -2510,6 +2511,26 @@ TEST_F(CampaignRunnerTest, ErrorPolicyKeepGoingVsFailFast) {
 
   options.keep_going = false;
   EXPECT_THROW(CampaignRunner(options).run({bad, good}), Error);
+}
+
+TEST_F(CampaignRunnerTest, MeasureJobsIsPinnedToOne) {
+  // Both spellings stay for perfbench, which sets 1; measurement is
+  // serial, so any other count is refused instead of ignored.
+  Scenario s;
+  s.workload = parse_workload_spec("mg");
+  s.platform = "xeon-max";
+  s.strategy = "estimator";
+  s.repetitions = 1;
+  EXPECT_NO_THROW(CampaignRunner::execute(s, 1));
+  EXPECT_THROW(CampaignRunner::execute(s, 2), Error);
+
+  StoreDir dir("hmpt_campaign_measure_jobs");
+  CampaignOptions options;
+  options.output_dir = dir.path();
+  options.measure_jobs = 2;
+  EXPECT_THROW(CampaignRunner{options}, Error);
+  options.measure_jobs = 0;
+  EXPECT_THROW(CampaignRunner{options}, Error);
 }
 
 // --------------------------------------------------------------- executor

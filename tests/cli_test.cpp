@@ -3,6 +3,8 @@
 // binary path comes from CMake via HMPT_ANALYZE_PATH.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -104,7 +106,6 @@ TEST_F(CliTest, BadFlagValuesFailWithUsage) {
        {"--threshold 0", "--threshold 1.5", "--threshold -0.3",
         "--budget-gb -1", "--reps 0", "--reps -2", "--top-k 0",
         "--threshold abc", "--reps 2.5", "--strategy frobnicate",
-        "--jobs -1", "--jobs abc", "--jobs 1.5",
         // Tier flags: --tiers must be 0 or >= 2 and within the platform's
         // tier count; tier budgets must name a searched non-DDR tier.
         "--tiers 1", "--tiers -2", "--tiers abc", "--tiers 3",
@@ -138,18 +139,25 @@ TEST_F(CliTest, ThreeTierPlatformSweepsTheLargerSpace) {
       << slurp(out_);
 }
 
-TEST_F(CliTest, JobsFlagLeavesTheAnalysisIdentical) {
-  // --jobs only changes how the campaign is scheduled; the report — noise
-  // included — is byte-identical at any job count (0 = hardware threads).
-  ASSERT_EQ(run(profile_ + " --jobs 1"), 0) << slurp(out_);
-  const std::string serial = slurp(out_);
-  ASSERT_EQ(run(profile_ + " --jobs 4"), 0) << slurp(out_);
-  EXPECT_EQ(slurp(out_), serial);
-  ASSERT_EQ(run(profile_ + " --jobs 0"), 0) << slurp(out_);
-  EXPECT_EQ(slurp(out_), serial);
-  ASSERT_EQ(run(profile_ + " --strategy estimator --jobs 4"), 0)
-      << slurp(out_);
-  EXPECT_NE(slurp(out_).find("recommended placement"), std::string::npos);
+TEST_F(CliTest, RemovedJobsFlagIsAUsageError) {
+  // Measurement is serial; --jobs is gone rather than silently ignored.
+  for (const std::string args : {"--jobs 1", "--jobs 4", "--jobs 0"}) {
+    EXPECT_EQ(WEXITSTATUS(run(profile_ + " " + args)), 1) << args;
+    EXPECT_NE(slurp(out_).find("unknown option: --jobs"), std::string::npos)
+        << slurp(out_);
+  }
+}
+
+TEST_F(CliTest, UnwritableOutputFailsWithoutAWrittenLine) {
+  // A full device accepts the open and fails the write: the tool must
+  // report the failure (exit 2), never claim the file was written.
+  for (const std::string flag : {"--plan-out", "--json"}) {
+    EXPECT_EQ(WEXITSTATUS(run(profile_ + " " + flag + " /dev/full")), 2)
+        << flag;
+    const std::string out = slurp(out_);
+    EXPECT_EQ(out.find("written to /dev/full"), std::string::npos) << out;
+    EXPECT_NE(out.find("/dev/full"), std::string::npos) << out;
+  }
 }
 
 // Pull "...: [0 1] at 2.27x" out of either report flavour.

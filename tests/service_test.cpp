@@ -689,6 +689,14 @@ class DaemonTest : public ::testing::Test {
   StoreDir store_dir_;
 };
 
+TEST_F(DaemonTest, MeasureJobsIsPinnedToOne) {
+  // Kept for perfbench, which sets 1; measurement is serial, so any other
+  // count is refused instead of ignored.
+  auto options = options_for(nullptr);
+  options.measure_jobs = 2;
+  EXPECT_THROW(Daemon{options}, Error);
+}
+
 TEST_F(DaemonTest, SubmitStatusResultOverRealSocket) {
   CountingProvider provider;
   Daemon daemon(options_for(&provider), &provider);

@@ -348,7 +348,8 @@ TEST(SimulatorTest, NoiseStaysWithinReason) {
 TEST(SimulatorTest, NoiseStreamsAreCallOrderIndependent) {
   // The determinism guarantee of simulator.h: the noise of a given
   // (stream, repetition) key is a pure function of the key, whatever ran
-  // before — parallel sweeps and cheaper strategies see identical noise.
+  // before — a sweep in any order and cheaper strategies see identical
+  // noise.
   MachineSimulator simulator(topo::xeon_max_9468_duo_flat_snc4(),
                              default_spr_hbm_calibration(), {0.02, 99});
   KernelPhase phase;

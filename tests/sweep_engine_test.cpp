@@ -1,17 +1,18 @@
-// Tests for the parallel, incrementally-memoized sweep engine: the
-// ThreadPool primitive, the counter-based noise streams, the per-phase
-// timing cache, and the headline guarantee — serial and parallel
-// campaigns produce bit-identical results for every strategy, with and
-// without measurement noise, equal to timing each configuration afresh.
+// Tests for the serial, incrementally-memoized sweep engine: the
+// ThreadPool primitive scenario-level concurrency runs on, the
+// counter-based noise streams, the per-phase timing cache, and the
+// headline guarantee — the memoized sweep and probe batches equal timing
+// each configuration afresh, bit for bit, with and without measurement
+// noise.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <mutex>
 #include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "common/stats.h"
 #include "common/thread_pool.h"
 #include "core/session.h"
 #include "core/strategy.h"
@@ -40,26 +41,6 @@ TEST(ThreadPoolTest, RunsEveryIndexExactlyOnce) {
   total = 0;
   pool.parallel_for(17, [&](std::size_t) { ++total; });
   EXPECT_EQ(total.load(), 17);
-}
-
-TEST(ThreadPoolTest, ChunksAreContiguousAndCoverTheRange) {
-  ThreadPool pool(3);
-  constexpr std::size_t kN = 100;
-  std::mutex mutex;
-  std::vector<std::pair<std::size_t, std::size_t>> chunks;
-  pool.parallel_chunks(kN, [&](std::size_t begin, std::size_t end) {
-    std::lock_guard<std::mutex> lock(mutex);
-    chunks.emplace_back(begin, end);
-  });
-  ASSERT_LE(chunks.size(), 3u);
-  std::sort(chunks.begin(), chunks.end());
-  std::size_t covered = 0;
-  for (const auto& [begin, end] : chunks) {
-    EXPECT_EQ(begin, covered);  // contiguous, no gaps or overlaps
-    EXPECT_LT(begin, end);
-    covered = end;
-  }
-  EXPECT_EQ(covered, kN);
 }
 
 TEST(ThreadPoolTest, TaskExceptionIsRethrownAndPoolSurvives) {
@@ -174,126 +155,89 @@ void expect_identical_outcomes(const tuner::TuningOutcome& a,
   EXPECT_EQ(a.weights.traffic_total, b.weights.traffic_total) << label;
 }
 
-TEST(ParallelSweepTest, BitIdenticalAcrossJobsForAllStrategies) {
-  // The headline guarantee: any strategy, any job count, with and without
-  // measurement noise — same outcome, bit for bit.
-  for (const double sigma : {0.0, 0.02}) {
-    sim::MachineSimulator simulator(topo::xeon_max_9468_duo_flat_snc4(),
-                                    sim::default_spr_hbm_calibration(),
-                                    {sigma, 42});
-    const auto app = workloads::make_mg_model(simulator);
-    for (const char* strategy : {"exhaustive", "online", "estimator"}) {
-      const auto run = [&](int jobs) {
-        return tuner::Session::on(simulator)
-            .workload(*app.workload)
-            .context(app.context)
-            .strategy(strategy)
-            .jobs(jobs)
-            .run();
-      };
-      const auto serial = run(1);
-      const auto parallel = run(4);
-      const auto hardware = run(0);
-      const std::string label =
-          std::string(strategy) + " sigma=" + std::to_string(sigma);
-      expect_identical_outcomes(serial, parallel, label + " jobs=4");
-      expect_identical_outcomes(serial, hardware, label + " jobs=0");
-    }
-  }
+/// The reference measurement of `mask`: its trace timed afresh through
+/// MachineSimulator::time_trace (never a timing cache), with each
+/// repetition's counter-based noise on top.
+tuner::ConfigResult measure_afresh(const sim::MachineSimulator& simulator,
+                                   const workloads::AppInfo& app,
+                                   const tuner::ConfigSpace& space,
+                                   tuner::ConfigMask mask, int repetitions) {
+  const double t = simulator.time_trace(app.workload->trace(),
+                                        space.placement(mask), app.context);
+  RunningStats runs;
+  for (int rep = 0; rep < repetitions; ++rep)
+    runs.add(t * simulator.noise_factor(
+                     {mask, static_cast<std::uint64_t>(rep)}));
+  return {mask, runs.mean(), runs.stddev()};
 }
 
-TEST(ParallelSweepTest, MemoizationAndJobsLeaveSweepBitIdentical) {
+tuner::ConfigSpace space_of(const workloads::AppInfo& app) {
+  std::vector<double> bytes;
+  for (const auto& g : app.workload->groups()) bytes.push_back(g.bytes);
+  return tuner::ConfigSpace(bytes);
+}
+
+TEST(SweepEngineTest, MemoizedSweepEqualsTimingEveryConfigAfresh) {
   sim::MachineSimulator simulator(topo::xeon_max_9468_duo_flat_snc4(),
                                   sim::default_spr_hbm_calibration(),
                                   {0.02, 7});
   const auto app = workloads::make_kwave_model(simulator);
-  tuner::ConfigSpace space([&] {
-    std::vector<double> bytes;
-    for (const auto& g : app.workload->groups()) bytes.push_back(g.bytes);
-    return bytes;
-  }());
+  const auto space = space_of(app);
 
   tuner::ExperimentOptions options;
   options.repetitions = 3;
-  const auto run = [&](int jobs) {
-    options.jobs = jobs;
-    tuner::ExperimentRunner runner(simulator, app.context, options);
-    return runner.sweep(*app.workload, space);
-  };
-
-  // The reference times every configuration afresh: measure() calls
-  // MachineSimulator::time_trace, never the sweep's timing cache.
-  tuner::ExperimentRunner fresh(simulator, app.context, options);
-  const auto baseline = fresh.measure(*app.workload, space, 0);
-  for (const int jobs : {1, 3, 0}) {
-    const auto sweep = run(jobs);
-    ASSERT_EQ(sweep.configs.size(), space.size());
-    EXPECT_EQ(sweep.baseline_time, baseline.mean_time);
-    for (std::size_t i = 0; i < sweep.configs.size(); ++i) {
-      const auto reference =
-          i == 0 ? baseline
-                 : fresh.measure(*app.workload, space,
-                                 static_cast<tuner::ConfigMask>(i));
-      EXPECT_EQ(sweep.configs[i].mean_time, reference.mean_time)
-          << "jobs=" << jobs << " mask=" << i;
-      EXPECT_EQ(sweep.configs[i].stddev_time, reference.stddev_time);
-    }
+  tuner::ExperimentRunner runner(simulator, app.context, options);
+  const auto sweep = runner.sweep(*app.workload, space);
+  ASSERT_EQ(sweep.configs.size(), space.size());
+  EXPECT_EQ(sweep.baseline_time,
+            measure_afresh(simulator, app, space, 0, 3).mean_time);
+  for (std::size_t i = 0; i < sweep.configs.size(); ++i) {
+    const auto reference = measure_afresh(
+        simulator, app, space, static_cast<tuner::ConfigMask>(i), 3);
+    EXPECT_EQ(sweep.configs[i].mean_time, reference.mean_time)
+        << "mask=" << i;
+    EXPECT_EQ(sweep.configs[i].stddev_time, reference.stddev_time);
   }
 }
 
-TEST(ParallelSweepTest, CallbackOrderMatchesSerialEnumeration) {
+TEST(SweepEngineTest, CallbackOrderIsTheGrayEnumeration) {
   auto simulator = sim::MachineSimulator::paper_platform();
   const auto app = workloads::make_mg_model(simulator);
-  tuner::ConfigSpace space([&] {
-    std::vector<double> bytes;
-    for (const auto& g : app.workload->groups()) bytes.push_back(g.bytes);
-    return bytes;
-  }());
+  const auto space = space_of(app);
 
-  const auto masks_seen = [&](int jobs) {
-    tuner::ExperimentOptions options;
-    options.repetitions = 1;
-    options.jobs = jobs;
-    tuner::ExperimentRunner runner(simulator, app.context, options);
-    std::vector<tuner::ConfigMask> seen;
-    runner.sweep(*app.workload, space,
-                 [&](const tuner::ConfigResult& r) { seen.push_back(r.mask); });
-    return seen;
-  };
-  const auto serial = masks_seen(1);
-  EXPECT_EQ(serial.size(), space.size());
-  EXPECT_EQ(serial.front(), 0u);  // baseline first
-  EXPECT_EQ(masks_seen(4), serial);
+  tuner::ExperimentOptions options;
+  options.repetitions = 1;
+  tuner::ExperimentRunner runner(simulator, app.context, options);
+  std::vector<tuner::ConfigMask> seen;
+  runner.sweep(*app.workload, space,
+               [&](const tuner::ConfigResult& r) { seen.push_back(r.mask); });
+  EXPECT_EQ(seen, space.gray_masks());
+  EXPECT_EQ(seen.front(), 0u);  // baseline first
 }
 
-TEST(ParallelSweepTest, MeasureBatchMatchesSingleMeasurements) {
+TEST(SweepEngineTest, MeasureBatchMatchesSingleMeasurements) {
   sim::MachineSimulator simulator(topo::xeon_max_9468_duo_flat_snc4(),
                                   sim::default_spr_hbm_calibration(),
                                   {0.02, 11});
   const auto app = workloads::make_bt_model(simulator);
-  tuner::ConfigSpace space([&] {
-    std::vector<double> bytes;
-    for (const auto& g : app.workload->groups()) bytes.push_back(g.bytes);
-    return bytes;
-  }());
+  const auto space = space_of(app);
 
   tuner::ExperimentOptions options;
   options.repetitions = 2;
-  options.jobs = 4;
   tuner::ExperimentRunner runner(simulator, app.context, options);
 
   const std::vector<tuner::ConfigMask> masks = {5, 0, 129, 7, 255, 64, 33};
   const auto batch = runner.measure_batch(*app.workload, space, masks);
   ASSERT_EQ(batch.size(), masks.size());
   for (std::size_t i = 0; i < masks.size(); ++i) {
-    const auto single = runner.measure(*app.workload, space, masks[i]);
+    const auto single = measure_afresh(simulator, app, space, masks[i], 2);
     EXPECT_EQ(batch[i].mask, masks[i]);
     EXPECT_EQ(batch[i].mean_time, single.mean_time);
     EXPECT_EQ(batch[i].stddev_time, single.stddev_time);
   }
 }
 
-TEST(ParallelSweepTest, ReusedSimulatorReproducesOutcomes) {
+TEST(SweepEngineTest, ReusedSimulatorReproducesOutcomes) {
   // Before the counter-based noise streams, a second run on the same
   // simulator consumed a different stretch of one shared RNG and saw
   // different noise. Now the platform is stateless: same inputs, same
@@ -317,14 +261,13 @@ TEST(ParallelSweepTest, ReusedSimulatorReproducesOutcomes) {
   }
 }
 
-TEST(ParallelSweepTest, BadJobOptionsAreRejected) {
+TEST(SweepEngineTest, SessionJobsIsPinnedToOne) {
+  // jobs(1) is accepted for perfbench's sake; measurement is serial, so
+  // any other count is an error rather than a silently ignored request.
   auto simulator = sim::MachineSimulator::paper_platform();
-  EXPECT_THROW(tuner::Session::on(simulator).jobs(-1), Error);
-  tuner::ExperimentOptions options;
-  options.jobs = -2;
-  EXPECT_THROW(
-      tuner::ExperimentRunner(simulator, simulator.full_machine(), options),
-      Error);
+  EXPECT_NO_THROW(tuner::Session::on(simulator).jobs(1));
+  EXPECT_THROW(tuner::Session::on(simulator).jobs(2), Error);
+  EXPECT_THROW(tuner::Session::on(simulator).jobs(0), Error);
 }
 
 }  // namespace

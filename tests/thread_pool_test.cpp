@@ -1,11 +1,8 @@
 // Edge-case tests for the ThreadPool primitive: empty and single-item
-// ranges, more workers (chunks) than items, and exception propagation out
-// of both parallel_for and parallel_chunks.
+// ranges, and exception propagation out of parallel_for.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
-#include <mutex>
 #include <stdexcept>
 #include <vector>
 
@@ -19,8 +16,6 @@ TEST(ThreadPoolEdgeTest, EmptyRangeRunsNothingAndReturns) {
   ThreadPool pool(4);
   std::atomic<int> calls{0};
   pool.parallel_for(0, [&](std::size_t) { ++calls; });
-  EXPECT_EQ(calls.load(), 0);
-  pool.parallel_chunks(0, [&](std::size_t, std::size_t) { ++calls; });
   EXPECT_EQ(calls.load(), 0);
   // The pool stays usable afterwards.
   pool.parallel_for(3, [&](std::size_t) { ++calls; });
@@ -42,36 +37,6 @@ TEST(ThreadPoolEdgeTest, SingleItemRunsExactlyOnce) {
   });
   EXPECT_EQ(calls.load(), 1);
   EXPECT_EQ(seen, 0u);
-
-  std::vector<std::pair<std::size_t, std::size_t>> chunks;
-  std::mutex mutex;
-  pool.parallel_chunks(1, [&](std::size_t begin, std::size_t end) {
-    std::lock_guard<std::mutex> lock(mutex);
-    chunks.emplace_back(begin, end);
-  });
-  ASSERT_EQ(chunks.size(), 1u);
-  EXPECT_EQ(chunks[0], (std::pair<std::size_t, std::size_t>{0, 1}));
-}
-
-TEST(ThreadPoolEdgeTest, MoreChunksThanItemsSkipsEmptyChunks) {
-  // 8 lanes over 3 items: every chunk fn(begin, end) must be non-empty,
-  // cover the range exactly once, and stay contiguous.
-  ThreadPool pool(8);
-  std::mutex mutex;
-  std::vector<std::pair<std::size_t, std::size_t>> chunks;
-  pool.parallel_chunks(3, [&](std::size_t begin, std::size_t end) {
-    std::lock_guard<std::mutex> lock(mutex);
-    chunks.emplace_back(begin, end);
-  });
-  ASSERT_LE(chunks.size(), 3u);
-  std::sort(chunks.begin(), chunks.end());
-  std::size_t covered = 0;
-  for (const auto& [begin, end] : chunks) {
-    EXPECT_EQ(begin, covered);
-    EXPECT_LT(begin, end);  // never an empty chunk
-    covered = end;
-  }
-  EXPECT_EQ(covered, 3u);
 }
 
 TEST(ThreadPoolEdgeTest, ParallelForPropagatesTheTaskException) {
@@ -93,21 +58,6 @@ TEST(ThreadPoolEdgeTest, ParallelForPropagatesTheTaskException) {
   std::atomic<int> calls{0};
   pool.parallel_for(16, [&](std::size_t) { ++calls; });
   EXPECT_EQ(calls.load(), 16);
-}
-
-TEST(ThreadPoolEdgeTest, ParallelChunksPropagatesTheTaskException) {
-  ThreadPool pool(4);
-  EXPECT_THROW(pool.parallel_chunks(100,
-                                    [&](std::size_t begin, std::size_t) {
-                                      if (begin == 0)
-                                        raise("first chunk failed");
-                                    }),
-               Error);
-  std::atomic<int> calls{0};
-  pool.parallel_chunks(10, [&](std::size_t begin, std::size_t end) {
-    calls += static_cast<int>(end - begin);
-  });
-  EXPECT_EQ(calls.load(), 10);
 }
 
 TEST(ThreadPoolEdgeTest, SerialPoolHandlesEdgesInCallerThread) {

@@ -278,38 +278,35 @@ TEST_P(TierEquivalenceTest, ExhaustiveSweepMatchesMaskPath) {
     const auto reference =
         legacy_sweep(simulator, w, /*reps=*/3, &legacy_baseline);
 
-    for (const int jobs : {1, 4}) {
-      std::vector<ConfigMask> order;
-      const auto outcome =
-          tuner::Session::on(simulator)
-              .workload(*app.workload)
-              .context(app.context)
-              .repetitions(3)
-              .jobs(jobs)
-              .progress([&](const tuner::TuningProgress& p) {
-                order.push_back(p.mask);
-              })
-              .run();
-      ASSERT_TRUE(outcome.sweep.has_value());
-      const auto& sweep = *outcome.sweep;
-      ASSERT_EQ(sweep.configs.size(), reference.size())
-          << app.workload->name();
-      EXPECT_EQ(sweep.baseline_time, legacy_baseline);
-      for (std::size_t m = 0; m < reference.size(); ++m) {
-        EXPECT_EQ(sweep.configs[m].mask, reference[m].mask);
-        EXPECT_EQ(sweep.configs[m].mean_time, reference[m].mean_time)
-            << app.workload->name() << " mask " << m << " jobs " << jobs;
-        EXPECT_EQ(sweep.configs[m].stddev_time, reference[m].stddev_time);
-        EXPECT_EQ(tuner::speedup_of(sweep.baseline_time,
-                                    sweep.configs[m].mean_time),
-                  reference[m].speedup);
-      }
-      // The enumeration itself is the binary reflected Gray code.
-      ASSERT_EQ(order.size(), reference.size());
-      for (std::size_t step = 0; step < order.size(); ++step)
-        EXPECT_EQ(order[step], static_cast<ConfigMask>(step ^ (step >> 1)))
-            << "gray step " << step;
+    std::vector<ConfigMask> order;
+    const auto outcome =
+        tuner::Session::on(simulator)
+            .workload(*app.workload)
+            .context(app.context)
+            .repetitions(3)
+            .progress([&](const tuner::TuningProgress& p) {
+              order.push_back(p.mask);
+            })
+            .run();
+    ASSERT_TRUE(outcome.sweep.has_value());
+    const auto& sweep = *outcome.sweep;
+    ASSERT_EQ(sweep.configs.size(), reference.size())
+        << app.workload->name();
+    EXPECT_EQ(sweep.baseline_time, legacy_baseline);
+    for (std::size_t m = 0; m < reference.size(); ++m) {
+      EXPECT_EQ(sweep.configs[m].mask, reference[m].mask);
+      EXPECT_EQ(sweep.configs[m].mean_time, reference[m].mean_time)
+          << app.workload->name() << " mask " << m;
+      EXPECT_EQ(sweep.configs[m].stddev_time, reference[m].stddev_time);
+      EXPECT_EQ(tuner::speedup_of(sweep.baseline_time,
+                                  sweep.configs[m].mean_time),
+                reference[m].speedup);
     }
+    // The enumeration itself is the binary reflected Gray code.
+    ASSERT_EQ(order.size(), reference.size());
+    for (std::size_t step = 0; step < order.size(); ++step)
+      EXPECT_EQ(order[step], static_cast<ConfigMask>(step ^ (step >> 1)))
+          << "gray step " << step;
   }
 }
 
@@ -360,28 +357,24 @@ TEST_P(TierEquivalenceTest, EstimatorGuidedMatchesMaskPath) {
     const auto reference =
         legacy_guided(simulator, w, /*reps=*/2, /*top_k=*/3, cap);
 
-    for (const int jobs : {1, 4}) {
-      const auto outcome = tuner::Session::on(simulator)
-                               .workload(*app.workload)
-                               .context(app.context)
-                               .strategy("estimator")
-                               .repetitions(2)
-                               .top_k(3)
-                               .jobs(jobs)
-                               .run();
-      EXPECT_EQ(outcome.chosen_mask, reference.chosen_mask)
-          << app.workload->name() << " jobs " << jobs;
-      EXPECT_EQ(outcome.chosen_time, reference.chosen_time);
-      ASSERT_EQ(outcome.trajectory.size(), reference.trajectory.size());
-      for (std::size_t i = 0; i < reference.trajectory.size(); ++i) {
-        EXPECT_EQ(outcome.trajectory[i].mask,
-                  reference.trajectory[i].tried)
-            << app.workload->name() << " step " << i << " jobs " << jobs;
-        EXPECT_EQ(outcome.trajectory[i].observed_time,
-                  reference.trajectory[i].observed_time);
-        EXPECT_EQ(outcome.trajectory[i].accepted,
-                  reference.trajectory[i].kept);
-      }
+    const auto outcome = tuner::Session::on(simulator)
+                             .workload(*app.workload)
+                             .context(app.context)
+                             .strategy("estimator")
+                             .repetitions(2)
+                             .top_k(3)
+                             .run();
+    EXPECT_EQ(outcome.chosen_mask, reference.chosen_mask)
+        << app.workload->name();
+    EXPECT_EQ(outcome.chosen_time, reference.chosen_time);
+    ASSERT_EQ(outcome.trajectory.size(), reference.trajectory.size());
+    for (std::size_t i = 0; i < reference.trajectory.size(); ++i) {
+      EXPECT_EQ(outcome.trajectory[i].mask, reference.trajectory[i].tried)
+          << app.workload->name() << " step " << i;
+      EXPECT_EQ(outcome.trajectory[i].observed_time,
+                reference.trajectory[i].observed_time);
+      EXPECT_EQ(outcome.trajectory[i].accepted,
+                reference.trajectory[i].kept);
     }
   }
 }

@@ -375,5 +375,13 @@ TEST(TraceIoTest, FileRoundTripMatchesStringRoundTrip) {
   EXPECT_THROW(load_workload(path), hmpt::Error);  // gone again
 }
 
+TEST(TraceIoTest, SavingToAFullDeviceThrows) {
+  // The open succeeds and every byte is lost: a profile that never reached
+  // the disk must not pass for a saved one.
+  auto sim = sim::MachineSimulator::paper_platform();
+  const auto app = make_mg_model(sim);
+  EXPECT_THROW(save_workload("/dev/full", *app.workload), hmpt::Error);
+}
+
 }  // namespace
 }  // namespace hmpt::workloads

@@ -8,7 +8,7 @@
 //
 //   hmpt_analyze <profile> [--platform NAME] [--strategy NAME]
 //                [--tiers K] [--budget-gb N] [--tier-budget-gb T:N]
-//                [--threshold F] [--reps N] [--top-k N] [--jobs N]
+//                [--threshold F] [--reps N] [--top-k N]
 //                [--plan-out FILE] [--json FILE] [--csv] [--trace FILE]
 //                [--list-platforms] [--list-workloads]
 //
@@ -27,7 +27,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -36,6 +35,7 @@
 #include "campaign/platforms.h"
 #include "campaign/workload_registry.h"
 #include "cli_parse.h"
+#include "common/file_io.h"
 #include "common/units.h"
 #include "core/analysis.h"
 #include "core/outcome_io.h"
@@ -78,10 +78,6 @@ void usage(const char* argv0) {
       << "                            N >= 1)\n"
       << "  --top-k N                 estimator strategy: predicted\n"
       << "                            configurations to measure (default 3)\n"
-      << "  --jobs N                  measurement worker threads (N >= 0;\n"
-      << "                            0 = all hardware threads, the\n"
-      << "                            default; results are bit-identical\n"
-      << "                            at any job count)\n"
       << "  --plan-out FILE           write the recommended shim plan\n"
       << "  --json FILE               write the TuningOutcome as JSON (the\n"
       << "                            campaign outcome format)\n"
@@ -129,7 +125,6 @@ int main(int argc, char** argv) {
   int tiers = 0;  // 0 = platform native tier count
   int reps = 3;
   int top_k = 3;
-  int jobs = 0;  // 0 = all hardware threads
   bool csv = false;
   std::string trace_path;
 
@@ -167,7 +162,6 @@ int main(int argc, char** argv) {
       threshold = parse_double(argv[0], arg, next());
     else if (arg == "--reps") reps = parse_int(argv[0], arg, next());
     else if (arg == "--top-k") top_k = parse_int(argv[0], arg, next());
-    else if (arg == "--jobs") jobs = parse_int(argv[0], arg, next());
     else if (arg == "--plan-out") plan_out = next();
     else if (arg == "--json") json_out = next();
     else if (arg == "--csv") csv = true;
@@ -207,8 +201,6 @@ int main(int argc, char** argv) {
   if (budget_gb < 0.0) bad_value(argv[0], "--budget-gb must be >= 0");
   if (reps < 1) bad_value(argv[0], "--reps must be >= 1");
   if (top_k < 1) bad_value(argv[0], "--top-k must be >= 1");
-  if (jobs < 0)
-    bad_value(argv[0], "--jobs must be >= 0 (0 = all hardware threads)");
   if (tiers != 0 && tiers < 2)
     bad_value(argv[0], "--tiers must be 0 (platform native) or >= 2");
   if (!tuner::StrategyRegistry::instance().contains(strategy))
@@ -251,8 +243,7 @@ int main(int argc, char** argv) {
                        .tiers(tiers)
                        .repetitions(reps)
                        .budget_gb(budget_gb)
-                       .top_k(top_k)
-                       .jobs(jobs);
+                       .top_k(top_k);
     for (const auto& [tier, gb] : tier_budgets_gb)
       session.tier_budget_gb(tier, gb);
     auto outcome = session.run();
@@ -293,23 +284,14 @@ int main(int argc, char** argv) {
       }
       const auto plan =
           tuner::to_placement_plan(groups, outcome.chosen_placement());
-      std::ofstream os(plan_out);
-      if (!os.good()) {
-        std::cerr << "cannot write plan to " << plan_out << '\n';
-        return 2;
-      }
-      os << plan.serialize();
+      write_file(plan_out, [&](std::ostream& os) { os << plan.serialize(); });
       std::cout << "\nplacement plan written to " << plan_out << '\n';
     }
 
     if (!json_out.empty()) {
-      std::ofstream os(json_out);
-      os << tuner::outcome_to_json(outcome).dump();
-      os.flush();
-      if (!os.good()) {
-        std::cerr << "cannot write JSON to " << json_out << '\n';
-        return 2;
-      }
+      write_file(json_out, [&](std::ostream& os) {
+        os << tuner::outcome_to_json(outcome).dump();
+      });
       std::cout << "\noutcome JSON written to " << json_out << '\n';
     }
 

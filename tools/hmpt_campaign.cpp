@@ -15,7 +15,7 @@
 //                 [--sync-template T] [--straggler-after S]
 //                 [--poll-interval S] [--max-deals N]
 //                 [--resume] [--dry-run] [--keep-going] [--report]
-//                 [--jobs N] [--measure-jobs N]
+//                 [--jobs N]
 //                 [--retries N] [--scenario-timeout S] [--quiet]
 //                 [--list-workloads] [--list-platforms]
 //
@@ -147,8 +147,6 @@ void usage(const char* argv0) {
       << "                             byte-identical with or without it\n"
       << "  --jobs N                   concurrent scenarios (N >= 0;\n"
       << "                             0 = all hardware threads; default 1)\n"
-      << "  --measure-jobs N           measurement threads per scenario\n"
-      << "                             (default 1)\n"
       << "  --retries N                retries per scenario after the first\n"
       << "                             attempt (default 0 = fail fast);\n"
       << "                             deterministic exponential backoff\n"
@@ -244,8 +242,6 @@ int main(int argc, char** argv) {
     else if (arg == "--trace") trace_path = next();
     else if (arg == "--jobs")
       options.scenario_jobs = parse_int(argv[0], arg, next());
-    else if (arg == "--measure-jobs")
-      options.measure_jobs = parse_int(argv[0], arg, next());
     else if (arg == "--retries")
       options.attempts = 1 + parse_int(argv[0], arg, next());
     else if (arg == "--scenario-timeout")
@@ -277,8 +273,8 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  if (options.scenario_jobs < 0 || options.measure_jobs < 0) {
-    std::cerr << "--jobs/--measure-jobs must be >= 0\n";
+  if (options.scenario_jobs < 0) {
+    std::cerr << "--jobs must be >= 0\n";
     usage(argv[0]);
     return 1;
   }
@@ -395,7 +391,6 @@ int main(int argc, char** argv) {
       fleet_options.output_dir = options.output_dir;
       fleet_options.store_format = options.store_format;
       fleet_options.worker_jobs = options.scenario_jobs;
-      fleet_options.measure_jobs = options.measure_jobs;
       fleet_options.attempts = options.attempts;
       fleet_options.scenario_timeout_s = options.scenario_timeout_s;
       fleet_options.keep_going = options.keep_going;

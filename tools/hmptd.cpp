@@ -10,7 +10,7 @@
 //
 //   hmptd (--socket PATH | --port N) [--host ADDR] [--workers N]
 //         [--store DIR] [--max-in-flight N] [--max-queue N]
-//         [--measure-jobs N] [--latency-classes N] [--retries N]
+//         [--latency-classes N] [--retries N]
 //         [--job-timeout S] [--journal PATH] [--fault-spec SPEC]
 //         [--trace FILE] [--metrics-file FILE] [--metrics-interval S]
 //         [--quiet]
@@ -50,7 +50,6 @@ void usage(const char* argv0) {
       << "                      (default hmptd-out)\n"
       << "  --max-in-flight N   per-client incomplete-job cap (default 256)\n"
       << "  --max-queue N       global queued-job capacity (default 4096)\n"
-      << "  --measure-jobs N    measurement threads per scenario (default 1)\n"
       << "  --latency-classes N latency-store class-map bound (default 256;\n"
       << "                      least-recently-recorded class evicted past\n"
       << "                      it, falling back to the overall tracker)\n"
@@ -121,7 +120,6 @@ int main(int argc, char** argv) {
       }
       options.max_queue = static_cast<std::size_t>(queue);
     }
-    else if (arg == "--measure-jobs") options.measure_jobs = parse(next());
     else if (arg == "--latency-classes") {
       const int classes = parse(next());
       if (classes < 1) {
@@ -163,10 +161,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (options.workers < 1 || options.max_in_flight < 1 ||
-      options.measure_jobs < 1 ||
       (port_set && (options.endpoint.port < 0 ||
                     options.endpoint.port > 65535))) {
-    std::cerr << "--workers/--max-in-flight/--measure-jobs must be >= 1"
+    std::cerr << "--workers/--max-in-flight must be >= 1"
                  " and --port in [0, 65535]\n";
     usage(argv[0]);
     return 1;
@@ -197,8 +194,7 @@ int main(int argc, char** argv) {
     std::unique_ptr<service::FaultInjectingProvider> faulty;
     if (!fault_spec_text.empty()) {
       const auto spec = service::FaultSpec::parse(fault_spec_text);
-      simulator =
-          std::make_unique<service::SimulatorProvider>(options.measure_jobs);
+      simulator = std::make_unique<service::SimulatorProvider>();
       faulty = std::make_unique<service::FaultInjectingProvider>(*simulator,
                                                                  spec);
     }
