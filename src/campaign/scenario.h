@@ -61,7 +61,7 @@ struct Scenario {
 
 /// Bumped whenever canonical() or the outcome format changes meaning, so
 /// stale caches invalidate instead of replaying wrong results.
-inline constexpr int kFingerprintVersion = 8;
+inline constexpr int kFingerprintVersion = 9;
 
 /// Fingerprint of a whole campaign: the FNV-1a hash (16 hex digits) of the
 /// matrix-ordered scenario fingerprints. Two campaign invocations share a

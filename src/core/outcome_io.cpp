@@ -6,6 +6,7 @@
 #include <climits>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -78,8 +79,10 @@ bool same(double a, double b) {
 //
 // Row lists are stored column-wise: one entry per struct field, all of
 // equal length. Row i of every column belongs to the same row. Integer
-// and bool fields are JSON arrays of numbers; double fields are binary
-// columns (below). The kind of a column follows from its field's type.
+// fields are JSON arrays of numbers; double fields are binary columns
+// (below). The kind of a column follows from its field's type. A
+// trajectory's verdicts are the one exception: it stores the positions
+// of its accepted steps (trajectory_to_json).
 
 template <typename Row, typename Field>
 Json column(const std::vector<Row>& rows, Field field) {
@@ -454,30 +457,48 @@ void check_sweep(const SweepResult& sweep, const TuningOutcome& outcome) {
   if (outcome.num_groups < 1) bad_field("sweep", "needs at least one group");
 }
 
-/// The configuration rows a trajectory's times are looked up in: those of
-/// TuningOutcome::configs(), as stored. The decoder has checked them
-/// (their masks strictly increase) before it reads the trajectory, and
-/// finds a mask by binary search over the stored mask column, or as row
-/// i = mask i where there is none, so a lookup allocates nothing.
+/// The mean time of the row of `rows` (sorted by mask) holding `mask`,
+/// or nullopt.
+std::optional<double> mean_time_of(const std::vector<ConfigResult>& rows,
+                                   ConfigMask mask) {
+  const auto row = std::lower_bound(
+      rows.begin(), rows.end(), mask,
+      [](const ConfigResult& c, ConfigMask m) { return c.mask < m; });
+  if (row == rows.end() || row->mask != mask) return std::nullopt;
+  return row->mean_time;
+}
+
+/// The configuration rows left-out values are looked up in: those of
+/// TuningOutcome::configs(), as stored. The headline reads its baseline
+/// and chosen time from them before configs_from_json checks them, so a
+/// lookup compares stored masks as doubles and never casts one; a mask
+/// column that is not strictly increasing may send it to the wrong row,
+/// but is then refused. A mask is found by binary search over the stored
+/// mask column, or as row i = mask i where there is none, so a lookup
+/// allocates nothing.
 class StoredRows {
  public:
   explicit StoredRows(const Json& columns)
       : rows_(binary_rows(columns, "mean_time")),
-        masks_(columns.as_object().find("mask")),
+        masks_(columns.as_object().contains("mask")
+                   ? &column_of(columns, "mask", rows_)
+                   : nullptr),
         mean_time_(columns, "mean_time", rows_) {}
+
+  std::size_t size() const { return rows_; }
 
   /// The row holding `mask`, or nullopt.
   std::optional<std::size_t> find(ConfigMask mask) const {
     if (masks_ == nullptr)
       return mask < rows_ ? std::optional<std::size_t>(mask) : std::nullopt;
-    const JsonArray& masks = masks_->as_array();
+    const auto target = static_cast<double>(mask);
     std::size_t lo = 0;
     std::size_t hi = rows_;
     while (lo < hi) {
       const std::size_t mid = lo + (hi - lo) / 2;
-      const auto at = static_cast<ConfigMask>(masks[mid].as_number());
-      if (at == mask) return mid;
-      if (at < mask) lo = mid + 1; else hi = mid;
+      const double at = (*masks_)[mid].as_number();
+      if (at == target) return mid;
+      if (at < target) lo = mid + 1; else hi = mid;
     }
     return std::nullopt;
   }
@@ -493,9 +514,15 @@ class StoredRows {
     return value;
   }
 
+  /// The mean time of the row holding `mask`, or nullopt.
+  std::optional<double> mean_time_of(ConfigMask mask) const {
+    const auto row = find(mask);
+    return row ? std::optional<double>(mean_time(*row)) : std::nullopt;
+  }
+
  private:
   std::size_t rows_;
-  const Json* masks_;
+  const JsonArray* masks_;
   BinaryColumn mean_time_;
 };
 
@@ -508,19 +535,20 @@ class StoredRows {
 ///   index          stored as its first value when each index is one
 ///                  more than the previous (an empty trajectory stores
 ///                  1), else as an array, which must not count up by one
-/// `rows` are sorted by mask (configs_to_json refuses them otherwise).
+/// and its verdicts as `accepted`, the strictly increasing positions
+/// (from 0) of the accepted steps. `rows` are sorted by mask
+/// (configs_to_json refuses them otherwise).
 Json trajectory_to_json(const std::vector<TuningStep>& steps,
                         const std::vector<ConfigResult>& rows) {
   bool counts = true;
   bool derivable = true;
+  JsonArray accepted;
   for (std::size_t i = 0; i < steps.size(); ++i) {
     counts = counts && (i == 0 || std::int64_t{steps[i].index} ==
                                       std::int64_t{steps[i - 1].index} + 1);
-    const auto row = std::lower_bound(
-        rows.begin(), rows.end(), steps[i].mask,
-        [](const ConfigResult& c, ConfigMask mask) { return c.mask < mask; });
-    derivable = derivable && row != rows.end() && row->mask == steps[i].mask &&
-                same(row->mean_time, steps[i].observed_time);
+    const auto time = mean_time_of(rows, steps[i].mask);
+    derivable = derivable && time && same(*time, steps[i].observed_time);
+    if (steps[i].accepted) accepted.push_back(Json(std::uint64_t{i}));
   }
   JsonObject o;
   if (counts)
@@ -530,7 +558,7 @@ Json trajectory_to_json(const std::vector<TuningStep>& steps,
   o["mask"] = column(steps, [](const TuningStep& s) { return s.mask; });
   if (!derivable)
     o["observed_time"] = binary_column(steps, &TuningStep::observed_time);
-  o["accepted"] = column(steps, [](const TuningStep& s) { return s.accepted; });
+  o["accepted"] = Json(std::move(accepted));
   return Json(std::move(o));
 }
 
@@ -541,7 +569,17 @@ void trajectory_from_columns(const Json& columns, std::size_t space,
                              std::vector<TuningStep>* kept) {
   const std::size_t steps = columns.at("mask").as_array().size();
   const JsonArray& mask = column_of(columns, "mask", steps);
-  const JsonArray& accepted = column_of(columns, "accepted", steps);
+  // The accepted steps' positions, strictly increasing below `steps`.
+  const JsonArray& accepted = columns.at("accepted").as_array();
+  double first_free = 0.0;
+  for (const Json& position : accepted) {
+    if (position.kind() != Json::Kind::Number)
+      bad_field("accepted", "holds a value that is not a step position");
+    first_free = integer_in(position, first_free,
+                            static_cast<double>(steps) - 1.0, "accepted") +
+                 1.0;
+  }
+  std::size_t next_accepted = 0;
   const Json& index = columns.at("index");
   const JsonArray* indices = nullptr;
   int start = 0;
@@ -579,7 +617,10 @@ void trajectory_from_columns(const Json& columns, std::size_t space,
         s.index = start + static_cast<int>(i);
       }
       s.mask = mask_in(mask[i], space, "mask");
-      s.accepted = accepted[i].as_bool();
+      s.accepted = next_accepted < accepted.size() &&
+                   accepted[next_accepted].as_number() ==
+                       static_cast<double>(i);
+      next_accepted += s.accepted ? 1 : 0;
     }
     if (observed_time) {
       observed_time->read(begin, end, [&](std::size_t i, double value) {
@@ -605,9 +646,55 @@ void trajectory_from_columns(const Json& columns, std::size_t space,
               "is stored though every step's time is its row's mean_time");
 }
 
+// -------------------------------------------------------- headline values
+//
+// A headline value the rest of the record already holds is left out, and
+// the decoder derives it bit for bit:
+//   baseline_time     the mean_time of configs()' mask-0 row
+//   chosen_time       the mean_time of configs()' chosen_mask row
+//   configs_measured  the number of configs() rows
+//   footprint_total   footprint_bytes summed in group order from 0.0
+//   traffic_total     traffic_bytes, likewise (tier_sums' order)
+// Each has one spelling: a stored value must differ from its derivation,
+// and a left-out one needs a row to derive it from.
+
+/// `weights` summed in group order from 0.0.
+double group_sum(const std::vector<double>& weights) {
+  return std::accumulate(weights.begin(), weights.end(), 0.0);
+}
+
+/// Stores `value` as `o[name]` unless it has the bits of `derived`.
+void put_unless_derived(JsonObject& o, const char* name, double value,
+                        std::optional<double> derived) {
+  if (!derived || !same(value, *derived)) o[name] = Json(value);
+}
+
+/// Headline field `name` of `json`: `read` of the stored value, which must
+/// differ from `derived`, or, left out, `derived`, which must exist.
+double stored_or_derived(const Json& json, const char* name,
+                         std::optional<double> derived,
+                         double (*read)(const Json&, const char*)) {
+  const Json* stored = json.as_object().find(name);
+  if (stored == nullptr) {
+    if (!derived) bad_field(name, "is left out though no row holds it");
+    return *derived;
+  }
+  const double value = read(*stored, name);
+  if (derived && same(value, *derived))
+    bad_field(name, "is stored though the record derives it");
+  return value;
+}
+
+/// A count: an integer in [0, INT_MAX].
+double stored_count(const Json& json, const char* name) {
+  return integer_in(json, 0.0, INT_MAX, name);
+}
+
 }  // namespace
 
 Json outcome_to_json(const TuningOutcome& outcome) {
+  // Sorted by mask, or configs_to_json below refuses them.
+  const std::vector<ConfigResult>& rows = outcome.configs();
   JsonObject o;
   o["strategy"] = Json(outcome.strategy);
   o["workload"] = Json(outcome.workload);
@@ -615,9 +702,12 @@ Json outcome_to_json(const TuningOutcome& outcome) {
   o["num_tiers"] = Json(outcome.num_tiers);
   o["chosen_mask"] = Json(static_cast<std::uint64_t>(outcome.chosen_mask));
   check_speedup(outcome.baseline_time, outcome.chosen_time, "chosen_time");
-  o["chosen_time"] = Json(outcome.chosen_time);
-  o["baseline_time"] = Json(outcome.baseline_time);
-  o["configs_measured"] = Json(outcome.configs_measured);
+  put_unless_derived(o, "chosen_time", outcome.chosen_time,
+                     mean_time_of(rows, outcome.chosen_mask));
+  put_unless_derived(o, "baseline_time", outcome.baseline_time,
+                     mean_time_of(rows, 0));
+  put_unless_derived(o, "configs_measured", outcome.configs_measured,
+                     static_cast<double>(rows.size()));
   o["measurements"] = Json(outcome.measurements);
   const GroupWeights& w = outcome.weights;
   check_weights(w, outcome.num_groups, outcome.num_tiers);
@@ -625,7 +715,7 @@ Json outcome_to_json(const TuningOutcome& outcome) {
                            const std::vector<double>& values, double total) {
     o[name] = encode_doubles(values.size(),
                              [&](std::size_t i) { return values[i]; });
-    o[total_name] = Json(total);
+    put_unless_derived(o, total_name, total, group_sum(values));
   };
   weights("footprint_bytes", "footprint_total", w.footprint_bytes,
           w.footprint_total);
@@ -640,7 +730,7 @@ Json outcome_to_json(const TuningOutcome& outcome) {
     sweep["configs"] = configs_to_json(outcome.sweep->configs);
     o["sweep"] = Json(std::move(sweep));
   }
-  o["trajectory"] = trajectory_to_json(outcome.trajectory, outcome.configs());
+  o["trajectory"] = trajectory_to_json(outcome.trajectory, rows);
   return Json(std::move(o));
 }
 
@@ -655,25 +745,33 @@ TuningOutcome outcome_from_json(const Json& json, Rows rows) {
       int_in(json.at("num_tiers"), 2, topo::kNumPoolKinds, "num_tiers");
   const std::size_t space = space_size(out.num_groups, out.num_tiers);
   out.chosen_mask = mask_in(json.at("chosen_mask"), space, "chosen_mask");
-  out.chosen_time = finite(json.at("chosen_time"), "chosen_time");
-  out.baseline_time = finite(json.at("baseline_time"), "baseline_time");
+  // configs(): the sweep's rows when there is a sweep, else the table. The
+  // headline's left-out values are read from them before any row's
+  // speedup is checked, since that check needs the baseline.
+  const Json* stored = json.as_object().find("sweep");
+  const StoredRows configs(stored != nullptr ? stored->at("configs")
+                                             : json.at("table"));
+  out.baseline_time = stored_or_derived(json, "baseline_time",
+                                        configs.mean_time_of(0), finite);
+  out.chosen_time = stored_or_derived(
+      json, "chosen_time", configs.mean_time_of(out.chosen_mask), finite);
   check_speedup(out.baseline_time, out.chosen_time, "chosen_time");
-  out.configs_measured =
-      int_in(json.at("configs_measured"), 0, INT_MAX, "configs_measured");
+  out.configs_measured = static_cast<int>(
+      stored_or_derived(json, "configs_measured",
+                        static_cast<double>(configs.size()), stored_count));
   out.measurements =
       int_in(json.at("measurements"), 0, INT_MAX, "measurements");
-  out.weights.footprint_bytes =
+  GroupWeights& w = out.weights;
+  w.footprint_bytes =
       weights_from_json(json, "footprint_bytes", out.num_groups);
-  out.weights.footprint_total =
-      finite(json.at("footprint_total"), "footprint_total");
-  out.weights.traffic_bytes =
-      weights_from_json(json, "traffic_bytes", out.num_groups);
-  out.weights.traffic_total =
-      finite(json.at("traffic_total"), "traffic_total");
-  check_weights(out.weights, out.num_groups, out.num_tiers);
+  w.footprint_total = stored_or_derived(json, "footprint_total",
+                                        group_sum(w.footprint_bytes), finite);
+  w.traffic_bytes = weights_from_json(json, "traffic_bytes", out.num_groups);
+  w.traffic_total = stored_or_derived(json, "traffic_total",
+                                      group_sum(w.traffic_bytes), finite);
+  check_weights(w, out.num_groups, out.num_tiers);
   configs_from_json(json.at("table"), out.baseline_time, space,
                     keep ? &out.table : nullptr);
-  const Json* stored = json.as_object().find("sweep");
   if (stored != nullptr) {
     SweepResult sweep;
     sweep.baseline_time = out.baseline_time;
@@ -684,9 +782,6 @@ TuningOutcome outcome_from_json(const Json& json, Rows rows) {
                       keep ? &sweep.configs : nullptr);
     if (keep) out.sweep = std::move(sweep);
   }
-  // configs(): the sweep's rows when there is a sweep, else the table.
-  const StoredRows configs(stored != nullptr ? stored->at("configs")
-                                             : json.at("table"));
   trajectory_from_columns(json.at("trajectory"), space, out.baseline_time,
                           configs, keep ? &out.trajectory : nullptr);
   return out;

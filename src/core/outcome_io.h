@@ -7,16 +7,19 @@
 // fractions and group counts are functions of the row, the baseline and
 // the outcome's per-group weights (experiment.h), stored once per record,
 // and so is the headline's (TuningOutcome::speedup() and the rest). A
-// trajectory stores the search's order and verdicts; a step's time is its
-// row's when the two are one measurement. The format is lossless: what
-// the decoder can rebuild bit for bit (mask ids of a full sweep, a
-// sweep's baseline and shape, a noise-free run's stddevs, step times
-// equal to their rows' mean times, indices counting up by one from a
-// stored start) is left out, and every other field is stored exactly, so
-// an outcome parsed back from its JSON compares equal to the original
-// (covered by tests). That is what makes the on-disk outcome store a
-// cache rather than a lossy log. Row lists must be sorted by mask, as
-// every strategy's are; the writer refuses others.
+// trajectory stores the search's order and its verdicts, as the positions
+// of its accepted steps; a step's time is its row's when the two are one
+// measurement. The format is lossless: what the decoder can rebuild bit
+// for bit (mask ids of a full sweep, a sweep's baseline and shape, a
+// noise-free run's stddevs, step times equal to their rows' mean times,
+// indices counting up by one from a stored start, a baseline or chosen
+// time its row holds, a configuration count equal to the row count,
+// weight totals equal to their weights' sum) is left out, and every
+// other field is stored exactly, so an outcome parsed back from its JSON
+// compares equal to the original (covered by tests). That is what makes
+// the on-disk outcome store a cache rather than a lossy log. Row lists
+// must be sorted by mask, as every strategy's are; the writer refuses
+// others.
 #pragma once
 
 #include "common/json.h"

@@ -85,39 +85,35 @@ RecordedWorkload parse_workload(std::istream& is) {
     const std::string where = " (line " + std::to_string(line_no) + ")";
 
     if (directive == "workload") {
-      HMPT_REQUIRE(static_cast<bool>(ls >> name),
-                   "workload needs a name" + where);
+      if (!(ls >> name)) raise("workload needs a name" + where);
     } else if (directive == "group") {
       std::size_t id;
       std::string label;
       double bytes;
-      HMPT_REQUIRE(static_cast<bool>(ls >> id >> label >> bytes),
-                   "group needs <id> <label> <bytes>" + where);
-      HMPT_REQUIRE(id == groups.size(),
-                   "group ids must be dense and in order" + where);
-      HMPT_REQUIRE(bytes >= 0.0, "negative group bytes" + where);
+      if (!(ls >> id >> label >> bytes))
+        raise("group needs <id> <label> <bytes>" + where);
+      if (id != groups.size())
+        raise("group ids must be dense and in order" + where);
+      if (!(bytes >= 0.0)) raise("negative group bytes" + where);
       groups.push_back({label, bytes});
     } else if (directive == "phase") {
       sim::KernelPhase phase;
       int vectorized;
-      HMPT_REQUIRE(static_cast<bool>(ls >> phase.name >> phase.flops >>
-                                     vectorized),
-                   "phase needs <name> <flops> <vectorized>" + where);
+      if (!(ls >> phase.name >> phase.flops >> vectorized))
+        raise("phase needs <name> <flops> <vectorized>" + where);
       phase.vectorized = vectorized != 0;
       trace.phases.push_back(std::move(phase));
       have_phase = true;
     } else if (directive == "stream") {
-      HMPT_REQUIRE(have_phase, "stream before any phase" + where);
+      if (!have_phase) raise("stream before any phase" + where);
       sim::StreamAccess s;
       std::string pattern;
       int nt;
-      HMPT_REQUIRE(static_cast<bool>(ls >> s.group >> s.bytes_read >>
-                                     s.bytes_written >> pattern >> nt >>
-                                     s.working_set_bytes),
-                   "stream needs 6 fields" + where);
-      HMPT_REQUIRE(s.group >= 0 &&
-                       s.group < static_cast<int>(groups.size()),
-                   "stream group out of range" + where);
+      if (!(ls >> s.group >> s.bytes_read >> s.bytes_written >> pattern >>
+            nt >> s.working_set_bytes))
+        raise("stream needs 6 fields" + where);
+      if (s.group < 0 || s.group >= static_cast<int>(groups.size()))
+        raise("stream group out of range" + where);
       s.pattern = pattern_from(pattern, line_no);
       s.nontemporal_writes = nt != 0;
       trace.phases.back().streams.push_back(s);
@@ -125,7 +121,7 @@ RecordedWorkload parse_workload(std::istream& is) {
       raise("unknown profile directive '" + directive + "'" + where);
     }
   }
-  HMPT_REQUIRE(!groups.empty(), "profile declares no groups");
+  if (groups.empty()) raise("profile declares no groups");
   return RecordedWorkload(name, std::move(groups), std::move(trace));
 }
 
@@ -141,7 +137,7 @@ void save_workload(const std::string& path, const Workload& workload) {
 
 RecordedWorkload load_workload(const std::string& path) {
   std::ifstream is(path);
-  HMPT_REQUIRE(is.good(), "cannot open profile: " + path);
+  if (!is.good()) raise("cannot open profile: " + path);
   return parse_workload(is);
 }
 

@@ -26,7 +26,11 @@ namespace hmpt::workloads {
 std::string serialize_workload(const Workload& workload);
 void write_workload(std::ostream& os, const Workload& workload);
 
-/// Parse a profile back into an analysable workload.
+/// Parse a profile back into an analysable workload. Bad input throws
+/// hmpt::Error whose text is the message alone ("stream needs 6 fields
+/// (line 4)", "cannot open profile: <path>"), with no source location, so
+/// a failed scenario's recorded error does not move with this file's
+/// lines.
 RecordedWorkload parse_workload(const std::string& text);
 RecordedWorkload parse_workload(std::istream& is);
 

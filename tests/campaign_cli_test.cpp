@@ -200,11 +200,18 @@ TEST_F(CampaignCliTest, KeepGoingReportsFailuresInExitCode) {
       << out;
   EXPECT_NE(out.find("executed 1, cached 0, failed 1"), std::string::npos)
       << out;
-  // The recorded failure names its source relative to the checkout, so
-  // the artefacts do not depend on where the tool was built.
-  const std::string summary = slurp(store_ + "/summary.json");
-  EXPECT_NE(summary.find("src/workloads/"), std::string::npos) << summary;
-  EXPECT_EQ(summary.find(HMPT_SOURCE_DIR), std::string::npos) << summary;
+  // The recorded failure is the input error alone: no source file, line
+  // or checkout path, so the artefacts depend neither on where the tool
+  // was built nor on where the check sits in its source.
+  for (const char* artefact : {"/summary.json", "/status.json"}) {
+    const std::string text = slurp(store_ + artefact);
+    EXPECT_NE(text.find("\"error\": \"cannot open profile: "
+                        "/nonexistent.profile\""),
+              std::string::npos)
+        << artefact << text;
+    EXPECT_EQ(text.find("src/"), std::string::npos) << artefact << text;
+    EXPECT_EQ(text.find(HMPT_SOURCE_DIR), std::string::npos) << artefact;
+  }
 }
 
 TEST_F(CampaignCliTest, ListingsAndUsage) {

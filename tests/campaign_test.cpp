@@ -18,6 +18,7 @@
 #include <functional>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <optional>
 #include <regex>
 #include <set>
@@ -546,28 +547,111 @@ void expect_same_outcome(const tuner::TuningOutcome& a,
   }
 }
 
+/// The headline fields a record of `outcome` leaves out, because the
+/// rest of the record derives them bit for bit: an oracle that does not
+/// go through the codec under test.
+std::set<std::string> derivable_headline(const tuner::TuningOutcome& outcome) {
+  const auto& rows = outcome.configs();
+  const auto row_time = [&](tuner::ConfigMask mask) -> std::optional<double> {
+    for (const auto& row : rows)
+      if (row.mask == mask) return row.mean_time;
+    return std::nullopt;
+  };
+  const auto sum = [](const std::vector<double>& weights) {
+    double total = 0.0;
+    for (const double weight : weights) total += weight;
+    return total;
+  };
+  std::set<std::string> derivable;
+  const auto derives = [&](const char* name, double value,
+                           std::optional<double> derived) {
+    if (derived && same_bits(value, *derived)) derivable.insert(name);
+  };
+  derives("baseline_time", outcome.baseline_time, row_time(0));
+  derives("chosen_time", outcome.chosen_time, row_time(outcome.chosen_mask));
+  derives("configs_measured", outcome.configs_measured,
+          static_cast<double>(rows.size()));
+  derives("footprint_total", outcome.weights.footprint_total,
+          sum(outcome.weights.footprint_bytes));
+  derives("traffic_total", outcome.weights.traffic_total,
+          sum(outcome.weights.traffic_bytes));
+  return derivable;
+}
+
+/// The positions of `outcome`'s accepted steps, as a JSON array.
+std::string accepted_positions(const tuner::TuningOutcome& outcome) {
+  std::string text;
+  for (std::size_t i = 0; i < outcome.trajectory.size(); ++i) {
+    if (!outcome.trajectory[i].accepted) continue;
+    if (!text.empty()) text += ',';
+    text += std::to_string(i);
+  }
+  return "[" + text + "]";
+}
+
+/// Checks that `encoded` stores exactly the headline fields of `outcome`
+/// that the rest of the record does not derive, and its verdicts as the
+/// accepted steps' positions; counts each left-out field in `left_out`.
+void expect_only_underivable_headline(const tuner::TuningOutcome& outcome,
+                                      const Json& encoded,
+                                      std::map<std::string, int>& left_out,
+                                      const std::string& what) {
+  const auto derivable = derivable_headline(outcome);
+  for (const char* name : {"baseline_time", "chosen_time", "configs_measured",
+                           "footprint_total", "traffic_total"}) {
+    const bool derived = derivable.count(name) != 0;
+    EXPECT_NE(encoded.as_object().contains(name), derived)
+        << what << " " << name;
+    left_out[name] += derived;
+  }
+  EXPECT_EQ(encoded.at("trajectory").at("accepted").dump(-1),
+            accepted_positions(outcome))
+      << what;
+}
+
+/// Both decode modes of `encoded`, printed with `indent`: Rows::Keep gives
+/// `outcome` back bit for bit, Rows::Skip its headline and weights.
+void expect_round_trip(const tuner::TuningOutcome& outcome,
+                       const Json& encoded, int indent,
+                       const std::string& what) {
+  const Json doc = Json::parse(encoded.dump(indent));
+  const auto kept = tuner::outcome_from_json(doc, tuner::Rows::Keep);
+  expect_same_outcome(kept, outcome, what);
+  EXPECT_EQ(tuner::outcome_to_json(kept).dump(indent), encoded.dump(indent))
+      << what;
+  expect_same_headline(tuner::outcome_from_json(doc, tuner::Rows::Skip),
+                       outcome, what + " skipped");
+}
+
 TEST(OutcomeIoTest, OutcomeJsonRoundTripsForEveryStrategy) {
-  // Two- and three-tier platforms, with measurement noise so repetitions
-  // differ and no derived value is accidentally constant.
+  // Two- and three-tier platforms, each noise-free and with measurement
+  // noise, so repetitions differ and no derived value is accidentally
+  // constant. Both decode modes are checked on every record.
   struct Platform {
     const char* name;
-    sim::MachineSimulator (*make)();
+    sim::MachineSimulator (*make)(sim::NoiseModel);
+    std::uint64_t seed;
   };
   const Platform platforms[] = {
       {"2-tier",
-       [] {
+       [](sim::NoiseModel noise) {
          return sim::MachineSimulator(topo::xeon_max_9468_duo_flat_snc4(),
                                       sim::default_spr_hbm_calibration(),
-                                      sim::NoiseModel{0.05, 7});
-       }},
-      {"3-tier", [] {
+                                      noise);
+       },
+       7},
+      {"3-tier",
+       [](sim::NoiseModel noise) {
          return sim::MachineSimulator(topo::cxl_tiered_xeon_max(),
-                                      sim::cxl_tiered_calibration(),
-                                      sim::NoiseModel{0.05, 11});
-       }}};
+                                      sim::cxl_tiered_calibration(), noise);
+       },
+       11}};
+  std::map<std::string, int> left_out;
   for (const auto& platform : platforms) {
+   for (const bool noisy : {false, true}) {
     for (const std::string strategy : {"exhaustive", "online", "estimator"}) {
-      auto simulator = platform.make();
+      auto simulator = platform.make(
+          noisy ? sim::NoiseModel{0.05, platform.seed} : sim::NoiseModel{});
       const auto app = workloads::make_mg_model(simulator);
       const auto outcome = tuner::Session::on(simulator)
                                .workload(app.workload)
@@ -575,16 +659,19 @@ TEST(OutcomeIoTest, OutcomeJsonRoundTripsForEveryStrategy) {
                                .strategy(strategy)
                                .repetitions(2)
                                .run();
-      const std::string what = std::string(platform.name) + " " + strategy;
+      const std::string what = std::string(platform.name) +
+                               (noisy ? " noisy " : " ") + strategy;
       const Json encoded = tuner::outcome_to_json(outcome);
       for (const int indent : {-1, 2}) {
-        const auto back =
-            tuner::outcome_from_json(Json::parse(encoded.dump(indent)));
-        expect_same_outcome(back, outcome, what);
+        expect_round_trip(outcome, encoded, indent, what);
         // The parsed outcome is a working TuningOutcome, not just a blob:
         // the human-readable report regenerates identically.
-        EXPECT_EQ(back.to_text(), outcome.to_text()) << what;
+        EXPECT_EQ(tuner::outcome_from_json(Json::parse(encoded.dump(indent)))
+                      .to_text(),
+                  outcome.to_text())
+            << what;
       }
+      expect_only_underivable_headline(outcome, encoded, left_out, what);
       EXPECT_EQ(outcome.sweep.has_value(), strategy == "exhaustive");
 
       // Every trajectory is stored as columns, and a full sweep's is empty
@@ -601,7 +688,8 @@ TEST(OutcomeIoTest, OutcomeJsonRoundTripsForEveryStrategy) {
       EXPECT_EQ(trajectory.find("index")->dump(-1),
                 strategy == "online" ? "2" : "1")
           << what;
-      EXPECT_EQ(trajectory.contains("observed_time"), strategy == "online")
+      EXPECT_EQ(trajectory.contains("observed_time"),
+                noisy && strategy == "online")
           << what;
       // No row list stores a derived column: every strategy's record
       // carries the weights once instead.
@@ -615,12 +703,17 @@ TEST(OutcomeIoTest, OutcomeJsonRoundTripsForEveryStrategy) {
         for (const char* derived :
              {"speedup", "hbm_usage", "hbm_density", "groups_in_hbm"})
           EXPECT_FALSE(columns->contains(derived)) << what << " " << derived;
-      for (const char* weights : {"footprint_bytes", "footprint_total",
-                                  "traffic_bytes", "traffic_total"})
+      for (const char* weights : {"footprint_bytes", "traffic_bytes"})
         EXPECT_TRUE(encoded.as_object().contains(weights))
             << what << " " << weights;
     }
+   }
   }
+  // Every rule fires on these records: each of the five headline fields
+  // is left out of most of the 12 records.
+  for (const char* name : {"baseline_time", "chosen_time", "configs_measured",
+                           "footprint_total", "traffic_total"})
+    EXPECT_GE(left_out[name], 6) << name;
 }
 
 TEST(OutcomeIoTest, SweepWithItsOwnTrajectoryOrderStoresColumns) {
@@ -774,8 +867,9 @@ TEST(OutcomeIoTest, EveryStrategyReportsTheSameHbmFractionsForAMask) {
 TEST(OutcomeIoTest, ThreeTierSweepRecordFitsTheSizeGate) {
   // The record of a full 3^8 sweep (bt on spr-cxl, 6,561 configurations)
   // stores only its mean times and the outcome's weights (the simulator is
-  // noise-free, so every stddev is +0.0 and left out), and stays within
-  // the byte gate CI also checks on the hmpt_campaign output.
+  // noise-free, so every stddev is +0.0 and left out; the baseline, chosen
+  // time, count and totals derive from the rows and weights), and stays
+  // within the byte gate CI also checks on the hmpt_campaign output.
   Scenario s;
   s.workload = parse_workload_spec("bt");
   s.platform = "spr-cxl";
@@ -787,9 +881,12 @@ TEST(OutcomeIoTest, ThreeTierSweepRecordFitsTheSizeGate) {
   const std::string payload = OutcomeStore::make_payload(s, outcome);
   EXPECT_LE(payload.size(), 75000u);
   const Json doc = Json::parse(payload);
-  for (const char* weights : {"footprint_bytes", "footprint_total",
-                              "traffic_bytes", "traffic_total"})
+  for (const char* weights : {"footprint_bytes", "traffic_bytes"})
     EXPECT_TRUE(doc.at("outcome").as_object().contains(weights)) << weights;
+  for (const char* derived : {"baseline_time", "chosen_time",
+                              "configs_measured", "footprint_total",
+                              "traffic_total"})
+    EXPECT_FALSE(doc.at("outcome").as_object().contains(derived)) << derived;
   const JsonObject& configs =
       doc.at("outcome").at("sweep").at("configs").as_object();
   EXPECT_EQ(configs.size(), 1u);  // mean_time alone
@@ -882,6 +979,53 @@ tuner::TuningOutcome with_rows(tuner::TuningOutcome outcome, std::size_t rows,
   return outcome;
 }
 
+TEST(OutcomeIoTest, HeadlineValuesTheRecordDerivesAreLeftOut) {
+  // A record leaves out the baseline and chosen times its rows hold, a
+  // configuration count equal to its row count and weight totals equal to
+  // their weights summed in group order. A value that differs is stored,
+  // bit for bit: mg at scale 2.10 sums its traffic in trace order to
+  // another double than the group-order sum, and a hand-edited outcome
+  // stores all five.
+  Scenario scaled;
+  scaled.workload = parse_workload_spec("mg:scale=2.10");
+  scaled.platform = "xeon-max";
+  scaled.strategy = "estimator";
+  scaled.repetitions = 1;
+  const auto keeps_traffic = CampaignRunner::execute(scaled);
+  auto keeps_all = online_outcome();
+  keeps_all.baseline_time = std::nextafter(keeps_all.baseline_time, 0.0);
+  keeps_all.chosen_time = std::nextafter(keeps_all.chosen_time, 1e9);
+  keeps_all.configs_measured += 1;
+  keeps_all.weights.footprint_total *= 2.0;
+  keeps_all.weights.traffic_total *= 2.0;
+  auto no_baseline_row = online_outcome();
+  no_baseline_row.table.erase(no_baseline_row.table.begin());
+  ASSERT_NE(no_baseline_row.table.front().mask, 0u);
+  const struct {
+    std::string what;
+    tuner::TuningOutcome outcome;
+    std::set<std::string> stored;
+  } cases[] = {
+      {"mg:scale=2.10 estimator", keeps_traffic, {"traffic_total"}},
+      {"every value edited", keeps_all,
+       {"baseline_time", "chosen_time", "configs_measured", "footprint_total",
+        "traffic_total"}},
+      {"no mask-0 row", no_baseline_row, {"baseline_time", "configs_measured"}},
+  };
+  std::map<std::string, int> left_out;
+  for (const auto& c : cases) {
+    const Json encoded = tuner::outcome_to_json(c.outcome);
+    for (const char* name : {"baseline_time", "chosen_time",
+                             "configs_measured", "footprint_total",
+                             "traffic_total"})
+      EXPECT_EQ(encoded.as_object().contains(name), c.stored.count(name) != 0)
+          << c.what << " " << name;
+    expect_only_underivable_headline(c.outcome, encoded, left_out, c.what);
+    for (const int indent : {-1, 2})
+      expect_round_trip(c.outcome, encoded, indent, c.what);
+  }
+}
+
 TEST(OutcomeIoTest, BinaryColumnsRoundTripBitExactly) {
   // Double columns are base64 of little-endian binary64: one known
   // answer pins the byte order, then every padding remainder (0-3 rows)
@@ -920,7 +1064,7 @@ TEST(OutcomeIoTest, BinaryColumnsRoundTripBitExactly) {
                 base64_le(observed))
           << what;
     }
-    // Integer and bool columns stay JSON numbers and bools.
+    // Integer columns stay JSON numbers.
     // (Row i holds mask i + 1, so only an empty table's masks are in row
     // order and left out.)
     EXPECT_EQ(encoded.at("table").as_object().contains("mask"), rows > 0)
@@ -930,7 +1074,11 @@ TEST(OutcomeIoTest, BinaryColumnsRoundTripBitExactly) {
     }
     EXPECT_EQ(trajectory.at("index").kind() == Json::Kind::Array, rows > 1)
         << what;
-    EXPECT_EQ(trajectory.at("accepted").as_array().size(), rows);
+    // Every other step is accepted: positions 0, 2, 4, ...
+    EXPECT_EQ(trajectory.at("accepted").dump(-1), accepted_positions(outcome))
+        << what;
+    EXPECT_EQ(trajectory.at("accepted").as_array().size(), (rows + 1) / 2)
+        << what;
     const std::string text = encoded.dump(-1);
     EXPECT_EQ(Json::parse(text).dump(-1), text) << what;  // a fixed point
     expect_same_outcome(tuner::outcome_from_json(Json::parse(text)), outcome,
@@ -1172,112 +1320,6 @@ std::optional<Json> mutate_bytes(std::string text, Rng& rng,
   }
 }
 
-TEST(OutcomeIoTest, SkipRowsRejectsExactlyWhatFullDecodeRejects) {
-  // The decoder has one rows switch. Rows::Skip must run every check
-  // Rows::Keep runs: on thousands of damaged documents both modes throw
-  // together, with the same error, and where both accept they decode
-  // bit-identical headlines and weights. Inputs: the golden 3^3 record, a
-  // fresh 3^8 record (empty trajectory, sweep rows only), online and
-  // estimator records (columnar trajectory whose times and indices derive
-  // from the table, table with masks, no sweep), a noisy online record
-  // (stored step times), a noisy 3^3 record and hand-made rows (both
-  // store stddev columns; the rows store step times and an index array).
-  // Every record carries its weights once, so the weights are mutated on
-  // the table-only records as on the sweeps. Each mutation draws from its
-  // own counter-based stream, so a failure names a reproducible case.
-  std::ifstream golden(
-      std::string(HMPT_TEST_DATA_DIR) + "/mg_cxl_exhaustive.payload.json",
-      std::ios::binary);
-  std::stringstream golden_text;
-  golden_text << golden.rdbuf();
-  Scenario bt;
-  bt.workload = parse_workload_spec("bt");
-  bt.platform = "spr-cxl";
-  bt.strategy = "exhaustive";
-  bt.tiers = 3;
-  const auto reparsed = [](const tuner::TuningOutcome& outcome) {
-    return Json::parse(tuner::outcome_to_json(outcome).dump(-1));
-  };
-  Scenario estimator = bt;
-  estimator.strategy = "estimator";
-  const std::pair<std::string, Json> inputs[] = {
-      {"golden 3^3", Json::parse(golden_text.str()).at("outcome")},
-      {"bt 3^8", reparsed(CampaignRunner::execute(bt))},
-      {"online", reparsed(online_outcome())},
-      {"noisy online", reparsed(run_3tier("online", {0.05, 11}))},
-      {"estimator", reparsed(CampaignRunner::execute(estimator))},
-      {"noisy 3^3", reparsed(sweep_3tier({0.05, 11}))},
-      {"hand-made rows",
-       reparsed(with_rows(online_outcome(), 20, {0.5, -0.0, 3.0, 1e-310}))},
-  };
-  constexpr std::uint64_t kSeed = 0x5eed0f5c1f;
-  constexpr std::uint64_t kMutations = 1000;
-  int decoded = 0;
-  for (std::size_t input = 0; input < std::size(inputs); ++input) {
-    const auto& [name, original] = inputs[input];
-    const std::string text = original.dump(-1);
-    std::vector<std::vector<std::string>> paths;
-    std::vector<std::string> path;
-    field_paths(original, path, paths);
-    int accepted = 0;
-    int rejected = 0;
-    int weights = 0;  // mutations of the weights
-    for (std::uint64_t m = 0; m < kMutations; ++m) {
-      Rng rng(mix_seed(kSeed, input, m));
-      std::string what = name + " mutation " + std::to_string(m) + ": ";
-      std::optional<Json> doc;
-      if (m % 2 == 0) {
-        const auto& field = paths[rng.next_below(paths.size())];
-        for (const auto& key : field) what += key + ".";
-        weights += field.size() == 1 &&
-                   (field[0].starts_with("footprint_") ||
-                    field[0].starts_with("traffic_"));
-        const bool binary =
-            field.back() != "strategy" && field.back() != "workload";
-        doc = with_field(original, field, 0, [&](const Json& value) {
-          return mutate_field(value, binary, rng, what);
-        });
-      } else {
-        doc = mutate_bytes(text, rng, what);
-      }
-      if (!doc) continue;  // no longer JSON: not the decoder's input
-      ++decoded;
-      std::optional<tuner::TuningOutcome> kept;
-      std::optional<tuner::TuningOutcome> skipped;
-      std::string keep_error;
-      std::string skip_error;
-      try {
-        kept = tuner::outcome_from_json(*doc, tuner::Rows::Keep);
-      } catch (const std::exception& e) {
-        keep_error = e.what();
-      }
-      try {
-        skipped = tuner::outcome_from_json(*doc, tuner::Rows::Skip);
-      } catch (const std::exception& e) {
-        skip_error = e.what();
-      }
-      ASSERT_EQ(kept.has_value(), skipped.has_value())
-          << what << " (keep: '" << keep_error << "', skip: '" << skip_error
-          << "')";
-      EXPECT_EQ(keep_error, skip_error) << what;
-      if (!kept) {
-        ++rejected;
-        continue;
-      }
-      ++accepted;
-      expect_same_headline(*kept, *skipped, what);
-      EXPECT_TRUE(skipped->table.empty() && skipped->trajectory.empty() &&
-                  !skipped->sweep.has_value())
-          << what;
-    }
-    // Both outcomes occur, so neither check above is vacuous.
-    EXPECT_GT(accepted, 20) << name;
-    EXPECT_GT(rejected, 200) << name;
-    EXPECT_GT(weights, 20) << name;
-  }
-  EXPECT_GE(decoded, 2500);
-}
-
 /// The stored row lists of an encoded outcome: its table and, when it
 /// has one, its sweep.
 std::vector<const JsonObject*> row_lists(const Json& encoded) {
@@ -1498,15 +1540,14 @@ TEST(OutcomeIoTest, StoredAllZeroStddevColumnIsRefused) {
   }
 }
 
-/// `doc` with its weights `name` (one per group) and their total replaced.
-Json with_weights(Json doc, const std::string& name,
+/// `doc` with its weights `name` (one per group) replaced and their
+/// total stored (the total differs from the weights' sum).
+Json with_weights(const Json& doc, const std::string& name,
                   const std::vector<double>& weights, double total) {
-  const auto set = [&](const std::string& key, Json value) {
-    doc = with_field(doc, {key}, 0, [&](const Json&) { return value; });
-  };
-  set(name + "_bytes", Json(base64_le(weights)));
-  set(name + "_total", Json(total));
-  return doc;
+  JsonObject out = doc.as_object();
+  out[name + "_bytes"] = Json(base64_le(weights));
+  out[name + "_total"] = Json(total);
+  return Json(std::move(out));
 }
 
 TEST(OutcomeIoTest, WeightsThatOverflowAnHbmFractionAreRejectedOncePerRecord) {
@@ -1652,6 +1693,19 @@ struct HostileCase {
   std::string payload;
 };
 
+/// `text` with `"key":value` stored first in its outcome object; the
+/// record must not hold `key` already.
+std::string with_key(std::string text, const std::string& key,
+                     const std::string& value) {
+  const std::string outcome = "\"outcome\":{";
+  EXPECT_EQ(text.find("\"" + key + "\":"), std::string::npos) << key;
+  const auto at = text.find(outcome);
+  EXPECT_NE(at, std::string::npos);
+  if (at != std::string::npos)
+    text.insert(at + outcome.size(), "\"" + key + "\":" + value + ",");
+  return text;
+}
+
 /// `text` with the JSON value of the first `"key":` after `anchor` (a
 /// string or an array) replaced by `value`.
 std::string with_column(std::string text, const std::string& anchor,
@@ -1790,13 +1844,12 @@ std::vector<HostileCase> derivation_cases(const Scenario& sweep,
       {"a negative traffic weight", &online,
        with_column(good_online, at, "traffic_bytes", quoted({1.0, -1.0, 1.0}))},
       {"a negative traffic total", &sweep,
-       with_value(good, at, "traffic_total", "-1")},
+       with_key(good, "traffic_total", "-1")},
       {"a non-finite footprint total", &online,
-       with_value(good_online, at, "footprint_total", "1e999")},
-      {"zero footprint total", &sweep,
-       with_value(good, at, "footprint_total", "0")},
+       with_key(good_online, "footprint_total", "1e999")},
+      {"zero footprint total", &sweep, with_key(good, "footprint_total", "0")},
       {"negative footprint total", &online,
-       with_value(good_online, at, "footprint_total", "-5")},
+       with_key(good_online, "footprint_total", "-5")},
       {"no footprint weights", &sweep,
        with_text(good, "\"footprint_bytes\":", "\"footprint_byte\":")},
       {"no traffic weights", &online,
@@ -1804,9 +1857,9 @@ std::vector<HostileCase> derivation_cases(const Scenario& sweep,
       {"speedup of +inf", &sweep,
        with_column(good, "\"configs\":", "mean_time", quoted(means))},
       {"hbm_usage of +inf in a sweep record", &sweep,
-       with_value(good, at, "footprint_total", "1e-320")},
+       with_key(good, "footprint_total", "1e-320")},
       {"hbm_usage of +inf in a table-only record", &online,
-       with_value(good_online, at, "footprint_total", "1e-320")},
+       with_key(good_online, "footprint_total", "1e-320")},
   };
   EXPECT_NO_THROW(tuner::outcome_from_json(Json::parse(good).at("outcome")));
   for (const auto& c : cases) EXPECT_NE(c.payload, good) << c.name;
@@ -1872,6 +1925,242 @@ std::vector<HostileCase> trajectory_cases(const Scenario& sweep,
   return cases;
 }
 
+/// A hostile record and the one error both decode modes refuse it with.
+struct RefusedRecord {
+  HostileCase record;
+  std::string error;
+};
+
+/// Records that break a headline derivation rule or store their verdicts
+/// otherwise than as accepted step positions, on the records of `sweep`
+/// (an empty trajectory) and `online` (a noise-free run: every headline
+/// value is left out, and its first steps are accepted).
+std::vector<RefusedRecord> headline_cases(const Scenario& sweep,
+                                          const Scenario& online) {
+  const auto outcome = CampaignRunner::execute(online);
+  const std::string good = OutcomeStore::make_payload(online, outcome);
+  const std::string good_sweep =
+      OutcomeStore::make_payload(sweep, CampaignRunner::execute(sweep));
+  const auto number = [](double value) { return Json(value).dump(-1); };
+  /// The record of `outcome` less the row of `mask`, with `name` (which
+  /// that row held and so is now stored) left out again.
+  const auto without_row = [&](tuner::ConfigMask mask, const char* name,
+                               double value) {
+    auto edited = outcome;
+    auto& table = edited.table;
+    table.erase(std::find_if(table.begin(), table.end(),
+                             [&](const tuner::ConfigResult& c) {
+                               return c.mask == mask;
+                             }));
+    return with_text(OutcomeStore::make_payload(online, edited),
+                     "\"" + std::string(name) + "\":" + number(value) + ",",
+                     "");
+  };
+  // The stored verdicts, positions; format 8's, one boolean per step.
+  const std::string accepted =
+      "\"accepted\":" + accepted_positions(outcome);
+  EXPECT_NE(good.find(accepted), std::string::npos) << accepted;
+  std::string booleans;
+  for (const auto& step : outcome.trajectory) {
+    if (!booleans.empty()) booleans += ',';
+    booleans += step.accepted ? "true" : "false";
+  }
+  const auto verdicts = [&](const std::string& positions) {
+    return with_text(good, accepted, "\"accepted\":" + positions);
+  };
+  const std::string steps = std::to_string(outcome.trajectory.size());
+  const std::string last = std::to_string(outcome.trajectory.size() - 1);
+  const auto derived = [](const std::string& name) {
+    return "outcome field '" + name +
+           "' is stored though the record derives it";
+  };
+  const auto no_row = [](const std::string& name) {
+    return "outcome field '" + name + "' is left out though no row holds it";
+  };
+  const auto position = [&](const std::string& lo) {
+    return "outcome field 'accepted' is not an integer in [" + lo + ", " +
+           last + "]";
+  };
+  double footprint = 0.0;
+  for (const double w : outcome.weights.footprint_bytes) footprint += w;
+  double traffic = 0.0;
+  for (const double w : outcome.weights.traffic_bytes) traffic += w;
+  std::vector<RefusedRecord> cases = {
+      {{"stored baseline_time equal to its mask-0 row", &online,
+        with_key(good, "baseline_time", number(outcome.baseline_time))},
+       derived("baseline_time")},
+      {{"stored chosen_time equal to its row", &online,
+        with_key(good, "chosen_time", number(outcome.chosen_time))},
+       derived("chosen_time")},
+      {{"stored configs_measured equal to the row count", &online,
+        with_key(good, "configs_measured",
+                 std::to_string(outcome.table.size()))},
+       derived("configs_measured")},
+      {{"stored footprint_total equal to its weights' sum", &online,
+        with_key(good, "footprint_total", number(footprint))},
+       derived("footprint_total")},
+      {{"stored traffic_total equal to its weights' sum", &online,
+        with_key(good, "traffic_total", number(traffic))},
+       derived("traffic_total")},
+      {{"left-out baseline_time with no mask-0 row", &online,
+        without_row(0, "baseline_time", outcome.baseline_time)},
+       no_row("baseline_time")},
+      {{"left-out chosen_time with no row", &online,
+        without_row(outcome.chosen_mask, "chosen_time", outcome.chosen_time)},
+       no_row("chosen_time")},
+      {{"format-8 boolean accepted column", &online,
+        verdicts("[" + booleans + "]")},
+       "outcome field 'accepted' holds a value that is not a step position"},
+      {{"accepted position repeated", &online, verdicts("[0,0]")},
+       position("1")},
+      {{"accepted positions going down", &online, verdicts("[1,0]")},
+       position("2")},
+      {{"accepted position past the last step", &online,
+        verdicts("[0," + steps + "]")},
+       position("1")},
+      {{"negative accepted position", &online, verdicts("[-1]")},
+       position("0")},
+      {{"fractional accepted position", &online, verdicts("[0.5]")},
+       position("0")},
+      {{"accepted position on an empty trajectory", &sweep,
+        with_text(good_sweep, "\"accepted\":[]", "\"accepted\":[0]")},
+       "outcome field 'accepted' is not an integer in [0, -1]"},
+  };
+  EXPECT_NE(outcome.chosen_mask, 0u);
+  EXPECT_TRUE(outcome.trajectory.front().accepted);
+  EXPECT_NO_THROW(tuner::outcome_from_json(Json::parse(good).at("outcome")));
+  for (const auto& c : cases)
+    EXPECT_NE(c.record.payload, good) << c.record.name;
+  return cases;
+}
+
+TEST(OutcomeIoTest, SkipRowsRejectsExactlyWhatFullDecodeRejects) {
+  // The decoder has one rows switch. Rows::Skip must run every check
+  // Rows::Keep runs: on thousands of damaged documents both modes throw
+  // together, with the same error, and where both accept they decode
+  // bit-identical headlines and weights. Inputs: the golden 3^3 record, a
+  // fresh 3^8 record (empty trajectory, sweep rows only), online and
+  // estimator records (columnar trajectory whose times and indices derive
+  // from the table, table with masks, no sweep), a noisy online record
+  // (stored step times), a noisy 3^3 record and hand-made rows (both
+  // store stddev columns; the rows store step times and an index array).
+  // Every record carries its weights once, so the weights are mutated on
+  // the table-only records as on the sweeps. Each mutation draws from its
+  // own counter-based stream, so a failure names a reproducible case.
+  std::ifstream golden(
+      std::string(HMPT_TEST_DATA_DIR) + "/mg_cxl_exhaustive.payload.json",
+      std::ios::binary);
+  std::stringstream golden_text;
+  golden_text << golden.rdbuf();
+  Scenario bt;
+  bt.workload = parse_workload_spec("bt");
+  bt.platform = "spr-cxl";
+  bt.strategy = "exhaustive";
+  bt.tiers = 3;
+  const auto reparsed = [](const tuner::TuningOutcome& outcome) {
+    return Json::parse(tuner::outcome_to_json(outcome).dump(-1));
+  };
+  Scenario estimator = bt;
+  estimator.strategy = "estimator";
+  const std::pair<std::string, Json> inputs[] = {
+      {"golden 3^3", Json::parse(golden_text.str()).at("outcome")},
+      {"bt 3^8", reparsed(CampaignRunner::execute(bt))},
+      {"online", reparsed(online_outcome())},
+      {"noisy online", reparsed(run_3tier("online", {0.05, 11}))},
+      {"estimator", reparsed(CampaignRunner::execute(estimator))},
+      {"noisy 3^3", reparsed(sweep_3tier({0.05, 11}))},
+      {"hand-made rows",
+       reparsed(with_rows(online_outcome(), 20, {0.5, -0.0, 3.0, 1e-310}))},
+  };
+  constexpr std::uint64_t kSeed = 0x5eed0f5c1f;
+  constexpr std::uint64_t kMutations = 1000;
+  int decoded = 0;
+  for (std::size_t input = 0; input < std::size(inputs); ++input) {
+    const auto& [name, original] = inputs[input];
+    const std::string text = original.dump(-1);
+    std::vector<std::vector<std::string>> paths;
+    std::vector<std::string> path;
+    field_paths(original, path, paths);
+    int accepted = 0;
+    int rejected = 0;
+    int weights = 0;  // mutations of the weights
+    for (std::uint64_t m = 0; m < kMutations; ++m) {
+      Rng rng(mix_seed(kSeed, input, m));
+      std::string what = name + " mutation " + std::to_string(m) + ": ";
+      std::optional<Json> doc;
+      if (m % 2 == 0) {
+        const auto& field = paths[rng.next_below(paths.size())];
+        for (const auto& key : field) what += key + ".";
+        weights += field.size() == 1 &&
+                   (field[0].starts_with("footprint_") ||
+                    field[0].starts_with("traffic_"));
+        const bool binary =
+            field.back() != "strategy" && field.back() != "workload";
+        doc = with_field(original, field, 0, [&](const Json& value) {
+          return mutate_field(value, binary, rng, what);
+        });
+      } else {
+        doc = mutate_bytes(text, rng, what);
+      }
+      if (!doc) continue;  // no longer JSON: not the decoder's input
+      ++decoded;
+      std::optional<tuner::TuningOutcome> kept;
+      std::optional<tuner::TuningOutcome> skipped;
+      std::string keep_error;
+      std::string skip_error;
+      try {
+        kept = tuner::outcome_from_json(*doc, tuner::Rows::Keep);
+      } catch (const std::exception& e) {
+        keep_error = e.what();
+      }
+      try {
+        skipped = tuner::outcome_from_json(*doc, tuner::Rows::Skip);
+      } catch (const std::exception& e) {
+        skip_error = e.what();
+      }
+      ASSERT_EQ(kept.has_value(), skipped.has_value())
+          << what << " (keep: '" << keep_error << "', skip: '" << skip_error
+          << "')";
+      EXPECT_EQ(keep_error, skip_error) << what;
+      if (!kept) {
+        ++rejected;
+        continue;
+      }
+      ++accepted;
+      expect_same_headline(*kept, *skipped, what);
+      EXPECT_TRUE(skipped->table.empty() && skipped->trajectory.empty() &&
+                  !skipped->sweep.has_value())
+          << what;
+    }
+    // Both outcomes occur, so neither check above is vacuous.
+    EXPECT_GT(accepted, 20) << name;
+    EXPECT_GT(rejected, 200) << name;
+    EXPECT_GT(weights, 20) << name;
+  }
+  EXPECT_GE(decoded, 2500);
+
+  // Each headline value and the verdicts have one spelling: every other
+  // one is refused by both modes with the same, exact error.
+  Scenario sweep;
+  sweep.workload = parse_workload_spec("mg");
+  sweep.platform = "spr-cxl";
+  sweep.strategy = "exhaustive";
+  sweep.repetitions = 1;
+  Scenario online = sweep;
+  online.strategy = "online";
+  for (const auto& [record, error] : headline_cases(sweep, online)) {
+    const Json doc = Json::parse(record.payload).at("outcome");
+    for (const auto rows : {tuner::Rows::Keep, tuner::Rows::Skip}) {
+      try {
+        tuner::outcome_from_json(doc, rows);
+        ADD_FAILURE() << record.name << ": accepted";
+      } catch (const Error& e) {
+        EXPECT_EQ(e.what(), error) << record.name;
+      }
+    }
+  }
+}
+
 TEST(OutcomeStoreTest, OutOfRangeRecordsReadAsDamaged) {
   // Each record below is well-formed JSON carrying the right version and
   // fingerprint, but one decoded value is out of range. Every one must
@@ -1908,10 +2197,9 @@ TEST(OutcomeStoreTest, OutOfRangeRecordsReadAsDamaged) {
        with_value(good_sweep, o, "chosen_mask", "27")},
       {"chosen_mask of k^n in a table-only record", &online,
        with_value(good_online, o, "chosen_mask", "27")},
-      {"chosen_time of 0", &sweep,
-       with_value(good_sweep, o, "chosen_time", "0")},
+      {"chosen_time of 0", &sweep, with_key(good_sweep, "chosen_time", "0")},
       {"non-finite baseline", &sweep,
-       with_value(good_sweep, o, "baseline_time", "1e999")},
+       with_key(good_sweep, "baseline_time", "1e999")},
       {"sweep column shorter than the others", &sweep,
        with_text(good_sweep, cols + "{",
                  cols + "{\"stddev_time\":\"" +
@@ -1920,15 +2208,22 @@ TEST(OutcomeStoreTest, OutOfRangeRecordsReadAsDamaged) {
        with_text(good_sweep, cols + "{",
                  cols + "{\"stddev_time\":\"" +
                      base64_le(std::vector<double>(27, 0.0)) + "\",")},
+      // (Its times and footprint total are stored: no row or weight holds
+      // them, so only the group count is out of range.)
       {"sweep on a zero-group outcome", &sweep,
-       with_column(
-           with_column(
-               with_column(
-                   with_value(with_value(good_sweep, o, "num_groups", "0"), o,
-                              "chosen_mask", "0"),
-                   o, "footprint_bytes", "\"\""),
-               o, "traffic_bytes", "\"\""),
-           cols, "mean_time", "\"\"")},
+       with_key(with_key(with_key(
+                    with_column(
+                        with_column(
+                            with_column(
+                                with_value(with_value(good_sweep, o,
+                                                      "num_groups", "0"),
+                                           o, "chosen_mask", "0"),
+                                o, "footprint_bytes", "\"\""),
+                            o, "traffic_bytes", "\"\""),
+                        cols, "mean_time", "\"\""),
+                    "baseline_time", "40"),
+                "chosen_time", "20"),
+                "footprint_total", "1")},
       {"format-6 trajectory of accepted steps", &sweep,
        with_text(good_sweep,
                  traj + "{\"index\":1,\"mask\":[],\"accepted\":[]}",
@@ -1937,8 +2232,6 @@ TEST(OutcomeStoreTest, OutOfRangeRecordsReadAsDamaged) {
        with_value(good_online, traj, "mask", "27")},
       {"trajectory index negative", &online,
        with_value(good_online, traj, "index", "-3")},
-      {"trajectory column missing an entry", &online,
-       with_text(good_online, "\"accepted\":[true,", "\"accepted\":[")},
       {"table mask beyond k^n", &online,
        with_value(good_online, table, "mask", "27")},
       {"table mask huge", &online,
@@ -1950,6 +2243,8 @@ TEST(OutcomeStoreTest, OutOfRangeRecordsReadAsDamaged) {
     cases.push_back(std::move(c));
   for (auto& c : trajectory_cases(sweep, online))
     cases.push_back(std::move(c));
+  for (auto& c : headline_cases(sweep, online))
+    cases.push_back(std::move(c.record));
 
   for (const auto format : {StoreFormat::Dir, StoreFormat::Packed}) {
     for (const auto& c : cases) {
@@ -2557,6 +2852,32 @@ Scenario failing_scenario() {
 /// the only part of it that may differ between two runs.
 std::string without_timings(const std::string& error) {
   return std::regex_replace(error, std::regex(R"(\([0-9.]+s\))"), "(s)");
+}
+
+TEST(ScenarioTest, BudgetBeyondTheMachineChoosesLikeTheWholeMachine) {
+  // A budget larger than the machine's HBM (100,000 GB; xeon-max has
+  // 128 GB) constrains nothing: the scenario validates and runs, and every
+  // strategy chooses the placement budget 0 (the machine's full capacity)
+  // chooses. The budget is still part of the content address.
+  for (const char* workload : {"mg", "bt"}) {
+    for (const char* strategy : {"exhaustive", "online", "estimator"}) {
+      Scenario whole;
+      whole.workload = parse_workload_spec(workload);
+      whole.platform = "xeon-max";
+      whole.strategy = strategy;
+      whole.repetitions = 1;
+      Scenario beyond = whole;
+      beyond.budget_gb = 100000.0;
+      const std::string what = beyond.label();
+      EXPECT_NO_THROW(beyond.validate()) << what;
+      EXPECT_NE(beyond.fingerprint(), whole.fingerprint()) << what;
+      const auto expected = CampaignRunner::execute(whole);
+      const auto outcome = CampaignRunner::execute(beyond);
+      EXPECT_EQ(outcome.chosen_mask, expected.chosen_mask) << what;
+      EXPECT_TRUE(same_bits(outcome.speedup(), expected.speedup())) << what;
+      EXPECT_EQ(outcome.configs_measured, expected.configs_measured) << what;
+    }
+  }
 }
 
 TEST(ScenarioExecutorTest, RetriesATransientFailureAndStoresOnce) {

@@ -197,10 +197,10 @@ TEST(CampaignFingerprintTest, HashesTheOrderedScenarioList) {
   EXPECT_EQ(fp, campaign_fingerprint(scenarios));  // deterministic
   // The digest is part of every summary.json and shard manifest: pinned,
   // so hashing it piece by piece cannot drift from the whole-text hash
-  // `campaign-v8|<fp>|<fp>` the format defines (the scenario fingerprints
-  // dfc177e50d5342f9 and a247e2dde7d12373, hashed as one text).
-  EXPECT_EQ(fp, "27d383814dbe0ed4");
-  EXPECT_EQ(campaign_fingerprint(std::vector<Scenario>{}), "c1f42c2155674374");
+  // `campaign-v9|<fp>|<fp>` the format defines (the scenario fingerprints
+  // 170bb88d57d483fa and 9428c7256ae6463c, hashed as one text).
+  EXPECT_EQ(fp, "176f972142738175");
+  EXPECT_EQ(campaign_fingerprint(std::vector<Scenario>{}), "c1f42d2155674527");
   CampaignHasher hasher;
   for (const auto& s : scenarios) hasher.add(s.fingerprint());
   EXPECT_EQ(hasher.digest(), fp);
@@ -1031,19 +1031,28 @@ TEST_F(MergeTest, MergedStoresMergeAgainToTheSameArtefacts) {
       run_shard(full, {i, 2}, shard_dirs.back(), /*keep_going=*/true,
                 format);
     }
-    // Shard 1 also completes one of shard 2's scenarios: an overlapping
-    // claim, as a steal leaves it.
-    const auto slice = shard_scenarios(full, {2, 2});
-    const auto stolen =
-        *std::find_if(slice.begin(), slice.end(), [](const Scenario& s) {
-          return s.workload.to_string() == "mg";
-        });
+    // One shard also completes an mg scenario of the other's: an
+    // overlapping claim, as a steal leaves it. Which shard holds an mg
+    // scenario follows from the fingerprints, so the victim is looked up.
+    const auto is_mg = [](const Scenario& s) {
+      return s.workload.to_string() == "mg";
+    };
+    int victim = 2;
+    auto slice = shard_scenarios(full, {victim, 2});
+    if (std::none_of(slice.begin(), slice.end(), is_mg)) {
+      victim = 1;
+      slice = shard_scenarios(full, {victim, 2});
+    }
+    const Scenario stolen = *std::find_if(slice.begin(), slice.end(), is_mg);
+    const int thief = 3 - victim;
+    const std::string& thief_dir =
+        shard_dirs[static_cast<std::size_t>(thief - 1)];
     CampaignOptions dup;
-    dup.output_dir = shard_dirs[0];
+    dup.output_dir = thief_dir;
     dup.store_format = format;
     const auto dup_run = CampaignRunner(dup).run({stolen});
     ASSERT_TRUE(dup_run.ok()) << tag;
-    ManifestProgress(full, {1, 2}, shard_dirs[0]).record(dup_run.runs[0]);
+    ManifestProgress(full, {thief, 2}, thief_dir).record(dup_run.runs[0]);
 
     // Merge the shards, then the merged store alone, each writing what
     // hmpt_merge writes: the artefacts and a manifest of the stored

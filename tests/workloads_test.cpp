@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <functional>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -373,6 +374,41 @@ TEST(TraceIoTest, FileRoundTripMatchesStringRoundTrip) {
   EXPECT_EQ(serialize_workload(loaded), serialize_workload(*app.workload));
   std::remove(path.c_str());
   EXPECT_THROW(load_workload(path), hmpt::Error);  // gone again
+}
+
+TEST(TraceIoTest, BadInputErrorsAreTheMessageAlone) {
+  // A profile error names the input, never the parser's source file or
+  // line, so a failed scenario's recorded error stays the same when the
+  // parser is edited.
+  const auto error_of = [](const std::function<void()>& load) {
+    try {
+      load();
+    } catch (const hmpt::Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const std::string missing = "/nonexistent/hmpt_missing.profile";
+  EXPECT_EQ(error_of([&] { load_workload(missing); }),
+            "cannot open profile: " + missing);
+  const std::pair<const char*, const char*> bad[] = {
+      {"workload\n", "workload needs a name (line 1)"},
+      {"group 0 a\n", "group needs <id> <label> <bytes> (line 1)"},
+      {"group 1 a 8\n", "group ids must be dense and in order (line 1)"},
+      {"group 0 a -8\n", "negative group bytes (line 1)"},
+      {"group 0 a 8\nphase p 1\n",
+       "phase needs <name> <flops> <vectorized> (line 2)"},
+      {"group 0 a 8\nstream 0 1 1 random 0 8\n",
+       "stream before any phase (line 2)"},
+      {"group 0 a 8\nphase p 1 0\nstream 0 1 1\n",
+       "stream needs 6 fields (line 3)"},
+      {"group 0 a 8\nphase p 1 0\nstream 1 1 1 random 0 8\n",
+       "stream group out of range (line 3)"},
+      {"# nothing but a comment\n", "profile declares no groups"},
+  };
+  for (const auto& [text, error] : bad)
+    EXPECT_EQ(error_of([&] { parse_workload(std::string(text)); }), error)
+        << text;
 }
 
 TEST(TraceIoTest, SavingToAFullDeviceThrows) {
