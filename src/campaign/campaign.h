@@ -3,8 +3,8 @@
 // Takes the expanded scenario list of a ScenarioMatrix and executes each
 // scenario through the Session facade on a freshly-built platform
 // simulator, with
-//   * scenario-level concurrency (common/ThreadPool; each scenario owns
-//     its simulator, so scenarios are independent),
+//   * scenario-level concurrency (common/thread_pool parallel_for; each
+//     scenario owns its simulator, so scenarios are independent),
 //   * a resumable on-disk OutcomeStore — with `resume` set, scenarios
 //     whose fingerprint is already stored load instead of executing,
 //   * a dry-run mode that only plans (no execution, no store writes),

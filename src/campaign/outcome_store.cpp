@@ -289,9 +289,9 @@ class DirBackend : public OutcomeStoreBackend {
 };
 
 // ---------------------------------------------------------------------------
-// Packed backend: <dir>/outcomes.log + <dir>/outcomes.idx.
+// Packed backend: one <dir>/outcomes.log.
 //
-// Log record framing (the log is the authoritative store):
+// Record framing (the log is the whole store; it is its own index):
 //
 //   hmpt1 <fingerprint> <payload-bytes>\n
 //   <payload>\n
@@ -305,22 +305,15 @@ class DirBackend : public OutcomeStoreBackend {
 // save truncates the torn bytes and appends from the clean boundary.
 // A record whose frame is intact but whose payload bytes are damaged is
 // superseded by appending a fresh record for the same fingerprint; the
-// latest decodable record for a fingerprint wins. A save reads only the
-// frames appended since its cache was current (catch_up_locked), so n
-// appends cost O(n) log reads; anything unexpected there falls back to
-// scanning the whole log.
+// latest decodable record for a fingerprint wins.
 //
-// outcomes.idx is a disposable cache: one "<fingerprint> <offset>
-// <payload-bytes>" line per record, appended in steady state so a
-// reopening reader can prime its map with one sequential read instead of
-// seeking through every record header. Readers validate it cheaply
-// (strictly increasing offsets from 0, deep-check of the final entry
-// against the log) and fall back to scanning the log wherever it falls
-// short; a lying entry is caught at payload-read time (the record header
-// is re-verified) and triggers one full rescan. Writers rebuild it from
-// the log and publish by atomic rename whenever appending is unsafe
-// (first save of a process, after a tail truncation, concurrent-writer
-// drift).
+// Each process keeps a fingerprint -> offset map of the log it has seen,
+// and readers and writers bring it up to date the same way
+// (catch_up_locked): re-verify the cached tail frame, then scan only the
+// frames appended after it, so a log that grows by n records costs O(n)
+// reads however long it is. A shrink or drift between the map and the log
+// falls back to scanning the whole log; a payload read re-verifies its
+// frame header, so a stale map never returns another record's bytes.
 
 constexpr const char* kRecordMagic = "hmpt1";
 constexpr std::uint64_t kMaxHeaderBytes = 128;
@@ -390,25 +383,21 @@ class PackedBackend : public OutcomeStoreBackend {
 
   bool contains(const std::string& fingerprint) override {
     std::lock_guard<std::mutex> lock(mutex_);
-    refresh_locked();
+    catch_up_locked(/*writer=*/false);
     return records_.count(fingerprint) != 0;
   }
 
   std::optional<std::string> payload(
       const std::string& fingerprint) override {
     std::lock_guard<std::mutex> lock(mutex_);
-    refresh_locked();
+    catch_up_locked(/*writer=*/false);
     for (int attempt = 0; attempt < 2; ++attempt) {
       const auto it = records_.find(fingerprint);
       if (it == records_.end()) return std::nullopt;
-      std::ifstream log(log_path(), std::ios::binary);
-      if (log.good()) {
-        auto bytes =
-            read_record_payload(log, seen_size_, fingerprint, it->second);
-        if (bytes) return bytes;
-      }
-      // The index (or our cache of it) lied about this record: re-derive
-      // the map from the log itself — the authority — and retry once.
+      if (auto bytes = read_payload_locked(fingerprint, it->second))
+        return bytes;
+      // The map points at a frame the log does not hold there: re-derive
+      // it from the whole log and retry once.
       rescan_locked();
     }
     return std::nullopt;
@@ -418,8 +407,6 @@ class PackedBackend : public OutcomeStoreBackend {
 
   void save_payload(const std::string& fingerprint,
                     const std::string& payload) override {
-    HMPT_REQUIRE(fingerprint.find_first_of(" \t\r\n") == std::string::npos,
-                 "packed store fingerprint must be a single token");
     std::lock_guard<std::mutex> lock(mutex_);
     // The store appears on the first write, like the dir format.
     std::error_code mkdir_ec;
@@ -445,19 +432,16 @@ class PackedBackend : public OutcomeStoreBackend {
               std::strerror(errno));
     }
 
-    // Under the writer lock the log cannot move: bring the cache up to
-    // date with it so the decision below is made against the
-    // authoritative state, not a possibly-stale index.
-    static obs::Counter& scanned =
-        obs::metrics().counter("store.packed_save_scan_bytes");
-    scanned.add(catch_up_locked());
+    // Under the writer lock the log cannot move: bring the map up to
+    // date with it so the decision below is made against the log itself.
+    catch_up_locked(/*writer=*/true);
     std::optional<std::string> existing;
     if (const auto it = records_.find(fingerprint); it != records_.end()) {
       existing = read_payload_locked(fingerprint, it->second);
       if (!existing) {
-        // The cache points at a frame the log does not hold: re-derive
-        // the map from the whole log and look again.
-        scanned.add(rescan_locked());
+        // The map points at a frame the log does not hold: re-derive it
+        // from the whole log and look again.
+        rescan_locked();
         if (const auto again = records_.find(fingerprint);
             again != records_.end())
           existing = read_payload_locked(fingerprint, again->second);
@@ -473,15 +457,12 @@ class PackedBackend : public OutcomeStoreBackend {
       // analogue of the dir store's quarantine-and-retry.
     }
 
-    bool index_stale = false;
-    if (good_end_ < seen_size_) {
-      // Torn tail from a crash mid-append: cut the log back to the last
-      // clean record boundary before appending.
-      if (::ftruncate(fd, static_cast<off_t>(good_end_)) != 0)
-        raise("cannot truncate torn tail of " + log + ": " +
-              std::strerror(errno));
-      index_stale = true;
-    }
+    // Torn tail from a crash mid-append: cut the log back to the last
+    // clean record boundary before appending.
+    if (good_end_ < seen_size_ &&
+        ::ftruncate(fd, static_cast<off_t>(good_end_)) != 0)
+      raise("cannot truncate torn tail of " + log + ": " +
+            std::strerror(errno));
 
     const std::uint64_t offset = good_end_;
     const std::string record = std::string(kRecordMagic) + " " +
@@ -495,37 +476,18 @@ class PackedBackend : public OutcomeStoreBackend {
     tail_ = {fingerprint, Record{offset, payload.size()}};
     good_end_ = offset + record.size();
     seen_size_ = good_end_;
-
-    // Index maintenance: append in steady state; rebuild and publish by
-    // atomic rename when appending would be unsafe (unknown on-disk
-    // state on the first save of this process, drift from a concurrent
-    // writer, entries past a truncated tail). The index is a cache — no
-    // fsync on the append path.
-    const std::string line = fingerprint + " " + std::to_string(offset) +
-                             " " + std::to_string(payload.size()) + "\n";
-    std::error_code ec;
-    const auto index_size = fs::file_size(index_path(), ec);
-    if (!index_stale && index_expected_size_ && !ec &&
-        index_size == *index_expected_size_) {
-      append_file(index_path(), line);
-      *index_expected_size_ += line.size();
-    } else {
-      rebuild_index_locked();
-    }
   }
 
   void for_each(const Visit& visit) override {
-    std::unique_lock<std::mutex> lock(mutex_);
-    rescan_locked();  // one authoritative sequential pass
-    const std::vector<std::pair<std::string, Record>> records(
-        records_.begin(), records_.end());  // fingerprint order
-    const std::uint64_t log_size = seen_size_;
-    lock.unlock();  // visit without the lock
-    std::ifstream log(log_path(), std::ios::binary);
-    if (!log.good()) return;
-    for (const auto& [fingerprint, record] : records)
-      if (auto bytes = read_record_payload(log, log_size, fingerprint, record))
-        visit(fingerprint, *bytes);
+    std::vector<std::string> fingerprints;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      catch_up_locked(/*writer=*/false);
+      for (const auto& entry : records_) fingerprints.push_back(entry.first);
+    }
+    // Visit without the lock, one verified payload read at a time.
+    for (const auto& fingerprint : fingerprints)
+      if (auto bytes = payload(fingerprint)) visit(fingerprint, *bytes);
   }
 
  private:
@@ -536,9 +498,6 @@ class PackedBackend : public OutcomeStoreBackend {
 
   std::string log_path() const {
     return (fs::path(directory_) / "outcomes.log").string();
-  }
-  std::string index_path() const {
-    return (fs::path(directory_) / "outcomes.idx").string();
   }
 
   static void pwrite_all(int fd, const std::string& data,
@@ -557,40 +516,27 @@ class PackedBackend : public OutcomeStoreBackend {
     }
   }
 
-  static void append_file(const std::string& path, const std::string& data) {
-    const int fd =
-        ::open(path.c_str(), O_WRONLY | O_APPEND | O_CREAT, 0644);
-    if (fd < 0)
-      raise("cannot append to outcome index " + path + ": " +
-            std::strerror(errno));
-    std::size_t written = 0;
-    while (written < data.size()) {
-      const ssize_t n =
-          ::write(fd, data.data() + written, data.size() - written);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        const int err = errno;
-        ::close(fd);
-        raise("short write to outcome index " + path + ": " +
-              std::strerror(err));
-      }
-      written += static_cast<std::size_t>(n);
-    }
-    ::close(fd);
+  /// Log bytes read to refresh the map, readers and writers alike.
+  static void count_scanned(std::uint64_t bytes) {
+    static obs::Counter& scanned =
+        obs::metrics().counter("store.packed_save_scan_bytes");
+    scanned.add(bytes);
   }
 
-  /// Read and verify the payload of `record`: the header at its offset
-  /// must re-confirm fingerprint and size, the payload must be fully
-  /// present, the trailing newline intact. nullopt on any mismatch.
-  static std::optional<std::string> read_record_payload(
-      std::ifstream& log, std::uint64_t log_size,
-      const std::string& fingerprint, const Record& record) {
-    const auto header = read_record_header(log, record.offset, log_size);
+  /// The payload of `record`, re-verified against the log: the header at
+  /// its offset must re-confirm fingerprint and size, the payload must be
+  /// fully present, the trailing newline intact. nullopt when the log
+  /// does not hold that frame there. Requires mutex_.
+  std::optional<std::string> read_payload_locked(
+      const std::string& fingerprint, const Record& record) const {
+    std::ifstream log(log_path(), std::ios::binary);
+    if (!log.good()) return std::nullopt;
+    const auto header = read_record_header(log, record.offset, seen_size_);
     if (!header || header->fingerprint != fingerprint ||
         header->payload_size != record.payload_size)
       return std::nullopt;
     const std::uint64_t payload_offset = record.offset + header->header_size;
-    if (payload_offset + header->payload_size + 1 > log_size)
+    if (payload_offset + header->payload_size + 1 > seen_size_)
       return std::nullopt;
     std::string bytes(static_cast<std::size_t>(header->payload_size), '\0');
     log.clear();
@@ -600,15 +546,6 @@ class PackedBackend : public OutcomeStoreBackend {
       return std::nullopt;
     if (log.get() != '\n') return std::nullopt;
     return bytes;
-  }
-
-  /// The payload of `record`, re-verified against the log; nullopt when
-  /// the log does not hold that frame there. Requires mutex_.
-  std::optional<std::string> read_payload_locked(
-      const std::string& fingerprint, const Record& record) const {
-    std::ifstream log(log_path(), std::ios::binary);
-    if (!log.good()) return std::nullopt;
-    return read_record_payload(log, seen_size_, fingerprint, record);
   }
 
   /// The end of `record`'s frame when the log at its offset still holds
@@ -648,45 +585,48 @@ class PackedBackend : public OutcomeStoreBackend {
     good_end_ = at;
   }
 
-  /// Authoritative cache rebuild: scan the whole log. Returns the bytes
-  /// of log scanned. Requires mutex_.
-  std::uint64_t rescan_locked() {
+  std::uint64_t current_log_size() const {
     std::error_code ec;
-    const auto file_size = fs::file_size(log_path(), ec);
-    const std::uint64_t size =
-        ec ? 0 : static_cast<std::uint64_t>(file_size);
+    const auto size = fs::file_size(log_path(), ec);
+    return ec ? 0 : static_cast<std::uint64_t>(size);
+  }
+
+  /// Rebuild the map from scratch: scan the whole log. Requires mutex_.
+  void rescan_locked() {
+    const std::uint64_t size = current_log_size();
     records_.clear();
     tail_.reset();
     good_end_ = 0;
     seen_size_ = size;
     primed_ = true;
-    walked_ = true;
-    if (size == 0) return 0;
+    if (size == 0) return;
     std::ifstream log(log_path(), std::ios::binary);
     if (!log.good()) {
       // Transient open failure: stay unprimed so the next call retries.
       primed_ = false;
       seen_size_ = 0;
-      return 0;
+      return;
     }
     scan_records_locked(log, 0, size);
-    return good_end_;
+    count_scanned(good_end_);
   }
 
-  /// The writer's cache refresh: read only what was appended since the
-  /// cache was last current. That needs a log that has not shrunk, the
-  /// frame at the cached tail still decoding as the same record (so the
-  /// cached end is a frame boundary of this log) and a scan from there
-  /// that reaches the end of the file. A shrink, a torn tail or drift
-  /// between the cache and the log falls back to the full rescan.
-  /// Returns the bytes of log scanned. Requires mutex_.
-  std::uint64_t catch_up_locked() {
-    std::error_code ec;
-    const auto file_size = fs::file_size(log_path(), ec);
-    const std::uint64_t size =
-        ec ? 0 : static_cast<std::uint64_t>(file_size);
-    if (!primed_ || !walked_ || size < seen_size_) return rescan_locked();
-    if (size == 0) return 0;
+  /// The one map refresh, for readers and writers: read only what was
+  /// appended since the map was last current. That needs a log that has
+  /// not shrunk and the frame at the cached tail still decoding as the
+  /// same record (so the cached end is a frame boundary of this log); a
+  /// shrink or drift falls back to the full rescan. A reader returns at
+  /// once while the log is the clean one it last saw, and stops at a
+  /// half-written frame (an append in progress) without rescanning. A
+  /// `writer` holds the flock, so nothing else moves the log: it always
+  /// re-verifies the tail, and a log ending in a torn frame (a crash's,
+  /// which save_payload then truncates) is rescanned whole. Requires
+  /// mutex_.
+  void catch_up_locked(bool writer) {
+    const std::uint64_t size = current_log_size();
+    if (!primed_ || size < seen_size_) return rescan_locked();
+    if (!writer && size == seen_size_ && good_end_ == size) return;
+    if (size == 0) return;
     std::ifstream log(log_path(), std::ios::binary);
     if (!log.good()) return rescan_locked();
     std::uint64_t scanned = 0;
@@ -698,120 +638,17 @@ class PackedBackend : public OutcomeStoreBackend {
     const std::uint64_t from = good_end_;
     scan_records_locked(log, from, size);
     seen_size_ = size;
-    if (good_end_ != size) return scanned + rescan_locked();  // torn tail
-    return scanned + (good_end_ - from);
-  }
-
-  /// Cheap cache refresh for readers: no-op while the log size is
-  /// unchanged; otherwise prime from the index where it validates and
-  /// scan the log for the rest. Requires mutex_.
-  void refresh_locked() {
-    std::error_code ec;
-    const auto file_size = fs::file_size(log_path(), ec);
-    const std::uint64_t size =
-        ec ? 0 : static_cast<std::uint64_t>(file_size);
-    if (primed_ && size == seen_size_) return;
-    records_.clear();
-    tail_.reset();
-    good_end_ = 0;
-    seen_size_ = size;
-    primed_ = true;
-    walked_ = true;
-    if (size == 0) return;
-    std::ifstream log(log_path(), std::ios::binary);
-    if (!log.good()) {
-      primed_ = false;
-      seen_size_ = 0;
-      return;
-    }
-
-    std::uint64_t scan_from = 0;
-    std::ifstream index(index_path());
-    if (index.good()) {
-      // Keep the longest valid prefix of the index: well-formed lines
-      // with strictly increasing offsets starting at 0, ending with an
-      // entry that deep-checks against the log (header match, payload in
-      // bounds, trailing newline). Anything after the prefix — a torn
-      // final line, entries past a truncated tail — is re-derived by
-      // scanning the log.
-      std::vector<std::pair<std::string, Record>> entries;
-      std::string line;
-      while (std::getline(index, line)) {
-        const auto first_space = line.find(' ');
-        const auto second_space = first_space == std::string::npos
-                                      ? std::string::npos
-                                      : line.find(' ', first_space + 1);
-        if (second_space == std::string::npos) break;
-        const std::string fingerprint = line.substr(0, first_space);
-        const auto offset = parse_u64(
-            line.substr(first_space + 1, second_space - first_space - 1));
-        const auto payload_size = parse_u64(line.substr(second_space + 1));
-        if (fingerprint.empty() || fingerprint.size() > 64 || !offset ||
-            !payload_size.has_value())
-          break;
-        if (entries.empty() ? *offset != 0
-                            : *offset <= entries.back().second.offset)
-          break;
-        if (*offset >= size) break;
-        entries.emplace_back(fingerprint,
-                             Record{*offset, *payload_size});
-      }
-      while (!entries.empty()) {
-        const auto& [last_fingerprint, last_record] = entries.back();
-        if (const auto end =
-                frame_end(log, size, last_fingerprint, last_record)) {
-          for (const auto& entry : entries)
-            records_[entry.first] = entry.second;
-          tail_ = entries.back();
-          scan_from = *end;
-          break;
-        }
-        // The final entry may describe a record a crash tore off and a
-        // later save truncated away; shrink the prefix and retry.
-        entries.pop_back();
-      }
-    }
-    // Writers trust only a cache that walked the log from its start.
-    walked_ = scan_from == 0;
-    scan_records_locked(log, scan_from, size);
-  }
-
-  /// Rewrite the index from the in-memory map (offset order) and publish
-  /// it by atomic rename. Requires mutex_ and a current cache.
-  void rebuild_index_locked() {
-    std::vector<std::pair<std::string, Record>> entries(records_.begin(),
-                                                        records_.end());
-    std::sort(entries.begin(), entries.end(),
-              [](const auto& a, const auto& b) {
-                return a.second.offset < b.second.offset;
-              });
-    std::string content;
-    for (const auto& [fingerprint, record] : entries)
-      content += fingerprint + " " + std::to_string(record.offset) + " " +
-                 std::to_string(record.payload_size) + "\n";
-    const std::string tmp = scratch_name(index_path());
-    write_durable(tmp, content);
-    if (::rename(tmp.c_str(), index_path().c_str()) != 0) {
-      const int err = errno;
-      ::unlink(tmp.c_str());
-      raise("cannot publish outcome index " + index_path() + ": " +
-            std::strerror(err));
-    }
-    index_expected_size_ = content.size();
+    count_scanned(scanned + (good_end_ - from));
+    if (writer && good_end_ != size) rescan_locked();  // torn tail
   }
 
   std::mutex mutex_;
-  bool primed_ = false;            ///< cache reflects some log state
-  bool walked_ = false;            ///< built by walking the log, not the index
-  std::uint64_t seen_size_ = 0;    ///< log size the cache reflects
+  bool primed_ = false;            ///< the map reflects some log state
+  std::uint64_t seen_size_ = 0;    ///< log size the map reflects
   std::uint64_t good_end_ = 0;     ///< end of the last decodable record
   std::map<std::string, Record> records_;
   /// The record ending at good_end_; empty when the log holds none.
   std::optional<std::pair<std::string, Record>> tail_;
-  /// Index size after our last write; appends are only safe while the
-  /// on-disk size still matches (otherwise another writer or a
-  /// truncation intervened and the index is rebuilt).
-  std::optional<std::uint64_t> index_expected_size_;
 };
 
 }  // namespace
@@ -856,6 +693,15 @@ bool OutcomeStore::contains(const Scenario& scenario) const {
 
 namespace {
 
+/// The backend's raw stored bytes of `fingerprint`; nullopt when absent
+/// or when the key is not a fingerprint at all, so no lookup can name a
+/// path outside the store.
+std::optional<std::string> stored_payload(OutcomeStoreBackend& backend,
+                                          const std::string& fingerprint) {
+  if (!is_fingerprint(fingerprint)) return std::nullopt;
+  return backend.payload(fingerprint);
+}
+
 /// Read and validate one record in a single parse. Damage is reported to
 /// the backend and reads as a miss. `bytes`, when given, receives the
 /// validated payload.
@@ -863,7 +709,7 @@ std::optional<ParsedRecord> read_record(OutcomeStoreBackend& backend,
                                         const std::string& fingerprint,
                                         tuner::Rows rows,
                                         std::string* bytes = nullptr) {
-  auto payload = backend.payload(fingerprint);
+  auto payload = stored_payload(backend, fingerprint);
   if (!payload) return std::nullopt;
   auto parsed = parse_record(*payload, fingerprint, rows);
   if (!parsed) {
@@ -908,8 +754,7 @@ std::optional<Json> OutcomeStore::load_outcome_json(
 
 void OutcomeStore::save(const Scenario& scenario,
                         const tuner::TuningOutcome& outcome) const {
-  backend_->save_payload(scenario.fingerprint(),
-                         make_payload(scenario, outcome));
+  save_payload(scenario.fingerprint(), make_payload(scenario, outcome));
 }
 
 std::optional<std::string> OutcomeStore::payload(
@@ -922,13 +767,14 @@ std::optional<std::string> OutcomeStore::payload(
 
 void OutcomeStore::save_payload(const std::string& fingerprint,
                                 const std::string& payload) const {
-  HMPT_REQUIRE(!fingerprint.empty(), "outcome fingerprint must be non-empty");
+  HMPT_REQUIRE(is_fingerprint(fingerprint),
+               "outcome fingerprint must be 16 lowercase hex digits");
   backend_->save_payload(fingerprint, payload);
 }
 
 std::optional<ValidRecord> OutcomeStore::find_record(
     const std::string& fingerprint) const {
-  auto payload = backend_->payload(fingerprint);
+  auto payload = stored_payload(*backend_, fingerprint);
   if (!payload) return std::nullopt;
   return valid_record(fingerprint, std::move(*payload));
 }

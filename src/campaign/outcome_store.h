@@ -21,15 +21,20 @@
 //     differing bytes fail loudly instead of silently picking a winner.
 //
 //   * Packed: one append-only <dir>/outcomes.log of length-prefixed
-//     records plus a fingerprint → offset index <dir>/outcomes.idx
-//     (append-only in steady state, rebuilt and published by atomic
-//     rename when stale). One file per scenario stops scaling around
-//     10^5 scenarios — the packed log keeps fleet-scale campaigns to two
-//     files and gives bulk readers (report) one sequential pass.
+//     records, and nothing else: the log is its own index. One file per
+//     scenario stops scaling around 10^5 scenarios — the packed log
+//     keeps fleet-scale campaigns to one file and gives bulk readers
+//     (report) one sequential pass. Readers and writers keep a
+//     fingerprint → offset map of it and refresh it incrementally,
+//     scanning only the frames appended since they last looked.
 //     Appends are fsynced under an exclusive flock; a torn tail from a
 //     crash mid-append is skipped on load (the same discipline as the
 //     service job journal) and truncated away by the next save, so
 //     re-execution repairs it.
+//
+// Every key is a fingerprint: 16 lowercase hex digits (is_fingerprint).
+// A lookup of any other key reads as absent and a save of one throws, so
+// no key can name a path outside the store.
 //
 // Both formats store identical payload bytes for identical outcomes, so
 // a store can be converted losslessly between formats (hmpt_merge reads

@@ -261,6 +261,13 @@ void CampaignHasher::add(std::string_view scenario_fingerprint) {
 
 std::string CampaignHasher::digest() const { return hex_digest(hash_); }
 
+bool is_fingerprint(std::string_view text) {
+  return text.size() == 16 &&
+         std::all_of(text.begin(), text.end(), [](char c) {
+           return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
+         });
+}
+
 std::string campaign_fingerprint(const std::vector<Scenario>& scenarios) {
   CampaignHasher hasher;
   for (const auto& s : scenarios) hasher.add(s.fingerprint());

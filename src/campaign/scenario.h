@@ -63,6 +63,11 @@ struct Scenario {
 /// stale caches invalidate instead of replaying wrong results.
 inline constexpr int kFingerprintVersion = 9;
 
+/// True for exactly 16 lowercase hex digits, the one spelling of every
+/// scenario and campaign fingerprint. Outcome stores and the daemon
+/// protocol accept no other key, so a key can never name a path.
+bool is_fingerprint(std::string_view text);
+
 /// Fingerprint of a whole campaign: the FNV-1a hash (16 hex digits) of the
 /// matrix-ordered scenario fingerprints. Two campaign invocations share a
 /// campaign fingerprint iff they would produce the same scenario list in

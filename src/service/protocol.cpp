@@ -17,11 +17,15 @@ std::string string_field(const JsonObject& obj, const std::string& key) {
   return value->as_string();
 }
 
-std::string required_fingerprint(const JsonObject& obj, Op op) {
+/// The request's fingerprint, empty when absent (allowed only where not
+/// `required`); anything but 16 lowercase hex digits is a bad request.
+std::string fingerprint_field(const JsonObject& obj, Op op, bool required) {
   const std::string fingerprint = string_field(obj, "fingerprint");
-  if (fingerprint.empty())
+  if (fingerprint.empty() && required)
     raise(std::string("op '") + to_string(op) +
           "' requires a 'fingerprint' field");
+  if (!fingerprint.empty() && !campaign::is_fingerprint(fingerprint))
+    raise("field 'fingerprint' must be 16 lowercase hex digits");
   return fingerprint;
 }
 
@@ -108,10 +112,10 @@ Request parse_request(const std::string& line) {
       break;
     }
     case Op::Status:
-      request.fingerprint = string_field(obj, "fingerprint");
+      request.fingerprint = fingerprint_field(obj, *op, /*required=*/false);
       break;
     case Op::Result: {
-      request.fingerprint = required_fingerprint(obj, *op);
+      request.fingerprint = fingerprint_field(obj, *op, /*required=*/true);
       const Json* wait = obj.find("wait");
       if (wait != nullptr) {
         if (wait->kind() != Json::Kind::Bool)
@@ -121,7 +125,7 @@ Request parse_request(const std::string& line) {
       break;
     }
     case Op::Cancel:
-      request.fingerprint = required_fingerprint(obj, *op);
+      request.fingerprint = fingerprint_field(obj, *op, /*required=*/true);
       break;
     case Op::Watch:
     case Op::Stats:

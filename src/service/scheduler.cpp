@@ -7,6 +7,7 @@
 #include "campaign/campaign.h"
 #include "common/error.h"
 #include "common/thread_name.h"
+#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -77,13 +78,13 @@ void Scheduler::start() {
   if (started_) return;
   started_ = true;
   started_at_ = Clock::now();
-  pool_ = std::make_unique<ThreadPool>(options_.workers);
   // Each parallel_for index is one long-lived worker lane pulling jobs
-  // until shutdown; the pump thread is the pool's calling lane.
+  // until shutdown; the pump thread is the calling lane.
   pump_ = std::thread([this] {
     set_current_thread_name("hmpt-pump");
-    pool_->parallel_for(static_cast<std::size_t>(options_.workers),
-                        [this](std::size_t) { worker_loop(); });
+    parallel_for(options_.workers,
+                 static_cast<std::size_t>(options_.workers),
+                 [this](std::size_t) { worker_loop(); });
   });
 }
 

@@ -1,9 +1,10 @@
 // scheduler.h — the bounded job scheduler behind hmptd.
 //
 // Clients submit fingerprinted scenarios; the scheduler dispatches them
-// to a bounded worker pool (common/ThreadPool lanes running a pull loop),
-// persists every finished outcome through the campaign OutcomeStore and
-// fans completions out to subscribers (the daemon's watch streams).
+// to a bounded worker pool (common/thread_pool parallel_for lanes running
+// a pull loop), persists every finished outcome through the campaign
+// OutcomeStore and fans completions out to subscribers (the daemon's
+// watch streams).
 //
 // Semantics:
 //   * Content-addressed dedup. The scenario fingerprint is the job id. A
@@ -52,7 +53,6 @@
 #include "campaign/outcome_store.h"
 #include "campaign/scenario.h"
 #include "common/retry.h"
-#include "common/thread_pool.h"
 #include "service/latency_store.h"
 #include "service/provider.h"
 
@@ -252,8 +252,7 @@ class Scheduler {
   std::map<std::uint64_t, CompletionCallback> subscribers_;
   std::uint64_t next_subscriber_ = 1;
 
-  std::unique_ptr<ThreadPool> pool_;
-  std::thread pump_;  ///< drives pool_->parallel_for over the worker loops
+  std::thread pump_;  ///< drives parallel_for over the worker loops
 };
 
 }  // namespace hmpt::service

@@ -340,8 +340,7 @@ TEST_F(CampaignCliTest, PackedStoreAndHtmlReportEndToEnd) {
   ASSERT_FALSE(dir_csv.empty());
 
   // The same campaign into a packed store, with the HTML report: one
-  // append-only log + index instead of 18 files, byte-identical
-  // artefacts.
+  // append-only log instead of 18 files, byte-identical artefacts.
   const std::string packed = store_ + "-packed";
   ASSERT_EQ(run(matrix_flags() + " --jobs 0 --quiet --store-format packed" +
                 " --report --out " + packed),
@@ -352,7 +351,7 @@ TEST_F(CampaignCliTest, PackedStoreAndHtmlReportEndToEnd) {
             std::string::npos)
       << out;
   EXPECT_TRUE(fs::exists(packed + "/outcomes.log"));
-  EXPECT_TRUE(fs::exists(packed + "/outcomes.idx"));
+  EXPECT_FALSE(fs::exists(packed + "/outcomes.idx"));
   EXPECT_FALSE(fs::exists(packed + "/outcomes"));
   EXPECT_EQ(slurp(packed + "/runs.csv"), dir_csv);
   EXPECT_EQ(slurp(packed + "/summary.json"), dir_summary);

@@ -2335,6 +2335,63 @@ TEST(OutcomeStoreTest, LoadsByFingerprintAlone) {
   EXPECT_EQ(json_of(*loaded), json_of(outcome));
 }
 
+TEST(OutcomeStoreTest, KeysThatAreNotFingerprintsNameNoPath) {
+  // A fingerprint is 16 lowercase hex digits; any other key reads as
+  // absent and cannot be saved, so a lookup of "../victim" can neither
+  // read nor quarantine a file outside outcomes/, and a save of "../x"
+  // writes nothing.
+  Scenario s;
+  s.workload = parse_workload_spec("mg");
+  s.platform = "xeon-max";
+  s.strategy = "estimator";
+  s.repetitions = 1;
+  const auto outcome = CampaignRunner::execute(s);
+  const std::string payload = OutcomeStore::make_payload(s, outcome);
+  const auto listing = [](const fs::path& dir) {
+    std::set<std::string> names;
+    for (const auto& entry : fs::directory_iterator(dir))
+      names.insert(entry.path().filename().string());
+    return names;
+  };
+
+  for (const auto format : {StoreFormat::Dir, StoreFormat::Packed}) {
+    StoreDir root("hmpt_store_keys");
+    const fs::path store_dir = fs::path(root.path()) / "store";
+    const OutcomeStore store(store_dir.string(), format);
+    store.save(s, outcome);
+    // Planted where "../victim" and "../../victim" resolve from outcomes/.
+    for (const auto& victim :
+         {store_dir / "victim.json", fs::path(root.path()) / "victim.json"}) {
+      std::ofstream os(victim);
+      os << "not a record\n";
+    }
+    const auto store_files = listing(store_dir);
+    const auto log_bytes = format == StoreFormat::Packed
+                               ? fs::file_size(store_dir / "outcomes.log")
+                               : 0;
+
+    for (const std::string key :
+         {"../victim", "../../victim", "../x", "0123456789ABCDEF",
+          "0123456789abcde", "0123456789abcdef0", ""}) {
+      const std::string what = std::string(to_string(format)) + ": " + key;
+      EXPECT_EQ(store.load_by_fingerprint(key), std::nullopt) << what;
+      EXPECT_EQ(store.load_outcome_json(key), std::nullopt) << what;
+      EXPECT_EQ(store.payload(key), std::nullopt) << what;
+      EXPECT_EQ(store.find_record(key), std::nullopt) << what;
+      EXPECT_THROW(store.save_payload(key, payload), Error) << what;
+    }
+    EXPECT_EQ(listing(root.path()),
+              (std::set<std::string>{"store", "victim.json"}));
+    EXPECT_EQ(listing(store_dir), store_files);
+    EXPECT_TRUE(store_files.count("victim.json"));
+    if (format == StoreFormat::Packed) {
+      EXPECT_EQ(fs::file_size(store_dir / "outcomes.log"), log_bytes);
+    }
+    ASSERT_EQ(store.load_all_payloads().size(), 1u);
+    EXPECT_EQ(store.load_all_payloads().front().second, payload);
+  }
+}
+
 TEST(OutcomeStoreTest, ConcurrentIdenticalSavesBothSucceed) {
   StoreDir dir("hmpt_store_race");
   const OutcomeStore store(dir.path());
@@ -2525,7 +2582,11 @@ TEST_F(PackedStoreTest, TornTailIsSkippedOnLoadAndRepairedByReexecution) {
   EXPECT_EQ(json_of(*reread.load(s1)), json_of(o1));
 }
 
-TEST_F(PackedStoreTest, CorruptOrMissingIndexNeverChangesAnswers) {
+TEST_F(PackedStoreTest, LeftoverIndexFromAnOlderBuildIsInert) {
+  // Older builds kept a fingerprint -> offset cache beside the log,
+  // outcomes.idx. The log is its own index now: no save writes that file,
+  // and whatever a leftover one holds (a valid index, offsets naming the
+  // wrong record, garbage) changes no answer and is never rewritten.
   StoreDir dir("hmpt_packed_idx");
   const auto s1 = scenario_with_reps(1);
   const auto s2 = scenario_with_reps(2);
@@ -2537,41 +2598,40 @@ TEST_F(PackedStoreTest, CorruptOrMissingIndexNeverChangesAnswers) {
     store.save(s2, o2);
   }
   const auto idx = fs::path(dir.path()) / "outcomes.idx";
-  ASSERT_TRUE(fs::exists(idx));
+  EXPECT_FALSE(fs::exists(idx));
 
-  // The index is a disposable cache; garbage in it must be ignored in
-  // favour of a log scan.
-  {
-    std::ofstream os(idx, std::ios::binary);
-    os << "zzzz not an index\n";
-  }
-  {
+  // "<fingerprint> <offset> <payload-bytes>" per record, in log order.
+  const auto p1 = OutcomeStore::make_payload(s1, o1).size();
+  const auto p2 = OutcomeStore::make_payload(s2, o2).size();
+  const auto frame1 = std::string("hmpt1 ").size() + 16 + 1 +
+                      std::to_string(p1).size() + 1 + p1 + 1;
+  const std::vector<std::string> leftovers = {
+      s1.fingerprint() + " 0 " + std::to_string(p1) + "\n" +
+          s2.fingerprint() + " " + std::to_string(frame1) + " " +
+          std::to_string(p2) + "\n",
+      s2.fingerprint() + " 0 " + std::to_string(p1) + "\n" +
+          s1.fingerprint() + " " + std::to_string(frame1) + " " +
+          std::to_string(p2) + "\n",
+      "zzzz not an index\n",
+  };
+  int reps = 3;
+  for (const auto& leftover : leftovers) {
+    {
+      std::ofstream os(idx, std::ios::binary | std::ios::trunc);
+      os << leftover;
+    }
     const OutcomeStore store = OutcomeStore::open_existing(dir.path());
-    EXPECT_EQ(json_of(*store.load(s1)), json_of(o1));
-    EXPECT_EQ(json_of(*store.load(s2)), json_of(o2));
-  }
-
-  // An index pointing at the wrong offset is caught by per-record
-  // verification and answered from a rescan, not by returning the wrong
-  // scenario's bytes.
-  {
-    std::ofstream os(idx, std::ios::binary);
-    os << s2.fingerprint() << " 0 10\n";
-  }
-  {
-    const OutcomeStore store = OutcomeStore::open_existing(dir.path());
-    EXPECT_EQ(json_of(*store.load(s2)), json_of(o2));
-  }
-
-  // Deleting it entirely is also fine; the next save writes a fresh one.
-  fs::remove(idx);
-  {
-    const OutcomeStore store = OutcomeStore::open_existing(dir.path());
-    EXPECT_EQ(store.load_all_payloads().size(), 2u);
-    const auto s3 = scenario_with_reps(3);
+    EXPECT_EQ(json_of(*store.load(s2)), json_of(o2)) << leftover;
+    EXPECT_EQ(json_of(*store.load(s1)), json_of(o1)) << leftover;
+    const auto s3 = scenario_with_reps(reps++);
+    EXPECT_FALSE(store.contains(s3)) << leftover;
     store.save(s3, CampaignRunner::execute(s3));
-    EXPECT_TRUE(fs::exists(idx));
-    EXPECT_EQ(store.load_all_payloads().size(), 3u);
+    EXPECT_TRUE(store.contains(s3)) << leftover;
+    EXPECT_EQ(store.load_all_payloads().size(),
+              static_cast<std::size_t>(reps - 1))
+        << leftover;
+    std::ifstream is(idx, std::ios::binary);
+    EXPECT_EQ(std::string(std::istreambuf_iterator<char>(is), {}), leftover);
   }
 }
 
@@ -2680,6 +2740,102 @@ TEST_F(PackedStoreTest, AppendsScanOneFramePerSaveNotTheWholeLog) {
   ASSERT_EQ(all.size(), static_cast<std::size_t>(kRecords + 3));
   EXPECT_EQ(all.front().second, payload(0));
   EXPECT_EQ(all.back().second, payload(kRecords + 3));
+}
+
+TEST_F(PackedStoreTest, ReaderCatchesUpByScanningOnlyTheNewFrames) {
+  // A store opened and read before another writer appends sees every new
+  // record, and its refresh reads only the new frames plus the cached
+  // tail it re-verifies, however long the log already is. A half-written
+  // frame (an append in progress) reads as absent and is left for its
+  // writer to finish; a shrunk or rotated log still answers correctly.
+  StoreDir dir("hmpt_packed_reader");
+  const OutcomeStore writer(dir.path(), StoreFormat::Packed);
+  const std::string outcome =
+      json_of(CampaignRunner::execute(scenario_with_reps(1)));
+  const auto fingerprint = [](int i) {
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016x", i);
+    return std::string(hex);
+  };
+  const auto record = [&](int i) {
+    const std::string payload =
+        "{\"format_version\":" + std::to_string(kFingerprintVersion) +
+        ",\"fingerprint\":\"" + fingerprint(i) +
+        "\",\"scenario\":{},\"outcome\":" + outcome + "}";
+    return std::make_pair(payload, "hmpt1 " + fingerprint(i) + " " +
+                                       std::to_string(payload.size()) +
+                                       "\n" + payload + "\n");
+  };
+  const std::uint64_t frame = record(0).second.size();
+  const obs::Counter& scanned =
+      obs::metrics().counter("store.packed_save_scan_bytes");
+  const auto log = fs::path(dir.path()) / "outcomes.log";
+
+  constexpr int kBase = 300;
+  constexpr int kNew = 7;
+  for (int i = 0; i < kBase; ++i)
+    writer.save_payload(fingerprint(i), record(i).first);
+  const OutcomeStore reader(dir.path(), StoreFormat::Packed);
+  ASSERT_EQ(reader.payload(fingerprint(0)), record(0).first);
+
+  // An unchanged log costs a lookup no scan.
+  std::uint64_t before = scanned.value();
+  EXPECT_EQ(reader.payload(fingerprint(kBase - 1)), record(kBase - 1).first);
+  EXPECT_EQ(reader.payload(fingerprint(kBase)), std::nullopt);
+  EXPECT_EQ(scanned.value() - before, 0u);
+
+  for (int i = kBase; i < kBase + kNew; ++i)
+    writer.save_payload(fingerprint(i), record(i).first);
+  before = scanned.value();
+  for (int i = kBase; i < kBase + kNew; ++i)
+    EXPECT_EQ(reader.payload(fingerprint(i)), record(i).first) << i;
+  EXPECT_LE(scanned.value() - before, (kNew + 1) * frame);
+  EXPECT_GE(scanned.value() - before, kNew * frame);
+
+  // An append in progress: its first bytes are on disk, the rest not yet.
+  const int next = kBase + kNew;
+  const std::string torn = record(next).second;
+  {
+    std::ofstream os(log, std::ios::binary | std::ios::app);
+    os << torn.substr(0, torn.size() / 2);
+  }
+  const auto half_size = fs::file_size(log);
+  before = scanned.value();
+  EXPECT_EQ(reader.payload(fingerprint(next)), std::nullopt);
+  EXPECT_EQ(reader.payload(fingerprint(1)), record(1).first);
+  EXPECT_LE(scanned.value() - before, 2 * frame);  // no full rescan
+  EXPECT_EQ(fs::file_size(log), half_size);         // readers never truncate
+  {
+    std::ofstream os(log, std::ios::binary | std::ios::app);
+    os << torn.substr(torn.size() / 2);
+  }
+  before = scanned.value();
+  EXPECT_EQ(reader.payload(fingerprint(next)), record(next).first);
+  EXPECT_LE(scanned.value() - before, 2 * frame);
+  EXPECT_EQ(reader.load_all_payloads().size(),
+            static_cast<std::size_t>(next + 1));
+
+  // Shrunk: the last record is cut off.
+  fs::resize_file(log, next * frame);
+  EXPECT_EQ(reader.payload(fingerprint(next)), std::nullopt);
+  EXPECT_EQ(reader.payload(fingerprint(next - 1)), record(next - 1).first);
+
+  // Rotated: same length, every frame moved.
+  std::string bytes;
+  {
+    std::ifstream is(log, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(is), {});
+  }
+  {
+    std::ofstream os(log, std::ios::binary | std::ios::trunc);
+    os << bytes.substr(frame) << bytes.substr(0, frame);
+  }
+  for (const int i : {0, 1, kBase, next - 1})
+    EXPECT_EQ(reader.payload(fingerprint(i)), record(i).first) << i;
+  const auto all = reader.load_all_payloads();
+  ASSERT_EQ(all.size(), static_cast<std::size_t>(next));
+  for (int i = 0; i < next; ++i)
+    EXPECT_EQ(all[static_cast<std::size_t>(i)].second, record(i).first) << i;
 }
 
 // ----------------------------------------------------------------- runner

@@ -267,7 +267,8 @@ TEST(ProtocolFuzzTest, MalformedRequestsThrowStructuredErrors) {
       "{\"op\":\"result\"}",                  // result without fingerprint
       "{\"op\":\"cancel\"}",                  // cancel without fingerprint
       "{\"op\":\"result\",\"fingerprint\":7}",   // fingerprint wrong kind
-      "{\"op\":\"result\",\"fingerprint\":\"ab\",\"wait\":\"yes\"}",
+      "{\"op\":\"result\",\"fingerprint\":\"0123456789abcdef\","
+      "\"wait\":\"yes\"}",                      // wait wrong kind
       "{\"op\":\"submit\",\"scenario\":{\"workload\":\"mg\"},"
       "\"deadline_s\":0}",                    // deadline must be > 0
       "{\"op\":\"submit\",\"scenario\":{\"workload\":\"mg\"},"
@@ -279,6 +280,24 @@ TEST(ProtocolFuzzTest, MalformedRequestsThrowStructuredErrors) {
   };
   for (const auto& line : bad)
     EXPECT_THROW(parse_request(line), Error) << line;
+}
+
+TEST(ProtocolFuzzTest, FingerprintsAreSixteenLowercaseHexDigits) {
+  // The daemon turns a fingerprint into a store key; anything but the one
+  // spelling is a bad request, never a path.
+  for (const std::string op : {"status", "result", "cancel"}) {
+    for (const std::string fingerprint :
+         {"../x", "../../victim", "0123456789ABCDEF", "0123456789abcde",
+          "0123456789abcdef0", "0123456789abcdeg"}) {
+      const std::string line = "{\"op\":\"" + op +
+                               "\",\"fingerprint\":\"" + fingerprint +
+                               "\"}";
+      EXPECT_THROW(parse_request(line), Error) << line;
+    }
+    const auto parsed = parse_request(
+        "{\"op\":\"" + op + "\",\"fingerprint\":\"0123456789abcdef\"}");
+    EXPECT_EQ(parsed.fingerprint, "0123456789abcdef");
+  }
 }
 
 TEST(ProtocolFuzzTest, MalformedServerLinesThrow) {

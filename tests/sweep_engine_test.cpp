@@ -1,5 +1,5 @@
 // Tests for the serial, incrementally-memoized sweep engine: the
-// ThreadPool primitive scenario-level concurrency runs on, the
+// parallel_for primitive scenario-level concurrency runs on, the
 // counter-based noise streams, the per-phase timing cache, and the
 // headline guarantee — the memoized sweep and probe batches equal timing
 // each configuration afresh, bit for bit, with and without measurement
@@ -22,14 +22,12 @@
 namespace hmpt {
 namespace {
 
-// -------------------------------------------------------------- ThreadPool
+// ------------------------------------------------------------ parallel_for
 TEST(ThreadPoolTest, RunsEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4);
   constexpr std::size_t kN = 1000;
   std::vector<int> hits(kN, 0);  // disjoint writes, one per index
   std::atomic<int> total{0};
-  pool.parallel_for(kN, [&](std::size_t i) {
+  parallel_for(4, kN, [&](std::size_t i) {
     ++hits[i];
     total.fetch_add(1, std::memory_order_relaxed);
   });
@@ -37,33 +35,36 @@ TEST(ThreadPoolTest, RunsEveryIndexExactlyOnce) {
   EXPECT_TRUE(std::all_of(hits.begin(), hits.end(),
                           [](int h) { return h == 1; }));
 
-  // The pool is reusable across regions.
+  // Every call is its own region.
   total = 0;
-  pool.parallel_for(17, [&](std::size_t) { ++total; });
+  parallel_for(4, 17, [&](std::size_t) { ++total; });
   EXPECT_EQ(total.load(), 17);
 }
 
-TEST(ThreadPoolTest, TaskExceptionIsRethrownAndPoolSurvives) {
-  ThreadPool pool(4);
-  EXPECT_THROW(pool.parallel_for(100,
-                                 [&](std::size_t i) {
-                                   if (i == 37) raise("task 37 failed");
-                                 }),
-               Error);
+TEST(ThreadPoolTest, TaskExceptionIsRethrownAfterEveryIndexRan) {
   std::atomic<int> total{0};
-  pool.parallel_for(10, [&](std::size_t) { ++total; });
-  EXPECT_EQ(total.load(), 10);
+  EXPECT_THROW(parallel_for(4, 100,
+                            [&](std::size_t i) {
+                              ++total;
+                              if (i == 37) raise("task 37 failed");
+                            }),
+               Error);
+  EXPECT_EQ(total.load(), 100);
 }
 
 TEST(ThreadPoolTest, SizeResolutionAndSerialFallback) {
-  EXPECT_GE(ThreadPool::hardware_jobs(), 1);
-  EXPECT_EQ(ThreadPool(0).size(), ThreadPool::hardware_jobs());
-  EXPECT_EQ(ThreadPool(-3).size(), 1);
+  EXPECT_GE(hardware_jobs(), 1);
 
-  // The free helper runs serially in the calling thread for jobs <= 1.
-  std::vector<std::size_t> order;
-  parallel_for(1, 5, [&](std::size_t i) { order.push_back(i); });
-  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  // jobs <= 1 (a negative count included) runs serially in the caller.
+  for (const int jobs : {1, -3}) {
+    std::vector<std::size_t> order;
+    parallel_for(jobs, 5, [&](std::size_t i) { order.push_back(i); });
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  }
+  // jobs 0 means the hardware count and still runs every index once.
+  std::atomic<int> total{0};
+  parallel_for(0, 64, [&](std::size_t) { ++total; });
+  EXPECT_EQ(total.load(), 64);
 }
 
 // ---------------------------------------------------------------- mix_seed
