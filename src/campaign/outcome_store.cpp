@@ -11,11 +11,12 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <map>
 #include <mutex>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "common/error.h"
 #include "core/outcome_io.h"
@@ -329,6 +330,73 @@ std::optional<std::uint64_t> parse_u64(const std::string& text) {
   return value;
 }
 
+/// Reads of the log for the header walk, forward through one buffer: a
+/// frame's header and trailing newline, and the next frame's header, come
+/// from the bytes one pread(2) brought in, so walking small frames costs
+/// one read call per buffer, not two per frame. The buffer is the
+/// caller's and is reused from walk to walk.
+class LogReader {
+ public:
+  static constexpr std::size_t kBufferBytes = 16 * 1024;
+
+  LogReader(const std::string& path, std::vector<char>& buffer)
+      : fd_(::open(path.c_str(), O_RDONLY | O_CLOEXEC)), buffer_(buffer) {
+    buffer_.resize(kBufferBytes);
+  }
+  ~LogReader() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  LogReader(const LogReader&) = delete;
+  LogReader& operator=(const LogReader&) = delete;
+
+  bool good() const { return fd_ >= 0; }
+
+  /// Up to `n` (at most kBufferBytes) bytes from `offset`; fewer at the
+  /// end of the file or on a read error.
+  std::string_view bytes(std::uint64_t offset, std::size_t n) {
+    if (offset < start_ || offset + n > start_ + size_) {
+      start_ = offset;
+      size_ = 0;
+      while (size_ < buffer_.size()) {
+        const ssize_t got =
+            ::pread(fd_, buffer_.data() + size_, buffer_.size() - size_,
+                    static_cast<off_t>(offset + size_));
+        if (got < 0 && errno == EINTR) continue;
+        if (got <= 0) break;
+        size_ += static_cast<std::size_t>(got);
+        if (size_ >= n) break;
+      }
+    }
+    const std::size_t at = static_cast<std::size_t>(offset - start_);
+    return {buffer_.data() + at, std::min(n, size_ - std::min(size_, at))};
+  }
+
+  /// The byte at `offset`, or -1.
+  int byte_at(std::uint64_t offset) {
+    const std::string_view byte = bytes(offset, 1);
+    return byte.empty() ? -1 : static_cast<unsigned char>(byte[0]);
+  }
+
+  /// Exactly `n` bytes at `offset` into `out`, past the buffer.
+  bool read_exact(std::uint64_t offset, char* out, std::size_t n) {
+    std::size_t done = 0;
+    while (done < n) {
+      const ssize_t got = ::pread(fd_, out + done, n - done,
+                                  static_cast<off_t>(offset + done));
+      if (got < 0 && errno == EINTR) continue;
+      if (got <= 0) return false;
+      done += static_cast<std::size_t>(got);
+    }
+    return true;
+  }
+
+ private:
+  int fd_;
+  std::vector<char>& buffer_;
+  std::uint64_t start_ = 0;  ///< log offset of buffer_[0]
+  std::size_t size_ = 0;     ///< bytes of buffer_ that hold log bytes
+};
+
 struct RecordHeader {
   std::string fingerprint;
   std::uint64_t payload_size = 0;
@@ -336,21 +404,16 @@ struct RecordHeader {
 };
 
 /// Decode the record header at `offset`; nullopt on any framing damage.
-std::optional<RecordHeader> read_record_header(std::ifstream& log,
+std::optional<RecordHeader> read_record_header(LogReader& log,
                                                std::uint64_t offset,
                                                std::uint64_t log_size) {
   if (offset >= log_size) return std::nullopt;
-  log.clear();
-  log.seekg(static_cast<std::streamoff>(offset));
-  char buffer[kMaxHeaderBytes];
-  const std::uint64_t want =
-      std::min<std::uint64_t>(kMaxHeaderBytes, log_size - offset);
-  log.read(buffer, static_cast<std::streamsize>(want));
-  const std::uint64_t got = static_cast<std::uint64_t>(log.gcount());
-  const char* newline =
-      static_cast<const char*>(std::memchr(buffer, '\n', got));
-  if (newline == nullptr) return std::nullopt;
-  const std::string line(buffer, static_cast<std::size_t>(newline - buffer));
+  const std::string_view buffer = log.bytes(
+      offset, static_cast<std::size_t>(
+                  std::min<std::uint64_t>(kMaxHeaderBytes, log_size - offset)));
+  const auto newline = buffer.find('\n');
+  if (newline == std::string_view::npos) return std::nullopt;
+  const std::string line(buffer.substr(0, newline));
   const auto magic_end = line.find(' ');
   if (magic_end == std::string::npos ||
       line.substr(0, magic_end) != kRecordMagic)
@@ -365,14 +428,8 @@ std::optional<RecordHeader> read_record_header(std::ifstream& log,
   const auto size = parse_u64(line.substr(fingerprint_end + 1));
   if (!size) return std::nullopt;
   header.payload_size = *size;
-  header.header_size = static_cast<std::uint64_t>(newline - buffer) + 1;
+  header.header_size = static_cast<std::uint64_t>(newline) + 1;
   return header;
-}
-
-int byte_at(std::ifstream& log, std::uint64_t offset) {
-  log.clear();
-  log.seekg(static_cast<std::streamoff>(offset));
-  return log.get();
 }
 
 class PackedBackend : public OutcomeStoreBackend {
@@ -528,8 +585,8 @@ class PackedBackend : public OutcomeStoreBackend {
   /// fully present, the trailing newline intact. nullopt when the log
   /// does not hold that frame there. Requires mutex_.
   std::optional<std::string> read_payload_locked(
-      const std::string& fingerprint, const Record& record) const {
-    std::ifstream log(log_path(), std::ios::binary);
+      const std::string& fingerprint, const Record& record) {
+    LogReader log(log_path(), scan_buffer_);
     if (!log.good()) return std::nullopt;
     const auto header = read_record_header(log, record.offset, seen_size_);
     if (!header || header->fingerprint != fingerprint ||
@@ -538,20 +595,20 @@ class PackedBackend : public OutcomeStoreBackend {
     const std::uint64_t payload_offset = record.offset + header->header_size;
     if (payload_offset + header->payload_size + 1 > seen_size_)
       return std::nullopt;
-    std::string bytes(static_cast<std::size_t>(header->payload_size), '\0');
-    log.clear();
-    log.seekg(static_cast<std::streamoff>(payload_offset));
-    log.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (static_cast<std::uint64_t>(log.gcount()) != header->payload_size)
+    // The payload and its trailing newline, in one read.
+    std::string bytes(static_cast<std::size_t>(header->payload_size) + 1,
+                      '\0');
+    if (!log.read_exact(payload_offset, bytes.data(), bytes.size()) ||
+        bytes.back() != '\n')
       return std::nullopt;
-    if (log.get() != '\n') return std::nullopt;
+    bytes.pop_back();
     return bytes;
   }
 
   /// The end of `record`'s frame when the log at its offset still holds
   /// it (same fingerprint and size, trailing newline); nullopt otherwise.
   static std::optional<std::uint64_t> frame_end(
-      std::ifstream& log, std::uint64_t log_size,
+      LogReader& log, std::uint64_t log_size,
       const std::string& fingerprint, const Record& record) {
     const auto header = read_record_header(log, record.offset, log_size);
     if (!header || header->fingerprint != fingerprint ||
@@ -559,7 +616,7 @@ class PackedBackend : public OutcomeStoreBackend {
       return std::nullopt;
     const std::uint64_t end =
         record.offset + header->header_size + header->payload_size + 1;
-    if (end > log_size || byte_at(log, end - 1) != '\n') return std::nullopt;
+    if (end > log_size || log.byte_at(end - 1) != '\n') return std::nullopt;
     return end;
   }
 
@@ -567,7 +624,7 @@ class PackedBackend : public OutcomeStoreBackend {
   /// latest record for a fingerprint wins, the last one is the tail) and
   /// stopping at the first frame that does not decode. Sets good_end_ to
   /// the clean end offset. Requires mutex_.
-  void scan_records_locked(std::ifstream& log, std::uint64_t from,
+  void scan_records_locked(LogReader& log, std::uint64_t from,
                            std::uint64_t log_size) {
     std::uint64_t at = from;
     while (at < log_size) {
@@ -576,7 +633,7 @@ class PackedBackend : public OutcomeStoreBackend {
       const std::uint64_t end =
           at + header->header_size + header->payload_size + 1;
       if (end > log_size) break;
-      if (byte_at(log, end - 1) != '\n') break;
+      if (log.byte_at(end - 1) != '\n') break;
       const Record record{at, header->payload_size};
       records_[header->fingerprint] = record;
       tail_ = {header->fingerprint, record};
@@ -600,7 +657,7 @@ class PackedBackend : public OutcomeStoreBackend {
     seen_size_ = size;
     primed_ = true;
     if (size == 0) return;
-    std::ifstream log(log_path(), std::ios::binary);
+    LogReader log(log_path(), scan_buffer_);
     if (!log.good()) {
       // Transient open failure: stay unprimed so the next call retries.
       primed_ = false;
@@ -627,7 +684,7 @@ class PackedBackend : public OutcomeStoreBackend {
     if (!primed_ || size < seen_size_) return rescan_locked();
     if (!writer && size == seen_size_ && good_end_ == size) return;
     if (size == 0) return;
-    std::ifstream log(log_path(), std::ios::binary);
+    LogReader log(log_path(), scan_buffer_);
     if (!log.good()) return rescan_locked();
     std::uint64_t scanned = 0;
     if (tail_) {
@@ -643,6 +700,7 @@ class PackedBackend : public OutcomeStoreBackend {
   }
 
   std::mutex mutex_;
+  std::vector<char> scan_buffer_;  ///< LogReader's, reused under mutex_
   bool primed_ = false;            ///< the map reflects some log state
   std::uint64_t seen_size_ = 0;    ///< log size the map reflects
   std::uint64_t good_end_ = 0;     ///< end of the last decodable record

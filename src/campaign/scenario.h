@@ -61,7 +61,7 @@ struct Scenario {
 
 /// Bumped whenever canonical() or the outcome format changes meaning, so
 /// stale caches invalidate instead of replaying wrong results.
-inline constexpr int kFingerprintVersion = 9;
+inline constexpr int kFingerprintVersion = 10;
 
 /// True for exactly 16 lowercase hex digits, the one spelling of every
 /// scenario and campaign fingerprint. Outcome stores and the daemon

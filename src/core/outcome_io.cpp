@@ -10,6 +10,8 @@
 #include <optional>
 #include <string>
 #include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "common/error.h"
 
@@ -79,7 +81,7 @@ bool same(double a, double b) {
 //
 // Row lists are stored column-wise: one entry per struct field, all of
 // equal length. Row i of every column belongs to the same row. Integer
-// fields are JSON arrays of numbers; double fields are binary columns
+// fields are JSON arrays of numbers; double fields are double columns
 // (below). The kind of a column follows from its field's type. A
 // trajectory's verdicts are the one exception: it stores the positions
 // of its accepted steps (trajectory_to_json).
@@ -87,7 +89,7 @@ bool same(double a, double b) {
 template <typename Row, typename Field>
 Json column(const std::vector<Row>& rows, Field field) {
   static_assert(!std::is_floating_point_v<decltype(field(rows.front()))>,
-                "double fields are stored as binary columns");
+                "double fields are stored as double columns");
   JsonArray values;
   values.reserve(rows.size());
   for (const Row& row : rows) values.push_back(Json(field(row)));
@@ -104,20 +106,31 @@ const JsonArray& column_of(const Json& columns, const char* name,
   return values;
 }
 
-// --------------------------------------------------------- binary columns
+// --------------------------------------------------------- double columns
 //
-// A double column is one JSON string: the RFC 4648 base64 (padded) of the
-// column's IEEE-754 binary64 values, each in little-endian byte order, row
-// after row. Bytes are placed with shifts, so the text does not depend on
-// the host's byte order; it is exact where shortest decimal is dear to
-// print and parse. The decoder accepts one spelling only: the exact
-// length, the standard alphabet, '=' only as the final padding and zero
-// padding bits; and every value must be finite.
+// A double column is one JSON string: the RFC 4648 base64 (padded) of
 //
-// Three values are 24 bytes, exactly eight 3-byte/4-character blocks, so
-// both directions work on groups of three rows held in registers. A short
-// last group is coded like a full one whose missing values are zero bits,
-// of which only the characters that carry data are kept.
+//   r        the row count, an unsigned LEB128 varint
+//   D        the number of distinct values (bit patterns), a varint
+//   dict     D varints: the smallest pattern, read as an unsigned 64-bit
+//            integer, then each next pattern's difference (>= 1) from
+//            the one before
+//   ranks    r ranks into dict, row after row, each w = bit_width(D - 1)
+//            bits wide, packed from the least significant bit of each
+//            byte up, the last byte's unused bits zero
+//
+// Times repeat across a sweep (a 3^8 sweep holds 1,250-6,100 distinct
+// times in 6,561 rows), and neighbouring patterns of a sorted dictionary
+// are close, so a row costs w bits plus a small share of the dictionary
+// instead of 8 bytes. Bytes are placed with shifts, so the text does not
+// depend on the host's byte order. The decoder accepts one spelling only:
+// the standard alphabet, '=' only as the final padding, zero padding bits
+// (base64's and the ranks'), minimal varints of at most 64 bits, 1 <= D <=
+// r (D = 0 only when r = 0), steps of at least 1 that never wrap, finite
+// values, ranks below D with every dictionary value used, and no trailing
+// byte. The row count is checked against what the caller expects before
+// anything is allocated, so a column costs at most 8 bytes per expected
+// row.
 
 constexpr char kBase64Alphabet[] =
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
@@ -132,191 +145,272 @@ constexpr std::array<std::uint8_t, 256> kBase64Value = [] {
   return values;
 }();
 
-constexpr std::size_t kGroupRows = 3;
-constexpr std::size_t kGroupChars = 32;
-
-/// Characters of the base64 text of `rows` doubles.
-std::size_t base64_length(std::size_t rows) { return 4 * ((8 * rows + 2) / 3); }
-
-/// '=' characters that end the base64 text of `rows` doubles.
-std::size_t base64_padding(std::size_t rows) { return (3 - 8 * rows % 3) % 3; }
-
-/// `x` with its eight bytes in reverse order: the big-endian reading of a
-/// little-endian value and back.
-std::uint64_t reverse_bytes(std::uint64_t x) {
-  x = x << 32 | x >> 32;
-  x = (x & 0x0000FFFF0000FFFFull) << 16 | (x >> 16 & 0x0000FFFF0000FFFFull);
-  return (x & 0x00FF00FF00FF00FFull) << 8 | (x >> 8 & 0x00FF00FF00FF00FFull);
+/// Bits per rank of a dictionary of `distinct` values.
+int rank_width(std::uint64_t distinct) {
+  return distinct > 1 ? std::bit_width(distinct - 1) : 0;
 }
 
-/// Base64 of three values' little-endian bytes, 32 characters.
-void encode_group(const std::uint64_t (&bits)[kGroupRows], char* out) {
-  // The 24 bytes as three big-endian words, cut into eight 24-bit blocks.
-  const std::uint64_t a = reverse_bytes(bits[0]);
-  const std::uint64_t b = reverse_bytes(bits[1]);
-  const std::uint64_t c = reverse_bytes(bits[2]);
-  const std::uint64_t blocks[8] = {
-      a >> 40,          a >> 16,          a << 8 | b >> 56, b >> 32,
-      b >> 8,           b << 16 | c >> 48, c >> 24,         c};
-  for (std::size_t i = 0; i < 8; ++i, out += 4) {
-    out[0] = kBase64Alphabet[blocks[i] >> 18 & 63];
-    out[1] = kBase64Alphabet[blocks[i] >> 12 & 63];
-    out[2] = kBase64Alphabet[blocks[i] >> 6 & 63];
-    out[3] = kBase64Alphabet[blocks[i] & 63];
+void put_varint(std::string& bytes, std::uint64_t value) {
+  for (; value >= 0x80; value >>= 7)
+    bytes.push_back(static_cast<char>((value & 0x7F) | 0x80));
+  bytes.push_back(static_cast<char>(value));
+}
+
+/// Padded base64 of `bytes`.
+std::string base64(const std::string& bytes) {
+  std::string text(4 * ((bytes.size() + 2) / 3), '=');
+  char* out = text.data();
+  for (std::size_t i = 0; i < bytes.size(); i += 3, out += 4) {
+    const std::size_t count = std::min<std::size_t>(3, bytes.size() - i);
+    std::uint32_t block = 0;
+    for (std::size_t j = 0; j < 3; ++j)
+      block = block << 8 |
+              (j < count ? static_cast<unsigned char>(bytes[i + j]) : 0u);
+    // The characters that carry data; the padding is already '='.
+    for (std::size_t j = 0; j <= count; ++j)
+      out[j] = kBase64Alphabet[block >> (18 - 6 * j) & 63];
+  }
+  return text;
+}
+
+/// A bit pattern and the row it came from.
+using PatternRow = std::pair<std::uint64_t, std::uint32_t>;
+
+/// `items` sorted by pattern, rows in order among equal patterns: a
+/// stable radix sort with one pass per byte in which the patterns differ
+/// (a sweep's times share their sign, exponent and top mantissa bits).
+void sort_by_pattern(std::vector<PatternRow>& items) {
+  std::array<std::array<std::size_t, 256>, 8> start{};
+  for (const PatternRow& item : items)
+    for (int d = 0; d < 8; ++d) ++start[d][item.first >> 8 * d & 0xFF];
+  std::vector<PatternRow> sorted(items.size());
+  for (int d = 0; d < 8 && !items.empty(); ++d) {
+    std::array<std::size_t, 256>& at = start[d];
+    if (at[items.front().first >> 8 * d & 0xFF] == items.size()) continue;
+    std::size_t sum = 0;
+    for (std::size_t& bucket : at) sum += std::exchange(bucket, sum);
+    for (const PatternRow& item : items)
+      sorted[at[item.first >> 8 * d & 0xFF]++] = item;
+    items.swap(sorted);
   }
 }
 
-/// The three values of 32 base64 characters; false when a character lies
-/// outside the alphabet.
-bool decode_group(const char* in, std::uint64_t (&bits)[kGroupRows]) {
-  std::uint64_t blocks[8];
-  unsigned invalid = 0;
-  for (std::size_t i = 0; i < 8; ++i, in += 4) {
-    const unsigned v0 = kBase64Value[static_cast<unsigned char>(in[0])];
-    const unsigned v1 = kBase64Value[static_cast<unsigned char>(in[1])];
-    const unsigned v2 = kBase64Value[static_cast<unsigned char>(in[2])];
-    const unsigned v3 = kBase64Value[static_cast<unsigned char>(in[3])];
-    invalid |= v0 | v1 | v2 | v3;
-    blocks[i] = v0 << 18 | v1 << 12 | v2 << 6 | v3;
-  }
-  bits[0] = reverse_bytes(blocks[0] << 40 | blocks[1] << 16 | blocks[2] >> 8);
-  bits[1] = reverse_bytes(blocks[2] << 56 | blocks[3] << 32 | blocks[4] << 8 |
-                          blocks[5] >> 16);
-  bits[2] = reverse_bytes(blocks[5] << 48 | blocks[6] << 24 | blocks[7]);
-  return invalid <= 63;
-}
-
-/// The binary column of `rows` values, value i being `get(i)`.
+/// The double column of `rows` values, value i being `get(i)`.
 template <typename Get>
 Json encode_doubles(std::size_t rows, Get get) {
-  std::string text(base64_length(rows), '=');
-  char* out = text.data();
-  std::size_t i = 0;
-  for (; i + kGroupRows <= rows; i += kGroupRows, out += kGroupChars) {
-    const std::uint64_t bits[kGroupRows] = {
-        std::bit_cast<std::uint64_t>(get(i)),
-        std::bit_cast<std::uint64_t>(get(i + 1)),
-        std::bit_cast<std::uint64_t>(get(i + 2))};
-    encode_group(bits, out);
+  // Each row's pattern beside its row number, sorted by pattern: the
+  // dictionary is the distinct patterns in that order, and a row's rank
+  // is the number of distinct patterns below its own.
+  std::vector<PatternRow> sorted(rows);
+  for (std::size_t i = 0; i < rows; ++i)
+    sorted[i] = {std::bit_cast<std::uint64_t>(get(i)),
+                 static_cast<std::uint32_t>(i)};
+  sort_by_pattern(sorted);
+  std::vector<std::uint32_t> ranks(rows);
+  std::uint32_t distinct = 0;
+  for (std::size_t i = 0; i < rows; ++i) {
+    distinct += i == 0 || sorted[i].first != sorted[i - 1].first;
+    ranks[sorted[i].second] = distinct - 1;
   }
-  if (const std::size_t count = rows - i; count > 0) {
-    std::uint64_t bits[kGroupRows] = {};
-    for (std::size_t j = 0; j < count; ++j)
-      bits[j] = std::bit_cast<std::uint64_t>(get(i + j));
-    char group[kGroupChars];
-    encode_group(bits, group);
-    // The characters that carry data; the padding is already '='.
-    std::copy_n(group, base64_length(count) - base64_padding(count), out);
+  std::string bytes;
+  put_varint(bytes, rows);
+  put_varint(bytes, distinct);
+  for (std::size_t i = 0; i < rows; ++i)
+    if (i == 0 || sorted[i].first != sorted[i - 1].first)
+      put_varint(bytes, sorted[i].first - (i == 0 ? 0 : sorted[i - 1].first));
+  const int width = rank_width(distinct);
+  std::uint64_t pending = 0;
+  int bits = 0;
+  for (const std::uint32_t rank : ranks) {
+    pending |= std::uint64_t{rank} << bits;
+    for (bits += width; bits >= 8; bits -= 8, pending >>= 8)
+      bytes.push_back(static_cast<char>(pending & 0xFF));
   }
-  return Json(std::move(text));
+  if (bits > 0) bytes.push_back(static_cast<char>(pending));
+  return Json(base64(bytes));
 }
 
 template <typename Row>
-Json binary_column(const std::vector<Row>& rows, double Row::*field) {
+Json double_column(const std::vector<Row>& rows, double Row::*field) {
   return encode_doubles(rows.size(),
                         [&](std::size_t i) { return rows[i].*field; });
 }
 
-/// A binary column of `rows` values. Opening it checks its exact length;
-/// each read() of a row range checks that range's characters and values.
-class BinaryColumn {
- public:
-  BinaryColumn(const Json& columns, const char* name, std::size_t rows)
-      : name_(name), text_(columns.at(name).as_string()) {
-    if (text_.size() != base64_length(rows))
-      bad_field(name, "has " + std::to_string(text_.size()) +
-                          " characters, expected " +
-                          std::to_string(base64_length(rows)));
-  }
-
-  /// Decode rows [begin, end), handing value i to `set(i, value)`.
-  /// `begin` is a multiple of kGroupRows, and so is `end` unless it is
-  /// the column's row count.
-  template <typename Set>
-  void read(std::size_t begin, std::size_t end, Set set) const {
-    const auto store = [&](std::size_t i, std::size_t count,
-                           const std::uint64_t (&bits)[kGroupRows]) {
-      for (std::size_t j = 0; j < count; ++j) {
-        const double value = std::bit_cast<double>(bits[j]);
-        if (!std::isfinite(value))
-          bad_field(name_, "holds a non-finite value");
-        set(i + j, value);
-      }
-    };
-    const char* in = text_.data() + begin / kGroupRows * kGroupChars;
-    std::uint64_t bits[kGroupRows];
-    std::size_t i = begin;
-    for (; i + kGroupRows <= end; i += kGroupRows, in += kGroupChars) {
-      if (!decode_group(in, bits))
-        bad_field(name_, "holds a character outside base64");
-      store(i, kGroupRows, bits);
-    }
-    if (const std::size_t count = end - i; count > 0) {
-      // The short last group: its data characters, then 'A' (zero bits)
-      // in place of the padding and the missing values. Those values
-      // must then decode to zero, padding bits included.
-      const std::size_t pad = base64_padding(count);
-      if (text_.find_first_not_of('=', text_.size() - pad) !=
-          std::string::npos)
-        bad_field(name_, "is not padded base64");
-      char group[kGroupChars];
-      std::fill(std::copy_n(in, base64_length(count) - pad, group),
-                group + kGroupChars, 'A');
-      if (!decode_group(group, bits))
-        bad_field(name_, "holds a character outside base64");
-      for (std::size_t j = count; j < kGroupRows; ++j)
-        if (bits[j] != 0) bad_field(name_, "has non-zero padding bits");
-      store(i, count, bits);
-    }
-  }
-
- private:
-  const char* name_;
-  const std::string& text_;
+/// The row count a caller expects of a column: exactly `rows`, or (a
+/// configuration list) at most the `space` size.
+struct RowCount {
+  std::size_t rows;
+  bool at_most = false;
 };
 
-/// Rows of binary column `name`, from its length alone: 4·⌈8r/3⌉
-/// characters hold r values, and ⌊3L/4⌋/8 inverts that. A length no row
-/// count gives fails the exact-length check when the column is opened.
-std::size_t binary_rows(const Json& columns, const char* name) {
-  return 3 * columns.at(name).as_string().size() / 4 / 8;
-}
-
-// ------------------------------------------------------------ row blocks
-//
-// Row lists are decoded a block of rows at a time, every column of the
-// block before the next, so the checks run in the same order whether the
-// caller keeps the rows (they land in place in the outcome) or skips
-// them (each block reuses one fixed buffer and is then dropped).
-
-/// Rows decoded at a time: whole base64 groups, so only a column's last
-/// block can end inside a group.
-constexpr std::size_t kBlockRows = 32 * kGroupRows;
-
-/// Calls `visit(begin, end)` on consecutive blocks covering [0, rows).
-template <typename Visit>
-void for_each_block(std::size_t rows, Visit visit) {
-  for (std::size_t begin = 0; begin < rows; begin += kBlockRows)
-    visit(begin, std::min(rows, begin + kBlockRows));
-}
-
-/// Where decoded rows go: `kept`, sized for every row, or with no `kept`
-/// (Rows::Skip) one block reused for each block in turn.
-template <typename Row>
-class RowSink {
+/// A double column, validated whole when opened; it then holds its
+/// dictionary (D doubles) and reads each row's rank in place from the
+/// base64 text.
+class DoubleColumn {
  public:
-  RowSink(std::vector<Row>* kept, std::size_t rows) : kept_(kept) {
-    if (kept_ != nullptr) kept_->resize(rows);
+  DoubleColumn(const Json& columns, const char* name, RowCount expected)
+      : name_(name), text_(columns.at(name).as_string()) {
+    open_text();
+    Cursor in(*this, 0);
+    rows_ = varint(in);
+    if (expected.at_most && rows_ > expected.rows)
+      bad_field(name_, "lists more configurations than the space holds");
+    if (!expected.at_most && rows_ != expected.rows)
+      bad_field(name_, "has " + std::to_string(rows_) + " rows, expected " +
+                           std::to_string(expected.rows));
+    const std::uint64_t distinct = varint(in);
+    if (rows_ == 0 ? distinct != 0 : distinct < 1 || distinct > rows_)
+      bad_field(name_, "has " + std::to_string(distinct) +
+                           " distinct values for " + std::to_string(rows_) +
+                           " rows");
+    dict_.reserve(distinct);
+    std::uint64_t pattern = 0;
+    for (std::uint64_t k = 0; k < distinct; ++k) {
+      const std::uint64_t step = varint(in);
+      if (k > 0 && step == 0) bad_field(name_, "repeats a dictionary value");
+      if (step > UINT64_MAX - pattern)
+        bad_field(name_, "has a dictionary value past 2^64");
+      pattern += step;
+      const double value = std::bit_cast<double>(pattern);
+      if (!std::isfinite(value)) bad_field(name_, "holds a non-finite value");
+      dict_.push_back(value);
+    }
+    width_ = rank_width(distinct);
+    ranks_at_ = in.at;
+    const std::uint64_t rank_bits = std::uint64_t{rows_} * width_;
+    const std::uint64_t rank_bytes = (rank_bits + 7) / 8;
+    if (size_ - ranks_at_ < rank_bytes) bad_field(name_, "ends early");
+    if (size_ - ranks_at_ > rank_bytes) bad_field(name_, "has trailing bytes");
+    std::vector<std::uint64_t> used((distinct + 63) / 64);
+    for_each_rank([&](std::size_t, std::uint64_t rank) {
+      if (rank >= distinct)
+        bad_field(name_, "holds a rank past its dictionary");
+      used[rank / 64] |= std::uint64_t{1} << rank % 64;
+    });
+    for (std::uint64_t k = 0; k < distinct; ++k)
+      if ((used[k / 64] >> k % 64 & 1) == 0)
+        bad_field(name_, "holds an unused dictionary value");
+    if (rank_bits % 8 != 0 &&
+        Cursor(*this, size_ - 1).next() >> rank_bits % 8 != 0)
+      bad_field(name_, "has non-zero padding bits");
   }
 
-  /// Storage for the block that starts at row `begin`, indexed from 0.
-  Row* block(std::size_t begin) {
-    return kept_ != nullptr ? kept_->data() + begin : reused_.data();
+  std::size_t size() const { return rows_; }
+
+  /// The distinct values, in the order of their bit patterns.
+  const std::vector<double>& values() const { return dict_; }
+
+  /// The value of row `row`.
+  double operator[](std::size_t row) const {
+    const std::uint64_t bit = std::uint64_t{row} * width_;
+    Cursor in(*this, ranks_at_ + bit / 8);
+    std::uint64_t bits = 0;
+    for (int have = 0; have < static_cast<int>(bit % 8) + width_; have += 8)
+      bits |= std::uint64_t{in.next()} << have;
+    return dict_[bits >> bit % 8 & low_bits()];
+  }
+
+  /// Calls `visit(i, value)` on every row in order.
+  template <typename Visit>
+  void for_each(Visit visit) const {
+    for_each_rank([&](std::size_t i, std::uint64_t rank) {
+      visit(i, dict_[rank]);
+    });
   }
 
  private:
-  std::vector<Row>* kept_;
-  std::array<Row, kBlockRows> reused_{};
+  /// Reads the decoded bytes in order from byte `at`, one base64 block
+  /// (4 characters, 3 bytes) at a time. A padding '=' decodes as 63, but
+  /// its bits lie past the column's last byte.
+  struct Cursor {
+    Cursor(const DoubleColumn& column, std::size_t from)
+        : in(column.text_.data() + 4 * (from / 3)), at(from) {
+      if (from % 3 != 0) {
+        load();
+        left = static_cast<int>(3 - from % 3);
+      }
+    }
+
+    void load() {
+      block = 0;
+      for (int j = 0; j < 4; ++j)
+        block = block << 6 |
+                (kBase64Value[static_cast<unsigned char>(in[j])] & 63u);
+      in += 4;
+      left = 3;
+    }
+
+    std::uint8_t next() {
+      if (left == 0) load();
+      ++at;
+      return static_cast<std::uint8_t>(block >> 8 * --left);
+    }
+
+    const char* in;      ///< the characters of the next block
+    std::size_t at;      ///< the byte next() returns
+    std::uint32_t block = 0;
+    int left = 0;        ///< bytes of `block` not yet returned
+  };
+
+  /// Checks the text's spelling and sets the byte count.
+  void open_text() {
+    if (text_.size() % 4 != 0) bad_field(name_, "is not padded base64");
+    std::size_t pad = 0;
+    while (pad < 2 && pad < text_.size() &&
+           text_[text_.size() - 1 - pad] == '=')
+      ++pad;
+    const std::size_t chars = text_.size() - pad;
+    for (std::size_t i = 0; i < chars; ++i)
+      if (kBase64Value[static_cast<unsigned char>(text_[i])] > 63)
+        bad_field(name_, "holds a character outside base64");
+    // The last character's bits past the data: 2 with one '=', 4 with two.
+    if (pad > 0 &&
+        (kBase64Value[static_cast<unsigned char>(text_[chars - 1])] &
+         ((1u << 2 * pad) - 1)) != 0)
+      bad_field(name_, "has non-zero padding bits");
+    size_ = 3 * text_.size() / 4 - pad;
+  }
+
+  /// The varint at `in`: minimal, at most 64 bits.
+  std::uint64_t varint(Cursor& in) const {
+    std::uint64_t value = 0;
+    for (int shift = 0;; shift += 7) {
+      if (in.at == size_) bad_field(name_, "ends early");
+      const std::uint8_t b = in.next();
+      if (shift == 63 && b > 1)
+        bad_field(name_, "holds a varint past 64 bits");
+      value |= std::uint64_t{b & 0x7Fu} << shift;
+      if ((b & 0x80) == 0) {
+        if (b == 0 && shift > 0)
+          bad_field(name_, "holds a varint that is not minimal");
+        return value;
+      }
+    }
+  }
+
+  std::uint64_t low_bits() const { return (std::uint64_t{1} << width_) - 1; }
+
+  template <typename Visit>
+  void for_each_rank(Visit visit) const {
+    Cursor in(*this, ranks_at_);
+    std::uint64_t pending = 0;
+    int bits = 0;
+    for (std::size_t i = 0; i < rows_; ++i) {
+      for (; bits < width_; bits += 8)
+        pending |= std::uint64_t{in.next()} << bits;
+      visit(i, pending & low_bits());
+      pending >>= width_;
+      bits -= width_;
+    }
+  }
+
+  const char* name_;
+  const std::string& text_;
+  std::size_t size_ = 0;  ///< decoded bytes
+  std::size_t rows_ = 0;
+  int width_ = 0;
+  std::size_t ranks_at_ = 0;  ///< first byte of the ranks
+  std::vector<double> dict_;
 };
 
 // ---------------------------------------------------------- derived values
@@ -366,13 +460,12 @@ void check_weights(const GroupWeights& w, int num_groups, int num_tiers) {
     bad_field("traffic_bytes", "gives a non-finite HBM density");
 }
 
-/// The binary column `name` of `json`, one value per group.
+/// The double column `name` of `json`, one value per group.
 std::vector<double> weights_from_json(const Json& json, const char* name,
                                       int num_groups) {
   std::vector<double> weights(static_cast<std::size_t>(num_groups));
-  BinaryColumn(json, name, weights.size())
-      .read(0, weights.size(),
-            [&](std::size_t i, double weight) { weights[i] = weight; });
+  DoubleColumn(json, name, {weights.size()})
+      .for_each([&](std::size_t i, double weight) { weights[i] = weight; });
   return weights;
 }
 
@@ -393,56 +486,10 @@ Json configs_to_json(const std::vector<ConfigResult>& configs) {
   JsonObject o;
   if (!identity)
     o["mask"] = column(configs, [](const ConfigResult& c) { return c.mask; });
-  o["mean_time"] = binary_column(configs, &ConfigResult::mean_time);
+  o["mean_time"] = double_column(configs, &ConfigResult::mean_time);
   if (!noise_free)
-    o["stddev_time"] = binary_column(configs, &ConfigResult::stddev_time);
+    o["stddev_time"] = double_column(configs, &ConfigResult::stddev_time);
   return Json(std::move(o));
-}
-
-/// Decode configuration rows into `kept`; with no `kept` every row is
-/// checked and dropped.
-void configs_from_json(const Json& columns, double baseline,
-                       std::size_t space, std::vector<ConfigResult>* kept) {
-  const std::size_t rows = binary_rows(columns, "mean_time");
-  if (rows > space)
-    bad_field("mean_time", "lists more configurations than the space holds");
-  const JsonArray* masks = columns.as_object().contains("mask")
-                               ? &column_of(columns, "mask", rows)
-                               : nullptr;
-  const BinaryColumn mean_time(columns, "mean_time", rows);
-  std::optional<BinaryColumn> stddev_time;
-  if (columns.as_object().contains("stddev_time"))
-    stddev_time.emplace(columns, "stddev_time", rows);
-  bool noise_free = true;
-  ConfigMask previous = 0;
-
-  RowSink<ConfigResult> sink(kept, rows);
-  for_each_block(rows, [&](std::size_t begin, std::size_t end) {
-    ConfigResult* block = sink.block(begin);
-    const auto row = [&](std::size_t i) -> ConfigResult& {
-      return block[i - begin];
-    };
-    for (std::size_t i = begin; i < end; ++i) {
-      ConfigResult& c = row(i);
-      c.mask = masks != nullptr ? mask_in((*masks)[i], space, "mask")
-                                : static_cast<ConfigMask>(i);
-      if (i > 0 && c.mask <= previous)
-        bad_field("mask", "is not strictly increasing");
-      previous = c.mask;
-      c.stddev_time = 0.0;
-    }
-    mean_time.read(begin, end, [&](std::size_t i, double value) {
-      check_speedup(baseline, value, "mean_time");
-      row(i).mean_time = value;
-    });
-    if (stddev_time)
-      stddev_time->read(begin, end, [&](std::size_t i, double value) {
-        noise_free = noise_free && same(value, 0.0);
-        row(i).stddev_time = value;
-      });
-  });
-  if (stddev_time && noise_free)
-    bad_field("stddev_time", "is stored though every value is +0.0");
 }
 
 /// Checks that a sweep is its outcome's. A sweep stores only its rows: the
@@ -468,32 +515,40 @@ std::optional<double> mean_time_of(const std::vector<ConfigResult>& rows,
   return row->mean_time;
 }
 
-/// The configuration rows left-out values are looked up in: those of
-/// TuningOutcome::configs(), as stored. The headline reads its baseline
-/// and chosen time from them before configs_from_json checks them, so a
-/// lookup compares stored masks as doubles and never casts one; a mask
-/// column that is not strictly increasing may send it to the wrong row,
-/// but is then refused. A mask is found by binary search over the stored
-/// mask column, or as row i = mask i where there is none, so a lookup
-/// allocates nothing.
+/// A configuration row list as stored: its mask column (or none) and its
+/// opened mean_time column, whose row count is at most the space's. The
+/// headline reads left-out values from configs()' rows before any row's
+/// speedup is checked, so a lookup compares stored masks as doubles and
+/// never casts one; a mask column that is not strictly increasing may
+/// send it to the wrong row, but is then refused. A mask is found by
+/// binary search over the stored mask column, or as row i = mask i where
+/// there is none, and its time as its rank's dictionary value, so a
+/// lookup allocates nothing.
 class StoredRows {
  public:
-  explicit StoredRows(const Json& columns)
-      : rows_(binary_rows(columns, "mean_time")),
+  StoredRows(const Json& columns, std::size_t space)
+      : mean_time_(columns, "mean_time", {space, true}),
         masks_(columns.as_object().contains("mask")
-                   ? &column_of(columns, "mask", rows_)
-                   : nullptr),
-        mean_time_(columns, "mean_time", rows_) {}
+                   ? &column_of(columns, "mask", mean_time_.size())
+                   : nullptr) {}
 
-  std::size_t size() const { return rows_; }
+  std::size_t size() const { return mean_time_.size(); }
+
+  const DoubleColumn& mean_time() const { return mean_time_; }
+
+  /// The mask of row `row`, checked to lie below `space`.
+  ConfigMask mask(std::size_t row, std::size_t space) const {
+    return masks_ != nullptr ? mask_in((*masks_)[row], space, "mask")
+                             : static_cast<ConfigMask>(row);
+  }
 
   /// The row holding `mask`, or nullopt.
   std::optional<std::size_t> find(ConfigMask mask) const {
     if (masks_ == nullptr)
-      return mask < rows_ ? std::optional<std::size_t>(mask) : std::nullopt;
+      return mask < size() ? std::optional<std::size_t>(mask) : std::nullopt;
     const auto target = static_cast<double>(mask);
     std::size_t lo = 0;
-    std::size_t hi = rows_;
+    std::size_t hi = size();
     while (lo < hi) {
       const std::size_t mid = lo + (hi - lo) / 2;
       const double at = (*masks_)[mid].as_number();
@@ -503,28 +558,49 @@ class StoredRows {
     return std::nullopt;
   }
 
-  /// The mean time of row `row`.
-  double mean_time(std::size_t row) const {
-    const std::size_t begin = row - row % kGroupRows;
-    double value = 0.0;
-    mean_time_.read(begin, std::min(rows_, begin + kGroupRows),
-                    [&](std::size_t i, double time) {
-                      if (i == row) value = time;
-                    });
-    return value;
-  }
-
   /// The mean time of the row holding `mask`, or nullopt.
   std::optional<double> mean_time_of(ConfigMask mask) const {
     const auto row = find(mask);
-    return row ? std::optional<double>(mean_time(*row)) : std::nullopt;
+    return row ? std::optional<double>(mean_time_[*row]) : std::nullopt;
   }
 
  private:
-  std::size_t rows_;
+  DoubleColumn mean_time_;
   const JsonArray* masks_;
-  BinaryColumn mean_time_;
 };
+
+/// Decode the configuration rows of `rows` (with their other columns in
+/// `columns`) into `kept`; with no `kept` every row is checked and
+/// dropped. A speedup is checked once per distinct time.
+void configs_from_json(const StoredRows& rows, const Json& columns,
+                       double baseline, std::size_t space,
+                       std::vector<ConfigResult>* kept) {
+  for (const double time : rows.mean_time().values())
+    check_speedup(baseline, time, "mean_time");
+  ConfigMask previous = 0;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const ConfigMask mask = rows.mask(i, space);
+    if (i > 0 && mask <= previous)
+      bad_field("mask", "is not strictly increasing");
+    previous = mask;
+  }
+  std::optional<DoubleColumn> stddev_time;
+  if (columns.as_object().contains("stddev_time")) {
+    stddev_time.emplace(columns, "stddev_time", RowCount{rows.size()});
+    const std::vector<double>& values = stddev_time->values();
+    if (values.empty() || (values.size() == 1 && same(values[0], 0.0)))
+      bad_field("stddev_time", "is stored though every value is +0.0");
+  }
+  if (kept == nullptr) return;
+  kept->resize(rows.size());
+  rows.mean_time().for_each([&](std::size_t i, double time) {
+    (*kept)[i] = {rows.mask(i, space), time, 0.0};
+  });
+  if (stddev_time)
+    stddev_time->for_each([&](std::size_t i, double stddev) {
+      (*kept)[i].stddev_time = stddev;
+    });
+}
 
 /// A trajectory, column-wise, with two derivation rules:
 ///   observed_time  left out when every step's time has the bits of the
@@ -557,7 +633,7 @@ Json trajectory_to_json(const std::vector<TuningStep>& steps,
     o["index"] = column(steps, [](const TuningStep& s) { return s.index; });
   o["mask"] = column(steps, [](const TuningStep& s) { return s.mask; });
   if (!derivable)
-    o["observed_time"] = binary_column(steps, &TuningStep::observed_time);
+    o["observed_time"] = double_column(steps, &TuningStep::observed_time);
   o["accepted"] = Json(std::move(accepted));
   return Json(std::move(o));
 }
@@ -593,52 +669,45 @@ void trajectory_from_columns(const Json& columns, std::size_t space,
   } else {
     indices = &column_of(columns, "index", steps);
   }
-  std::optional<BinaryColumn> observed_time;
-  if (columns.as_object().contains("observed_time"))
-    observed_time.emplace(columns, "observed_time", steps);
+  std::optional<DoubleColumn> observed_time;
+  if (columns.as_object().contains("observed_time")) {
+    observed_time.emplace(columns, "observed_time", RowCount{steps});
+    for (const double time : observed_time->values())
+      check_speedup(baseline, time, "observed_time");
+  }
   bool counts = true;
   int previous = 0;
   bool derivable = true;
 
-  RowSink<TuningStep> sink(kept, steps);
-  for_each_block(steps, [&](std::size_t begin, std::size_t end) {
-    TuningStep* block = sink.block(begin);
-    const auto step = [&](std::size_t i) -> TuningStep& {
-      return block[i - begin];
-    };
-    for (std::size_t i = begin; i < end; ++i) {
-      TuningStep& s = step(i);
-      if (indices != nullptr) {
-        s.index = int_in((*indices)[i], 0, INT_MAX, "index");
-        counts = counts && (i == 0 || std::int64_t{s.index} ==
-                                          std::int64_t{previous} + 1);
-        previous = s.index;
-      } else {
-        s.index = start + static_cast<int>(i);
-      }
-      s.mask = mask_in(mask[i], space, "mask");
-      s.accepted = next_accepted < accepted.size() &&
-                   accepted[next_accepted].as_number() ==
-                       static_cast<double>(i);
-      next_accepted += s.accepted ? 1 : 0;
-    }
-    if (observed_time) {
-      observed_time->read(begin, end, [&](std::size_t i, double value) {
-        check_speedup(baseline, value, "observed_time");
-        step(i).observed_time = value;
-        const auto row = rows.find(step(i).mask);
-        derivable = derivable && row && same(rows.mean_time(*row), value);
-      });
+  if (kept != nullptr) kept->resize(steps);
+  for (std::size_t i = 0; i < steps; ++i) {
+    TuningStep s;
+    if (indices != nullptr) {
+      s.index = int_in((*indices)[i], 0, INT_MAX, "index");
+      counts = counts && (i == 0 || std::int64_t{s.index} ==
+                                        std::int64_t{previous} + 1);
+      previous = s.index;
     } else {
-      for (std::size_t i = begin; i < end; ++i) {
-        const auto row = rows.find(step(i).mask);
-        if (!row)
-          bad_field("observed_time",
-                    "is left out though a step's mask has no row");
-        step(i).observed_time = rows.mean_time(*row);
-      }
+      s.index = start + static_cast<int>(i);
     }
-  });
+    s.mask = mask_in(mask[i], space, "mask");
+    s.accepted = next_accepted < accepted.size() &&
+                 accepted[next_accepted].as_number() ==
+                     static_cast<double>(i);
+    next_accepted += s.accepted ? 1 : 0;
+    const auto row = rows.find(s.mask);
+    if (observed_time) {
+      s.observed_time = (*observed_time)[i];
+      derivable = derivable && row && same(rows.mean_time()[*row],
+                                           s.observed_time);
+    } else {
+      if (!row)
+        bad_field("observed_time",
+                  "is left out though a step's mask has no row");
+      s.observed_time = rows.mean_time()[*row];
+    }
+    if (kept != nullptr) (*kept)[i] = s;
+  }
   if (indices != nullptr && counts)
     bad_field("index", "is stored as an array though it counts up by one");
   if (observed_time && derivable)
@@ -749,8 +818,9 @@ TuningOutcome outcome_from_json(const Json& json, Rows rows) {
   // headline's left-out values are read from them before any row's
   // speedup is checked, since that check needs the baseline.
   const Json* stored = json.as_object().find("sweep");
-  const StoredRows configs(stored != nullptr ? stored->at("configs")
-                                             : json.at("table"));
+  const Json& table = json.at("table");
+  const StoredRows configs(stored != nullptr ? stored->at("configs") : table,
+                           space);
   out.baseline_time = stored_or_derived(json, "baseline_time",
                                         configs.mean_time_of(0), finite);
   out.chosen_time = stored_or_derived(
@@ -770,17 +840,20 @@ TuningOutcome outcome_from_json(const Json& json, Rows rows) {
   w.traffic_total = stored_or_derived(json, "traffic_total",
                                       group_sum(w.traffic_bytes), finite);
   check_weights(w, out.num_groups, out.num_tiers);
-  configs_from_json(json.at("table"), out.baseline_time, space,
-                    keep ? &out.table : nullptr);
   if (stored != nullptr) {
+    configs_from_json(StoredRows(table, space), table, out.baseline_time,
+                      space, keep ? &out.table : nullptr);
     SweepResult sweep;
     sweep.baseline_time = out.baseline_time;
     sweep.num_groups = out.num_groups;
     sweep.num_tiers = out.num_tiers;
     check_sweep(sweep, out);
-    configs_from_json(stored->at("configs"), out.baseline_time, space,
-                      keep ? &sweep.configs : nullptr);
+    configs_from_json(configs, stored->at("configs"), out.baseline_time,
+                      space, keep ? &sweep.configs : nullptr);
     if (keep) out.sweep = std::move(sweep);
+  } else {
+    configs_from_json(configs, table, out.baseline_time, space,
+                      keep ? &out.table : nullptr);
   }
   trajectory_from_columns(json.at("trajectory"), space, out.baseline_time,
                           configs, keep ? &out.trajectory : nullptr);

@@ -37,12 +37,14 @@ Json outcome_to_json(const TuningOutcome& outcome);
 /// `sweep` and `trajectory`). Either way every check runs on every row, in
 /// the same order, so a document is rejected with the same error in both
 /// modes. Keep returns the rows. Skip returns the headline and the weights
-/// alone (empty `table` and `trajectory`, no `sweep`): each column is
-/// decoded a fixed block of rows at a time into one reused buffer, and a
-/// step's row is found in the stored columns in place, so validating a
-/// record allocates nothing per row or step. The weights are checked
-/// once per record, which bounds every row's HBM fractions; each row's
-/// speedup is checked finite on its own.
+/// alone (empty `table` and `trajectory`, no `sweep`). A double column
+/// is stored as its sorted distinct values (a dictionary) and one
+/// fixed-width rank per row, in base64 (outcome_io.cpp has the byte
+/// layout and its refusal rules); Skip holds a column's dictionary and a
+/// used-bit per entry, reads ranks in place, and finds a step's row in
+/// the stored columns, so validating a record allocates nothing per row
+/// or step. The weights are checked once per record, which bounds every
+/// row's HBM fractions; a speedup is checked once per distinct time.
 enum class Rows { Keep, Skip };
 
 /// Parse an outcome back; throws hmpt::Error on a malformed document.

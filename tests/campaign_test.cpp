@@ -879,7 +879,7 @@ TEST(OutcomeIoTest, ThreeTierSweepRecordFitsTheSizeGate) {
   ASSERT_TRUE(outcome.sweep.has_value());
   ASSERT_EQ(outcome.sweep->configs.size(), 6561u);
   const std::string payload = OutcomeStore::make_payload(s, outcome);
-  EXPECT_LE(payload.size(), 75000u);
+  EXPECT_LE(payload.size(), 25000u);
   const Json doc = Json::parse(payload);
   for (const char* weights : {"footprint_bytes", "traffic_bytes"})
     EXPECT_TRUE(doc.at("outcome").as_object().contains(weights)) << weights;
@@ -895,19 +895,14 @@ TEST(OutcomeIoTest, ThreeTierSweepRecordFitsTheSizeGate) {
                       "bt 3^8");
 }
 
-/// RFC 4648 base64 (padded) of `values` as little-endian binary64, built
-/// bit by bit: an oracle independent of the codec under test.
-std::string base64_le(const std::vector<double>& values) {
+/// RFC 4648 base64 (padded) of `bytes`, built bit by bit: an oracle
+/// independent of the codec under test.
+std::string base64_of(const std::vector<std::uint8_t>& bytes) {
   static const char kAlphabet[] =
       "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
   std::vector<bool> bits;
-  for (const double value : values) {
-    std::uint64_t word = 0;
-    std::memcpy(&word, &value, sizeof word);
-    for (int byte = 0; byte < 8; ++byte)
-      for (int bit = 7; bit >= 0; --bit)
-        bits.push_back(((word >> (8 * byte + bit)) & 1) != 0);
-  }
+  for (const std::uint8_t byte : bytes)
+    for (int bit = 7; bit >= 0; --bit) bits.push_back(((byte >> bit) & 1) != 0);
   while (bits.size() % 6 != 0) bits.push_back(false);
   std::string out;
   for (std::size_t i = 0; i < bits.size(); i += 6) {
@@ -917,6 +912,112 @@ std::string base64_le(const std::vector<double>& values) {
   }
   while (out.size() % 4 != 0) out += '=';
   return out;
+}
+
+/// `value` as an unsigned LEB128 varint appended to `out`.
+void put_leb128(std::vector<std::uint8_t>& out, std::uint64_t value) {
+  do {
+    const auto low = static_cast<std::uint8_t>(value % 128);
+    value /= 128;
+    out.push_back(value != 0 ? low + 128 : low);
+  } while (value != 0);
+}
+
+std::uint64_t bits_of(double value) {
+  std::uint64_t word = 0;
+  std::memcpy(&word, &value, sizeof word);
+  return word;
+}
+
+/// The bytes of a double column holding `values`, built independently of
+/// the codec: the row count, the distinct bit patterns in increasing order
+/// (the first, then each one's difference from the one before), and each
+/// row's rank among them in the fewest bits that hold every rank, packed
+/// from the low bit of each byte up.
+std::vector<std::uint8_t> column_bytes(const std::vector<double>& values) {
+  std::set<std::uint64_t> distinct;
+  for (const double value : values) distinct.insert(bits_of(value));
+  std::vector<std::uint8_t> out;
+  put_leb128(out, values.size());
+  put_leb128(out, distinct.size());
+  std::uint64_t previous = 0;
+  for (const std::uint64_t pattern : distinct) {
+    put_leb128(out, pattern - previous);
+    previous = pattern;
+  }
+  int width = 0;
+  while ((std::uint64_t{1} << width) < distinct.size()) ++width;
+  std::vector<bool> bits;
+  for (const double value : values) {
+    const auto rank = static_cast<std::uint64_t>(
+        std::distance(distinct.begin(), distinct.find(bits_of(value))));
+    for (int bit = 0; bit < width; ++bit) bits.push_back((rank >> bit) & 1);
+  }
+  while (bits.size() % 8 != 0) bits.push_back(false);
+  for (std::size_t i = 0; i < bits.size(); i += 8) {
+    std::uint8_t byte = 0;
+    for (int bit = 0; bit < 8; ++bit)
+      byte |= static_cast<std::uint8_t>(bits[i + static_cast<std::size_t>(bit)]
+                                        << bit);
+    out.push_back(byte);
+  }
+  return out;
+}
+
+/// The text of a double column holding `values`.
+std::string column_text(const std::vector<double>& values) {
+  return base64_of(column_bytes(values));
+}
+
+/// The bytes of padded base64 `text`, bit by bit: base64_of's inverse.
+std::vector<std::uint8_t> bytes_of(const std::string& text) {
+  static const std::string kAlphabet =
+      "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+  std::vector<bool> bits;
+  for (const char c : text) {
+    if (c == '=') break;
+    const auto sextet = kAlphabet.find(c);
+    for (int bit = 5; bit >= 0; --bit) bits.push_back((sextet >> bit) & 1);
+  }
+  std::vector<std::uint8_t> bytes(bits.size() / 8);
+  for (std::size_t i = 0; i < bytes.size(); ++i)
+    for (std::size_t bit = 0; bit < 8; ++bit)
+      bytes[i] = static_cast<std::uint8_t>(bytes[i] << 1 | bits[8 * i + bit]);
+  return bytes;
+}
+
+/// The doubles of a well-formed double column: column_text's inverse.
+std::vector<double> doubles_of(const std::string& text) {
+  const std::vector<std::uint8_t> bytes = bytes_of(text);
+  std::size_t at = 0;
+  const auto leb128 = [&] {
+    std::uint64_t value = 0;
+    for (int shift = 0;; shift += 7) {
+      const std::uint8_t byte = bytes.at(at++);
+      value |= std::uint64_t{byte & 127u} << shift;
+      if (byte < 128) return value;
+    }
+  };
+  const std::uint64_t rows = leb128();
+  std::vector<double> dict(leb128());
+  std::uint64_t pattern = 0;
+  for (double& value : dict) {
+    pattern += leb128();
+    std::memcpy(&value, &pattern, sizeof value);
+  }
+  int width = 0;
+  while ((std::uint64_t{1} << width) < dict.size()) ++width;
+  std::vector<double> values;
+  for (std::uint64_t row = 0; row < rows; ++row) {
+    std::uint64_t rank = 0;
+    for (int bit = 0; bit < width; ++bit) {
+      const std::uint64_t i = row * static_cast<std::uint64_t>(width) +
+                              static_cast<std::uint64_t>(bit);
+      rank |= std::uint64_t{(bytes.at(at + i / 8) >> (i % 8)) & 1u} << bit;
+    }
+    values.push_back(dict.at(rank));
+  }
+  return values;
 }
 
 /// A run of `strategy` on the three-tier platform; with `noise`, every
@@ -1026,16 +1127,18 @@ TEST(OutcomeIoTest, HeadlineValuesTheRecordDerivesAreLeftOut) {
   }
 }
 
-TEST(OutcomeIoTest, BinaryColumnsRoundTripBitExactly) {
-  // Double columns are base64 of little-endian binary64: one known
-  // answer pins the byte order, then every padding remainder (0-3 rows)
-  // and the edge values of the format round-trip bit for bit.
+TEST(OutcomeIoTest, DoubleColumnsRoundTripBitExactly) {
+  // A double column is base64 of its row count, its distinct bit patterns
+  // and one rank per row: one known answer pins the layout (1, 1, then
+  // the varint of 1.0's pattern 0x3FF0000000000000; no rank bits), then
+  // every padding remainder and the edge values of the format round-trip
+  // bit for bit.
   using limits = std::numeric_limits<double>;
   {
     const auto one = with_rows(online_outcome(), 1, {1.0});
     EXPECT_EQ(tuner::outcome_to_json(one).at("table").at("mean_time")
                   .as_string(),
-              "AAAAAAAA8D8=");
+              "AQGAgICAgICA+D8=");
   }
   const std::vector<double> edges = {
       -0.0, 0.0, limits::denorm_min(), -limits::denorm_min(),
@@ -1052,8 +1155,8 @@ TEST(OutcomeIoTest, BinaryColumnsRoundTripBitExactly) {
       observed.push_back(step.observed_time);
     const std::string& column =
         encoded.at("table").at("mean_time").as_string();
-    EXPECT_EQ(column, base64_le(means)) << what;
-    EXPECT_EQ(column.size(), 4 * ((8 * rows + 2) / 3)) << what;
+    EXPECT_EQ(column, column_text(means)) << what;
+    EXPECT_EQ(doubles_of(column).size(), rows) << what;
     // An empty trajectory's times are all derivable from the rows, so
     // they are left out, and its index is the number 1.
     const Json& trajectory = encoded.at("trajectory");
@@ -1061,7 +1164,7 @@ TEST(OutcomeIoTest, BinaryColumnsRoundTripBitExactly) {
         << what;
     if (rows > 0) {
       EXPECT_EQ(trajectory.at("observed_time").as_string(),
-                base64_le(observed))
+                column_text(observed))
           << what;
     }
     // Integer columns stay JSON numbers.
@@ -1119,29 +1222,6 @@ TEST(OutcomeIoTest, CompactPayloadMatchesTheGoldenFile) {
 }
 
 // ----------------------------------------------- decoding without the rows
-
-/// The doubles of a binary column: base64_le's inverse, bit by bit.
-std::vector<double> doubles_of(const std::string& base64) {
-  static const std::string kAlphabet =
-      "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
-  std::vector<bool> bits;
-  for (const char c : base64) {
-    if (c == '=') break;
-    const auto sextet = kAlphabet.find(c);
-    for (int bit = 5; bit >= 0; --bit) bits.push_back((sextet >> bit) & 1);
-  }
-  std::vector<double> values(bits.size() / 64);
-  for (std::size_t v = 0; v < values.size(); ++v) {
-    std::uint64_t word = 0;
-    for (int byte = 0; byte < 8; ++byte)
-      for (int bit = 0; bit < 8; ++bit)
-        if (bits[64 * v + 8 * static_cast<std::size_t>(byte) +
-                 static_cast<std::size_t>(7 - bit)])
-          word |= std::uint64_t{1} << (8 * byte + bit);
-    std::memcpy(&values[v], &word, sizeof word);
-  }
-  return values;
-}
 
 /// The key path of every field of an outcome document, depth first.
 void field_paths(const Json& node, std::vector<std::string>& path,
@@ -1216,11 +1296,11 @@ std::optional<Json> mutate_field(const Json& value, bool binary, Rng& rng,
         case 1:
           if (!values.empty()) values.pop_back();
           what += "shorten the column by one value";
-          return Json(base64_le(values));
+          return Json(column_text(values));
         case 2:
           values.push_back(values.empty() ? 1.0 : values.front());
           what += "lengthen the column by one value";
-          return Json(base64_le(values));
+          return Json(column_text(values));
         case 3: {
           if (values.empty()) values.push_back(0.0);
           const double hostile[] = {std::numeric_limits<double>::infinity(),
@@ -1237,7 +1317,7 @@ std::optional<Json> mutate_field(const Json& value, bool binary, Rng& rng,
             std::fill(values.begin(), values.end(), value);
             what += "rewrite every value";
           }
-          return Json(base64_le(values));
+          return Json(column_text(values));
         }
         default:
           text.pop_back();
@@ -1507,7 +1587,8 @@ TEST(OutcomeIoTest, TrajectoriesStoreTheirOrderAndVerdictsNotTheirRowsTimes) {
 TEST(OutcomeIoTest, StoredAllZeroStddevColumnIsRefused) {
   // One spelling per outcome: the writer leaves a stddev column of +0.0
   // values out, so the reader refuses one that is stored, in both modes
-  // with one error text. An empty table's "" column is one of them.
+  // with one error text. An empty table's column ("AAA=": no rows, no
+  // distinct values) is one of them.
   const Json sweep = tuner::outcome_to_json(sweep_3tier());
   const auto online = online_outcome();
   const auto with_zeros = [](const Json& doc,
@@ -1515,7 +1596,7 @@ TEST(OutcomeIoTest, StoredAllZeroStddevColumnIsRefused) {
                              std::size_t count) {
     return with_field(doc, rows, 0, [&](const Json& columns) {
       JsonObject out = columns.as_object();
-      out["stddev_time"] = Json(base64_le(std::vector<double>(count, 0.0)));
+      out["stddev_time"] = Json(column_text(std::vector<double>(count, 0.0)));
       return std::optional<Json>(Json(std::move(out)));
     });
   };
@@ -1525,7 +1606,7 @@ TEST(OutcomeIoTest, StoredAllZeroStddevColumnIsRefused) {
       {"online table", with_zeros(tuner::outcome_to_json(online), {"table"},
                                   online.table.size())},
   };
-  ASSERT_EQ(sweep.at("table").at("mean_time").as_string(), "");
+  ASSERT_EQ(sweep.at("table").at("mean_time").as_string(), "AAA=");
   for (const auto& [what, doc] : cases) {
     for (const auto rows : {tuner::Rows::Keep, tuner::Rows::Skip}) {
       try {
@@ -1540,12 +1621,224 @@ TEST(OutcomeIoTest, StoredAllZeroStddevColumnIsRefused) {
   }
 }
 
+/// A hand-built noisy table-only record of a 3-group, 3-tier space (27
+/// configurations). Its four rows' stddevs {0.5, 0.25, 0.5, 0.125} make a
+/// stddev column of three distinct values and 2-bit ranks; its one step
+/// observed 21.0 where its row's mean is 20.0, so it stores that column.
+tuner::TuningOutcome four_noisy_rows() {
+  tuner::TuningOutcome o;
+  o.strategy = "online";
+  o.workload = "hand-built";
+  o.num_groups = 3;
+  o.num_tiers = 3;
+  o.baseline_time = 40.0;
+  o.weights.footprint_bytes = {1e9, 2e9, 3e9};
+  o.weights.footprint_total = 6e9;
+  o.weights.traffic_bytes = {5e9, 1e9, 0.0};
+  o.weights.traffic_total = 6e9;
+  o.table = {{0, 40.0, 0.5}, {1, 30.0, 0.25}, {2, 35.0, 0.5}, {4, 20.0, 0.125}};
+  o.trajectory = {{2, 4, 21.0, true}};
+  o.chosen_mask = 4;
+  o.chosen_time = 20.0;
+  o.configs_measured = 4;
+  o.measurements = 5;
+  return o;
+}
+
+/// LEB128 varints of `values`, then `tail` bytes as they are.
+std::vector<std::uint8_t> leb128s(std::initializer_list<std::uint64_t> values,
+                                  std::initializer_list<std::uint8_t> tail) {
+  std::vector<std::uint8_t> out;
+  for (const std::uint64_t value : values) put_leb128(out, value);
+  out.insert(out.end(), tail.begin(), tail.end());
+  return out;
+}
+
+TEST(OutcomeIoTest, EveryDoubleColumnRefusalHasOneErrorInBothModes) {
+  // One hostile column per refusal rule of the double-column layout, each
+  // refused by Rows::Keep and Rows::Skip with the same, exact error. The
+  // columns are built byte by byte; the unmutated record decodes.
+  const auto outcome = four_noisy_rows();
+  const Json good = tuner::outcome_to_json(outcome);
+  const std::uint64_t eighth = bits_of(0.125);
+  const std::uint64_t step = bits_of(0.25) - eighth;  // 2^52, and 0.5's too
+  // The stored stddev column: 4 rows, 3 values, ranks 2 1 2 0 in 2 bits.
+  const auto stddev = leb128s({4, 3, eighth, step, step}, {0x26});
+  ASSERT_EQ(good.at("table").at("stddev_time").as_string(),
+            base64_of(stddev));
+  ASSERT_EQ(good.at("trajectory").at("observed_time").as_string(),
+            column_text({21.0}));
+  const std::uint64_t inf = bits_of(std::numeric_limits<double>::infinity());
+  const std::uint64_t nan = bits_of(std::nan(""));
+  const std::vector<std::string> table_stddev = {"table", "stddev_time"};
+  const std::vector<std::string> table_mean = {"table", "mean_time"};
+  const struct {
+    std::string what;
+    std::vector<std::string> path;
+    std::string text;
+    std::string error;  ///< after "outcome field '<column>' "
+  } cases[] = {
+      {"a row count other than mean_time's", table_stddev,
+       base64_of(leb128s({5, 3, eighth, step, step}, {0x26, 0x00})),
+       "has 5 rows, expected 4"},
+      {"a weight column of two rows for three groups", {"footprint_bytes"},
+       column_text({1e9, 2e9}), "has 2 rows, expected 3"},
+      {"step times of two rows for one step", {"trajectory", "observed_time"},
+       column_text({21.0, 22.0}), "has 2 rows, expected 1"},
+      {"more rows than the space holds", table_mean,
+       column_text(std::vector<double>(28, 1.0)),
+       "lists more configurations than the space holds"},
+      {"2^62 rows, refused before anything is allocated", table_mean,
+       base64_of(leb128s({std::uint64_t{1} << 62, 1, eighth}, {})),
+       "lists more configurations than the space holds"},
+      {"a non-minimal varint", table_stddev,
+       base64_of(leb128s({}, {0x84, 0x00, 3})), "holds a varint that is not minimal"},
+      {"a varint past 64 bits", table_stddev,
+       base64_of(leb128s({}, {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+                              0xFF, 0x02})),
+       "holds a varint past 64 bits"},
+      {"an 11-byte varint", table_stddev,
+       base64_of(leb128s({}, {0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
+                              0x80, 0x80, 0x01})),
+       "holds a varint past 64 bits"},
+      {"a column ending inside its dictionary", table_stddev,
+       base64_of(leb128s({4, 3, eighth}, {})), "ends early"},
+      {"a column ending before its ranks", table_stddev,
+       base64_of(leb128s({4, 3, eighth, step, step}, {})), "ends early"},
+      {"no distinct value for four rows", table_stddev,
+       base64_of(leb128s({4, 0}, {})), "has 0 distinct values for 4 rows"},
+      {"more distinct values than rows", table_stddev,
+       base64_of(leb128s({4, 5, eighth, step, step, step, step}, {0x26})),
+       "has 5 distinct values for 4 rows"},
+      {"a distinct value for no rows", {"trajectory", "observed_time"},
+       base64_of(leb128s({1, 2, eighth, step}, {0x01})),
+       "has 2 distinct values for 1 rows"},
+      {"a repeated dictionary value", table_stddev,
+       base64_of(leb128s({4, 3, eighth, 0, step}, {0x26})),
+       "repeats a dictionary value"},
+      {"a dictionary wrapping past 2^64", table_stddev,
+       base64_of(leb128s({4, 3, eighth, step, 0 - (eighth + step)}, {0x26})),
+       "has a dictionary value past 2^64"},
+      {"a dictionary holding +inf", table_stddev,
+       base64_of(leb128s({4, 3, eighth, step, inf - (eighth + step)}, {0x26})),
+       "holds a non-finite value"},
+      {"a dictionary holding a NaN", table_stddev,
+       base64_of(leb128s({4, 3, eighth, step, nan - (eighth + step)}, {0x26})),
+       "holds a non-finite value"},
+      {"a rank past the dictionary", table_stddev,
+       base64_of(leb128s({4, 3, eighth, step, step}, {0x36})),
+       "holds a rank past its dictionary"},
+      {"an unused dictionary value", table_stddev,
+       base64_of(leb128s({4, 3, eighth, step, step}, {0x2A})),
+       "holds an unused dictionary value"},
+      {"set rank padding bits", table_stddev,
+       base64_of(leb128s({4, 2, bits_of(0.25), step}, {0x85})),
+       "has non-zero padding bits"},
+      {"a trailing byte", table_stddev,
+       base64_of(leb128s({4, 3, eighth, step, step}, {0x26, 0x00})),
+       "has trailing bytes"},
+      {"base64 of the wrong length", table_stddev,
+       base64_of(stddev).substr(1), "is not padded base64"},
+      {"a character outside base64", table_stddev,
+       "-" + base64_of(stddev).substr(1), "holds a character outside base64"},
+      {"set base64 padding bits", table_stddev,
+       base64_of(stddev).replace(base64_of(stddev).size() - 3, 1, "h"),
+       "has non-zero padding bits"},
+  };
+  ASSERT_EQ(base64_of(stddev).substr(base64_of(stddev).size() - 3), "g==");
+  EXPECT_NO_THROW(tuner::outcome_from_json(good, tuner::Rows::Skip));
+  expect_round_trip(outcome, good, -1, "four noisy rows");
+  for (const auto& c : cases) {
+    const Json doc = with_field(good, c.path, 0, [&](const Json&) {
+      return std::optional<Json>(Json(c.text));
+    });
+    const std::string error =
+        "outcome field '" + c.path.back() + "' " + c.error;
+    for (const auto rows : {tuner::Rows::Keep, tuner::Rows::Skip}) {
+      try {
+        tuner::outcome_from_json(doc, rows);
+        ADD_FAILURE() << c.what << ": accepted";
+      } catch (const Error& e) {
+        EXPECT_EQ(e.what(), error) << c.what;
+      }
+    }
+  }
+}
+
+TEST(OutcomeIoTest, EveryDoubleColumnKindRoundTrips) {
+  // Weights, mean and stddev times of a table and of a sweep, and step
+  // times, each spelled as the layout's oracle spells it and decoded back
+  // bit for bit: empty and single-value columns, a -0.0/+0.0 pair (two
+  // values: the codec compares bit patterns) and negative values.
+  auto signed_weights = four_noisy_rows();
+  signed_weights.weights.traffic_bytes = {0.0, -0.0, 5e9};
+  signed_weights.weights.footprint_bytes = {2e9, 2e9, 2e9};
+  auto noisy_sweep = sweep_3tier({0.05, 11});
+  const auto base = online_outcome();
+  const std::pair<std::string, tuner::TuningOutcome> cases[] = {
+      {"empty", with_rows(base, 0, {1.0})},
+      {"one value", with_rows(base, 1, {2.5})},
+      {"one value in many rows", with_rows(base, 9, {2.5})},
+      {"signed zeros", with_rows(base, 6, {-0.0, 0.0})},
+      {"negative values", with_rows(base, 7, {-1.5, -2.5, 3.0, -1.5})},
+      {"signed zero and single-value weights", signed_weights},
+      {"noisy sweep", noisy_sweep},
+  };
+  const auto values_of = [](const auto& rows, auto field) {
+    std::vector<double> values;
+    for (const auto& row : rows) values.push_back(row.*field);
+    return values;
+  };
+  for (const auto& [what, outcome] : cases) {
+    const Json encoded = tuner::outcome_to_json(outcome);
+    EXPECT_EQ(encoded.at("footprint_bytes").as_string(),
+              column_text(outcome.weights.footprint_bytes))
+        << what;
+    EXPECT_EQ(encoded.at("traffic_bytes").as_string(),
+              column_text(outcome.weights.traffic_bytes))
+        << what;
+    std::vector<std::pair<const Json*, const std::vector<tuner::ConfigResult>*>>
+        lists = {{&encoded.at("table"), &outcome.table}};
+    if (outcome.sweep.has_value())
+      lists.push_back(
+          {&encoded.at("sweep").at("configs"), &outcome.sweep->configs});
+    for (const auto& [columns, rows] : lists) {
+      EXPECT_EQ(columns->at("mean_time").as_string(),
+                column_text(values_of(*rows, &tuner::ConfigResult::mean_time)))
+          << what;
+      if (const Json* stddev = columns->as_object().find("stddev_time")) {
+        EXPECT_EQ(
+            stddev->as_string(),
+            column_text(values_of(*rows, &tuner::ConfigResult::stddev_time)))
+            << what;
+      }
+    }
+    if (const Json* observed =
+            encoded.at("trajectory").as_object().find("observed_time")) {
+      EXPECT_EQ(observed->as_string(),
+                column_text(values_of(outcome.trajectory,
+                                      &tuner::TuningStep::observed_time)))
+          << what;
+    }
+    for (const int indent : {-1, 2})
+      expect_round_trip(outcome, encoded, indent, what);
+  }
+  // The signed zeros are two dictionary values, so the column keeps
+  // their ranks: 6 rows of 1 bit.
+  EXPECT_EQ(bytes_of(tuner::outcome_to_json(cases[3].second)
+                         .at("table")
+                         .at("mean_time")
+                         .as_string())
+                .size(),
+            2u + 1u + 10u + 1u);
+}
+
 /// `doc` with its weights `name` (one per group) replaced and their
 /// total stored (the total differs from the weights' sum).
 Json with_weights(const Json& doc, const std::string& name,
                   const std::vector<double>& weights, double total) {
   JsonObject out = doc.as_object();
-  out[name + "_bytes"] = Json(base64_le(weights));
+  out[name + "_bytes"] = Json(column_text(weights));
   out[name + "_total"] = Json(total);
   return Json(std::move(out));
 }
@@ -1722,10 +2015,12 @@ std::string with_column(std::string text, const std::string& anchor,
   return text;
 }
 
-/// Damaged binary columns, on a record of `scenario` (an online run) cut
-/// to one table row and two trajectory steps, so both padding lengths
-/// occur: 8 bytes end in "x=" and 16 bytes in "x==". The row is given a
-/// non-zero stddev, so the record stores that column too.
+/// Damaged double columns, on a record of `scenario` (an online run) cut
+/// to one table row and two trajectory steps. Both padding lengths occur:
+/// one time is 11 bytes (two counts and a 9-byte pattern), ending in "x=",
+/// and two equal times below 2^-1000 are 10 bytes (their pattern takes 8),
+/// ending in "x==". The row is given a non-zero stddev, so the record
+/// stores that column too.
 std::vector<HostileCase> binary_column_cases(const Scenario& scenario) {
   auto outcome = CampaignRunner::execute(scenario);
   outcome.table.resize(1);
@@ -1734,11 +2029,13 @@ std::vector<HostileCase> binary_column_cases(const Scenario& scenario) {
   const std::string good = OutcomeStore::make_payload(scenario, outcome);
   const std::string table = "\"table\":";
   const std::string traj = "\"trajectory\":";
-  const std::string one = base64_le({outcome.table[0].mean_time});
-  const std::string two = base64_le({outcome.trajectory[0].observed_time,
-                                     outcome.trajectory[1].observed_time});
-  EXPECT_EQ(one.substr(11), "=") << one;
-  EXPECT_EQ(two.substr(22), "==") << two;
+  const std::string one = column_text({outcome.table[0].mean_time});
+  const std::string two = column_text({1e-305, 1e-305});
+  const std::size_t n1 = one.size();
+  const std::size_t n2 = two.size();
+  EXPECT_EQ(one.substr(n1 - 2), one.substr(n1 - 2, 1) + "=") << one;
+  EXPECT_NE(one[n1 - 2], '=') << one;
+  EXPECT_EQ(two.substr(n2 - 2), "==") << two;
   const std::string alphabet =
       "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
   /// `text` with character `i` replaced by `c`.
@@ -1768,44 +2065,44 @@ std::vector<HostileCase> binary_column_cases(const Scenario& scenario) {
   const double inf = std::numeric_limits<double>::infinity();
   const double time = outcome.trajectory[0].observed_time;
   std::vector<HostileCase> cases = {
-      {"binary column one block long", &scenario,
+      {"double column one block long", &scenario,
        table_mean(quoted(one + "AAAA"))},
-      {"binary column one block short", &scenario,
+      {"double column one block short", &scenario,
        table_mean(quoted(one.substr(4)))},
-      {"binary column of two values for one row", &scenario,
+      {"double column of two values for one row", &scenario,
        table_mean(quoted(two))},
-      {"binary column with a URL-safe character", &scenario,
+      {"double column with a URL-safe character", &scenario,
        table_mean(quoted(put(one, 0, '-')))},
-      {"binary column with a space", &scenario,
+      {"double column with a space", &scenario,
        table_mean(quoted(put(one, 3, ' ')))},
-      {"binary column with a non-ASCII byte", &scenario,
+      {"double column with a non-ASCII byte", &scenario,
        table_mean(quoted(put(one, 2, '\xC3')))},
-      {"binary column with an interior '='", &scenario,
+      {"double column with an interior '='", &scenario,
        table_mean(quoted(put(one, 5, '=')))},
-      {"binary column with a missing '='", &scenario,
-       table_mean(quoted(put(one, 11, 'A')))},
-      {"binary column with '=' one early", &scenario,
-       observed(quoted(put(put(two, 21, '='), 23, 'A')))},
-      {"binary column with set padding bits (x=)", &scenario,
-       table_mean(quoted(low_bit(one, 10)))},
-      {"binary column with set padding bits (x==)", &scenario,
-       observed(quoted(low_bit(two, 21)))},
-      {"binary column holding a quiet NaN", &scenario,
-       table_mean(quoted(base64_le({std::nan("")})))},
-      {"binary column holding a signalling NaN", &scenario,
-       table_mean(quoted(base64_le({signalling_nan})))},
-      {"binary column holding +inf", &scenario,
-       observed(quoted(base64_le({time, inf})))},
-      {"binary column holding -inf", &scenario,
-       observed(quoted(base64_le({-inf, time})))},
+      {"double column with a missing '='", &scenario,
+       table_mean(quoted(put(one, n1 - 1, 'A')))},
+      {"double column with '=' one early", &scenario,
+       observed(quoted(put(put(two, n2 - 3, '='), n2 - 1, 'A')))},
+      {"double column with set padding bits (x=)", &scenario,
+       table_mean(quoted(low_bit(one, n1 - 2)))},
+      {"double column with set padding bits (x==)", &scenario,
+       observed(quoted(low_bit(two, n2 - 3)))},
+      {"double column holding a quiet NaN", &scenario,
+       table_mean(quoted(column_text({std::nan("")})))},
+      {"double column holding a signalling NaN", &scenario,
+       table_mean(quoted(column_text({signalling_nan})))},
+      {"double column holding +inf", &scenario,
+       observed(quoted(column_text({time, inf})))},
+      {"double column holding -inf", &scenario,
+       observed(quoted(column_text({-inf, time})))},
       {"stddev column holding a quiet NaN", &scenario,
-       table_stddev(quoted(base64_le({std::nan("")})))},
+       table_stddev(quoted(column_text({std::nan("")})))},
       {"stddev column one block short", &scenario,
        table_stddev(quoted(one.substr(4)))},
       {"stddev column of two values for one row", &scenario,
-       table_stddev(quoted(base64_le({0.25, 0.25})))},
+       table_stddev(quoted(column_text({0.25, 0.25})))},
       {"stddev column holding only +0.0", &scenario,
-       table_stddev(quoted(base64_le({0.0})))},
+       table_stddev(quoted(column_text({0.0})))},
       {"v2-style array column", &scenario, table_mean("[1.5]")},
       {"v2-style array trajectory column", &scenario,
        observed("[" + Json(time).dump(-1) + "," + Json(time).dump(-1) + "]")},
@@ -1827,7 +2124,7 @@ std::vector<HostileCase> derivation_cases(const Scenario& sweep,
       OutcomeStore::make_payload(online, CampaignRunner::execute(online));
   const std::string at = "\"outcome\":";
   const auto quoted = [](const std::vector<double>& values) {
-    return "\"" + base64_le(values) + "\"";
+    return "\"" + column_text(values) + "\"";
   };
   const double inf = std::numeric_limits<double>::infinity();
   std::vector<double> means;
@@ -1905,7 +2202,7 @@ std::vector<HostileCase> trajectory_cases(const Scenario& sweep,
                   std::to_string(outcome.table[1].mask))},
       {"stored step times equal to their rows' mean times", &online,
        with_text(good, traj + start,
-                 traj + "\"observed_time\":\"" + base64_le(times) + "\"," +
+                 traj + "\"observed_time\":\"" + column_text(times) + "\"," +
                      start)},
       {"index array counting up by one", &online,
        with_text(good, traj + start, traj + "\"index\":" + counting + "],")},
@@ -2203,13 +2500,14 @@ TEST(OutcomeStoreTest, OutOfRangeRecordsReadAsDamaged) {
       {"sweep column shorter than the others", &sweep,
        with_text(good_sweep, cols + "{",
                  cols + "{\"stddev_time\":\"" +
-                     base64_le(std::vector<double>(26, 0.5)) + "\",")},
+                     column_text(std::vector<double>(26, 0.5)) + "\",")},
       {"sweep stddev column of only +0.0", &sweep,
        with_text(good_sweep, cols + "{",
                  cols + "{\"stddev_time\":\"" +
-                     base64_le(std::vector<double>(27, 0.0)) + "\",")},
+                     column_text(std::vector<double>(27, 0.0)) + "\",")},
       // (Its times and footprint total are stored: no row or weight holds
-      // them, so only the group count is out of range.)
+      // them, so only the group count is out of range. "AAA=" is an empty
+      // double column.)
       {"sweep on a zero-group outcome", &sweep,
        with_key(with_key(with_key(
                     with_column(
@@ -2218,9 +2516,9 @@ TEST(OutcomeStoreTest, OutOfRangeRecordsReadAsDamaged) {
                                 with_value(with_value(good_sweep, o,
                                                       "num_groups", "0"),
                                            o, "chosen_mask", "0"),
-                                o, "footprint_bytes", "\"\""),
-                            o, "traffic_bytes", "\"\""),
-                        cols, "mean_time", "\"\""),
+                                o, "footprint_bytes", "\"AAA=\""),
+                            o, "traffic_bytes", "\"AAA=\""),
+                        cols, "mean_time", "\"AAA=\""),
                     "baseline_time", "40"),
                 "chosen_time", "20"),
                 "footprint_total", "1")},
@@ -2836,6 +3134,55 @@ TEST_F(PackedStoreTest, ReaderCatchesUpByScanningOnlyTheNewFrames) {
   ASSERT_EQ(all.size(), static_cast<std::size_t>(next));
   for (int i = 0; i < next; ++i)
     EXPECT_EQ(all[static_cast<std::size_t>(i)].second, record(i).first) << i;
+}
+
+/// This process's read(2)-family calls so far (`syscr` of /proc/self/io),
+/// or -1 where the kernel does not account them.
+long long read_calls() {
+  std::ifstream io("/proc/self/io");
+  std::string key;
+  long long value = 0;
+  while (io >> key >> value)
+    if (key == "syscr:") return value;
+  return -1;
+}
+
+TEST_F(PackedStoreTest, ReopenedStoreWalksFrameHeadersForward) {
+  // The first lookup of a reopened store walks every frame header. It
+  // reads the log forward through one buffer, so 10^4 small frames (the
+  // size of a search record) cost a few hundred read calls, far below one
+  // per frame; reading each header and each trailing newline on its own
+  // took two per frame.
+  if (read_calls() < 0) GTEST_SKIP() << "no /proc/self/io read accounting";
+  StoreDir dir("hmpt_packed_forward_walk");
+  const auto s = scenario_with_reps(1);
+  const std::string payload =
+      OutcomeStore::make_payload(s, CampaignRunner::execute(s));
+  constexpr int kFrames = 10000;
+  {
+    // Frames written as the packed layout frames them: filler records
+    // under their own fingerprints, then the real one.
+    fs::create_directories(dir.path());
+    std::ofstream log(fs::path(dir.path()) / "outcomes.log",
+                      std::ios::binary);
+    char fingerprint[17];
+    for (int i = 0; i + 1 < kFrames; ++i) {
+      std::snprintf(fingerprint, sizeof fingerprint, "%016x", i);
+      log << "hmpt1 " << fingerprint << " " << payload.size() << "\n"
+          << payload << "\n";
+    }
+    log << "hmpt1 " << s.fingerprint() << " " << payload.size() << "\n"
+        << payload << "\n";
+  }
+  const OutcomeStore store = OutcomeStore::open_existing(dir.path());
+  ASSERT_EQ(store.format(), StoreFormat::Packed);
+  // What reading the counter itself costs.
+  const long long probe = -(read_calls() - read_calls());
+  const long long before = read_calls();
+  EXPECT_EQ(store.payload(s.fingerprint()), payload);
+  const long long reads = read_calls() - before - probe;
+  EXPECT_LT(reads, kFrames / 10)
+      << reads << " read calls to walk " << kFrames << " frames";
 }
 
 // ----------------------------------------------------------------- runner

@@ -69,33 +69,38 @@ TEST(DecodeAllocTest, SkippingTheRowsOfA3To8OutcomeAllocatesUnder64KiB) {
 #ifdef HMPT_SANITIZED
   GTEST_SKIP() << "a sanitizer owns the allocator";
 #else
-  // A full 3^8 sweep (bt on spr-cxl, 6,561 configurations), read back
-  // from its compact text like a stored record. The sweep is the record of
-  // the search, so the outcome keeps no trajectory.
-  Scenario s;
-  s.workload = parse_workload_spec("bt");
-  s.platform = "spr-cxl";
-  s.strategy = "exhaustive";
-  s.tiers = 3;
-  const auto outcome = CampaignRunner::execute(s);
-  ASSERT_TRUE(outcome.sweep.has_value());
-  ASSERT_EQ(outcome.sweep->configs.size(), 6561u);
-  ASSERT_TRUE(outcome.trajectory.empty());
-  const Json json = Json::parse(tuner::outcome_to_json(outcome).dump(-1));
+  // Full 3^8 sweeps (spr-cxl, 6,561 configurations), read back from their
+  // compact text like stored records. The sweep is the record of the
+  // search, so the outcome keeps no trajectory. Rows::Skip holds the
+  // mean_time dictionary, 8 bytes per distinct time: bt's sweep holds
+  // about 1,250, sp's (the most of the paper's apps) about 6,100.
+  for (const char* app : {"bt", "sp"}) {
+    Scenario s;
+    s.workload = parse_workload_spec(app);
+    s.platform = "spr-cxl";
+    s.strategy = "exhaustive";
+    s.tiers = 3;
+    const auto outcome = CampaignRunner::execute(s);
+    ASSERT_TRUE(outcome.sweep.has_value()) << app;
+    ASSERT_EQ(outcome.sweep->configs.size(), 6561u) << app;
+    ASSERT_TRUE(outcome.trajectory.empty()) << app;
+    const Json json = Json::parse(tuner::outcome_to_json(outcome).dump(-1));
 
-  const auto bytes_allocated = [&](tuner::Rows rows) {
-    const std::size_t before = g_allocated_bytes.load();
-    const auto decoded = tuner::outcome_from_json(json, rows);
-    EXPECT_EQ(decoded.chosen_mask, outcome.chosen_mask);
-    EXPECT_EQ(decoded.sweep.has_value(), rows == tuner::Rows::Keep);
-    return g_allocated_bytes.load() - before;
-  };
-  const std::size_t skip = bytes_allocated(tuner::Rows::Skip);
-  const std::size_t keep = bytes_allocated(tuner::Rows::Keep);
-  EXPECT_LE(skip, 64u * 1024) << "bytes allocated by a Rows::Skip decode";
-  // 6,561 configurations: the counter sees them.
-  EXPECT_GE(keep, 6561 * sizeof(tuner::ConfigResult))
-      << "bytes allocated by a Rows::Keep decode";
+    const auto bytes_allocated = [&](tuner::Rows rows) {
+      const std::size_t before = g_allocated_bytes.load();
+      const auto decoded = tuner::outcome_from_json(json, rows);
+      EXPECT_EQ(decoded.chosen_mask, outcome.chosen_mask) << app;
+      EXPECT_EQ(decoded.sweep.has_value(), rows == tuner::Rows::Keep) << app;
+      return g_allocated_bytes.load() - before;
+    };
+    const std::size_t skip = bytes_allocated(tuner::Rows::Skip);
+    const std::size_t keep = bytes_allocated(tuner::Rows::Keep);
+    EXPECT_LE(skip, 64u * 1024)
+        << app << ": bytes allocated by a Rows::Skip decode";
+    // 6,561 configurations: the counter sees them.
+    EXPECT_GE(keep, 6561 * sizeof(tuner::ConfigResult))
+        << app << ": bytes allocated by a Rows::Keep decode";
+  }
 #endif
 }
 
@@ -177,14 +182,22 @@ TEST(DecodeAllocTest, MergeHoldsOneRecordAtATime) {
   matrix.strategies = {"exhaustive"};
   matrix.tiers = {3};
   for (int gb = 1; gb <= 16; ++gb) matrix.budgets_gb.push_back(gb);
-  const auto all = matrix.expand();
+  // Budget by budget, so bt and sp records alternate: an sp sweep holds
+  // more distinct times, and its record is about 2.7 times a bt one, so
+  // the 8- and the 32-record campaigns below both hold the largest kind.
+  auto all = matrix.expand();
+  std::stable_sort(all.begin(), all.end(),
+                   [](const Scenario& a, const Scenario& b) {
+                     return a.budget_gb < b.budget_gb;
+                   });
   ASSERT_EQ(all.size(), 32u);
+  ASSERT_NE(all[0].workload.name, all[1].workload.name);
   std::map<std::string, std::string> payloads;  // fingerprint -> record
-  std::size_t record_bytes = SIZE_MAX;
+  std::size_t record_bytes = 0;  // the largest record
   for (const auto& s : all) {
     const auto& payload = payloads[s.fingerprint()] =
         OutcomeStore::make_payload(s, CampaignRunner::execute(s));
-    record_bytes = std::min(record_bytes, payload.size());
+    record_bytes = std::max(record_bytes, payload.size());
   }
 
   // A campaign of the first `n` scenarios as three shard stores: shard 1
@@ -227,8 +240,9 @@ TEST(DecodeAllocTest, MergeHoldsOneRecordAtATime) {
         EXPECT_EQ(merged.cached, big ? 32 : 8) << tag;
       });
     }
-    // Four times the records may add headlines and manifest entries, but
-    // not one more record's bytes.
+    // Four times the records may add headlines and manifest entries
+    // (about 33 KB), but not one more record's bytes (of the largest
+    // record, sp's: records differ in size by their distinct times).
     EXPECT_LT(merge_peak[1], merge_peak[0] + record_bytes)
         << tag << ": merge heap peak over 8 records " << merge_peak[0]
         << " B, over 32 records " << merge_peak[1] << " B";

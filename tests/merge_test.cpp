@@ -197,10 +197,10 @@ TEST(CampaignFingerprintTest, HashesTheOrderedScenarioList) {
   EXPECT_EQ(fp, campaign_fingerprint(scenarios));  // deterministic
   // The digest is part of every summary.json and shard manifest: pinned,
   // so hashing it piece by piece cannot drift from the whole-text hash
-  // `campaign-v9|<fp>|<fp>` the format defines (the scenario fingerprints
-  // 170bb88d57d483fa and 9428c7256ae6463c, hashed as one text).
-  EXPECT_EQ(fp, "176f972142738175");
-  EXPECT_EQ(campaign_fingerprint(std::vector<Scenario>{}), "c1f42d2155674527");
+  // `campaign-v10|<fp>|<fp>` the format defines (the scenario fingerprints
+  // 69699f854147a2a2 and b3a82dbf7da1b094, hashed as one text).
+  EXPECT_EQ(fp, "7ddd08134721350d");
+  EXPECT_EQ(campaign_fingerprint(std::vector<Scenario>{}), "f912d6a41e63b98d");
   CampaignHasher hasher;
   for (const auto& s : scenarios) hasher.add(s.fingerprint());
   EXPECT_EQ(hasher.digest(), fp);

@@ -101,8 +101,8 @@ void usage(const char* argv0) {
       << "                             campaign-out)\n"
       << "  --store-format dir|packed  outcome store layout: one JSON file\n"
       << "                             per scenario (dir, default) or one\n"
-      << "                             append-only outcomes.log + index\n"
-      << "                             for fleet-scale campaigns\n"
+      << "                             append-only outcomes.log (its own\n"
+      << "                             index) for fleet-scale campaigns\n"
       << "  --shard I/N                run the I-th of N deterministic\n"
       << "                             slices of the campaign (1-based;\n"
       << "                             merge the stores with hmpt_merge)\n"
